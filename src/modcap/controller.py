@@ -17,18 +17,17 @@ from .tensor import (
     LstmParams,
     Rng,
     Tensor,
+    additive_attention,
     clamp_min,
     concat,
     log,
     lstm_step,
     make_lstm_params,
-    matmul,
     pick,
     reshape,
-    slice_axis,
     softmax,
     sum_,
-    tanh,
+    weighted_concat,
     xavier_uniform,
     zeros,
 )
@@ -85,29 +84,12 @@ class AdditiveAttention:
     """
 
     def __init__(self, d_v: int, d_c: int, d_a: int, rng: Rng, dtype=FLOAT32):
-        self.d_v = d_v
-        self.d_a = d_a
         self.W_v = xavier_uniform(rng, (d_a, d_v), d_v, d_a, dtype=dtype)
         self.W_h = xavier_uniform(rng, (d_a, d_c), d_c, d_a, dtype=dtype)
         self.w_a = xavier_uniform(rng, (d_a,), d_a, 1, dtype=dtype)
 
     def __call__(self, values: Tensor, query: Tensor):
-        single = values.ndim == 2
-        if single:
-            values = reshape(values, (1,) + values.shape)
-            query = reshape(query, (1, -1))
-        b, n, _ = values.shape
-        if n == 0:
-            raise ValueError("attention over an empty value set")
-        keys = reshape(matmul(reshape(values, (-1, self.d_v)), self.W_v.T), (b, n, self.d_a))
-        q = reshape(matmul(query, self.W_h.T), (b, 1, self.d_a))
-        scores = reshape(matmul(reshape(tanh(keys + q), (-1, self.d_a)), self.w_a), (b, n))
-        alpha = softmax(scores, axis=-1)
-        attended = sum_(reshape(alpha, (b, n, 1)) * values, axis=1)
-        if single:
-            alpha = reshape(alpha, (-1,))
-            attended = reshape(attended, (-1,))
-        return alpha, attended
+        return additive_attention(values, query, self.W_v, self.W_h, self.w_a)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.Wv": self.W_v, f"{prefix}.Wh": self.W_h, f"{prefix}.wa": self.w_a}
@@ -198,9 +180,7 @@ def fuse(weights: Tensor, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
     for p in parts:
         if p.shape[-1] != d_v:
             raise ShapeError(f"module outputs disagree in width: {p.shape[-1]} vs {d_v}")
-    axis = weights.ndim - 1
-    blocks = [slice_axis(weights, axis, k, k + 1) * part for k, part in enumerate(parts)]
-    return concat(blocks, axis=-1)
+    return weighted_concat(weights, parts)
 
 
 def linguistic_loss(weights: Tensor, label: ModuleLabel) -> Tensor:

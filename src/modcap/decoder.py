@@ -33,6 +33,7 @@ from .tensor import (
     gather_rows,
     lstm_step,
     make_lstm_params,
+    masked_nll,
     mean_pool_rows,
     no_grad,
     softmax,
@@ -303,8 +304,6 @@ def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,
                   eos: int = EOS_ID):
     """Ancestral sampling.  Keeps gradients: returns (tokens, per-step
     log-probability tensors of the sampled tokens)."""
-    from .tensor import clamp_min, log, pick
-
     states = model.init_state(1)
     tok = bos
     tokens = []
@@ -312,7 +311,7 @@ def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,
     for _ in range(max_len):
         dist, states, _ = model.step([tok], enc, states, rng=rng)
         tok = rng.multinomial(dist.data[0])
-        logps.append(log(clamp_min(pick(dist, [tok]), 1e-12)).sum())
+        logps.append(-masked_nll(dist, [tok]))
         tokens.append(tok)
         if tok == eos:
             break

@@ -2,9 +2,10 @@
 
 Three tiers, all in float64 against central differences:
 
-* primitives: every differentiable op, one case each, inputs kept away
-  from kinks (relu at zero, clamp at its threshold) so the numeric
-  derivative is trustworthy;
+* primitives: every differentiable op, one case each, and every input
+  of the fused ops (LSTM cell, attention, masked NLL, weighted concat);
+  inputs kept away from kinks (relu at zero, clamp at its threshold) so
+  the numeric derivative is trustworthy;
 * composites: seeded random chains of ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
 * decoder: a miniature two-unit captioning model driven for three
@@ -28,6 +29,7 @@ from .tensor import (
     LstmParams,
     Rng,
     Tensor,
+    additive_attention,
     clamp_min,
     concat,
     exp,
@@ -36,6 +38,7 @@ from .tensor import (
     leaky_relu,
     log,
     lstm_step,
+    masked_nll,
     matmul,
     max_relative_error,
     mean_pool_rows,
@@ -47,6 +50,7 @@ from .tensor import (
     sum_,
     tanh,
     transpose,
+    weighted_concat,
 )
 
 DEFAULT_TOLERANCE = 1e-3
@@ -106,6 +110,19 @@ def primitive_cases(seed: int):
     h0 = Tensor(rng.uniform_array((3,), -0.5, 0.5, dtype=FLOAT64), dtype=FLOAT64)
     c0 = Tensor(rng.uniform_array((3,), -0.5, 0.5, dtype=FLOAT64), dtype=FLOAT64)
     x_fixed = Tensor(np.linspace(-1, 1, 4), dtype=FLOAT64)
+    xb = Tensor(rng.uniform_array((2, 4), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
+    hb = Tensor(rng.uniform_array((2, 3), -0.5, 0.5, dtype=FLOAT64), dtype=FLOAT64)
+    cb = Tensor(rng.uniform_array((2, 3), -0.5, 0.5, dtype=FLOAT64), dtype=FLOAT64)
+    att_v = Tensor(rng.uniform_array((2, 3, 4), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
+    att_q = Tensor(rng.uniform_array((2, 5), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
+    att_Wv = Tensor(rng.uniform_array((6, 4), -0.7, 0.7, dtype=FLOAT64), dtype=FLOAT64)
+    att_Wh = Tensor(rng.uniform_array((6, 5), -0.7, 0.7, dtype=FLOAT64), dtype=FLOAT64)
+    att_wa = Tensor(rng.uniform_array((6,), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
+    att = (att_v, att_q, att_Wv, att_Wh, att_wa)
+    fuse_w = Tensor(rng.uniform_array((2, 4), 0.1, 1, dtype=FLOAT64), dtype=FLOAT64)
+    fuse_parts = [Tensor(rng.uniform_array((2, 3), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
+                  for _ in range(4)]
+    nll_mask = np.array([1.0, 0.0, 1.0, 0.5])       # row 1 is masked out
 
     cases = [
         ("add_broadcast", lambda x: (x + bias).sum(), _t(rng, (2, 3))),
@@ -151,6 +168,35 @@ def primitive_cases(seed: int):
         ("lstm_step_b",
          lambda b: _lstm_scalar(x_fixed, h0, c0, LstmParams(W=lstm.W, b=b)),
          _t(rng, (12,), low=-0.5, high=0.5)),
+        ("lstm_cell_batched_x", lambda x: _lstm_scalar(x, hb, cb, lstm), _t(rng, (2, 4))),
+        ("lstm_cell_batched_h", lambda h: _lstm_scalar(xb, h, cb, lstm), _t(rng, (2, 3))),
+        ("lstm_cell_batched_c", lambda c: _lstm_scalar(xb, hb, c, lstm), _t(rng, (2, 3))),
+        ("lstm_cell_batched_W",
+         lambda W: _lstm_scalar(xb, hb, cb, LstmParams(W=W, b=lstm.b)),
+         _t(rng, (7, 12), low=-0.5, high=0.5)),
+        ("lstm_cell_batched_b",
+         lambda b: _lstm_scalar(xb, hb, cb, LstmParams(W=lstm.W, b=b)),
+         _t(rng, (12,), low=-0.5, high=0.5)),
+    ]
+    for k, name in enumerate(("values", "query", "W_v", "W_h", "w_a")):
+        def f(x, k=k):
+            return _attention_scalar(*att[:k], x, *att[k + 1:])
+        cases.append((f"additive_attention_{name}", f,
+                      _t(rng, att[k].data.shape, low=-0.7, high=0.7)))
+    cases += [
+        ("additive_attention_single",
+         lambda v: _attention_scalar(v, Tensor(att_q.data[0], dtype=FLOAT64), att_Wv, att_Wh,
+                                   att_wa),
+         _t(rng, (3, 4))),
+        ("masked_nll_zero_mask_row",
+         lambda p: masked_nll(p, idx_cols, nll_mask),
+         _t(rng, (4, 5), low=0.05, high=1.0)),
+        ("weighted_concat_weights",
+         lambda w: (weighted_concat(w, fuse_parts) * _ramp(12)).sum(), _t(rng, (2, 4))),
+        ("weighted_concat_part",
+         lambda p: (weighted_concat(fuse_w, [fuse_parts[0], p] + fuse_parts[2:])
+                    * _ramp(12)).sum(),
+         _t(rng, (2, 3))),
     ]
     return cases
 
@@ -158,6 +204,17 @@ def primitive_cases(seed: int):
 def _lstm_scalar(x, h, c, params):
     h2, c2 = lstm_step(x, h, c, params)
     return (h2 * h2).sum() + c2.sum()
+
+
+def _ramp(n: int) -> Tensor:
+    return Tensor(np.linspace(-1.0, 1.0, n), dtype=FLOAT64)
+
+
+def _attention_scalar(values, query, W_v, W_h, w_a):
+    """Reaches every input through both outputs: the weights and the
+    attended rows."""
+    alpha, attended = additive_attention(values, query, W_v, W_h, w_a)
+    return (alpha * _ramp(alpha.shape[-1])).sum() + (attended * attended).sum()
 
 
 # -- random composites ---------------------------------------------------------

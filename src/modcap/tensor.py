@@ -3,12 +3,31 @@
 A Tensor wraps a numpy array (float32 by default, float64 for gradient
 checking).  Every op returns a fresh Tensor and, when gradients are
 enabled, records a closure that scatters the output gradient back to the
-op's parents.  ``Tensor.backward()`` materializes the reachable graph as
-a Tape (a topological ordering of nodes) and walks it once in reverse.
+op's parents.  Nodes take increasing ids as they are created, and an op's
+output is always created after its inputs, so ``Tensor.backward()``
+collects the nodes reachable from the root once and runs their closures
+in descending id order: each closure runs after those of all its
+consumers.
+
+Besides the elementwise, matrix and rearrangement primitives there are
+four fused ops, each one node with a hand-written backward, for the
+patterns the decoder repeats every step:
+
+* ``lstm_cell``: one gated LSTM update (behind ``lstm_step``);
+* ``additive_attention``: scores, softmax and the weighted row sum;
+* ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``;
+* ``weighted_concat``: the module fusion, K blocks each scaled by its
+  weight and concatenated.
+
+A multi-output fused op is one joint node holding its flattened outputs
+plus a view node per output.  Each fused backward performs the products
+and reductions of the primitive chain it replaces, in the same order, so
+fused and unfused graphs differ only in the order in which the sweep
+adds up the gradients a node receives from several consumers.
 
 Also here because the rest of the package leans on them: a portable
-counter-based RNG, parameter initialization, the LSTM step, a functional
-Adam update, and a central-difference gradient oracle.
+counter-based RNG, parameter initialization, a functional Adam update,
+and a central-difference gradient oracle.
 """
 
 from __future__ import annotations
@@ -78,16 +97,20 @@ class Tensor:
         out.data = data
         out.grad = None
         out._id = next(Tensor._ids)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _grad_enabled and any([p.requires_grad for p in parents]):
             out.requires_grad = True
-            out._parents = tuple(parents)
+            out._parents = parents
             out._backward = backward
         else:
             out.requires_grad = False
             out._parents = ()
             out._backward = None
         if _debug_finite and not np.all(np.isfinite(data)):
-            raise FloatingPointError("op produced a non-finite value")
+            # every op defines its closure inside the op function, so the
+            # closure's qualified name starts with the op's name
+            op = backward.__qualname__.partition(".")[0]
+            raise FloatingPointError(f"{op} produced a non-finite value "
+                                     f"of shape {np.shape(data)}")
         return out
 
     # -- basic properties -----------------------------------------------------
@@ -126,10 +149,10 @@ class Tensor:
         """Backpropagate from a scalar root through the recorded graph."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar root, got shape {self.data.shape}")
-        tape = Tape(self)
+        nodes = sweep_order(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(tape.nodes):
-            if node._backward is not None and node.grad is not None:
+        for node in nodes:
+            if node.grad is not None:
                 node._backward(node.grad)
 
     # -- operator sugar ---------------------------------------------------
@@ -169,36 +192,23 @@ class Tensor:
         return sum_(self, axis=axis, keepdims=keepdims)
 
 
-class Tape:
-    """Topological ordering of the graph reachable from ``root``.
+def sweep_order(root: Tensor) -> list[Tensor]:
+    """The nodes reachable from ``root`` that have a backward closure,
+    newest first.
 
-    Parents always appear before the nodes that consumed them, and each
-    node appears exactly once, so a single reverse sweep suffices.
+    An op's output is created after its inputs, so ids grow along every
+    edge and descending id order runs each closure only after the
+    closures of all its consumers have added their gradient to it.
     """
-
-    def __init__(self, root: Tensor):
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        self.nodes = order
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
+    found = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node._backward is None or node._id in found:
+            continue
+        found[node._id] = node
+        stack.extend(node._parents)
+    return [found[i] for i in sorted(found, reverse=True)]
 
 
 def _accum(node: Tensor, g: np.ndarray) -> None:
@@ -216,6 +226,18 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         if size == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
+
+
+def _t_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^T b for 2-d operands, the weight gradient of a batched product.
+
+    With one row each this is an outer product, which numpy's matmul runs
+    through a slow non-BLAS loop; np.dot forms the same single products
+    several times faster.
+    """
+    if a.shape[0] == 1:
+        return np.dot(a.T, b)
+    return np.matmul(a.T, b)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -341,7 +363,10 @@ def matmul(a, b) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
             _accum(a, _unbroadcast(ga, a_data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
+            if a_data.ndim == 2 and g.ndim == 2:
+                gb = _t_matmul(a_data, g)
+            else:
+                gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
             _accum(b, _unbroadcast(gb, b_data.shape))
 
     return Tensor._from_op(data, (a, b), backward)
@@ -415,7 +440,7 @@ def concat(tensors, axis=0) -> Tensor:
         raise ValueError("concat of an empty list")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate(sizes, initial=0))
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -599,34 +624,187 @@ class LstmParams:
     W: Tensor  # (d_in + d_h, 4*d_h)
     b: Tensor  # (4*d_h,)
 
-    @property
-    def hidden_size(self) -> int:
-        return self.b.data.shape[0] // 4
-
 
 def lstm_step(x, h, c, params: LstmParams):
     """One LSTM cell update.  Accepts (d,) vectors or (B, d) batches."""
-    x = _as_tensor(x)
-    h = _as_tensor(h)
-    c = _as_tensor(c)
-    single = x.data.ndim == 1
+    return lstm_cell(x, h, c, params.W, params.b)
+
+
+# -- fused ops ------------------------------------------------------------
+
+
+def _views(joint: Tensor, shapes) -> tuple[Tensor, ...]:
+    """One node per output of a multi-output op whose joint node holds the
+    outputs flattened and concatenated in order.  Each view reads its
+    slice of the joint data and adds its gradient into the same slice of
+    the joint gradient."""
+    out = []
+    lo = 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+
+        def backward(g, lo=lo, hi=hi):
+            if joint.grad is None:
+                joint.grad = np.zeros_like(joint.data)
+            joint.grad[lo:hi] += g.reshape(-1)
+
+        out.append(Tensor._from_op(joint.data[lo:hi].reshape(shape), (joint,), backward))
+        lo = hi
+    return tuple(out)
+
+
+def lstm_cell(x, h, c, W, b):
+    """Fused LSTM update; returns (h', c').
+
+    z = [x, h] W + b holds the input, forget, candidate and output gate
+    blocks in that order; c' = f*c + i*g and h' = o*tanh(c').  Accepts
+    (d,) vectors or (B, d) batches.
+    """
+    x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
+    x_d, h_d, c_d, W_d = x.data, h.data, c.data, W.data
+    single = x_d.ndim == 1
     if single:
-        x, h, c = (reshape(t, (1, -1)) for t in (x, h, c))
-    dh = params.hidden_size
-    din = params.W.data.shape[0] - dh
-    if x.data.shape[-1] != din:
-        raise ShapeError(f"lstm_step input has width {x.data.shape[-1]}, weights expect {din}")
-    z = matmul(concat([x, h], axis=1), params.W) + params.b
-    i = sigmoid(slice_axis(z, 1, 0, dh))
-    f = sigmoid(slice_axis(z, 1, dh, 2 * dh))
-    g = tanh(slice_axis(z, 1, 2 * dh, 3 * dh))
-    o = sigmoid(slice_axis(z, 1, 3 * dh, 4 * dh))
-    c2 = f * c + i * g
-    h2 = o * tanh(c2)
+        x_d, h_d, c_d = (a.reshape(1, -1) for a in (x_d, h_d, c_d))
+    dh = b.data.shape[0] // 4
+    d_in = W_d.shape[0] - dh
+    if x_d.shape[-1] != d_in:
+        raise ShapeError(f"lstm_step input has width {x_d.shape[-1]}, weights expect {d_in}")
+    xh = np.concatenate([x_d, h_d], axis=1)
+    z = np.matmul(xh, W_d) + b.data
+    with np.errstate(over="ignore"):
+        gates = 1.0 / (1.0 + np.exp(-z))    # the candidate block goes unused
+    i, f, o = gates[:, :dh], gates[:, dh:2 * dh], gates[:, 3 * dh:]
+    g = np.tanh(z[:, 2 * dh:3 * dh])
+    c2 = f * c_d + i * g
+    tanh_c2 = np.tanh(c2)
+    h2 = o * tanh_c2
+
+    def backward(grad):
+        g_h = grad[:h2.size].reshape(h2.shape)
+        g_c = grad[h2.size:].reshape(c2.shape) + g_h * o * (1.0 - tanh_c2 * tanh_c2)
+        g_z = np.concatenate([g_c * g * i * (1.0 - i),
+                              g_c * c_d * f * (1.0 - f),
+                              g_c * i * (1.0 - g * g),
+                              g_h * tanh_c2 * o * (1.0 - o)], axis=1)
+        if W.requires_grad:
+            _accum(W, _t_matmul(xh, g_z))
+        if b.requires_grad:
+            _accum(b, g_z.sum(axis=0))
+        if x.requires_grad or h.requires_grad:
+            g_xh = np.matmul(g_z, W_d.T)
+            if x.requires_grad:
+                _accum(x, g_xh[:, :d_in].reshape(x.data.shape))
+            if h.requires_grad:
+                _accum(h, g_xh[:, d_in:].reshape(h.data.shape))
+        if c.requires_grad:
+            _accum(c, (g_c * f).reshape(c.data.shape))
+
+    joint = Tensor._from_op(np.concatenate([h2.ravel(), c2.ravel()]), (x, h, c, W, b),
+                            backward)
+    shape = (dh,) if single else h2.shape
+    return _views(joint, (shape, shape))
+
+
+def additive_attention(values, query, W_v, W_h, w_a):
+    """Fused additive attention; returns (alpha, attended).
+
+    score_n = w_a . tanh(W_v v_n + W_h q), alpha = max-shifted softmax of
+    the scores and attended = sum_n alpha_n v_n.  Takes (N, d_v) values
+    with a (d_c,) query, or (B, N, d_v) with (B, d_c).
+    """
+    values, query, W_v, W_h, w_a = (_as_tensor(t) for t in (values, query, W_v, W_h, w_a))
+    v, q_in, Wv, Wh, wa = (t.data for t in (values, query, W_v, W_h, w_a))
+    single = v.ndim == 2
     if single:
-        h2 = reshape(h2, (-1,))
-        c2 = reshape(c2, (-1,))
-    return h2, c2
+        v = v.reshape((1,) + v.shape)
+        q_in = q_in.reshape(1, -1)
+    b, n, d_v = v.shape
+    if n == 0:
+        raise ValueError("attention over an empty value set")
+    d_a = wa.shape[0]
+    v2 = v.reshape(-1, d_v)
+    Wv_T, Wh_T = np.ascontiguousarray(Wv.T), np.ascontiguousarray(Wh.T)
+    keys = np.matmul(v2, Wv_T).reshape(b, n, d_a)
+    q = np.matmul(q_in, Wh_T).reshape(b, 1, d_a)
+    t2 = np.tanh(keys + q).reshape(-1, d_a)
+    scores = np.matmul(t2, wa).reshape(b, n)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    attended = (alpha.reshape(b, n, 1) * v).sum(axis=1)
+
+    # broadcast, reshape and matmul forms below follow the primitive chain
+    # exactly, so the fused op rounds as the unfused graph does
+    def backward(grad):
+        g_att = np.broadcast_to(grad[alpha.size:].reshape(b, 1, d_v), v.shape)
+        g_alpha = (grad[:alpha.size].reshape(b, n)
+                   + (g_att * v).sum(axis=2, keepdims=True).reshape(b, n))
+        g_scores = ((g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+                    * alpha).reshape(-1, 1)
+        g_pre = g_scores * wa * (1.0 - t2 * t2)                  # (b*n, d_a)
+        g_q = g_pre.reshape(b, n, d_a).sum(axis=1)
+        if values.requires_grad:
+            _accum(values, (g_att * alpha.reshape(b, n, 1)).reshape(values.data.shape))
+            _accum(values, np.matmul(g_pre, Wv_T.T).reshape(values.data.shape))
+        if query.requires_grad:
+            _accum(query, np.matmul(g_q, Wh_T.T).reshape(query.data.shape))
+        if W_v.requires_grad:
+            _accum(W_v, _t_matmul(v2, g_pre).T)
+        if W_h.requires_grad:
+            _accum(W_h, _t_matmul(q_in, g_q).T)
+        if w_a.requires_grad:
+            _accum(w_a, np.matmul(t2.T, g_scores)[:, 0])
+
+    joint = Tensor._from_op(np.concatenate([alpha.ravel(), attended.ravel()]),
+                            (values, query, W_v, W_h, w_a), backward)
+    if single:
+        return _views(joint, ((n,), (d_v,)))
+    return _views(joint, (alpha.shape, attended.shape))
+
+
+def weighted_concat(weights, parts) -> Tensor:
+    """Fused concat of K equal-width blocks, block k scaled by weights[..., k]:
+    (..., K) weights and K (..., d) parts give (..., K*d)."""
+    weights = _as_tensor(weights)
+    parts = [_as_tensor(t) for t in parts]
+    w = weights.data
+    blocks = [p.data for p in parts]
+    d = blocks[0].shape[-1]
+    data = np.concatenate([w[..., k:k + 1] * x for k, x in enumerate(blocks)], axis=-1)
+
+    def backward(g):
+        g_blocks = [g[..., k * d:(k + 1) * d] for k in range(len(parts))]
+        if weights.requires_grad:
+            _accum(weights, np.stack([(gk * x).sum(axis=-1)
+                                      for gk, x in zip(g_blocks, blocks)], axis=-1))
+        for k, (gk, p) in enumerate(zip(g_blocks, parts)):
+            if p.requires_grad:
+                _accum(p, gk * w[..., k:k + 1])
+
+    return Tensor._from_op(data, (weights, *parts), backward)
+
+
+def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:
+    """Fused masked negative log-likelihood of the gold columns of a
+    (B, V) distribution: -sum_b mask_b * log(max(p[b, gold_b], eps)).
+    ``mask`` defaults to all ones."""
+    p = _as_tensor(p)
+    p_d = p.data
+    if p_d.ndim != 2:
+        raise ShapeError(f"masked_nll expects a 2-d distribution, got shape {p_d.shape}")
+    rows = np.arange(p_d.shape[0])
+    idx = np.asarray(gold, dtype=np.int64)
+    picked = p_d[rows, idx]
+    clamped = np.maximum(picked, eps)
+    weight = np.ones_like(picked) if mask is None else np.asarray(mask, dtype=p_d.dtype)
+    data = np.asarray(-(np.log(clamped) * weight).sum())
+
+    def backward(g):
+        if p.requires_grad:
+            full = np.zeros_like(p_d)
+            full[rows, idx] = -g * weight / clamped * (picked >= eps)
+            _accum(p, full)
+
+    return Tensor._from_op(data, (p,), backward)
 
 
 # -- RNG ------------------------------------------------------------------

@@ -44,11 +44,9 @@ from .tensor import (
     AdamState,
     Rng,
     Tensor,
-    clamp_min,
     clip_global_norm,
-    log,
+    masked_nll,
     no_grad,
-    pick,
 )
 
 LOG = logging.getLogger(__name__)
@@ -155,8 +153,7 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
         dist, states, traces = model.step(batch.inputs[:, t], enc, states, rng=rng)
         gold = batch.targets[:, t]
         mask_np = batch.mask[:, t]
-        mask_t = Tensor(mask_np)
-        nll = -(log(clamp_min(pick(dist, gold), LOSS_EPS)) * mask_t).sum()
+        nll = masked_nll(dist, gold, mask_np, LOSS_EPS)
         xe_sum = nll if xe_sum is None else xe_sum + nll
 
         pred = np.argmax(dist.data, axis=1)
@@ -166,8 +163,7 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
             agree += float(((chosen == batch.labels[:, t]) * mask_np).sum())
         if supervise:
             for tr in traces:
-                q = pick(tr.soft, batch.labels[:, t])
-                unit_nll = -(log(clamp_min(q, LOSS_EPS)) * mask_t).sum()
+                unit_nll = masked_nll(tr.soft, batch.labels[:, t], mask_np, LOSS_EPS)
                 ling_sum = unit_nll if ling_sum is None else ling_sum + unit_nll
 
     n_tokens = float(batch.mask.sum())
@@ -478,19 +474,6 @@ def save_checkpoint(path: str, *, model: CaptionModel, train_cfg: TrainConfig,
             entries.append((f"adam.m.{name}", st.m))
             entries.append((f"adam.v.{name}", st.v))
             adam_t[name] = st.t
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(entries)))
-        for name, arr in entries:
-            blob = name.encode("utf-8")
-            a = np.ascontiguousarray(arr, dtype=np.float32)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", a.ndim))
-            fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            fh.write(a.tobytes())
     meta = {
         "version": CKPT_VERSION,
         "model": model.cfg.to_dict(),
@@ -501,9 +484,33 @@ def save_checkpoint(path: str, *, model: CaptionModel, train_cfg: TrainConfig,
         "adam_t": adam_t,
         "history": history,
     }
-    with open(_meta_path(path), "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    meta_text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
+    parent = os.path.dirname(os.path.abspath(path))
+    os.makedirs(parent, exist_ok=True)
+    # Both files are written in full under temporary names before either
+    # replaces its predecessor, so a save that fails part way leaves the
+    # previous pair intact.
+    bin_tmp, meta_tmp = path + ".tmp", _meta_path(path) + ".tmp"
+    try:
+        with open(bin_tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<II", CKPT_VERSION, len(entries)))
+            for name, arr in entries:
+                blob = name.encode("utf-8")
+                a = np.ascontiguousarray(arr, dtype=np.float32)
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
+                fh.write(struct.pack("<I", a.ndim))
+                fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
+                fh.write(a.tobytes())
+        with open(meta_tmp, "w") as fh:
+            fh.write(meta_text)
+        os.replace(bin_tmp, path)
+        os.replace(meta_tmp, _meta_path(path))
+    finally:
+        for tmp in (bin_tmp, meta_tmp):
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def load_checkpoint(path: str):
@@ -567,6 +574,9 @@ def restore_training(path: str) -> RestoredTraining:
         history = meta["history"]
     except KeyError as exc:
         raise FormatError(f"checkpoint metadata is missing field {exc}") from exc
+    except TypeError as exc:
+        # an unknown or misplaced field in a stored configuration
+        raise FormatError(f"checkpoint metadata is malformed: {exc}") from exc
 
     model = CaptionModel(model_cfg, Rng(0))
     params = model.named_parameters()
@@ -586,9 +596,13 @@ def restore_training(path: str) -> RestoredTraining:
     for name in params:
         m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
         if m_key in tensors:
-            opt.state[name] = AdamState(m=np.ascontiguousarray(tensors[m_key]),
-                                        v=np.ascontiguousarray(tensors[v_key]),
-                                        t=int(adam_t[name]))
+            try:
+                opt.state[name] = AdamState(m=np.ascontiguousarray(tensors[m_key]),
+                                            v=np.ascontiguousarray(tensors[v_key]),
+                                            t=int(adam_t[name]))
+            except KeyError as exc:
+                raise FormatError(f"{path}: incomplete Adam state for parameter "
+                                  f"{name!r}: no entry {exc}") from exc
     rng = Rng(0)
     rng.set_state(rng_state)
     return RestoredTraining(model=model, train_cfg=train_cfg, vocab=vocab,

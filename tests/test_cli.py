@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modcap.cli import main as cli_main
@@ -87,6 +88,59 @@ def test_invalid_corpus_shape_exits_2(tmp_path):
 def test_missing_scene_exits_2(data_dir, checkpoint):
     assert run(["caption", "--checkpoint", str(checkpoint),
                 "--data", str(data_dir), "--scene", "99999"]) == 2
+
+
+def copy_checkpoint(checkpoint, tmp_path) -> Path:
+    path = tmp_path / "model.bin"
+    path.write_bytes(checkpoint.read_bytes())
+    Path(str(path) + ".meta.json").write_text(
+        Path(str(checkpoint) + ".meta.json").read_text())
+    return path
+
+
+def edit_meta(path, edit) -> None:
+    meta_file = Path(str(path) + ".meta.json")
+    meta = json.loads(meta_file.read_text())
+    edit(meta)
+    meta_file.write_text(json.dumps(meta))
+
+
+def assert_data_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err
+
+
+def test_unknown_model_field_exits_2(data_dir, checkpoint, tmp_path, capsys):
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: meta["model"].update(bogus=1))
+    assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
+
+
+def test_missing_adam_step_exits_2(data_dir, checkpoint, tmp_path, capsys):
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: meta["adam_t"].pop(sorted(meta["adam_t"])[0]))
+    assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys):
+    from modcap.training import restore_training, save_checkpoint
+
+    path = copy_checkpoint(checkpoint, tmp_path)
+    before = path.read_bytes()
+    restored = restore_training(str(path))
+    params = restored.model.named_parameters()
+    # the last tensor written cannot be converted, so the save fails
+    # after most of the new file is already on disk
+    params[sorted(params)[-1]].data = np.array(["not a number"], dtype=object)
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,
+                        vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
+                        epoch=restored.epoch + 1, history=restored.history)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.bin.meta.json"]
+    assert run(["eval", "--checkpoint", str(path), "--data", str(data_dir),
+                "--greedy"]) == 0
 
 
 # -- seeds and configuration echo ----------------------------------------------

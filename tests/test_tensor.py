@@ -1,4 +1,4 @@
-"""Tensor core: op semantics, tape mechanics, RNG, Adam, gradient oracle."""
+"""Tensor core: op semantics, backward sweep, RNG, Adam, gradient oracle."""
 
 import math
 
@@ -11,7 +11,6 @@ from modcap.tensor import (
     Adam,
     AdamState,
     Rng,
-    Tape,
     Tensor,
     adam_init,
     adam_update,
@@ -32,6 +31,7 @@ from modcap.tensor import (
     sigmoid,
     slice_axis,
     softmax,
+    sweep_order,
     tanh,
     transpose,
     xavier_uniform,
@@ -224,19 +224,29 @@ class TestBackward:
             (x * 2.0).backward()
 
 
-class TestTape:
-    def test_topological_order_and_uniqueness(self):
+class TestSweep:
+    def test_closures_run_after_their_consumers(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         y = x * 2.0
         z = y + x  # diamond: x feeds both y and z
         loss = (z * y).sum()
-        tape = Tape(loss)
-        nodes = tape.nodes
-        assert len(nodes) == len({id(n) for n in nodes})
+        nodes = sweep_order(loss)
+        assert len(nodes) == len({id(n) for n in nodes}) == 4
         position = {id(n): i for i, n in enumerate(nodes)}
         for node in nodes:
             for parent in node._parents:
-                assert position[id(parent)] < position[id(node)]
+                if parent._backward is not None:
+                    assert position[id(parent)] > position[id(node)]
+
+        ran = []
+        for node in nodes:
+            def record(g, node=node, inner=node._backward):
+                ran.append(id(node))
+                inner(g)
+            node._backward = record
+        loss.backward()
+        assert ran == [id(n) for n in nodes]
+        assert np.allclose(x.grad, 12.0 * x.data)  # loss = sum(3x * 2x)
 
 
 class TestRng:

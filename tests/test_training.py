@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from modcap.config import ModelConfig, TrainConfig
+from modcap.config import ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel
 from modcap.errors import DataError, FormatError
 from modcap.metrics import IdfTable
-from modcap.tensor import Adam, Rng
+from modcap.tensor import Adam, Rng, Tensor
 from modcap.training import (
     TRAIN_STREAM_TAG,
     Batch,
@@ -145,6 +145,21 @@ class TestTeacherForced:
                    + self.batch_of(corpus, synth, [pair[1]])]
         want = singles[0].xe_sum.item() + singles[1].xe_sum.item()
         assert both.xe_sum.item() == pytest.approx(want, rel=1e-5)
+
+    def test_node_count_is_deterministic_and_bounded(self, corpus, synth):
+        # 652 nodes with the fused ops; from primitive ops the same pass
+        # built 2156
+        model_cfg, train_cfg = apply_preset(
+            "CNM#2", ModelConfig(vocab_size=len(corpus.vocab)), TrainConfig())
+        model = CaptionModel(model_cfg, Rng(3))
+        (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
+        counts = []
+        for _ in range(2):
+            start = next(Tensor._ids)
+            teacher_forced(model, batch, lam_ling=train_cfg.lambda_xe, rng=Rng(1))
+            counts.append(next(Tensor._ids) - start - 1)
+        assert counts[0] == counts[1]
+        assert counts[0] <= 700
 
     def test_metrics_shape(self, corpus, synth):
         model = fresh_model(corpus)

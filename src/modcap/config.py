@@ -31,6 +31,9 @@ class ModelConfig:
         self.modules = tuple(self.modules)
 
     def validate(self) -> None:
+        for name in ("d_r", "d_v", "d_c", "d_a", "heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.vocab_size < 5:
             raise ConfigError(f"vocab_size={self.vocab_size} leaves no room for real words")
         if self.d_v != self.d_c:

@@ -80,7 +80,8 @@ class AdditiveAttention:
     """score_n = w_a . tanh(W_v v_n + W_h h); alpha = softmax(scores).
 
     Returns the weight vector and the alpha-weighted sum of rows.  Works on
-    (N, d_v) with an (d_c,) query or batched (B, N, d_v) with (B, d_c).
+    (N, d_v) with an (d_c,) query or batched (B, N, d_v) with (B, d_c);
+    an optional boolean region mask gives padded rows zero weight.
     """
 
     def __init__(self, d_v: int, d_c: int, d_a: int, rng: Rng, dtype=FLOAT32):
@@ -88,8 +89,8 @@ class AdditiveAttention:
         self.W_h = xavier_uniform(rng, (d_a, d_c), d_c, d_a, dtype=dtype)
         self.w_a = xavier_uniform(rng, (d_a,), d_a, 1, dtype=dtype)
 
-    def __call__(self, values: Tensor, query: Tensor):
-        return additive_attention(values, query, self.W_v, self.W_h, self.w_a)
+    def __call__(self, values: Tensor, query: Tensor, mask=None):
+        return additive_attention(values, query, self.W_v, self.W_h, self.w_a, mask)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.Wv": self.W_v, f"{prefix}.Wh": self.W_h, f"{prefix}.wa": self.w_a}

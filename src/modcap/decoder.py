@@ -7,10 +7,18 @@ output queries one attention head per visual module, the controller
 weighs the four module vectors, and the second LSTM folds the fused
 feature back in.  The unit output is added onto i, so stacking M units
 is a residual chain and i keeps the embedding width throughout.
+
+The decoders are batch-native.  Greedy and sampling decoding run every
+scene of an encoding in one ``model.step`` call per position, keeping
+rows that have emitted the end token in the batch but out of the
+result; beam search expands all live hypotheses of a scene in one call.
+A single scene is a batch of one, and its results come back unwrapped:
+a token list rather than a list holding one token list.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +56,16 @@ VISUAL_MODULES = ("object", "attribute", "relation")
 
 @dataclass
 class Encoded:
-    """Per-batch module features (B, N, d_v) and their row means (B, d_v)."""
+    """Per-batch module features (B, N, d_v), their means over real regions
+    (B, d_v) and the boolean (B, N) mask of real, unpadded regions."""
 
     feats: dict[str, Tensor]
     means: dict[str, Tensor]
-    batch: int
+    mask: np.ndarray
+
+    @property
+    def batch(self) -> int:
+        return self.mask.shape[0]
 
 
 @dataclass
@@ -100,7 +113,7 @@ class DecoderUnit:
         alphas = {}
         attended = {}
         for name in VISUAL_MODULES:
-            alphas[name], attended[name] = self.att[name](enc.feats[name], h1)
+            alphas[name], attended[name] = self.att[name](enc.feats[name], h1, enc.mask)
         v_func = self.func(context)
         ctrl_out = self.ctrl.step(attended["object"], attended["attribute"],
                                   attended["relation"], context, state.ctrl,
@@ -144,7 +157,7 @@ class SingleModuleUnit:
              rng: Rng | None = None):
         u = concat([i_prev, state.h2, enc.means[self.module]], axis=-1)
         h1, c1 = lstm_step(u, state.h1, state.c1, self.lstm1)
-        alpha, attended = self.att(enc.feats[self.module], h1)
+        alpha, attended = self.att(enc.feats[self.module], h1, enc.mask)
         h2, c2 = lstm_step(concat([h1, attended], axis=-1), state.h2, state.c2, self.lstm2)
         i_new = i_prev + h2
         new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=None)
@@ -183,22 +196,29 @@ class CaptionModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def encode(self, r_obj, r_attr) -> Encoded:
-        """Region features (K, d_r) or (B, K, d_r) -> per-module value sets."""
+    def encode(self, r_obj, r_attr, mask=None) -> Encoded:
+        """Region features (K, d_r) or (B, K, d_r) -> per-module value sets.
+
+        ``mask`` (B, K) marks the real regions of a zero-padded batch;
+        without one every region is real.
+        """
         r_obj = r_obj if isinstance(r_obj, Tensor) else Tensor(r_obj, dtype=self.dtype)
         r_attr = r_attr if isinstance(r_attr, Tensor) else Tensor(r_attr, dtype=self.dtype)
         if r_obj.ndim == 2:
             r_obj = r_obj.reshape((1,) + r_obj.shape)
             r_attr = r_attr.reshape((1,) + r_attr.shape)
+        lead = r_obj.shape[:2]
+        mask = (np.ones(lead, dtype=bool) if mask is None
+                else np.asarray(mask, dtype=bool).reshape(lead))
         feats = {}
         if "object" in self.encoders:
             feats["object"] = self.encoders["object"](r_obj)
         if "attribute" in self.encoders:
             feats["attribute"] = self.encoders["attribute"](r_attr)
         if "relation" in self.encoders:
-            feats["relation"] = self.encoders["relation"](r_obj)
-        means = {name: mean_pool_rows(v) for name, v in feats.items()}
-        return Encoded(feats=feats, means=means, batch=r_obj.shape[0])
+            feats["relation"] = self.encoders["relation"](r_obj, mask=mask)
+        means = {name: mean_pool_rows(v, mask) for name, v in feats.items()}
+        return Encoded(feats=feats, means=means, mask=mask)
 
     def init_state(self, batch: int) -> list[UnitState]:
         return [unit.init_state(batch) for unit in self.units]
@@ -235,26 +255,71 @@ class CaptionModel:
 # -- decoding ---------------------------------------------------------------
 
 
-def greedy_decode(model, enc, max_len: int, bos: int = BOS_ID, eos: int = EOS_ID) -> list[int]:
-    """Argmax decoding; ties resolve to the lowest token id."""
+def take_rows(obj, idx):
+    """Rows ``idx`` of every tensor and array in a decoder state or an
+    encoding, in the same structure; None passes through."""
+    if isinstance(obj, Tensor):
+        return gather_rows(obj, idx)
+    if isinstance(obj, np.ndarray):
+        return obj[idx]
+    if isinstance(obj, list):
+        return [take_rows(o, idx) for o in obj]
+    if isinstance(obj, dict):
+        return {k: take_rows(v, idx) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{f.name: take_rows(getattr(obj, f.name), idx)
+                                           for f in dataclasses.fields(obj)})
+    return obj
+
+
+def one_scene(enc) -> bool:
+    """Whether ``enc`` holds a single scene, whose decoder results come back
+    unwrapped; model stubs that need no encoding pass None for one scene."""
+    return enc is None or enc.batch == 1
+
+
+def _decode(model, enc, max_len, choose, rng=None, bos=BOS_ID, eos=EOS_ID):
+    """Step every row of ``enc`` until each has emitted ``eos`` or
+    ``max_len`` tokens.
+
+    ``choose(dist, live)`` maps the (B, V) distribution array and the
+    mask of rows still running to the next token of every row; tokens of
+    finished rows are fed back but not kept.  Returns (token list per row,
+    [(distribution tensor, tokens, live mask)] per step).
+    """
+    batch = 1 if enc is None else enc.batch
+    states = model.init_state(batch)
+    tok = np.full(batch, bos, dtype=np.int64)
+    live = np.ones(batch, dtype=bool)
+    rows = [[] for _ in range(batch)]
+    steps = []
+    for _ in range(max_len):
+        dist, states, _ = model.step(tok, enc, states, rng=rng)
+        tok = np.asarray(choose(dist.data, live), dtype=np.int64)
+        steps.append((dist, tok, live))
+        for b in np.flatnonzero(live):
+            rows[b].append(int(tok[b]))
+        live = live & (tok != eos)
+        if not live.any():
+            break
+    return rows, steps
+
+
+def greedy_decode(model, enc, max_len: int, bos: int = BOS_ID, eos: int = EOS_ID):
+    """Argmax decoding of every row of ``enc``; ties resolve to the lowest
+    token id.  Returns one token list per row, or the list itself for a
+    single scene."""
     with no_grad():
-        states = model.init_state(1)
-        tok = bos
-        out = []
-        for _ in range(max_len):
-            dist, states, _ = model.step([tok], enc, states)
-            tok = int(np.argmax(dist.data[0]))
-            out.append(tok)
-            if tok == eos:
-                break
-    return out
+        rows, _ = _decode(model, enc, max_len, lambda p, live: np.argmax(p, axis=1),
+                          bos=bos, eos=eos)
+    return rows[0] if one_scene(enc) else rows
 
 
 @dataclass
 class Hypothesis:
     tokens: tuple
     logprob: float
-    states: object
+    states: object      # row of this hypothesis in its step's batched decoder state
     finished: bool
 
     def score(self, length_normalize: bool) -> float:
@@ -265,57 +330,76 @@ class Hypothesis:
 
 def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
                 eos: int = EOS_ID, length_normalize: bool = False) -> list[Hypothesis]:
-    """Best-first beam decode.
+    """Best-first beam decode of one scene.
 
-    A hypothesis that emits the end token is frozen: it is never expanded
-    again but keeps competing with live ones on its (optionally length
-    normalized) cumulative log-probability.  Ties prefer the sequence that
-    is lexicographically smallest in token ids.
+    Each step expands every live hypothesis in one ``model.step`` call, on
+    the scene's encoding repeated once per hypothesis and the parents'
+    state rows.  A hypothesis that emits the end token is frozen: it is
+    never expanded again but keeps competing with live ones on its
+    (optionally length normalized) cumulative log-probability.  Ties
+    prefer the sequence that is lexicographically smallest in token ids.
     """
     if beam_width < 1:
         raise ValueError(f"beam width must be positive, got {beam_width}")
+    if enc is not None and enc.batch != 1:
+        raise ValueError(f"beam search decodes one scene, got a batch of {enc.batch}")
+
+    def rank(h):
+        return (-h.score(length_normalize), h.tokens)
+
     with no_grad():
-        beams = [Hypothesis(tokens=(), logprob=0.0, states=model.init_state(1),
-                            finished=False)]
+        beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
+        states = model.init_state(1)
         for _ in range(max_len):
-            if all(h.finished for h in beams):
+            live = [h for h in beams if not h.finished]
+            if not live:
                 break
+            prev = [h.tokens[-1] if h.tokens else bos for h in live]
+            dist, states, _ = model.step(prev, take_rows(enc, np.zeros(len(live), dtype=np.int64)),
+                                         take_rows(states, [h.states for h in live]))
+            logp = np.log(np.maximum(dist.data, 1e-300))
+            total = np.array([h.logprob for h in live])[:, None] + logp
+            score = total
+            if length_normalize:
+                score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
+            # only expansions scoring at least the beam_width-th best can
+            # survive the exact sort below
+            flat = score.ravel()
+            if flat.size > beam_width:
+                cut = np.partition(flat, flat.size - beam_width)[flat.size - beam_width]
+                picked = np.flatnonzero(flat >= cut)
+            else:
+                picked = np.arange(flat.size)
             candidates = [h for h in beams if h.finished]
-            for h in beams:
-                if h.finished:
-                    continue
-                prev = h.tokens[-1] if h.tokens else bos
-                dist, states, _ = model.step([prev], enc, h.states)
-                logp = np.log(np.maximum(dist.data[0], 1e-300))
-                for tok in range(logp.shape[0]):
-                    candidates.append(Hypothesis(
-                        tokens=h.tokens + (tok,),
-                        logprob=h.logprob + float(logp[tok]),
-                        states=states,
-                        finished=tok == eos,
-                    ))
-            candidates.sort(key=lambda h: (-h.score(length_normalize), h.tokens))
+            for row, tok in zip(*np.unravel_index(picked, score.shape)):
+                candidates.append(Hypothesis(tokens=live[row].tokens + (int(tok),),
+                                             logprob=float(total[row, tok]),
+                                             states=int(row), finished=tok == eos))
+            candidates.sort(key=rank)
             beams = candidates[:beam_width]
-    beams.sort(key=lambda h: (-h.score(length_normalize), h.tokens))
+    beams.sort(key=rank)
     return beams
 
 
 def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,
                   eos: int = EOS_ID):
-    """Ancestral sampling.  Keeps gradients: returns (tokens, per-step
-    log-probability tensors of the sampled tokens)."""
-    states = model.init_state(1)
-    tok = bos
-    tokens = []
-    logps = []
-    for _ in range(max_len):
-        dist, states, _ = model.step([tok], enc, states, rng=rng)
-        tok = rng.multinomial(dist.data[0])
-        logps.append(-masked_nll(dist, [tok]))
-        tokens.append(tok)
-        if tok == eos:
-            break
-    return tokens, logps
+    """Ancestral sampling of every row of ``enc``.  Keeps gradients.
+
+    Returns (tokens, per-step (B,) log-probabilities of the sampled
+    tokens), the tokens as one list per row, or the list itself for a
+    single scene; a row that has finished adds exactly 0 from then on.
+    Per step the model draws its hard-selection noise for all rows, then
+    each live row draws one uniform, in row order.
+    """
+    def choose(p, live):
+        tok = np.full(p.shape[0], eos, dtype=np.int64)
+        for b in np.flatnonzero(live):
+            tok[b] = rng.multinomial(p[b])
+        return tok
+
+    rows, steps = _decode(model, enc, max_len, choose, rng=rng, bos=bos, eos=eos)
+    logps = [-masked_nll(dist, tok, live, per_row=True) for dist, tok, live in steps]
+    return (rows[0] if one_scene(enc) else rows), logps
 
 
 def strip_sequence(tokens, eos: int = EOS_ID) -> list[int]:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConfigError
 from .layers import Linear
 from .tensor import (
@@ -66,7 +68,9 @@ class RelationModule:
     Each head i projects the rows of R with three (d_r, d_k) matrices to
     form queries, keys and values, mixes values by row-softmaxed scaled
     dot products, and the concatenated heads pass through an output
-    projection and FC(d_r) -> ReLU -> FC(d_v) -> LeakyReLU.
+    projection and FC(d_r) -> ReLU -> FC(d_v) -> LeakyReLU.  A boolean
+    region mask of R's leading shape keeps padded regions out of every
+    key softmax; their own output rows are computed but meaningless.
     """
 
     def __init__(self, d_r: int, d_v: int, heads: int, rng: Rng,
@@ -91,10 +95,11 @@ class RelationModule:
         b, n, _ = r.shape
         return reshape(matmul(reshape(r, (-1, self.d_r)), w), (b, n, self.d_k))
 
-    def __call__(self, r: Tensor, return_attention: bool = False):
+    def __call__(self, r: Tensor, return_attention: bool = False, mask=None):
         single = r.ndim == 2
         if single:
             r = reshape(r, (1,) + r.shape)
+        key_mask = None if mask is None else np.reshape(mask, (r.shape[0], 1, r.shape[1]))
         scale = 1.0 / math.sqrt(self.d_k)
         head_outs = []
         attn_maps = []
@@ -103,7 +108,7 @@ class RelationModule:
             k = self._project(r, self.w_k[i])
             v = self._project(r, self.w_v[i])
             scores = matmul(q, transpose(k, (0, 2, 1))) * scale
-            attn = softmax(scores, axis=-1)
+            attn = softmax(scores, axis=-1, mask=key_mask)
             attn_maps.append(attn)
             head_outs.append(matmul(attn, v))
         mixed = matmul(reshape(concat(head_outs, axis=-1), (-1, self.d_r)), self.w_out)

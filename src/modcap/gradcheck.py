@@ -4,8 +4,10 @@ Three tiers, all in float64 against central differences:
 
 * primitives: every differentiable op, one case each, and every input
   of the fused ops (LSTM cell, attention, masked NLL, weighted concat);
-  inputs kept away from kinks (relu at zero, clamp at its threshold) so
-  the numeric derivative is trustworthy;
+  the region-masked paths (attention, relation self-attention, mean
+  pooling) each on a batch with padded regions; inputs kept away from
+  kinks (relu at zero, clamp at its threshold) so the numeric
+  derivative is trustworthy;
 * composites: seeded random chains of ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
 * decoder: a miniature two-unit captioning model driven for three
@@ -24,6 +26,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .decoder import CaptionModel
+from .encoders import RelationModule
 from .tensor import (
     FLOAT64,
     LstmParams,
@@ -123,6 +126,10 @@ def primitive_cases(seed: int):
     fuse_parts = [Tensor(rng.uniform_array((2, 3), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
                   for _ in range(4)]
     nll_mask = np.array([1.0, 0.0, 1.0, 0.5])       # row 1 is masked out
+    # three regions in the first scene, two in the second: one padded row
+    regions = np.array([[True, True, True], [True, True, False]])
+    relation = RelationModule(4, 3, 2, Rng(seed).derive(72), dtype=FLOAT64)
+    rel_weight = Tensor(regions[..., None] * np.linspace(-1.0, 1.0, 3), dtype=FLOAT64)
 
     cases = [
         ("add_broadcast", lambda x: (x + bias).sum(), _t(rng, (2, 3))),
@@ -181,13 +188,22 @@ def primitive_cases(seed: int):
     for k, name in enumerate(("values", "query", "W_v", "W_h", "w_a")):
         def f(x, k=k):
             return _attention_scalar(*att[:k], x, *att[k + 1:])
+
+        def f_masked(x, k=k):
+            return _attention_scalar(*att[:k], x, *att[k + 1:], mask=regions)
         cases.append((f"additive_attention_{name}", f,
+                      _t(rng, att[k].data.shape, low=-0.7, high=0.7)))
+        cases.append((f"additive_attention_masked_{name}", f_masked,
                       _t(rng, att[k].data.shape, low=-0.7, high=0.7)))
     cases += [
         ("additive_attention_single",
          lambda v: _attention_scalar(v, Tensor(att_q.data[0], dtype=FLOAT64), att_Wv, att_Wh,
                                    att_wa),
          _t(rng, (3, 4))),
+        ("relation_masked",
+         lambda r: (relation(r, mask=regions) * rel_weight).sum(), _t(rng, (2, 3, 4))),
+        ("mean_pool_rows_masked",
+         lambda x: (mean_pool_rows(x, regions) * bias).sum(), _t(rng, (2, 3, 3))),
         ("masked_nll_zero_mask_row",
          lambda p: masked_nll(p, idx_cols, nll_mask),
          _t(rng, (4, 5), low=0.05, high=1.0)),
@@ -210,10 +226,10 @@ def _ramp(n: int) -> Tensor:
     return Tensor(np.linspace(-1.0, 1.0, n), dtype=FLOAT64)
 
 
-def _attention_scalar(values, query, W_v, W_h, w_a):
+def _attention_scalar(values, query, W_v, W_h, w_a, mask=None):
     """Reaches every input through both outputs: the weights and the
     attended rows."""
-    alpha, attended = additive_attention(values, query, W_v, W_h, w_a)
+    alpha, attended = additive_attention(values, query, W_v, W_h, w_a, mask)
     return (alpha * _ramp(alpha.shape[-1])).sum() + (attended * attended).sum()
 
 

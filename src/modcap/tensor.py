@@ -19,6 +19,12 @@ patterns the decoder repeats every step:
 * ``weighted_concat``: the module fusion, K blocks each scaled by its
   weight and concatenated.
 
+Scenes with different region counts share a batch by zero-padding the
+region axis.  ``softmax``, ``additive_attention`` and ``mean_pool_rows``
+take a boolean region mask: padded entries get a score of -inf, so
+their weight is exactly 0, and the pooled mean divides by the count of
+real rows.  Padded rows therefore receive exactly zero gradient.
+
 A multi-output fused op is one joint node holding its flattened outputs
 plus a view node per output.  Each fused backward performs the products
 and reductions of the primitive chain it replaces, in the same order, so
@@ -82,7 +88,8 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (FLOAT32, FLOAT64):
             arr = arr.astype(FLOAT32)
-        self.data = np.ascontiguousarray(arr)
+        # np.ascontiguousarray would turn a 0-d array into shape (1,)
+        self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -423,15 +430,37 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     return Tensor._from_op(np.asarray(data), (a,), backward)
 
 
-def mean_pool_rows(m) -> Tensor:
-    """Column-wise mean over the second-to-last axis: (..., N, d) -> (..., d)."""
+def mean_pool_rows(m, mask=None) -> Tensor:
+    """Column-wise mean over the second-to-last axis: (..., N, d) -> (..., d).
+
+    With a boolean (..., N) ``mask`` only the rows it marks count: the
+    masked row sum times 1/n_valid.  Without one every row is real.
+    """
     m = _as_tensor(m)
-    if m.data.ndim < 2:
-        raise ShapeError(f"mean_pool_rows expects at least 2-d input, got shape {m.data.shape}")
-    n = m.data.shape[-2]
-    if n == 0:
+    m_d = m.data
+    if m_d.ndim < 2:
+        raise ShapeError(f"mean_pool_rows expects at least 2-d input, got shape {m_d.shape}")
+    if m_d.shape[-2] == 0:
         raise ValueError("mean_pool_rows over an empty row set")
-    return sum_(m, axis=-2) * (1.0 / n)
+    if mask is None:
+        keep = np.ones(m_d.shape[:-1], dtype=bool)
+    else:
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != m_d.shape[:-1]:
+            raise ShapeError(f"mean_pool_rows mask of shape {keep.shape} does not fit "
+                             f"input of shape {m_d.shape}")
+    n_valid = keep.sum(axis=-1, keepdims=True)
+    if np.any(n_valid == 0):
+        raise ValueError("mean_pool_rows over a row set with no valid row")
+    weight = keep[..., None].astype(m_d.dtype)
+    inv = (1.0 / n_valid).astype(m_d.dtype)               # (..., 1)
+    data = (m_d * weight).sum(axis=-2) * inv
+
+    def backward(g):
+        if m.requires_grad:
+            _accum(m, np.expand_dims(g * inv, -2) * weight)
+
+    return Tensor._from_op(data, (m,), backward)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -472,10 +501,11 @@ def slice_axis(a, axis, start, stop) -> Tensor:
 
 
 def gather_rows(a, indices) -> Tensor:
-    """Select rows of a 2-d tensor: (V, d)[idx (B,)] -> (B, d)."""
+    """Select entries along the leading axis: (V, ...)[idx (B,)] -> (B, ...).
+    Used for embedding lookups and to pick rows of batched decoder state."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_rows expects a 2-d table, got shape {a.data.shape}")
+    if a.data.ndim < 1:
+        raise ShapeError("gather_rows needs at least a 1-d input")
     idx = np.asarray(indices, dtype=np.int64)
     data = np.ascontiguousarray(a.data[idx])
     in_shape = a.data.shape
@@ -596,12 +626,14 @@ def clamp_min(a, floor) -> Tensor:
     return Tensor._from_op(data, (a,), backward)
 
 
-def softmax(a, axis=-1) -> Tensor:
-    """Max-shifted softmax along ``axis``."""
+def softmax(a, axis=-1, mask=None) -> Tensor:
+    """Max-shifted softmax along ``axis``.  Entries where the boolean
+    ``mask`` (broadcast against ``a``) is False get exactly zero weight."""
     a = _as_tensor(a)
     if a.data.size == 0:
         raise ValueError("softmax of an empty tensor")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 
@@ -705,12 +737,14 @@ def lstm_cell(x, h, c, W, b):
     return _views(joint, (shape, shape))
 
 
-def additive_attention(values, query, W_v, W_h, w_a):
+def additive_attention(values, query, W_v, W_h, w_a, mask=None):
     """Fused additive attention; returns (alpha, attended).
 
     score_n = w_a . tanh(W_v v_n + W_h q), alpha = max-shifted softmax of
     the scores and attended = sum_n alpha_n v_n.  Takes (N, d_v) values
-    with a (d_c,) query, or (B, N, d_v) with (B, d_c).
+    with a (d_c,) query, or (B, N, d_v) with (B, d_c).  A boolean mask of
+    the values' leading shape sets the scores of padded rows to -inf, so
+    their alpha is exactly 0.
     """
     values, query, W_v, W_h, w_a = (_as_tensor(t) for t in (values, query, W_v, W_h, w_a))
     v, q_in, Wv, Wh, wa = (t.data for t in (values, query, W_v, W_h, w_a))
@@ -728,6 +762,8 @@ def additive_attention(values, query, W_v, W_h, w_a):
     q = np.matmul(q_in, Wh_T).reshape(b, 1, d_a)
     t2 = np.tanh(keys + q).reshape(-1, d_a)
     scores = np.matmul(t2, wa).reshape(b, n)
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     alpha = e / e.sum(axis=-1, keepdims=True)
     attended = (alpha.reshape(b, n, 1) * v).sum(axis=1)
@@ -783,10 +819,11 @@ def weighted_concat(weights, parts) -> Tensor:
     return Tensor._from_op(data, (weights, *parts), backward)
 
 
-def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:
+def masked_nll(p, gold, mask=None, eps: float = 1e-12, per_row: bool = False) -> Tensor:
     """Fused masked negative log-likelihood of the gold columns of a
     (B, V) distribution: -sum_b mask_b * log(max(p[b, gold_b], eps)).
-    ``mask`` defaults to all ones."""
+    ``mask`` defaults to all ones; ``per_row`` keeps the (B,) terms
+    instead of summing them."""
     p = _as_tensor(p)
     p_d = p.data
     if p_d.ndim != 2:
@@ -796,7 +833,8 @@ def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:
     picked = p_d[rows, idx]
     clamped = np.maximum(picked, eps)
     weight = np.ones_like(picked) if mask is None else np.asarray(mask, dtype=p_d.dtype)
-    data = np.asarray(-(np.log(clamped) * weight).sum())
+    terms = np.log(clamped) * weight
+    data = -terms if per_row else np.asarray(-terms.sum())
 
     def backward(g):
         if p.requires_grad:

@@ -7,15 +7,20 @@ self-critical policy gradient: sample a caption, score it against the
 greedy caption with the consensus metric, and weight the sampled
 log-probabilities by the advantage.
 
-Batches group examples whose scenes have the same region count, so
-feature tensors stack without masking; caption positions are padded and
-masked instead.  All shuffling, sampling, and hard-selection noise comes
-from one stream derived from the training seed, which is what makes
-resuming from a checkpoint reproduce the uninterrupted run.
+Cross-entropy batches group examples whose scenes have the same region
+count; caption positions are padded and masked.  A refinement window
+takes its scenes as they come: their region features are zero-padded to
+the largest count and carry a region mask, so the whole window runs as
+one batched sample pass, one greedy pass and one forced pass.  All
+shuffling, sampling, and hard-selection noise comes from one stream
+derived from the training seed, which is what makes resuming from a
+checkpoint reproduce the uninterrupted run.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import logging
 import os
@@ -34,10 +39,11 @@ from .decoder import (
     CaptionModel,
     beam_search,
     greedy_decode,
+    one_scene,
     sample_decode,
     strip_sequence,
 )
-from .errors import DataError, FormatError, TrainingError
+from .errors import ConfigError, DataError, FormatError, TrainingError
 from .metrics import IdfTable, cider_d, evaluate_captions
 from .tensor import (
     Adam,
@@ -62,12 +68,13 @@ MODEL_INIT_TAG = 707
 @dataclass
 class Batch:
     scene_ids: list[int]
-    r_obj: np.ndarray       # (B, K, d_r)
+    r_obj: np.ndarray       # (B, K, d_r), zero rows past a scene's region count
     r_attr: np.ndarray      # (B, K, d_r)
     inputs: np.ndarray      # (B, T) previous tokens, starts with <bos>
     targets: np.ndarray     # (B, T) gold tokens, ends with <eos>
     labels: np.ndarray      # (B, T) gold module labels per position
     mask: np.ndarray        # (B, T) 1.0 where targets are real
+    region_mask: np.ndarray  # (B, K) True where a region is real
 
     @property
     def size(self) -> int:
@@ -77,25 +84,29 @@ class Batch:
 def _pack(examples, scenes_by_id, synth: FeatureSynthesizer) -> Batch:
     n = len(examples)
     t_max = max(len(e.token_ids) - 1 for e in examples)
+    features = [synth.features(scenes_by_id[e.scene_id]) for e in examples]
+    k_max = max(r_obj.shape[0] for r_obj, _ in features)
     inputs = np.full((n, t_max), PAD_ID, dtype=np.int64)
     targets = np.full((n, t_max), PAD_ID, dtype=np.int64)
     labels = np.full((n, t_max), 3, dtype=np.int64)
     mask = np.zeros((n, t_max), dtype=np.float32)
-    r_obj_rows = []
-    r_attr_rows = []
-    for b, e in enumerate(examples):
+    r_obj = np.zeros((n, k_max) + features[0][0].shape[1:], dtype=features[0][0].dtype)
+    r_attr = np.zeros_like(r_obj)
+    region_mask = np.zeros((n, k_max), dtype=bool)
+    for b, (e, (ro, ra)) in enumerate(zip(examples, features)):
         ids = e.token_ids
         t = len(ids) - 1
         inputs[b, :t] = ids[:-1]
         targets[b, :t] = ids[1:]
         labels[b, :t] = e.labels
         mask[b, :t] = 1.0
-        ro, ra = synth.features(scenes_by_id[e.scene_id])
-        r_obj_rows.append(ro)
-        r_attr_rows.append(ra)
-    return Batch(scene_ids=[e.scene_id for e in examples],
-                 r_obj=np.stack(r_obj_rows), r_attr=np.stack(r_attr_rows),
-                 inputs=inputs, targets=targets, labels=labels, mask=mask)
+        k = ro.shape[0]
+        r_obj[b, :k] = ro
+        r_attr[b, :k] = ra
+        region_mask[b, :k] = True
+    return Batch(scene_ids=[e.scene_id for e in examples], r_obj=r_obj, r_attr=r_attr,
+                 inputs=inputs, targets=targets, labels=labels, mask=mask,
+                 region_mask=region_mask)
 
 
 def make_batches(examples, scenes_by_id, synth: FeatureSynthesizer,
@@ -138,8 +149,20 @@ class ForwardStats:
 
 
 def teacher_forced(model: CaptionModel, batch: Batch, *,
-                   lam_ling: float = 0.0, rng: Rng | None = None) -> ForwardStats:
-    enc = model.encode(batch.r_obj, batch.r_attr)
+                   lam_ling: float = 0.0, rng: Rng | None = None, enc=None,
+                   ling_row_weights=None) -> ForwardStats:
+    """One teacher-forced pass over a batch.
+
+    The module-supervision term ``ling_mean`` is the unit NLL of the gold
+    module labels averaged over tokens and units.  With (B,)
+    ``ling_row_weights`` it is instead the sum over rows of each row's
+    summed unit NLL times its weight.  ``enc`` reuses an encoding of the
+    batch's regions.
+    """
+    if enc is None:
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+    ling_mask = batch.mask if ling_row_weights is None else \
+        batch.mask * np.asarray(ling_row_weights, dtype=batch.mask.dtype)[:, None]
     states = model.init_state(batch.size)
     has_ctrl = model.cfg.single_module is None
     supervise = lam_ling > 0.0 and has_ctrl
@@ -163,14 +186,15 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
             agree += float(((chosen == batch.labels[:, t]) * mask_np).sum())
         if supervise:
             for tr in traces:
-                unit_nll = masked_nll(tr.soft, batch.labels[:, t], mask_np, LOSS_EPS)
+                unit_nll = masked_nll(tr.soft, batch.labels[:, t], ling_mask[:, t], LOSS_EPS)
                 ling_sum = unit_nll if ling_sum is None else ling_sum + unit_nll
 
     n_tokens = float(batch.mask.sum())
     loss = xe_sum / n_tokens
     ling_mean = None
     if supervise:
-        ling_mean = ling_sum / (n_tokens * len(model.units))
+        ling_mean = (ling_sum if ling_row_weights is not None
+                     else ling_sum / (n_tokens * len(model.units)))
         loss = loss + lam_ling * ling_mean
     return ForwardStats(loss=loss, xe_sum=xe_sum, ling_mean=ling_mean,
                         n_tokens=n_tokens, n_correct=correct, n_agree=agree)
@@ -208,25 +232,33 @@ def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
 
 def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
                        vocab_tokens, rng: Rng, max_len: int):
-    """Policy-gradient surrogate for one scene.
+    """Policy-gradient surrogate summed over the scenes of ``enc``.
 
-    Samples a caption, scores it and the greedy caption against the
-    references, and returns advantage-weighted negative log-probability.
-    Zero advantage means a loss that backpropagates exactly zero.
+    Samples a caption per scene, scores it and the greedy caption against
+    that scene's references with CIDEr-D, and returns the sum over scenes
+    of -advantage * (summed log-probability of the sampled caption),
+    together with one {reward, baseline, advantage} dict per scene.
+    ``references`` holds one reference set per scene.  Like the decoders,
+    a single scene is unwrapped: ``references`` is its reference set and
+    the info one dict.  A scene with zero advantage backpropagates
+    exactly zero.
     """
     sampled, logps = sample_decode(model, enc, rng, max_len)
-    with no_grad():
-        baseline = greedy_decode(model, enc, max_len)
-    sampled_words = [vocab_tokens[t] for t in strip_sequence(sampled)]
-    baseline_words = [vocab_tokens[t] for t in strip_sequence(baseline)]
-    reward = cider_d(sampled_words, references, idf)
-    base_reward = cider_d(baseline_words, references, idf)
-    advantage = reward - base_reward
+    baseline = greedy_decode(model, enc, max_len)
+    single = one_scene(enc)
+    if single:
+        sampled, baseline, references = [sampled], [baseline], [references]
+    infos = []
+    for tokens, base, refs in zip(sampled, baseline, references):
+        reward = cider_d([vocab_tokens[t] for t in strip_sequence(tokens)], refs, idf)
+        base_reward = cider_d([vocab_tokens[t] for t in strip_sequence(base)], refs, idf)
+        infos.append({"reward": reward, "baseline": base_reward,
+                      "advantage": reward - base_reward})
     total_logp = logps[0]
     for lp in logps[1:]:
         total_logp = total_logp + lp
-    loss = total_logp * (-advantage)
-    return loss, {"reward": reward, "baseline": base_reward, "advantage": advantage}
+    loss = (total_logp * -np.array([info["advantage"] for info in infos])).sum()
+    return loss, (infos[0] if single else infos)
 
 
 # -- epochs -------------------------------------------------------------------
@@ -299,53 +331,39 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     if max_steps is not None:
         order = order[:max_steps]
 
-    window: list[Tensor] = []
-    window_zero = True
     reward_sum = 0.0
     adv_sum = 0.0
     steps = 0
     skipped = 0
-
-    def flush():
-        nonlocal window, window_zero, skipped
-        if not window:
-            return
-        if window_zero and lam == 0.0:
+    for lo in range(0, len(order), cfg.batch_size):
+        window = [gold_example[scenes[i].scene_id] for i in order[lo:lo + cfg.batch_size]]
+        batch = _pack(window, scenes_by_id, synth)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        scene_refs = [refs[sid] for sid in batch.scene_ids]
+        single = batch.size == 1
+        loss, infos = self_critical_loss(model, enc, scene_refs[0] if single else scene_refs,
+                                         idf, vocab_tokens, rng, cfg.max_len)
+        infos = [infos] if single else infos
+        if lam > 0.0:
+            # each scene's own mean word-class NLL, as a batch-1 pass would give it
+            weights = 1.0 / (batch.mask.sum(axis=1) * len(model.units))
+            stats = teacher_forced(model, batch, lam_ling=lam, rng=rng, enc=enc,
+                                   ling_row_weights=weights)
+            loss = loss + lam * stats.ling_mean
+        reward_sum += sum(info["reward"] for info in infos)
+        adv_sum += sum(info["advantage"] for info in infos)
+        steps += batch.size
+        if lam == 0.0 and all(info["advantage"] == 0.0 for info in infos):
             # every advantage in the window was exactly zero and there is
             # no supervision term: the update would be a no-op, keep it one
             skipped += 1
-            window = []
-            window_zero = True
-            return
-        combined = window[0]
-        for piece in window[1:]:
-            combined = combined + piece
-        combined = combined / float(len(window))
+            continue
+        combined = loss / float(batch.size)
         _check_finite(combined, f"epoch {epoch} refinement step {steps}")
         _clear_grads(params)
         combined.backward()
         clip_global_norm(params, cfg.grad_clip)
         opt.step(params, lr)
-        window = []
-        window_zero = True
-
-    for i in order:
-        scene = scenes[i]
-        enc = model.encode(*synth.features(scene))
-        loss, info = self_critical_loss(model, enc, refs[scene.scene_id], idf,
-                                        vocab_tokens, rng, cfg.max_len)
-        if lam > 0.0:
-            batch = _pack([gold_example[scene.scene_id]], scenes_by_id, synth)
-            stats = teacher_forced(model, batch, lam_ling=lam, rng=rng)
-            loss = loss + lam * stats.ling_mean
-        window.append(loss)
-        window_zero = window_zero and info["advantage"] == 0.0
-        reward_sum += info["reward"]
-        adv_sum += info["advantage"]
-        steps += 1
-        if len(window) == cfg.batch_size:
-            flush()
-    flush()
 
     return {
         "phase": "rl",
@@ -474,6 +492,16 @@ def save_checkpoint(path: str, *, model: CaptionModel, train_cfg: TrainConfig,
             entries.append((f"adam.m.{name}", st.m))
             entries.append((f"adam.v.{name}", st.v))
             adam_t[name] = st.t
+    blob = bytearray(CKPT_MAGIC)
+    blob += struct.pack("<II", CKPT_VERSION, len(entries))
+    for name, arr in entries:
+        key = name.encode("utf-8")
+        a = np.ascontiguousarray(arr, dtype=np.float32)
+        blob += struct.pack("<I", len(key))
+        blob += key
+        blob += struct.pack("<I", a.ndim)
+        blob += struct.pack(f"<{a.ndim}I", *a.shape)
+        blob += a.tobytes()
     meta = {
         "version": CKPT_VERSION,
         "model": model.cfg.to_dict(),
@@ -483,26 +511,19 @@ def save_checkpoint(path: str, *, model: CaptionModel, train_cfg: TrainConfig,
         "rng": rng.get_state(),
         "adam_t": adam_t,
         "history": history,
+        "bin_sha256": hashlib.sha256(blob).hexdigest(),
     }
     meta_text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     # Both files are written in full under temporary names before either
     # replaces its predecessor, so a save that fails part way leaves the
-    # previous pair intact.
+    # previous pair intact.  The meta file records the tensor file's
+    # sha256, so a tensor file paired with another save's meta is caught.
     bin_tmp, meta_tmp = path + ".tmp", _meta_path(path) + ".tmp"
     try:
         with open(bin_tmp, "wb") as fh:
-            fh.write(CKPT_MAGIC)
-            fh.write(struct.pack("<II", CKPT_VERSION, len(entries)))
-            for name, arr in entries:
-                blob = name.encode("utf-8")
-                a = np.ascontiguousarray(arr, dtype=np.float32)
-                fh.write(struct.pack("<I", len(blob)))
-                fh.write(blob)
-                fh.write(struct.pack("<I", a.ndim))
-                fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-                fh.write(a.tobytes())
+            fh.write(blob)
         with open(meta_tmp, "w") as fh:
             fh.write(meta_text)
         os.replace(bin_tmp, path)
@@ -514,13 +535,18 @@ def save_checkpoint(path: str, *, model: CaptionModel, train_cfg: TrainConfig,
 
 
 def load_checkpoint(path: str):
-    """Returns (tensors by name, metadata dict)."""
+    """Returns (tensors by name, metadata dict).
+
+    Meta files that record the tensor file's sha256 must match it; older
+    version-1 meta files without the field load unchecked.
+    """
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            raw_file = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open checkpoint {path}: {exc}") from exc
     tensors = {}
-    with fh:
+    with io.BytesIO(raw_file) as fh:
         head = fh.read(4)
         if head != CKPT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint (bad magic {head!r})")
@@ -548,6 +574,10 @@ def load_checkpoint(path: str):
         raise DataError(f"checkpoint metadata missing: {meta_file}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_file}: invalid JSON: {exc}") from exc
+    recorded = meta.get("bin_sha256") if isinstance(meta, dict) else None
+    if recorded is not None and recorded != hashlib.sha256(raw_file).hexdigest():
+        raise FormatError(f"{path}: tensor file does not match the sha256 recorded in "
+                          f"{meta_file}; the pair comes from different saves")
     return tensors, meta
 
 
@@ -572,11 +602,16 @@ def restore_training(path: str) -> RestoredTraining:
         rng_state = meta["rng"]
         adam_t = meta["adam_t"]
         history = meta["history"]
+        model_cfg.validate()
+        train_cfg.validate()
     except KeyError as exc:
         raise FormatError(f"checkpoint metadata is missing field {exc}") from exc
     except TypeError as exc:
         # an unknown or misplaced field in a stored configuration
         raise FormatError(f"checkpoint metadata is malformed: {exc}") from exc
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint metadata holds an invalid configuration: "
+                          f"{exc}") from exc
 
     model = CaptionModel(model_cfg, Rng(0))
     params = model.named_parameters()

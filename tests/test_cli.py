@@ -123,6 +123,12 @@ def test_missing_adam_step_exits_2(data_dir, checkpoint, tmp_path, capsys):
     assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
 
 
+def test_negative_width_in_meta_exits_2(data_dir, checkpoint, tmp_path, capsys):
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: meta["model"].update(d_v=-4))
+    assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
+
+
 def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys):
     from modcap.training import restore_training, save_checkpoint
 
@@ -130,8 +136,7 @@ def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_pat
     before = path.read_bytes()
     restored = restore_training(str(path))
     params = restored.model.named_parameters()
-    # the last tensor written cannot be converted, so the save fails
-    # after most of the new file is already on disk
+    # the last tensor cannot be converted, so the save fails
     params[sorted(params)[-1]].data = np.array(["not a number"], dtype=object)
     with pytest.raises(ValueError):
         save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,

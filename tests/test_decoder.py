@@ -43,8 +43,8 @@ class MarkovStub:
         return None
 
     def step(self, prev, enc, states, rng=None):
-        row = self.table[int(prev[0])]
-        return Tensor(row.reshape(1, -1), dtype=np.float64), states, []
+        rows = self.table[np.asarray(prev, dtype=np.int64)]
+        return Tensor(rows, dtype=np.float64), states, []
 
 
 def enumerate_best(table, bos, eos, max_len):
@@ -136,6 +136,21 @@ class TestStackStructure:
             d1, _, _ = model.step([4 + b], enc1, model.init_state(1))
             assert np.allclose(dist.data[b], d1.data[0], atol=1e-6)
 
+        # scenes of 3 and 5 regions share one batch, the first zero-padded
+        r_obj, r_attr = random_features(11, batch=2, k=5)
+        mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
+        r_obj[0, 3:] = r_attr[0, 3:] = 0.0
+        enc = model.encode(r_obj, r_attr, mask)
+        states = model.init_state(2)
+        alone = [(model.encode(r_obj[b, :k], r_attr[b, :k]), model.init_state(1))
+                 for b, k in enumerate((3, 5))]
+        for tokens in ([4, 5], [7, 3]):
+            dist, states, _ = model.step(tokens, enc, states)
+            for b, (enc1, st1) in enumerate(alone):
+                d1, st1, _ = model.step([tokens[b]], enc1, st1)
+                alone[b] = (enc1, st1)
+                assert np.allclose(dist.data[b], d1.data[0], atol=1e-6)
+
     def test_controller_context_is_unit_local(self):
         # the two units keep separate recurrent contexts; after one step
         # their second-LSTM outputs differ
@@ -144,6 +159,63 @@ class TestStackStructure:
         enc = model.encode(*random_features(5))
         _, states, _ = model.step([BOS_ID], enc, model.init_state(1))
         assert not np.allclose(states[0].h2.data, states[1].h2.data)
+
+
+def padded_scenes(model, seed, counts, d_r=8):
+    """A zero-padded encoding of scenes with the given region counts, and
+    each scene's own encoding."""
+    rs = np.random.RandomState(seed)
+    k = max(counts)
+    r_obj = np.zeros((len(counts), k, d_r), dtype=np.float32)
+    r_attr = np.zeros_like(r_obj)
+    mask = np.zeros((len(counts), k), dtype=bool)
+    for b, n in enumerate(counts):
+        r_obj[b, :n] = rs.randn(n, d_r)
+        r_attr[b, :n] = rs.randn(n, d_r)
+        mask[b, :n] = True
+    alone = [model.encode(r_obj[b, :n], r_attr[b, :n]) for b, n in enumerate(counts)]
+    return model.encode(r_obj, r_attr, mask), alone
+
+
+class TestBatchedDecoding:
+    def test_greedy_rows_match_single_scenes(self):
+        model = CaptionModel(tiny_cfg(), Rng(40))
+        enc, alone = padded_scenes(model, 0, (3, 5, 4, 3))
+        rows = greedy_decode(model, enc, max_len=6)
+        assert rows == [greedy_decode(model, e, max_len=6) for e in alone]
+
+    def test_sample_rows_follow_the_draw_order(self):
+        # one uniform per live row in row order: replaying the batch's
+        # draws scene by scene gives each scene's tokens and log-probs
+        table = np.full((5, 5), 0.1)
+        table[:, 2] = 0.6                      # the end token is likely
+        stub = MarkovStub(table)
+
+        class TwoScenes:                       # the stub reads no encoding
+            batch = 2
+        tokens, logps = sample_decode(stub, TwoScenes(), Rng(7), max_len=6)
+        assert len(tokens) == 2
+        rng = Rng(7)
+        want = [[], []]
+        for t in range(max(map(len, tokens))):
+            for b in range(2):
+                if t < len(tokens[b]):
+                    prev = want[b][-1] if want[b] else BOS_ID
+                    want[b].append(rng.multinomial(table[prev]))
+        assert tokens == want
+        for b in range(2):
+            total = sum(lp.data[b] for lp in logps)
+            expect = sum(math.log(table[p, t]) for p, t in
+                         zip([BOS_ID] + tokens[b][:-1], tokens[b]))
+            assert total == pytest.approx(expect, rel=1e-12)
+
+    def test_finished_rows_add_exact_zeros(self):
+        model = CaptionModel(tiny_cfg(), Rng(41))
+        enc, _ = padded_scenes(model, 1, (3, 5, 4))
+        tokens, logps = sample_decode(model, enc, Rng(3), max_len=6)
+        for b, row in enumerate(tokens):
+            for t, lp in enumerate(logps):
+                assert (lp.data[b] == 0.0) == (t >= len(row))
 
 
 class TestGreedy:
@@ -222,6 +294,38 @@ class TestBeam:
         beam = beam_search(stub, None, beam_width=3, max_len=4)
         scores = [h.logprob for h in beam]
         assert scores == sorted(scores, reverse=True)
+
+    def test_matches_expanding_one_hypothesis_at_a_time(self):
+        # the batched expansion against the plain algorithm: expand each
+        # live hypothesis alone, sort every candidate by (-score, tokens)
+        def reference(table, width, max_len, normalize):
+            beams = [((), 0.0, False)]
+            for _ in range(max_len):
+                if all(f for _, _, f in beams):
+                    break
+                cands = [b for b in beams if b[2]]
+                for toks, lp, fin in beams:
+                    if fin:
+                        continue
+                    row = np.log(np.maximum(table[toks[-1] if toks else BOS_ID], 1e-300))
+                    cands += [(toks + (t,), lp + float(row[t]), t == EOS_ID)
+                              for t in range(len(row))]
+                score = lambda c: c[1] / len(c[0]) if normalize and c[0] else c[1]
+                cands.sort(key=lambda c: (-score(c), c[0]))
+                beams = cands[:width]
+            return [(toks, lp) for toks, lp, _ in beams]
+
+        rs = np.random.RandomState(3)
+        for trial in range(12):
+            table = rs.dirichlet(np.full(6, 0.7), size=6)
+            if trial % 3 == 0:
+                table = np.round(table, 1)     # exact ties in score
+            for width in (1, 2, 3, 5):
+                for normalize in (False, True):
+                    got = beam_search(MarkovStub(table), None, width, 5,
+                                      length_normalize=normalize)
+                    want = reference(table, width, 5, normalize)
+                    assert [(h.tokens, h.logprob) for h in got] == want
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,30 @@ class TestForward:
         assert out.shape == (2, 2)
         assert np.allclose(out, m.mean(axis=1))
 
+    def test_mean_pool_rows_masked(self):
+        m = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
+        mask = np.array([[True, True, False], [True, True, True]])
+        out = mean_pool_rows(Tensor(m), mask).data
+        assert np.allclose(out[0], m[0, :2].mean(axis=0))
+        assert np.allclose(out[1], m[1].mean(axis=0))
+        # all rows valid: the same bits as the unmasked mean
+        full = np.ones((2, 3), dtype=bool)
+        assert np.array_equal(mean_pool_rows(Tensor(m), full).data,
+                              mean_pool_rows(Tensor(m)).data)
+
+    def test_masked_softmax_zeroes_padding(self):
+        a = Tensor(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 9.0]]))
+        mask = np.array([[True, False, True], [True, True, False]])
+        out = softmax(a, axis=-1, mask=mask).data
+        assert out[0, 1] == 0.0 and out[1, 2] == 0.0
+        assert np.allclose(out[0, [0, 2]], softmax(Tensor([1.0, 3.0])).data)
+        assert np.allclose(out.sum(axis=-1), 1.0)
+
+    def test_scalars_keep_their_shape(self):
+        assert Tensor(1.5).shape == ()
+        assert Tensor(np.float32(2.0)).shape == ()
+        assert (Tensor([1.0, 2.0]).sum() / 4.0).shape == ()
+
     def test_concat_and_slice_roundtrip(self):
         a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
         b = Tensor(np.arange(8, dtype=np.float32).reshape(2, 4))
@@ -199,6 +223,13 @@ class TestBackward:
         check_grad(lambda x: mean_pool_rows(x).sum(), a)
         check_grad(lambda x: gather_rows(x, [1, 0, 1]).sum(), a)
         check_grad(lambda x: pick(x, [2, 0]).sum(), a)
+
+    def test_masked_rows_get_zero_gradient(self):
+        m = Tensor(np.arange(12, dtype=np.float32).reshape(2, 3, 2), requires_grad=True)
+        mask = np.array([[True, False, True], [True, True, True]])
+        (mean_pool_rows(m, mask) * Tensor([1.0, -2.0])).sum().backward()
+        assert not np.any(m.grad[0, 1])
+        assert np.all(m.grad[~np.array([[0, 1, 0], [0, 0, 0]], dtype=bool)] != 0)
 
     def test_fanout_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)

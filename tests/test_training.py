@@ -8,12 +8,13 @@ import pytest
 from modcap.config import ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel
-from modcap.errors import DataError, FormatError
+from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
 from modcap.tensor import Adam, Rng, Tensor
 from modcap.training import (
     TRAIN_STREAM_TAG,
     Batch,
+    _pack,
     decode_split,
     evaluate_split,
     load_checkpoint,
@@ -109,6 +110,34 @@ class TestTeacherForced:
         assert 0 <= stats.n_correct <= stats.n_tokens
         assert 0 <= stats.n_agree <= stats.n_tokens
         assert stats.ling_mean is not None
+
+    def test_loss_is_a_scalar(self, corpus, synth):
+        model = fresh_model(corpus)
+        (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
+        stats = teacher_forced(model, batch, lam_ling=1.0)
+        assert stats.loss.shape == ()
+        assert stats.xe_sum.shape == ()
+
+    def test_row_weighted_word_class_term(self, corpus, synth):
+        # scenes of different region counts in one padded batch: with row
+        # weights 1/(n_tokens_b * M) the term is the sum of each scene's
+        # own batch-1 word-class mean
+        model = fresh_model(corpus)
+        scenes = {s.scene_id: s for s in corpus.scenes}
+        examples, counts = [], set()
+        for e in corpus.examples:
+            k = len(scenes[e.scene_id].regions)
+            if k not in counts:
+                counts.add(k)
+                examples.append(e)
+        assert len(counts) >= 2
+        batch = _pack(examples, scenes, synth)
+        assert not batch.region_mask.all()
+        weights = 1.0 / (batch.mask.sum(axis=1) * len(model.units))
+        both = teacher_forced(model, batch, lam_ling=1.0, ling_row_weights=weights)
+        want = sum(teacher_forced(model, _pack([e], scenes, synth), lam_ling=1.0)
+                   .ling_mean.item() for e in examples)
+        assert both.ling_mean.item() == pytest.approx(want, rel=1e-5)
 
     def test_objective_composition(self, corpus, synth):
         model = fresh_model(corpus)
@@ -212,6 +241,21 @@ class TestSelfCritical:
         for name, p in model.named_parameters().items():
             assert p.grad is None or not np.any(p.grad), name
 
+    def test_zero_advantage_window_is_zero(self, corpus, synth):
+        model = fresh_model(corpus)
+        scenes = {s.scene_id: s for s in corpus.scenes}
+        batch = _pack(corpus.examples[::7][:5], scenes, synth)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        refs = [["qq", "ww", "ee", "rr"]]
+        idf = IdfTable({0: refs, 1: [["zz", "xx", "cc", "vv"]]})
+        loss, infos = self_critical_loss(model, enc, [refs] * batch.size, idf,
+                                         corpus.vocab.tokens, Rng(9), max_len=8)
+        assert [info["advantage"] for info in infos] == [0.0] * batch.size
+        assert loss.shape == () and loss.item() == 0.0
+        loss.backward()
+        for name, p in model.named_parameters().items():
+            assert p.grad is None or not np.any(p.grad), name
+
     def test_nonzero_advantage_updates(self, corpus, synth):
         model = fresh_model(corpus)
         scene = corpus.scenes_in("train")[0]
@@ -245,6 +289,25 @@ class TestSelfCritical:
         after = model.named_parameters()
         changed = any(not np.array_equal(before[k], after[k].data) for k in before)
         assert changed
+
+    def test_rl_epoch_is_reproducible(self, corpus, synth):
+        cfg = TrainConfig(xe_epochs=0, rl_epochs=1, batch_size=4, lr=1e-3,
+                          seed=5, max_len=10)
+        idf = IdfTable(corpus.references("train"))
+        runs = []
+        for _ in range(2):
+            model = fresh_model(corpus)
+            rng = Rng(5).derive(TRAIN_STREAM_TAG)
+            # windows of 4, 4 and 1 scenes
+            stats = run_rl_epoch(model, corpus, synth, cfg, Adam(), rng, 0, idf,
+                                 max_steps=9)
+            runs.append((stats, rng.get_state(),
+                         {k: v.data.copy() for k, v in model.named_parameters().items()}))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][0]["steps"] == 9
+        assert runs[0][1] == runs[1][1]
+        for name, value in runs[0][2].items():
+            np.testing.assert_array_equal(value, runs[1][2][name], err_msg=name)
 
     def test_rl_epoch_without_supervision(self, corpus, synth):
         model = fresh_model(corpus)
@@ -424,6 +487,49 @@ class TestCheckpoints:
         meta["model"]["d_c"] = 24
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(DataError):
+            restore_training(path)
+
+    def saved(self, corpus, tmp_path, name="model.bin", seed=3):
+        model = fresh_model(corpus, seed=seed)
+        path = str(tmp_path / name)
+        save_checkpoint(path, model=model, train_cfg=self.small_cfg(), vocab=corpus.vocab,
+                        opt=Adam(), rng=Rng(0), epoch=0, history=[])
+        return path
+
+    def test_flipped_byte_is_caught(self, corpus, tmp_path):
+        path = self.saved(corpus, tmp_path)
+        blob = bytearray((tmp_path / "model.bin").read_bytes())
+        blob[-3] ^= 0x40                      # inside the last tensor's data
+        (tmp_path / "model.bin").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="sha256"):
+            load_checkpoint(path)
+
+    def test_tensor_file_paired_with_an_older_meta(self, corpus, tmp_path):
+        path = self.saved(corpus, tmp_path)
+        old_meta = (tmp_path / "model.bin.meta.json").read_text()
+        self.saved(corpus, tmp_path, seed=4)
+        (tmp_path / "model.bin.meta.json").write_text(old_meta)
+        with pytest.raises(FormatError, match="different saves"):
+            load_checkpoint(path)
+
+    def test_meta_without_checksum_still_loads(self, corpus, tmp_path):
+        path = self.saved(corpus, tmp_path)
+        meta_file = tmp_path / "model.bin.meta.json"
+        meta = json.loads(meta_file.read_text())
+        del meta["bin_sha256"]
+        meta_file.write_text(json.dumps(meta))
+        assert restore_training(path).epoch == 0
+
+    @pytest.mark.parametrize("field", ["d_r", "d_v", "d_c", "d_a", "heads"])
+    def test_non_positive_width_is_a_format_error(self, corpus, tmp_path, field):
+        with pytest.raises(ConfigError):
+            model_cfg(corpus, **{field: 0}).validate()
+        path = self.saved(corpus, tmp_path)
+        meta_file = tmp_path / "model.bin.meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["model"][field] = -4
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="must be positive"):
             restore_training(path)
 
     def test_missing_file_is_data_error(self, tmp_path):

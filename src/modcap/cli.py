@@ -29,7 +29,7 @@ from .corpus import (
     load_corpus,
     save_corpus,
 )
-from .decoder import CaptionModel, beam_search, greedy_decode, sample_decode, strip_sequence
+from .decoder import CaptionModel
 from .errors import (
     ConfigError,
     CorpusSpecError,
@@ -38,10 +38,11 @@ from .errors import (
     TrainingError,
 )
 from .gradcheck import DEFAULT_TOLERANCE, SECTIONS, run_battery
-from .tensor import Rng, no_grad
+from .tensor import Rng
 from .trace import render_svg, trace_example, trace_generated
 from .training import (
     MODEL_INIT_TAG,
+    caption_scene,
     evaluate_split,
     restore_training,
     teacher_forced_metrics,
@@ -215,17 +216,11 @@ def cmd_caption(args) -> int:
     scenes = ([_find_scene(corpus, args.scene)] if args.scene is not None
               else corpus.scenes_in(args.split))
     rng = Rng(_seed_of(args)).derive(313)
-    with no_grad():
-        for scene in scenes:
-            enc = model.encode(*synth.features(scene))
-            if args.sample:
-                tokens, _ = sample_decode(model, enc, rng, max_len)
-            elif args.greedy:
-                tokens = greedy_decode(model, enc, max_len)
-            else:
-                tokens = list(beam_search(model, enc, args.beam, max_len)[0].tokens)
-            words = corpus.vocab.decode(strip_sequence(tokens))
-            print(f"{scene.scene_id}\t{' '.join(words)}")
+    mode = "sample" if args.sample else "greedy" if args.greedy else "beam"
+    for scene in scenes:
+        words = caption_scene(model, synth, scene, corpus.vocab, mode, beam_width=args.beam,
+                              max_len=max_len, rng=rng)
+        print(f"{scene.scene_id}\t{' '.join(words)}")
     return EXIT_OK
 
 

@@ -7,8 +7,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ConfigError
 
-FULL_MODULES = ("object", "attribute", "relation", "function")
-SINGLE_MODULES = ("object", "attribute", "relation")
+VISUAL_MODULES = ("object", "attribute", "relation")
+FULL_MODULES = VISUAL_MODULES + ("function",)
 
 STRATEGIES = ("soft", "hard", "uniform")
 
@@ -48,7 +48,7 @@ class ModelConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, pick one of {STRATEGIES}")
         if self.modules != FULL_MODULES and not (
-            len(self.modules) == 1 and self.modules[0] in SINGLE_MODULES
+            len(self.modules) == 1 and self.modules[0] in VISUAL_MODULES
         ):
             raise ConfigError(
                 f"modules must be the full set {FULL_MODULES} or a single visual "

@@ -1,6 +1,6 @@
 """Module collocation: attention over module outputs, the tiny recurrent
-controller that weighs the four modules each step, and the auxiliary
-word-class supervision for those weights."""
+controller that weighs the four modules each step, and the word-class
+labels that supervise those weights."""
 
 from __future__ import annotations
 
@@ -14,27 +14,18 @@ from .errors import ShapeError
 from .layers import Linear
 from .tensor import (
     FLOAT32,
-    LstmParams,
     Rng,
     Tensor,
     additive_attention,
-    clamp_min,
     concat,
-    log,
     lstm_step,
     make_lstm_params,
-    pick,
-    reshape,
     softmax,
-    sum_,
     weighted_concat,
     xavier_uniform,
-    zeros,
 )
 
 logger = logging.getLogger(__name__)
-
-LOSS_EPS = 1e-12
 
 
 class ModuleLabel(IntEnum):
@@ -106,7 +97,6 @@ class ControllerState:
 class ControllerOutput:
     weights: Tensor        # what fuse() consumes (one-hot under HARD)
     soft: Tensor | None    # noise-free softmax of the logits, None under UNIFORM
-    logits: Tensor | None
     state: ControllerState
 
 
@@ -131,11 +121,6 @@ class ModuleController:
         self.lstm = make_lstm_params(rng, 3 * d_v + d_c, d_c, dtype=dtype)
         self.proj = Linear(d_c, len(ModuleLabel), rng, dtype=dtype)
         self.tau = tau
-        self.dtype = dtype
-
-    def init_state(self, batch: int, d_c: int) -> ControllerState:
-        return ControllerState(h=zeros((batch, d_c), dtype=self.dtype),
-                               c=zeros((batch, d_c), dtype=self.dtype))
 
     def step(self, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor, context: Tensor,
              state: ControllerState, strategy: Strategy,
@@ -146,7 +131,7 @@ class ModuleController:
             batch = v_obj.shape[0] if v_obj.ndim == 2 else None
             shape = (batch, len(ModuleLabel)) if batch else (len(ModuleLabel),)
             ones = Tensor(np.ones(shape, dtype=v_obj.data.dtype))
-            return ControllerOutput(weights=ones, soft=None, logits=None, state=state)
+            return ControllerOutput(weights=ones, soft=None, state=state)
         x = concat([v_obj, v_attr, v_rel, context], axis=-1)
         h, c = lstm_step(x, state.h, state.c, self.lstm)
         logits = self.proj(h)
@@ -162,8 +147,7 @@ class ModuleController:
                 noise = Tensor(np.zeros(logits.shape, dtype=logits.data.dtype))
             y = softmax((logits + noise) * (1.0 / self.tau), axis=-1)
             weights = straight_through(y)
-        return ControllerOutput(weights=weights, soft=soft, logits=logits,
-                                state=ControllerState(h=h, c=c))
+        return ControllerOutput(weights=weights, soft=soft, state=ControllerState(h=h, c=c))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.lstm.W": self.lstm.W, f"{prefix}.lstm.b": self.lstm.b}
@@ -183,9 +167,3 @@ def fuse(weights: Tensor, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
             raise ShapeError(f"module outputs disagree in width: {p.shape[-1]} vs {d_v}")
     return weighted_concat(weights, parts)
 
-
-def linguistic_loss(weights: Tensor, label: ModuleLabel) -> Tensor:
-    """Negative log of the weight assigned to the gold module."""
-    w = reshape(weights, (1, -1)) if weights.ndim == 1 else weights
-    target = pick(w, [int(label)] * w.shape[0])
-    return -sum_(log(clamp_min(target, LOSS_EPS)))

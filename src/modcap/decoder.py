@@ -1,19 +1,20 @@
 """Decoder stack: stacked two-LSTM units with attention, weight collocation
-and a residual word-vector lane, plus greedy / beam / sampling decoders.
+and a residual word-vector lane, plus the decode step loop and decoders.
 
 Each unit refines a running vector i of width d_v.  The first LSTM sees
 [i, its own previous output context, mean-pooled module features], its
 output queries one attention head per visual module, the controller
 weighs the four module vectors, and the second LSTM folds the fused
 feature back in.  The unit output is added onto i, so stacking M units
-is a residual chain and i keeps the embedding width throughout.
+is a residual chain and i keeps the embedding width throughout.  A
+single-module unit has one attention head and no controller.
 
-The decoders are batch-native.  Greedy and sampling decoding run every
-scene of an encoding in one ``model.step`` call per position, keeping
-rows that have emitted the end token in the batch but out of the
-result; beam search expands all live hypotheses of a scene in one call.
-A single scene is a batch of one, and its results come back unwrapped:
-a token list rather than a list holding one token list.
+``run_decoder`` is the one batch-native step loop: a token policy
+(argmax, sample or forced) picks every row's next token and an optional
+observer sees each step.  Greedy and sampling decoding, teacher forcing
+and traces run on it; beam search, which reorders state rows every step,
+keeps its own loop.  A single scene is a batch of one, and its results
+come back unwrapped: a token list rather than a list holding one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import VISUAL_MODULES, ModelConfig
 from .controller import (
     AdditiveAttention,
     ControllerState,
@@ -31,7 +32,7 @@ from .controller import (
     Strategy,
     fuse,
 )
-from .encoders import AttributeModule, FunctionModule, ObjectModule, RelationModule
+from .encoders import ProjectionModule, RelationModule
 from .layers import Linear
 from .tensor import (
     FLOAT32,
@@ -50,8 +51,6 @@ from .tensor import (
 )
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
-
-VISUAL_MODULES = ("object", "attribute", "relation")
 
 
 @dataclass
@@ -79,94 +78,73 @@ class UnitState:
 
 @dataclass
 class UnitTrace:
-    weights: Tensor | None           # (B, 4) fusion weights, None for single-module units
+    weights: Tensor | None           # (B, 4) fusion weights, None without a controller
     soft: Tensor | None              # noise-free controller softmax, for supervision
     alphas: dict[str, Tensor]        # per-module attention over regions (B, N)
 
 
 class DecoderUnit:
-    """Full four-module unit with a controller."""
+    """One decoder unit over the visual modules in ``modules``.
 
-    def __init__(self, cfg: ModelConfig, rng: Rng, dtype=FLOAT32):
+    With all three visual modules the unit also has the function module
+    and the controller that weighs the four module vectors; with one (the
+    single-module ablation) that module's attended vector is fed to the
+    second LSTM as is.
+    """
+
+    def __init__(self, cfg: ModelConfig, modules: tuple, rng: Rng, dtype=FLOAT32):
         d_v, d_c, d_a = cfg.d_v, cfg.d_c, cfg.d_a
         self.cfg = cfg
         self.dtype = dtype
-        self.lstm1 = make_lstm_params(rng, 4 * d_v + d_c, d_c, dtype=dtype)
+        self.modules = modules
+        self.lstm1 = make_lstm_params(rng, (len(self.modules) + 1) * d_v + d_c, d_c,
+                                      dtype=dtype)
         self.att = {name: AdditiveAttention(d_v, d_c, d_a, rng, dtype=dtype)
-                    for name in VISUAL_MODULES}
-        self.func = FunctionModule(d_c, d_v, rng, slope=cfg.leaky_slope, dtype=dtype)
-        self.ctrl = ModuleController(d_v, d_c, rng, tau=cfg.gumbel_tau, dtype=dtype)
-        self.lstm2 = make_lstm_params(rng, d_c + 4 * d_v, d_c, dtype=dtype)
+                    for name in self.modules}
+        self.func = self.ctrl = None
+        if self.modules == VISUAL_MODULES:
+            self.func = ProjectionModule(d_c, d_v, rng, slope=cfg.leaky_slope, dtype=dtype)
+            self.ctrl = ModuleController(d_v, d_c, rng, tau=cfg.gumbel_tau, dtype=dtype)
+        fused = len(self.modules) + (self.func is not None)
+        self.lstm2 = make_lstm_params(rng, d_c + fused * d_v, d_c, dtype=dtype)
 
     def init_state(self, batch: int) -> UnitState:
         z = lambda: zeros((batch, self.cfg.d_c), dtype=self.dtype)
-        return UnitState(h1=z(), c1=z(), h2=z(), c2=z(),
-                         ctrl=ControllerState(h=z(), c=z()))
+        h1, c1, h2, c2 = z(), z(), z(), z()
+        ctrl = None if self.ctrl is None else ControllerState(h=z(), c=z())
+        return UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl)
 
     def step(self, i_prev: Tensor, enc: Encoded, state: UnitState,
              rng: Rng | None = None):
         context = state.h2
-        u = concat([i_prev, context,
-                    enc.means["object"], enc.means["attribute"], enc.means["relation"]],
-                   axis=-1)
+        u = concat([i_prev, context] + [enc.means[name] for name in self.modules], axis=-1)
         h1, c1 = lstm_step(u, state.h1, state.c1, self.lstm1)
         alphas = {}
-        attended = {}
-        for name in VISUAL_MODULES:
-            alphas[name], attended[name] = self.att[name](enc.feats[name], h1, enc.mask)
-        v_func = self.func(context)
-        ctrl_out = self.ctrl.step(attended["object"], attended["attribute"],
-                                  attended["relation"], context, state.ctrl,
-                                  Strategy(self.cfg.strategy), rng=rng)
-        v_hat = fuse(ctrl_out.weights, attended["object"], attended["attribute"],
-                     attended["relation"], v_func)
+        attended = []
+        for name in self.modules:
+            alphas[name], v = self.att[name](enc.feats[name], h1, enc.mask)
+            attended.append(v)
+        weights = soft = ctrl_state = None
+        if self.ctrl is None:
+            (v_hat,) = attended
+        else:
+            v_func = self.func(context)
+            out = self.ctrl.step(*attended, context, state.ctrl, Strategy(self.cfg.strategy),
+                                 rng=rng)
+            weights, soft, ctrl_state = out.weights, out.soft, out.state
+            v_hat = fuse(weights, *attended, v_func)
         h2, c2 = lstm_step(concat([h1, v_hat], axis=-1), state.h2, state.c2, self.lstm2)
         i_new = i_prev + h2
-        new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_out.state)
-        trace = UnitTrace(weights=ctrl_out.weights, soft=ctrl_out.soft, alphas=alphas)
-        return i_new, new_state, trace
+        new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
+        return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.lstm1.W": self.lstm1.W, f"{prefix}.lstm1.b": self.lstm1.b}
-        for name in VISUAL_MODULES:
+        for name in self.modules:
             out.update(self.att[name].params(f"{prefix}.att.{name}"))
-        out.update(self.func.params(f"{prefix}.func"))
-        out.update(self.ctrl.params(f"{prefix}.ctrl"))
-        out[f"{prefix}.lstm2.W"] = self.lstm2.W
-        out[f"{prefix}.lstm2.b"] = self.lstm2.b
-        return out
-
-
-class SingleModuleUnit:
-    """Ablation unit: one visual module, one attention head, no controller."""
-
-    def __init__(self, cfg: ModelConfig, rng: Rng, dtype=FLOAT32):
-        d_v, d_c, d_a = cfg.d_v, cfg.d_c, cfg.d_a
-        self.cfg = cfg
-        self.dtype = dtype
-        self.module = cfg.single_module
-        self.lstm1 = make_lstm_params(rng, 2 * d_v + d_c, d_c, dtype=dtype)
-        self.att = AdditiveAttention(d_v, d_c, d_a, rng, dtype=dtype)
-        self.lstm2 = make_lstm_params(rng, d_c + d_v, d_c, dtype=dtype)
-
-    def init_state(self, batch: int) -> UnitState:
-        z = lambda: zeros((batch, self.cfg.d_c), dtype=self.dtype)
-        return UnitState(h1=z(), c1=z(), h2=z(), c2=z(), ctrl=None)
-
-    def step(self, i_prev: Tensor, enc: Encoded, state: UnitState,
-             rng: Rng | None = None):
-        u = concat([i_prev, state.h2, enc.means[self.module]], axis=-1)
-        h1, c1 = lstm_step(u, state.h1, state.c1, self.lstm1)
-        alpha, attended = self.att(enc.feats[self.module], h1, enc.mask)
-        h2, c2 = lstm_step(concat([h1, attended], axis=-1), state.h2, state.c2, self.lstm2)
-        i_new = i_prev + h2
-        new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=None)
-        return i_new, new_state, UnitTrace(weights=None, soft=None,
-                                           alphas={self.module: alpha})
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.lstm1.W": self.lstm1.W, f"{prefix}.lstm1.b": self.lstm1.b}
-        out.update(self.att.params(f"{prefix}.att.{self.module}"))
+        if self.ctrl is not None:
+            out.update(self.func.params(f"{prefix}.func"))
+            out.update(self.ctrl.params(f"{prefix}.ctrl"))
         out[f"{prefix}.lstm2.W"] = self.lstm2.W
         out[f"{prefix}.lstm2.b"] = self.lstm2.b
         return out
@@ -179,19 +157,16 @@ class CaptionModel:
         cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
-        slope = cfg.leaky_slope
+        modules = tuple(name for name in cfg.modules if name in VISUAL_MODULES)
         self.encoders = {}
-        if cfg.single_module is None or cfg.single_module == "object":
-            self.encoders["object"] = ObjectModule(cfg.d_r, cfg.d_v, rng, slope, dtype)
-        if cfg.single_module is None or cfg.single_module == "attribute":
-            self.encoders["attribute"] = AttributeModule(cfg.d_r, cfg.d_v, rng, slope, dtype)
-        if cfg.single_module is None or cfg.single_module == "relation":
-            self.encoders["relation"] = RelationModule(cfg.d_r, cfg.d_v, cfg.heads, rng,
-                                                       slope, dtype)
+        for name in modules:
+            self.encoders[name] = (
+                RelationModule(cfg.d_r, cfg.d_v, cfg.heads, rng, cfg.leaky_slope, dtype)
+                if name == "relation"
+                else ProjectionModule(cfg.d_r, cfg.d_v, rng, cfg.leaky_slope, dtype))
         self.embed = xavier_uniform(rng, (cfg.vocab_size, cfg.d_v),
                                     cfg.vocab_size, cfg.d_v, dtype=dtype)
-        unit_cls = DecoderUnit if cfg.single_module is None else SingleModuleUnit
-        self.units = [unit_cls(cfg, rng, dtype) for _ in range(cfg.m_units)]
+        self.units = [DecoderUnit(cfg, modules, rng, dtype) for _ in range(cfg.m_units)]
         self.head = Linear(cfg.d_v, cfg.vocab_size, rng, dtype=dtype)
 
     # -- forward pieces -----------------------------------------------------
@@ -210,13 +185,10 @@ class CaptionModel:
         lead = r_obj.shape[:2]
         mask = (np.ones(lead, dtype=bool) if mask is None
                 else np.asarray(mask, dtype=bool).reshape(lead))
-        feats = {}
-        if "object" in self.encoders:
-            feats["object"] = self.encoders["object"](r_obj)
-        if "attribute" in self.encoders:
-            feats["attribute"] = self.encoders["attribute"](r_attr)
-        if "relation" in self.encoders:
-            feats["relation"] = self.encoders["relation"](r_obj, mask=mask)
+        source = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
+        feats = {name: module(source[name], mask=mask) if name == "relation"
+                 else module(source[name])
+                 for name, module in self.encoders.items()}
         means = {name: mean_pool_rows(v, mask) for name, v in feats.items()}
         return Encoded(feats=feats, means=means, mask=mask)
 
@@ -278,40 +250,63 @@ def one_scene(enc) -> bool:
     return enc is None or enc.batch == 1
 
 
-def _decode(model, enc, max_len, choose, rng=None, bos=BOS_ID, eos=EOS_ID):
+def run_decoder(model, enc, max_len, choose, observe=None, rng=None, bos=BOS_ID,
+                eos=EOS_ID):
     """Step every row of ``enc`` until each has emitted ``eos`` or
-    ``max_len`` tokens.
+    ``max_len`` tokens; returns one token list per row.
 
-    ``choose(dist, live)`` maps the (B, V) distribution array and the
-    mask of rows still running to the next token of every row; tokens of
-    finished rows are fed back but not kept.  Returns (token list per row,
-    [(distribution tensor, tokens, live mask)] per step).
+    The token policy ``choose(t, p, live)`` maps step t's (B, V)
+    distribution array and the mask of rows still running to the token
+    each row emits and is fed next; tokens of finished rows are not kept.
+    ``observe(t, dist, traces, tokens, live)`` sees every step.  ``bos``,
+    the first input, is one token id or one per row.
     """
     batch = 1 if enc is None else enc.batch
     states = model.init_state(batch)
     tok = np.full(batch, bos, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     rows = [[] for _ in range(batch)]
-    steps = []
-    for _ in range(max_len):
-        dist, states, _ = model.step(tok, enc, states, rng=rng)
-        tok = np.asarray(choose(dist.data, live), dtype=np.int64)
-        steps.append((dist, tok, live))
+    for t in range(max_len):
+        dist, states, traces = model.step(tok, enc, states, rng=rng)
+        tok = np.asarray(choose(t, dist.data, live), dtype=np.int64)
+        if observe is not None:
+            observe(t, dist, traces, tok, live)
         for b in np.flatnonzero(live):
             rows[b].append(int(tok[b]))
         live = live & (tok != eos)
         if not live.any():
             break
-    return rows, steps
+    return rows
+
+
+def argmax_policy(t, p, live):
+    """The most likely token; ties resolve to the lowest token id."""
+    return np.argmax(p, axis=1)
+
+
+def sample_policy(rng: Rng, eos: int = EOS_ID):
+    """Each live row draws its token from its distribution, one uniform per
+    live row in row order; finished rows emit ``eos``."""
+    def choose(t, p, live):
+        tok = np.full(p.shape[0], eos, dtype=np.int64)
+        for b in np.flatnonzero(live):
+            tok[b] = rng.multinomial(p[b])
+        return tok
+    return choose
+
+
+def forced_policy(tokens):
+    """Replays ``tokens`` (B, T + 1), whose first column is the first input:
+    step t emits column t + 1."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    return lambda t, p, live: tokens[:, t + 1]
 
 
 def greedy_decode(model, enc, max_len: int, bos: int = BOS_ID, eos: int = EOS_ID):
-    """Argmax decoding of every row of ``enc``; ties resolve to the lowest
-    token id.  Returns one token list per row, or the list itself for a
-    single scene."""
+    """Argmax decoding of every row of ``enc``.  Returns one token list per
+    row, or the list itself for a single scene."""
     with no_grad():
-        rows, _ = _decode(model, enc, max_len, lambda p, live: np.argmax(p, axis=1),
-                          bos=bos, eos=eos)
+        rows = run_decoder(model, enc, max_len, argmax_policy, bos=bos, eos=eos)
     return rows[0] if one_scene(enc) else rows
 
 
@@ -391,14 +386,13 @@ def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,
     Per step the model draws its hard-selection noise for all rows, then
     each live row draws one uniform, in row order.
     """
-    def choose(p, live):
-        tok = np.full(p.shape[0], eos, dtype=np.int64)
-        for b in np.flatnonzero(live):
-            tok[b] = rng.multinomial(p[b])
-        return tok
+    logps = []
 
-    rows, steps = _decode(model, enc, max_len, choose, rng=rng, bos=bos, eos=eos)
-    logps = [-masked_nll(dist, tok, live, per_row=True) for dist, tok, live in steps]
+    def observe(t, dist, traces, tok, live):
+        logps.append(-masked_nll(dist, tok, live, per_row=True))
+
+    rows = run_decoder(model, enc, max_len, sample_policy(rng, eos), observe, rng=rng,
+                       bos=bos, eos=eos)
     return (rows[0] if one_scene(enc) else rows), logps
 
 

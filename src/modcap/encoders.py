@@ -7,8 +7,9 @@ attribute-oriented one.  The fourth (function) module has no visual input
 at all; it maps the decoder's recurrent context into the same space so
 non-visual words have something to attend to.
 
-All modules accept a single feature matrix (N, d_r) or a batch
-(B, N, d_r) and return matching (N, d_v) / (B, N, d_v) outputs.
+The object, attribute and function modules are one projection class;
+all accept a single matrix (N, d_in) or a batch (B, N, d_in) and return
+matching (N, d_v) / (B, N, d_v) outputs.
 """
 
 from __future__ import annotations
@@ -34,29 +35,16 @@ from .tensor import (
 )
 
 
-class ObjectModule:
-    """Rowwise re-embedding of object features: LeakyReLU(R W + b)."""
+class ProjectionModule:
+    """LeakyReLU(x W + b), row by row: the object and attribute modules on
+    their region features, the function module on the decoder context."""
 
-    def __init__(self, d_r: int, d_v: int, rng: Rng, slope: float = 0.01, dtype=FLOAT32):
-        self.fc = Linear(d_r, d_v, rng, dtype=dtype)
+    def __init__(self, d_in: int, d_v: int, rng: Rng, slope: float = 0.01, dtype=FLOAT32):
+        self.fc = Linear(d_in, d_v, rng, dtype=dtype)
         self.slope = slope
 
-    def __call__(self, r: Tensor) -> Tensor:
-        return leaky_relu(self.fc(r), self.slope)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return self.fc.params(f"{prefix}.fc")
-
-
-class AttributeModule:
-    """Same shape as ObjectModule but trained on attribute features."""
-
-    def __init__(self, d_r: int, d_v: int, rng: Rng, slope: float = 0.01, dtype=FLOAT32):
-        self.fc = Linear(d_r, d_v, rng, dtype=dtype)
-        self.slope = slope
-
-    def __call__(self, r: Tensor) -> Tensor:
-        return leaky_relu(self.fc(r), self.slope)
+    def __call__(self, x: Tensor) -> Tensor:
+        return leaky_relu(self.fc(x), self.slope)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return self.fc.params(f"{prefix}.fc")
@@ -133,16 +121,3 @@ class RelationModule:
         out.update(self.fc2.params(f"{prefix}.fc2"))
         return out
 
-
-class FunctionModule:
-    """Context-only module: LeakyReLU(FC(c)) on the recurrent context."""
-
-    def __init__(self, d_c: int, d_v: int, rng: Rng, slope: float = 0.01, dtype=FLOAT32):
-        self.fc = Linear(d_c, d_v, rng, dtype=dtype)
-        self.slope = slope
-
-    def __call__(self, c: Tensor) -> Tensor:
-        return leaky_relu(self.fc(c), self.slope)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return self.fc.params(f"{prefix}.fc")

@@ -11,8 +11,9 @@ Three tiers, all in float64 against central differences:
 * composites: seeded random chains of ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
 * decoder: a miniature two-unit captioning model driven for three
-  teacher-forced steps, checking the gradient of the full objective with
-  respect to every parameter and both feature inputs.
+  teacher-forced steps, checking the gradient of the training objective
+  (``training.teacher_forced`` with module supervision) with respect to
+  every parameter and both feature inputs.
 
 Everything is deterministic in the seed, so a passing battery is
 reproducible bit for bit.
@@ -55,6 +56,7 @@ from .tensor import (
     transpose,
     weighted_concat,
 )
+from .training import Batch, teacher_forced
 
 DEFAULT_TOLERANCE = 1e-3
 FD_EPS = 1e-4
@@ -291,32 +293,25 @@ def _tiny_decoder():
     r_obj = rng.uniform_array((2, 8), -1, 1, dtype=FLOAT64)
     r_attr = rng.uniform_array((2, 8), -1, 1, dtype=FLOAT64)
     tokens = [1, 4, 5, 6]          # begin token then three words
-    labels = [0, 2, 3]
-    return model, r_obj, r_attr, tokens, labels
-
-
-def _decoder_loss(model, r_obj, r_attr, tokens, labels):
-    """Token negative log-likelihood plus module supervision, three steps."""
-    enc = model.encode(r_obj, r_attr)
-    states = model.init_state(1)
-    loss = None
-    for t in range(len(tokens) - 1):
-        dist, states, traces = model.step([tokens[t]], enc, states)
-        nll = -log(clamp_min(pick(dist, [tokens[t + 1]]), 1e-12)).sum()
-        for tr in traces:
-            nll = nll - log(clamp_min(pick(tr.soft, [labels[t]]), 1e-12)).sum()
-        loss = nll if loss is None else loss + nll
-    return loss
+    batch = Batch(scene_ids=[0], r_obj=r_obj[None], r_attr=r_attr[None],
+                  inputs=np.array([tokens[:-1]]), targets=np.array([tokens[1:]]),
+                  labels=np.array([[0, 2, 3]]), mask=np.ones((1, 3)),
+                  region_mask=np.ones((1, 2), dtype=bool))
+    return model, r_obj, r_attr, batch
 
 
 def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
-    model, r_obj, r_attr, tokens, labels = _tiny_decoder()
+    model, r_obj, r_attr, batch = _tiny_decoder()
     params = model.named_parameters()
+
+    def objective(r_obj, r_attr):
+        """The training objective: token NLL plus module supervision."""
+        enc = model.encode(r_obj, r_attr)
+        return teacher_forced(model, batch, lam_ling=1.0, enc=enc).loss
 
     for p in params.values():
         p.grad = None
-    loss = _decoder_loss(model, r_obj, r_attr, tokens, labels)
-    loss.backward()
+    objective(r_obj, r_attr).backward()
     analytic = {name: p.grad.copy() for name, p in params.items()}
 
     results = []
@@ -327,7 +322,7 @@ def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
             saved = p.data
             p.data = probe.data
             try:
-                return _decoder_loss(model, r_obj, r_attr, tokens, labels)
+                return objective(r_obj, r_attr)
             finally:
                 p.data = saved
 
@@ -337,12 +332,8 @@ def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
         results.append(CaseResult("decoder", f"param:{name}", err, err < tol))
 
     for label, fn in (
-        ("input:r_obj",
-         lambda probe: _decoder_loss(model, probe, Tensor(r_attr, dtype=FLOAT64),
-                                     tokens, labels)),
-        ("input:r_attr",
-         lambda probe: _decoder_loss(model, Tensor(r_obj, dtype=FLOAT64), probe,
-                                     tokens, labels)),
+        ("input:r_obj", lambda probe: objective(probe, Tensor(r_attr, dtype=FLOAT64))),
+        ("input:r_attr", lambda probe: objective(Tensor(r_obj, dtype=FLOAT64), probe)),
     ):
         x = Tensor((r_obj if "obj" in label else r_attr).copy(),
                    requires_grad=True, dtype=FLOAT64)

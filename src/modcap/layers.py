@@ -13,26 +13,21 @@ class Linear:
     axes, multiplied, and restored, so (B, N, d_in) works transparently.
     """
 
-    def __init__(self, d_in: int, d_out: int, rng: Rng, dtype=FLOAT32, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: Rng, dtype=FLOAT32):
         self.d_in = d_in
         self.d_out = d_out
         self.W = xavier_uniform(rng, (d_in, d_out), d_in, d_out, dtype=dtype)
-        self.b = zeros(d_out, dtype=dtype, requires_grad=True) if bias else None
+        self.b = zeros(d_out, dtype=dtype, requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.d_in:
             raise ShapeError(f"linear layer expects width {self.d_in}, got shape {x.shape}")
         lead = x.shape[:-1]
         flat = reshape(x, (-1, self.d_in)) if x.ndim > 2 else x
-        y = matmul(flat, self.W)
-        if self.b is not None:
-            y = y + self.b
+        y = matmul(flat, self.W) + self.b
         if x.ndim > 2:
             y = reshape(y, lead + (self.d_out,))
         return y
 
     def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.W": self.W}
-        if self.b is not None:
-            out[f"{prefix}.b"] = self.b
-        return out
+        return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}

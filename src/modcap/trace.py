@@ -1,7 +1,7 @@
 """Step-by-step introspection of a caption pass.
 
-A trace replays a caption (teacher-forced on a gold example, or
-free-running greedy) and records, per step and per decoder unit, the
+A trace runs a caption through the decoder's step loop (forced along a
+gold example, or greedy) and records, per step and per decoder unit, the
 controller's module weights, the noise-free soft weights, and every
 attention distribution over regions.  The JSON document follows
 docs/trace.schema.json; the SVG renderer draws the module weights as a
@@ -14,10 +14,9 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .decoder import BOS_ID, strip_sequence
+from .config import FULL_MODULES as MODULE_ORDER
+from .decoder import BOS_ID, argmax_policy, forced_policy, run_decoder, strip_sequence
 from .tensor import no_grad
-
-MODULE_ORDER = ("object", "attribute", "relation", "function")
 
 MODULE_COLORS = {
     "object": "#d62728",
@@ -41,68 +40,54 @@ def _unit_dicts(traces):
     return units
 
 
-def _doc_header(model, scene) -> dict:
-    return {
+def _trace(model, corpus, synth, scene, max_len, choose, bos=BOS_ID, targets=None,
+           labels=None):
+    """Run one scene through the decode loop without gradients, recording
+    every step.  Returns the emitted tokens and the trace document, which
+    the caller completes with its kind, slot and words."""
+    vocab = corpus.vocab
+    inputs = [bos]
+    steps = []
+
+    def observe(t, dist, traces, tok, live):
+        steps.append({
+            "t": t,
+            "input_token": vocab.tokens[inputs[t]],
+            "target_token": None if targets is None else vocab.tokens[targets[t]],
+            "predicted_token": vocab.tokens[int(np.argmax(dist.data[0]))],
+            "target_label": None if labels is None else MODULE_ORDER[labels[t]],
+            "units": _unit_dicts(traces),
+        })
+        inputs.append(int(tok[0]))
+
+    with no_grad():
+        enc = model.encode(*synth.features(scene))
+        (tokens,) = run_decoder(model, enc, max_len, choose, observe, bos=bos)
+    return tokens, {
         "scene_id": scene.scene_id,
         "strategy": model.cfg.strategy,
         "m_units": len(model.units),
         "modules": (list(MODULE_ORDER) if model.cfg.single_module is None
                     else [model.cfg.single_module]),
+        "steps": steps,
     }
 
 
 def trace_example(model, corpus, synth, example) -> dict:
     """Teacher-forced replay of one gold caption."""
     scene = next(s for s in corpus.scenes if s.scene_id == example.scene_id)
-    vocab = corpus.vocab
     ids = example.token_ids
-    steps = []
-    with no_grad():
-        enc = model.encode(*synth.features(scene))
-        states = model.init_state(1)
-        for t in range(len(ids) - 1):
-            dist, states, traces = model.step([ids[t]], enc, states)
-            steps.append({
-                "t": t,
-                "input_token": vocab.tokens[ids[t]],
-                "target_token": vocab.tokens[ids[t + 1]],
-                "predicted_token": vocab.tokens[int(np.argmax(dist.data[0]))],
-                "target_label": MODULE_ORDER[example.labels[t]],
-                "units": _unit_dicts(traces),
-            })
-    doc = _doc_header(model, scene)
-    doc.update({"kind": "teacher_forced", "slot": example.slot,
-                "words": list(example.words), "steps": steps})
+    _, doc = _trace(model, corpus, synth, scene, len(ids) - 1, forced_policy([ids]),
+                    bos=ids[0], targets=ids[1:], labels=example.labels)
+    doc.update({"kind": "teacher_forced", "slot": example.slot, "words": list(example.words)})
     return doc
 
 
 def trace_generated(model, corpus, synth, scene, max_len: int = 16) -> dict:
     """Free-running greedy decode with the same bookkeeping."""
-    vocab = corpus.vocab
-    steps = []
-    with no_grad():
-        enc = model.encode(*synth.features(scene))
-        states = model.init_state(1)
-        tok = BOS_ID
-        tokens = []
-        for t in range(max_len):
-            dist, states, traces = model.step([tok], enc, states)
-            nxt = int(np.argmax(dist.data[0]))
-            steps.append({
-                "t": t,
-                "input_token": vocab.tokens[tok],
-                "target_token": None,
-                "predicted_token": vocab.tokens[nxt],
-                "target_label": None,
-                "units": _unit_dicts(traces),
-            })
-            tokens.append(nxt)
-            tok = nxt
-            if nxt == 2:
-                break
-    doc = _doc_header(model, scene)
+    tokens, doc = _trace(model, corpus, synth, scene, max_len, argmax_policy)
     doc.update({"kind": "generated", "slot": None,
-                "words": vocab.decode(strip_sequence(tokens)), "steps": steps})
+                "words": corpus.vocab.decode(strip_sequence(tokens))})
     return doc
 
 

@@ -33,13 +33,13 @@ import numpy as np
 from .config import ModelConfig, TrainConfig, validate_run
 from .corpus import Corpus, FeatureSynthesizer, Vocabulary
 from .decoder import (
-    BOS_ID,
-    EOS_ID,
     PAD_ID,
     CaptionModel,
     beam_search,
+    forced_policy,
     greedy_decode,
     one_scene,
+    run_decoder,
     sample_decode,
     strip_sequence,
 )
@@ -163,7 +163,6 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
         enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
     ling_mask = batch.mask if ling_row_weights is None else \
         batch.mask * np.asarray(ling_row_weights, dtype=batch.mask.dtype)[:, None]
-    states = model.init_state(batch.size)
     has_ctrl = model.cfg.single_module is None
     supervise = lam_ling > 0.0 and has_ctrl
 
@@ -171,9 +170,9 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
     ling_sum = None
     correct = 0.0
     agree = 0.0 if has_ctrl else None
-    t_len = batch.inputs.shape[1]
-    for t in range(t_len):
-        dist, states, traces = model.step(batch.inputs[:, t], enc, states, rng=rng)
+
+    def observe(t, dist, traces, tok, live):
+        nonlocal xe_sum, ling_sum, correct, agree
         gold = batch.targets[:, t]
         mask_np = batch.mask[:, t]
         nll = masked_nll(dist, gold, mask_np, LOSS_EPS)
@@ -188,6 +187,11 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
             for tr in traces:
                 unit_nll = masked_nll(tr.soft, batch.labels[:, t], ling_mask[:, t], LOSS_EPS)
                 ling_sum = unit_nll if ling_sum is None else ling_sum + unit_nll
+
+    # feeds exactly batch.inputs[:, t] at step t
+    tokens = np.concatenate([batch.inputs, batch.targets[:, -1:]], axis=1)
+    run_decoder(model, enc, batch.inputs.shape[1], forced_policy(tokens), observe, rng=rng,
+                bos=tokens[:, 0])
 
     n_tokens = float(batch.mask.sum())
     loss = xe_sum / n_tokens
@@ -440,22 +444,33 @@ def train(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
 # -- decoding over splits ------------------------------------------------------
 
 
+def caption_scene(model: CaptionModel, synth: FeatureSynthesizer, scene, vocab: Vocabulary,
+                  mode: str, *, beam_width: int = 5, max_len: int = 16,
+                  rng: Rng | None = None) -> list[str]:
+    """The words of a scene's caption under greedy, beam or sampled (``rng``
+    required) decoding, without gradients."""
+    with no_grad():
+        enc = model.encode(*synth.features(scene))
+        if mode == "greedy":
+            tokens = greedy_decode(model, enc, max_len)
+        elif mode == "beam":
+            tokens = beam_search(model, enc, beam_width, max_len)[0].tokens
+        elif mode == "sample" and rng is not None:
+            tokens, _ = sample_decode(model, enc, rng, max_len)
+        else:
+            raise ValueError(f"unknown decode mode {mode!r}: pick greedy, beam, or sample "
+                             "with an rng")
+    return vocab.decode(strip_sequence(tokens))
+
+
 def decode_split(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                  split: str, *, mode: str = "beam", beam_width: int = 5,
                  max_len: int = 16) -> dict[int, list[str]]:
-    """Scene id -> predicted word list for every scene in the split."""
-    out = {}
-    with no_grad():
-        for scene in corpus.scenes_in(split):
-            enc = model.encode(*synth.features(scene))
-            if mode == "greedy":
-                tokens = greedy_decode(model, enc, max_len)
-            elif mode == "beam":
-                tokens = list(beam_search(model, enc, beam_width, max_len)[0].tokens)
-            else:
-                raise ValueError(f"unknown decode mode {mode!r}")
-            out[scene.scene_id] = corpus.vocab.decode(strip_sequence(tokens))
-    return out
+    """Scene id -> predicted word list for every scene in the split, under
+    greedy or beam decoding."""
+    return {scene.scene_id: caption_scene(model, synth, scene, corpus.vocab, mode,
+                                          beam_width=beam_width, max_len=max_len)
+            for scene in corpus.scenes_in(split)}
 
 
 def evaluate_split(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
@@ -628,16 +643,24 @@ def restore_training(path: str) -> RestoredTraining:
         params[name].data = np.ascontiguousarray(arr)
 
     opt = Adam()
-    for name in params:
+    if not isinstance(adam_t, dict):
+        raise FormatError(f"{path}: adam_t must map parameter names to step counts")
+    for name, param in params.items():
         m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
-        if m_key in tensors:
-            try:
-                opt.state[name] = AdamState(m=np.ascontiguousarray(tensors[m_key]),
-                                            v=np.ascontiguousarray(tensors[v_key]),
-                                            t=int(adam_t[name]))
-            except KeyError as exc:
-                raise FormatError(f"{path}: incomplete Adam state for parameter "
-                                  f"{name!r}: no entry {exc}") from exc
+        if m_key not in tensors:
+            continue
+        try:
+            m, v, t = tensors[m_key], tensors[v_key], adam_t[name]
+        except KeyError as exc:
+            raise FormatError(f"{path}: incomplete Adam state for parameter "
+                              f"{name!r}: no entry {exc}") from exc
+        if m.shape != param.data.shape or v.shape != param.data.shape:
+            raise FormatError(f"{path}: Adam moments of {name!r} have shapes {m.shape} "
+                              f"and {v.shape}, the parameter {param.data.shape}")
+        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+            raise FormatError(f"{path}: Adam step count of {name!r} is {t!r}, "
+                              "not a non-negative integer")
+        opt.state[name] = AdamState(m=m, v=v, t=t)
     rng = Rng(0)
     rng.set_state(rng_state)
     return RestoredTraining(model=model, train_cfg=train_cfg, vocab=vocab,

@@ -129,6 +129,34 @@ def test_negative_width_in_meta_exits_2(data_dir, checkpoint, tmp_path, capsys):
     assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
 
 
+def test_mis_shaped_adam_moment_exits_2(data_dir, checkpoint, tmp_path, capsys):
+    from modcap.training import restore_training, save_checkpoint
+
+    path = copy_checkpoint(checkpoint, tmp_path)
+    restored = restore_training(str(path))
+    restored.opt.state[sorted(restored.opt.state)[0]].m = np.zeros(3, dtype=np.float32)
+    # the save records the rewritten tensor file's sha256; epoch 0 makes the
+    # resume run an update, where the moment would otherwise first be used
+    save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,
+                    vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
+                    epoch=0, history=[])
+    assert_data_error(["train", "--data", str(data_dir), "--out", str(path), "--resume"],
+                      capsys)
+
+
+@pytest.mark.parametrize("step", [-1, 2.5, "3"])
+def test_bad_adam_step_exits_2(data_dir, checkpoint, tmp_path, capsys, step):
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: meta["adam_t"].update({sorted(meta["adam_t"])[0]: step}))
+    assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
+
+
+def test_adam_steps_not_a_mapping_exit_2(data_dir, checkpoint, tmp_path, capsys):
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: meta.update(adam_t=sorted(meta["adam_t"])))
+    assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
+
+
 def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys):
     from modcap.training import restore_training, save_checkpoint
 

@@ -1,18 +1,17 @@
-"""Module controller: attention, weight strategies, fusion, word-class loss."""
+"""Module controller: attention, weight strategies, fusion, word-class labels."""
 
 import logging
-import math
 
 import numpy as np
 import pytest
 
 from modcap.controller import (
     AdditiveAttention,
+    ControllerState,
     ModuleController,
     ModuleLabel,
     Strategy,
     fuse,
-    linguistic_loss,
     pos_to_module_label,
     straight_through,
 )
@@ -116,10 +115,15 @@ def controller_inputs(seed, d_v=4, d_c=3, batch=None, dtype=np.float32):
             Tensor(rs.randn(*shape_c).astype(dtype)))
 
 
+def zero_state(batch, d_c, dtype=np.float32):
+    return ControllerState(h=Tensor(np.zeros((batch, d_c), dtype=dtype), dtype=dtype),
+                           c=Tensor(np.zeros((batch, d_c), dtype=dtype), dtype=dtype))
+
+
 class TestController:
     def test_soft_weights_interior_simplex(self):
         ctrl = ModuleController(4, 3, Rng(0))
-        state = ctrl.init_state(1, 3)
+        state = zero_state(1, 3)
         for seed in range(20):
             vo, va, vr, c = controller_inputs(seed, batch=1)
             out = ctrl.step(vo, va, vr, c, state, Strategy.SOFT)
@@ -129,7 +133,7 @@ class TestController:
 
     def test_hard_weights_one_hot(self):
         ctrl = ModuleController(4, 3, Rng(1))
-        state = ctrl.init_state(1, 3)
+        state = zero_state(1, 3)
         rng = Rng(77)
         for seed in range(20):
             vo, va, vr, c = controller_inputs(seed, batch=1)
@@ -139,14 +143,14 @@ class TestController:
 
     def test_hard_without_noise_is_argmax(self):
         ctrl = ModuleController(4, 3, Rng(2))
-        state = ctrl.init_state(1, 3)
+        state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
         out = ctrl.step(vo, va, vr, c, state, Strategy.HARD, rng=None)
-        assert np.argmax(out.weights.data[0]) == np.argmax(out.logits.data[0])
+        assert np.argmax(out.weights.data[0]) == np.argmax(out.soft.data[0])
 
     def test_uniform_is_all_ones_and_skips_lstm(self):
         ctrl = ModuleController(4, 3, Rng(3))
-        state = ctrl.init_state(1, 3)
+        state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
         out = ctrl.step(vo, va, vr, c, state, Strategy.UNIFORM)
         assert np.array_equal(out.weights.data, np.ones((1, 4), dtype=np.float32))
@@ -155,7 +159,7 @@ class TestController:
 
     def test_unknown_strategy_rejected(self):
         ctrl = ModuleController(4, 3, Rng(4))
-        state = ctrl.init_state(1, 3)
+        state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
         with pytest.raises(ValueError):
             ctrl.step(vo, va, vr, c, state, "very_soft")
@@ -208,9 +212,7 @@ class TestController:
         proj_w = np.ascontiguousarray(ctrl.proj.W.data)
 
         def f(vo):
-            state = ctrl.init_state(1, 2)
-            state.h = Tensor(np.zeros((1, 2)), dtype=F64)
-            state.c = Tensor(np.zeros((1, 2)), dtype=F64)
+            state = zero_state(1, 2, dtype=F64)
             out = ctrl.step(vo.reshape(1, -1), Tensor(va0.reshape(1, -1), dtype=F64),
                             Tensor(vr0.reshape(1, -1), dtype=F64),
                             Tensor(c0.reshape(1, -1), dtype=F64), state, Strategy.SOFT)
@@ -261,29 +263,6 @@ class TestFuse:
         vs.append(Tensor(np.ones(4, dtype=np.float32)))
         with pytest.raises(ShapeError):
             fuse(Tensor(np.ones(4, dtype=np.float32)), *vs)
-
-
-class TestLinguisticLoss:
-    def test_uniform_weights_log4(self):
-        w = Tensor(np.full(4, 0.25, dtype=np.float64))
-        loss = linguistic_loss(w, ModuleLabel.RELATION)
-        assert abs(loss.item() - math.log(4.0)) < 1e-9
-
-    def test_confident_correct_is_small(self):
-        w = Tensor(np.array([0.97, 0.01, 0.01, 0.01], dtype=np.float64))
-        assert linguistic_loss(w, ModuleLabel.OBJECT).item() < 0.05
-
-    def test_zero_weight_clamped_not_inf(self):
-        w = Tensor(np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float64))
-        loss = linguistic_loss(w, ModuleLabel.FUNCTION).item()
-        assert math.isfinite(loss)
-        assert abs(loss - (-math.log(1e-12))) < 1e-6
-
-    def test_gradient_reaches_weights(self):
-        w = Tensor(np.full(4, 0.25), requires_grad=True, dtype=F64)
-        linguistic_loss(w, ModuleLabel.ATTRIBUTE).backward()
-        assert w.grad is not None
-        assert w.grad[1] < 0  # pushing mass toward the gold module
 
 
 class TestPosMapping:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modcap.encoders import AttributeModule, FunctionModule, ObjectModule, RelationModule
+from modcap.encoders import ProjectionModule, RelationModule
 from modcap.errors import ConfigError
 from modcap.tensor import Rng, Tensor, finite_diff_grad, max_relative_error
 
@@ -32,7 +32,7 @@ def dense_relation_forward(r, mod, slope=0.01):
 
 class TestObjectAttribute:
     def test_known_weights(self):
-        mod = ObjectModule(2, 2, Rng(0), slope=0.1)
+        mod = ProjectionModule(2, 2, Rng(0), slope=0.1)
         mod.fc.W.data = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.float32)
         mod.fc.b.data = np.zeros(2, dtype=np.float32)
         out = mod(Tensor([[2.0, 3.0]]))
@@ -40,7 +40,7 @@ class TestObjectAttribute:
 
     def test_rowwise_independence(self):
         np.random.seed(0)
-        mod = AttributeModule(6, 4, Rng(1))
+        mod = ProjectionModule(6, 4, Rng(1))
         r = np.random.randn(5, 6).astype(np.float32)
         full = mod(Tensor(r)).data
         for i in range(5):
@@ -49,14 +49,14 @@ class TestObjectAttribute:
 
     def test_row_permutation_equivariance_exact(self):
         np.random.seed(1)
-        mod = ObjectModule(6, 4, Rng(2))
+        mod = ProjectionModule(6, 4, Rng(2))
         r = np.random.randn(5, 6).astype(np.float32)
         perm = np.array([3, 0, 4, 1, 2])
         assert np.array_equal(mod(Tensor(r[perm])).data, mod(Tensor(r)).data[perm])
 
     def test_batched_matches_single(self):
         np.random.seed(2)
-        mod = ObjectModule(6, 4, Rng(3))
+        mod = ProjectionModule(6, 4, Rng(3))
         r = np.random.randn(2, 3, 6).astype(np.float32)
         full = mod(Tensor(r)).data
         for b in range(2):
@@ -66,7 +66,7 @@ class TestObjectAttribute:
         # the object path never sees the attribute matrix; this is a wiring
         # property of the model, checked here at the module level: output is
         # a function of its own input only
-        mod = ObjectModule(4, 3, Rng(4))
+        mod = ProjectionModule(4, 3, Rng(4))
         r = np.random.RandomState(3).randn(2, 4).astype(np.float32)
         assert np.array_equal(mod(Tensor(r)).data, mod(Tensor(r.copy())).data)
 
@@ -133,10 +133,10 @@ class TestRelation:
 
 class TestFunction:
     def test_zero_context_zero_bias(self):
-        mod = FunctionModule(4, 3, Rng(10))
+        mod = ProjectionModule(4, 3, Rng(10))
         out = mod(Tensor(np.zeros(4, dtype=np.float32)))
         assert np.allclose(out.data, 0.0)
 
     def test_shape(self):
-        mod = FunctionModule(4, 3, Rng(11))
+        mod = ProjectionModule(4, 3, Rng(11))
         assert mod(Tensor(np.ones((5, 4), dtype=np.float32))).shape == (5, 3)

@@ -175,6 +175,22 @@ class TestTeacherForced:
         want = singles[0].xe_sum.item() + singles[1].xe_sum.item()
         assert both.xe_sum.item() == pytest.approx(want, rel=1e-5)
 
+    def test_feeds_exactly_the_gold_inputs(self, corpus, synth):
+        # padded rows are fed PAD after their end token, never the end token
+        model = fresh_model(corpus)
+        (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
+        assert (batch.mask == 0).any()
+        fed = []
+        real_step = model.step
+
+        def spy(tokens, *args, **kwargs):
+            fed.append(np.array(tokens))
+            return real_step(tokens, *args, **kwargs)
+
+        model.step = spy
+        teacher_forced(model, batch)
+        assert np.array_equal(np.stack(fed, axis=1), batch.inputs)
+
     def test_node_count_is_deterministic_and_bounded(self, corpus, synth):
         # 652 nodes with the fused ops; from primitive ops the same pass
         # built 2156

@@ -1,6 +1,7 @@
-"""Module controller: attention, weight strategies, fusion, word-class labels."""
+"""Module controller: attention, weight strategies, fusion, word-class loss."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from modcap.controller import (
     straight_through,
 )
 from modcap.errors import ShapeError
-from modcap.tensor import Rng, Tensor, finite_diff_grad, max_relative_error, softmax
+from modcap.tensor import (
+    Rng,
+    Tensor,
+    finite_diff_grad,
+    masked_nll,
+    max_relative_error,
+    softmax,
+)
+from modcap.training import LOSS_EPS
 
 F64 = np.float64
 
@@ -263,6 +272,35 @@ class TestFuse:
         vs.append(Tensor(np.ones(4, dtype=np.float32)))
         with pytest.raises(ShapeError):
             fuse(Tensor(np.ones(4, dtype=np.float32)), *vs)
+
+
+class TestLinguisticLoss:
+    """The word-class supervision training applies to the controller weights:
+    ``masked_nll`` of the soft weights against the gold module label."""
+
+    @staticmethod
+    def loss(w, label):
+        return masked_nll(w.reshape(1, -1), [int(label)], eps=LOSS_EPS)
+
+    def test_uniform_weights_log4(self):
+        w = Tensor(np.full(4, 0.25, dtype=np.float64), dtype=F64)
+        assert abs(self.loss(w, ModuleLabel.RELATION).item() - math.log(4.0)) < 1e-9
+
+    def test_confident_correct_is_small(self):
+        w = Tensor(np.array([0.97, 0.01, 0.01, 0.01], dtype=np.float64), dtype=F64)
+        assert self.loss(w, ModuleLabel.OBJECT).item() < 0.05
+
+    def test_zero_weight_clamped_not_inf(self):
+        w = Tensor(np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float64), dtype=F64)
+        loss = self.loss(w, ModuleLabel.FUNCTION).item()
+        assert math.isfinite(loss)
+        assert abs(loss - (-math.log(1e-12))) < 1e-6
+
+    def test_gradient_reaches_weights(self):
+        w = Tensor(np.full(4, 0.25), requires_grad=True, dtype=F64)
+        self.loss(w, ModuleLabel.ATTRIBUTE).backward()
+        assert w.grad is not None
+        assert w.grad[1] < 0  # pushing mass toward the gold module
 
 
 class TestPosMapping:

@@ -121,21 +121,13 @@ def test_masked_nll_matches_primitives():
     assert p.grad[1].tolist() == [0.0] * 5     # masked row
     assert p.grad[2, 4] == 0.0                 # clamped entry
 
-    # the word-class supervision of the controller weights: a uniform 4-way
-    # distribution costs log 4, a confident correct one little, and a zero
-    # gold weight is clamped to -log(1e-12) instead of going infinite
+    # unmasked, per-row form (the word-class supervision of the controller
+    # weights; its values are checked in test_controller.TestLinguisticLoss)
     w = Tensor(np.array([[0.25] * 4, [0.97, 0.01, 0.01, 0.01], [1.0, 0.0, 0.0, 0.0]]),
                requires_grad=True, dtype=F64)
     labels = [1, 0, 3]
     assert_same(lambda w: (masked_nll(w, labels, per_row=True),),
                 lambda w: (-log(clamp_min(pick(w, labels), 1e-12)),), [w], [np.ones(3)])
-    per_row = masked_nll(w, labels, per_row=True).data
-    assert abs(per_row[0] - np.log(4.0)) < 1e-9
-    assert per_row[1] < 0.05
-    assert np.isfinite(per_row[2]) and abs(per_row[2] + np.log(1e-12)) < 1e-6
-    w.grad = None
-    masked_nll(w, labels).backward()
-    assert w.grad[0, 1] < 0                    # pushes mass toward the gold module
 
 
 def test_masked_nll_forward_is_bitwise_in_float32():

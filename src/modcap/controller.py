@@ -5,6 +5,7 @@ labels that supervise those weights."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -100,13 +101,28 @@ class ControllerOutput:
     state: ControllerState
 
 
+def one_hot_max(y: np.ndarray) -> np.ndarray:
+    """1 at the largest entry of each row along the last axis, 0 elsewhere."""
+    hard = np.zeros_like(y)
+    flat = hard.reshape(-1, hard.shape[-1])
+    idx = np.argmax(y.reshape(-1, hard.shape[-1]), axis=-1)
+    flat[np.arange(flat.shape[0]), idx] = 1.0
+    return hard
+
+
 def straight_through(y_soft: Tensor) -> Tensor:
     """One-hot forward value with the soft distribution's gradient."""
-    hard = np.zeros_like(y_soft.data)
-    flat = hard.reshape(-1, hard.shape[-1])
-    idx = np.argmax(y_soft.data.reshape(-1, hard.shape[-1]), axis=-1)
-    flat[np.arange(flat.shape[0]), idx] = 1.0
-    return Tensor(hard) - y_soft.detach() + y_soft
+    return Tensor(one_hot_max(y_soft.data)) - y_soft.detach() + y_soft
+
+
+def gumbel_noise(rng: Rng | None, shape, dtype) -> np.ndarray:
+    """Gumbel noise for hard selection, drawn in row-major order; zeros
+    without an rng."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    size = math.prod(shape)
+    noise = np.fromiter((rng.gumbel() for _ in range(size)), dtype=np.float64, count=size)
+    return noise.reshape(shape).astype(dtype)
 
 
 class ModuleController:
@@ -139,12 +155,7 @@ class ModuleController:
         if strategy is Strategy.SOFT:
             weights = soft
         else:  # HARD
-            if rng is not None:
-                noise = np.fromiter((rng.gumbel() for _ in range(logits.data.size)),
-                                    dtype=np.float64, count=logits.data.size)
-                noise = Tensor(noise.reshape(logits.shape).astype(logits.data.dtype))
-            else:
-                noise = Tensor(np.zeros(logits.shape, dtype=logits.data.dtype))
+            noise = Tensor(gumbel_noise(rng, logits.shape, logits.data.dtype))
             y = softmax((logits + noise) * (1.0 / self.tau), axis=-1)
             weights = straight_through(y)
         return ControllerOutput(weights=weights, soft=soft, state=ControllerState(h=h, c=c))

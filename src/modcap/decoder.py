@@ -9,6 +9,12 @@ feature back in.  The unit output is added onto i, so stacking M units
 is a residual chain and i keeps the embedding width throughout.  A
 single-module unit has one attention head and no controller.
 
+A unit step runs as one autodiff node, ``unit_kernel``, with a
+hand-written backward; the attention heads of all modules are one
+stacked computation.  ``DecoderUnit.reference_step`` builds the same step
+from one node per op; the two agree bit for bit in every output and
+gradient.
+
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax, sample or forced) picks every row's next token and an optional
 observer sees each step.  Greedy and sampling decoding, teacher forcing
@@ -20,6 +26,7 @@ come back unwrapped: a token list rather than a list holding one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,8 @@ from .controller import (
     ModuleController,
     Strategy,
     fuse,
+    gumbel_noise,
+    one_hot_max,
 )
 from .encoders import ProjectionModule, RelationModule
 from .layers import Linear
@@ -38,14 +47,22 @@ from .tensor import (
     FLOAT32,
     Rng,
     Tensor,
+    _accum,
+    _t_matmul,
+    attention_backward,
+    attention_forward,
     concat,
     gather_rows,
+    lstm_backward,
+    lstm_forward,
     lstm_step,
     make_lstm_params,
     masked_nll,
     mean_pool_rows,
     no_grad,
     softmax,
+    softmax_backward,
+    softmax_forward,
     xavier_uniform,
     zeros,
 )
@@ -66,6 +83,13 @@ class Encoded:
     def batch(self) -> int:
         return self.mask.shape[0]
 
+    @functools.cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The features stacked over modules (K, B, N, d_v) and the means
+        side by side (B, K*d_v), in module order, built once per encoding."""
+        return (np.stack([f.data for f in self.feats.values()]),
+                np.concatenate([m.data for m in self.means.values()], axis=-1))
+
 
 @dataclass
 class UnitState:
@@ -78,6 +102,9 @@ class UnitState:
 
 @dataclass
 class UnitTrace:
+    """What a unit step chose.  Only ``soft`` carries gradient (to the
+    word-class term); under the soft strategy ``weights`` is ``soft``."""
+
     weights: Tensor | None           # (B, 4) fusion weights, None without a controller
     soft: Tensor | None              # noise-free controller softmax, for supervision
     alphas: dict[str, Tensor]        # per-module attention over regions (B, N)
@@ -107,6 +134,7 @@ class DecoderUnit:
             self.ctrl = ModuleController(d_v, d_c, rng, tau=cfg.gumbel_tau, dtype=dtype)
         fused = len(self.modules) + (self.func is not None)
         self.lstm2 = make_lstm_params(rng, d_c + fused * d_v, d_c, dtype=dtype)
+        self._heads = None
 
     def init_state(self, batch: int) -> UnitState:
         z = lambda: zeros((batch, self.cfg.d_c), dtype=self.dtype)
@@ -116,6 +144,17 @@ class DecoderUnit:
 
     def step(self, i_prev: Tensor, enc: Encoded, state: UnitState,
              rng: Rng | None = None):
+        """One step of the unit as one autodiff node (``unit_kernel``).
+        Returns (i_new, new state, trace)."""
+        noise = None
+        if self.ctrl is not None and self.cfg.strategy == Strategy.HARD:
+            noise = gumbel_noise(rng, (i_prev.shape[0], len(self.modules) + 1), i_prev.dtype)
+        return unit_kernel(self, i_prev, enc, state, noise)
+
+    def reference_step(self, i_prev: Tensor, enc: Encoded, state: UnitState,
+                       rng: Rng | None = None):
+        """The same step composed of autodiff ops, one node per op: the
+        reference ``unit_kernel`` is checked against."""
         context = state.h2
         u = concat([i_prev, context] + [enc.means[name] for name in self.modules], axis=-1)
         h1, c1 = lstm_step(u, state.h1, state.c1, self.lstm1)
@@ -138,6 +177,20 @@ class DecoderUnit:
         new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
         return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)
 
+    def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The attention weights stacked over modules: C-contiguous W_v^T
+        (K, d_v, d_a) and W_h^T (K, d_c, d_a), and w_a (K, d_a).  Rebuilt
+        only after a weight's array is rebound (an optimizer step, a
+        checkpoint load)."""
+        arrays = [t.data for name in self.modules
+                  for t in (self.att[name].W_v, self.att[name].W_h, self.att[name].w_a)]
+        cached = self._heads
+        if cached is None or any(a is not b for a, b in zip(arrays, cached[0])):
+            stack_t = lambda ws: np.ascontiguousarray(np.stack([w.T for w in ws]))
+            cached = self._heads = (arrays, (stack_t(arrays[0::3]), stack_t(arrays[1::3]),
+                                             np.stack(arrays[2::3])))
+        return cached[1]
+
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.lstm1.W": self.lstm1.W, f"{prefix}.lstm1.b": self.lstm1.b}
         for name in self.modules:
@@ -148,6 +201,169 @@ class DecoderUnit:
         out[f"{prefix}.lstm2.W"] = self.lstm2.W
         out[f"{prefix}.lstm2.b"] = self.lstm2.b
         return out
+
+
+def _plus(a, b):
+    """a + b where either gradient may be None (no consumer)."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def unit_kernel(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitState,
+                noise: np.ndarray | None = None):
+    """One decoder unit step over (B, d) rows as a single autodiff node.
+
+    Runs LSTM1, the K attention heads as one stacked computation, and
+    with a controller the function module, the controller (soft, hard
+    with the (B, 4) Gumbel ``noise`` and a straight-through one-hot, or
+    uniform) and the weighted fusion, then LSTM2 and the residual add.
+    The node is i_new; the new state tensors and the controller softmax
+    are outputs that hang off it, and the backward reads their gradients
+    and returns every input and parameter gradient in one closure.  The
+    forward rounds exactly as ``DecoderUnit.reference_step``; the backward
+    adds the gradients each tensor receives in the order the reference
+    graph's sweep adds them.  Fusion weights under the hard and uniform
+    strategies and the attention weights are returned without gradient.
+    """
+    dv, dc = unit.cfg.d_v, unit.cfg.d_c
+    k_heads = len(unit.modules)
+    feats = [enc.feats[name] for name in unit.modules]
+    means = [enc.means[name] for name in unit.modules]
+    values, means_cat = enc.stacked
+    ctx = state.h2.data
+    strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
+    controlled = strategy is not None and strategy is not Strategy.UNIFORM
+    with np.errstate(over="ignore"):
+        h1, c1, cache1 = lstm_forward(
+            np.concatenate([i_prev.data, ctx, means_cat, state.h1.data], axis=1),
+            state.c1.data, unit.lstm1.W.data, unit.lstm1.b.data)
+        alpha, att, cache_att = attention_forward(values, h1, *unit.heads(), enc.mask)
+        if strategy is None:
+            v_hat = att[0]
+        else:
+            fc = unit.func.fc
+            pre_f = np.matmul(ctx, fc.W.data) + fc.b.data
+            blocks = [*att, np.where(pre_f >= 0, pre_f, unit.func.slope * pre_f)]
+            if controlled:
+                ctrl = unit.ctrl
+                hc, cc, cache_c = lstm_forward(
+                    np.concatenate([*att, ctx, state.ctrl.h.data], axis=1),
+                    state.ctrl.c.data, ctrl.lstm.W.data, ctrl.lstm.b.data)
+                logits = np.matmul(hc, ctrl.proj.W.data) + ctrl.proj.b.data
+                soft = softmax_forward(logits)
+                weights = soft
+                if strategy is Strategy.HARD:
+                    scale = np.asarray(1.0 / ctrl.tau, dtype=logits.dtype)
+                    y = softmax_forward((logits + noise) * scale)
+                    weights = (one_hot_max(y) - y) + y
+            else:
+                weights = np.ones((ctx.shape[0], len(blocks)), dtype=ctx.dtype)
+            v_hat = np.concatenate([weights[:, k:k + 1] * x for k, x in enumerate(blocks)],
+                                   axis=1)
+        h2, c2, cache2 = lstm_forward(np.concatenate([h1, v_hat, ctx], axis=1),
+                                      state.c2.data, unit.lstm2.W.data, unit.lstm2.b.data)
+    i_new = i_prev.data + h2
+
+    params = [unit.lstm1.W, unit.lstm1.b, unit.lstm2.W, unit.lstm2.b]
+    for name in unit.modules:
+        params += [unit.att[name].W_v, unit.att[name].W_h, unit.att[name].w_a]
+    inputs = [i_prev, state.h1, state.c1, state.h2, state.c2, *feats, *means]
+    if strategy is not None:
+        params += [unit.func.fc.W, unit.func.fc.b]
+    if controlled:
+        params += [ctrl.lstm.W, ctrl.lstm.b, ctrl.proj.W, ctrl.proj.b]
+        inputs += [state.ctrl.h, state.ctrl.c]
+
+    out_grads = {}      # gradients of the outputs that have a consumer
+
+    def backward(g_new):
+        def give(t, g):
+            if t.requires_grad:
+                _accum(t, g)
+
+        g_xh2, g_c2, g_W, g_b = lstm_backward(cache2, _plus(out_grads.get("h2"), g_new),
+                                              out_grads.get("c2"))
+        give(unit.lstm2.W, g_W)
+        give(unit.lstm2.b, g_b)
+        give(state.c2, g_c2)
+        g_h1 = _plus(out_grads.get("h1"), g_xh2[:, :dc])
+        g_vhat = g_xh2[:, dc:-dc]
+        g_ctx = g_xh2[:, -dc:]
+        if strategy is None:
+            g_att = [g_vhat]
+        else:
+            g_blocks = [g_vhat[:, k * dv:(k + 1) * dv] for k in range(len(blocks))]
+            g_att = [gk * weights[:, k:k + 1] for k, gk in enumerate(g_blocks)]
+            g_func = g_att.pop()
+        if controlled:
+            g_w = np.stack([(gk * x).sum(axis=-1) for gk, x in zip(g_blocks, blocks)], axis=-1)
+            if strategy is Strategy.SOFT:
+                g_logits = softmax_backward(soft, _plus(out_grads.get("soft"), g_w))
+            else:
+                g_logits = softmax_backward(y, g_w) * scale
+                if "soft" in out_grads:
+                    g_logits = g_logits + softmax_backward(soft, out_grads["soft"])
+            give(ctrl.proj.b, g_logits.sum(axis=0))
+            give(ctrl.proj.W, _t_matmul(hc, g_logits))
+            g_hc = _plus(out_grads.get("ctrl_h"), np.matmul(g_logits, ctrl.proj.W.data.T))
+            g_xc, g_cc, g_W, g_b = lstm_backward(cache_c, g_hc, out_grads.get("ctrl_c"))
+            give(ctrl.lstm.W, g_W)
+            give(ctrl.lstm.b, g_b)
+            give(state.ctrl.c, g_cc)
+            give(state.ctrl.h, g_xc[:, k_heads * dv + dc:])
+            g_att = [gk + g_xc[:, k * dv:(k + 1) * dv] for k, gk in enumerate(g_att)]
+            g_ctx = g_ctx + g_xc[:, k_heads * dv:k_heads * dv + dc]
+        if strategy is not None:
+            g_pre = g_func * np.where(pre_f >= 0, 1.0, unit.func.slope).astype(g_func.dtype)
+            give(fc.b, g_pre.sum(axis=0))
+            g_ctx = g_ctx + np.matmul(g_pre, fc.W.data.T)
+            give(fc.W, _t_matmul(ctx, g_pre))
+        g_direct, g_keys, g_q, g_Wv, g_Wh, g_wa = attention_backward(
+            cache_att, None, np.stack(g_att))
+        for k in reversed(range(k_heads)):
+            give(feats[k], g_direct[k])
+            give(feats[k], g_keys[k])
+            g_h1 = g_h1 + g_q[k]
+            att_k = unit.att[unit.modules[k]]
+            give(att_k.W_v, g_Wv[k])
+            give(att_k.W_h, g_Wh[k])
+            give(att_k.w_a, g_wa[k])
+        g_xh1, g_c1, g_W, g_b = lstm_backward(cache1, g_h1, out_grads.get("c1"))
+        give(unit.lstm1.W, g_W)
+        give(unit.lstm1.b, g_b)
+        give(i_prev, g_new + g_xh1[:, :dv])
+        give(state.h2, g_ctx + g_xh1[:, dv:dv + dc])
+        for k, m in enumerate(means):
+            give(m, g_xh1[:, dv + dc + k * dv:dv + dc + (k + 1) * dv])
+        give(state.h1, g_xh1[:, dv + dc + k_heads * dv:])
+        give(state.c1, g_c1)
+
+    node = Tensor._from_op(i_new, tuple(inputs + params), backward)
+
+    def output(name, data):
+        # the output's closure runs once its gradient is complete: it hands
+        # the gradient to the node and makes sure the node's closure runs.
+        # The node never refers to its outputs, so the graph has no cycle
+        # and is freed as soon as the last output is dropped.
+        def collect(g):
+            out_grads[name] = g
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+        return Tensor._from_op(data, (node,), collect)
+
+    alphas = {name: Tensor(alpha[k]) for k, name in enumerate(unit.modules)}
+    trace = UnitTrace(weights=None, soft=None, alphas=alphas)
+    ctrl_state = None if strategy is None else state.ctrl
+    if controlled:
+        ctrl_state = ControllerState(h=output("ctrl_h", hc), c=output("ctrl_c", cc))
+        trace.soft = output("soft", soft)
+        trace.weights = trace.soft if strategy is Strategy.SOFT else Tensor(weights)
+    elif strategy is not None:
+        trace.weights = Tensor(weights)
+    new_state = UnitState(h1=output("h1", h1), c1=output("c1", c1), h2=output("h2", h2),
+                          c2=output("c2", c2), ctrl=ctrl_state)
+    return node, new_state, trace
 
 
 class CaptionModel:
@@ -342,6 +558,7 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
     def rank(h):
         return (-h.score(length_normalize), h.tokens)
 
+    repeated = {}       # the scene's encoding, once per number of live hypotheses
     with no_grad():
         beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
         states = model.init_state(1)
@@ -350,8 +567,10 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
             if not live:
                 break
             prev = [h.tokens[-1] if h.tokens else bos for h in live]
-            dist, states, _ = model.step(prev, take_rows(enc, np.zeros(len(live), dtype=np.int64)),
-                                         take_rows(states, [h.states for h in live]))
+            if len(live) not in repeated:
+                repeated[len(live)] = take_rows(enc, np.zeros(len(live), dtype=np.int64))
+            dist, states, _ = model.step(prev, repeated[len(live)],
+                                         take_rows(states, np.array([h.states for h in live])))
             logp = np.log(np.maximum(dist.data, 1e-300))
             total = np.array([h.logprob for h in live])[:, None] + logp
             score = total

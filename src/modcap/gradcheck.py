@@ -1,6 +1,6 @@
 """Gradient verification battery.
 
-Three tiers, all in float64 against central differences:
+Four tiers, all in float64 against central differences:
 
 * primitives: every differentiable op, one case each, and every input
   of the fused ops (LSTM cell, attention, masked NLL, weighted concat);
@@ -10,6 +10,14 @@ Three tiers, all in float64 against central differences:
   derivative is trustworthy;
 * composites: seeded random chains of ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
+* kernel: the fused decoder unit step (``decoder.unit_kernel``) under
+  the soft, hard (no noise) and uniform strategies and with a single
+  module, each on two scenes of which one has a padded region, checking
+  every input and every parameter.  The straight-through gradient of the
+  hard strategy is by design not the derivative of its one-hot forward,
+  so hard cases read only the outputs upstream of the fusion, except the
+  second LSTM's cell state and weights and the function module, which do
+  not reach the controller and read every output;
 * decoder: a miniature two-unit captioning model driven for three
   teacher-forced steps, checking the gradient of the training objective
   (``training.teacher_forced`` with module supervision) with respect to
@@ -25,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
-from .decoder import CaptionModel
+from .config import FULL_MODULES, VISUAL_MODULES, ModelConfig
+from .controller import ControllerState
+from .decoder import CaptionModel, DecoderUnit, Encoded, UnitState
 from .encoders import RelationModule
 from .tensor import (
     FLOAT64,
@@ -274,6 +283,81 @@ def composite_cases(seed: int, count: int = N_COMPOSITES):
     return cases
 
 
+# -- decoder unit kernel --------------------------------------------------------
+
+KERNEL_VARIANTS = ("soft", "hard", "uniform", "single")
+# two scenes of three regions, the second with its last region padded
+KERNEL_REGIONS = np.array([[True, True, True], [True, True, False]])
+KERNEL_OUTPUTS = ("i_new", "h1", "c1", "h2", "c2", "ctrl_h", "ctrl_c", "soft")
+# what the hard strategy's straight-through fusion feeds, and what reaches
+# the outputs only through it
+HARD_UPSTREAM_OUTPUTS = ("h1", "c1", "ctrl_h", "ctrl_c", "soft")
+HARD_DOWNSTREAM_TENSORS = (":input:c2", ".lstm2.", ".func.")
+
+
+def _kernel_inputs(variant: str, seed: int):
+    """A tiny float64 unit of the variant and random inputs for one step."""
+    modules = ("object",) if variant == "single" else FULL_MODULES
+    cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_c=3, d_a=2, heads=2, m_units=1,
+                      strategy="soft" if variant == "single" else variant, modules=modules)
+    unit = DecoderUnit(cfg, tuple(m for m in modules if m in VISUAL_MODULES),
+                       Rng(seed).derive(80), dtype=FLOAT64)
+    rng = Rng(seed).derive(81)
+    inputs = {name: _t(rng, (2, 3)) for name in ("i_prev", "h1", "c1", "h2", "c2")}
+    if variant in ("soft", "hard"):
+        inputs.update(ctrl_h=_t(rng, (2, 3)), ctrl_c=_t(rng, (2, 3)))
+    for name in unit.modules:
+        inputs[f"feats.{name}"] = _t(rng, (2, 3, 3))
+        inputs[f"means.{name}"] = _t(rng, (2, 3))
+    return unit, inputs
+
+
+def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
+    """A ramp-weighted sum of the named outputs of one unit step."""
+    def objective():
+        ctrl = None
+        if unit.ctrl is not None:
+            zero = Tensor(np.zeros((2, 3)), dtype=FLOAT64)
+            ctrl = ControllerState(h=inputs.get("ctrl_h", zero), c=inputs.get("ctrl_c", zero))
+        state = UnitState(h1=inputs["h1"], c1=inputs["c1"], h2=inputs["h2"],
+                          c2=inputs["c2"], ctrl=ctrl)
+        enc = Encoded(feats={name: inputs[f"feats.{name}"] for name in unit.modules},
+                      means={name: inputs[f"means.{name}"] for name in unit.modules},
+                      mask=KERNEL_REGIONS)
+        i_new, new, trace = unit.step(inputs["i_prev"], enc, state)
+        named = {"i_new": i_new, "h1": new.h1, "c1": new.c1, "h2": new.h2, "c2": new.c2}
+        if "ctrl_h" in inputs:
+            named.update(ctrl_h=new.ctrl.h, ctrl_c=new.ctrl.c, soft=trace.soft)
+        total = None
+        for name in outputs:
+            if name in named:
+                out = named[name]
+                term = (out * _ramp(out.data.size).reshape(out.shape)).sum()
+                total = term if total is None else total + term
+        return total
+    return objective
+
+
+def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
+    results = []
+    for variant in KERNEL_VARIANTS:
+        unit, inputs = _kernel_inputs(variant, seed)
+        tensors = {f"{variant}:input:{name}": t for name, t in inputs.items()}
+        tensors.update((f"{variant}:param:{name}", t)
+                       for name, t in unit.params("unit").items()
+                       if variant != "uniform" or ".ctrl." not in name)
+        groups = [(KERNEL_OUTPUTS, tensors)]
+        if variant == "hard":
+            downstream = {n for n in tensors if any(d in n for d in HARD_DOWNSTREAM_TENSORS)}
+            groups = [(HARD_UPSTREAM_OUTPUTS,
+                       {n: t for n, t in tensors.items() if n not in downstream}),
+                      (KERNEL_OUTPUTS, {n: tensors[n] for n in downstream})]
+        for outputs, group in groups:
+            results += _rebinding_cases("kernel", _kernel_objective(unit, inputs, outputs),
+                                        group, tol)
+    return results
+
+
 # -- full decoder step ----------------------------------------------------------
 
 
@@ -300,6 +384,32 @@ def _tiny_decoder():
     return model, r_obj, r_attr, batch
 
 
+def _rebinding_cases(section: str, objective, tensors: dict,
+                     tol: float) -> list[CaseResult]:
+    """Check the gradient of ``objective()`` with respect to each tensor it
+    reads by reference: one backward for the analytic gradients, then
+    central differences by rebinding each tensor's data in turn."""
+    for t in tensors.values():
+        t.grad = None
+    objective().backward()
+    analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
+                for name, t in tensors.items()}
+    results = []
+    for name, t in tensors.items():
+        def f(probe, t=t):
+            saved = t.data
+            t.data = probe.data
+            try:
+                return objective()
+            finally:
+                t.data = saved
+
+        numeric = finite_diff_grad(f, Tensor(t.data.copy(), dtype=FLOAT64), eps=FD_EPS)
+        err = max_relative_error(analytic[name], numeric)
+        results.append(CaseResult(section, name, err, err < tol))
+    return results
+
+
 def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
     model, r_obj, r_attr, batch = _tiny_decoder()
     params = model.named_parameters()
@@ -309,28 +419,9 @@ def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
         enc = model.encode(r_obj, r_attr)
         return teacher_forced(model, batch, lam_ling=1.0, enc=enc).loss
 
-    for p in params.values():
-        p.grad = None
-    objective(r_obj, r_attr).backward()
-    analytic = {name: p.grad.copy() for name, p in params.items()}
-
-    results = []
-    for name in sorted(params):
-        p = params[name]
-
-        def f(probe, p=p):
-            saved = p.data
-            p.data = probe.data
-            try:
-                return objective(r_obj, r_attr)
-            finally:
-                p.data = saved
-
-        numeric = finite_diff_grad(f, Tensor(p.data.copy(), dtype=FLOAT64),
-                                   eps=FD_EPS)
-        err = max_relative_error(analytic[name], numeric)
-        results.append(CaseResult("decoder", f"param:{name}", err, err < tol))
-
+    results = _rebinding_cases(
+        "decoder", lambda: objective(r_obj, r_attr),
+        {f"param:{name}": params[name] for name in sorted(params)}, tol)
     for label, fn in (
         ("input:r_obj", lambda probe: objective(probe, Tensor(r_attr, dtype=FLOAT64))),
         ("input:r_attr", lambda probe: objective(Tensor(r_obj, dtype=FLOAT64), probe)),
@@ -344,7 +435,7 @@ def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
 # -- battery -------------------------------------------------------------------
 
 
-SECTIONS = ("primitives", "composites", "decoder")
+SECTIONS = ("primitives", "composites", "kernel", "decoder")
 
 
 def run_battery(sections=SECTIONS, seed: int = 0,
@@ -356,6 +447,8 @@ def run_battery(sections=SECTIONS, seed: int = 0,
     if "composites" in sections:
         for name, f, x in composite_cases(seed):
             results.append(check_case("composites", name, f, x, tol))
+    if "kernel" in sections:
+        results.extend(kernel_results(seed, tol))
     if "decoder" in sections:
         results.extend(decoder_results(tol))
     return results

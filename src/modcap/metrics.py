@@ -106,7 +106,10 @@ class IdfTable:
     A "document" is one image: an n-gram counts once per image no matter
     how many of that image's references contain it.  idf of an n-gram
     never seen in the references falls back to log(n_images), the same
-    value as a frequency of one.
+    value as a frequency of one.  The table also keeps the tf-idf vectors
+    of the references it has scored against, because self-critical
+    training scores every scene against the same references again and
+    again.
     """
 
     def __init__(self, references_by_image: dict, max_n: int = DEFAULT_MAX_N):
@@ -121,9 +124,19 @@ class IdfTable:
                 for order in range(1, max_n + 1):
                     seen.update(ngram_counts(ref, order))
             self.df.update(seen)
+        self._ref_vectors: dict = {}
 
     def idf(self, gram) -> float:
         return math.log(self.n_images / max(1, self.df.get(gram, 0)))
+
+    def reference_vectors(self, ref, max_n: int) -> list:
+        """(vector, norm) of ``ref`` for orders 1..max_n, built once."""
+        key = (tuple(ref), max_n)
+        vectors = self._ref_vectors.get(key)
+        if vectors is None:
+            vectors = [_tfidf_vector(ref, order, self) for order in range(1, max_n + 1)]
+            self._ref_vectors[key] = vectors
+        return vectors
 
     def checksum(self) -> str:
         payload = {
@@ -148,16 +161,16 @@ def cider_d(candidate, references, idf: IdfTable,
     if not references:
         raise ValueError("cider_d needs at least one reference")
     per_order_sum = [0.0] * max_n
+    cand = [_tfidf_vector(candidate, order, idf) for order in range(1, max_n + 1)]
     for ref in references:
         penalty = math.exp(-((len(candidate) - len(ref)) ** 2) / (2.0 * sigma * sigma))
-        for order in range(1, max_n + 1):
-            cand_vec, cand_norm = _tfidf_vector(candidate, order, idf)
-            ref_vec, ref_norm = _tfidf_vector(ref, order, idf)
+        for k, ((cand_vec, cand_norm), (ref_vec, ref_norm)) in enumerate(
+                zip(cand, idf.reference_vectors(ref, max_n))):
             if cand_norm == 0.0 or ref_norm == 0.0:
                 continue
             dot = sum(min(w, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
                       for g, w in cand_vec.items())
-            per_order_sum[order - 1] += penalty * dot / (cand_norm * ref_norm)
+            per_order_sum[k] += penalty * dot / (cand_norm * ref_norm)
     mean_over_orders = sum(per_order_sum) / max_n
     return 10.0 * mean_over_orders / len(references)
 

@@ -10,14 +10,20 @@ in descending id order: each closure runs after those of all its
 consumers.
 
 Besides the elementwise, matrix and rearrangement primitives there are
-four fused ops, each one node with a hand-written backward, for the
-patterns the decoder repeats every step:
+four fused ops, each one node with a hand-written backward:
 
 * ``lstm_cell``: one gated LSTM update (behind ``lstm_step``);
 * ``additive_attention``: scores, softmax and the weighted row sum;
 * ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``;
 * ``weighted_concat``: the module fusion, K blocks each scaled by its
   weight and concatenated.
+
+The LSTM, attention and softmax arithmetic lives in plain-array forward
+and backward helpers (``lstm_forward``/``lstm_backward``,
+``attention_forward``/``attention_backward``,
+``softmax_forward``/``softmax_backward``), which these ops and the
+decoder's unit kernel (``decoder.unit_kernel``, a whole decoder unit
+step as one node) share, so the math exists once.
 
 Scenes with different region counts share a batch by zero-padding the
 region axis.  ``softmax``, ``additive_attention`` and ``mean_pool_rows``
@@ -236,15 +242,16 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _t_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^T b for 2-d operands, the weight gradient of a batched product.
+    """a^T b over the last two axes, the weight gradient of a batched
+    product; leading axes broadcast.
 
-    With one row each this is an outer product, which numpy's matmul runs
-    through a slow non-BLAS loop; np.dot forms the same single products
-    several times faster.
+    With one row each, 2-d operands form an outer product, which numpy's
+    matmul runs through a slow non-BLAS loop; np.dot forms the same single
+    products several times faster.
     """
-    if a.shape[0] == 1:
+    if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
         return np.dot(a.T, b)
-    return np.matmul(a.T, b)
+    return np.matmul(np.swapaxes(a, -1, -2), b)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -632,17 +639,24 @@ def softmax(a, axis=-1, mask=None) -> Tensor:
     a = _as_tensor(a)
     if a.data.size == 0:
         raise ValueError("softmax of an empty tensor")
-    x = a.data if mask is None else np.where(mask, a.data, -np.inf)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_forward(a.data if mask is None else np.where(mask, a.data, -np.inf), axis)
 
     def backward(g):
         if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            _accum(a, (g - inner) * data)
+            _accum(a, softmax_backward(data, g, axis))
 
     return Tensor._from_op(data, (a,), backward)
+
+
+def softmax_forward(x: np.ndarray, axis=-1) -> np.ndarray:
+    """Max-shifted softmax of an array; -inf entries get weight 0."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:
+    """Gradient of the softmax input, from the output y and its gradient g."""
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
 
 
 # -- LSTM step ------------------------------------------------------------
@@ -660,6 +674,85 @@ class LstmParams:
 def lstm_step(x, h, c, params: LstmParams):
     """One LSTM cell update.  Accepts (d,) vectors or (B, d) batches."""
     return lstm_cell(x, h, c, params.W, params.b)
+
+
+# -- cell math on arrays ----------------------------------------------------
+#
+# Forward and backward arithmetic of the LSTM cell and of additive
+# attention on plain arrays, shared by the fused ops below and by the
+# decoder unit kernel.  Each backward repeats the products and reductions
+# of the primitive chain in order, so all of them round as the unfused
+# graph does.
+
+
+def lstm_forward(xh, c, W, b):
+    """One LSTM update of the joined rows xh = [x, h] (B, d_in + d_h) and
+    the cell state c (B, d_h); returns (h', c', cache).  The gate sigmoid
+    may overflow exp: call under ``np.errstate(over="ignore")``."""
+    dh = b.shape[0] // 4
+    z = np.matmul(xh, W) + b
+    gates = 1.0 / (1.0 + np.exp(-z))    # the candidate block goes unused
+    i, f, o = gates[:, :dh], gates[:, dh:2 * dh], gates[:, 3 * dh:]
+    g = np.tanh(z[:, 2 * dh:3 * dh])
+    c2 = f * c + i * g
+    tanh_c2 = np.tanh(c2)
+    h2 = o * tanh_c2
+    return h2, c2, (xh, c, W, i, f, g, o, tanh_c2)
+
+
+def lstm_backward(cache, g_h, g_c):
+    """Gradients of an ``lstm_forward`` update from those of h' and c'
+    (None when c' has no consumer): returns (g_xh, g_c_prev, g_W, g_b)."""
+    xh, c, W, i, f, g, o, tanh_c2 = cache
+    g_tanh = g_h * o * (1.0 - tanh_c2 * tanh_c2)
+    g_c = g_tanh if g_c is None else g_c + g_tanh
+    g_z = np.concatenate([g_c * g * i * (1.0 - i),
+                          g_c * c * f * (1.0 - f),
+                          g_c * i * (1.0 - g * g),
+                          g_h * tanh_c2 * o * (1.0 - o)], axis=1)
+    return np.matmul(g_z, W.T), g_c * f, _t_matmul(xh, g_z), g_z.sum(axis=0)
+
+
+def attention_forward(v, q_in, Wv_T, Wh_T, wa, mask=None):
+    """Additive attention of the queries q_in (B, d_c) over the rows of v
+    (..., B, N, d_v), with C-contiguous W_v^T (..., d_v, d_a) and W_h^T
+    (..., d_c, d_a) and the score vector wa (..., d_a).  Leading axes
+    stack independent heads that share the query; a stacked call rounds
+    exactly as one call per head.  Returns (alpha (..., B, N), attended
+    (..., B, d_v), cache)."""
+    *lead, b, n, d_v = v.shape
+    lead = tuple(lead)
+    d_a = wa.shape[-1]
+    v2 = v.reshape(lead + (b * n, d_v))
+    keys = np.matmul(v2, Wv_T).reshape(lead + (b, n, d_a))
+    q = np.matmul(q_in, Wh_T).reshape(lead + (b, 1, d_a))
+    t2 = np.tanh(keys + q).reshape(lead + (b * n, d_a))
+    scores = np.matmul(t2, wa[..., None]).reshape(lead + (b, n))
+    if mask is not None:
+        scores = np.where(mask, scores, -np.inf)
+    alpha = softmax_forward(scores)
+    attended = (alpha[..., None] * v).sum(axis=-2)
+    return alpha, attended, (v, v2, q_in, Wv_T, Wh_T, wa, t2, alpha)
+
+
+def attention_backward(cache, g_alpha, g_att):
+    """Gradients of an ``attention_forward`` call from those of alpha
+    (None when alpha has no consumer) and of the attended rows.  Returns
+    (g_v through the weighted sum, g_v through the keys, g_q_in per head,
+    g_W_v, g_W_h, g_w_a)."""
+    v, v2, q_in, Wv_T, Wh_T, wa, t2, alpha = cache
+    g_att = np.broadcast_to(g_att[..., None, :], v.shape)
+    g_alpha_in = (g_att * v).sum(axis=-1)
+    g_alpha = g_alpha_in if g_alpha is None else g_alpha + g_alpha_in
+    g_scores = softmax_backward(alpha, g_alpha).reshape(t2.shape[:-1] + (1,))
+    g_pre = g_scores * wa[..., None, :] * (1.0 - t2 * t2)            # (..., B*N, d_a)
+    g_q = g_pre.reshape(alpha.shape + (wa.shape[-1],)).sum(axis=-2)
+    return (g_att * alpha[..., None],
+            np.matmul(g_pre, np.swapaxes(Wv_T, -1, -2)).reshape(v.shape),
+            np.matmul(g_q, np.swapaxes(Wh_T, -1, -2)),
+            np.swapaxes(_t_matmul(v2, g_pre), -1, -2),
+            np.swapaxes(_t_matmul(q_in, g_q), -1, -2),
+            np.matmul(np.swapaxes(t2, -1, -2), g_scores)[..., 0])
 
 
 # -- fused ops ------------------------------------------------------------
@@ -693,43 +786,30 @@ def lstm_cell(x, h, c, W, b):
     (d,) vectors or (B, d) batches.
     """
     x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
-    x_d, h_d, c_d, W_d = x.data, h.data, c.data, W.data
+    x_d, h_d, c_d = x.data, h.data, c.data
     single = x_d.ndim == 1
     if single:
         x_d, h_d, c_d = (a.reshape(1, -1) for a in (x_d, h_d, c_d))
     dh = b.data.shape[0] // 4
-    d_in = W_d.shape[0] - dh
+    d_in = W.data.shape[0] - dh
     if x_d.shape[-1] != d_in:
         raise ShapeError(f"lstm_step input has width {x_d.shape[-1]}, weights expect {d_in}")
-    xh = np.concatenate([x_d, h_d], axis=1)
-    z = np.matmul(xh, W_d) + b.data
     with np.errstate(over="ignore"):
-        gates = 1.0 / (1.0 + np.exp(-z))    # the candidate block goes unused
-    i, f, o = gates[:, :dh], gates[:, dh:2 * dh], gates[:, 3 * dh:]
-    g = np.tanh(z[:, 2 * dh:3 * dh])
-    c2 = f * c_d + i * g
-    tanh_c2 = np.tanh(c2)
-    h2 = o * tanh_c2
+        h2, c2, cache = lstm_forward(np.concatenate([x_d, h_d], axis=1), c_d, W.data, b.data)
 
     def backward(grad):
-        g_h = grad[:h2.size].reshape(h2.shape)
-        g_c = grad[h2.size:].reshape(c2.shape) + g_h * o * (1.0 - tanh_c2 * tanh_c2)
-        g_z = np.concatenate([g_c * g * i * (1.0 - i),
-                              g_c * c_d * f * (1.0 - f),
-                              g_c * i * (1.0 - g * g),
-                              g_h * tanh_c2 * o * (1.0 - o)], axis=1)
+        g_xh, g_c, g_W, g_b = lstm_backward(cache, grad[:h2.size].reshape(h2.shape),
+                                            grad[h2.size:].reshape(c2.shape))
         if W.requires_grad:
-            _accum(W, _t_matmul(xh, g_z))
+            _accum(W, g_W)
         if b.requires_grad:
-            _accum(b, g_z.sum(axis=0))
-        if x.requires_grad or h.requires_grad:
-            g_xh = np.matmul(g_z, W_d.T)
-            if x.requires_grad:
-                _accum(x, g_xh[:, :d_in].reshape(x.data.shape))
-            if h.requires_grad:
-                _accum(h, g_xh[:, d_in:].reshape(h.data.shape))
+            _accum(b, g_b)
+        if x.requires_grad:
+            _accum(x, g_xh[:, :d_in].reshape(x.data.shape))
+        if h.requires_grad:
+            _accum(h, g_xh[:, d_in:].reshape(h.data.shape))
         if c.requires_grad:
-            _accum(c, (g_c * f).reshape(c.data.shape))
+            _accum(c, g_c.reshape(c.data.shape))
 
     joint = Tensor._from_op(np.concatenate([h2.ravel(), c2.ravel()]), (x, h, c, W, b),
                             backward)
@@ -747,53 +827,36 @@ def additive_attention(values, query, W_v, W_h, w_a, mask=None):
     their alpha is exactly 0.
     """
     values, query, W_v, W_h, w_a = (_as_tensor(t) for t in (values, query, W_v, W_h, w_a))
-    v, q_in, Wv, Wh, wa = (t.data for t in (values, query, W_v, W_h, w_a))
+    v, q_in = values.data, query.data
     single = v.ndim == 2
     if single:
         v = v.reshape((1,) + v.shape)
         q_in = q_in.reshape(1, -1)
-    b, n, d_v = v.shape
-    if n == 0:
+    if v.shape[1] == 0:
         raise ValueError("attention over an empty value set")
-    d_a = wa.shape[0]
-    v2 = v.reshape(-1, d_v)
-    Wv_T, Wh_T = np.ascontiguousarray(Wv.T), np.ascontiguousarray(Wh.T)
-    keys = np.matmul(v2, Wv_T).reshape(b, n, d_a)
-    q = np.matmul(q_in, Wh_T).reshape(b, 1, d_a)
-    t2 = np.tanh(keys + q).reshape(-1, d_a)
-    scores = np.matmul(t2, wa).reshape(b, n)
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    alpha = e / e.sum(axis=-1, keepdims=True)
-    attended = (alpha.reshape(b, n, 1) * v).sum(axis=1)
+    Wv_T, Wh_T = np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T)
+    alpha, attended, cache = attention_forward(v, q_in, Wv_T, Wh_T, w_a.data, mask)
 
-    # broadcast, reshape and matmul forms below follow the primitive chain
-    # exactly, so the fused op rounds as the unfused graph does
     def backward(grad):
-        g_att = np.broadcast_to(grad[alpha.size:].reshape(b, 1, d_v), v.shape)
-        g_alpha = (grad[:alpha.size].reshape(b, n)
-                   + (g_att * v).sum(axis=2, keepdims=True).reshape(b, n))
-        g_scores = ((g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
-                    * alpha).reshape(-1, 1)
-        g_pre = g_scores * wa * (1.0 - t2 * t2)                  # (b*n, d_a)
-        g_q = g_pre.reshape(b, n, d_a).sum(axis=1)
+        g_direct, g_keys, g_q, g_Wv, g_Wh, g_wa = attention_backward(
+            cache, grad[:alpha.size].reshape(alpha.shape),
+            grad[alpha.size:].reshape(attended.shape))
         if values.requires_grad:
-            _accum(values, (g_att * alpha.reshape(b, n, 1)).reshape(values.data.shape))
-            _accum(values, np.matmul(g_pre, Wv_T.T).reshape(values.data.shape))
+            _accum(values, g_direct.reshape(values.data.shape))
+            _accum(values, g_keys.reshape(values.data.shape))
         if query.requires_grad:
-            _accum(query, np.matmul(g_q, Wh_T.T).reshape(query.data.shape))
+            _accum(query, g_q.reshape(query.data.shape))
         if W_v.requires_grad:
-            _accum(W_v, _t_matmul(v2, g_pre).T)
+            _accum(W_v, g_Wv)
         if W_h.requires_grad:
-            _accum(W_h, _t_matmul(q_in, g_q).T)
+            _accum(W_h, g_Wh)
         if w_a.requires_grad:
-            _accum(w_a, np.matmul(t2.T, g_scores)[:, 0])
+            _accum(w_a, g_wa)
 
     joint = Tensor._from_op(np.concatenate([alpha.ravel(), attended.ravel()]),
                             (values, query, W_v, W_h, w_a), backward)
     if single:
-        return _views(joint, ((n,), (d_v,)))
+        return _views(joint, (alpha.shape[1:], attended.shape[1:]))
     return _views(joint, (alpha.shape, attended.shape))
 
 
@@ -900,9 +963,6 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items):
-        return items[self.randint(len(items))]
 
     def multinomial(self, probs: np.ndarray) -> int:
         """Sample an index from a probability vector via the inverse CDF."""

@@ -5,10 +5,13 @@ import pytest
 
 from modcap.tensor import FLOAT64, Rng, Tensor, relu
 from modcap.gradcheck import (
+    KERNEL_VARIANTS,
     N_COMPOSITES,
+    _kernel_inputs,
     check_case,
     composite_cases,
     decoder_results,
+    kernel_results,
     primitive_cases,
     run_battery,
 )
@@ -68,3 +71,22 @@ class TestDecoderSection:
         results = decoder_results()
         failures = [(r.name, r.error) for r in results if not r.ok]
         assert not failures
+
+
+class TestKernelSection:
+    def test_every_input_and_parameter_of_every_variant_passes(self):
+        results = kernel_results()
+        failures = [(r.name, r.error) for r in results if not r.ok]
+        assert not failures
+        names = {r.name for r in results}
+        assert len(names) == len(results)
+        for variant in KERNEL_VARIANTS:
+            unit, inputs = _kernel_inputs(variant, seed=0)
+            for name in inputs:
+                assert f"{variant}:input:{name}" in names
+            params = [name for name in unit.params("unit")
+                      if variant != "uniform" or ".ctrl." not in name]
+            for name in params:
+                assert f"{variant}:param:{name}" in names
+        assert any(n.startswith("hard:param:unit.ctrl.proj") for n in names)
+        assert any(n.startswith("single:param:unit.att.object") for n in names)

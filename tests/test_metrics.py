@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from modcap import metrics
 from modcap.metrics import (
     IdfTable,
     bleu_n,
@@ -241,6 +242,30 @@ class TestCiderD:
         assert a == b and len(a) == 64
         refs[2] = [["something", "else", "entirely", "here"]]
         assert IdfTable(refs).checksum() != a
+
+    def test_vectors_built_once_per_call_and_reference(self, monkeypatch):
+        # self-critical training scores many candidates against the same
+        # references: each candidate's vectors are built once per call, each
+        # reference's once per table
+        refs = small_reference_set()
+        refs[0].append(["the", "red", "cat", "sits"])
+        idf = IdfTable(refs)
+        built = []
+        original = metrics._tfidf_vector
+
+        def counting(tokens, order, table):
+            built.append((tuple(tokens), order))
+            return original(tokens, order, table)
+
+        monkeypatch.setattr(metrics, "_tfidf_vector", counting)
+        cands = (["a", "cat", "on", "a", "mat"], ["a", "red", "dog"])
+        scores = [cider_d(cand, refs[0], idf) for cand in cands]
+        monkeypatch.undo()
+        ref_keys = {(tuple(r), order) for r in refs[0] for order in range(1, 5)}
+        assert sorted(b for b in built if b in ref_keys) == sorted(ref_keys)
+        assert sorted(b for b in built if b not in ref_keys) == sorted(
+            (tuple(c), order) for c in cands for order in range(1, 5))
+        assert scores == [cider_d(cand, refs[0], IdfTable(refs)) for cand in cands]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -9,24 +9,30 @@ feature back in.  The unit output is added onto i, so stacking M units
 is a residual chain and i keeps the embedding width throughout.  A
 single-module unit has one attention head and no controller.
 
-A unit step runs as one autodiff node, ``unit_kernel``, with a
-hand-written backward; the attention heads of all modules are one
-stacked computation.  ``DecoderUnit.reference_step`` builds the same step
-from one node per op; the two agree bit for bit in every output and
-gradient.
+A unit runs as one autodiff node, ``unit_kernel``, with a hand-written
+backward; the attention heads of all modules are one stacked
+computation.  The kernel takes the unit's input rows of T steps and runs
+the recurrence inside the node: decoding calls it one step at a time
+(``DecoderUnit.step``, T = 1), teacher forcing once per unit over the
+whole caption (``CaptionModel.forced``), where the attention keys, the
+derivatives of the nonlinearities and every parameter gradient are
+formed once over all T steps.  ``DecoderUnit.reference_step`` builds a
+step from one node per op; a one-step kernel call agrees with it bit for
+bit in every output and gradient.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax, sample or forced) picks every row's next token and an optional
-observer sees each step.  Greedy and sampling decoding, teacher forcing
-and traces run on it; beam search, which reorders state rows every step,
-keeps its own loop.  A single scene is a batch of one, and its results
-come back unwrapped: a token list rather than a list holding one.
+observer sees each step.  Greedy and sampling decoding and traces run on
+it; beam search, which reorders state rows every step, keeps its own
+loop.  A single scene is a batch of one, and its results come back
+unwrapped: a token list rather than a list holding one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,21 +51,21 @@ from .encoders import ProjectionModule, RelationModule
 from .layers import Linear
 from .tensor import (
     FLOAT32,
+    AttentionRun,
+    LstmRun,
     Rng,
     Tensor,
     _accum,
+    _steps,
     _t_matmul,
-    attention_backward,
-    attention_forward,
     concat,
     gather_rows,
-    lstm_backward,
-    lstm_forward,
     lstm_step,
     make_lstm_params,
     masked_nll,
     mean_pool_rows,
     no_grad,
+    reshape,
     softmax,
     softmax_backward,
     softmax_forward,
@@ -82,6 +88,11 @@ class Encoded:
     @property
     def batch(self) -> int:
         return self.mask.shape[0]
+
+    @functools.cached_property
+    def padded(self) -> bool:
+        """Whether any region is padding; attention skips the mask if not."""
+        return not self.mask.all()
 
     @functools.cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +145,9 @@ class DecoderUnit:
             self.ctrl = ModuleController(d_v, d_c, rng, tau=cfg.gumbel_tau, dtype=dtype)
         fused = len(self.modules) + (self.func is not None)
         self.lstm2 = make_lstm_params(rng, d_c + fused * d_v, d_c, dtype=dtype)
+        self._head_params = [t for name in self.modules
+                             for t in (self.att[name].W_v, self.att[name].W_h,
+                                       self.att[name].w_a)]
         self._heads = None
 
     def init_state(self, batch: int) -> UnitState:
@@ -182,10 +196,9 @@ class DecoderUnit:
         (K, d_v, d_a) and W_h^T (K, d_c, d_a), and w_a (K, d_a).  Rebuilt
         only after a weight's array is rebound (an optimizer step, a
         checkpoint load)."""
-        arrays = [t.data for name in self.modules
-                  for t in (self.att[name].W_v, self.att[name].W_h, self.att[name].w_a)]
+        arrays = [t.data for t in self._head_params]
         cached = self._heads
-        if cached is None or any(a is not b for a, b in zip(arrays, cached[0])):
+        if cached is None or not all(map(operator.is_, arrays, cached[0])):
             stack_t = lambda ws: np.ascontiguousarray(np.stack([w.T for w in ws]))
             cached = self._heads = (arrays, (stack_t(arrays[0::3]), stack_t(arrays[1::3]),
                                              np.stack(arrays[2::3])))
@@ -210,136 +223,195 @@ def _plus(a, b):
     return a if b is None else a + b
 
 
-def unit_kernel(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitState,
+def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, state: UnitState,
                 noise: np.ndarray | None = None):
-    """One decoder unit step over (B, d) rows as a single autodiff node.
+    """T steps of a decoder unit as a single autodiff node.
 
-    Runs LSTM1, the K attention heads as one stacked computation, and
-    with a controller the function module, the controller (soft, hard
-    with the (B, 4) Gumbel ``noise`` and a straight-through one-hot, or
-    uniform) and the weighted fusion, then LSTM2 and the residual add.
-    The node is i_new; the new state tensors and the controller softmax
-    are outputs that hang off it, and the backward reads their gradients
-    and returns every input and parameter gradient in one closure.  The
-    forward rounds exactly as ``DecoderUnit.reference_step``; the backward
-    adds the gradients each tensor receives in the order the reference
-    graph's sweep adds them.  Fusion weights under the hard and uniform
-    strategies and the attention weights are returned without gradient.
+    ``i`` holds the unit's input rows of every step, (T, B, d_v), or of
+    one step, (B, d_v).  Each step runs LSTM1, the K attention heads as
+    one stacked computation, and with a controller the function module,
+    the controller (soft; hard with the Gumbel ``noise`` of shape
+    ``i.shape[:-1] + (K + 1,)``, zero when None, and a straight-through
+    one-hot; or uniform) and the weighted fusion, then LSTM2 and the
+    residual add; the unit state carries from step to step.  The node is
+    the unit output, shaped like ``i``; the final state tensors and the
+    per-step controller softmax are outputs that hang off it, and the
+    backward reads their gradients and returns every input and parameter
+    gradient in one closure.  The attention key projection, the
+    derivatives of the nonlinearities and each parameter gradient are
+    formed once over all T*B rows.  A one-step call rounds exactly as
+    ``DecoderUnit.reference_step``: the backward adds the gradients each
+    tensor receives in the order the reference graph's sweep adds them.
+    Fusion weights under the hard and uniform strategies and the
+    attention weights come back per step and without gradient.
     """
     dv, dc = unit.cfg.d_v, unit.cfg.d_c
     k_heads = len(unit.modules)
+    shape = i.data.shape
+    xs = i.data.reshape((-1,) + shape[-2:])
+    n_steps, batch = xs.shape[:2]
     feats = [enc.feats[name] for name in unit.modules]
     means = [enc.means[name] for name in unit.modules]
     values, means_cat = enc.stacked
-    ctx = state.h2.data
     strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
     controlled = strategy is not None and strategy is not Strategy.UNIFORM
+    lstm1 = LstmRun(unit.lstm1.W.data, unit.lstm1.b.data)
+    lstm2 = LstmRun(unit.lstm2.W.data, unit.lstm2.b.data)
+    heads = AttentionRun(values, *unit.heads(), enc.mask if enc.padded else None)
+    h1, c1, h2, c2 = state.h1.data, state.c1.data, state.h2.data, state.c2.data
+    # per-step records; step t's context is h2 of step t-1
+    outs, contexts, alphas, pre_f, blocks = [], [], [], [], []
+    weights, hcs, soft, ys = [], [], [], []
+    if strategy is not None:
+        fc = unit.func.fc
+    if controlled:
+        ctrl = unit.ctrl
+        lstm_c = LstmRun(ctrl.lstm.W.data, ctrl.lstm.b.data)
+        hc, cc = state.ctrl.h.data, state.ctrl.c.data
+        if strategy is Strategy.HARD:
+            noise = (np.zeros((n_steps, batch, k_heads + 1), xs.dtype) if noise is None
+                     else noise.reshape(n_steps, batch, -1))
     with np.errstate(over="ignore"):
-        h1, c1, cache1 = lstm_forward(
-            np.concatenate([i_prev.data, ctx, means_cat, state.h1.data], axis=1),
-            state.c1.data, unit.lstm1.W.data, unit.lstm1.b.data)
-        alpha, att, cache_att = attention_forward(values, h1, *unit.heads(), enc.mask)
-        if strategy is None:
-            v_hat = att[0]
-        else:
-            fc = unit.func.fc
-            pre_f = np.matmul(ctx, fc.W.data) + fc.b.data
-            blocks = [*att, np.where(pre_f >= 0, pre_f, unit.func.slope * pre_f)]
-            if controlled:
-                ctrl = unit.ctrl
-                hc, cc, cache_c = lstm_forward(
-                    np.concatenate([*att, ctx, state.ctrl.h.data], axis=1),
-                    state.ctrl.c.data, ctrl.lstm.W.data, ctrl.lstm.b.data)
-                logits = np.matmul(hc, ctrl.proj.W.data) + ctrl.proj.b.data
-                soft = softmax_forward(logits)
-                weights = soft
-                if strategy is Strategy.HARD:
-                    scale = np.asarray(1.0 / ctrl.tau, dtype=logits.dtype)
-                    y = softmax_forward((logits + noise) * scale)
-                    weights = (one_hot_max(y) - y) + y
+        for t in range(n_steps):
+            ctx = h2
+            contexts.append(ctx)
+            h1, c1 = lstm1.forward([xs[t], ctx, means_cat, h1], c1)
+            alpha, att = heads.forward(h1)
+            alphas.append(alpha)
+            if strategy is None:
+                v_hat = att[0]
             else:
-                weights = np.ones((ctx.shape[0], len(blocks)), dtype=ctx.dtype)
-            v_hat = np.concatenate([weights[:, k:k + 1] * x for k, x in enumerate(blocks)],
-                                   axis=1)
-        h2, c2, cache2 = lstm_forward(np.concatenate([h1, v_hat, ctx], axis=1),
-                                      state.c2.data, unit.lstm2.W.data, unit.lstm2.b.data)
-    i_new = i_prev.data + h2
+                pf = np.matmul(ctx, fc.W.data) + fc.b.data
+                pre_f.append(pf)
+                v_func = np.where(pf >= 0, pf, unit.func.slope * pf)
+                blocks.append(np.concatenate([att.transpose(1, 0, 2), v_func[:, None]], axis=1))
+                if controlled:
+                    hc, cc = lstm_c.forward([*att, ctx, hc], cc)
+                    hcs.append(hc)
+                    logits = np.matmul(hc, ctrl.proj.W.data) + ctrl.proj.b.data
+                    soft.append(softmax_forward(logits))
+                    w = soft[t]
+                    if strategy is Strategy.HARD:
+                        scale = np.asarray(1.0 / ctrl.tau, dtype=logits.dtype)
+                        y = softmax_forward((logits + noise[t]) * scale)
+                        ys.append(y)
+                        w = (one_hot_max(y) - y) + y
+                else:
+                    w = np.ones((batch, k_heads + 1), dtype=ctx.dtype)
+                weights.append(w)
+                v_hat = (w[:, :, None] * blocks[t]).reshape(batch, -1)
+            h2, c2 = lstm2.forward([h1, v_hat, ctx], c2)
+            outs.append(xs[t] + h2)
 
     params = [unit.lstm1.W, unit.lstm1.b, unit.lstm2.W, unit.lstm2.b]
     for name in unit.modules:
         params += [unit.att[name].W_v, unit.att[name].W_h, unit.att[name].w_a]
-    inputs = [i_prev, state.h1, state.c1, state.h2, state.c2, *feats, *means]
+    inputs = [i, state.h1, state.c1, state.h2, state.c2, *feats, *means]
     if strategy is not None:
-        params += [unit.func.fc.W, unit.func.fc.b]
+        params += [fc.W, fc.b]
     if controlled:
         params += [ctrl.lstm.W, ctrl.lstm.b, ctrl.proj.W, ctrl.proj.b]
         inputs += [state.ctrl.h, state.ctrl.c]
 
     out_grads = {}      # gradients of the outputs that have a consumer
 
-    def backward(g_new):
+    def backward(g_out):
         def give(t, g):
             if t.requires_grad:
                 _accum(t, g)
 
-        g_xh2, g_c2, g_W, g_b = lstm_backward(cache2, _plus(out_grads.get("h2"), g_new),
-                                              out_grads.get("c2"))
-        give(unit.lstm2.W, g_W)
-        give(unit.lstm2.b, g_b)
-        give(state.c2, g_c2)
-        g_h1 = _plus(out_grads.get("h1"), g_xh2[:, :dc])
-        g_vhat = g_xh2[:, dc:-dc]
-        g_ctx = g_xh2[:, -dc:]
-        if strategy is None:
-            g_att = [g_vhat]
-        else:
-            g_blocks = [g_vhat[:, k * dv:(k + 1) * dv] for k in range(len(blocks))]
-            g_att = [gk * weights[:, k:k + 1] for k, gk in enumerate(g_blocks)]
-            g_func = g_att.pop()
+        def rows(a):
+            return a.reshape(-1, a.shape[-1])
+
+        g_out = g_out.reshape(xs.shape)
+        g_h1, g_c1, g_h2, g_c2 = (out_grads.get(name) for name in ("h1", "c1", "h2", "c2"))
+        g_hc, g_cc = out_grads.get("ctrl_h"), out_grads.get("ctrl_c")
+        g_soft = out_grads.get("soft")
+        g_soft = None if g_soft is None else g_soft.reshape((n_steps,) + soft[0].shape)
+        g_in = np.empty_like(xs)
+        g_means = None
+        if strategy is not None:
+            pf = _steps(pre_f)
+            d_pre_f = np.where(pf >= 0, 1.0, unit.func.slope).astype(pf.dtype)
+            g_pre_f = np.empty_like(pf)
         if controlled:
-            g_w = np.stack([(gk * x).sum(axis=-1) for gk, x in zip(g_blocks, blocks)], axis=-1)
-            if strategy is Strategy.SOFT:
-                g_logits = softmax_backward(soft, _plus(out_grads.get("soft"), g_w))
+            g_logits_all = np.empty((n_steps,) + soft[0].shape, soft[0].dtype)
+        for t in reversed(range(n_steps)):
+            g_xh2, g_c2 = lstm2.backward(t, _plus(g_h2, g_out[t]), g_c2)
+            g_h1 = _plus(g_h1, g_xh2[:, :dc])
+            g_vhat = g_xh2[:, dc:-dc]
+            g_ctx = g_xh2[:, -dc:]
+            if strategy is None:
+                g_att = g_vhat[None]
             else:
-                g_logits = softmax_backward(y, g_w) * scale
-                if "soft" in out_grads:
-                    g_logits = g_logits + softmax_backward(soft, out_grads["soft"])
-            give(ctrl.proj.b, g_logits.sum(axis=0))
-            give(ctrl.proj.W, _t_matmul(hc, g_logits))
-            g_hc = _plus(out_grads.get("ctrl_h"), np.matmul(g_logits, ctrl.proj.W.data.T))
-            g_xc, g_cc, g_W, g_b = lstm_backward(cache_c, g_hc, out_grads.get("ctrl_c"))
+                g_blocks = g_vhat.reshape(batch, k_heads + 1, dv)
+                g_att = g_blocks * weights[t][:, :, None]
+                g_func = g_att[:, k_heads]
+                g_att = np.swapaxes(g_att[:, :k_heads], 0, 1)
+            if controlled:
+                g_w = (g_blocks * blocks[t]).sum(axis=-1)
+                g_soft_t = None if g_soft is None else g_soft[t]
+                if strategy is Strategy.SOFT:
+                    g_logits = softmax_backward(soft[t], _plus(g_soft_t, g_w))
+                else:
+                    g_logits = softmax_backward(ys[t], g_w) * scale
+                    if g_soft_t is not None:
+                        g_logits = g_logits + softmax_backward(soft[t], g_soft_t)
+                g_logits_all[t] = g_logits
+                g_hc = _plus(g_hc, np.matmul(g_logits, ctrl.proj.W.data.T))
+                g_xc, g_cc = lstm_c.backward(t, g_hc, g_cc)
+                g_hc = g_xc[:, k_heads * dv + dc:]
+                g_att = g_att + np.swapaxes(g_xc[:, :k_heads * dv].reshape(batch, k_heads, dv),
+                                            0, 1)
+                g_ctx = g_ctx + g_xc[:, k_heads * dv:k_heads * dv + dc]
+            if strategy is not None:
+                g_pre = np.multiply(g_func, d_pre_f[t], out=g_pre_f[t])
+                g_ctx = g_ctx + np.matmul(g_pre, fc.W.data.T)
+            g_q = heads.backward(t, None, g_att)
+            for k in reversed(range(k_heads)):
+                g_h1 = g_h1 + g_q[k]
+            g_xh1, g_c1 = lstm1.backward(t, g_h1, g_c1)
+            np.add(g_out[t], g_xh1[:, :dv], out=g_in[t])
+            g_h2 = g_ctx + g_xh1[:, dv:dv + dc]
+            g_m = g_xh1[:, dv + dc:dv + dc + k_heads * dv]
+            g_means = g_m if g_means is None else g_means + g_m
+            g_h1 = g_xh1[:, dv + dc + k_heads * dv:]
+
+        for lstm, run in ((unit.lstm1, lstm1), (unit.lstm2, lstm2)):
+            g_W, g_b = run.param_grads()
+            give(lstm.W, g_W)
+            give(lstm.b, g_b)
+        if controlled:
+            g_W, g_b = lstm_c.param_grads()
             give(ctrl.lstm.W, g_W)
             give(ctrl.lstm.b, g_b)
+            give(ctrl.proj.b, rows(g_logits_all).sum(axis=0))
+            give(ctrl.proj.W, _t_matmul(np.concatenate(hcs), rows(g_logits_all)))
             give(state.ctrl.c, g_cc)
-            give(state.ctrl.h, g_xc[:, k_heads * dv + dc:])
-            g_att = [gk + g_xc[:, k * dv:(k + 1) * dv] for k, gk in enumerate(g_att)]
-            g_ctx = g_ctx + g_xc[:, k_heads * dv:k_heads * dv + dc]
+            give(state.ctrl.h, g_hc)
         if strategy is not None:
-            g_pre = g_func * np.where(pre_f >= 0, 1.0, unit.func.slope).astype(g_func.dtype)
-            give(fc.b, g_pre.sum(axis=0))
-            g_ctx = g_ctx + np.matmul(g_pre, fc.W.data.T)
-            give(fc.W, _t_matmul(ctx, g_pre))
-        g_direct, g_keys, g_q, g_Wv, g_Wh, g_wa = attention_backward(
-            cache_att, None, np.stack(g_att))
+            give(fc.b, rows(g_pre_f).sum(axis=0))
+            give(fc.W, _t_matmul(np.concatenate(contexts), rows(g_pre_f)))
+        g_direct, g_keys, g_Wv, g_Wh, g_wa = heads.grads()
         for k in reversed(range(k_heads)):
             give(feats[k], g_direct[k])
             give(feats[k], g_keys[k])
-            g_h1 = g_h1 + g_q[k]
             att_k = unit.att[unit.modules[k]]
             give(att_k.W_v, g_Wv[k])
             give(att_k.W_h, g_Wh[k])
             give(att_k.w_a, g_wa[k])
-        g_xh1, g_c1, g_W, g_b = lstm_backward(cache1, g_h1, out_grads.get("c1"))
-        give(unit.lstm1.W, g_W)
-        give(unit.lstm1.b, g_b)
-        give(i_prev, g_new + g_xh1[:, :dv])
-        give(state.h2, g_ctx + g_xh1[:, dv:dv + dc])
+        give(i, g_in.reshape(shape))
+        give(state.h2, g_h2)
         for k, m in enumerate(means):
-            give(m, g_xh1[:, dv + dc + k * dv:dv + dc + (k + 1) * dv])
-        give(state.h1, g_xh1[:, dv + dc + k_heads * dv:])
+            give(m, g_means[:, k * dv:(k + 1) * dv])
+        give(state.h1, g_h1)
         give(state.c1, g_c1)
+        give(state.c2, g_c2)
 
-    node = Tensor._from_op(i_new, tuple(inputs + params), backward)
+    # per-step arrays come back stacked on a leading step axis, or as they
+    # are for a one-step call
+    steps = (lambda arrays, axis=0: arrays[0]) if len(shape) == 2 else np.stack
+    node = Tensor._from_op(steps(outs), tuple(inputs + params), backward)
 
     def output(name, data):
         # the output's closure runs once its gradient is complete: it hands
@@ -352,15 +424,16 @@ def unit_kernel(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitStat
                 node.grad = np.zeros_like(node.data)
         return Tensor._from_op(data, (node,), collect)
 
-    alphas = {name: Tensor(alpha[k]) for k, name in enumerate(unit.modules)}
-    trace = UnitTrace(weights=None, soft=None, alphas=alphas)
+    alphas = steps(alphas, axis=1)
+    trace = UnitTrace(weights=None, soft=None,
+                      alphas={name: Tensor(alphas[k]) for k, name in enumerate(unit.modules)})
     ctrl_state = None if strategy is None else state.ctrl
     if controlled:
         ctrl_state = ControllerState(h=output("ctrl_h", hc), c=output("ctrl_c", cc))
-        trace.soft = output("soft", soft)
-        trace.weights = trace.soft if strategy is Strategy.SOFT else Tensor(weights)
-    elif strategy is not None:
-        trace.weights = Tensor(weights)
+        trace.soft = output("soft", steps(soft))
+    if strategy is not None:
+        trace.weights = (trace.soft if strategy is Strategy.SOFT
+                         else Tensor(steps(weights)))
     new_state = UnitState(h1=output("h1", h1), c1=output("c1", c1), h2=output("h2", h2),
                           c2=output("c2", c2), ctrl=ctrl_state)
     return node, new_state, trace
@@ -428,6 +501,30 @@ class CaptionModel:
             traces.append(tr)
         dist = softmax(self.head(vec), axis=-1)
         return dist, new_states, traces
+
+    def forced(self, inputs, enc: Encoded, rng: Rng | None = None):
+        """A teacher-forced pass over the input tokens (B, T): one embedding
+        gather, then each unit runs all T steps in one ``unit_kernel`` call.
+
+        Returns (word distributions (T*B, V), rows step-major, per-unit
+        traces of (T, B, ...) arrays).  Hard-selection noise is drawn up
+        front in the order the step loop draws it: per step, per unit, all
+        rows.
+        """
+        idx = np.asarray(inputs, dtype=np.int64).T
+        n_steps, batch = idx.shape
+        vec = gather_rows(self.embed, idx)
+        noise = [None] * len(self.units)
+        if self.units[0].ctrl is not None and self.cfg.strategy == Strategy.HARD:
+            noise = np.swapaxes(gumbel_noise(rng, (n_steps, len(self.units), batch,
+                                                   len(self.units[0].modules) + 1),
+                                             vec.dtype), 0, 1)
+        traces = []
+        for unit, unit_noise in zip(self.units, noise):
+            vec, _, trace = unit_kernel(unit, vec, enc, unit.init_state(batch), unit_noise)
+            traces.append(trace)
+        dist = softmax(self.head(reshape(vec, (-1, self.cfg.d_v))), axis=-1)
+        return dist, traces
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {}

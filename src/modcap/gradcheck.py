@@ -10,14 +10,18 @@ Four tiers, all in float64 against central differences:
   derivative is trustworthy;
 * composites: seeded random chains of ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
-* kernel: the fused decoder unit step (``decoder.unit_kernel``) under
-  the soft, hard (no noise) and uniform strategies and with a single
-  module, each on two scenes of which one has a padded region, checking
-  every input and every parameter.  The straight-through gradient of the
-  hard strategy is by design not the derivative of its one-hot forward,
-  so hard cases read only the outputs upstream of the fusion, except the
-  second LSTM's cell state and weights and the function module, which do
-  not reach the controller and read every output;
+* kernel: the fused decoder unit (``decoder.unit_kernel``) under the
+  soft, hard (no noise) and uniform strategies and with a single module,
+  each on one step and on three steps, on two scenes of which one has a
+  padded region, checking every input and every parameter.  The
+  straight-through gradient of the hard strategy is by design not the
+  derivative of its one-hot forward, so one-step hard cases read only the
+  outputs upstream of the fusion, except the second LSTM's cell state
+  and weights and the function module, which do not reach the
+  controller and read every output; over three steps every output lies
+  downstream of an earlier fusion, so the three-step hard case runs at a
+  temperature where the straight-through term vanishes and reads every
+  output;
 * decoder: a miniature two-unit captioning model driven for three
   teacher-forced steps, checking the gradient of the training objective
   (``training.teacher_forced`` with module supervision) with respect to
@@ -35,7 +39,7 @@ import numpy as np
 
 from .config import FULL_MODULES, VISUAL_MODULES, ModelConfig
 from .controller import ControllerState
-from .decoder import CaptionModel, DecoderUnit, Encoded, UnitState
+from .decoder import CaptionModel, DecoderUnit, Encoded, UnitState, unit_kernel
 from .encoders import RelationModule
 from .tensor import (
     FLOAT64,
@@ -286,6 +290,7 @@ def composite_cases(seed: int, count: int = N_COMPOSITES):
 # -- decoder unit kernel --------------------------------------------------------
 
 KERNEL_VARIANTS = ("soft", "hard", "uniform", "single")
+KERNEL_STEPS = (1, 3)
 # two scenes of three regions, the second with its last region padded
 KERNEL_REGIONS = np.array([[True, True, True], [True, True, False]])
 KERNEL_OUTPUTS = ("i_new", "h1", "c1", "h2", "c2", "ctrl_h", "ctrl_c", "soft")
@@ -293,17 +298,24 @@ KERNEL_OUTPUTS = ("i_new", "h1", "c1", "h2", "c2", "ctrl_h", "ctrl_c", "soft")
 # the outputs only through it
 HARD_UPSTREAM_OUTPUTS = ("h1", "c1", "ctrl_h", "ctrl_c", "soft")
 HARD_DOWNSTREAM_TENSORS = (":input:c2", ".lstm2.", ".func.")
+# over several steps every output is downstream of an earlier step's
+# fusion; at this temperature the tempered softmax is one-hot to double
+# precision, so the straight-through term vanishes and every output reads
+HARD_MULTI_STEP_TAU = 1e-4
 
 
-def _kernel_inputs(variant: str, seed: int):
-    """A tiny float64 unit of the variant and random inputs for one step."""
+def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
+    """A tiny float64 unit of the variant and random inputs: one step's
+    rows (2, 3), or ``n_steps`` steps' (n_steps, 2, 3)."""
     modules = ("object",) if variant == "single" else FULL_MODULES
     cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_c=3, d_a=2, heads=2, m_units=1,
-                      strategy="soft" if variant == "single" else variant, modules=modules)
+                      strategy="soft" if variant == "single" else variant, modules=modules,
+                      gumbel_tau=HARD_MULTI_STEP_TAU if n_steps > 1 else 1.0)
     unit = DecoderUnit(cfg, tuple(m for m in modules if m in VISUAL_MODULES),
                        Rng(seed).derive(80), dtype=FLOAT64)
-    rng = Rng(seed).derive(81)
-    inputs = {name: _t(rng, (2, 3)) for name in ("i_prev", "h1", "c1", "h2", "c2")}
+    rng = Rng(seed).derive(81 if n_steps == 1 else 82)
+    inputs = {"i_prev": _t(rng, (2, 3) if n_steps == 1 else (n_steps, 2, 3))}
+    inputs.update((name, _t(rng, (2, 3))) for name in ("h1", "c1", "h2", "c2"))
     if variant in ("soft", "hard"):
         inputs.update(ctrl_h=_t(rng, (2, 3)), ctrl_c=_t(rng, (2, 3)))
     for name in unit.modules:
@@ -313,7 +325,7 @@ def _kernel_inputs(variant: str, seed: int):
 
 
 def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
-    """A ramp-weighted sum of the named outputs of one unit step."""
+    """A ramp-weighted sum of the named outputs of one unit kernel call."""
     def objective():
         ctrl = None
         if unit.ctrl is not None:
@@ -324,7 +336,7 @@ def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
         enc = Encoded(feats={name: inputs[f"feats.{name}"] for name in unit.modules},
                       means={name: inputs[f"means.{name}"] for name in unit.modules},
                       mask=KERNEL_REGIONS)
-        i_new, new, trace = unit.step(inputs["i_prev"], enc, state)
+        i_new, new, trace = unit_kernel(unit, inputs["i_prev"], enc, state)
         named = {"i_new": i_new, "h1": new.h1, "c1": new.c1, "h2": new.h2, "c2": new.c2}
         if "ctrl_h" in inputs:
             named.update(ctrl_h=new.ctrl.h, ctrl_c=new.ctrl.c, soft=trace.soft)
@@ -340,21 +352,25 @@ def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
 
 def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
     results = []
-    for variant in KERNEL_VARIANTS:
-        unit, inputs = _kernel_inputs(variant, seed)
-        tensors = {f"{variant}:input:{name}": t for name, t in inputs.items()}
-        tensors.update((f"{variant}:param:{name}", t)
-                       for name, t in unit.params("unit").items()
-                       if variant != "uniform" or ".ctrl." not in name)
-        groups = [(KERNEL_OUTPUTS, tensors)]
-        if variant == "hard":
-            downstream = {n for n in tensors if any(d in n for d in HARD_DOWNSTREAM_TENSORS)}
-            groups = [(HARD_UPSTREAM_OUTPUTS,
-                       {n: t for n, t in tensors.items() if n not in downstream}),
-                      (KERNEL_OUTPUTS, {n: tensors[n] for n in downstream})]
-        for outputs, group in groups:
-            results += _rebinding_cases("kernel", _kernel_objective(unit, inputs, outputs),
-                                        group, tol)
+    for n_steps in KERNEL_STEPS:
+        for variant in KERNEL_VARIANTS:
+            unit, inputs = _kernel_inputs(variant, seed, n_steps)
+            label = variant if n_steps == 1 else f"{variant}/T{n_steps}"
+            tensors = {f"{label}:input:{name}": t for name, t in inputs.items()}
+            tensors.update((f"{label}:param:{name}", t)
+                           for name, t in unit.params("unit").items()
+                           if variant != "uniform" or ".ctrl." not in name)
+            groups = [(KERNEL_OUTPUTS, tensors)]
+            if variant == "hard" and n_steps == 1:
+                downstream = {n for n in tensors
+                              if any(d in n for d in HARD_DOWNSTREAM_TENSORS)}
+                groups = [(HARD_UPSTREAM_OUTPUTS,
+                           {n: t for n, t in tensors.items() if n not in downstream}),
+                          (KERNEL_OUTPUTS, {n: tensors[n] for n in downstream})]
+            for outputs, group in groups:
+                results += _rebinding_cases("kernel",
+                                            _kernel_objective(unit, inputs, outputs),
+                                            group, tol)
     return results
 
 

@@ -18,12 +18,12 @@ four fused ops, each one node with a hand-written backward:
 * ``weighted_concat``: the module fusion, K blocks each scaled by its
   weight and concatenated.
 
-The LSTM, attention and softmax arithmetic lives in plain-array forward
-and backward helpers (``lstm_forward``/``lstm_backward``,
-``attention_forward``/``attention_backward``,
-``softmax_forward``/``softmax_backward``), which these ops and the
-decoder's unit kernel (``decoder.unit_kernel``, a whole decoder unit
-step as one node) share, so the math exists once.
+The LSTM, attention and softmax arithmetic lives on plain arrays
+(``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``),
+which these ops and the decoder's unit kernel (``decoder.unit_kernel``, a
+decoder unit over T steps as one node) share, so the math exists once.
+A run records T steps: forward and input gradients go step by step, and
+the parameter gradients are one GEMM over the rows of all steps.
 
 Scenes with different region counts share a batch by zero-padding the
 region axis.  ``softmax``, ``additive_attention`` and ``mean_pool_rows``
@@ -680,79 +680,178 @@ def lstm_step(x, h, c, params: LstmParams):
 #
 # Forward and backward arithmetic of the LSTM cell and of additive
 # attention on plain arrays, shared by the fused ops below and by the
-# decoder unit kernel.  Each backward repeats the products and reductions
-# of the primitive chain in order, so all of them round as the unfused
-# graph does.
+# decoder unit kernel.  A run records T steps (one for the fused ops):
+# the forward and the input gradients go step by step, because the steps
+# recur, while the derivatives of the nonlinearities and the parameter
+# gradients are formed once over all T steps.  Each backward repeats the
+# products and reductions of the primitive chain in order, so a one-step
+# run rounds as the unfused graph does.
 
 
-def lstm_forward(xh, c, W, b):
-    """One LSTM update of the joined rows xh = [x, h] (B, d_in + d_h) and
-    the cell state c (B, d_h); returns (h', c', cache).  The gate sigmoid
-    may overflow exp: call under ``np.errstate(over="ignore")``."""
-    dh = b.shape[0] // 4
-    z = np.matmul(xh, W) + b
-    gates = 1.0 / (1.0 + np.exp(-z))    # the candidate block goes unused
-    i, f, o = gates[:, :dh], gates[:, dh:2 * dh], gates[:, 3 * dh:]
-    g = np.tanh(z[:, 2 * dh:3 * dh])
-    c2 = f * c + i * g
-    tanh_c2 = np.tanh(c2)
-    h2 = o * tanh_c2
-    return h2, c2, (xh, c, W, i, f, g, o, tanh_c2)
+def _steps(arrays: list) -> np.ndarray:
+    """Per-step arrays stacked along a new leading step axis; a single step
+    is a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def lstm_backward(cache, g_h, g_c):
-    """Gradients of an ``lstm_forward`` update from those of h' and c'
-    (None when c' has no consumer): returns (g_xh, g_c_prev, g_W, g_b)."""
-    xh, c, W, i, f, g, o, tanh_c2 = cache
-    g_tanh = g_h * o * (1.0 - tanh_c2 * tanh_c2)
-    g_c = g_tanh if g_c is None else g_c + g_tanh
-    g_z = np.concatenate([g_c * g * i * (1.0 - i),
-                          g_c * c * f * (1.0 - f),
-                          g_c * i * (1.0 - g * g),
-                          g_h * tanh_c2 * o * (1.0 - o)], axis=1)
-    return np.matmul(g_z, W.T), g_c * f, _t_matmul(xh, g_z), g_z.sum(axis=0)
+def _rows(a: np.ndarray, lead: int = 0) -> np.ndarray:
+    """(T, *lead_axes, ..., d) -> (*lead_axes, T*..., d): the rows of all
+    steps of each head, a view when T is 1."""
+    a = np.moveaxis(a, 0, lead)
+    return a.reshape(a.shape[:lead] + (-1, a.shape[-1]))
 
 
-def attention_forward(v, q_in, Wv_T, Wh_T, wa, mask=None):
-    """Additive attention of the queries q_in (B, d_c) over the rows of v
-    (..., B, N, d_v), with C-contiguous W_v^T (..., d_v, d_a) and W_h^T
-    (..., d_c, d_a) and the score vector wa (..., d_a).  Leading axes
-    stack independent heads that share the query; a stacked call rounds
-    exactly as one call per head.  Returns (alpha (..., B, N), attended
-    (..., B, d_v), cache)."""
-    *lead, b, n, d_v = v.shape
-    lead = tuple(lead)
-    d_a = wa.shape[-1]
-    v2 = v.reshape(lead + (b * n, d_v))
-    keys = np.matmul(v2, Wv_T).reshape(lead + (b, n, d_a))
-    q = np.matmul(q_in, Wh_T).reshape(lead + (b, 1, d_a))
-    t2 = np.tanh(keys + q).reshape(lead + (b * n, d_a))
-    scores = np.matmul(t2, wa[..., None]).reshape(lead + (b, n))
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    alpha = softmax_forward(scores)
-    attended = (alpha[..., None] * v).sum(axis=-2)
-    return alpha, attended, (v, v2, q_in, Wv_T, Wh_T, wa, t2, alpha)
+class LstmRun:
+    """A run of LSTM steps over B rows, with weights W (d_in + d_h, 4*d_h)
+    and bias b (4*d_h,).
+
+    ``forward`` runs the next step; ``backward`` runs step t's gradient and
+    must visit the steps in reverse; ``param_grads`` then returns the
+    weight and bias gradients of all steps, one GEMM and one sum over the
+    rows of every step.
+    """
+
+    def __init__(self, W, b):
+        self.W, self.b = W, b
+        self.dh = b.shape[0] // 4
+        self.steps = []     # per step: xh, c, gates, candidate, tanh(c')
+        self.g_z = None
+
+    def forward(self, parts, c):
+        """The next step on the joined rows xh = [*parts] and the cell state
+        c; returns (h', c').  The gate sigmoid may overflow exp: call under
+        ``np.errstate(over="ignore")``."""
+        dh = self.dh
+        xh = np.concatenate(parts, axis=1)
+        z = np.matmul(xh, self.W) + self.b
+        gates = 1.0 / (1.0 + np.exp(-z))    # the candidate block goes unused
+        i, f, o = gates[:, :dh], gates[:, dh:2 * dh], gates[:, 3 * dh:]
+        g = np.tanh(z[:, 2 * dh:3 * dh])
+        c2 = f * c + i * g
+        tanh_c2 = np.tanh(c2)
+        self.steps.append((xh, c, gates, g, tanh_c2))
+        return o * tanh_c2, c2
+
+    def backward(self, t, g_h, g_c):
+        """Gradients of step t from those of its h' and c' (None when c'
+        has no consumer): returns (g_xh, g_c_prev)."""
+        dh = self.dh
+        if self.g_z is None:
+            # the gate gradient is, block by block, ((p * q) * r) * s with
+            # p = [g_c, g_c, g_c, g_h] from this step's gradients and q, r,
+            # s, the same for every gradient, formed once for all steps
+            _, c_prev, gates, cand, tanh_c = (_steps(a) for a in zip(*self.steps))
+            block = slice(2 * dh, 3 * dh)
+            self.q = np.concatenate([cand, c_prev, gates[..., :dh], tanh_c], axis=-1)
+            self.r = gates.copy()
+            self.r[..., block] = 1.0 - cand * cand
+            self.s = 1.0 - gates
+            self.s[..., block] = 1.0
+            self.d_tanh_c = 1.0 - tanh_c * tanh_c
+            self.g_z = np.empty_like(gates)
+            # One step multiplies by the transposed view of W, as the
+            # op-composed reference does.  Over several steps a contiguous
+            # copy of W^T, made once, multiplies about three times faster
+            # at these sizes on OpenBLAS; it rounds differently only for
+            # fewer than 8 rows.
+            self.W_T = self.W.T if len(gates) == 1 else np.ascontiguousarray(self.W.T)
+        f, o = self.r[t, :, dh:2 * dh], self.r[t, :, 3 * dh:]
+        g_tanh = g_h * o * self.d_tanh_c[t]
+        g_c = g_tanh if g_c is None else g_c + g_tanh
+        p = np.empty((g_c.shape[0], 4, dh), g_c.dtype)
+        p[:, :3] = g_c[:, None]
+        p[:, 3] = g_h
+        g_z = np.multiply(p.reshape(g_c.shape[0], -1), self.q[t], out=self.g_z[t])
+        g_z *= self.r[t]
+        g_z *= self.s[t]
+        return np.matmul(g_z, self.W_T), g_c * f
+
+    def param_grads(self):
+        """(g_W, g_b) summed over every step.  This ends the backward: the
+        arrays formed for it are let go, so a graph's runs do not all hold
+        them at once."""
+        g_z = _rows(self.g_z)
+        grads = _t_matmul(np.concatenate([xh for xh, *_ in self.steps]), g_z), g_z.sum(axis=0)
+        self.q = self.r = self.s = self.d_tanh_c = self.g_z = None
+        return grads
 
 
-def attention_backward(cache, g_alpha, g_att):
-    """Gradients of an ``attention_forward`` call from those of alpha
-    (None when alpha has no consumer) and of the attended rows.  Returns
-    (g_v through the weighted sum, g_v through the keys, g_q_in per head,
-    g_W_v, g_W_h, g_w_a)."""
-    v, v2, q_in, Wv_T, Wh_T, wa, t2, alpha = cache
-    g_att = np.broadcast_to(g_att[..., None, :], v.shape)
-    g_alpha_in = (g_att * v).sum(axis=-1)
-    g_alpha = g_alpha_in if g_alpha is None else g_alpha + g_alpha_in
-    g_scores = softmax_backward(alpha, g_alpha).reshape(t2.shape[:-1] + (1,))
-    g_pre = g_scores * wa[..., None, :] * (1.0 - t2 * t2)            # (..., B*N, d_a)
-    g_q = g_pre.reshape(alpha.shape + (wa.shape[-1],)).sum(axis=-2)
-    return (g_att * alpha[..., None],
-            np.matmul(g_pre, np.swapaxes(Wv_T, -1, -2)).reshape(v.shape),
-            np.matmul(g_q, np.swapaxes(Wh_T, -1, -2)),
-            np.swapaxes(_t_matmul(v2, g_pre), -1, -2),
-            np.swapaxes(_t_matmul(q_in, g_q), -1, -2),
-            np.matmul(np.swapaxes(t2, -1, -2), g_scores)[..., 0])
+class AttentionRun:
+    """A run of additive-attention queries over one set of values.
+
+    The values v (..., B, N, d_v) are attended with C-contiguous W_v^T
+    (..., d_v, d_a) and W_h^T (..., d_c, d_a) and the score vector wa
+    (..., d_a); leading axes stack independent heads that share the
+    query, and a stacked run rounds exactly as one run per head.  A
+    boolean (B, N) mask gives padded regions a score of -inf.  The key
+    projection is computed once; ``forward`` takes the next step's query
+    rows, ``backward`` step t's gradients (steps in reverse), and
+    ``grads`` returns the gradients of the values and the weights summed
+    over all steps.
+    """
+
+    def __init__(self, v, Wv_T, Wh_T, wa, mask=None):
+        *lead, b, n, d_v = v.shape
+        self.lead = tuple(lead)
+        self.v, self.Wv_T, self.Wh_T, self.wa, self.mask = v, Wv_T, Wh_T, wa, mask
+        self.v2 = v.reshape(self.lead + (b * n, d_v))
+        self.keys = np.matmul(self.v2, Wv_T).reshape(self.lead + (b, n, wa.shape[-1]))
+        self.q_in, self.t2, self.alpha = [], [], []
+        self.g_direct = self.g_pre = None
+
+    def forward(self, q_in):
+        """The next step for the queries q_in (B, d_c): returns (alpha
+        (..., B, N), attended (..., B, d_v))."""
+        b, n, d_a = self.keys.shape[-3:]
+        q = np.matmul(q_in, self.Wh_T).reshape(self.lead + (b, 1, d_a))
+        t2 = np.tanh(self.keys + q).reshape(self.lead + (b * n, d_a))
+        scores = np.matmul(t2, self.wa[..., None]).reshape(self.lead + (b, n))
+        if self.mask is not None:
+            scores = np.where(self.mask, scores, -np.inf)
+        alpha = softmax_forward(scores)
+        self.q_in.append(q_in)
+        self.t2.append(t2)
+        self.alpha.append(alpha)
+        return alpha, (alpha[..., None] * self.v).sum(axis=-2)
+
+    def backward(self, t, g_alpha, g_att):
+        """Gradients of step t from those of alpha (None when alpha has no
+        consumer) and of the attended rows; returns the query gradient of
+        each head (..., B, d_c)."""
+        v, alpha = self.v, self.alpha[t]
+        if self.g_direct is None:
+            t2 = _steps(self.t2)
+            self.d_t2 = 1.0 - t2 * t2
+            self.g_scores = np.empty(t2.shape[:-1] + (1,), t2.dtype)
+            self.g_q = np.empty((len(t2),) + alpha.shape[:-1] + t2.shape[-1:], t2.dtype)
+        g_att = np.broadcast_to(g_att[..., None, :], v.shape)
+        g_alpha_in = (g_att * v).sum(axis=-1)
+        g_alpha = g_alpha_in if g_alpha is None else g_alpha + g_alpha_in
+        g_scores = self.g_scores[t]
+        g_scores[...] = softmax_backward(alpha, g_alpha).reshape(g_scores.shape)
+        g_pre = g_scores * self.wa[..., None, :] * self.d_t2[t]
+        g_q = self.g_q[t]
+        g_q[...] = g_pre.reshape(alpha.shape + g_pre.shape[-1:]).sum(axis=-2)
+        g_direct = g_att * alpha[..., None]
+        self.g_direct = g_direct if self.g_direct is None else self.g_direct + g_direct
+        self.g_pre = g_pre if self.g_pre is None else self.g_pre + g_pre
+        return np.matmul(g_q, np.swapaxes(self.Wh_T, -1, -2))
+
+    def grads(self):
+        """(g_v through the weighted sum, g_v through the keys, g_W_v,
+        g_W_h, g_w_a), each summed over every step; the values are shared
+        by all steps, so the key path uses the summed key gradient.  This
+        ends the backward, and the arrays formed for it are let go."""
+        lead = len(self.lead)
+        grads = (self.g_direct,
+                 np.matmul(self.g_pre, np.swapaxes(self.Wv_T, -1, -2)).reshape(self.v.shape),
+                 np.swapaxes(_t_matmul(self.v2, self.g_pre), -1, -2),
+                 np.swapaxes(_t_matmul(np.concatenate(self.q_in), _rows(self.g_q, lead)),
+                             -1, -2),
+                 np.matmul(np.swapaxes(_rows(_steps(self.t2), lead), -1, -2),
+                           _rows(self.g_scores, lead))[..., 0])
+        self.g_direct = self.g_pre = self.d_t2 = self.g_scores = self.g_q = None
+        return grads
 
 
 # -- fused ops ------------------------------------------------------------
@@ -794,12 +893,14 @@ def lstm_cell(x, h, c, W, b):
     d_in = W.data.shape[0] - dh
     if x_d.shape[-1] != d_in:
         raise ShapeError(f"lstm_step input has width {x_d.shape[-1]}, weights expect {d_in}")
+    run = LstmRun(W.data, b.data)
     with np.errstate(over="ignore"):
-        h2, c2, cache = lstm_forward(np.concatenate([x_d, h_d], axis=1), c_d, W.data, b.data)
+        h2, c2 = run.forward([x_d, h_d], c_d)
 
     def backward(grad):
-        g_xh, g_c, g_W, g_b = lstm_backward(cache, grad[:h2.size].reshape(h2.shape),
-                                            grad[h2.size:].reshape(c2.shape))
+        g_xh, g_c = run.backward(0, grad[:h2.size].reshape(h2.shape),
+                                 grad[h2.size:].reshape(c2.shape))
+        g_W, g_b = run.param_grads()
         if W.requires_grad:
             _accum(W, g_W)
         if b.requires_grad:
@@ -834,13 +935,14 @@ def additive_attention(values, query, W_v, W_h, w_a, mask=None):
         q_in = q_in.reshape(1, -1)
     if v.shape[1] == 0:
         raise ValueError("attention over an empty value set")
-    Wv_T, Wh_T = np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T)
-    alpha, attended, cache = attention_forward(v, q_in, Wv_T, Wh_T, w_a.data, mask)
+    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T),
+                       w_a.data, mask)
+    alpha, attended = run.forward(q_in)
 
     def backward(grad):
-        g_direct, g_keys, g_q, g_Wv, g_Wh, g_wa = attention_backward(
-            cache, grad[:alpha.size].reshape(alpha.shape),
-            grad[alpha.size:].reshape(attended.shape))
+        g_q = run.backward(0, grad[:alpha.size].reshape(alpha.shape),
+                           grad[alpha.size:].reshape(attended.shape))
+        g_direct, g_keys, g_Wv, g_Wh, g_wa = run.grads()
         if values.requires_grad:
             _accum(values, g_direct.reshape(values.data.shape))
             _accum(values, g_keys.reshape(values.data.shape))
@@ -1069,12 +1171,23 @@ class Adam:
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their joint L2 norm is at most ``max_norm``;
+    returns the norm before clipping.
+
+    A gradient with a NaN or infinite entry raises ``TrainingError``
+    naming every such parameter, before any gradient is scaled.
+    """
     total = 0.0
     for name in sorted(params):
         g = params[name].grad
         if g is not None:
             total += float(np.sum(g.astype(np.float64) ** 2))
+    if not math.isfinite(total):
+        bad = [name for name in sorted(params)
+               if params[name].grad is not None and not np.all(np.isfinite(params[name].grad))]
+        if bad:
+            raise TrainingError(f"non-finite gradient for parameter{'s' * (len(bad) > 1)} "
+                                + ", ".join(f"'{name}'" for name in bad))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

@@ -8,13 +8,19 @@ greedy caption with the consensus metric, and weight the sampled
 log-probabilities by the advantage.
 
 Cross-entropy batches group examples whose scenes have the same region
-count; caption positions are padded and masked.  A refinement window
-takes its scenes as they come: their region features are zero-padded to
-the largest count and carry a region mask, so the whole window runs as
-one batched sample pass, one greedy pass and one forced pass.  All
+count; caption positions are padded and masked.  A teacher-forced pass
+does not step the decode loop: it gathers the embeddings of every input
+token at once, runs each decoder unit over the whole caption in one
+kernel call, and scores all T*B positions with one word head, softmax
+and NLL.  A refinement window takes its scenes as they come: their
+region features are zero-padded to the largest count and carry a region
+mask, so the whole window runs as one batched sample pass, one greedy
+pass and one forced pass.  All
 shuffling, sampling, and hard-selection noise comes from one stream
 derived from the training seed, which is what makes resuming from a
-checkpoint reproduce the uninterrupted run.
+checkpoint reproduce the uninterrupted run.  Each epoch record keeps the
+mean and largest pre-clip gradient norm of its updates and how many of
+them were clipped.
 """
 
 from __future__ import annotations
@@ -36,10 +42,8 @@ from .decoder import (
     PAD_ID,
     CaptionModel,
     beam_search,
-    forced_policy,
     greedy_decode,
     one_scene,
-    run_decoder,
     sample_decode,
     strip_sequence,
 )
@@ -53,6 +57,7 @@ from .tensor import (
     clip_global_norm,
     masked_nll,
     no_grad,
+    reshape,
 )
 
 LOG = logging.getLogger(__name__)
@@ -166,32 +171,23 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
     has_ctrl = model.cfg.single_module is None
     supervise = lam_ling > 0.0 and has_ctrl
 
-    xe_sum = None
+    dist, traces = model.forced(batch.inputs, enc, rng)
+    # rows of dist and of every per-step (T, B) array, flattened step-major
+    step_major = lambda a: np.asarray(a).T.ravel()
+    gold, mask = step_major(batch.targets), step_major(batch.mask)
+    xe_sum = masked_nll(dist, gold, mask, LOSS_EPS)
+    correct = float(((np.argmax(dist.data, axis=1) == gold) * mask).sum())
+    agree = None
+    if has_ctrl:
+        chosen = np.argmax(traces[-1].weights.data, axis=-1).ravel()
+        agree = float(((chosen == step_major(batch.labels)) * mask).sum())
     ling_sum = None
-    correct = 0.0
-    agree = 0.0 if has_ctrl else None
-
-    def observe(t, dist, traces, tok, live):
-        nonlocal xe_sum, ling_sum, correct, agree
-        gold = batch.targets[:, t]
-        mask_np = batch.mask[:, t]
-        nll = masked_nll(dist, gold, mask_np, LOSS_EPS)
-        xe_sum = nll if xe_sum is None else xe_sum + nll
-
-        pred = np.argmax(dist.data, axis=1)
-        correct += float(((pred == gold) * mask_np).sum())
-        if has_ctrl:
-            chosen = np.argmax(traces[-1].weights.data, axis=1)
-            agree += float(((chosen == batch.labels[:, t]) * mask_np).sum())
-        if supervise:
-            for tr in traces:
-                unit_nll = masked_nll(tr.soft, batch.labels[:, t], ling_mask[:, t], LOSS_EPS)
-                ling_sum = unit_nll if ling_sum is None else ling_sum + unit_nll
-
-    # feeds exactly batch.inputs[:, t] at step t
-    tokens = np.concatenate([batch.inputs, batch.targets[:, -1:]], axis=1)
-    run_decoder(model, enc, batch.inputs.shape[1], forced_policy(tokens), observe, rng=rng,
-                bos=tokens[:, 0])
+    if supervise:
+        labels, weights = step_major(batch.labels), step_major(ling_mask)
+        for tr in traces:
+            unit_nll = masked_nll(reshape(tr.soft, (-1, tr.soft.shape[-1])), labels, weights,
+                                  LOSS_EPS)
+            ling_sum = unit_nll if ling_sum is None else ling_sum + unit_nll
 
     n_tokens = float(batch.mask.sum())
     loss = xe_sum / n_tokens
@@ -278,6 +274,13 @@ def _check_finite(value: Tensor, where: str) -> None:
         raise TrainingError(f"non-finite loss at {where}")
 
 
+def _norm_record(norms: list, max_norm: float) -> dict:
+    """The pre-clip gradient norms of an epoch's updates, summarised."""
+    return {"grad_norm_mean": sum(norms) / len(norms) if norms else None,
+            "grad_norm_max": max(norms) if norms else None,
+            "clipped_steps": sum(norm > max_norm for norm in norms)}
+
+
 def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                  cfg: TrainConfig, opt: Adam, rng: Rng, epoch: int,
                  examples=None) -> dict:
@@ -293,13 +296,14 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     tokens = 0.0
     correct = 0.0
     agree = 0.0
+    norms = []
     has_ctrl = model.cfg.single_module is None
     for step, batch in enumerate(batches):
         stats = teacher_forced(model, batch, lam_ling=lam, rng=rng)
         _check_finite(stats.loss, f"epoch {epoch} step {step}")
         _clear_grads(params)
         stats.loss.backward()
-        clip_global_norm(params, cfg.grad_clip)
+        norms.append(clip_global_norm(params, cfg.grad_clip))
         opt.step(params, lr)
         loss_sum += stats.loss.item() * stats.n_tokens
         tokens += stats.n_tokens
@@ -313,6 +317,7 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
         "loss": loss_sum / tokens,
         "token_acc": correct / tokens,
         "ctrl_agree": (agree / tokens) if has_ctrl else None,
+        **_norm_record(norms, cfg.grad_clip),
     }
 
 
@@ -339,6 +344,7 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     adv_sum = 0.0
     steps = 0
     skipped = 0
+    norms = []
     for lo in range(0, len(order), cfg.batch_size):
         window = [gold_example[scenes[i].scene_id] for i in order[lo:lo + cfg.batch_size]]
         batch = _pack(window, scenes_by_id, synth)
@@ -366,7 +372,7 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
         _check_finite(combined, f"epoch {epoch} refinement step {steps}")
         _clear_grads(params)
         combined.backward()
-        clip_global_norm(params, cfg.grad_clip)
+        norms.append(clip_global_norm(params, cfg.grad_clip))
         opt.step(params, lr)
 
     return {
@@ -376,6 +382,7 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
         "mean_reward": reward_sum / max(steps, 1),
         "mean_advantage": adv_sum / max(steps, 1),
         "skipped_updates": skipped,
+        **_norm_record(norms, cfg.grad_clip),
     }
 
 

@@ -157,6 +157,23 @@ def test_adam_steps_not_a_mapping_exit_2(data_dir, checkpoint, tmp_path, capsys)
     assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
 
 
+def test_non_finite_gradient_exits_3_naming_the_parameter(data_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    import modcap.training
+    real_clip = modcap.training.clip_global_norm
+
+    def poisoning_clip(params, max_norm):
+        params["head.W"].grad[0, 0] = np.nan
+        return real_clip(params, max_norm)
+
+    monkeypatch.setattr(modcap.training, "clip_global_norm", poisoning_clip)
+    path = tmp_path / "m.bin"
+    assert run(["train", "--data", str(data_dir), "--out", str(path)] + TRAIN_FLAGS) == 3
+    err = capsys.readouterr().err
+    assert "'head.W'" in err and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys):
     from modcap.training import restore_training, save_checkpoint
 

@@ -5,6 +5,7 @@ import pytest
 
 from modcap.tensor import FLOAT64, Rng, Tensor, relu
 from modcap.gradcheck import (
+    KERNEL_STEPS,
     KERNEL_VARIANTS,
     N_COMPOSITES,
     _kernel_inputs,
@@ -80,13 +81,17 @@ class TestKernelSection:
         assert not failures
         names = {r.name for r in results}
         assert len(names) == len(results)
-        for variant in KERNEL_VARIANTS:
-            unit, inputs = _kernel_inputs(variant, seed=0)
-            for name in inputs:
-                assert f"{variant}:input:{name}" in names
-            params = [name for name in unit.params("unit")
-                      if variant != "uniform" or ".ctrl." not in name]
-            for name in params:
-                assert f"{variant}:param:{name}" in names
+        for n_steps in KERNEL_STEPS:
+            for variant in KERNEL_VARIANTS:
+                label = variant if n_steps == 1 else f"{variant}/T{n_steps}"
+                unit, inputs = _kernel_inputs(variant, seed=0, n_steps=n_steps)
+                assert inputs["i_prev"].ndim == (2 if n_steps == 1 else 3)
+                for name in inputs:
+                    assert f"{label}:input:{name}" in names
+                params = [name for name in unit.params("unit")
+                          if variant != "uniform" or ".ctrl." not in name]
+                for name in params:
+                    assert f"{label}:param:{name}" in names
         assert any(n.startswith("hard:param:unit.ctrl.proj") for n in names)
+        assert any(n.startswith("hard/T3:param:unit.ctrl.proj") for n in names)
         assert any(n.startswith("single:param:unit.att.object") for n in names)

@@ -450,6 +450,19 @@ class TestClip:
         clip_global_norm({"x": x}, 5.0)
         assert np.allclose(x.grad, [0.3, 0.4])
 
+    def test_non_finite_gradients_raise_naming_each_parameter(self):
+        grads = {"a": [3.0, 0.0], "b": [np.nan, 1.0], "c": [0.0, 4.0], "d": [np.inf, 0.0]}
+        params = {}
+        for name, g in grads.items():
+            params[name] = Tensor(np.zeros(2), requires_grad=True)
+            params[name].grad = np.array(g, dtype=np.float32)
+        with pytest.raises(TrainingError) as err:
+            clip_global_norm(params, 1.0)
+        assert "'b'" in str(err.value) and "'d'" in str(err.value)
+        assert "'a'" not in str(err.value) and "'c'" not in str(err.value)
+        # nothing was scaled
+        assert params["a"].grad.tolist() == [3.0, 0.0]
+
 
 class TestFiniteDiff:
     def test_matches_known_derivative(self):

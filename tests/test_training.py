@@ -175,25 +175,31 @@ class TestTeacherForced:
         want = singles[0].xe_sum.item() + singles[1].xe_sum.item()
         assert both.xe_sum.item() == pytest.approx(want, rel=1e-5)
 
-    def test_feeds_exactly_the_gold_inputs(self, corpus, synth):
-        # padded rows are fed PAD after their end token, never the end token
+    def test_feeds_exactly_the_gold_inputs(self, corpus, synth, monkeypatch):
+        # padded rows are fed PAD after their end token, never the end token:
+        # the one embedding gather of the pass reads exactly batch.inputs,
+        # step-major
+        import modcap.decoder
         model = fresh_model(corpus)
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
         assert (batch.mask == 0).any()
         fed = []
-        real_step = model.step
+        real_gather = modcap.decoder.gather_rows
 
-        def spy(tokens, *args, **kwargs):
-            fed.append(np.array(tokens))
-            return real_step(tokens, *args, **kwargs)
+        def spy(table, indices):
+            if table is model.embed:
+                fed.append(np.array(indices))
+            return real_gather(table, indices)
 
-        model.step = spy
+        monkeypatch.setattr(modcap.decoder, "gather_rows", spy)
         teacher_forced(model, batch)
-        assert np.array_equal(np.stack(fed, axis=1), batch.inputs)
+        assert len(fed) == 1
+        assert np.array_equal(fed[0], batch.inputs.T)
 
     def test_node_count_is_deterministic_and_bounded(self, corpus, synth):
-        # 358 nodes with one node per decoder unit step (plus its outputs);
-        # with op-composed unit steps the same pass built 646
+        # 137 nodes with one node per decoder unit over the whole caption
+        # (plus its outputs); with one node per unit step the same pass
+        # built 358, with op-composed unit steps 646
         model_cfg, train_cfg = apply_preset(
             "CNM#2", ModelConfig(vocab_size=len(corpus.vocab)), TrainConfig())
         model = CaptionModel(model_cfg, Rng(3))
@@ -204,7 +210,7 @@ class TestTeacherForced:
             teacher_forced(model, batch, lam_ling=train_cfg.lambda_xe, rng=Rng(1))
             counts.append(next(Tensor._ids) - start - 1)
         assert counts[0] == counts[1]
-        assert counts[0] <= 393
+        assert counts[0] <= 150
 
     def test_metrics_shape(self, corpus, synth):
         model = fresh_model(corpus)
@@ -238,6 +244,51 @@ class TestXeEpoch:
         rng = Rng(0)
         stats = run_xe_epoch(model, corpus, synth, cfg, opt, rng, 5)
         assert stats["lr"] == pytest.approx(1e-3 * 0.5 ** 2)
+
+    def test_record_keeps_the_gradient_norms(self, corpus, synth, monkeypatch):
+        import modcap.training
+        norms = []
+        real_clip = modcap.training.clip_global_norm
+
+        def recording_clip(params, max_norm):
+            norms.append(real_clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(modcap.training, "clip_global_norm", recording_clip)
+        model = fresh_model(corpus, m_units=1)
+        # a bound between the smallest and the largest norm clips some steps
+        cfg = TrainConfig(xe_epochs=1, rl_epochs=0, batch_size=8, lr=3e-3, seed=5,
+                          grad_clip=0.6)
+        stats = run_xe_epoch(model, corpus, synth, cfg, Adam(), Rng(0), 0)
+        assert len(norms) == stats["steps"]
+        assert stats["grad_norm_mean"] == pytest.approx(sum(norms) / len(norms))
+        assert stats["grad_norm_max"] == max(norms)
+        assert stats["clipped_steps"] == sum(n > cfg.grad_clip for n in norms)
+        assert 0 < stats["clipped_steps"] < stats["steps"]
+
+    def test_nan_gradients_are_named_before_any_update(self, corpus, synth, monkeypatch):
+        # the global norm of a NaN gradient is NaN, which never compares
+        # greater than the bound: clipping must stop the step, not pass it on
+        import modcap.training
+        from modcap.errors import TrainingError
+        real_clip = modcap.training.clip_global_norm
+
+        def poisoning_clip(params, max_norm):
+            params["unit1.lstm2.W"].grad[0, 0] = np.nan
+            params["head.b"].grad[1] = np.inf
+            return real_clip(params, max_norm)
+
+        monkeypatch.setattr(modcap.training, "clip_global_norm", poisoning_clip)
+        model = fresh_model(corpus, m_units=1)
+        params = model.named_parameters()
+        before = {k: v.data.copy() for k, v in params.items()}
+        opt = Adam()
+        cfg = TrainConfig(xe_epochs=1, rl_epochs=0, batch_size=8, lr=3e-3, seed=5)
+        with pytest.raises(TrainingError) as err:
+            run_xe_epoch(model, corpus, synth, cfg, opt, Rng(0), 0)
+        assert "'head.b'" in str(err.value) and "'unit1.lstm2.W'" in str(err.value)
+        assert not opt.state
+        assert all(np.array_equal(before[k], params[k].data) for k in params)
 
 
 class TestSelfCritical:
@@ -324,6 +375,40 @@ class TestSelfCritical:
         assert runs[0][1] == runs[1][1]
         for name, value in runs[0][2].items():
             np.testing.assert_array_equal(value, runs[1][2][name], err_msg=name)
+
+    def test_record_counts_only_applied_updates(self, corpus, synth, monkeypatch):
+        # a window whose advantages are all zero is skipped (no word-class
+        # term): it adds no gradient norm
+        import modcap.training
+        real_loss, real_clip = (modcap.training.self_critical_loss,
+                                modcap.training.clip_global_norm)
+        windows, norms = [], []
+
+        def loss_zeroing_the_second_window(*args, **kwargs):
+            loss, infos = real_loss(*args, **kwargs)
+            windows.append(infos)
+            if len(windows) == 2:
+                for info in infos:
+                    info["advantage"] = 0.0
+            return loss, infos
+
+        def recording_clip(params, max_norm):
+            norms.append(real_clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(modcap.training, "self_critical_loss",
+                            loss_zeroing_the_second_window)
+        monkeypatch.setattr(modcap.training, "clip_global_norm", recording_clip)
+        cfg = TrainConfig(xe_epochs=0, rl_epochs=1, batch_size=4, lr=1e-3, seed=5,
+                          max_len=10, linguistic=False)
+        stats = run_rl_epoch(fresh_model(corpus), corpus, synth, cfg, Adam(),
+                             Rng(5).derive(TRAIN_STREAM_TAG), 0,
+                             IdfTable(corpus.references("train")), max_steps=12)
+        assert len(windows) == 3 and stats["skipped_updates"] >= 1
+        assert len(norms) == len(windows) - stats["skipped_updates"]
+        assert stats["grad_norm_mean"] == pytest.approx(sum(norms) / len(norms))
+        assert stats["grad_norm_max"] == max(norms)
+        assert stats["clipped_steps"] == sum(n > cfg.grad_clip for n in norms)
 
     def test_rl_epoch_without_supervision(self, corpus, synth):
         model = fresh_model(corpus)

@@ -1,11 +1,16 @@
-"""The fused decoder unit step against the op-composed reference.
+"""The fused decoder unit against the op-composed reference, and the
+whole-sequence kernel against the step loop.
 
 ``DecoderUnit.step`` runs a whole unit step as one autodiff node
-(``decoder.unit_kernel``); ``DecoderUnit.reference_step`` composes the
-same step from one node per op.  Every preset of the ablation grid runs
-on a batch of scenes with different region counts (zero-padded, masked)
-once through each, and every forward value, decoded token and gradient
-must agree bit for bit.
+(``decoder.unit_kernel`` on one step's rows); ``DecoderUnit.reference_step``
+composes the same step from one node per op.  Every preset of the
+ablation grid runs on a batch of scenes with different region counts
+(zero-padded, masked) once through each, and every forward value, decoded
+token and gradient must agree bit for bit.
+
+Teacher forcing runs each unit over all T steps in one kernel call
+(``CaptionModel.forced``); it must agree with T chained one-step calls to
+float-summation noise, and draw the same random numbers.
 """
 
 import numpy as np
@@ -18,11 +23,13 @@ from modcap.decoder import (
     CaptionModel,
     DecoderUnit,
     beam_search,
+    forced_policy,
     greedy_decode,
+    run_decoder,
     sample_decode,
 )
-from modcap.tensor import Rng, Tensor
-from modcap.training import _pack, teacher_forced
+from modcap.tensor import Rng, Tensor, masked_nll
+from modcap.training import LOSS_EPS, _pack, teacher_forced
 
 SPEC = CorpusSpec(n_scenes=40, seed=5)
 
@@ -54,17 +61,55 @@ def preset_model(corpus, preset, gumbel_tau=1.0):
     return CaptionModel(model_cfg, Rng(3).derive(1)), train_cfg
 
 
+def step_forced(model, batch, lam_ling, rng):
+    """The teacher-forced objective of ``training.teacher_forced``, driven
+    one decode step at a time: T chained one-step calls of each unit.
+    Returns (loss, per-step distributions, per-step traces, n_correct,
+    n_agree)."""
+    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+    sums = {"xe": None, "ling": None}
+    dists, traces, counts = [], [], [0.0, 0.0]
+
+    def add(key, term):
+        sums[key] = term if sums[key] is None else sums[key] + term
+
+    def observe(t, dist, step_traces, tok, live):
+        gold, mask = batch.targets[:, t], batch.mask[:, t]
+        dists.append(dist)
+        traces.append(step_traces)
+        add("xe", masked_nll(dist, gold, mask, LOSS_EPS))
+        counts[0] += float(((np.argmax(dist.data, axis=1) == gold) * mask).sum())
+        if step_traces[-1].weights is not None:
+            chosen = np.argmax(step_traces[-1].weights.data, axis=1)
+            counts[1] += float(((chosen == batch.labels[:, t]) * mask).sum())
+        if lam_ling > 0.0 and step_traces[0].soft is not None:
+            for tr in step_traces:
+                add("ling", masked_nll(tr.soft, batch.labels[:, t], mask, LOSS_EPS))
+
+    tokens = np.concatenate([batch.inputs, batch.targets[:, -1:]], axis=1)
+    run_decoder(model, enc, batch.inputs.shape[1], forced_policy(tokens), observe, rng=rng,
+                bos=tokens[:, 0])
+    n_tokens = float(batch.mask.sum())
+    loss = sums["xe"] / n_tokens
+    if sums["ling"] is not None:
+        loss = loss + lam_ling * (sums["ling"] / (n_tokens * len(model.units)))
+    return loss, dists, traces, counts[0], counts[1]
+
+
+def lam_of(train_cfg):
+    return train_cfg.lambda_xe if train_cfg.linguistic else 0.0
+
+
 def run_everything(model, train_cfg, batch):
     """Bytes of every forward value, decoded tokens and every gradient."""
     out = {}
     params = model.named_parameters()
     for p in params.values():
         p.grad = None
-    stats = teacher_forced(model, batch, lam_ling=train_cfg.lambda_xe if train_cfg.linguistic
-                           else 0.0, rng=Rng(1))
-    stats.loss.backward()
-    out["loss"] = stats.loss.data.tobytes()
-    out["counts"] = (stats.n_correct, stats.n_agree)
+    loss, _, _, n_correct, n_agree = step_forced(model, batch, lam_of(train_cfg), Rng(1))
+    loss.backward()
+    out["loss"] = loss.data.tobytes()
+    out["counts"] = (n_correct, n_agree)
     out.update((f"grad:{name}", p.grad.tobytes()) for name, p in params.items()
                if p.grad is not None)
 
@@ -136,17 +181,91 @@ def test_one_node_per_unit_step(corpus, preset):
     assert created == 1 + len(outputs) + len(constants)
 
 
-def test_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
-    # the step node never refers to its outputs: a finished graph is freed
-    # by reference counting alone, not left for the cycle collector
+def relative(got, want):
+    """Largest absolute difference over the largest magnitude."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
+
+
+@pytest.mark.parametrize("preset, gumbel_tau",
+                         [(preset, 1.0) for preset in PRESET_GRID] + [("Col/H+L", 0.5)])
+def test_sequence_matches_chained_steps(corpus, padded_batch, preset, gumbel_tau):
+    model, train_cfg = preset_model(corpus, preset, gumbel_tau)
+    batch = padded_batch
+    params = model.named_parameters()
+    n_steps = batch.inputs.shape[1]
+
+    def grads():
+        got = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
+        for p in params.values():
+            p.grad = None
+        return got
+
+    rng = Rng(1)
+    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+    dist, traces = model.forced(batch.inputs, enc, rng)
+    whole = {"dist": dist.data.reshape(n_steps, batch.size, -1)}
+    for m, tr in enumerate(traces):
+        whole.update((f"unit{m}.alpha.{k}", a.data) for k, a in tr.alphas.items())
+        if tr.weights is not None:
+            whole[f"unit{m}.weights"] = tr.weights.data
+        if tr.soft is not None:
+            whole[f"unit{m}.soft"] = tr.soft.data
+    stats = teacher_forced(model, batch, lam_ling=lam_of(train_cfg), rng=Rng(1),
+                           enc=enc)
+    stats.loss.backward()
+    whole_grads = grads()
+
+    chained_rng = Rng(1)
+    loss, dists, step_traces, n_correct, n_agree = step_forced(
+        model, batch, lam_of(train_cfg), chained_rng)
+    chained = {"dist": np.stack([d.data for d in dists])}
+    for m in range(len(model.units)):
+        per_unit = [st[m] for st in step_traces]
+        chained.update((f"unit{m}.alpha.{k}", np.stack([tr.alphas[k].data for tr in per_unit]))
+                       for k in per_unit[0].alphas)
+        if per_unit[0].weights is not None:
+            chained[f"unit{m}.weights"] = np.stack([tr.weights.data for tr in per_unit])
+        if per_unit[0].soft is not None:
+            chained[f"unit{m}.soft"] = np.stack([tr.soft.data for tr in per_unit])
+    loss.backward()
+    chained_grads = grads()
+
+    assert rng.get_state() == chained_rng.get_state()
+    assert whole.keys() == chained.keys()
+    for key in whole:
+        assert relative(whole[key], chained[key]) <= 1e-6, key
+    assert relative(stats.loss.data, loss.data) <= 1e-6
+    assert (stats.n_correct, stats.n_agree or 0.0) == (n_correct, n_agree)
+    assert whole_grads.keys() == chained_grads.keys()
+    assert any(name.startswith("unit1.att.") for name in whole_grads)
+    for name in whole_grads:
+        assert relative(whole_grads[name], chained_grads[name]) <= 1e-5, name
+
+
+def assert_freed_by_reference_counting(build_loss):
     import gc
-    model, train_cfg = preset_model(corpus, "CNM#2")
     gc.collect()
     gc.disable()
     try:
-        stats = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1))
-        stats.loss.backward()
-        del stats
+        loss = build_loss()
+        loss.backward()
+        del loss
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
+    # the kernel node never refers to its outputs: a finished graph of
+    # whole-caption unit nodes is freed by reference counting alone, not
+    # left for the cycle collector
+    model, _ = preset_model(corpus, "CNM#2")
+    assert_freed_by_reference_counting(
+        lambda: teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1)).loss)
+
+
+def test_step_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
+    # the same for a graph of one-step kernel calls, as sampling builds
+    model, _ = preset_model(corpus, "CNM#2")
+    assert_freed_by_reference_counting(lambda: step_forced(model, padded_batch, 1.0, Rng(1))[0])

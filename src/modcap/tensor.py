@@ -39,11 +39,14 @@ adds up the gradients a node receives from several consumers.
 
 Also here because the rest of the package leans on them: a portable
 counter-based RNG, parameter initialization, a functional Adam update,
-and a central-difference gradient oracle.
+a central-difference gradient oracle, and ``blas_on_calling_thread``,
+which keeps OpenBLAS off its worker threads for the training epochs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -75,6 +78,55 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+# -- BLAS threads -------------------------------------------------------------
+#
+# The largest products here are a few hundred rows (the T*B rows of a
+# whole-caption pass) by a few hundred columns.  OpenBLAS splits such a
+# product over its worker threads, which gain little at this size and then
+# spin for a while after the call, holding a second CPU, so the work's
+# speed follows whatever else wants that CPU.  The training epochs run as
+# fast with BLAS on the calling thread and keep it there.
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None where it cannot be found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextmanager
+def blas_on_calling_thread():
+    """Run the enclosed BLAS products on the calling thread, then restore
+    the thread count; does nothing where OpenBLAS cannot be found.  Usable
+    as a decorator."""
+    blas = _openblas()
+    prev = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if blas:
+            blas[1](prev)
 
 
 class Tensor:

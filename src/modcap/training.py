@@ -20,7 +20,8 @@ shuffling, sampling, and hard-selection noise comes from one stream
 derived from the training seed, which is what makes resuming from a
 checkpoint reproduce the uninterrupted run.  Each epoch record keeps the
 mean and largest pre-clip gradient norm of its updates and how many of
-them were clipped.
+them were clipped.  The epochs and ``teacher_forced_metrics`` keep BLAS
+on the calling thread (``tensor.blas_on_calling_thread``).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .tensor import (
     AdamState,
     Rng,
     Tensor,
+    blas_on_calling_thread,
     clip_global_norm,
     masked_nll,
     no_grad,
@@ -200,6 +202,7 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
                         n_tokens=n_tokens, n_correct=correct, n_agree=agree)
 
 
+@blas_on_calling_thread()
 def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
                            synth: FeatureSynthesizer, split: str,
                            batch_size: int = 16) -> dict:
@@ -281,6 +284,7 @@ def _norm_record(norms: list, max_norm: float) -> dict:
             "clipped_steps": sum(norm > max_norm for norm in norms)}
 
 
+@blas_on_calling_thread()
 def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                  cfg: TrainConfig, opt: Adam, rng: Rng, epoch: int,
                  examples=None) -> dict:
@@ -321,6 +325,7 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     }
 
 
+@blas_on_calling_thread()
 def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                  cfg: TrainConfig, opt: Adam, rng: Rng, epoch: int,
                  idf: IdfTable, max_steps: int | None = None) -> dict:

@@ -464,6 +464,37 @@ class TestClip:
         assert params["a"].grad.tolist() == [3.0, 0.0]
 
 
+
+def blas_threads():
+    """OpenBLAS's current thread count, None where it cannot be found."""
+    blas = T._openblas()
+    return blas[0]() if blas else None
+
+class TestBlasThreads:
+    def test_one_thread_inside_and_the_count_restored_after(self):
+        before = blas_threads()
+        inside = None if before is None else 1
+        with T.blas_on_calling_thread():
+            assert blas_threads() == inside
+            with T.blas_on_calling_thread():
+                assert blas_threads() == inside
+            assert blas_threads() == inside
+        assert blas_threads() == before
+        with pytest.raises(KeyError):
+            with T.blas_on_calling_thread():
+                raise KeyError("x")
+        assert blas_threads() == before
+
+    def test_decorated_function_runs_on_one_thread(self):
+        @T.blas_on_calling_thread()
+        def count():
+            return blas_threads()
+
+        before = blas_threads()
+        assert count() == (None if before is None else 1)
+        assert count() == (None if before is None else 1)
+        assert blas_threads() == before
+
 class TestFiniteDiff:
     def test_matches_known_derivative(self):
         x = Tensor(np.array([0.5, -1.2]), requires_grad=True, dtype=np.float64)

@@ -291,6 +291,45 @@ class TestXeEpoch:
         assert all(np.array_equal(before[k], params[k].data) for k in params)
 
 
+    def test_epochs_and_metrics_keep_blas_on_the_calling_thread(self, corpus, synth,
+                                                                 monkeypatch):
+        # whole-caption products are large enough for OpenBLAS to hand them
+        # to worker threads; the epochs keep them on the calling thread
+        import modcap.training
+        from modcap import tensor
+
+        def blas_threads():
+            blas = tensor._openblas()
+            return blas[0]() if blas else None
+
+        seen = []
+        real_clip = modcap.training.clip_global_norm
+        real_forced = modcap.training.teacher_forced
+
+        def recording_clip(params, max_norm):
+            seen.append(("clip", blas_threads()))
+            return real_clip(params, max_norm)
+
+        def recording_forced(*args, **kwargs):
+            seen.append(("forced", blas_threads()))
+            return real_forced(*args, **kwargs)
+
+        monkeypatch.setattr(modcap.training, "clip_global_norm", recording_clip)
+        monkeypatch.setattr(modcap.training, "teacher_forced", recording_forced)
+        before = blas_threads()
+        model = fresh_model(corpus, m_units=1)
+        cfg = TrainConfig(xe_epochs=1, rl_epochs=1, batch_size=8, lr=3e-3, seed=5)
+        rng = Rng(0)
+        run_xe_epoch(model, corpus, synth, cfg, Adam(), rng, 0)
+        modcap.training.teacher_forced_metrics(model, corpus, synth, "val")
+        before_rl = len(seen)
+        run_rl_epoch(model, corpus, synth, cfg, Adam(), rng, 1,
+                     IdfTable(corpus.references("train")), max_steps=8)
+        assert len(seen) > before_rl
+        assert {name for name, _ in seen} == {"clip", "forced"}
+        assert {count for _, count in seen} == {None if before is None else 1}
+        assert blas_threads() == before
+
 class TestSelfCritical:
     def test_zero_advantage_means_zero_gradient(self, corpus, synth):
         model = fresh_model(corpus)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field, replace
 
@@ -96,12 +97,18 @@ class TrainConfig:
             raise ConfigError("epoch counts cannot be negative")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for name in ("lr", "rl_lr_scale", "grad_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("lambda_xe", "lambda_rl"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.rl_lr_scale <= 0:
-            raise ConfigError(f"rl_lr_scale must be positive, got {self.rl_lr_scale}")
+        if self.decay_every < 1:
+            raise ConfigError(f"decay_every must be at least 1, got {self.decay_every}")
         if self.max_len < 2:
             raise ConfigError(f"max_len={self.max_len} cannot fit a word and the end token")
 

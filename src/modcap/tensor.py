@@ -37,10 +37,17 @@ and reductions of the primitive chain it replaces, in the same order, so
 fused and unfused graphs differ only in the order in which the sweep
 adds up the gradients a node receives from several consumers.
 
+The optimizer layer works on a ``ParamArena``: a model's parameters laid
+end to end in one flat buffer of values and one of gradients, with each
+parameter's ``data`` and ``grad`` a view of its slice.  ``Adam`` keeps
+its moments in flat buffers of the same layout and updates the whole set
+elementwise, a stretch of the buffers per numpy call; ``clip_global_norm``
+scales the gradient buffer at once.
+
 Also here because the rest of the package leans on them: a portable
-counter-based RNG, parameter initialization, a functional Adam update,
-a central-difference gradient oracle, and ``blas_on_calling_thread``,
-which keeps OpenBLAS off its worker threads for the training epochs.
+counter-based RNG, parameter initialization, a central-difference
+gradient oracle, and ``blas_on_calling_thread``, which keeps OpenBLAS
+off its worker threads for the training epochs.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import ctypes
 import functools
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -132,12 +140,18 @@ def blas_on_calling_thread():
 class Tensor:
     """Immutable n-d float array with an optional gradient slot.
 
-    ``data`` is never written through after construction; optimizers swap
-    in a fresh array by rebinding the attribute, which leaves any already
-    recorded graph (whose closures captured the old array) intact.
+    ``data`` is never written through after construction.  An optimizer
+    step builds a fresh buffer for the values of every parameter in its
+    ``ParamArena`` and rebinds each ``data`` to a view of it, which leaves
+    any already recorded graph (whose closures captured the old arrays)
+    intact.  Gradients, in contrast, are written in place: once an arena
+    holds a parameter, its ``grad`` is a view of the arena's gradient
+    buffer, which backward and clipping write into.  ``grad`` is None until
+    an op reaches the parameter.  ``_slot`` is the (arena, gradient view)
+    pair of a parameter an arena holds, else None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_slot")
     _ids = itertools.count()
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -153,6 +167,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._id = next(Tensor._ids)
+        self._slot = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -162,6 +177,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._id = next(Tensor._ids)
+        out._slot = None
         if _grad_enabled and any([p.requires_grad for p in parents]):
             out.requires_grad = True
             out._parents = parents
@@ -277,10 +293,15 @@ def sweep_order(root: Tensor) -> list[Tensor]:
 
 
 def _accum(node: Tensor, g: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = g.copy()
-    else:
+    if node.grad is not None:
         node.grad += g
+    elif node._slot is not None:
+        # a parameter in an arena: its first gradient lands in its slice
+        grad = node._slot[1]
+        grad[...] = g
+        node.grad = grad
+    else:
+        node.grad = g.copy()
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -1165,88 +1186,230 @@ def make_lstm_params(rng: Rng, d_in: int, d_h: int, dtype=FLOAT32) -> LstmParams
     return LstmParams(W=W, b=Tensor(b, requires_grad=True))
 
 
-# -- Adam -----------------------------------------------------------------
+# -- parameter arena, Adam and clipping -----------------------------------------
+
+
+class ParamArena:
+    """Named parameters laid end to end in flat buffers of their dtype.
+
+    ``data`` holds the values and ``grad`` the gradients, in the order of
+    the dict the arena is built from (``named_parameters`` order for a
+    model).  Each parameter's ``data``, and its ``grad`` once backward
+    reaches it, are views of its slice, so work over the whole set is one
+    numpy call per buffer instead of one per parameter.
+
+    ``ParamArena.of`` finds the arena that holds a dict of parameters.  It
+    builds a new one, copying every value in, when there is none, when the
+    dict holds other parameters, or when a parameter's ``data`` was rebound
+    from outside (a checkpoint load); a gradient set by hand is copied into
+    its slice.
+    """
+
+    SCRATCH = 1 << 18   # bytes of working space, lent to clipping and Adam in turn
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.names = tuple(params)
+        self.tensors = tuple(params.values())
+        dtypes = {p.data.dtype for p in self.tensors}
+        if len(dtypes) != 1:
+            raise TypeError("an arena holds parameters of one dtype, got "
+                            + (", ".join(sorted(d.name for d in dtypes)) or "no parameters"))
+        ends = list(itertools.accumulate(p.data.size for p in self.tensors))
+        self.bounds = tuple(zip([0] + ends[:-1], ends))
+        self.grad = np.zeros(ends[-1], dtype=dtypes.pop())
+        self.grads = self.views_of(self.grad)
+        self.scratch = np.empty(max(self.SCRATCH, 8 * max(hi - lo for lo, hi in self.bounds)),
+                                dtype=np.uint8)
+        # runs of whole parameters whose float64 squares fit the scratch
+        self.square_runs = []
+        for i, (lo, hi) in enumerate(self.bounds):
+            if self.square_runs and 8 * (hi - self.square_runs[-1][0]) <= self.scratch.size:
+                self.square_runs[-1][1] = hi
+                self.square_runs[-1][2].append(i)
+            else:
+                self.square_runs.append([lo, hi, [i]])
+        self.rebind(np.concatenate([p.data.ravel() for p in self.tensors]))
+        for p, grad in zip(self.tensors, self.grads):
+            p._slot = (self, grad)
+
+    def views_of(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each parameter's slice of a flat buffer of this layout, in its shape."""
+        return tuple(flat[lo:hi].reshape(p.data.shape)
+                     for p, (lo, hi) in zip(self.tensors, self.bounds))
+
+    def rebind(self, data: np.ndarray) -> None:
+        """Make ``data`` the values: every parameter's ``data`` becomes a view
+        of its slice."""
+        self.data = data
+        self.views = self.views_of(data)
+        for p, view in zip(self.tensors, self.views):
+            p.data = view
+
+    def square_sums(self) -> list:
+        """Per parameter, the float64 sum of the squares of its gradient, the
+        value of ``np.sum(g.astype(np.float64) ** 2)``; None where ``grad``
+        is None.  numpy sums a contiguous array as one run whatever its
+        shape, so the flat slice of the squares gives the same bits."""
+        sums = [None] * len(self.tensors)
+        for lo, hi, members in self.square_runs:
+            squares = self.scratch.view(FLOAT64)[:hi - lo]
+            np.square(self.grad[lo:hi], out=squares, dtype=FLOAT64)
+            for i in members:
+                if self.tensors[i].grad is not None:
+                    a, b = self.bounds[i]
+                    sums[i] = float(np.add.reduce(squares[a - lo:b - lo]))
+        return sums
+
+    @staticmethod
+    def of(params: dict[str, Tensor]) -> "ParamArena":
+        """The arena holding exactly ``params``, in their order."""
+        first = next(iter(params.values()), None)
+        arena = first._slot[0] if first is not None and first._slot is not None else None
+        if (arena is None or arena.names != tuple(params)
+                or not all(map(operator.is_, arena.tensors, params.values()))
+                or not all(map(operator.is_, [p.data for p in arena.tensors], arena.views))):
+            arena = ParamArena(params)
+        for p, grad in zip(arena.tensors, arena.grads):
+            if p.grad is not None and p.grad is not grad:
+                grad[...] = p.grad
+                p.grad = grad
+        return arena
+
+
+def _non_finite(names) -> TrainingError:
+    return TrainingError(f"non-finite gradient for parameter{'s' * (len(names) > 1)} "
+                         + ", ".join(f"'{name}'" for name in names))
 
 
 @dataclass
 class AdamState:
+    """One parameter's moments (views of the optimizer's flat buffers once
+    it has stepped) and its step count."""
+
     m: np.ndarray
     v: np.ndarray
     t: int
 
 
-def adam_init(param: Tensor) -> AdamState:
-    return AdamState(
-        m=np.zeros_like(param.data), v=np.zeros_like(param.data), t=0
-    )
-
-
-def adam_update(param, grad, state: AdamState, lr, beta1=0.9, beta2=0.999,
-                eps=1e-8, name="param"):
-    """Bias-corrected Adam step.  Returns (new value, new state); the caller
-    decides what to do with them, nothing is written in place."""
-    p = param.data if isinstance(param, Tensor) else np.asarray(param)
-    g = grad.data if isinstance(grad, Tensor) else np.asarray(grad)
-    if not np.all(np.isfinite(g)):
-        raise TrainingError(f"non-finite gradient for parameter '{name}'")
-    t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new.astype(p.dtype), AdamState(m=m, v=v, t=t)
-
-
 class Adam:
-    """Keeps one AdamState per named parameter and applies updates by
-    rebinding each Tensor's buffer."""
+    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) over a ParamArena.
+
+    ``state`` maps every parameter that has been updated to its AdamState.
+    A parameter whose ``grad`` is None is skipped: no update, no state, no
+    step.  The moments live in flat buffers laid out like the arena and are
+    updated in place; the values go to a fresh buffer (see ``Tensor``).
+    States set from outside, a restored checkpoint's, are copied into the
+    flat buffers on the next step.
+
+    Each element goes through the arithmetic of a per-parameter update,
+    with the same Python-float scalars cast to the buffer dtype, so the
+    bits do not depend on the layout.  Parameters with different step
+    counts form separate stretches, each with its own bias correction.
+    """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.state: dict[str, AdamState] = {}
+        self._arena = None
+
+    def _moments(self, arena: ParamArena) -> None:
+        """Lay the flat moments out for ``arena`` and copy in every state
+        that does not hold views of them."""
+        if arena is not self._arena:
+            self._arena = arena
+            self._m, self._v = np.zeros_like(arena.grad), np.zeros_like(arena.grad)
+            self._ms, self._vs = arena.views_of(self._m), arena.views_of(self._v)
+        for name, m, v in zip(arena.names, self._ms, self._vs):
+            st = self.state.get(name)
+            if st is not None and (st.m is not m or st.v is not v):
+                m[...] = st.m
+                v[...] = st.v
+                st.m, st.v = m, v
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
-        for name in sorted(params):
-            p = params[name]
+        arena = ParamArena.of(params)
+        self._moments(arena)
+        stepping = []     # (index, step count after this update)
+        runs = []         # [lo, hi, t]: adjacent parameters with the same count
+        for i, (name, p) in enumerate(zip(arena.names, arena.tensors)):
             if p.grad is None:
                 continue
             st = self.state.get(name)
+            t = (0 if st is None else st.t) + 1
+            stepping.append((i, t))
+            lo, hi = arena.bounds[i]
+            if runs and runs[-1][1] == lo and runs[-1][2] == t:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi, t])
+        g = arena.grad
+        if not all(np.isfinite(g[lo:hi]).all() for lo, hi, _ in runs):
+            raise _non_finite(sorted(arena.names[i] for i, _ in stepping
+                                     if not np.isfinite(arena.grads[i]).all()))
+        for i, t in stepping:
+            st = self.state.get(arena.names[i])
             if st is None:
-                st = adam_init(p)
-            new, st = adam_update(p, p.grad, st, lr, self.beta1, self.beta2,
-                                  self.eps, name=name)
-            self.state[name] = st
-            p.data = np.ascontiguousarray(new)
+                m, v = self._ms[i], self._vs[i]
+                m[...] = 0.0
+                v[...] = 0.0
+                st = self.state[arena.names[i]] = AdamState(m=m, v=v, t=0)
+            st.t = t
+        old, new = arena.data, np.empty_like(arena.data)
+        scratch = arena.scratch.view(g.dtype)       # one stretch at most this long
+        done = 0
+        for lo, hi, t in runs:
+            new[done:lo] = old[done:lo]      # parameters without a gradient
+            for a in range(lo, hi, scratch.size):
+                b = min(a + scratch.size, hi)
+                self._update(old[a:b], g[a:b], self._m[a:b], self._v[a:b], new[a:b],
+                             scratch[:b - a], t, lr)
+            done = hi
+        new[done:] = old[done:]
+        arena.rebind(new)
+
+    def _update(self, p, g, m, v, out, tmp, t, lr) -> None:
+        """One stretch: m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in
+        place, then out = p - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)."""
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, 1.0 - self.beta2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, 1.0 - self.beta1**t, out=out)
+        out *= lr
+        out /= tmp
+        np.subtract(p, out, out=out)
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``;
     returns the norm before clipping.
 
-    A gradient with a NaN or infinite entry raises ``TrainingError``
-    naming every such parameter, before any gradient is scaled.
+    The norm adds up float64 sums of squares per parameter, in name order;
+    the scaling is one multiplication of the arena's gradient buffer.  A
+    gradient with a NaN or infinite entry raises ``TrainingError`` naming
+    every such parameter, before any gradient is scaled.
     """
+    arena = ParamArena.of(params)
+    sums = dict(zip(arena.names, arena.square_sums()))
     total = 0.0
-    for name in sorted(params):
-        g = params[name].grad
-        if g is not None:
-            total += float(np.sum(g.astype(np.float64) ** 2))
+    for name in sorted(sums):
+        if sums[name] is not None:
+            total += sums[name]
     if not math.isfinite(total):
         bad = [name for name in sorted(params)
                if params[name].grad is not None and not np.all(np.isfinite(params[name].grad))]
         if bad:
-            raise TrainingError(f"non-finite gradient for parameter{'s' * (len(bad) > 1)} "
-                                + ", ".join(f"'{name}'" for name in bad))
+            raise _non_finite(bad)
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for name in sorted(params):
-            g = params[name].grad
-            if g is not None:
-                params[name].grad = g * g.dtype.type(scale)
+        arena.grad *= arena.grad.dtype.type(max_norm / norm)
     return norm
 
 

@@ -593,13 +593,19 @@ def load_checkpoint(path: str):
                 tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         except struct.error as exc:
             raise FormatError(f"{path}: truncated checkpoint: {exc}") from exc
+        except DataError:
+            raise
+        except ValueError as exc:
+            # a damaged header: a name that is not UTF-8, an impossible rank
+            raise FormatError(f"{path}: malformed tensor entry: {exc}") from exc
     meta_file = _meta_path(path)
     try:
         with open(meta_file) as mf:
             meta = json.load(mf)
     except OSError as exc:
         raise DataError(f"checkpoint metadata missing: {meta_file}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # not JSON, or not UTF-8
         raise FormatError(f"{meta_file}: invalid JSON: {exc}") from exc
     recorded = meta.get("bin_sha256") if isinstance(meta, dict) else None
     if recorded is not None and recorded != hashlib.sha256(raw_file).hexdigest():

@@ -157,6 +157,19 @@ def test_adam_steps_not_a_mapping_exit_2(data_dir, checkpoint, tmp_path, capsys)
     assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
 
 
+@pytest.mark.parametrize("field,value", [("decay_every", 0), ("grad_clip", -5.0),
+                                         ("lambda_xe", -1.0), ("lambda_rl", -0.5)])
+def test_invalid_training_setting_in_meta_exits_2(data_dir, checkpoint, tmp_path, capsys,
+                                                  field, value):
+    # epoch 0 leaves the resumed run an epoch to train: unchecked, decay_every 0
+    # ended in a ZeroDivisionError and a negative grad_clip trained uphill
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: (meta["train"].update({field: value}),
+                                  meta.update(epoch=0)))
+    assert_data_error(["train", "--data", str(data_dir), "--out", str(path), "--resume"],
+                      capsys)
+
+
 def test_non_finite_gradient_exits_3_naming_the_parameter(data_dir, tmp_path, capsys,
                                                           monkeypatch):
     import modcap.training

@@ -10,10 +10,9 @@ from modcap.errors import ShapeError, TrainingError
 from modcap.tensor import (
     Adam,
     AdamState,
+    ParamArena,
     Rng,
     Tensor,
-    adam_init,
-    adam_update,
     clamp_min,
     clip_global_norm,
     concat,
@@ -36,6 +35,7 @@ from modcap.tensor import (
     transpose,
     xavier_uniform,
 )
+from reference import ReferenceAdam, assert_same_update
 
 
 def check_grad(f, *arrays, eps=1e-4, tol=1e-3):
@@ -406,14 +406,23 @@ class TestAdam:
     def test_single_step_closed_form(self):
         # grad 1, lr 1e-3: m_hat = v_hat = 1, so the step is -lr/(1+eps)
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True, dtype=np.float64)
-        new, st = adam_update(p, np.ones(1), adam_init(p), lr=1e-3)
-        assert abs(new[0] + 1e-3) < 1e-8 * 1e-3
-        assert st.t == 1
+        p.grad = np.ones(1)
+        opt = Adam()
+        opt.step({"p": p}, lr=1e-3)
+        assert abs(p.data[0] + 1e-3) < 1e-8 * 1e-3
+        assert opt.state["p"].t == 1
 
     def test_rejects_nonfinite_gradient(self):
         p = Tensor(np.zeros(2), requires_grad=True)
+        q = Tensor(np.ones(3), requires_grad=True)
+        p.grad = np.array([np.nan, 0.0])
+        q.grad = np.ones(3)
+        opt = Adam()
         with pytest.raises(TrainingError, match="mylayer.W"):
-            adam_update(p, np.array([np.nan, 0.0]), adam_init(p), 1e-3, name="mylayer.W")
+            opt.step({"mylayer.W": p, "other.b": q}, 1e-3)
+        # nothing moved: no state, no step, the values as they were
+        assert not opt.state
+        assert q.data.tolist() == [1.0, 1.0, 1.0]
 
     def test_optimizer_descends_quadratic(self):
         x = Tensor(np.array([5.0, -3.0]), requires_grad=True, dtype=np.float64)
@@ -431,6 +440,90 @@ class TestAdam:
         before = x.data.copy()
         Adam().step({"x": x}, lr=0.1)
         assert np.array_equal(x.data, before)
+
+
+class TestParamArena:
+    def params(self, dtype=np.float32):
+        rng = np.random.default_rng(3)
+        return {name: Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+                for name, shape in (("b.W", (3, 4)), ("a.b", (5,)), ("c.W", (2, 2)))}
+
+    def test_layout_follows_the_dict_order(self):
+        params = self.params()
+        values = {name: p.data.copy() for name, p in params.items()}
+        arena = ParamArena.of(params)
+        assert arena.names == ("b.W", "a.b", "c.W")
+        assert arena.bounds == ((0, 12), (12, 17), (17, 21))
+        assert arena.data.dtype == np.float32 and arena.grad.shape == (21,)
+        for name, p in params.items():
+            assert p.data.base is arena.data
+            np.testing.assert_array_equal(p.data, values[name])
+        assert ParamArena.of(params) is arena
+
+    def test_gradients_land_in_their_slices(self):
+        params = self.params()
+        arena = ParamArena.of(params)
+        loss = (params["b.W"] * params["b.W"]).sum() + params["a.b"].sum()
+        loss.backward()
+        assert params["b.W"].grad.base is arena.grad
+        np.testing.assert_array_equal(arena.grad[:12], 2 * params["b.W"].data.ravel())
+        np.testing.assert_array_equal(arena.grad[12:17], np.ones(5))
+        assert params["c.W"].grad is None       # no op reached it
+
+    def test_rebound_values_and_hand_set_gradients_are_copied_in(self):
+        params = self.params()
+        arena = ParamArena.of(params)
+        params["a.b"].data = np.full(5, 7.0, dtype=np.float32)
+        params["c.W"].grad = np.ones((2, 2), dtype=np.float32)
+        again = ParamArena.of(params)
+        assert again is not arena
+        np.testing.assert_array_equal(again.data[12:17], np.full(5, 7.0))
+        assert params["c.W"].grad.base is again.grad
+        np.testing.assert_array_equal(again.grad[17:], np.ones(4))
+
+    def test_one_dtype_per_arena(self):
+        params = self.params()
+        params["a.b"] = Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)
+        with pytest.raises(TypeError, match="float32, float64"):
+            ParamArena.of(params)
+
+    def steps_of_both(self, prepare, n_steps=3, dtype=np.float32):
+        """n_steps updates of the flat and of the per-parameter Adam from the
+        same start; ``prepare(params, opt)`` may seed the optimizer state."""
+        out = []
+        for opt in (Adam(), ReferenceAdam()):
+            params = self.params(dtype)
+            prepare(params, opt)
+            rng = np.random.default_rng(9)
+            for step in range(n_steps):
+                for name, p in params.items():
+                    if name != "c.W" or step > 0:       # c.W joins at the second step
+                        p.grad = rng.standard_normal(p.data.shape).astype(dtype)
+                opt.step(params, lr=1e-2)
+                for p in params.values():
+                    p.grad = None
+            out.append((params, opt))
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameters_that_join_late_step_with_their_own_count(self, dtype):
+        got, want = self.steps_of_both(lambda params, opt: None, dtype=dtype)
+        assert {name: st.t for name, st in got[1].state.items()} == {"b.W": 3, "a.b": 3,
+                                                                     "c.W": 2}
+        assert_same_update(*got, *want)
+
+    def test_restored_moments_are_adopted_on_the_first_step(self):
+        def restore(params, opt):
+            rng = np.random.default_rng(4)
+            for name, t in (("b.W", 7), ("a.b", 2)):
+                shape = params[name].data.shape
+                opt.state[name] = AdamState(
+                    m=rng.standard_normal(shape).astype(np.float32),
+                    v=rng.random(shape).astype(np.float32), t=t)
+
+        got, want = self.steps_of_both(restore)
+        assert got[1].state["b.W"].t == 10 and got[1].state["c.W"].t == 2
+        assert_same_update(*got, *want)
 
 
 class TestClip:

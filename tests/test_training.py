@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from modcap.config import ModelConfig, TrainConfig, apply_preset
+from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel
 from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
-from modcap.tensor import Adam, Rng, Tensor
+from modcap.tensor import Adam, ParamArena, Rng, Tensor, clip_global_norm
 from modcap.training import (
     TRAIN_STREAM_TAG,
     Batch,
@@ -28,6 +28,7 @@ from modcap.training import (
     teacher_forced_metrics,
     train,
 )
+from reference import ReferenceAdam, assert_same_update, reference_clip
 
 SPEC = CorpusSpec(n_scenes=24, seed=5)
 
@@ -329,6 +330,121 @@ class TestXeEpoch:
         assert {name for name, _ in seen} == {"clip", "forced"}
         assert {count for _, count in seen} == {None if before is None else 1}
         assert blas_threads() == before
+
+class TestParamArena:
+    """The flat Adam update and clipping against the per-parameter reference."""
+
+    def preset_model(self, corpus, preset, grad_clip=5.0):
+        mcfg, train_cfg = apply_preset(
+            preset, model_cfg(corpus),
+            TrainConfig(batch_size=8, lr=3e-3, seed=5, grad_clip=grad_clip, max_len=10))
+        return CaptionModel(mcfg, Rng(7).derive(1)), train_cfg
+
+    def three_batches(self, corpus):
+        """24 training captions of scenes with one region count: 3 XE steps."""
+        scenes = {s.scene_id: s for s in corpus.scenes}
+        by_count = {}
+        for e in corpus.examples_in("train"):
+            by_count.setdefault(len(scenes[e.scene_id].regions), []).append(e)
+        return max(by_count.values(), key=len)[:24]
+
+    def train_once(self, corpus, synth, monkeypatch, preset, opt, clip, grad_clip=5.0):
+        """3 XE steps and one 8-scene SCST window; returns the model, the
+        optimizer and the clip norms."""
+        import modcap.training
+        norms = []
+
+        def recording_clip(params, max_norm):
+            norms.append(clip(params, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(modcap.training, "clip_global_norm", recording_clip)
+        model, cfg = self.preset_model(corpus, preset, grad_clip)
+        rng = Rng(cfg.seed).derive(TRAIN_STREAM_TAG)
+        xe = run_xe_epoch(model, corpus, synth, cfg, opt, rng, 0,
+                          examples=self.three_batches(corpus))
+        assert xe["steps"] == 3
+        run_rl_epoch(model, corpus, synth, cfg, opt, rng, 1,
+                     IdfTable(corpus.references("train")), max_steps=8)
+        return model, opt, norms
+
+    def assert_same_training(self, got, want):
+        (model, opt, norms), (ref_model, ref_opt, ref_norms) = got, want
+        assert norms == ref_norms
+        assert_same_update(model.named_parameters(), opt, ref_model.named_parameters(),
+                           ref_opt)
+
+    @pytest.mark.parametrize("preset", PRESET_GRID)
+    def test_matches_the_per_parameter_update(self, corpus, synth, monkeypatch, preset):
+        got = self.train_once(corpus, synth, monkeypatch, preset, Adam(),
+                              clip_global_norm)
+        want = self.train_once(corpus, synth, monkeypatch, preset, ReferenceAdam(),
+                               reference_clip)
+        assert len(got[2]) == 4
+        self.assert_same_training(got, want)
+
+    def test_clipped_steps_match_the_per_parameter_update(self, corpus, synth,
+                                                          monkeypatch):
+        got = self.train_once(corpus, synth, monkeypatch, "CNM#2", Adam(),
+                              clip_global_norm, grad_clip=0.05)
+        want = self.train_once(corpus, synth, monkeypatch, "CNM#2", ReferenceAdam(),
+                               reference_clip, grad_clip=0.05)
+        assert all(norm > 0.05 for norm in got[2])
+        self.assert_same_training(got, want)
+
+    def test_unreached_controller_keeps_its_bytes_and_has_no_state(self, corpus, synth,
+                                                                   monkeypatch):
+        # under uniform weights no op reads the controller of Col/1
+        before, _ = self.preset_model(corpus, "Col/1")
+        model, opt, _ = self.train_once(corpus, synth, monkeypatch, "Col/1", Adam(),
+                                        clip_global_norm)
+        ctrl = [name for name in model.named_parameters() if ".ctrl." in name]
+        assert ctrl
+        initial, params = before.named_parameters(), model.named_parameters()
+        for name in ctrl:
+            assert params[name].data.tobytes() == initial[name].data.tobytes()
+            assert params[name].grad is None
+            assert name not in opt.state
+        assert set(opt.state) == set(params) - set(ctrl)
+
+    def test_a_graph_built_before_a_step_keeps_the_old_values(self, corpus, synth):
+        model, cfg = self.preset_model(corpus, "CNM#2")
+        params = model.named_parameters()
+        batch = make_batches(self.three_batches(corpus),
+                             {s.scene_id: s for s in corpus.scenes}, synth, 8)[0]
+        opt = Adam()
+        for _ in range(2):      # the second step updates buffers the first made
+            stats = teacher_forced(model, batch, lam_ling=1.0, rng=Rng(0))
+            for p in params.values():
+                p.grad = None
+            stats.loss.backward()
+            held = {name: p.data for name, p in params.items()}
+            copies = {name: a.copy() for name, a in held.items()}
+            loss = stats.loss.data.copy()
+            opt.step(params, cfg.lr)
+            for name, p in params.items():
+                assert p.data is not held[name]
+                np.testing.assert_array_equal(held[name], copies[name], err_msg=name)
+            np.testing.assert_array_equal(stats.loss.data, loss)
+            assert any(not np.array_equal(params[name].data, copies[name])
+                       for name in params)
+        # the stacked attention weights follow the rebound arrays
+        unit = model.units[0]
+        w_v = [unit.att[name].W_v.data.T for name in unit.modules]
+        np.testing.assert_array_equal(unit.heads()[0], np.stack(w_v))
+
+    def test_parameters_and_moments_share_flat_buffers(self, corpus, synth, monkeypatch):
+        model, opt, _ = self.train_once(corpus, synth, monkeypatch, "CNM#2", Adam(),
+                                        clip_global_norm)
+        params = model.named_parameters()
+        arena = ParamArena.of(params)
+        assert arena.names == tuple(params)
+        flat_m = opt.state[arena.names[0]].m.base
+        assert flat_m.shape == arena.data.shape
+        for name, p in params.items():
+            assert p.data.base is arena.data and p.grad.base is arena.grad
+            assert opt.state[name].m.base is flat_m
+
 
 class TestSelfCritical:
     def test_zero_advantage_means_zero_gradient(self, corpus, synth):
@@ -670,6 +786,25 @@ class TestCheckpoints:
         meta["model"][field] = -4
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match="must be positive"):
+            restore_training(path)
+
+    @pytest.mark.parametrize("field,value", [("decay_every", 0), ("decay_every", -2),
+                                             ("grad_clip", -5.0), ("grad_clip", 0.0),
+                                             ("grad_clip", float("inf")),
+                                             ("grad_clip", float("nan")),
+                                             ("lambda_xe", -1.0), ("lambda_rl", -0.5),
+                                             ("lr", float("nan")),
+                                             ("rl_lr_scale", float("inf"))])
+    def test_invalid_training_setting_is_a_format_error(self, corpus, tmp_path, field,
+                                                        value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+        path = self.saved(corpus, tmp_path)
+        meta_file = tmp_path / "model.bin.meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["train"][field] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=field):
             restore_training(path)
 
     def test_missing_file_is_data_error(self, tmp_path):

@@ -1,6 +1,7 @@
-"""Module collocation: attention over module outputs, the tiny recurrent
-controller that weighs the four modules each step, and the word-class
-labels that supervise those weights."""
+"""Module collocation: the parameters of the attention heads over module
+outputs and of the tiny recurrent controller that weighs the four
+modules each step, and the word-class labels that supervise those
+weights.  Their arithmetic runs inside ``decoder.unit_kernel``."""
 
 from __future__ import annotations
 
@@ -11,20 +12,8 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .errors import ShapeError
 from .layers import Linear
-from .tensor import (
-    FLOAT32,
-    Rng,
-    Tensor,
-    additive_attention,
-    concat,
-    lstm_step,
-    make_lstm_params,
-    softmax,
-    weighted_concat,
-    xavier_uniform,
-)
+from .tensor import FLOAT32, Rng, Tensor, make_lstm_params, xavier_uniform
 
 logger = logging.getLogger(__name__)
 
@@ -69,20 +58,14 @@ class Strategy(str, Enum):
 
 
 class AdditiveAttention:
-    """score_n = w_a . tanh(W_v v_n + W_h h); alpha = softmax(scores).
-
-    Returns the weight vector and the alpha-weighted sum of rows.  Works on
-    (N, d_v) with an (d_c,) query or batched (B, N, d_v) with (B, d_c);
-    an optional boolean region mask gives padded rows zero weight.
-    """
+    """Weights of one attention head: score_n = w_a . tanh(W_v v_n + W_h h),
+    alpha = softmax(scores), and the head attends to the alpha-weighted
+    sum of rows.  ``decoder.unit_kernel`` runs the heads of a unit stacked."""
 
     def __init__(self, d_v: int, d_c: int, d_a: int, rng: Rng, dtype=FLOAT32):
         self.W_v = xavier_uniform(rng, (d_a, d_v), d_v, d_a, dtype=dtype)
         self.W_h = xavier_uniform(rng, (d_a, d_c), d_c, d_a, dtype=dtype)
         self.w_a = xavier_uniform(rng, (d_a,), d_a, 1, dtype=dtype)
-
-    def __call__(self, values: Tensor, query: Tensor, mask=None):
-        return additive_attention(values, query, self.W_v, self.W_h, self.w_a, mask)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.Wv": self.W_v, f"{prefix}.Wh": self.W_h, f"{prefix}.wa": self.w_a}
@@ -94,13 +77,6 @@ class ControllerState:
     c: Tensor
 
 
-@dataclass
-class ControllerOutput:
-    weights: Tensor        # what fuse() consumes (one-hot under HARD)
-    soft: Tensor | None    # noise-free softmax of the logits, None under UNIFORM
-    state: ControllerState
-
-
 def one_hot_max(y: np.ndarray) -> np.ndarray:
     """1 at the largest entry of each row along the last axis, 0 elsewhere."""
     hard = np.zeros_like(y)
@@ -108,11 +84,6 @@ def one_hot_max(y: np.ndarray) -> np.ndarray:
     idx = np.argmax(y.reshape(-1, hard.shape[-1]), axis=-1)
     flat[np.arange(flat.shape[0]), idx] = 1.0
     return hard
-
-
-def straight_through(y_soft: Tensor) -> Tensor:
-    """One-hot forward value with the soft distribution's gradient."""
-    return Tensor(one_hot_max(y_soft.data)) - y_soft.detach() + y_soft
 
 
 def gumbel_noise(rng: Rng | None, shape, dtype) -> np.ndarray:
@@ -126,11 +97,13 @@ def gumbel_noise(rng: Rng | None, shape, dtype) -> np.ndarray:
 
 
 class ModuleController:
-    """One-layer LSTM over [v_O, v_A, v_R, c] followed by a 4-way softmax.
+    """Weights of a one-layer LSTM over [v_O, v_A, v_R, c] followed by a
+    4-way softmax.
 
     SOFT keeps the softmax as-is, HARD draws a Gumbel-softmax sample and
     snaps it to a one-hot straight-through estimate, UNIFORM skips the
-    network entirely and pins every weight to 1.
+    network entirely and pins every weight to 1; ``decoder.unit_kernel``
+    runs all three.
     """
 
     def __init__(self, d_v: int, d_c: int, rng: Rng, tau: float = 1.0, dtype=FLOAT32):
@@ -138,43 +111,8 @@ class ModuleController:
         self.proj = Linear(d_c, len(ModuleLabel), rng, dtype=dtype)
         self.tau = tau
 
-    def step(self, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor, context: Tensor,
-             state: ControllerState, strategy: Strategy,
-             rng: Rng | None = None) -> ControllerOutput:
-        if not isinstance(strategy, Strategy):
-            raise ValueError(f"unknown collocation strategy: {strategy!r}")
-        if strategy is Strategy.UNIFORM:
-            batch = v_obj.shape[0] if v_obj.ndim == 2 else None
-            shape = (batch, len(ModuleLabel)) if batch else (len(ModuleLabel),)
-            ones = Tensor(np.ones(shape, dtype=v_obj.data.dtype))
-            return ControllerOutput(weights=ones, soft=None, state=state)
-        x = concat([v_obj, v_attr, v_rel, context], axis=-1)
-        h, c = lstm_step(x, state.h, state.c, self.lstm)
-        logits = self.proj(h)
-        soft = softmax(logits, axis=-1)
-        if strategy is Strategy.SOFT:
-            weights = soft
-        else:  # HARD
-            noise = Tensor(gumbel_noise(rng, logits.shape, logits.data.dtype))
-            y = softmax((logits + noise) * (1.0 / self.tau), axis=-1)
-            weights = straight_through(y)
-        return ControllerOutput(weights=weights, soft=soft, state=ControllerState(h=h, c=c))
-
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.lstm.W": self.lstm.W, f"{prefix}.lstm.b": self.lstm.b}
         out.update(self.proj.params(f"{prefix}.proj"))
         return out
-
-
-def fuse(weights: Tensor, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
-         v_func: Tensor) -> Tensor:
-    """Concat of the four module vectors, each scaled by its weight."""
-    parts = (v_obj, v_attr, v_rel, v_func)
-    if weights.shape[-1] != len(parts):
-        raise ShapeError(f"expected {len(parts)} module weights, got shape {weights.shape}")
-    d_v = parts[0].shape[-1]
-    for p in parts:
-        if p.shape[-1] != d_v:
-            raise ShapeError(f"module outputs disagree in width: {p.shape[-1]} vs {d_v}")
-    return weighted_concat(weights, parts)
 

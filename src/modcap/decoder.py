@@ -16,9 +16,9 @@ the recurrence inside the node: decoding calls it one step at a time
 (``DecoderUnit.step``, T = 1), teacher forcing once per unit over the
 whole caption (``CaptionModel.forced``), where the attention keys, the
 derivatives of the nonlinearities and every parameter gradient are
-formed once over all T steps.  ``DecoderUnit.reference_step`` builds a
-step from one node per op; a one-step kernel call agrees with it bit for
-bit in every output and gradient.
+formed once over all T steps.  The same step composed of one autodiff
+node per op is kept with the tests (``tests/reference.py``); a one-step
+kernel call agrees with it bit for bit in every output and gradient.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax, sample or forced) picks every row's next token and an optional
@@ -43,7 +43,6 @@ from .controller import (
     ControllerState,
     ModuleController,
     Strategy,
-    fuse,
     gumbel_noise,
     one_hot_max,
 )
@@ -58,9 +57,7 @@ from .tensor import (
     _accum,
     _steps,
     _t_matmul,
-    concat,
     gather_rows,
-    lstm_step,
     make_lstm_params,
     masked_nll,
     mean_pool_rows,
@@ -165,32 +162,6 @@ class DecoderUnit:
             noise = gumbel_noise(rng, (i_prev.shape[0], len(self.modules) + 1), i_prev.dtype)
         return unit_kernel(self, i_prev, enc, state, noise)
 
-    def reference_step(self, i_prev: Tensor, enc: Encoded, state: UnitState,
-                       rng: Rng | None = None):
-        """The same step composed of autodiff ops, one node per op: the
-        reference ``unit_kernel`` is checked against."""
-        context = state.h2
-        u = concat([i_prev, context] + [enc.means[name] for name in self.modules], axis=-1)
-        h1, c1 = lstm_step(u, state.h1, state.c1, self.lstm1)
-        alphas = {}
-        attended = []
-        for name in self.modules:
-            alphas[name], v = self.att[name](enc.feats[name], h1, enc.mask)
-            attended.append(v)
-        weights = soft = ctrl_state = None
-        if self.ctrl is None:
-            (v_hat,) = attended
-        else:
-            v_func = self.func(context)
-            out = self.ctrl.step(*attended, context, state.ctrl, Strategy(self.cfg.strategy),
-                                 rng=rng)
-            weights, soft, ctrl_state = out.weights, out.soft, out.state
-            v_hat = fuse(weights, *attended, v_func)
-        h2, c2 = lstm_step(concat([h1, v_hat], axis=-1), state.h2, state.c2, self.lstm2)
-        i_new = i_prev + h2
-        new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
-        return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)
-
     def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The attention weights stacked over modules: C-contiguous W_v^T
         (K, d_v, d_a) and W_h^T (K, d_c, d_a), and w_a (K, d_a).  Rebuilt
@@ -239,9 +210,10 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, state: UnitState,
     backward reads their gradients and returns every input and parameter
     gradient in one closure.  The attention key projection, the
     derivatives of the nonlinearities and each parameter gradient are
-    formed once over all T*B rows.  A one-step call rounds exactly as
-    ``DecoderUnit.reference_step``: the backward adds the gradients each
-    tensor receives in the order the reference graph's sweep adds them.
+    formed once over all T*B rows.  A one-step call rounds exactly as the
+    op-composed step in ``tests/reference.py``: the backward adds the
+    gradients each tensor receives in the order the reference graph's
+    sweep adds them.
     Fusion weights under the hard and uniform strategies and the
     attention weights come back per step and without gradient.
     """

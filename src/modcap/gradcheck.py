@@ -2,12 +2,13 @@
 
 Four tiers, all in float64 against central differences:
 
-* primitives: every differentiable op, one case each, and every input
-  of the fused ops (LSTM cell, attention, masked NLL, weighted concat);
+* primitives: every differentiable op, one case each, the fused masked
+  NLL, and every input of the array helpers the unit kernel runs: one
+  LSTM step through ``LstmRun`` and one attention query through
+  ``AttentionRun``, each wrapped as a single node of a scalar objective;
   the region-masked paths (attention, relation self-attention, mean
   pooling) each on a batch with padded regions; inputs kept away from
-  kinks (relu at zero, clamp at its threshold) so the numeric
-  derivative is trustworthy;
+  kinks (relu at zero) so the numeric derivative is trustworthy;
 * composites: seeded random chains of ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
 * kernel: the fused decoder unit (``decoder.unit_kernel``) under the
@@ -43,31 +44,28 @@ from .decoder import CaptionModel, DecoderUnit, Encoded, UnitState, unit_kernel
 from .encoders import RelationModule
 from .tensor import (
     FLOAT64,
+    AttentionRun,
     LstmParams,
+    LstmRun,
     Rng,
     Tensor,
-    additive_attention,
-    clamp_min,
+    _accum,
     concat,
     exp,
     finite_diff_grad,
     gather_rows,
     leaky_relu,
     log,
-    lstm_step,
     masked_nll,
     matmul,
     max_relative_error,
     mean_pool_rows,
-    pick,
     relu,
     sigmoid,
-    slice_axis,
     softmax,
     sum_,
     tanh,
     transpose,
-    weighted_concat,
 )
 from .training import Batch, teacher_forced
 
@@ -137,9 +135,6 @@ def primitive_cases(seed: int):
     att_Wh = Tensor(rng.uniform_array((6, 5), -0.7, 0.7, dtype=FLOAT64), dtype=FLOAT64)
     att_wa = Tensor(rng.uniform_array((6,), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
     att = (att_v, att_q, att_Wv, att_Wh, att_wa)
-    fuse_w = Tensor(rng.uniform_array((2, 4), 0.1, 1, dtype=FLOAT64), dtype=FLOAT64)
-    fuse_parts = [Tensor(rng.uniform_array((2, 3), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
-                  for _ in range(4)]
     nll_mask = np.array([1.0, 0.0, 1.0, 0.5])       # row 1 is masked out
     # three regions in the first scene, two in the second: one padded row
     regions = np.array([[True, True, True], [True, True, False]])
@@ -167,16 +162,13 @@ def primitive_cases(seed: int):
         ("sum_keepdims", lambda x: sum_(x, axis=1, keepdims=True).sum(), _t(rng, (4, 3))),
         ("mean_pool_rows", lambda x: (mean_pool_rows(x) * bias).sum(), _t(rng, (5, 3))),
         ("concat", lambda x: concat([x, x * 2.0], axis=-1).sum(), _t(rng, (2, 3))),
-        ("slice_axis", lambda x: slice_axis(x, 1, 1, 3).sum(), _t(rng, (2, 4))),
         ("gather_rows", lambda x: (gather_rows(x, idx_rows) * bias).sum(), _t(rng, (4, 3))),
-        ("pick", lambda x: pick(x, idx_cols).sum(), _t(rng, (4, 5))),
         ("tanh", lambda x: tanh(x).sum(), _t(rng, (2, 3))),
         ("sigmoid", lambda x: sigmoid(x).sum(), _t(rng, (2, 3))),
         ("relu", lambda x: relu(x).sum(), _away_from_zero(rng, (3, 4))),
         ("leaky_relu", lambda x: leaky_relu(x, 0.1).sum(), _away_from_zero(rng, (3, 4))),
         ("exp", lambda x: exp(x).sum(), _t(rng, (2, 3))),
         ("log", lambda x: log(x).sum(), _t(rng, (2, 3), low=0.3, high=1.5)),
-        ("clamp_min", lambda x: clamp_min(x, 0.0).sum(), _away_from_zero(rng, (3, 4))),
         ("softmax",
          lambda x: (softmax(x, axis=-1) * Tensor(np.arange(5.0), dtype=FLOAT64)).sum(),
          _t(rng, (3, 5))),
@@ -222,19 +214,36 @@ def primitive_cases(seed: int):
         ("masked_nll_zero_mask_row",
          lambda p: masked_nll(p, idx_cols, nll_mask),
          _t(rng, (4, 5), low=0.05, high=1.0)),
-        ("weighted_concat_weights",
-         lambda w: (weighted_concat(w, fuse_parts) * _ramp(12)).sum(), _t(rng, (2, 4))),
-        ("weighted_concat_part",
-         lambda p: (weighted_concat(fuse_w, [fuse_parts[0], p] + fuse_parts[2:])
-                    * _ramp(12)).sum(),
-         _t(rng, (2, 3))),
     ]
     return cases
 
 
+def _scalar_node(value, inputs, grads) -> Tensor:
+    """A scalar objective as one autodiff node over ``inputs``; its
+    backward takes the gradient of the objective from ``grads(g)``, one
+    array per input."""
+    def backward(g):
+        for t, grad in zip(inputs, grads(g)):
+            if t.requires_grad:
+                _accum(t, grad.reshape(t.shape))
+
+    return Tensor._from_op(np.asarray(value), tuple(inputs), backward)
+
+
 def _lstm_scalar(x, h, c, params):
-    h2, c2 = lstm_step(x, h, c, params)
-    return (h2 * h2).sum() + c2.sum()
+    """sum(h' * h') + sum(c') of one ``LstmRun`` step on (d,) vectors or
+    (B, d) rows."""
+    inputs = (x, h, c, params.W, params.b)
+    run = LstmRun(params.W.data, params.b.data)
+    with np.errstate(over="ignore"):
+        h2, c2 = run.forward([a.data.reshape(-1, a.shape[-1]) for a in (x, h)],
+                             c.data.reshape(-1, c.shape[-1]))
+
+    def grads(g):
+        g_xh, g_c = run.backward(0, g * 2.0 * h2, np.broadcast_to(g, c2.shape))
+        return (g_xh[:, :x.shape[-1]], g_xh[:, x.shape[-1]:], g_c, *run.param_grads())
+
+    return _scalar_node((h2 * h2).sum() + c2.sum(), inputs, grads)
 
 
 def _ramp(n: int) -> Tensor:
@@ -242,10 +251,22 @@ def _ramp(n: int) -> Tensor:
 
 
 def _attention_scalar(values, query, W_v, W_h, w_a, mask=None):
-    """Reaches every input through both outputs: the weights and the
-    attended rows."""
-    alpha, attended = additive_attention(values, query, W_v, W_h, w_a, mask)
-    return (alpha * _ramp(alpha.shape[-1])).sum() + (attended * attended).sum()
+    """sum(ramp * alpha) + sum(attended * attended) of one ``AttentionRun``
+    query, on (N, d_v) values with a (d_c,) query or (B, N, d_v) with
+    (B, d_c): every input is reached through both outputs."""
+    inputs = (values, query, W_v, W_h, w_a)
+    v = values.data.reshape((-1,) + values.shape[-2:])
+    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T),
+                       w_a.data, mask)
+    alpha, attended = run.forward(query.data.reshape(-1, query.shape[-1]))
+    ramp = _ramp(alpha.shape[-1]).data
+
+    def grads(g):
+        g_q = run.backward(0, np.broadcast_to(g * ramp, alpha.shape), g * 2.0 * attended)
+        g_direct, g_keys, g_Wv, g_Wh, g_wa = run.grads()
+        return g_direct + g_keys, g_q, g_Wv, g_Wh, g_wa
+
+    return _scalar_node((alpha * ramp).sum() + (attended * attended).sum(), inputs, grads)
 
 
 # -- random composites ---------------------------------------------------------

@@ -9,33 +9,24 @@ collects the nodes reachable from the root once and runs their closures
 in descending id order: each closure runs after those of all its
 consumers.
 
-Besides the elementwise, matrix and rearrangement primitives there are
-four fused ops, each one node with a hand-written backward:
-
-* ``lstm_cell``: one gated LSTM update (behind ``lstm_step``);
-* ``additive_attention``: scores, softmax and the weighted row sum;
-* ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``;
-* ``weighted_concat``: the module fusion, K blocks each scaled by its
-  weight and concatenated.
+Besides the elementwise, matrix and rearrangement primitives there is
+one fused op with a hand-written backward, ``masked_nll``:
+``-sum(mask * log(max(p[b, gold_b], eps)))``.
 
 The LSTM, attention and softmax arithmetic lives on plain arrays
-(``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``),
-which these ops and the decoder's unit kernel (``decoder.unit_kernel``, a
-decoder unit over T steps as one node) share, so the math exists once.
-A run records T steps: forward and input gradients go step by step, and
-the parameter gradients are one GEMM over the rows of all steps.
+(``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``)
+for the decoder's unit kernel (``decoder.unit_kernel``, a decoder unit
+over T steps as one node).  A run records T steps: forward and input
+gradients go step by step, and the parameter gradients are one GEMM over
+the rows of all steps.  The op-composed decoder unit that the kernel
+agrees with bit for bit, and the fused LSTM, attention and fusion ops it
+is built from, are kept with the tests (``tests/reference.py``).
 
 Scenes with different region counts share a batch by zero-padding the
-region axis.  ``softmax``, ``additive_attention`` and ``mean_pool_rows``
-take a boolean region mask: padded entries get a score of -inf, so
-their weight is exactly 0, and the pooled mean divides by the count of
-real rows.  Padded rows therefore receive exactly zero gradient.
-
-A multi-output fused op is one joint node holding its flattened outputs
-plus a view node per output.  Each fused backward performs the products
-and reductions of the primitive chain it replaces, in the same order, so
-fused and unfused graphs differ only in the order in which the sweep
-adds up the gradients a node receives from several consumers.
+region axis.  ``softmax``, ``AttentionRun`` and ``mean_pool_rows`` take
+a boolean region mask: padded entries get a score of -inf, so their
+weight is exactly 0, and the pooled mean divides by the count of real
+rows.  Padded rows therefore receive exactly zero gradient.
 
 The optimizer layer works on a ``ParamArena``: a model's parameters laid
 end to end in one flat buffer of values and one of gradients, with each
@@ -561,25 +552,6 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor._from_op(data, tuple(tensors), backward)
 
 
-def slice_axis(a, axis, start, stop) -> Tensor:
-    a = _as_tensor(a)
-    ndim = a.data.ndim
-    ax = axis if axis >= 0 else ndim + axis
-    idx = [slice(None)] * ndim
-    idx[ax] = slice(start, stop)
-    idx = tuple(idx)
-    data = np.ascontiguousarray(a.data[idx])
-    in_shape = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros(in_shape, dtype=g.dtype)
-            full[idx] = g
-            _accum(a, full)
-
-    return Tensor._from_op(data, (a,), backward)
-
-
 def gather_rows(a, indices) -> Tensor:
     """Select entries along the leading axis: (V, ...)[idx (B,)] -> (B, ...).
     Used for embedding lookups and to pick rows of batched decoder state."""
@@ -594,25 +566,6 @@ def gather_rows(a, indices) -> Tensor:
         if a.requires_grad:
             full = np.zeros(in_shape, dtype=g.dtype)
             np.add.at(full, idx, g)
-            _accum(a, full)
-
-    return Tensor._from_op(data, (a,), backward)
-
-
-def pick(a, indices) -> Tensor:
-    """Per-row column selection: (B, V)[b, idx_b] -> (B,)."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"pick expects a 2-d input, got shape {a.data.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])
-    data = np.ascontiguousarray(a.data[rows, idx])
-    in_shape = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros(in_shape, dtype=g.dtype)
-            np.add.at(full, (rows, idx), g)
             _accum(a, full)
 
     return Tensor._from_op(data, (a,), backward)
@@ -694,18 +647,6 @@ def log(a) -> Tensor:
     return Tensor._from_op(data, (a,), backward)
 
 
-def clamp_min(a, floor) -> Tensor:
-    a = _as_tensor(a)
-    a_data = a.data
-    data = np.maximum(a_data, floor)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * (a_data >= floor))
-
-    return Tensor._from_op(data, (a,), backward)
-
-
 def softmax(a, axis=-1, mask=None) -> Tensor:
     """Max-shifted softmax along ``axis``.  Entries where the boolean
     ``mask`` (broadcast against ``a``) is False get exactly zero weight."""
@@ -732,7 +673,15 @@ def softmax_backward(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:
     return (g - (g * y).sum(axis=axis, keepdims=True)) * y
 
 
-# -- LSTM step ------------------------------------------------------------
+# -- cell math on arrays ----------------------------------------------------
+#
+# Forward and backward arithmetic of the LSTM cell and of additive
+# attention on plain arrays, which the decoder unit kernel runs.  A run
+# records T steps: the forward and the input gradients go step by step,
+# because the steps recur, while the derivatives of the nonlinearities and
+# the parameter gradients are formed once over all T steps.  Each backward
+# repeats the products and reductions of the primitive chain in order, so
+# a one-step run rounds as the op-composed graph does.
 
 
 @dataclass
@@ -742,23 +691,6 @@ class LstmParams:
 
     W: Tensor  # (d_in + d_h, 4*d_h)
     b: Tensor  # (4*d_h,)
-
-
-def lstm_step(x, h, c, params: LstmParams):
-    """One LSTM cell update.  Accepts (d,) vectors or (B, d) batches."""
-    return lstm_cell(x, h, c, params.W, params.b)
-
-
-# -- cell math on arrays ----------------------------------------------------
-#
-# Forward and backward arithmetic of the LSTM cell and of additive
-# attention on plain arrays, shared by the fused ops below and by the
-# decoder unit kernel.  A run records T steps (one for the fused ops):
-# the forward and the input gradients go step by step, because the steps
-# recur, while the derivatives of the nonlinearities and the parameter
-# gradients are formed once over all T steps.  Each backward repeats the
-# products and reductions of the primitive chain in order, so a one-step
-# run rounds as the unfused graph does.
 
 
 def _steps(arrays: list) -> np.ndarray:
@@ -925,136 +857,6 @@ class AttentionRun:
                            _rows(self.g_scores, lead))[..., 0])
         self.g_direct = self.g_pre = self.d_t2 = self.g_scores = self.g_q = None
         return grads
-
-
-# -- fused ops ------------------------------------------------------------
-
-
-def _views(joint: Tensor, shapes) -> tuple[Tensor, ...]:
-    """One node per output of a multi-output op whose joint node holds the
-    outputs flattened and concatenated in order.  Each view reads its
-    slice of the joint data and adds its gradient into the same slice of
-    the joint gradient."""
-    out = []
-    lo = 0
-    for shape in shapes:
-        hi = lo + math.prod(shape)
-
-        def backward(g, lo=lo, hi=hi):
-            if joint.grad is None:
-                joint.grad = np.zeros_like(joint.data)
-            joint.grad[lo:hi] += g.reshape(-1)
-
-        out.append(Tensor._from_op(joint.data[lo:hi].reshape(shape), (joint,), backward))
-        lo = hi
-    return tuple(out)
-
-
-def lstm_cell(x, h, c, W, b):
-    """Fused LSTM update; returns (h', c').
-
-    z = [x, h] W + b holds the input, forget, candidate and output gate
-    blocks in that order; c' = f*c + i*g and h' = o*tanh(c').  Accepts
-    (d,) vectors or (B, d) batches.
-    """
-    x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
-    x_d, h_d, c_d = x.data, h.data, c.data
-    single = x_d.ndim == 1
-    if single:
-        x_d, h_d, c_d = (a.reshape(1, -1) for a in (x_d, h_d, c_d))
-    dh = b.data.shape[0] // 4
-    d_in = W.data.shape[0] - dh
-    if x_d.shape[-1] != d_in:
-        raise ShapeError(f"lstm_step input has width {x_d.shape[-1]}, weights expect {d_in}")
-    run = LstmRun(W.data, b.data)
-    with np.errstate(over="ignore"):
-        h2, c2 = run.forward([x_d, h_d], c_d)
-
-    def backward(grad):
-        g_xh, g_c = run.backward(0, grad[:h2.size].reshape(h2.shape),
-                                 grad[h2.size:].reshape(c2.shape))
-        g_W, g_b = run.param_grads()
-        if W.requires_grad:
-            _accum(W, g_W)
-        if b.requires_grad:
-            _accum(b, g_b)
-        if x.requires_grad:
-            _accum(x, g_xh[:, :d_in].reshape(x.data.shape))
-        if h.requires_grad:
-            _accum(h, g_xh[:, d_in:].reshape(h.data.shape))
-        if c.requires_grad:
-            _accum(c, g_c.reshape(c.data.shape))
-
-    joint = Tensor._from_op(np.concatenate([h2.ravel(), c2.ravel()]), (x, h, c, W, b),
-                            backward)
-    shape = (dh,) if single else h2.shape
-    return _views(joint, (shape, shape))
-
-
-def additive_attention(values, query, W_v, W_h, w_a, mask=None):
-    """Fused additive attention; returns (alpha, attended).
-
-    score_n = w_a . tanh(W_v v_n + W_h q), alpha = max-shifted softmax of
-    the scores and attended = sum_n alpha_n v_n.  Takes (N, d_v) values
-    with a (d_c,) query, or (B, N, d_v) with (B, d_c).  A boolean mask of
-    the values' leading shape sets the scores of padded rows to -inf, so
-    their alpha is exactly 0.
-    """
-    values, query, W_v, W_h, w_a = (_as_tensor(t) for t in (values, query, W_v, W_h, w_a))
-    v, q_in = values.data, query.data
-    single = v.ndim == 2
-    if single:
-        v = v.reshape((1,) + v.shape)
-        q_in = q_in.reshape(1, -1)
-    if v.shape[1] == 0:
-        raise ValueError("attention over an empty value set")
-    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T),
-                       w_a.data, mask)
-    alpha, attended = run.forward(q_in)
-
-    def backward(grad):
-        g_q = run.backward(0, grad[:alpha.size].reshape(alpha.shape),
-                           grad[alpha.size:].reshape(attended.shape))
-        g_direct, g_keys, g_Wv, g_Wh, g_wa = run.grads()
-        if values.requires_grad:
-            _accum(values, g_direct.reshape(values.data.shape))
-            _accum(values, g_keys.reshape(values.data.shape))
-        if query.requires_grad:
-            _accum(query, g_q.reshape(query.data.shape))
-        if W_v.requires_grad:
-            _accum(W_v, g_Wv)
-        if W_h.requires_grad:
-            _accum(W_h, g_Wh)
-        if w_a.requires_grad:
-            _accum(w_a, g_wa)
-
-    joint = Tensor._from_op(np.concatenate([alpha.ravel(), attended.ravel()]),
-                            (values, query, W_v, W_h, w_a), backward)
-    if single:
-        return _views(joint, (alpha.shape[1:], attended.shape[1:]))
-    return _views(joint, (alpha.shape, attended.shape))
-
-
-def weighted_concat(weights, parts) -> Tensor:
-    """Fused concat of K equal-width blocks, block k scaled by weights[..., k]:
-    (..., K) weights and K (..., d) parts give (..., K*d)."""
-    weights = _as_tensor(weights)
-    parts = [_as_tensor(t) for t in parts]
-    w = weights.data
-    blocks = [p.data for p in parts]
-    d = blocks[0].shape[-1]
-    data = np.concatenate([w[..., k:k + 1] * x for k, x in enumerate(blocks)], axis=-1)
-
-    def backward(g):
-        g_blocks = [g[..., k * d:(k + 1) * d] for k in range(len(parts))]
-        if weights.requires_grad:
-            _accum(weights, np.stack([(gk * x).sum(axis=-1)
-                                      for gk, x in zip(g_blocks, blocks)], axis=-1))
-        for k, (gk, p) in enumerate(zip(g_blocks, parts)):
-            if p.requires_grad:
-                _accum(p, gk * w[..., k:k + 1])
-
-    return Tensor._from_op(data, (weights, *parts), backward)
 
 
 def masked_nll(p, gold, mask=None, eps: float = 1e-12, per_row: bool = False) -> Tensor:

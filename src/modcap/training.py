@@ -30,6 +30,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import struct
 import time
@@ -625,13 +626,18 @@ class RestoredTraining:
     history: list
 
 
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer (JSON's true and false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def restore_training(path: str) -> RestoredTraining:
     tensors, meta = load_checkpoint(path)
     try:
         model_cfg = ModelConfig.from_dict(meta["model"])
         train_cfg = TrainConfig.from_dict(meta["train"])
         vocab = Vocabulary.from_dict(meta["vocab"])
-        epoch = int(meta["epoch"])
+        epoch = meta["epoch"]
         rng_state = meta["rng"]
         adam_t = meta["adam_t"]
         history = meta["history"]
@@ -645,6 +651,16 @@ def restore_training(path: str) -> RestoredTraining:
     except ConfigError as exc:
         raise FormatError(f"checkpoint metadata holds an invalid configuration: "
                           f"{exc}") from exc
+    if not _is_int(epoch) or epoch < 0:
+        raise FormatError(f"{path}: epoch is {epoch!r}, not a non-negative integer")
+    if not (isinstance(rng_state, list) and len(rng_state) == 2
+            and _is_int(rng_state[0]) and 0 <= rng_state[0] < 2**64
+            and (rng_state[1] is None
+                 or isinstance(rng_state[1], float) and math.isfinite(rng_state[1]))):
+        raise FormatError(f"{path}: rng state is {rng_state!r}, not [a 64-bit unsigned "
+                          "integer, null or a finite float]")
+    if not isinstance(history, list):
+        raise FormatError(f"{path}: history is {type(history).__name__}, not a list")
 
     model = CaptionModel(model_cfg, Rng(0))
     params = model.named_parameters()
@@ -675,7 +691,7 @@ def restore_training(path: str) -> RestoredTraining:
         if m.shape != param.data.shape or v.shape != param.data.shape:
             raise FormatError(f"{path}: Adam moments of {name!r} have shapes {m.shape} "
                               f"and {v.shape}, the parameter {param.data.shape}")
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        if not _is_int(t) or t < 0:
             raise FormatError(f"{path}: Adam step count of {name!r} is {t!r}, "
                               "not a non-negative integer")
         opt.state[name] = AdamState(m=m, v=v, t=t)

@@ -1,18 +1,50 @@
-"""Per-parameter references for the optimizer layer.
+"""Bit-for-bit references the equivalence tests hold production code to.
 
-``adam_update`` and ``ReferenceAdam`` update one parameter at a time with
-fresh arrays, and ``reference_clip`` scales each gradient on its own:
-the optimizer as it was before parameters shared a flat arena.  The
-equivalence tests hold ``modcap.tensor.Adam`` and ``clip_global_norm`` to
-their bits.
+The optimizer layer: ``adam_update`` and ``ReferenceAdam`` update one
+parameter at a time with fresh arrays, and ``reference_clip`` scales each
+gradient on its own: the optimizer as it was before parameters shared a
+flat arena.  The equivalence tests hold ``modcap.tensor.Adam`` and
+``clip_global_norm`` to their bits.
+
+The decoder unit: ``reference_step`` composes one step of a
+``DecoderUnit`` from one autodiff node per op (LSTM1, one attention head
+per module, the controller, fusion, LSTM2).  The fused ops it is built
+from, ``lstm_cell``, ``additive_attention`` and ``weighted_concat``, run
+the same array arithmetic as the unit kernel (``LstmRun``,
+``AttentionRun``), behind one joint node per op.  A one-step
+``decoder.unit_kernel`` call agrees with ``reference_step`` bit for bit
+in every output and gradient.  ``slice_axis``, ``pick`` and ``clamp_min``
+are the primitives the fused ops are checked against.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from modcap.errors import TrainingError
-from modcap.tensor import AdamState, Tensor
+from modcap.controller import (
+    AdditiveAttention,
+    ControllerState,
+    ModuleController,
+    ModuleLabel,
+    Strategy,
+    gumbel_noise,
+    one_hot_max,
+)
+from modcap.decoder import DecoderUnit, Encoded, UnitState, UnitTrace
+from modcap.errors import ShapeError, TrainingError
+from modcap.tensor import (
+    AdamState,
+    AttentionRun,
+    LstmParams,
+    LstmRun,
+    Rng,
+    Tensor,
+    _accum,
+    _as_tensor,
+    concat,
+    softmax,
+)
 
 
 def adam_init(param: Tensor) -> AdamState:
@@ -82,3 +114,272 @@ def assert_same_update(params, opt, ref_params, ref_opt) -> None:
         ref = ref_opt.state[name]
         assert (st.t, st.m.tobytes(), st.v.tobytes()) == (ref.t, ref.m.tobytes(),
                                                            ref.v.tobytes()), name
+
+
+# -- the op-composed decoder unit -----------------------------------------------
+
+
+def slice_axis(a, axis, start, stop) -> Tensor:
+    a = _as_tensor(a)
+    ndim = a.data.ndim
+    ax = axis if axis >= 0 else ndim + axis
+    idx = [slice(None)] * ndim
+    idx[ax] = slice(start, stop)
+    idx = tuple(idx)
+    data = np.ascontiguousarray(a.data[idx])
+    in_shape = a.data.shape
+
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros(in_shape, dtype=g.dtype)
+            full[idx] = g
+            _accum(a, full)
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def pick(a, indices) -> Tensor:
+    """Per-row column selection: (B, V)[b, idx_b] -> (B,)."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise ShapeError(f"pick expects a 2-d input, got shape {a.data.shape}")
+    idx = np.asarray(indices, dtype=np.int64)
+    rows = np.arange(a.data.shape[0])
+    data = np.ascontiguousarray(a.data[rows, idx])
+    in_shape = a.data.shape
+
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros(in_shape, dtype=g.dtype)
+            np.add.at(full, (rows, idx), g)
+            _accum(a, full)
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def clamp_min(a, floor) -> Tensor:
+    a = _as_tensor(a)
+    a_data = a.data
+    data = np.maximum(a_data, floor)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g * (a_data >= floor))
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def _views(joint: Tensor, shapes) -> tuple[Tensor, ...]:
+    """One node per output of a multi-output op whose joint node holds the
+    outputs flattened and concatenated in order.  Each view reads its
+    slice of the joint data and adds its gradient into the same slice of
+    the joint gradient."""
+    out = []
+    lo = 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+
+        def backward(g, lo=lo, hi=hi):
+            if joint.grad is None:
+                joint.grad = np.zeros_like(joint.data)
+            joint.grad[lo:hi] += g.reshape(-1)
+
+        out.append(Tensor._from_op(joint.data[lo:hi].reshape(shape), (joint,), backward))
+        lo = hi
+    return tuple(out)
+
+
+def lstm_cell(x, h, c, W, b):
+    """Fused LSTM update; returns (h', c').
+
+    z = [x, h] W + b holds the input, forget, candidate and output gate
+    blocks in that order; c' = f*c + i*g and h' = o*tanh(c').  Accepts
+    (d,) vectors or (B, d) batches.
+    """
+    x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
+    x_d, h_d, c_d = x.data, h.data, c.data
+    single = x_d.ndim == 1
+    if single:
+        x_d, h_d, c_d = (a.reshape(1, -1) for a in (x_d, h_d, c_d))
+    dh = b.data.shape[0] // 4
+    d_in = W.data.shape[0] - dh
+    if x_d.shape[-1] != d_in:
+        raise ShapeError(f"lstm_step input has width {x_d.shape[-1]}, weights expect {d_in}")
+    run = LstmRun(W.data, b.data)
+    with np.errstate(over="ignore"):
+        h2, c2 = run.forward([x_d, h_d], c_d)
+
+    def backward(grad):
+        g_xh, g_c = run.backward(0, grad[:h2.size].reshape(h2.shape),
+                                 grad[h2.size:].reshape(c2.shape))
+        g_W, g_b = run.param_grads()
+        if W.requires_grad:
+            _accum(W, g_W)
+        if b.requires_grad:
+            _accum(b, g_b)
+        if x.requires_grad:
+            _accum(x, g_xh[:, :d_in].reshape(x.data.shape))
+        if h.requires_grad:
+            _accum(h, g_xh[:, d_in:].reshape(h.data.shape))
+        if c.requires_grad:
+            _accum(c, g_c.reshape(c.data.shape))
+
+    joint = Tensor._from_op(np.concatenate([h2.ravel(), c2.ravel()]), (x, h, c, W, b),
+                            backward)
+    shape = (dh,) if single else h2.shape
+    return _views(joint, (shape, shape))
+
+
+def lstm_step(x, h, c, params: LstmParams):
+    """One LSTM cell update.  Accepts (d,) vectors or (B, d) batches."""
+    return lstm_cell(x, h, c, params.W, params.b)
+
+
+def additive_attention(values, query, W_v, W_h, w_a, mask=None):
+    """Fused additive attention; returns (alpha, attended).
+
+    score_n = w_a . tanh(W_v v_n + W_h q), alpha = max-shifted softmax of
+    the scores and attended = sum_n alpha_n v_n.  Takes (N, d_v) values
+    with a (d_c,) query, or (B, N, d_v) with (B, d_c).  A boolean mask of
+    the values' leading shape sets the scores of padded rows to -inf, so
+    their alpha is exactly 0.
+    """
+    values, query, W_v, W_h, w_a = (_as_tensor(t) for t in (values, query, W_v, W_h, w_a))
+    v, q_in = values.data, query.data
+    single = v.ndim == 2
+    if single:
+        v = v.reshape((1,) + v.shape)
+        q_in = q_in.reshape(1, -1)
+    if v.shape[1] == 0:
+        raise ValueError("attention over an empty value set")
+    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T),
+                       w_a.data, mask)
+    alpha, attended = run.forward(q_in)
+
+    def backward(grad):
+        g_q = run.backward(0, grad[:alpha.size].reshape(alpha.shape),
+                           grad[alpha.size:].reshape(attended.shape))
+        g_direct, g_keys, g_Wv, g_Wh, g_wa = run.grads()
+        if values.requires_grad:
+            _accum(values, g_direct.reshape(values.data.shape))
+            _accum(values, g_keys.reshape(values.data.shape))
+        if query.requires_grad:
+            _accum(query, g_q.reshape(query.data.shape))
+        if W_v.requires_grad:
+            _accum(W_v, g_Wv)
+        if W_h.requires_grad:
+            _accum(W_h, g_Wh)
+        if w_a.requires_grad:
+            _accum(w_a, g_wa)
+
+    joint = Tensor._from_op(np.concatenate([alpha.ravel(), attended.ravel()]),
+                            (values, query, W_v, W_h, w_a), backward)
+    if single:
+        return _views(joint, (alpha.shape[1:], attended.shape[1:]))
+    return _views(joint, (alpha.shape, attended.shape))
+
+
+def attend(att: AdditiveAttention, values, query, mask=None):
+    """One attention head on its own: (alpha, attended)."""
+    return additive_attention(values, query, att.W_v, att.W_h, att.w_a, mask)
+
+
+def weighted_concat(weights, parts) -> Tensor:
+    """Fused concat of K equal-width blocks, block k scaled by weights[..., k]:
+    (..., K) weights and K (..., d) parts give (..., K*d)."""
+    weights = _as_tensor(weights)
+    parts = [_as_tensor(t) for t in parts]
+    w = weights.data
+    blocks = [p.data for p in parts]
+    d = blocks[0].shape[-1]
+    data = np.concatenate([w[..., k:k + 1] * x for k, x in enumerate(blocks)], axis=-1)
+
+    def backward(g):
+        g_blocks = [g[..., k * d:(k + 1) * d] for k in range(len(parts))]
+        if weights.requires_grad:
+            _accum(weights, np.stack([(gk * x).sum(axis=-1)
+                                      for gk, x in zip(g_blocks, blocks)], axis=-1))
+        for k, (gk, p) in enumerate(zip(g_blocks, parts)):
+            if p.requires_grad:
+                _accum(p, gk * w[..., k:k + 1])
+
+    return Tensor._from_op(data, (weights, *parts), backward)
+
+
+def fuse(weights: Tensor, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
+         v_func: Tensor) -> Tensor:
+    """Concat of the four module vectors, each scaled by its weight."""
+    parts = (v_obj, v_attr, v_rel, v_func)
+    if weights.shape[-1] != len(parts):
+        raise ShapeError(f"expected {len(parts)} module weights, got shape {weights.shape}")
+    d_v = parts[0].shape[-1]
+    for p in parts:
+        if p.shape[-1] != d_v:
+            raise ShapeError(f"module outputs disagree in width: {p.shape[-1]} vs {d_v}")
+    return weighted_concat(weights, parts)
+
+
+def straight_through(y_soft: Tensor) -> Tensor:
+    """One-hot forward value with the soft distribution's gradient."""
+    return Tensor(one_hot_max(y_soft.data)) - y_soft.detach() + y_soft
+
+
+@dataclass
+class ControllerOutput:
+    weights: Tensor        # what fuse() consumes (one-hot under HARD)
+    soft: Tensor | None    # noise-free softmax of the logits, None under UNIFORM
+    state: ControllerState
+
+
+def controller_step(ctrl: ModuleController, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
+                    context: Tensor, state: ControllerState, strategy: Strategy,
+                    rng: Rng | None = None) -> ControllerOutput:
+    """One controller step: the LSTM over [v_O, v_A, v_R, c], then the
+    4-way softmax.  SOFT keeps the softmax as-is, HARD draws a
+    Gumbel-softmax sample and snaps it to a one-hot straight-through
+    estimate, UNIFORM skips the network and pins every weight to 1."""
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"unknown collocation strategy: {strategy!r}")
+    if strategy is Strategy.UNIFORM:
+        batch = v_obj.shape[0] if v_obj.ndim == 2 else None
+        shape = (batch, len(ModuleLabel)) if batch else (len(ModuleLabel),)
+        ones = Tensor(np.ones(shape, dtype=v_obj.data.dtype))
+        return ControllerOutput(weights=ones, soft=None, state=state)
+    x = concat([v_obj, v_attr, v_rel, context], axis=-1)
+    h, c = lstm_step(x, state.h, state.c, ctrl.lstm)
+    logits = ctrl.proj(h)
+    soft = softmax(logits, axis=-1)
+    if strategy is Strategy.SOFT:
+        weights = soft
+    else:  # HARD
+        noise = Tensor(gumbel_noise(rng, logits.shape, logits.data.dtype))
+        y = softmax((logits + noise) * (1.0 / ctrl.tau), axis=-1)
+        weights = straight_through(y)
+    return ControllerOutput(weights=weights, soft=soft, state=ControllerState(h=h, c=c))
+
+
+def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitState,
+                   rng: Rng | None = None):
+    """``DecoderUnit.step`` composed of autodiff ops, one node per op.
+    Returns (i_new, new state, trace)."""
+    context = state.h2
+    u = concat([i_prev, context] + [enc.means[name] for name in unit.modules], axis=-1)
+    h1, c1 = lstm_step(u, state.h1, state.c1, unit.lstm1)
+    alphas = {}
+    attended = []
+    for name in unit.modules:
+        alphas[name], v = attend(unit.att[name], enc.feats[name], h1, enc.mask)
+        attended.append(v)
+    weights = soft = ctrl_state = None
+    if unit.ctrl is None:
+        (v_hat,) = attended
+    else:
+        v_func = unit.func(context)
+        out = controller_step(unit.ctrl, *attended, context, state.ctrl,
+                              Strategy(unit.cfg.strategy), rng=rng)
+        weights, soft, ctrl_state = out.weights, out.soft, out.state
+        v_hat = fuse(weights, *attended, v_func)
+    h2, c2 = lstm_step(concat([h1, v_hat], axis=-1), state.h2, state.c2, unit.lstm2)
+    i_new = i_prev + h2
+    new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
+    return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)

@@ -151,6 +151,22 @@ def test_bad_adam_step_exits_2(data_dir, checkpoint, tmp_path, capsys, step):
     assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rng", "abc"), ("rng", []), ("rng", 5), ("rng", [2**64, None]), ("rng", [-1, None]),
+    ("rng", [True, None]), ("rng", [7, "0.5"]), ("epoch", "abc"), ("epoch", -3),
+    ("epoch", 1.7), ("epoch", True), ("history", 5)])
+def test_malformed_resume_state_exits_2(data_dir, checkpoint, tmp_path, capsys, field,
+                                        value):
+    # unchecked, these ended in a ValueError, IndexError or TypeError
+    # traceback, or loaded silently (a negative or fractional epoch)
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: meta.update({field: value}))
+    assert_data_error(["caption", "--checkpoint", str(path), "--data", str(data_dir),
+                       "--greedy"], capsys)
+    assert_data_error(["train", "--data", str(data_dir), "--out", str(path), "--resume"],
+                      capsys)
+
+
 def test_adam_steps_not_a_mapping_exit_2(data_dir, checkpoint, tmp_path, capsys):
     path = copy_checkpoint(checkpoint, tmp_path)
     edit_meta(path, lambda meta: meta.update(adam_t=sorted(meta["adam_t"])))

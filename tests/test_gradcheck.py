@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modcap.tensor import FLOAT64, Rng, Tensor, relu
+from modcap.tensor import FLOAT64, AttentionRun, LstmRun, Tensor, relu
 from modcap.gradcheck import (
     KERNEL_STEPS,
     KERNEL_VARIANTS,
@@ -54,6 +54,27 @@ class TestBattery:
         x = Tensor(np.zeros((2, 2)), requires_grad=True, dtype=FLOAT64)
         result = check_case("probe", "relu_at_kink", lambda t: relu(t).sum(), x)
         assert not result.ok
+
+    @pytest.mark.parametrize("run, method, k, cases", [
+        (LstmRun, "param_grads", 0, {"lstm_step_W", "lstm_cell_batched_W"}),
+        (AttentionRun, "grads", 2, {"additive_attention_W_v",
+                                    "additive_attention_masked_W_v"}),
+    ])
+    def test_cases_check_the_helpers_production_runs(self, monkeypatch, run, method, k,
+                                                     cases):
+        # a 1% error in one gradient of the unit kernel's array helpers
+        # fails exactly the primitive cases that check it
+        real = getattr(run, method)
+
+        def off_by_one_percent(self):
+            grads = list(real(self))
+            grads[k] = grads[k] * 1.01
+            return tuple(grads)
+
+        monkeypatch.setattr(run, method, off_by_one_percent)
+        failed = {name for name, f, x in primitive_cases(seed=0)
+                  if not check_case("primitives", name, f, x).ok}
+        assert failed == cases
 
 
 class TestDecoderSection:

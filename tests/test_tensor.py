@@ -13,29 +13,32 @@ from modcap.tensor import (
     ParamArena,
     Rng,
     Tensor,
-    clamp_min,
     clip_global_norm,
     concat,
     finite_diff_grad,
     gather_rows,
     leaky_relu,
-    lstm_step,
     make_lstm_params,
     matmul,
     max_relative_error,
     mean_pool_rows,
-    pick,
     relu,
     reshape,
     sigmoid,
-    slice_axis,
     softmax,
     sweep_order,
     tanh,
     transpose,
     xavier_uniform,
 )
-from reference import ReferenceAdam, assert_same_update
+from reference import (
+    ReferenceAdam,
+    assert_same_update,
+    clamp_min,
+    lstm_step,
+    pick,
+    slice_axis,
+)
 
 
 def check_grad(f, *arrays, eps=1e-4, tol=1e-3):

@@ -2,7 +2,7 @@
 whole-sequence kernel against the step loop.
 
 ``DecoderUnit.step`` runs a whole unit step as one autodiff node
-(``decoder.unit_kernel`` on one step's rows); ``DecoderUnit.reference_step``
+(``decoder.unit_kernel`` on one step's rows); ``reference.reference_step``
 composes the same step from one node per op.  Every preset of the
 ablation grid runs on a batch of scenes with different region counts
 (zero-padded, masked) once through each, and every forward value, decoded
@@ -30,6 +30,7 @@ from modcap.decoder import (
 )
 from modcap.tensor import Rng, Tensor, masked_nll
 from modcap.training import LOSS_EPS, _pack, teacher_forced
+from reference import reference_step
 
 SPEC = CorpusSpec(n_scenes=40, seed=5)
 
@@ -146,7 +147,7 @@ def test_kernel_matches_reference_bit_for_bit(corpus, padded_batch, preset, gumb
                                               monkeypatch):
     model, train_cfg = preset_model(corpus, preset, gumbel_tau)
     fused = run_everything(model, train_cfg, padded_batch)
-    monkeypatch.setattr(DecoderUnit, "step", DecoderUnit.reference_step)
+    monkeypatch.setattr(DecoderUnit, "step", reference_step)
     reference = run_everything(model, train_cfg, padded_batch)
     assert fused.keys() == reference.keys()
     differ = [key for key in fused if fused[key] != reference[key]]

@@ -38,7 +38,7 @@ from .errors import (
     TrainingError,
 )
 from .gradcheck import DEFAULT_TOLERANCE, SECTIONS, run_battery
-from .tensor import Rng
+from .tensor import Rng, set_debug_checks
 from .trace import render_svg, trace_example, trace_generated
 from .training import (
     MODEL_INIT_TAG,
@@ -440,6 +440,10 @@ def build_parser() -> _Parser:
     _add_seed(p)
     p.set_defaults(func=cmd_ablate)
 
+    for name in ("train", "eval", "gradcheck"):
+        sub.choices[name].add_argument("--debug-finite", dest="debug_finite",
+                                       action="store_true",
+                                       help="check every op output for NaN/Inf (exit 3)")
     return parser
 
 
@@ -449,6 +453,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr,
                         level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+    set_debug_checks(getattr(args, "debug_finite", False))
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -460,6 +465,8 @@ def main(argv=None) -> int:
     except (TrainingError, FloatingPointError) as exc:
         print(f"modcap: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        set_debug_checks(False)
 
 
 if __name__ == "__main__":

@@ -9,31 +9,31 @@ feature back in.  The unit output is added onto i, so stacking M units
 is a residual chain and i keeps the embedding width throughout.  A
 single-module unit has one attention head and no controller.
 
-A unit runs as one autodiff node, ``unit_kernel``, with a hand-written
-backward; the attention heads of all modules are one stacked
-computation.  The kernel takes the unit's input rows of T steps and runs
-the recurrence inside the node: decoding calls it one step at a time
-(``DecoderUnit.step``, T = 1), teacher forcing once per unit over the
-whole caption (``CaptionModel.forced``), where the attention keys, the
-derivatives of the nonlinearities and every parameter gradient are
-formed once over all T steps.  The same step composed of one autodiff
-node per op is kept with the tests (``tests/reference.py``); a one-step
-kernel call agrees with it bit for bit in every output and gradient.
+A unit's steps are one forward loop on plain arrays, ``unit_kernel``;
+the attention heads of all modules are one stacked computation over
+keys computed once per encoding.  On Tensors the loop runs inside one
+autodiff node with a hand-written backward: one step at a time
+(``DecoderUnit.step``) when sampling with gradients, once per unit over
+the whole caption (``CaptionModel.forced``) in teacher forcing.  The
+same step composed of one autodiff node per op is kept with the tests
+(``tests/reference.py``); a one-step kernel call agrees with it bit for
+bit in every output and gradient.  Without gradients the decoders step
+forward only on plain state arrays, one array of rows per unit, and
+build no Tensor.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax, sample or forced) picks every row's next token and an optional
 observer sees each step.  Greedy and sampling decoding and traces run on
-it; beam search, which reorders state rows every step, keeps its own
-loop.  A single scene is a batch of one, and its results come back
+it; beam search, which reorders the state rows every step, keeps its
+own loop.  A single scene is a batch of one, and its results come back
 unwrapped: a token list rather than a list holding one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +57,10 @@ from .tensor import (
     _accum,
     _steps,
     _t_matmul,
+    attention_keys,
+    check_finite,
     gather_rows,
+    grad_enabled,
     make_lstm_params,
     masked_nll,
     mean_pool_rows,
@@ -81,6 +84,7 @@ class Encoded:
     feats: dict[str, Tensor]
     means: dict[str, Tensor]
     mask: np.ndarray
+    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def batch(self) -> int:
@@ -98,6 +102,14 @@ class Encoded:
         return (np.stack([f.data for f in self.feats.values()]),
                 np.concatenate([m.data for m in self.means.values()], axis=-1))
 
+    def keys(self, Wv_T: np.ndarray) -> np.ndarray:
+        """The attention keys (K, B, N, d_a) of the stacked features under a
+        unit's W_v^T (``DecoderUnit.heads``, rebuilt when a head weight is
+        rebound), computed once per encoding and weight array."""
+        if id(Wv_T) not in self._keys:     # the entry holds W_v^T: its id stays unique
+            self._keys[id(Wv_T)] = (Wv_T, attention_keys(self.stacked[0], Wv_T))
+        return self._keys[id(Wv_T)][1]
+
 
 @dataclass
 class UnitState:
@@ -111,7 +123,8 @@ class UnitState:
 @dataclass
 class UnitTrace:
     """What a unit step chose.  Only ``soft`` carries gradient (to the
-    word-class term); under the soft strategy ``weights`` is ``soft``."""
+    word-class term); under the soft strategy ``weights`` is ``soft``.
+    A step on plain state arrays returns plain arrays instead of Tensors."""
 
     weights: Tensor | None           # (B, 4) fusion weights, None without a controller
     soft: Tensor | None              # noise-free controller softmax, for supervision
@@ -153,10 +166,10 @@ class DecoderUnit:
         ctrl = None if self.ctrl is None else ControllerState(h=z(), c=z())
         return UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl)
 
-    def step(self, i_prev: Tensor, enc: Encoded, state: UnitState,
-             rng: Rng | None = None):
-        """One step of the unit as one autodiff node (``unit_kernel``).
-        Returns (i_new, new state, trace)."""
+    def step(self, i_prev, enc: Encoded, state, rng: Rng | None = None):
+        """One step of the unit (``unit_kernel``): one autodiff node on
+        Tensors, forward only on plain arrays.  Returns (i_new, new state,
+        trace)."""
         noise = None
         if self.ctrl is not None and self.cfg.strategy == Strategy.HARD:
             noise = gumbel_noise(rng, (i_prev.shape[0], len(self.modules) + 1), i_prev.dtype)
@@ -194,43 +207,57 @@ def _plus(a, b):
     return a if b is None else a + b
 
 
-def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, state: UnitState,
-                noise: np.ndarray | None = None):
-    """T steps of a decoder unit as a single autodiff node.
+def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | None = None):
+    """T steps of a decoder unit: one forward loop on plain arrays, run
+    inside a single autodiff node when a gradient is wanted.
 
     ``i`` holds the unit's input rows of every step, (T, B, d_v), or of
     one step, (B, d_v).  Each step runs LSTM1, the K attention heads as
-    one stacked computation, and with a controller the function module,
-    the controller (soft; hard with the Gumbel ``noise`` of shape
-    ``i.shape[:-1] + (K + 1,)``, zero when None, and a straight-through
-    one-hot; or uniform) and the weighted fusion, then LSTM2 and the
-    residual add; the unit state carries from step to step.  The node is
-    the unit output, shaped like ``i``; the final state tensors and the
-    per-step controller softmax are outputs that hang off it, and the
-    backward reads their gradients and returns every input and parameter
-    gradient in one closure.  The attention key projection, the
-    derivatives of the nonlinearities and each parameter gradient are
-    formed once over all T*B rows.  A one-step call rounds exactly as the
-    op-composed step in ``tests/reference.py``: the backward adds the
-    gradients each tensor receives in the order the reference graph's
-    sweep adds them.
-    Fusion weights under the hard and uniform strategies and the
-    attention weights come back per step and without gradient.
+    one stacked computation over the encoding's cached keys, and with a
+    controller the function module, the controller (soft; hard with the
+    Gumbel ``noise`` of shape ``i.shape[:-1] + (K + 1,)``, zero when None,
+    and a straight-through one-hot; or uniform) and the weighted fusion,
+    then LSTM2 and the residual add; the unit state carries from step to
+    step.
+
+    On Tensors (``state`` a ``UnitState``) the node is the unit output,
+    shaped like ``i``; the final state tensors and the per-step
+    controller softmax are outputs that hang off it, and the backward
+    reads their gradients and returns every input and parameter gradient
+    in one closure.  The derivatives of the nonlinearities and each
+    parameter gradient are formed once over all T*B rows.  A one-step
+    call rounds exactly as the op-composed step in
+    ``tests/reference.py``: the backward adds the gradients each tensor
+    receives in the order the reference graph's sweep adds them.  Fusion
+    weights under the hard and uniform strategies and the attention
+    weights come back per step and without gradient.
+
+    On plain arrays (``state`` one (n, B, d_c) array of h1, c1, h2, c2
+    and with a controller its h and c) the call runs forward only and
+    returns plain arrays; it builds no node, closure or step record.  A
+    one-scene encoding then serves any number of rows (a beam's
+    hypotheses).
     """
     dv, dc = unit.cfg.d_v, unit.cfg.d_c
     k_heads = len(unit.modules)
-    shape = i.data.shape
-    xs = i.data.reshape((-1,) + shape[-2:])
+    record = isinstance(i, Tensor)
+    shape = i.shape
+    xs = (i.data if record else i).reshape((-1,) + shape[-2:])
     n_steps, batch = xs.shape[:2]
-    feats = [enc.feats[name] for name in unit.modules]
-    means = [enc.means[name] for name in unit.modules]
     values, means_cat = enc.stacked
+    if len(means_cat) != batch:         # one scene's means for every row
+        means_cat = np.repeat(means_cat, batch, axis=0)
     strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
     controlled = strategy is not None and strategy is not Strategy.UNIFORM
-    lstm1 = LstmRun(unit.lstm1.W.data, unit.lstm1.b.data)
-    lstm2 = LstmRun(unit.lstm2.W.data, unit.lstm2.b.data)
-    heads = AttentionRun(values, *unit.heads(), enc.mask if enc.padded else None)
-    h1, c1, h2, c2 = state.h1.data, state.c1.data, state.h2.data, state.c2.data
+    Wv_T, Wh_T, wa = unit.heads()
+    lstm1 = LstmRun(unit.lstm1.W.data, unit.lstm1.b.data, record)
+    lstm2 = LstmRun(unit.lstm2.W.data, unit.lstm2.b.data, record)
+    heads = AttentionRun(values, Wv_T, Wh_T, wa, enc.mask if enc.padded else None,
+                         enc.keys(Wv_T), record)
+    if record:
+        h1, c1, h2, c2 = state.h1.data, state.c1.data, state.h2.data, state.c2.data
+    else:
+        h1, c1, h2, c2, *ctrl_rows = state
     # per-step records; step t's context is h2 of step t-1
     outs, contexts, alphas, pre_f, blocks = [], [], [], [], []
     weights, hcs, soft, ys = [], [], [], []
@@ -238,8 +265,8 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, state: UnitState,
         fc = unit.func.fc
     if controlled:
         ctrl = unit.ctrl
-        lstm_c = LstmRun(ctrl.lstm.W.data, ctrl.lstm.b.data)
-        hc, cc = state.ctrl.h.data, state.ctrl.c.data
+        lstm_c = LstmRun(ctrl.lstm.W.data, ctrl.lstm.b.data, record)
+        hc, cc = (state.ctrl.h.data, state.ctrl.c.data) if record else ctrl_rows
         if strategy is Strategy.HARD:
             noise = (np.zeros((n_steps, batch, k_heads + 1), xs.dtype) if noise is None
                      else noise.reshape(n_steps, batch, -1))
@@ -275,6 +302,20 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, state: UnitState,
             h2, c2 = lstm2.forward([h1, v_hat, ctx], c2)
             outs.append(xs[t] + h2)
 
+    # per-step arrays come back stacked on a leading step axis, or as they
+    # are for a one-step call
+    steps = (lambda arrays, axis=0: arrays[0]) if len(shape) == 2 else np.stack
+    alphas = steps(alphas, axis=1)
+    if not record:
+        new_rows = np.array([h1, c1, h2, c2, *([hc, cc] if controlled else ctrl_rows)])
+        out = steps(outs)
+        check_finite("unit_kernel", out)
+        check_finite("unit_kernel", new_rows)
+        return out, new_rows, UnitTrace(weights=steps(weights) if weights else None,
+                                        soft=steps(soft) if soft else None,
+                                        alphas=dict(zip(unit.modules, alphas)))
+    feats = [enc.feats[name] for name in unit.modules]
+    means = [enc.means[name] for name in unit.modules]
     params = [unit.lstm1.W, unit.lstm1.b, unit.lstm2.W, unit.lstm2.b]
     for name in unit.modules:
         params += [unit.att[name].W_v, unit.att[name].W_h, unit.att[name].w_a]
@@ -380,9 +421,6 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, state: UnitState,
         give(state.c1, g_c1)
         give(state.c2, g_c2)
 
-    # per-step arrays come back stacked on a leading step axis, or as they
-    # are for a one-step call
-    steps = (lambda arrays, axis=0: arrays[0]) if len(shape) == 2 else np.stack
     node = Tensor._from_op(steps(outs), tuple(inputs + params), backward)
 
     def output(name, data):
@@ -396,7 +434,6 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, state: UnitState,
                 node.grad = np.zeros_like(node.data)
         return Tensor._from_op(data, (node,), collect)
 
-    alphas = steps(alphas, axis=1)
     trace = UnitTrace(weights=None, soft=None,
                       alphas={name: Tensor(alphas[k]) for k, name in enumerate(unit.modules)})
     ctrl_state = None if strategy is None else state.ctrl
@@ -456,22 +493,33 @@ class CaptionModel:
     def init_state(self, batch: int) -> list[UnitState]:
         return [unit.init_state(batch) for unit in self.units]
 
-    def step(self, prev_tokens, enc: Encoded, states: list[UnitState],
-             rng: Rng | None = None):
+    def init_rows(self, batch: int) -> list[np.ndarray]:
+        """Each unit's zero state as one plain array (n, B, d_c): h1, c1,
+        h2, c2, and with a controller its h and c."""
+        return [np.zeros((4 if unit.ctrl is None else 6, batch, self.cfg.d_c), self.dtype)
+                for unit in self.units]
+
+    def step(self, prev_tokens, enc: Encoded, states: list, rng: Rng | None = None):
         """One decode step for the whole stack.
 
         prev_tokens: int array (B,). Returns (word distribution (B, V),
-        new states, per-unit traces).
+        new states, per-unit traces).  On the plain state arrays of
+        ``init_rows`` the step runs forward only and returns plain arrays;
+        it rounds as the Tensor step does and creates no Tensor.
         """
         idx = np.asarray(prev_tokens, dtype=np.int64)
-        vec = gather_rows(self.embed, idx)
+        forward_only = isinstance(states[0], np.ndarray)
+        vec = self.embed.data[idx] if forward_only else gather_rows(self.embed, idx)
         new_states = []
         traces = []
         for unit, st in zip(self.units, states):
             vec, st2, tr = unit.step(vec, enc, st, rng=rng)
             new_states.append(st2)
             traces.append(tr)
-        dist = softmax(self.head(vec), axis=-1)
+        if not forward_only:
+            return softmax(self.head(vec), axis=-1), new_states, traces
+        dist = softmax_forward(np.matmul(vec, self.head.W.data) + self.head.b.data)
+        check_finite("word_head", dist)
         return dist, new_states, traces
 
     def forced(self, inputs, enc: Encoded, rng: Rng | None = None):
@@ -512,21 +560,16 @@ class CaptionModel:
 # -- decoding ---------------------------------------------------------------
 
 
-def take_rows(obj, idx):
-    """Rows ``idx`` of every tensor and array in a decoder state or an
-    encoding, in the same structure; None passes through."""
-    if isinstance(obj, Tensor):
-        return gather_rows(obj, idx)
-    if isinstance(obj, np.ndarray):
-        return obj[idx]
-    if isinstance(obj, list):
-        return [take_rows(o, idx) for o in obj]
-    if isinstance(obj, dict):
-        return {k: take_rows(v, idx) for k, v in obj.items()}
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.replace(obj, **{f.name: take_rows(getattr(obj, f.name), idx)
-                                           for f in dataclasses.fields(obj)})
-    return obj
+def _initial_state(model, batch):
+    """The state a decode loop starts from: without gradients a
+    CaptionModel steps forward only, on plain state arrays."""
+    if isinstance(model, CaptionModel) and not grad_enabled():
+        return model.init_rows(batch)
+    return model.init_state(batch)
+
+
+def _array(dist):
+    return dist.data if isinstance(dist, Tensor) else dist
 
 
 def one_scene(enc) -> bool:
@@ -543,17 +586,19 @@ def run_decoder(model, enc, max_len, choose, observe=None, rng=None, bos=BOS_ID,
     The token policy ``choose(t, p, live)`` maps step t's (B, V)
     distribution array and the mask of rows still running to the token
     each row emits and is fed next; tokens of finished rows are not kept.
-    ``observe(t, dist, traces, tokens, live)`` sees every step.  ``bos``,
-    the first input, is one token id or one per row.
+    ``observe(t, dist, traces, tokens, live)`` sees every step: the
+    distribution and the traces are Tensors, or plain arrays when a
+    CaptionModel decodes without gradients.  ``bos``, the first input, is
+    one token id or one per row.
     """
     batch = 1 if enc is None else enc.batch
-    states = model.init_state(batch)
+    states = _initial_state(model, batch)
     tok = np.full(batch, bos, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     rows = [[] for _ in range(batch)]
     for t in range(max_len):
         dist, states, traces = model.step(tok, enc, states, rng=rng)
-        tok = np.asarray(choose(t, dist.data, live), dtype=np.int64)
+        tok = np.asarray(choose(t, _array(dist), live), dtype=np.int64)
         if observe is not None:
             observe(t, dist, traces, tok, live)
         for b in np.flatnonzero(live):
@@ -612,12 +657,15 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
                 eos: int = EOS_ID, length_normalize: bool = False) -> list[Hypothesis]:
     """Best-first beam decode of one scene.
 
-    Each step expands every live hypothesis in one ``model.step`` call, on
-    the scene's encoding repeated once per hypothesis and the parents'
-    state rows.  A hypothesis that emits the end token is frozen: it is
-    never expanded again but keeps competing with live ones on its
-    (optionally length normalized) cumulative log-probability.  Ties
-    prefer the sequence that is lexicographically smallest in token ids.
+    Each step expands every live hypothesis in one forward-only step on
+    plain arrays: the hypotheses are the rows of each unit's state array,
+    reordered to their parents by one index per unit, and they attend the
+    one-scene encoding, broadcast over them.  A hypothesis that emits the
+    end token is frozen: it is never expanded again but keeps competing
+    with live ones on its (optionally length normalized) cumulative
+    log-probability.  Ties prefer the sequence that is lexicographically
+    smallest in token ids.  A token of probability 0 scores the log of
+    the smallest subnormal of the distribution's dtype.
     """
     if beam_width < 1:
         raise ValueError(f"beam width must be positive, got {beam_width}")
@@ -627,20 +675,20 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
     def rank(h):
         return (-h.score(length_normalize), h.tokens)
 
-    repeated = {}       # the scene's encoding, once per number of live hypotheses
     with no_grad():
         beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
-        states = model.init_state(1)
+        states = _initial_state(model, 1)
         for _ in range(max_len):
             live = [h for h in beams if not h.finished]
             if not live:
                 break
             prev = [h.tokens[-1] if h.tokens else bos for h in live]
-            if len(live) not in repeated:
-                repeated[len(live)] = take_rows(enc, np.zeros(len(live), dtype=np.int64))
-            dist, states, _ = model.step(prev, repeated[len(live)],
-                                         take_rows(states, np.array([h.states for h in live])))
-            logp = np.log(np.maximum(dist.data, 1e-300))
+            if states is not None:      # a model stub may keep no state
+                parents = np.array([h.states for h in live])
+                states = [s[:, parents] for s in states]
+            dist, states, _ = model.step(prev, enc, states)
+            p = _array(dist)
+            logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
             total = np.array([h.logprob for h in live])[:, None] + logp
             score = total
             if length_normalize:
@@ -654,10 +702,10 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
             else:
                 picked = np.arange(flat.size)
             candidates = [h for h in beams if h.finished]
-            for row, tok in zip(*np.unravel_index(picked, score.shape)):
-                candidates.append(Hypothesis(tokens=live[row].tokens + (int(tok),),
-                                             logprob=float(total[row, tok]),
-                                             states=int(row), finished=tok == eos))
+            rows, toks = np.divmod(picked, score.shape[1])
+            for row, tok, logprob in zip(rows.tolist(), toks.tolist(),
+                                         total.ravel()[picked].tolist()):
+                candidates.append(Hypothesis(live[row].tokens + (tok,), logprob, row, tok == eos))
             candidates.sort(key=rank)
             beams = candidates[:beam_width]
     beams.sort(key=rank)
@@ -666,7 +714,8 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
 
 def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,
                   eos: int = EOS_ID):
-    """Ancestral sampling of every row of ``enc``.  Keeps gradients.
+    """Ancestral sampling of every row of ``enc``; keeps gradients unless
+    run under ``no_grad``.
 
     Returns (tokens, per-step (B,) log-probabilities of the sampled
     tokens), the tokens as one list per row, or the list itself for a

@@ -16,9 +16,9 @@ one fused op with a hand-written backward, ``masked_nll``:
 The LSTM, attention and softmax arithmetic lives on plain arrays
 (``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``)
 for the decoder's unit kernel (``decoder.unit_kernel``, a decoder unit
-over T steps as one node).  A run records T steps: forward and input
-gradients go step by step, and the parameter gradients are one GEMM over
-the rows of all steps.  The op-composed decoder unit that the kernel
+over T steps as one node, or forward only).  A run records T steps:
+forward and input gradients go step by step, and the parameter
+gradients are one GEMM over the rows of all steps.  The op-composed decoder unit that the kernel
 agrees with bit for bit, and the fused LSTM, attention and fusion ops it
 is built from, are kept with the tests (``tests/reference.py``).
 
@@ -66,6 +66,18 @@ def set_debug_checks(flag: bool) -> None:
     """When on, every op output is checked for NaN/Inf."""
     global _debug_finite
     _debug_finite = bool(flag)
+
+
+def check_finite(op: str, data) -> None:
+    """With debug checks on, raise FloatingPointError naming ``op`` if
+    ``data`` holds a NaN or Inf."""
+    if _debug_finite and not np.all(np.isfinite(data)):
+        raise FloatingPointError(f"{op} produced a non-finite value of shape {np.shape(data)}")
+
+
+def grad_enabled() -> bool:
+    """Whether ops record the graph (False inside ``no_grad``)."""
+    return _grad_enabled
 
 
 @contextmanager
@@ -177,12 +189,10 @@ class Tensor:
             out.requires_grad = False
             out._parents = ()
             out._backward = None
-        if _debug_finite and not np.all(np.isfinite(data)):
+        if _debug_finite:
             # every op defines its closure inside the op function, so the
             # closure's qualified name starts with the op's name
-            op = backward.__qualname__.partition(".")[0]
-            raise FloatingPointError(f"{op} produced a non-finite value "
-                                     f"of shape {np.shape(data)}")
+            check_finite(backward.__qualname__.partition(".")[0], data)
         return out
 
     # -- basic properties -----------------------------------------------------
@@ -713,12 +723,13 @@ class LstmRun:
     ``forward`` runs the next step; ``backward`` runs step t's gradient and
     must visit the steps in reverse; ``param_grads`` then returns the
     weight and bias gradients of all steps, one GEMM and one sum over the
-    rows of every step.
+    rows of every step.  Without ``record`` the run is forward only.
     """
 
-    def __init__(self, W, b):
+    def __init__(self, W, b, record=True):
         self.W, self.b = W, b
         self.dh = b.shape[0] // 4
+        self.record = record
         self.steps = []     # per step: xh, c, gates, candidate, tanh(c')
         self.g_z = None
 
@@ -734,7 +745,8 @@ class LstmRun:
         g = np.tanh(z[:, 2 * dh:3 * dh])
         c2 = f * c + i * g
         tanh_c2 = np.tanh(c2)
-        self.steps.append((xh, c, gates, g, tanh_c2))
+        if self.record:
+            self.steps.append((xh, c, gates, g, tanh_c2))
         return o * tanh_c2, c2
 
     def backward(self, t, g_h, g_c):
@@ -781,6 +793,13 @@ class LstmRun:
         return grads
 
 
+def attention_keys(v, Wv_T):
+    """The keys v W_v^T (..., B, N, d_a) of values (..., B, N, d_v)."""
+    *lead, b, n, d_v = v.shape
+    return np.matmul(v.reshape(tuple(lead) + (b * n, d_v)), Wv_T).reshape(
+        tuple(lead) + (b, n, Wv_T.shape[-1]))
+
+
 class AttentionRun:
     """A run of additive-attention queries over one set of values.
 
@@ -789,34 +808,37 @@ class AttentionRun:
     (..., d_a); leading axes stack independent heads that share the
     query, and a stacked run rounds exactly as one run per head.  A
     boolean (B, N) mask gives padded regions a score of -inf.  The key
-    projection is computed once; ``forward`` takes the next step's query
-    rows, ``backward`` step t's gradients (steps in reverse), and
-    ``grads`` returns the gradients of the values and the weights summed
-    over all steps.
+    projection is computed once, or passed in as ``keys``; ``forward``
+    takes the next step's query rows, ``backward`` step t's gradients
+    (steps in reverse), and ``grads`` returns the gradients of the values
+    and the weights summed over all steps.  Without ``record``, or with
+    values of one scene for many query rows, the run is forward only.
     """
 
-    def __init__(self, v, Wv_T, Wh_T, wa, mask=None):
+    def __init__(self, v, Wv_T, Wh_T, wa, mask=None, keys=None, record=True):
         *lead, b, n, d_v = v.shape
         self.lead = tuple(lead)
         self.v, self.Wv_T, self.Wh_T, self.wa, self.mask = v, Wv_T, Wh_T, wa, mask
         self.v2 = v.reshape(self.lead + (b * n, d_v))
-        self.keys = np.matmul(self.v2, Wv_T).reshape(self.lead + (b, n, wa.shape[-1]))
+        self.keys = attention_keys(v, Wv_T) if keys is None else keys
+        self.record = record
         self.q_in, self.t2, self.alpha = [], [], []
         self.g_direct = self.g_pre = None
 
     def forward(self, q_in):
         """The next step for the queries q_in (B, d_c): returns (alpha
         (..., B, N), attended (..., B, d_v))."""
-        b, n, d_a = self.keys.shape[-3:]
+        b, (n, d_a) = q_in.shape[0], self.keys.shape[-2:]
         q = np.matmul(q_in, self.Wh_T).reshape(self.lead + (b, 1, d_a))
         t2 = np.tanh(self.keys + q).reshape(self.lead + (b * n, d_a))
         scores = np.matmul(t2, self.wa[..., None]).reshape(self.lead + (b, n))
         if self.mask is not None:
             scores = np.where(self.mask, scores, -np.inf)
         alpha = softmax_forward(scores)
-        self.q_in.append(q_in)
-        self.t2.append(t2)
-        self.alpha.append(alpha)
+        if self.record:
+            self.q_in.append(q_in)
+            self.t2.append(t2)
+            self.alpha.append(alpha)
         return alpha, (alpha[..., None] * self.v).sum(axis=-2)
 
     def backward(self, t, g_alpha, g_att):

@@ -31,10 +31,10 @@ def _unit_dicts(traces):
     for tr in traces:
         units.append({
             "weights": (None if tr.weights is None
-                        else [float(w) for w in tr.weights.data[0]]),
+                        else [float(w) for w in tr.weights[0]]),
             "soft": (None if tr.soft is None
-                     else [float(w) for w in tr.soft.data[0]]),
-            "alphas": {name: [float(a) for a in alpha.data[0]]
+                     else [float(w) for w in tr.soft[0]]),
+            "alphas": {name: [float(a) for a in alpha[0]]
                        for name, alpha in sorted(tr.alphas.items())},
         })
     return units
@@ -54,7 +54,7 @@ def _trace(model, corpus, synth, scene, max_len, choose, bos=BOS_ID, targets=Non
             "t": t,
             "input_token": vocab.tokens[inputs[t]],
             "target_token": None if targets is None else vocab.tokens[targets[t]],
-            "predicted_token": vocab.tokens[int(np.argmax(dist.data[0]))],
+            "predicted_token": vocab.tokens[int(np.argmax(dist[0]))],
             "target_label": None if labels is None else MODULE_ORDER[labels[t]],
             "units": _unit_dicts(traces),
         })

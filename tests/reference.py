@@ -15,8 +15,16 @@ the same array arithmetic as the unit kernel (``LstmRun``,
 ``decoder.unit_kernel`` call agrees with ``reference_step`` bit for bit
 in every output and gradient.  ``slice_axis``, ``pick`` and ``clamp_min``
 are the primitives the fused ops are checked against.
+
+The decoders: ``reference_beam_search`` is beam search on the Tensor
+step (``CaptionModel.step``), its state reordered with ``take_rows`` and
+the scene's encoding repeated once per hypothesis; ``reference_greedy``
+is argmax decoding on the Tensor step, with gradients enabled.  The
+forward-only decoders (``decoder.beam_search``, ``decoder.greedy_decode``)
+agree with them bit for bit.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,7 +39,17 @@ from modcap.controller import (
     gumbel_noise,
     one_hot_max,
 )
-from modcap.decoder import DecoderUnit, Encoded, UnitState, UnitTrace
+from modcap.decoder import (
+    BOS_ID,
+    EOS_ID,
+    DecoderUnit,
+    Encoded,
+    Hypothesis,
+    UnitState,
+    UnitTrace,
+    argmax_policy,
+    run_decoder,
+)
 from modcap.errors import ShapeError, TrainingError
 from modcap.tensor import (
     AdamState,
@@ -43,6 +61,8 @@ from modcap.tensor import (
     _accum,
     _as_tensor,
     concat,
+    gather_rows,
+    no_grad,
     softmax,
 )
 
@@ -383,3 +403,67 @@ def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitS
     i_new = i_prev + h2
     new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
     return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)
+
+
+# -- decoders on the Tensor step -----------------------------------------------
+
+
+def take_rows(obj, idx):
+    """Rows ``idx`` of every tensor and array in a decoder state or an
+    encoding, in the same structure; None passes through."""
+    if isinstance(obj, Tensor):
+        return gather_rows(obj, idx)
+    if isinstance(obj, np.ndarray):
+        return obj[idx]
+    if isinstance(obj, list):
+        return [take_rows(o, idx) for o in obj]
+    if isinstance(obj, dict):
+        return {k: take_rows(v, idx) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{f.name: take_rows(getattr(obj, f.name), idx)
+                                           for f in dataclasses.fields(obj)
+                                           if f.init})
+    return obj
+
+
+def reference_greedy(model, enc, max_len, bos=BOS_ID, eos=EOS_ID):
+    """Argmax decoding of every row of ``enc`` on the Tensor step, with
+    gradients enabled; one token list per row."""
+    return run_decoder(model, enc, max_len, argmax_policy, bos=bos, eos=eos)
+
+
+def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_ID,
+                          length_normalize=False):
+    """``decoder.beam_search`` on the Tensor step: each step expands every
+    live hypothesis in one ``model.step`` call, on the scene's encoding
+    repeated once per hypothesis and the parents' state rows."""
+    def rank(h):
+        return (-h.score(length_normalize), h.tokens)
+
+    repeated = {}       # the scene's encoding, once per number of live hypotheses
+    with no_grad():
+        beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
+        states = model.init_state(1)
+        for _ in range(max_len):
+            live = [h for h in beams if not h.finished]
+            if not live:
+                break
+            prev = [h.tokens[-1] if h.tokens else bos for h in live]
+            if len(live) not in repeated:
+                repeated[len(live)] = take_rows(enc, np.zeros(len(live), dtype=np.int64))
+            dist, states, _ = model.step(prev, repeated[len(live)],
+                                         take_rows(states, np.array([h.states for h in live])))
+            logp = np.log(np.maximum(dist.data, np.finfo(dist.data.dtype).smallest_subnormal))
+            total = np.array([h.logprob for h in live])[:, None] + logp
+            score = total
+            if length_normalize:
+                score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
+            candidates = [h for h in beams if h.finished]
+            for row, tok in np.ndindex(*score.shape):
+                candidates.append(Hypothesis(tokens=live[row].tokens + (tok,),
+                                             logprob=float(total[row, tok]),
+                                             states=row, finished=tok == eos))
+            candidates.sort(key=rank)
+            beams = candidates[:beam_width]
+    beams.sort(key=rank)
+    return beams

@@ -203,6 +203,27 @@ def test_non_finite_gradient_exits_3_naming_the_parameter(data_dir, tmp_path, ca
     assert not path.exists()
 
 
+def test_debug_finite_eval_names_the_op(data_dir, checkpoint, tmp_path, capsys):
+    import modcap.tensor
+    from modcap.training import restore_training, save_checkpoint
+
+    path = copy_checkpoint(checkpoint, tmp_path)
+    restored = restore_training(str(path))
+    weight = restored.model.named_parameters()["unit1.lstm2.W"]
+    weight.data = weight.data.copy()
+    weight.data[0, 0] = np.nan
+    save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,
+                    vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
+                    epoch=restored.epoch, history=restored.history)
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--data", str(data_dir),
+                "--debug-finite"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric error: unit_kernel produced a non-finite value" in err
+    assert "Traceback" not in err
+    assert modcap.tensor._debug_finite is False     # the flag lasts one command
+
+
 def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys):
     from modcap.training import restore_training, save_checkpoint
 

@@ -1,6 +1,7 @@
 """Decoder stack and decoding strategies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,15 +37,15 @@ def random_features(seed, batch=1, k=3, d_r=8):
 class MarkovStub:
     """Fixed-table model for decoder contract tests: P(next | prev) only."""
 
-    def __init__(self, table):
-        self.table = np.asarray(table, dtype=np.float64)
+    def __init__(self, table, dtype=np.float64):
+        self.table = np.asarray(table, dtype=dtype)
 
     def init_state(self, batch):
         return None
 
     def step(self, prev, enc, states, rng=None):
         rows = self.table[np.asarray(prev, dtype=np.int64)]
-        return Tensor(rows, dtype=np.float64), states, []
+        return Tensor(rows, dtype=self.table.dtype), states, []
 
 
 def enumerate_best(table, bos, eos, max_len):
@@ -307,7 +308,8 @@ class TestBeam:
                 for toks, lp, fin in beams:
                     if fin:
                         continue
-                    row = np.log(np.maximum(table[toks[-1] if toks else BOS_ID], 1e-300))
+                    row = np.log(np.maximum(table[toks[-1] if toks else BOS_ID],
+                                            np.finfo(table.dtype).smallest_subnormal))
                     cands += [(toks + (t,), lp + float(row[t]), t == EOS_ID)
                               for t in range(len(row))]
                 score = lambda c: c[1] / len(c[0]) if normalize and c[0] else c[1]
@@ -326,6 +328,19 @@ class TestBeam:
                                       length_normalize=normalize)
                     want = reference(table, width, 5, normalize)
                     assert [(h.tokens, h.logprob) for h in got] == want
+
+    def test_zero_probability_is_clamped_in_float32(self):
+        # 1e-300 rounds to 0 in float32; the clamp is the dtype's smallest
+        # subnormal, so p = 0 scores finitely without a warning and p = 1
+        # keeps its exact log
+        table = np.zeros((4, 4))
+        table[:, 3] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beam = beam_search(MarkovStub(table, np.float32), None, beam_width=4, max_len=1)
+        tiny = float(np.log(np.finfo(np.float32).smallest_subnormal))
+        assert [h.tokens for h in beam] == [(3,), (0,), (1,), (2,)]
+        assert [h.logprob for h in beam] == [0.0, tiny, tiny, tiny]
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):

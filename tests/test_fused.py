@@ -9,7 +9,7 @@ import pytest
 
 from modcap import tensor as T
 from modcap.config import ModelConfig
-from modcap.decoder import CaptionModel
+from modcap.decoder import CaptionModel, beam_search, greedy_decode
 from modcap.tensor import (
     Rng,
     Tensor,
@@ -183,14 +183,29 @@ class TestDebugChecksNameTheOp:
         with pytest.raises(FloatingPointError, match="^log produced"):
             log(Tensor([-1.0]))
 
-    def test_unit_kernel(self):
+    @staticmethod
+    def tiny_model():
         cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_c=3, d_a=2, heads=2, m_units=1)
         model = CaptionModel(cfg, Rng(0))
         enc = model.encode(np.ones((3, 4), dtype=np.float32), np.ones((3, 4), dtype=np.float32))
+        return model, enc
+
+    def test_unit_kernel(self):
+        model, enc = self.tiny_model()
         unit = model.units[0]
         i_prev = Tensor(np.full((1, 3), np.nan, dtype=np.float32))
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
             unit.step(i_prev, enc, unit.init_state(1))
+
+    @pytest.mark.parametrize("decode", [lambda m, e: greedy_decode(m, e, 4),
+                                        lambda m, e: beam_search(m, e, 3, 4)],
+                             ids=["greedy", "beam"])
+    def test_forward_only_decoders(self, decode):
+        # a NaN word vector is the first unit's input
+        model, enc = self.tiny_model()
+        model.embed.data = np.full_like(model.embed.data, np.nan)
+        with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
+            decode(model, enc)
 
 
 def test_float32_values_and_gradients_are_bitwise():

@@ -11,6 +11,11 @@ token and gradient must agree bit for bit.
 Teacher forcing runs each unit over all T steps in one kernel call
 (``CaptionModel.forced``); it must agree with T chained one-step calls to
 float-summation noise, and draw the same random numbers.
+
+Without gradients, greedy and beam decoding step forward only on plain
+state arrays (``CaptionModel.init_rows``); they must agree bit for bit
+with the same decoders on the Tensor step (``reference.reference_greedy``,
+``reference.reference_beam_search``) and create no Tensor.
 """
 
 import numpy as np
@@ -28,9 +33,9 @@ from modcap.decoder import (
     run_decoder,
     sample_decode,
 )
-from modcap.tensor import Rng, Tensor, masked_nll
+from modcap.tensor import Rng, Tensor, masked_nll, no_grad
 from modcap.training import LOSS_EPS, _pack, teacher_forced
-from reference import reference_step
+from reference import reference_beam_search, reference_greedy, reference_step
 
 SPEC = CorpusSpec(n_scenes=40, seed=5)
 
@@ -101,8 +106,16 @@ def lam_of(train_cfg):
     return train_cfg.lambda_xe if train_cfg.linguistic else 0.0
 
 
-def run_everything(model, train_cfg, batch):
-    """Bytes of every forward value, decoded tokens and every gradient."""
+FORWARD_ONLY = (greedy_decode, beam_search)
+ON_THE_TENSOR_STEP = (reference_greedy, reference_beam_search)
+
+# the grid at the default temperature, and hard selection at another
+GRID = [(preset, 1.0) for preset in PRESET_GRID] + [("Col/H+L", 0.5)]
+
+
+def run_everything(model, train_cfg, batch, decoders=FORWARD_ONLY):
+    """Bytes of every forward value, decoded tokens and every gradient;
+    ``decoders`` are the greedy and the beam decoder."""
     out = {}
     params = model.named_parameters()
     for p in params.values():
@@ -132,27 +145,84 @@ def run_everything(model, train_cfg, batch):
             out[f"step{t}.unit{m}.alphas"] = {k: a.data.tobytes() for k, a in tr.alphas.items()}
         tokens = batch.targets[:, t]
 
-    out["greedy"] = greedy_decode(model, enc, 12)
+    greedy, beam = decoders
+    out["greedy"] = greedy(model, enc, 12)
     out["sample"] = sample_decode(model, enc, Rng(4), 12)[0]
     one = model.encode(batch.r_obj[:1, :int(batch.region_mask[0].sum())],
                        batch.r_attr[:1, :int(batch.region_mask[0].sum())])
-    out["beam"] = [(h.tokens, h.logprob) for h in beam_search(model, one, 5, 12)]
+    out["beam"] = [(h.tokens, h.logprob) for h in beam(model, one, 5, 12)]
     return out
 
 
-# the grid at the default temperature, and hard selection at another
-@pytest.mark.parametrize("preset, gumbel_tau",
-                         [(preset, 1.0) for preset in PRESET_GRID] + [("Col/H+L", 0.5)])
+@pytest.mark.parametrize("preset, gumbel_tau", GRID)
 def test_kernel_matches_reference_bit_for_bit(corpus, padded_batch, preset, gumbel_tau,
                                               monkeypatch):
+    # the fused side decodes forward only, the reference side on the
+    # op-composed Tensor step
     model, train_cfg = preset_model(corpus, preset, gumbel_tau)
     fused = run_everything(model, train_cfg, padded_batch)
     monkeypatch.setattr(DecoderUnit, "step", reference_step)
-    reference = run_everything(model, train_cfg, padded_batch)
+    reference = run_everything(model, train_cfg, padded_batch, ON_THE_TENSOR_STEP)
     assert fused.keys() == reference.keys()
     differ = [key for key in fused if fused[key] != reference[key]]
     assert differ == []
     assert any(key.startswith("grad:unit1.att.") for key in fused)
+
+
+@pytest.fixture(scope="module")
+def scenes_by_region_count(corpus):
+    """One scene of each region count, 3 to 6."""
+    by_count = {}
+    for scene in corpus.scenes:
+        by_count.setdefault(len(scene.regions), scene)
+    assert sorted(by_count) == [3, 4, 5, 6]
+    return [by_count[k] for k in sorted(by_count)]
+
+
+@pytest.mark.parametrize("preset, gumbel_tau", GRID)
+def test_forward_only_decoders_match_the_tensor_step(corpus, padded_batch,
+                                                     scenes_by_region_count, preset,
+                                                     gumbel_tau):
+    model, _ = preset_model(corpus, preset, gumbel_tau)
+    synth = FeatureSynthesizer(SPEC)
+    for scene in scenes_by_region_count:
+        enc = model.encode(*synth.features(scene))
+        got = [(h.tokens, h.logprob) for h in beam_search(model, enc, 5, 12)]
+        want = [(h.tokens, h.logprob) for h in reference_beam_search(model, enc, 5, 12)]
+        assert got == want, scene.scene_id
+    enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
+    assert enc.padded
+    assert greedy_decode(model, enc, 12) == reference_greedy(model, enc, 12)
+
+
+def test_cached_attention_keys_follow_rebound_weights(corpus):
+    # the keys are cached per encoding; rebinding a head weight, as an
+    # optimizer step or a checkpoint load does, must not leave them stale
+    model, _ = preset_model(corpus, "CNM#2")
+    features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
+    with no_grad():
+        enc = model.encode(*features)
+        before = greedy_decode(model, enc, 12)
+        for unit in model.units:
+            for att in unit.att.values():
+                att.W_v.data = -att.W_v.data
+        after = greedy_decode(model, enc, 12)
+        assert after == greedy_decode(model, model.encode(*features), 12)
+    assert after != before
+
+
+@pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Col/1", "Module/O"])
+def test_forward_only_decoders_create_no_tensor(corpus, padded_batch, preset):
+    model, _ = preset_model(corpus, preset)
+    with no_grad():
+        one = model.encode(*FeatureSynthesizer(SPEC).features(corpus.scenes[0]))
+        batch = model.encode(padded_batch.r_obj, padded_batch.r_attr,
+                             padded_batch.region_mask)
+        start = next(Tensor._ids)
+        beam_search(model, one, 5, 12)
+        greedy_decode(model, one, 12)
+        greedy_decode(model, batch, 12)
+        assert next(Tensor._ids) == start + 1
 
 
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Col/1", "Module/O"])
@@ -188,8 +258,7 @@ def relative(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-30))
 
 
-@pytest.mark.parametrize("preset, gumbel_tau",
-                         [(preset, 1.0) for preset in PRESET_GRID] + [("Col/H+L", 0.5)])
+@pytest.mark.parametrize("preset, gumbel_tau", GRID)
 def test_sequence_matches_chained_steps(corpus, padded_batch, preset, gumbel_tau):
     model, train_cfg = preset_model(corpus, preset, gumbel_tau)
     batch = padded_batch

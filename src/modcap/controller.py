@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -69,12 +68,6 @@ class AdditiveAttention:
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.Wv": self.W_v, f"{prefix}.Wh": self.W_h, f"{prefix}.wa": self.w_a}
-
-
-@dataclass
-class ControllerState:
-    h: Tensor
-    c: Tensor
 
 
 def one_hot_max(y: np.ndarray) -> np.ndarray:

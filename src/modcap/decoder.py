@@ -11,22 +11,24 @@ single-module unit has one attention head and no controller.
 
 A unit's steps are one forward loop on plain arrays, ``unit_kernel``;
 the attention heads of all modules are one stacked computation over
-keys computed once per encoding.  On Tensors the loop runs inside one
-autodiff node with a hand-written backward: one step at a time
-(``DecoderUnit.step``) when sampling with gradients, once per unit over
-the whole caption (``CaptionModel.forced``) in teacher forcing.  The
-same step composed of one autodiff node per op is kept with the tests
-(``tests/reference.py``); a one-step kernel call agrees with it bit for
-bit in every output and gradient.  Without gradients the decoders step
-forward only on plain state arrays, one array of rows per unit, and
-build no Tensor.
+keys computed once per encoding.  Teacher forcing
+(``CaptionModel.forced``) is the one differentiable path: each unit runs
+the whole caption from the zero state inside one autodiff node with a
+hand-written backward.  Self-critical training scores its sampled
+captions by replaying them through it.  The same step composed of one
+autodiff node per op is kept with the tests (``tests/reference.py``); a
+one-step pass agrees with it bit for bit in every output and gradient.
+The decoders (``CaptionModel.step``) step forward only on plain state
+arrays, one array of rows per unit, and build no Tensor.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax, sample or forced) picks every row's next token and an optional
 observer sees each step.  Greedy and sampling decoding and traces run on
 it; beam search, which reorders the state rows every step, keeps its
 own loop.  A single scene is a batch of one, and its results come back
-unwrapped: a token list rather than a list holding one.
+unwrapped: a token list rather than a list holding one.  The
+hard-selection noise of a pass is drawn in one place,
+``CaptionModel.selection_noise``, for all its steps, units and rows.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ import numpy as np
 from .config import VISUAL_MODULES, ModelConfig
 from .controller import (
     AdditiveAttention,
-    ControllerState,
     ModuleController,
     Strategy,
     gumbel_noise,
     one_hot_max,
 )
 from .encoders import ProjectionModule, RelationModule
+from .errors import TrainingError
 from .layers import Linear
 from .tensor import (
     FLOAT32,
@@ -60,9 +62,7 @@ from .tensor import (
     attention_keys,
     check_finite,
     gather_rows,
-    grad_enabled,
     make_lstm_params,
-    masked_nll,
     mean_pool_rows,
     no_grad,
     reshape,
@@ -70,7 +70,6 @@ from .tensor import (
     softmax_backward,
     softmax_forward,
     xavier_uniform,
-    zeros,
 )
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -112,17 +111,8 @@ class Encoded:
 
 
 @dataclass
-class UnitState:
-    h1: Tensor
-    c1: Tensor
-    h2: Tensor
-    c2: Tensor
-    ctrl: ControllerState | None
-
-
-@dataclass
 class UnitTrace:
-    """What a unit step chose.  Only ``soft`` carries gradient (to the
+    """What a unit chose.  Only ``soft`` carries gradient (to the
     word-class term); under the soft strategy ``weights`` is ``soft``.
     A step on plain state arrays returns plain arrays instead of Tensors."""
 
@@ -160,19 +150,12 @@ class DecoderUnit:
                                        self.att[name].w_a)]
         self._heads = None
 
-    def init_state(self, batch: int) -> UnitState:
-        z = lambda: zeros((batch, self.cfg.d_c), dtype=self.dtype)
-        h1, c1, h2, c2 = z(), z(), z(), z()
-        ctrl = None if self.ctrl is None else ControllerState(h=z(), c=z())
-        return UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl)
-
-    def step(self, i_prev, enc: Encoded, state, rng: Rng | None = None):
-        """One step of the unit (``unit_kernel``): one autodiff node on
-        Tensors, forward only on plain arrays.  Returns (i_new, new state,
-        trace)."""
-        noise = None
-        if self.ctrl is not None and self.cfg.strategy == Strategy.HARD:
-            noise = gumbel_noise(rng, (i_prev.shape[0], len(self.modules) + 1), i_prev.dtype)
+    def step(self, i_prev: np.ndarray, enc: Encoded, state: np.ndarray,
+             noise: np.ndarray | None = None):
+        """One forward-only step of the unit (``unit_kernel``) on the input
+        rows (B, d_v) and the state rows (n, B, d_c), with the step's
+        (B, K + 1) hard-selection noise.  Returns (i_new, new state rows,
+        trace), plain arrays."""
         return unit_kernel(self, i_prev, enc, state, noise)
 
     def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,9 +190,10 @@ def _plus(a, b):
     return a if b is None else a + b
 
 
-def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | None = None):
+def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state: np.ndarray | None = None,
+                noise: np.ndarray | None = None):
     """T steps of a decoder unit: one forward loop on plain arrays, run
-    inside a single autodiff node when a gradient is wanted.
+    inside a single autodiff node when ``i`` is a Tensor.
 
     ``i`` holds the unit's input rows of every step, (T, B, d_v), or of
     one step, (B, d_v).  Each step runs LSTM1, the K attention heads as
@@ -220,13 +204,13 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
     then LSTM2 and the residual add; the unit state carries from step to
     step.
 
-    On Tensors (``state`` a ``UnitState``) the node is the unit output,
-    shaped like ``i``; the final state tensors and the per-step
-    controller softmax are outputs that hang off it, and the backward
-    reads their gradients and returns every input and parameter gradient
-    in one closure.  The derivatives of the nonlinearities and each
-    parameter gradient are formed once over all T*B rows.  A one-step
-    call rounds exactly as the op-composed step in
+    On Tensors (teacher forcing) the unit starts from the zero state and
+    the call returns (node, trace).  The node is the unit output, shaped
+    like ``i``; the per-step controller softmax is an output that hangs
+    off it, and the backward reads its gradient and returns every input
+    and parameter gradient in one closure.  The derivatives of the
+    nonlinearities and each parameter gradient are formed once over all
+    T*B rows.  A one-step call rounds exactly as the op-composed step in
     ``tests/reference.py``: the backward adds the gradients each tensor
     receives in the order the reference graph's sweep adds them.  Fusion
     weights under the hard and uniform strategies and the attention
@@ -234,9 +218,9 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
 
     On plain arrays (``state`` one (n, B, d_c) array of h1, c1, h2, c2
     and with a controller its h and c) the call runs forward only and
-    returns plain arrays; it builds no node, closure or step record.  A
-    one-scene encoding then serves any number of rows (a beam's
-    hypotheses).
+    returns (output, new state rows, trace) as plain arrays; it builds no
+    node, closure or step record.  A one-scene encoding then serves any
+    number of rows (a beam's hypotheses).
     """
     dv, dc = unit.cfg.d_v, unit.cfg.d_c
     k_heads = len(unit.modules)
@@ -255,9 +239,8 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
     heads = AttentionRun(values, Wv_T, Wh_T, wa, enc.mask if enc.padded else None,
                          enc.keys(Wv_T), record)
     if record:
-        h1, c1, h2, c2 = state.h1.data, state.c1.data, state.h2.data, state.c2.data
-    else:
-        h1, c1, h2, c2, *ctrl_rows = state
+        state = np.zeros((4 if unit.ctrl is None else 6, batch, dc), xs.dtype)
+    h1, c1, h2, c2, *ctrl_rows = state
     # per-step records; step t's context is h2 of step t-1
     outs, contexts, alphas, pre_f, blocks = [], [], [], [], []
     weights, hcs, soft, ys = [], [], [], []
@@ -266,7 +249,7 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
     if controlled:
         ctrl = unit.ctrl
         lstm_c = LstmRun(ctrl.lstm.W.data, ctrl.lstm.b.data, record)
-        hc, cc = (state.ctrl.h.data, state.ctrl.c.data) if record else ctrl_rows
+        hc, cc = ctrl_rows
         if strategy is Strategy.HARD:
             noise = (np.zeros((n_steps, batch, k_heads + 1), xs.dtype) if noise is None
                      else noise.reshape(n_steps, batch, -1))
@@ -319,14 +302,12 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
     params = [unit.lstm1.W, unit.lstm1.b, unit.lstm2.W, unit.lstm2.b]
     for name in unit.modules:
         params += [unit.att[name].W_v, unit.att[name].W_h, unit.att[name].w_a]
-    inputs = [i, state.h1, state.c1, state.h2, state.c2, *feats, *means]
     if strategy is not None:
         params += [fc.W, fc.b]
     if controlled:
         params += [ctrl.lstm.W, ctrl.lstm.b, ctrl.proj.W, ctrl.proj.b]
-        inputs += [state.ctrl.h, state.ctrl.c]
 
-    out_grads = {}      # gradients of the outputs that have a consumer
+    g_soft = []         # the controller softmax's gradient, when it has a consumer
 
     def backward(g_out):
         def give(t, g):
@@ -337,10 +318,8 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
             return a.reshape(-1, a.shape[-1])
 
         g_out = g_out.reshape(xs.shape)
-        g_h1, g_c1, g_h2, g_c2 = (out_grads.get(name) for name in ("h1", "c1", "h2", "c2"))
-        g_hc, g_cc = out_grads.get("ctrl_h"), out_grads.get("ctrl_c")
-        g_soft = out_grads.get("soft")
-        g_soft = None if g_soft is None else g_soft.reshape((n_steps,) + soft[0].shape)
+        g_h1 = g_c1 = g_h2 = g_c2 = g_hc = g_cc = None     # the last state has no consumer
+        g_s = g_soft[0].reshape((n_steps,) + soft[0].shape) if g_soft else None
         g_in = np.empty_like(xs)
         g_means = None
         if strategy is not None:
@@ -363,7 +342,7 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
                 g_att = np.swapaxes(g_att[:, :k_heads], 0, 1)
             if controlled:
                 g_w = (g_blocks * blocks[t]).sum(axis=-1)
-                g_soft_t = None if g_soft is None else g_soft[t]
+                g_soft_t = None if g_s is None else g_s[t]
                 if strategy is Strategy.SOFT:
                     g_logits = softmax_backward(soft[t], _plus(g_soft_t, g_w))
                 else:
@@ -400,8 +379,6 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
             give(ctrl.lstm.b, g_b)
             give(ctrl.proj.b, rows(g_logits_all).sum(axis=0))
             give(ctrl.proj.W, _t_matmul(np.concatenate(hcs), rows(g_logits_all)))
-            give(state.ctrl.c, g_cc)
-            give(state.ctrl.h, g_hc)
         if strategy is not None:
             give(fc.b, rows(g_pre_f).sum(axis=0))
             give(fc.W, _t_matmul(np.concatenate(contexts), rows(g_pre_f)))
@@ -414,38 +391,28 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state, noise: np.ndarray | N
             give(att_k.W_h, g_Wh[k])
             give(att_k.w_a, g_wa[k])
         give(i, g_in.reshape(shape))
-        give(state.h2, g_h2)
         for k, m in enumerate(means):
             give(m, g_means[:, k * dv:(k + 1) * dv])
-        give(state.h1, g_h1)
-        give(state.c1, g_c1)
-        give(state.c2, g_c2)
 
-    node = Tensor._from_op(steps(outs), tuple(inputs + params), backward)
+    node = Tensor._from_op(steps(outs), (i, *feats, *means, *params), backward)
 
-    def output(name, data):
-        # the output's closure runs once its gradient is complete: it hands
+    def collect(g):
+        # the softmax's closure runs once its gradient is complete: it hands
         # the gradient to the node and makes sure the node's closure runs.
-        # The node never refers to its outputs, so the graph has no cycle
+        # The node never refers to the softmax, so the graph has no cycle
         # and is freed as soon as the last output is dropped.
-        def collect(g):
-            out_grads[name] = g
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        return Tensor._from_op(data, (node,), collect)
+        g_soft.append(g)
+        if node.grad is None:
+            node.grad = np.zeros_like(node.data)
 
     trace = UnitTrace(weights=None, soft=None,
                       alphas={name: Tensor(alphas[k]) for k, name in enumerate(unit.modules)})
-    ctrl_state = None if strategy is None else state.ctrl
     if controlled:
-        ctrl_state = ControllerState(h=output("ctrl_h", hc), c=output("ctrl_c", cc))
-        trace.soft = output("soft", steps(soft))
+        trace.soft = Tensor._from_op(steps(soft), (node,), collect)
     if strategy is not None:
         trace.weights = (trace.soft if strategy is Strategy.SOFT
                          else Tensor(steps(weights)))
-    new_state = UnitState(h1=output("h1", h1), c1=output("c1", c1), h2=output("h2", h2),
-                          c2=output("c2", c2), ctrl=ctrl_state)
-    return node, new_state, trace
+    return node, trace
 
 
 class CaptionModel:
@@ -490,58 +457,54 @@ class CaptionModel:
         means = {name: mean_pool_rows(v, mask) for name, v in feats.items()}
         return Encoded(feats=feats, means=means, mask=mask)
 
-    def init_state(self, batch: int) -> list[UnitState]:
-        return [unit.init_state(batch) for unit in self.units]
-
     def init_rows(self, batch: int) -> list[np.ndarray]:
         """Each unit's zero state as one plain array (n, B, d_c): h1, c1,
         h2, c2, and with a controller its h and c."""
         return [np.zeros((4 if unit.ctrl is None else 6, batch, self.cfg.d_c), self.dtype)
                 for unit in self.units]
 
-    def step(self, prev_tokens, enc: Encoded, states: list, rng: Rng | None = None):
-        """One decode step for the whole stack.
+    def selection_noise(self, rng: Rng | None, n_steps: int, batch: int):
+        """The hard strategy's Gumbel noise for a pass of ``n_steps`` over
+        ``batch`` rows, (n_steps, M, B, K + 1), drawn in that row-major
+        order: per step, per unit, all rows.  None under the other
+        strategies or without an rng; the units then select without
+        noise."""
+        if rng is None or self.units[0].ctrl is None or self.cfg.strategy != Strategy.HARD:
+            return None
+        return gumbel_noise(rng, (n_steps, len(self.units), batch,
+                                  len(self.units[0].modules) + 1), self.dtype)
 
-        prev_tokens: int array (B,). Returns (word distribution (B, V),
-        new states, per-unit traces).  On the plain state arrays of
-        ``init_rows`` the step runs forward only and returns plain arrays;
-        it rounds as the Tensor step does and creates no Tensor.
+    def step(self, prev_tokens, enc: Encoded, states: list, noise: np.ndarray | None = None):
+        """One forward-only decode step for the whole stack, on the plain
+        state arrays of ``init_rows``.
+
+        prev_tokens: int array (B,); ``noise``: the step's (M, B, K + 1)
+        slice of ``selection_noise``.  Returns (word distribution (B, V),
+        new states, per-unit traces), plain arrays; creates no Tensor.
         """
-        idx = np.asarray(prev_tokens, dtype=np.int64)
-        forward_only = isinstance(states[0], np.ndarray)
-        vec = self.embed.data[idx] if forward_only else gather_rows(self.embed, idx)
+        vec = self.embed.data[np.asarray(prev_tokens, dtype=np.int64)]
         new_states = []
         traces = []
-        for unit, st in zip(self.units, states):
-            vec, st2, tr = unit.step(vec, enc, st, rng=rng)
+        for m, (unit, st) in enumerate(zip(self.units, states)):
+            vec, st2, tr = unit.step(vec, enc, st, None if noise is None else noise[m])
             new_states.append(st2)
             traces.append(tr)
-        if not forward_only:
-            return softmax(self.head(vec), axis=-1), new_states, traces
         dist = softmax_forward(np.matmul(vec, self.head.W.data) + self.head.b.data)
         check_finite("word_head", dist)
         return dist, new_states, traces
 
-    def forced(self, inputs, enc: Encoded, rng: Rng | None = None):
+    def forced(self, inputs, enc: Encoded, noise: np.ndarray | None = None):
         """A teacher-forced pass over the input tokens (B, T): one embedding
-        gather, then each unit runs all T steps in one ``unit_kernel`` call.
+        gather, then each unit runs all T steps from the zero state in one
+        ``unit_kernel`` call; ``noise`` is the pass's ``selection_noise``.
 
         Returns (word distributions (T*B, V), rows step-major, per-unit
-        traces of (T, B, ...) arrays).  Hard-selection noise is drawn up
-        front in the order the step loop draws it: per step, per unit, all
-        rows.
+        traces of (T, B, ...) arrays).
         """
-        idx = np.asarray(inputs, dtype=np.int64).T
-        n_steps, batch = idx.shape
-        vec = gather_rows(self.embed, idx)
-        noise = [None] * len(self.units)
-        if self.units[0].ctrl is not None and self.cfg.strategy == Strategy.HARD:
-            noise = np.swapaxes(gumbel_noise(rng, (n_steps, len(self.units), batch,
-                                                   len(self.units[0].modules) + 1),
-                                             vec.dtype), 0, 1)
+        vec = gather_rows(self.embed, np.asarray(inputs, dtype=np.int64).T)
         traces = []
-        for unit, unit_noise in zip(self.units, noise):
-            vec, _, trace = unit_kernel(unit, vec, enc, unit.init_state(batch), unit_noise)
+        for m, unit in enumerate(self.units):
+            vec, trace = unit_kernel(unit, vec, enc, noise=None if noise is None else noise[:, m])
             traces.append(trace)
         dist = softmax(self.head(reshape(vec, (-1, self.cfg.d_v))), axis=-1)
         return dist, traces
@@ -560,16 +523,11 @@ class CaptionModel:
 # -- decoding ---------------------------------------------------------------
 
 
-def _initial_state(model, batch):
-    """The state a decode loop starts from: without gradients a
-    CaptionModel steps forward only, on plain state arrays."""
-    if isinstance(model, CaptionModel) and not grad_enabled():
-        return model.init_rows(batch)
-    return model.init_state(batch)
-
-
-def _array(dist):
-    return dist.data if isinstance(dist, Tensor) else dist
+def _check_distribution(p: np.ndarray, t: int) -> None:
+    """A decoder cannot rank a word distribution holding NaN or Inf: such a
+    model (a checkpoint with a non-finite weight) fails here, at step t."""
+    if not np.all(np.isfinite(p)):
+        raise TrainingError(f"non-finite word distribution at decode step {t}")
 
 
 def one_scene(enc) -> bool:
@@ -578,7 +536,7 @@ def one_scene(enc) -> bool:
     return enc is None or enc.batch == 1
 
 
-def run_decoder(model, enc, max_len, choose, observe=None, rng=None, bos=BOS_ID,
+def run_decoder(model, enc, max_len, choose, observe=None, noise=None, bos=BOS_ID,
                 eos=EOS_ID):
     """Step every row of ``enc`` until each has emitted ``eos`` or
     ``max_len`` tokens; returns one token list per row.
@@ -586,19 +544,20 @@ def run_decoder(model, enc, max_len, choose, observe=None, rng=None, bos=BOS_ID,
     The token policy ``choose(t, p, live)`` maps step t's (B, V)
     distribution array and the mask of rows still running to the token
     each row emits and is fed next; tokens of finished rows are not kept.
-    ``observe(t, dist, traces, tokens, live)`` sees every step: the
-    distribution and the traces are Tensors, or plain arrays when a
-    CaptionModel decodes without gradients.  ``bos``, the first input, is
-    one token id or one per row.
+    ``observe(t, dist, traces, tokens, live)`` sees every step.  Step t
+    selects with ``noise[t]``, of a pass's ``selection_noise``.  ``bos``,
+    the first input, is one token id or one per row.
     """
     batch = 1 if enc is None else enc.batch
-    states = _initial_state(model, batch)
+    states = model.init_rows(batch)
     tok = np.full(batch, bos, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     rows = [[] for _ in range(batch)]
     for t in range(max_len):
-        dist, states, traces = model.step(tok, enc, states, rng=rng)
-        tok = np.asarray(choose(t, _array(dist), live), dtype=np.int64)
+        dist, states, traces = model.step(tok, enc, states,
+                                          None if noise is None else noise[t])
+        _check_distribution(dist, t)
+        tok = np.asarray(choose(t, dist, live), dtype=np.int64)
         if observe is not None:
             observe(t, dist, traces, tok, live)
         for b in np.flatnonzero(live):
@@ -677,8 +636,8 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
 
     with no_grad():
         beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
-        states = _initial_state(model, 1)
-        for _ in range(max_len):
+        states = model.init_rows(1)
+        for t in range(max_len):
             live = [h for h in beams if not h.finished]
             if not live:
                 break
@@ -686,8 +645,8 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
             if states is not None:      # a model stub may keep no state
                 parents = np.array([h.states for h in live])
                 states = [s[:, parents] for s in states]
-            dist, states, _ = model.step(prev, enc, states)
-            p = _array(dist)
+            p, states, _ = model.step(prev, enc, states)
+            _check_distribution(p, t)
             logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
             total = np.array([h.logprob for h in live])[:, None] + logp
             score = total
@@ -714,23 +673,20 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
 
 def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,
                   eos: int = EOS_ID):
-    """Ancestral sampling of every row of ``enc``; keeps gradients unless
-    run under ``no_grad``.
+    """Ancestral sampling of every row of ``enc``.
 
-    Returns (tokens, per-step (B,) log-probabilities of the sampled
-    tokens), the tokens as one list per row, or the list itself for a
-    single scene; a row that has finished adds exactly 0 from then on.
-    Per step the model draws its hard-selection noise for all rows, then
-    each live row draws one uniform, in row order.
+    Returns (tokens, the pass's hard-selection noise or None), the tokens
+    as one list per row, or the list itself for a single scene.  The model
+    first draws the noise of all ``max_len`` steps (``selection_noise``);
+    then per step each live row draws one uniform, in row order.  A
+    teacher-forced replay of the tokens with that noise
+    (``CaptionModel.forced``) scores them with gradients.
     """
-    logps = []
-
-    def observe(t, dist, traces, tok, live):
-        logps.append(-masked_nll(dist, tok, live, per_row=True))
-
-    rows = run_decoder(model, enc, max_len, sample_policy(rng, eos), observe, rng=rng,
-                       bos=bos, eos=eos)
-    return (rows[0] if one_scene(enc) else rows), logps
+    batch = 1 if enc is None else enc.batch
+    noise = model.selection_noise(rng, max_len, batch)
+    rows = run_decoder(model, enc, max_len, sample_policy(rng, eos), noise=noise, bos=bos,
+                       eos=eos)
+    return (rows[0] if one_scene(enc) else rows), noise
 
 
 def strip_sequence(tokens, eos: int = EOS_ID) -> list[int]:

@@ -11,14 +11,16 @@ Four tiers, all in float64 against central differences:
   kinks (relu at zero) so the numeric derivative is trustworthy;
 * composites: seeded random chains of ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
-* kernel: the fused decoder unit (``decoder.unit_kernel``) under the
-  soft, hard (no noise) and uniform strategies and with a single module,
-  each on one step and on three steps, on two scenes of which one has a
-  padded region, checking every input and every parameter.  The
-  straight-through gradient of the hard strategy is by design not the
-  derivative of its one-hot forward, so one-step hard cases read only the
-  outputs upstream of the fusion, except the second LSTM's cell state
-  and weights and the function module, which do not reach the
+* kernel: the fused decoder unit (``decoder.unit_kernel``) from the zero
+  state, under the soft, hard (no noise) and uniform strategies and with
+  a single module, each on one step and on three steps, on two scenes of
+  which one has a padded region, checking every input and every
+  parameter through the unit output and the controller softmax.  The
+  unit's parameters are jittered off the leaky-relu kink, where the
+  zero state would put the function module.  The straight-through
+  gradient of the hard strategy is by design not the derivative of its
+  one-hot forward, so one-step hard cases read only the softmax, except
+  the second LSTM and the function module, which do not reach the
   controller and read every output; over three steps every output lies
   downstream of an earlier fusion, so the three-step hard case runs at a
   temperature where the straight-through term vanishes and reads every
@@ -39,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FULL_MODULES, VISUAL_MODULES, ModelConfig
-from .controller import ControllerState
-from .decoder import CaptionModel, DecoderUnit, Encoded, UnitState, unit_kernel
+from .decoder import CaptionModel, DecoderUnit, Encoded, unit_kernel
 from .encoders import RelationModule
 from .tensor import (
     FLOAT64,
@@ -314,15 +315,24 @@ KERNEL_VARIANTS = ("soft", "hard", "uniform", "single")
 KERNEL_STEPS = (1, 3)
 # two scenes of three regions, the second with its last region padded
 KERNEL_REGIONS = np.array([[True, True, True], [True, True, False]])
-KERNEL_OUTPUTS = ("i_new", "h1", "c1", "h2", "c2", "ctrl_h", "ctrl_c", "soft")
+KERNEL_OUTPUTS = ("i_new", "soft")
 # what the hard strategy's straight-through fusion feeds, and what reaches
 # the outputs only through it
-HARD_UPSTREAM_OUTPUTS = ("h1", "c1", "ctrl_h", "ctrl_c", "soft")
-HARD_DOWNSTREAM_TENSORS = (":input:c2", ".lstm2.", ".func.")
+HARD_UPSTREAM_OUTPUTS = ("soft",)
+HARD_DOWNSTREAM_TENSORS = (".lstm2.", ".func.")
 # over several steps every output is downstream of an earlier step's
 # fusion; at this temperature the tempered softmax is one-hot to double
 # precision, so the straight-through term vanishes and every output reads
 HARD_MULTI_STEP_TAU = 1e-4
+
+
+def _jitter(params: dict, rng: Rng) -> None:
+    """Move every parameter by up to 0.3: zero-initialized biases leave
+    pre-activations exactly on the leaky-relu kink, where central
+    differences lie."""
+    for name in sorted(params):
+        p = params[name]
+        p.data = p.data + rng.uniform_array(p.data.shape, -0.3, 0.3, dtype=FLOAT64)
 
 
 def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
@@ -334,11 +344,9 @@ def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
                       gumbel_tau=HARD_MULTI_STEP_TAU if n_steps > 1 else 1.0)
     unit = DecoderUnit(cfg, tuple(m for m in modules if m in VISUAL_MODULES),
                        Rng(seed).derive(80), dtype=FLOAT64)
+    _jitter(unit.params("unit"), Rng(seed).derive(83))
     rng = Rng(seed).derive(81 if n_steps == 1 else 82)
     inputs = {"i_prev": _t(rng, (2, 3) if n_steps == 1 else (n_steps, 2, 3))}
-    inputs.update((name, _t(rng, (2, 3))) for name in ("h1", "c1", "h2", "c2"))
-    if variant in ("soft", "hard"):
-        inputs.update(ctrl_h=_t(rng, (2, 3)), ctrl_c=_t(rng, (2, 3)))
     for name in unit.modules:
         inputs[f"feats.{name}"] = _t(rng, (2, 3, 3))
         inputs[f"means.{name}"] = _t(rng, (2, 3))
@@ -348,22 +356,14 @@ def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
 def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
     """A ramp-weighted sum of the named outputs of one unit kernel call."""
     def objective():
-        ctrl = None
-        if unit.ctrl is not None:
-            zero = Tensor(np.zeros((2, 3)), dtype=FLOAT64)
-            ctrl = ControllerState(h=inputs.get("ctrl_h", zero), c=inputs.get("ctrl_c", zero))
-        state = UnitState(h1=inputs["h1"], c1=inputs["c1"], h2=inputs["h2"],
-                          c2=inputs["c2"], ctrl=ctrl)
         enc = Encoded(feats={name: inputs[f"feats.{name}"] for name in unit.modules},
                       means={name: inputs[f"means.{name}"] for name in unit.modules},
                       mask=KERNEL_REGIONS)
-        i_new, new, trace = unit_kernel(unit, inputs["i_prev"], enc, state)
-        named = {"i_new": i_new, "h1": new.h1, "c1": new.c1, "h2": new.h2, "c2": new.c2}
-        if "ctrl_h" in inputs:
-            named.update(ctrl_h=new.ctrl.h, ctrl_c=new.ctrl.c, soft=trace.soft)
+        i_new, trace = unit_kernel(unit, inputs["i_prev"], enc)
+        named = {"i_new": i_new, "soft": trace.soft}
         total = None
         for name in outputs:
-            if name in named:
+            if named[name] is not None:
                 out = named[name]
                 term = (out * _ramp(out.data.size).reshape(out.shape)).sum()
                 total = term if total is None else total + term
@@ -402,14 +402,7 @@ def _tiny_decoder():
     cfg = ModelConfig(vocab_size=7, d_r=8, d_v=4, d_c=4, d_a=3, heads=2,
                       m_units=2, strategy="soft")
     model = CaptionModel(cfg, Rng(1234).derive(9), dtype=FLOAT64)
-    # zero-initialized biases leave step-0 pre-activations exactly on the
-    # leaky-relu kink, where central differences lie; jitter everything to
-    # a generic position first
-    noise = Rng(1234).derive(11)
-    params = model.named_parameters()
-    for name in sorted(params):
-        p = params[name]
-        p.data = p.data + noise.uniform_array(p.data.shape, -0.3, 0.3, dtype=FLOAT64)
+    _jitter(model.named_parameters(), Rng(1234).derive(11))
     rng = Rng(1234).derive(10)
     r_obj = rng.uniform_array((2, 8), -1, 1, dtype=FLOAT64)
     r_attr = rng.uniform_array((2, 8), -1, 1, dtype=FLOAT64)

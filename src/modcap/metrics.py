@@ -35,6 +35,19 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
+def _clipped_counts(candidate, references, order: int) -> tuple[int, int]:
+    """(clipped matches, total) of the candidate's n-grams of one order:
+    each n-gram counts at most as often as in the reference that holds it
+    most often."""
+    cand = ngram_counts(candidate, order)
+    best = Counter()
+    for ref in references:
+        for gram, count in ngram_counts(ref, order).items():
+            if count > best[gram]:
+                best[gram] = count
+    return sum(min(c, best[g]) for g, c in cand.items()), sum(cand.values())
+
+
 def bleu_n(candidate, references, n: int = DEFAULT_MAX_N) -> float:
     """Sentence BLEU with clipped counts and no smoothing.
 
@@ -49,18 +62,8 @@ def bleu_n(candidate, references, n: int = DEFAULT_MAX_N) -> float:
         raise ValueError("bleu_n needs at least one reference")
     log_sum = 0.0
     for order in range(1, n + 1):
-        cand = ngram_counts(candidate, order)
-        total = sum(cand.values())
-        if total == 0:
-            return 0.0
-        best = Counter()
-        for ref in references:
-            ref_counts = ngram_counts(ref, order)
-            for gram, count in ref_counts.items():
-                if count > best[gram]:
-                    best[gram] = count
-        clipped = sum(min(c, best[g]) for g, c in cand.items())
-        if clipped == 0:
+        clipped, total = _clipped_counts(candidate, references, order)
+        if total == 0 or clipped == 0:
             return 0.0
         log_sum += math.log(clipped / total)
     bp = _brevity_penalty(len(candidate), _closest_ref_length(len(candidate), references))
@@ -69,13 +72,18 @@ def bleu_n(candidate, references, n: int = DEFAULT_MAX_N) -> float:
 
 def corpus_bleu(candidates, references_list, n: int = DEFAULT_MAX_N) -> float:
     """Corpus BLEU: counts pooled across sentences before the precision ratio."""
+    return corpus_bleu_orders(candidates, references_list, n)[-1]
+
+
+def corpus_bleu_orders(candidates, references_list, max_n: int = DEFAULT_MAX_N) -> list:
+    """Corpus BLEU-1 to BLEU-``max_n`` from one pooled count of every order."""
     if len(candidates) != len(references_list):
         raise ValueError(
             f"{len(candidates)} candidates vs {len(references_list)} reference sets")
     if not candidates:
         raise ValueError("corpus_bleu needs at least one sentence")
-    clipped = [0] * n
-    totals = [0] * n
+    clipped = [0] * max_n
+    totals = [0] * max_n
     cand_len = 0
     ref_len = 0
     for cand, refs in zip(candidates, references_list):
@@ -83,21 +91,19 @@ def corpus_bleu(candidates, references_list, n: int = DEFAULT_MAX_N) -> float:
             raise ValueError("every candidate needs at least one reference")
         cand_len += len(cand)
         ref_len += _closest_ref_length(len(cand), refs)
-        for order in range(1, n + 1):
-            counts = ngram_counts(cand, order)
-            totals[order - 1] += sum(counts.values())
-            best = Counter()
-            for ref in refs:
-                for gram, count in ngram_counts(ref, order).items():
-                    if count > best[gram]:
-                        best[gram] = count
-            clipped[order - 1] += sum(min(c, best[g]) for g, c in counts.items())
+        for order in range(1, max_n + 1):
+            matched, total = _clipped_counts(cand, refs, order)
+            clipped[order - 1] += matched
+            totals[order - 1] += total
+    penalty = _brevity_penalty(cand_len, ref_len)
+    scores = []
     log_sum = 0.0
-    for order in range(n):
+    for order in range(max_n):
         if clipped[order] == 0 or totals[order] == 0:
-            return 0.0
+            return scores + [0.0] * (max_n - order)
         log_sum += math.log(clipped[order] / totals[order])
-    return _brevity_penalty(cand_len, ref_len) * math.exp(log_sum / n)
+        scores.append(penalty * math.exp(log_sum / (order + 1)))
+    return scores
 
 
 class IdfTable:
@@ -227,6 +233,6 @@ def evaluate_captions(predictions: dict, references: dict, tag_of,
                        for c, r in zip(cands, refs_list)) / len(keys),
         "pos_recall": pos_recall(predictions, references, tag_of),
     }
-    for order in range(1, max_n + 1):
-        report[f"bleu{order}"] = corpus_bleu(cands, refs_list, n=order)
+    for order, score in enumerate(corpus_bleu_orders(cands, refs_list, max_n), start=1):
+        report[f"bleu{order}"] = score
     return report

@@ -75,11 +75,6 @@ def check_finite(op: str, data) -> None:
         raise FloatingPointError(f"{op} produced a non-finite value of shape {np.shape(data)}")
 
 
-def grad_enabled() -> bool:
-    """Whether ops record the graph (False inside ``no_grad``)."""
-    return _grad_enabled
-
-
 @contextmanager
 def no_grad():
     global _grad_enabled
@@ -881,11 +876,10 @@ class AttentionRun:
         return grads
 
 
-def masked_nll(p, gold, mask=None, eps: float = 1e-12, per_row: bool = False) -> Tensor:
+def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:
     """Fused masked negative log-likelihood of the gold columns of a
     (B, V) distribution: -sum_b mask_b * log(max(p[b, gold_b], eps)).
-    ``mask`` defaults to all ones; ``per_row`` keeps the (B,) terms
-    instead of summing them."""
+    ``mask`` defaults to all ones; its entries may be any weights."""
     p = _as_tensor(p)
     p_d = p.data
     if p_d.ndim != 2:
@@ -896,7 +890,7 @@ def masked_nll(p, gold, mask=None, eps: float = 1e-12, per_row: bool = False) ->
     clamped = np.maximum(picked, eps)
     weight = np.ones_like(picked) if mask is None else np.asarray(mask, dtype=p_d.dtype)
     terms = np.log(clamped) * weight
-    data = -terms if per_row else np.asarray(-terms.sum())
+    data = np.asarray(-terms.sum())
 
     def backward(g):
         if p.requires_grad:

@@ -5,7 +5,9 @@ captions in batches; the objective is mean negative log-likelihood per
 token plus the module-supervision term.  Refinement epochs then run
 self-critical policy gradient: sample a caption, score it against the
 greedy caption with the consensus metric, and weight the sampled
-log-probabilities by the advantage.
+log-probabilities by the advantage.  Both captions are decoded without
+gradients; a teacher-forced replay of the sampled one gives the
+log-probabilities.
 
 Cross-entropy batches group examples whose scenes have the same region
 count; caption positions are padded and masked.  A teacher-forced pass
@@ -15,10 +17,10 @@ kernel call, and scores all T*B positions with one word head, softmax
 and NLL.  A refinement window takes its scenes as they come: their
 region features are zero-padded to the largest count and carry a region
 mask, so the whole window runs as one batched sample pass, one greedy
-pass and one forced pass.  All
-shuffling, sampling, and hard-selection noise comes from one stream
-derived from the training seed, which is what makes resuming from a
-checkpoint reproduce the uninterrupted run.  Each epoch record keeps the
+pass and one forced pass, which also carries the gold captions of the
+word-class term.  All shuffling, sampling, and hard-selection noise
+comes from one stream derived from the training seed, which is what
+makes resuming from a checkpoint reproduce the uninterrupted run.  Each epoch record keeps the
 mean and largest pre-clip gradient norm of its updates and how many of
 them were clipped.  The epochs and ``teacher_forced_metrics`` keep BLAS
 on the calling thread (``tensor.blas_on_calling_thread``).
@@ -41,8 +43,10 @@ import numpy as np
 from .config import ModelConfig, TrainConfig, validate_run
 from .corpus import Corpus, FeatureSynthesizer, Vocabulary
 from .decoder import (
+    BOS_ID,
     PAD_ID,
     CaptionModel,
+    Encoded,
     beam_search,
     greedy_decode,
     one_scene,
@@ -58,6 +62,7 @@ from .tensor import (
     Tensor,
     blas_on_calling_thread,
     clip_global_norm,
+    concat,
     masked_nll,
     no_grad,
     reshape,
@@ -156,48 +161,49 @@ class ForwardStats:
     n_agree: float | None        # last-unit module choices matching labels
 
 
+def _step_major(a) -> np.ndarray:
+    """(B, T) -> the T*B rows of a forced pass, step-major."""
+    return np.asarray(a).T.ravel()
+
+
+def _word_class_nll(traces, labels, weights) -> Tensor:
+    """The NLL of the gold module labels (B, T) under each unit's
+    controller softmax, token weights (B, T), summed over units."""
+    terms = [masked_nll(reshape(tr.soft, (-1, tr.soft.shape[-1])), _step_major(labels),
+                        _step_major(weights), LOSS_EPS) for tr in traces]
+    return sum(terms[1:], terms[0])
+
+
 def teacher_forced(model: CaptionModel, batch: Batch, *,
-                   lam_ling: float = 0.0, rng: Rng | None = None, enc=None,
-                   ling_row_weights=None) -> ForwardStats:
+                   lam_ling: float = 0.0, rng: Rng | None = None,
+                   enc=None) -> ForwardStats:
     """One teacher-forced pass over a batch.
 
     The module-supervision term ``ling_mean`` is the unit NLL of the gold
-    module labels averaged over tokens and units.  With (B,)
-    ``ling_row_weights`` it is instead the sum over rows of each row's
-    summed unit NLL times its weight.  ``enc`` reuses an encoding of the
-    batch's regions.
+    module labels averaged over tokens and units.  ``enc`` reuses an
+    encoding of the batch's regions.
     """
     if enc is None:
         enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-    ling_mask = batch.mask if ling_row_weights is None else \
-        batch.mask * np.asarray(ling_row_weights, dtype=batch.mask.dtype)[:, None]
     has_ctrl = model.cfg.single_module is None
     supervise = lam_ling > 0.0 and has_ctrl
 
-    dist, traces = model.forced(batch.inputs, enc, rng)
-    # rows of dist and of every per-step (T, B) array, flattened step-major
-    step_major = lambda a: np.asarray(a).T.ravel()
-    gold, mask = step_major(batch.targets), step_major(batch.mask)
+    noise = model.selection_noise(rng, batch.inputs.shape[1], batch.size)
+    dist, traces = model.forced(batch.inputs, enc, noise)
+    gold, mask = _step_major(batch.targets), _step_major(batch.mask)
     xe_sum = masked_nll(dist, gold, mask, LOSS_EPS)
     correct = float(((np.argmax(dist.data, axis=1) == gold) * mask).sum())
     agree = None
     if has_ctrl:
         chosen = np.argmax(traces[-1].weights.data, axis=-1).ravel()
-        agree = float(((chosen == step_major(batch.labels)) * mask).sum())
-    ling_sum = None
-    if supervise:
-        labels, weights = step_major(batch.labels), step_major(ling_mask)
-        for tr in traces:
-            unit_nll = masked_nll(reshape(tr.soft, (-1, tr.soft.shape[-1])), labels, weights,
-                                  LOSS_EPS)
-            ling_sum = unit_nll if ling_sum is None else ling_sum + unit_nll
+        agree = float(((chosen == _step_major(batch.labels)) * mask).sum())
+    ling_sum = _word_class_nll(traces, batch.labels, batch.mask) if supervise else None
 
     n_tokens = float(batch.mask.sum())
     loss = xe_sum / n_tokens
     ling_mean = None
     if supervise:
-        ling_mean = (ling_sum if ling_row_weights is not None
-                     else ling_sum / (n_tokens * len(model.units)))
+        ling_mean = ling_sum / (n_tokens * len(model.units))
         loss = loss + lam_ling * ling_mean
     return ForwardStats(loss=loss, xe_sum=xe_sum, ling_mean=ling_mean,
                         n_tokens=n_tokens, n_correct=correct, n_agree=agree)
@@ -235,20 +241,30 @@ def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
 
 
 def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
-                       vocab_tokens, rng: Rng, max_len: int):
+                       vocab_tokens, rng: Rng, max_len: int, gold: Batch | None = None,
+                       lam: float = 0.0):
     """Policy-gradient surrogate summed over the scenes of ``enc``.
 
-    Samples a caption per scene, scores it and the greedy caption against
-    that scene's references with CIDEr-D, and returns the sum over scenes
-    of -advantage * (summed log-probability of the sampled caption),
-    together with one {reward, baseline, advantage} dict per scene.
+    Samples a caption per scene and decodes the greedy one, both without
+    gradients, scores them against that scene's references with CIDEr-D,
+    and returns the sum over scenes of -advantage * (summed
+    log-probability of the sampled caption), together with one {reward,
+    baseline, advantage} dict per scene.  One teacher-forced pass
+    (``CaptionModel.forced``) replays the sampled tokens under the
+    selection noise the sample pass drew.  With ``lam > 0`` the pass also
+    runs ``gold``, the batch of the scenes' gold captions, as B more rows
+    on the encoding listed twice, under noise drawn after the sample
+    pass, and the surrogate adds lam times their word-class term: each
+    scene's own mean word-class NLL, as a batch-1 pass would give it.
+
     ``references`` holds one reference set per scene.  Like the decoders,
     a single scene is unwrapped: ``references`` is its reference set and
     the info one dict.  A scene with zero advantage backpropagates
-    exactly zero.
+    exactly zero through its sampled caption.
     """
-    sampled, logps = sample_decode(model, enc, rng, max_len)
-    baseline = greedy_decode(model, enc, max_len)
+    with no_grad():
+        sampled, noise = sample_decode(model, enc, rng, max_len)
+        baseline = greedy_decode(model, enc, max_len)
     single = one_scene(enc)
     if single:
         sampled, baseline, references = [sampled], [baseline], [references]
@@ -258,10 +274,37 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
         base_reward = cider_d([vocab_tokens[t] for t in strip_sequence(base)], refs, idf)
         infos.append({"reward": reward, "baseline": base_reward,
                       "advantage": reward - base_reward})
-    total_logp = logps[0]
-    for lp in logps[1:]:
-        total_logp = total_logp + lp
-    loss = (total_logp * -np.array([info["advantage"] for info in infos])).sum()
+
+    scenes, supervise = len(sampled), lam > 0.0
+    gold_steps = gold.inputs.shape[1] if supervise else 0
+    n_steps = max(gold_steps, *map(len, sampled))
+    # a sampled row is fed [<bos>] + tokens[:-1] and scores its tokens,
+    # each weighted by the scene's advantage
+    shape = ((2 if supervise else 1) * scenes, n_steps)
+    inputs = np.full(shape, PAD_ID, dtype=np.int64)
+    targets, labels = inputs.copy(), inputs.copy()
+    weights, ling_weights = np.zeros(shape), np.zeros(shape)
+    for b, (tokens, info) in enumerate(zip(sampled, infos)):
+        inputs[b, :len(tokens)] = [BOS_ID] + tokens[:-1]
+        targets[b, :len(tokens)] = tokens
+        weights[b, :len(tokens)] = info["advantage"]
+    if noise is not None:       # zero past the sample pass's max_len steps
+        noise = np.pad(noise[:n_steps], [(0, max(0, n_steps - len(noise)))] + [(0, 0)] * 3)
+    if supervise:
+        inputs[scenes:, :gold_steps] = gold.inputs
+        labels[scenes:, :gold_steps] = gold.labels
+        ling_weights[scenes:, :gold_steps] = gold.mask / (
+            gold.mask.sum(axis=1, keepdims=True) * len(model.units))
+        enc = Encoded(feats={k: concat([v, v]) for k, v in enc.feats.items()},
+                      means={k: concat([v, v]) for k, v in enc.means.items()},
+                      mask=np.concatenate([enc.mask, enc.mask]))
+        if noise is not None:
+            noise = np.concatenate([noise, model.selection_noise(rng, n_steps, scenes)], axis=2)
+
+    dist, traces = model.forced(inputs, enc, noise)
+    loss = masked_nll(dist, _step_major(targets), _step_major(weights), LOSS_EPS)
+    if supervise:
+        loss = loss + lam * _word_class_nll(traces, labels, ling_weights)
     return loss, (infos[0] if single else infos)
 
 
@@ -358,14 +401,8 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
         scene_refs = [refs[sid] for sid in batch.scene_ids]
         single = batch.size == 1
         loss, infos = self_critical_loss(model, enc, scene_refs[0] if single else scene_refs,
-                                         idf, vocab_tokens, rng, cfg.max_len)
+                                         idf, vocab_tokens, rng, cfg.max_len, batch, lam)
         infos = [infos] if single else infos
-        if lam > 0.0:
-            # each scene's own mean word-class NLL, as a batch-1 pass would give it
-            weights = 1.0 / (batch.mask.sum(axis=1) * len(model.units))
-            stats = teacher_forced(model, batch, lam_ling=lam, rng=rng, enc=enc,
-                                   ling_row_weights=weights)
-            loss = loss + lam * stats.ling_mean
         reward_sum += sum(info["reward"] for info in infos)
         adv_sum += sum(info["advantage"] for info in infos)
         steps += batch.size

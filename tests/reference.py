@@ -8,20 +8,27 @@ flat arena.  The equivalence tests hold ``modcap.tensor.Adam`` and
 
 The decoder unit: ``reference_step`` composes one step of a
 ``DecoderUnit`` from one autodiff node per op (LSTM1, one attention head
-per module, the controller, fusion, LSTM2).  The fused ops it is built
-from, ``lstm_cell``, ``additive_attention`` and ``weighted_concat``, run
-the same array arithmetic as the unit kernel (``LstmRun``,
-``AttentionRun``), behind one joint node per op.  A one-step
-``decoder.unit_kernel`` call agrees with ``reference_step`` bit for bit
-in every output and gradient.  ``slice_axis``, ``pick`` and ``clamp_min``
-are the primitives the fused ops are checked against.
+per module, the controller, fusion, LSTM2) on a Tensor ``UnitState``.
+The fused ops it is built from, ``lstm_cell``, ``additive_attention``
+and ``weighted_concat``, run the same array arithmetic as the unit
+kernel (``LstmRun``, ``AttentionRun``), behind one joint node per op.
+``decoder.unit_kernel`` agrees with ``reference_step`` bit for bit: in
+every value of a forward-only step, and in every output and gradient of
+a one-step teacher-forced pass from the zero state.  ``slice_axis``,
+``pick`` and ``clamp_min`` are the primitives the fused ops are checked
+against.
+
+The stack: ``reference_model_step`` is one decode step of a
+``CaptionModel`` on the Tensor step, and ``reference_forced`` chains it
+along given tokens, as teacher forcing does in one pass.
+``TensorStepModel`` hands the Tensor step to ``decoder.run_decoder``.
 
 The decoders: ``reference_beam_search`` is beam search on the Tensor
-step (``CaptionModel.step``), its state reordered with ``take_rows`` and
-the scene's encoding repeated once per hypothesis; ``reference_greedy``
-is argmax decoding on the Tensor step, with gradients enabled.  The
-forward-only decoders (``decoder.beam_search``, ``decoder.greedy_decode``)
-agree with them bit for bit.
+step, its state reordered with ``take_rows`` and the scene's encoding
+repeated once per hypothesis; ``reference_greedy`` is argmax decoding on
+the Tensor step, with gradients enabled.  The forward-only decoders
+(``decoder.beam_search``, ``decoder.greedy_decode``) agree with them bit
+for bit.
 """
 
 import dataclasses
@@ -32,20 +39,18 @@ import numpy as np
 
 from modcap.controller import (
     AdditiveAttention,
-    ControllerState,
     ModuleController,
     ModuleLabel,
     Strategy,
-    gumbel_noise,
     one_hot_max,
 )
 from modcap.decoder import (
     BOS_ID,
     EOS_ID,
+    CaptionModel,
     DecoderUnit,
     Encoded,
     Hypothesis,
-    UnitState,
     UnitTrace,
     argmax_policy,
     run_decoder,
@@ -56,7 +61,6 @@ from modcap.tensor import (
     AttentionRun,
     LstmParams,
     LstmRun,
-    Rng,
     Tensor,
     _accum,
     _as_tensor,
@@ -64,6 +68,7 @@ from modcap.tensor import (
     gather_rows,
     no_grad,
     softmax,
+    zeros,
 )
 
 
@@ -339,6 +344,21 @@ def fuse(weights: Tensor, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
     return weighted_concat(weights, parts)
 
 
+@dataclass
+class ControllerState:
+    h: Tensor
+    c: Tensor
+
+
+@dataclass
+class UnitState:
+    h1: Tensor
+    c1: Tensor
+    h2: Tensor
+    c2: Tensor
+    ctrl: ControllerState | None
+
+
 def straight_through(y_soft: Tensor) -> Tensor:
     """One-hot forward value with the soft distribution's gradient."""
     return Tensor(one_hot_max(y_soft.data)) - y_soft.detach() + y_soft
@@ -353,11 +373,12 @@ class ControllerOutput:
 
 def controller_step(ctrl: ModuleController, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
                     context: Tensor, state: ControllerState, strategy: Strategy,
-                    rng: Rng | None = None) -> ControllerOutput:
+                    noise: np.ndarray | None = None) -> ControllerOutput:
     """One controller step: the LSTM over [v_O, v_A, v_R, c], then the
-    4-way softmax.  SOFT keeps the softmax as-is, HARD draws a
-    Gumbel-softmax sample and snaps it to a one-hot straight-through
-    estimate, UNIFORM skips the network and pins every weight to 1."""
+    4-way softmax.  SOFT keeps the softmax as-is, HARD takes the
+    Gumbel-softmax sample under ``noise`` (zero when None) and snaps it to
+    a one-hot straight-through estimate, UNIFORM skips the network and
+    pins every weight to 1."""
     if not isinstance(strategy, Strategy):
         raise ValueError(f"unknown collocation strategy: {strategy!r}")
     if strategy is Strategy.UNIFORM:
@@ -372,16 +393,17 @@ def controller_step(ctrl: ModuleController, v_obj: Tensor, v_attr: Tensor, v_rel
     if strategy is Strategy.SOFT:
         weights = soft
     else:  # HARD
-        noise = Tensor(gumbel_noise(rng, logits.shape, logits.data.dtype))
+        noise = Tensor(np.zeros(logits.shape, logits.data.dtype) if noise is None else noise)
         y = softmax((logits + noise) * (1.0 / ctrl.tau), axis=-1)
         weights = straight_through(y)
     return ControllerOutput(weights=weights, soft=soft, state=ControllerState(h=h, c=c))
 
 
 def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitState,
-                   rng: Rng | None = None):
-    """``DecoderUnit.step`` composed of autodiff ops, one node per op.
-    Returns (i_new, new state, trace)."""
+                   noise: np.ndarray | None = None):
+    """``DecoderUnit.step`` composed of autodiff ops, one node per op, with
+    the step's (B, K + 1) selection noise.  Returns (i_new, new state,
+    trace)."""
     context = state.h2
     u = concat([i_prev, context] + [enc.means[name] for name in unit.modules], axis=-1)
     h1, c1 = lstm_step(u, state.h1, state.c1, unit.lstm1)
@@ -396,13 +418,76 @@ def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitS
     else:
         v_func = unit.func(context)
         out = controller_step(unit.ctrl, *attended, context, state.ctrl,
-                              Strategy(unit.cfg.strategy), rng=rng)
+                              Strategy(unit.cfg.strategy), noise=noise)
         weights, soft, ctrl_state = out.weights, out.soft, out.state
         v_hat = fuse(weights, *attended, v_func)
     h2, c2 = lstm_step(concat([h1, v_hat], axis=-1), state.h2, state.c2, unit.lstm2)
     i_new = i_prev + h2
     new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
     return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)
+
+
+# -- the stack on the Tensor step ----------------------------------------------
+
+
+def reference_init_state(model: CaptionModel, batch: int) -> list[UnitState]:
+    """Each unit's zero state as Tensors."""
+    def z():
+        return zeros((batch, model.cfg.d_c), dtype=model.dtype)
+    return [UnitState(h1=z(), c1=z(), h2=z(), c2=z(),
+                      ctrl=None if unit.ctrl is None else ControllerState(h=z(), c=z()))
+            for unit in model.units]
+
+
+def reference_model_step(model: CaptionModel, prev_tokens, enc: Encoded, states: list,
+                         noise: np.ndarray | None = None):
+    """``CaptionModel.step`` on the Tensor step: one ``reference_step`` per
+    unit, with the step's (M, B, K + 1) selection noise.  Returns (word
+    distribution Tensor (B, V), new states, per-unit traces)."""
+    vec = gather_rows(model.embed, np.asarray(prev_tokens, dtype=np.int64))
+    new_states, traces = [], []
+    for m, (unit, st) in enumerate(zip(model.units, states)):
+        vec, st, tr = reference_step(unit, vec, enc, st, None if noise is None else noise[m])
+        new_states.append(st)
+        traces.append(tr)
+    return softmax(model.head(vec), axis=-1), new_states, traces
+
+
+def reference_forced(model: CaptionModel, inputs, enc: Encoded,
+                     noise: np.ndarray | None = None):
+    """``CaptionModel.forced`` as T chained ``reference_model_step`` calls
+    from the zero state, fed the input tokens (B, T), with the pass's
+    selection noise (T, M, B, K + 1).  Returns the per-step word
+    distributions and the per-step lists of unit traces."""
+    inputs = np.asarray(inputs, dtype=np.int64)
+    states = reference_init_state(model, inputs.shape[0])
+    dists, traces = [], []
+    for t in range(inputs.shape[1]):
+        dist, states, step_traces = reference_model_step(
+            model, inputs[:, t], enc, states, None if noise is None else noise[t])
+        dists.append(dist)
+        traces.append(step_traces)
+    return dists, traces
+
+
+class TensorStepModel:
+    """A CaptionModel decoding on ``reference_model_step`` through
+    ``decoder.run_decoder``; the decode loop gets each word distribution
+    as an array."""
+
+    def __init__(self, model: CaptionModel):
+        self.model = model
+
+    def init_rows(self, batch):
+        return reference_init_state(self.model, batch)
+
+    def selection_noise(self, rng, n_steps, batch):
+        return self.model.selection_noise(rng, n_steps, batch)
+
+    def step(self, prev_tokens, enc, states, noise=None):
+        dist, states, traces = reference_model_step(self.model, prev_tokens, enc, states,
+                                                    noise)
+        return dist.data, states, traces
 
 
 # -- decoders on the Tensor step -----------------------------------------------
@@ -429,7 +514,7 @@ def take_rows(obj, idx):
 def reference_greedy(model, enc, max_len, bos=BOS_ID, eos=EOS_ID):
     """Argmax decoding of every row of ``enc`` on the Tensor step, with
     gradients enabled; one token list per row."""
-    return run_decoder(model, enc, max_len, argmax_policy, bos=bos, eos=eos)
+    return run_decoder(TensorStepModel(model), enc, max_len, argmax_policy, bos=bos, eos=eos)
 
 
 def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_ID,
@@ -443,7 +528,7 @@ def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_I
     repeated = {}       # the scene's encoding, once per number of live hypotheses
     with no_grad():
         beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
-        states = model.init_state(1)
+        states = reference_init_state(model, 1)
         for _ in range(max_len):
             live = [h for h in beams if not h.finished]
             if not live:
@@ -451,8 +536,9 @@ def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_I
             prev = [h.tokens[-1] if h.tokens else bos for h in live]
             if len(live) not in repeated:
                 repeated[len(live)] = take_rows(enc, np.zeros(len(live), dtype=np.int64))
-            dist, states, _ = model.step(prev, repeated[len(live)],
-                                         take_rows(states, np.array([h.states for h in live])))
+            dist, states, _ = reference_model_step(
+                model, prev, repeated[len(live)],
+                take_rows(states, np.array([h.states for h in live])))
             logp = np.log(np.maximum(dist.data, np.finfo(dist.data.dtype).smallest_subnormal))
             total = np.array([h.logprob for h in live])[:, None] + logp
             score = total

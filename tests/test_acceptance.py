@@ -145,17 +145,17 @@ def test_criterion_2_architecture_invariants():
         def one_step():
             model = CaptionModel(cfg, Rng(100 + seed))
             enc = model.encode(r_obj, r_attr)
-            dist, states, traces = model.step([BOS_ID], enc, model.init_state(1))
+            dist, states, traces = model.step([BOS_ID], enc, model.init_rows(1))
             return dist, states, traces
 
         dist, states, traces = one_step()
-        check(dist.data.shape == (1, 12), f"seed {seed}: dist shape")
-        check(abs(float(dist.data.sum()) - 1.0) < 1e-5, f"seed {seed}: dist sums to 1")
-        check(float(dist.data.min()) >= 0.0, f"seed {seed}: dist nonnegative")
+        check(dist.shape == (1, 12), f"seed {seed}: dist shape")
+        check(abs(float(dist.sum()) - 1.0) < 1e-5, f"seed {seed}: dist sums to 1")
+        check(float(dist.min()) >= 0.0, f"seed {seed}: dist nonnegative")
         check(len(states) == m_units, f"seed {seed}: one state per unit")
         check(len(traces) == m_units, f"seed {seed}: one trace per unit")
         for st in states:
-            check(st.h2.data.shape == (1, d_v), f"seed {seed}: state width")
+            check(st[2].shape == (1, d_v), f"seed {seed}: state width")     # h2
         for tr in traces:
             if cfg.single_module is not None:
                 check(tr.weights is None and tr.soft is None,
@@ -163,7 +163,7 @@ def test_criterion_2_architecture_invariants():
                 check(list(tr.alphas) == [cfg.single_module],
                       f"seed {seed}: single module attends alone")
             else:
-                w = tr.weights.data[0]
+                w = tr.weights[0]
                 check(w.shape == (4,), f"seed {seed}: four module weights")
                 if strategy == "uniform":
                     check(np.array_equal(w, np.ones(4, dtype=w.dtype)),
@@ -177,17 +177,17 @@ def test_criterion_2_architecture_invariants():
                     check(abs(float(w.sum()) - 1.0) < 1e-5,
                           f"seed {seed}: soft weights are a distribution")
                 if strategy != "uniform":
-                    check(abs(float(tr.soft.data.sum()) - 1.0) < 1e-5,
+                    check(abs(float(tr.soft.sum()) - 1.0) < 1e-5,
                           f"seed {seed}: controller softmax normalizes")
                 check(sorted(tr.alphas) == ["attribute", "object", "relation"],
                       f"seed {seed}: attention per visual module")
             for alpha in tr.alphas.values():
-                check(alpha.data.shape == (1, k), f"seed {seed}: alpha over regions")
-                check(abs(float(alpha.data.sum()) - 1.0) < 1e-5,
+                check(alpha.shape == (1, k), f"seed {seed}: alpha over regions")
+                check(abs(float(alpha.sum()) - 1.0) < 1e-5,
                       f"seed {seed}: alpha normalizes")
 
         dist2, _, _ = one_step()
-        check(np.array_equal(dist.data, dist2.data),
+        check(np.array_equal(dist, dist2),
               f"seed {seed}: same seed, same bits")
 
     assert counted[0] >= 100

@@ -203,8 +203,8 @@ def test_non_finite_gradient_exits_3_naming_the_parameter(data_dir, tmp_path, ca
     assert not path.exists()
 
 
-def test_debug_finite_eval_names_the_op(data_dir, checkpoint, tmp_path, capsys):
-    import modcap.tensor
+def nan_checkpoint(checkpoint, tmp_path) -> Path:
+    """A copy of the checkpoint with a NaN in ``unit1.lstm2.W``."""
     from modcap.training import restore_training, save_checkpoint
 
     path = copy_checkpoint(checkpoint, tmp_path)
@@ -215,6 +215,13 @@ def test_debug_finite_eval_names_the_op(data_dir, checkpoint, tmp_path, capsys):
     save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,
                     vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
                     epoch=restored.epoch, history=restored.history)
+    return path
+
+
+def test_debug_finite_eval_names_the_op(data_dir, checkpoint, tmp_path, capsys):
+    import modcap.tensor
+
+    path = nan_checkpoint(checkpoint, tmp_path)
     capsys.readouterr()
     assert run(["eval", "--checkpoint", str(path), "--data", str(data_dir),
                 "--debug-finite"]) == 3
@@ -222,6 +229,21 @@ def test_debug_finite_eval_names_the_op(data_dir, checkpoint, tmp_path, capsys):
     assert "numeric error: unit_kernel produced a non-finite value" in err
     assert "Traceback" not in err
     assert modcap.tensor._debug_finite is False     # the flag lasts one command
+
+
+@pytest.mark.parametrize("command", [["eval"], ["eval", "--greedy"], ["caption"],
+                                     ["caption", "--greedy"]])
+def test_nan_checkpoint_exits_3_naming_the_decode_step(data_dir, checkpoint, tmp_path,
+                                                       capsys, command):
+    # without --debug-finite every word distribution is NaN: the decoders
+    # stop at the first step instead of returning no beam or argmaxing
+    # NaN rows to token 0
+    path = nan_checkpoint(checkpoint, tmp_path)
+    capsys.readouterr()
+    assert run(command + ["--checkpoint", str(path), "--data", str(data_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric error: non-finite word distribution at decode step 0" in err
+    assert "Traceback" not in err
 
 
 def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys):

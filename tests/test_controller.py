@@ -12,10 +12,10 @@ import pytest
 
 from modcap.controller import (
     AdditiveAttention,
-    ControllerState,
     ModuleController,
     ModuleLabel,
     Strategy,
+    gumbel_noise,
     pos_to_module_label,
 )
 from modcap.errors import ShapeError
@@ -28,7 +28,7 @@ from modcap.tensor import (
     softmax,
 )
 from modcap.training import LOSS_EPS
-from reference import attend, controller_step, fuse, straight_through
+from reference import ControllerState, attend, controller_step, fuse, straight_through
 
 F64 = np.float64
 
@@ -150,7 +150,8 @@ class TestController:
         rng = Rng(77)
         for seed in range(20):
             vo, va, vr, c = controller_inputs(seed, batch=1)
-            out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD, rng=rng)
+            out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD,
+                                  noise=gumbel_noise(rng, (1, 4), np.float32))
             w = out.weights.data[0]
             assert sorted(w.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
@@ -158,7 +159,7 @@ class TestController:
         ctrl = ModuleController(4, 3, Rng(2))
         state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
-        out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD, rng=None)
+        out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD, noise=None)
         assert np.argmax(out.weights.data[0]) == np.argmax(out.soft.data[0])
 
     def test_uniform_is_all_ones_and_skips_lstm(self):

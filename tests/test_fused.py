@@ -9,7 +9,7 @@ import pytest
 
 from modcap import tensor as T
 from modcap.config import ModelConfig
-from modcap.decoder import CaptionModel, beam_search, greedy_decode
+from modcap.decoder import CaptionModel, beam_search, greedy_decode, unit_kernel
 from modcap.tensor import (
     Rng,
     Tensor,
@@ -130,13 +130,13 @@ def test_masked_nll_matches_primitives():
     assert p.grad[1].tolist() == [0.0] * 5     # masked row
     assert p.grad[2, 4] == 0.0                 # clamped entry
 
-    # unmasked, per-row form (the word-class supervision of the controller
-    # weights; its values are checked in test_controller.TestLinguisticLoss)
+    # unmasked form (the word-class supervision of the controller weights;
+    # its values are checked in test_controller.TestLinguisticLoss)
     w = Tensor(np.array([[0.25] * 4, [0.97, 0.01, 0.01, 0.01], [1.0, 0.0, 0.0, 0.0]]),
                requires_grad=True, dtype=F64)
     labels = [1, 0, 3]
-    assert_same(lambda w: (masked_nll(w, labels, per_row=True),),
-                lambda w: (-log(clamp_min(pick(w, labels), 1e-12)),), [w], [np.ones(3)])
+    assert_same(lambda w: (masked_nll(w, labels),),
+                lambda w: ((-log(clamp_min(pick(w, labels), 1e-12))).sum(),), [w], [1.0])
 
 
 def test_masked_nll_forward_is_bitwise_in_float32():
@@ -195,7 +195,7 @@ class TestDebugChecksNameTheOp:
         unit = model.units[0]
         i_prev = Tensor(np.full((1, 3), np.nan, dtype=np.float32))
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
-            unit.step(i_prev, enc, unit.init_state(1))
+            unit_kernel(unit, i_prev, enc)
 
     @pytest.mark.parametrize("decode", [lambda m, e: greedy_decode(m, e, 4),
                                         lambda m, e: beam_search(m, e, 3, 4)],

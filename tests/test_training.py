@@ -7,11 +7,12 @@ import pytest
 
 from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
-from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel
+from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel, sample_decode
 from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
-from modcap.tensor import Adam, ParamArena, Rng, Tensor, clip_global_norm
+from modcap.tensor import Adam, ParamArena, Rng, Tensor, clip_global_norm, masked_nll, no_grad
 from modcap.training import (
+    LOSS_EPS,
     TRAIN_STREAM_TAG,
     Batch,
     _pack,
@@ -28,7 +29,7 @@ from modcap.training import (
     teacher_forced_metrics,
     train,
 )
-from reference import ReferenceAdam, assert_same_update, reference_clip
+from reference import ReferenceAdam, assert_same_update, reference_clip, reference_forced
 
 SPEC = CorpusSpec(n_scenes=24, seed=5)
 
@@ -52,6 +53,22 @@ def model_cfg(corpus, **over):
 
 def fresh_model(corpus, seed=3, **over):
     return CaptionModel(model_cfg(corpus, **over), Rng(seed).derive(1))
+
+
+def one_scene_per_region_count(corpus, synth):
+    """One gold example of each region count, and the examples packed into
+    one zero-padded batch."""
+    scenes = {s.scene_id: s for s in corpus.scenes}
+    examples, counts = [], set()
+    for e in corpus.examples:
+        k = len(scenes[e.scene_id].regions)
+        if k not in counts:
+            counts.add(k)
+            examples.append(e)
+    assert len(counts) >= 2
+    batch = _pack(examples, scenes, synth)
+    assert not batch.region_mask.all()
+    return examples, batch
 
 
 class TestBatching:
@@ -120,25 +137,23 @@ class TestTeacherForced:
         assert stats.xe_sum.shape == ()
 
     def test_row_weighted_word_class_term(self, corpus, synth):
-        # scenes of different region counts in one padded batch: with row
-        # weights 1/(n_tokens_b * M) the term is the sum of each scene's
-        # own batch-1 word-class mean
+        # scenes of different region counts in one padded batch: the gold
+        # rows of the self-critical forced pass weigh each token
+        # 1/(n_tokens_b * M), so with every advantage zero the surrogate is
+        # the sum of each scene's own batch-1 word-class mean
         model = fresh_model(corpus)
         scenes = {s.scene_id: s for s in corpus.scenes}
-        examples, counts = [], set()
-        for e in corpus.examples:
-            k = len(scenes[e.scene_id].regions)
-            if k not in counts:
-                counts.add(k)
-                examples.append(e)
-        assert len(counts) >= 2
-        batch = _pack(examples, scenes, synth)
-        assert not batch.region_mask.all()
-        weights = 1.0 / (batch.mask.sum(axis=1) * len(model.units))
-        both = teacher_forced(model, batch, lam_ling=1.0, ling_row_weights=weights)
+        examples, batch = one_scene_per_region_count(corpus, synth)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        refs = [["qq", "ww", "ee", "rr"]]
+        idf = IdfTable({0: refs, 1: [["zz", "xx", "cc", "vv"]]})
+        loss, infos = self_critical_loss(model, enc, [refs] * batch.size, idf,
+                                         corpus.vocab.tokens, Rng(9), max_len=8,
+                                         gold=batch, lam=1.0)
+        assert [info["advantage"] for info in infos] == [0.0] * batch.size
         want = sum(teacher_forced(model, _pack([e], scenes, synth), lam_ling=1.0)
                    .ling_mean.item() for e in examples)
-        assert both.ling_mean.item() == pytest.approx(want, rel=1e-5)
+        assert loss.item() == pytest.approx(want, rel=1e-5)
 
     def test_objective_composition(self, corpus, synth):
         model = fresh_model(corpus)
@@ -497,6 +512,78 @@ class TestSelfCritical:
                 found = True
                 break
         assert found, "sampling never diverged from greedy"
+
+    @staticmethod
+    def chained_surrogate(model, batch, infos, rng, max_len, lam):
+        """The self-critical surrogate on the op-composed Tensor step: the
+        tokens the surrogate samples from ``rng``, weighted by the
+        advantages of its ``infos``, and the gold captions, each chained
+        step by step from the zero state under the noise the surrogate
+        draws."""
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        with no_grad():
+            sampled, noise = sample_decode(model, enc, rng, max_len)
+        n_sampled, n_gold = max(map(len, sampled)), batch.inputs.shape[1]
+        gold_noise = model.selection_noise(rng, max(n_sampled, n_gold), batch.size)
+        inputs = np.full((batch.size, n_sampled), PAD_ID)
+        for b, row in enumerate(sampled):
+            inputs[b, :len(row)] = [BOS_ID] + row[:-1]
+        dists, _ = reference_forced(model, inputs, enc,
+                                    None if noise is None else noise[:n_sampled])
+        total = None
+        for t, dist in enumerate(dists):
+            tokens = [row[t] if t < len(row) else PAD_ID for row in sampled]
+            weights = [info["advantage"] if t < len(row) else 0.0
+                       for row, info in zip(sampled, infos)]
+            term = masked_nll(dist, tokens, weights)
+            total = term if total is None else total + term
+        _, traces = reference_forced(model, batch.inputs, enc,
+                                     None if gold_noise is None else gold_noise[:n_gold])
+        per_token = 1.0 / (batch.mask.sum(axis=1) * len(model.units))
+        for t, step_traces in enumerate(traces):
+            for tr in step_traces:
+                nll = masked_nll(tr.soft, batch.labels[:, t], batch.mask[:, t] * per_token,
+                                 LOSS_EPS)
+                total = total + lam * nll
+        return total
+
+    @pytest.mark.parametrize("preset, gumbel_tau", [("CNM#2", 1.0), ("Col/H+L", 0.5)])
+    def test_surrogate_gradients_match_a_chained_reference_pass(self, corpus, synth, preset,
+                                                                 gumbel_tau):
+        # the surrogate replays the sampled tokens in one forced pass, the
+        # gold captions as more rows of it; chaining the op-composed step
+        # along the same tokens and noise gives the same gradients.  Gold
+        # captions longer than max_len run past the sampled noise.
+        mcfg, cfg = apply_preset(preset, model_cfg(corpus, gumbel_tau=gumbel_tau),
+                                 TrainConfig())
+        model = CaptionModel(mcfg, Rng(7).derive(1))
+        params = model.named_parameters()
+        _, batch = one_scene_per_region_count(corpus, synth)
+        max_len, lam = 6, cfg.lambda_rl
+        assert batch.inputs.shape[1] > max_len
+        refs = corpus.references()
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        loss, infos = self_critical_loss(model, enc, [refs[sid] for sid in batch.scene_ids],
+                                         IdfTable(refs), corpus.vocab.tokens, Rng(11),
+                                         max_len, gold=batch, lam=lam)
+        assert any(info["advantage"] != 0.0 for info in infos)
+
+        def grads(objective):
+            for p in params.values():
+                p.grad = None
+            objective.backward()
+            return {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
+
+        got = grads(loss)
+        chained = self.chained_surrogate(model, batch, infos, Rng(11), max_len, lam)
+        assert chained.item() == pytest.approx(loss.item(), rel=1e-5)
+        want = grads(chained)
+        assert got.keys() == want.keys()
+        assert any(name.startswith("unit1.ctrl.") for name in got)
+        for name in got:
+            err = np.max(np.abs(got[name] - want[name])) / max(np.max(np.abs(want[name])),
+                                                               1e-30)
+            assert err <= 1e-5, name
 
     def test_rl_epoch_runs_and_updates(self, corpus, synth):
         model = fresh_model(corpus)

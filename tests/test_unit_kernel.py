@@ -1,22 +1,25 @@
 """The fused decoder unit against the op-composed reference, and the
 whole-sequence kernel against the step loop.
 
-``DecoderUnit.step`` runs a whole unit step as one autodiff node
-(``decoder.unit_kernel`` on one step's rows); ``reference.reference_step``
-composes the same step from one node per op.  Every preset of the
-ablation grid runs on a batch of scenes with different region counts
-(zero-padded, masked) once through each, and every forward value, decoded
-token and gradient must agree bit for bit.
+``decoder.unit_kernel`` runs a unit forward only on plain state rows
+(``DecoderUnit.step``) or, in teacher forcing, as one autodiff node from
+the zero state; ``reference.reference_step`` composes the same step from
+one node per op.  Every preset of the ablation grid runs on a batch of
+scenes with different region counts (zero-padded, masked) once through
+each: every forward value, decoded token, and gradient of a one-step
+teacher-forced pass must agree bit for bit.
 
 Teacher forcing runs each unit over all T steps in one kernel call
-(``CaptionModel.forced``); it must agree with T chained one-step calls to
-float-summation noise, and draw the same random numbers.
+(``CaptionModel.forced``); it must agree with T chained reference steps
+to float-summation noise, and draw the same random numbers.
 
 Without gradients, greedy and beam decoding step forward only on plain
 state arrays (``CaptionModel.init_rows``); they must agree bit for bit
 with the same decoders on the Tensor step (``reference.reference_greedy``,
 ``reference.reference_beam_search``) and create no Tensor.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,17 +28,26 @@ from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import (
     BOS_ID,
+    PAD_ID,
     CaptionModel,
-    DecoderUnit,
     beam_search,
-    forced_policy,
     greedy_decode,
     run_decoder,
     sample_decode,
+    sample_policy,
+    unit_kernel,
 )
+from modcap.metrics import IdfTable
 from modcap.tensor import Rng, Tensor, masked_nll, no_grad
-from modcap.training import LOSS_EPS, _pack, teacher_forced
-from reference import reference_beam_search, reference_greedy, reference_step
+from modcap.training import LOSS_EPS, _pack, self_critical_loss, teacher_forced
+from reference import (
+    TensorStepModel,
+    reference_beam_search,
+    reference_forced,
+    reference_greedy,
+    reference_init_state,
+    reference_model_step,
+)
 
 SPEC = CorpusSpec(n_scenes=40, seed=5)
 
@@ -69,20 +81,20 @@ def preset_model(corpus, preset, gumbel_tau=1.0):
 
 def step_forced(model, batch, lam_ling, rng):
     """The teacher-forced objective of ``training.teacher_forced``, driven
-    one decode step at a time: T chained one-step calls of each unit.
-    Returns (loss, per-step distributions, per-step traces, n_correct,
-    n_agree)."""
+    one decode step at a time: T chained op-composed steps of each unit
+    (``reference.reference_forced``).  Returns (loss, per-step
+    distributions, per-step traces, n_correct, n_agree)."""
     enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
     sums = {"xe": None, "ling": None}
-    dists, traces, counts = [], [], [0.0, 0.0]
+    counts = [0.0, 0.0]
 
     def add(key, term):
         sums[key] = term if sums[key] is None else sums[key] + term
 
-    def observe(t, dist, step_traces, tok, live):
+    noise = model.selection_noise(rng, batch.inputs.shape[1], batch.size)
+    dists, traces = reference_forced(model, batch.inputs, enc, noise)
+    for t, (dist, step_traces) in enumerate(zip(dists, traces)):
         gold, mask = batch.targets[:, t], batch.mask[:, t]
-        dists.append(dist)
-        traces.append(step_traces)
         add("xe", masked_nll(dist, gold, mask, LOSS_EPS))
         counts[0] += float(((np.argmax(dist.data, axis=1) == gold) * mask).sum())
         if step_traces[-1].weights is not None:
@@ -92,9 +104,6 @@ def step_forced(model, batch, lam_ling, rng):
             for tr in step_traces:
                 add("ling", masked_nll(tr.soft, batch.labels[:, t], mask, LOSS_EPS))
 
-    tokens = np.concatenate([batch.inputs, batch.targets[:, -1:]], axis=1)
-    run_decoder(model, enc, batch.inputs.shape[1], forced_policy(tokens), observe, rng=rng,
-                bos=tokens[:, 0])
     n_tokens = float(batch.mask.sum())
     loss = sums["xe"] / n_tokens
     if sums["ling"] is not None:
@@ -106,21 +115,42 @@ def lam_of(train_cfg):
     return train_cfg.lambda_xe if train_cfg.linguistic else 0.0
 
 
-FORWARD_ONLY = (greedy_decode, beam_search)
-ON_THE_TENSOR_STEP = (reference_greedy, reference_beam_search)
-
 # the grid at the default temperature, and hard selection at another
 GRID = [(preset, 1.0) for preset in PRESET_GRID] + [("Col/H+L", 0.5)]
 
 
-def run_everything(model, train_cfg, batch, decoders=FORWARD_ONLY):
-    """Bytes of every forward value, decoded tokens and every gradient;
-    ``decoders`` are the greedy and the beam decoder."""
+def data(value):
+    """The array of a Tensor, or the array itself."""
+    return value.data if isinstance(value, Tensor) else value
+
+
+def state_rows(state):
+    """A unit's state as the forward-only step's rows: a reference
+    ``UnitState`` is stacked as h1, c1, h2, c2 and the controller's h, c."""
+    if isinstance(state, np.ndarray):
+        return state
+    ctrl = [] if state.ctrl is None else [state.ctrl.h, state.ctrl.c]
+    return np.array([t.data for t in [state.h1, state.c1, state.h2, state.c2, *ctrl]])
+
+
+def run_everything(model, train_cfg, batch, reference=False):
+    """Bytes of every forward value, decoded tokens and every gradient, on
+    the fused kernel or, with ``reference``, on the op-composed Tensor
+    step: the gradients of a one-step teacher-forced pass from the zero
+    state, three forward steps, and the greedy, sampling and beam
+    decoders."""
     out = {}
     params = model.named_parameters()
     for p in params.values():
         p.grad = None
-    loss, _, _, n_correct, n_agree = step_forced(model, batch, lam_of(train_cfg), Rng(1))
+    first = dataclasses.replace(batch, inputs=batch.inputs[:, :1],
+                                targets=batch.targets[:, :1], labels=batch.labels[:, :1],
+                                mask=batch.mask[:, :1])
+    if reference:
+        loss, _, _, n_correct, n_agree = step_forced(model, first, lam_of(train_cfg), Rng(1))
+    else:
+        stats = teacher_forced(model, first, lam_ling=lam_of(train_cfg), rng=Rng(1))
+        loss, n_correct, n_agree = stats.loss, stats.n_correct, stats.n_agree or 0.0
     loss.backward()
     out["loss"] = loss.data.tobytes()
     out["counts"] = (n_correct, n_agree)
@@ -128,26 +158,27 @@ def run_everything(model, train_cfg, batch, decoders=FORWARD_ONLY):
                if p.grad is not None)
 
     enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-    states = model.init_state(batch.size)
+    states = (reference_init_state if reference else CaptionModel.init_rows)(model, batch.size)
+    step = reference_model_step if reference else CaptionModel.step
+    noise = model.selection_noise(Rng(2), 3, batch.size)
     tokens = np.full(batch.size, BOS_ID)
     for t in range(3):
-        dist, states, traces = model.step(tokens, enc, states, rng=Rng(2 + t))
-        out[f"dist{t}"] = dist.data.tobytes()
+        dist, states, traces = step(model, tokens, enc, states,
+                                    None if noise is None else noise[t])
+        out[f"dist{t}"] = data(dist).tobytes()
         for m, (st, tr) in enumerate(zip(states, traces)):
-            for field in ("h1", "c1", "h2", "c2"):
-                out[f"step{t}.unit{m}.{field}"] = getattr(st, field).data.tobytes()
-            if st.ctrl is not None:
-                out[f"step{t}.unit{m}.ctrl"] = (st.ctrl.h.data.tobytes(),
-                                                st.ctrl.c.data.tobytes())
+            out[f"step{t}.unit{m}.state"] = state_rows(st).tobytes()
             for field in ("weights", "soft"):
                 value = getattr(tr, field)
-                out[f"step{t}.unit{m}.{field}"] = None if value is None else value.data.tobytes()
-            out[f"step{t}.unit{m}.alphas"] = {k: a.data.tobytes() for k, a in tr.alphas.items()}
+                out[f"step{t}.unit{m}.{field}"] = None if value is None else data(value).tobytes()
+            out[f"step{t}.unit{m}.alphas"] = {k: data(a).tobytes() for k, a in tr.alphas.items()}
         tokens = batch.targets[:, t]
 
-    greedy, beam = decoders
+    greedy, beam = (reference_greedy, reference_beam_search) if reference else \
+        (greedy_decode, beam_search)
     out["greedy"] = greedy(model, enc, 12)
-    out["sample"] = sample_decode(model, enc, Rng(4), 12)[0]
+    out["sample"] = sample_decode(TensorStepModel(model) if reference else model, enc,
+                                  Rng(4), 12)[0]
     one = model.encode(batch.r_obj[:1, :int(batch.region_mask[0].sum())],
                        batch.r_attr[:1, :int(batch.region_mask[0].sum())])
     out["beam"] = [(h.tokens, h.logprob) for h in beam(model, one, 5, 12)]
@@ -155,14 +186,12 @@ def run_everything(model, train_cfg, batch, decoders=FORWARD_ONLY):
 
 
 @pytest.mark.parametrize("preset, gumbel_tau", GRID)
-def test_kernel_matches_reference_bit_for_bit(corpus, padded_batch, preset, gumbel_tau,
-                                              monkeypatch):
-    # the fused side decodes forward only, the reference side on the
-    # op-composed Tensor step
+def test_kernel_matches_reference_bit_for_bit(corpus, padded_batch, preset, gumbel_tau):
+    # the fused side decodes forward only and trains on one teacher-forced
+    # kernel node per unit, the reference side on the op-composed Tensor step
     model, train_cfg = preset_model(corpus, preset, gumbel_tau)
     fused = run_everything(model, train_cfg, padded_batch)
-    monkeypatch.setattr(DecoderUnit, "step", reference_step)
-    reference = run_everything(model, train_cfg, padded_batch, ON_THE_TENSOR_STEP)
+    reference = run_everything(model, train_cfg, padded_batch, reference=True)
     assert fused.keys() == reference.keys()
     differ = [key for key in fused if fused[key] != reference[key]]
     assert differ == []
@@ -231,17 +260,14 @@ def test_one_node_per_unit_step(corpus, preset):
     enc = model.encode(*FeatureSynthesizer(SPEC).features(corpus.scenes[0]))
     unit = model.units[0]
     i_prev = Tensor(np.ones((1, model.cfg.d_v), dtype=np.float32), requires_grad=True)
-    state = unit.init_state(1)
     start = next(Tensor._ids)
-    i_new, new, trace = unit.step(i_prev, enc, state)
+    i_new, trace = unit_kernel(unit, i_prev, enc)
     created = next(Tensor._ids) - start - 1
     # the node reads the inputs and parameters themselves ...
     assert any(p is i_prev for p in i_new._parents)
     assert any(p is unit.lstm2.W for p in i_new._parents)
-    # ... and the new state and the controller softmax hang off it
-    outputs = [new.h1, new.c1, new.h2, new.c2]
-    if trace.soft is not None:
-        outputs += [new.ctrl.h, new.ctrl.c, trace.soft]
+    # ... and the controller softmax hangs off it
+    outputs = [] if trace.soft is None else [trace.soft]
     assert all(out._parents == (i_new,) for out in outputs)
     # the attention weights and any fusion weights but the softmax are
     # constants: no gradient, no node
@@ -273,7 +299,8 @@ def test_sequence_matches_chained_steps(corpus, padded_batch, preset, gumbel_tau
 
     rng = Rng(1)
     enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-    dist, traces = model.forced(batch.inputs, enc, rng)
+    dist, traces = model.forced(batch.inputs, enc,
+                                model.selection_noise(rng, n_steps, batch.size))
     whole = {"dist": dist.data.reshape(n_steps, batch.size, -1)}
     for m, tr in enumerate(traces):
         whole.update((f"unit{m}.alpha.{k}", a.data) for k, a in tr.alphas.items())
@@ -335,7 +362,44 @@ def test_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
         lambda: teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1)).loss)
 
 
-def test_step_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
-    # the same for a graph of one-step kernel calls, as sampling builds
-    model, _ = preset_model(corpus, "CNM#2")
-    assert_freed_by_reference_counting(lambda: step_forced(model, padded_batch, 1.0, Rng(1))[0])
+def test_self_critical_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
+    # the same for the self-critical surrogate: one forced pass over the
+    # sampled and the gold captions on the encoding listed twice
+    model, _ = preset_model(corpus, "Col/H+L")
+    refs = corpus.references()
+    scene_refs = [refs[sid] for sid in padded_batch.scene_ids]
+
+    def surrogate():
+        enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
+        return self_critical_loss(model, enc, scene_refs, IdfTable(refs), corpus.vocab.tokens,
+                                  Rng(1), 12, gold=padded_batch, lam=0.5)[0]
+
+    assert_freed_by_reference_counting(surrogate)
+
+
+@pytest.mark.parametrize("preset, gumbel_tau", GRID)
+def test_replay_scores_tokens_as_they_were_sampled(corpus, padded_batch, preset,
+                                                   gumbel_tau):
+    # self-critical training samples without gradients, then replays the
+    # tokens in one teacher-forced pass under the same selection noise:
+    # every sampled token gets the probability it was drawn with
+    model, _ = preset_model(corpus, preset, gumbel_tau)
+    enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
+    rng = Rng(6)
+    noise = model.selection_noise(rng, 12, padded_batch.size)
+    drawn = []
+
+    def observe(t, dist, traces, tok, live):
+        drawn.append(dist[np.arange(len(tok)), tok])
+
+    rows = run_decoder(model, enc, 12, sample_policy(rng), observe, noise=noise)
+    n_steps = max(map(len, rows))
+    inputs = np.full((len(rows), n_steps), PAD_ID)
+    for b, row in enumerate(rows):
+        inputs[b, :len(row)] = [BOS_ID] + row[:-1]
+    dist, _ = model.forced(inputs, enc, None if noise is None else noise[:n_steps])
+    replayed = dist.data.reshape(n_steps, len(rows), -1)
+    got = [replayed[t, b, tok] for b, row in enumerate(rows) for t, tok in enumerate(row)]
+    want = [drawn[t][b] for b, row in enumerate(rows) for t in range(len(row))]
+    assert len(got) > 2 * len(rows)
+    np.testing.assert_allclose(np.log(got), np.log(want), rtol=1e-5, atol=1e-6)

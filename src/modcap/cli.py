@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import os
@@ -135,6 +136,14 @@ def _open_run(args):
     return corpus, restored, synth
 
 
+def _freeze_heap() -> None:
+    """Exempt everything built so far (corpus, feature tables, model)
+    from the cycle collector.  The graphs built from here on hold no
+    cycles, so a full collection over these long-lived objects would free
+    nothing."""
+    gc.freeze()
+
+
 def _find_scene(corpus, scene_id: int):
     for scene in corpus.scenes:
         if scene.scene_id == scene_id:
@@ -171,6 +180,7 @@ def cmd_train(args) -> int:
             raise DataError("checkpoint vocabulary does not match the corpus")
         model, train_cfg = restored.model, restored.train_cfg
         _echo_config(model.cfg, train_cfg)
+        _freeze_heap()
         state = train(model, corpus, synth, train_cfg,
                       opt=restored.opt, rng=restored.rng,
                       start_epoch=restored.epoch, history=restored.history,
@@ -184,6 +194,7 @@ def cmd_train(args) -> int:
         if args.few_shot is not None:
             examples = few_shot_subset(corpus.examples_in("train"),
                                        args.few_shot, train_cfg.seed)
+        _freeze_heap()
         state = train(model, corpus, synth, train_cfg,
                       checkpoint_path=args.out, examples=examples,
                       max_epochs=args.max_epochs, log_fn=LOG.info)
@@ -200,6 +211,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     corpus, restored, synth = _open_run(args)
     _echo_config(restored.model.cfg, restored.train_cfg)
+    _freeze_heap()
     mode = "greedy" if args.greedy else "beam"
     report = evaluate_split(restored.model, corpus, synth, args.split,
                             mode=mode, beam_width=args.beam,
@@ -286,6 +298,7 @@ def cmd_ablate(args) -> int:
         model_cfg, train_cfg = _build_configs(run_args, len(corpus.vocab))
         _echo_config(model_cfg, train_cfg)
         model = CaptionModel(model_cfg, Rng(train_cfg.seed).derive(MODEL_INIT_TAG))
+        _freeze_heap()
         started = time.perf_counter()
         train(model, corpus, synth, train_cfg, log_fn=LOG.info)
         runtime = time.perf_counter() - started

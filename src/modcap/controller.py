@@ -6,7 +6,6 @@ weights.  Their arithmetic runs inside ``decoder.unit_kernel``."""
 from __future__ import annotations
 
 import logging
-import math
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -77,16 +76,6 @@ def one_hot_max(y: np.ndarray) -> np.ndarray:
     idx = np.argmax(y.reshape(-1, hard.shape[-1]), axis=-1)
     flat[np.arange(flat.shape[0]), idx] = 1.0
     return hard
-
-
-def gumbel_noise(rng: Rng | None, shape, dtype) -> np.ndarray:
-    """Gumbel noise for hard selection, drawn in row-major order; zeros
-    without an rng."""
-    if rng is None:
-        return np.zeros(shape, dtype=dtype)
-    size = math.prod(shape)
-    noise = np.fromiter((rng.gumbel() for _ in range(size)), dtype=np.float64, count=size)
-    return noise.reshape(shape).astype(dtype)
 
 
 class ModuleController:

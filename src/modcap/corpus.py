@@ -380,20 +380,19 @@ class FeatureSynthesizer:
             hot[min(rank, _RANK_SLOTS - 1)] = 1.0
             return hot
 
+        # the scene's noise in one draw: object rows first, then attribute rows
+        noise = noise_rng.normal((2, k, d_content), scale=spec.noise_sigma, dtype=np.float32) \
+            if spec.noise_sigma > 0 else np.zeros((2, k, d_content), dtype=np.float32)
         r_obj = np.zeros((k, spec.d_r), dtype=np.float32)
         r_attr = np.zeros((k, spec.d_r), dtype=np.float32)
         for i, reg in enumerate(scene.regions):
-            noise = noise_rng.normal((d_content,), scale=spec.noise_sigma, dtype=np.float32) \
-                if spec.noise_sigma > 0 else 0.0
-            r_obj[i, :d_content] = self.obj_table[reg.object_id] + noise
+            r_obj[i, :d_content] = self.obj_table[reg.object_id] + noise[0, i]
             r_obj[i, d_content:d_content + 4] = (reg.x, reg.y,
                                                  rank_of[i] / _RANK_SCALE,
                                                  counts[reg.object_id] / _RANK_SCALE)
             r_obj[i, d_content + 4:] = rank_onehot(rank_of[i])
         for i, reg in enumerate(scene.regions):
-            noise = noise_rng.normal((d_content,), scale=spec.noise_sigma, dtype=np.float32) \
-                if spec.noise_sigma > 0 else 0.0
-            r_attr[i, :d_content] = self.attr_table[reg.attributes].sum(axis=0) + noise
+            r_attr[i, :d_content] = self.attr_table[reg.attributes].sum(axis=0) + noise[1, i]
             r_attr[i, d_content:d_content + 4] = (reg.x, reg.y,
                                                   rank_of[i] / _RANK_SCALE, 0.0)
             r_attr[i, d_content + 4:] = rank_onehot(rank_of[i])

@@ -44,7 +44,6 @@ from .controller import (
     AdditiveAttention,
     ModuleController,
     Strategy,
-    gumbel_noise,
     one_hot_max,
 )
 from .encoders import ProjectionModule, RelationModule
@@ -471,8 +470,8 @@ class CaptionModel:
         noise."""
         if rng is None or self.units[0].ctrl is None or self.cfg.strategy != Strategy.HARD:
             return None
-        return gumbel_noise(rng, (n_steps, len(self.units), batch,
-                                  len(self.units[0].modules) + 1), self.dtype)
+        return rng.gumbel_array((n_steps, len(self.units), batch,
+                                 len(self.units[0].modules) + 1), dtype=self.dtype)
 
     def step(self, prev_tokens, enc: Encoded, states: list, noise: np.ndarray | None = None):
         """One forward-only decode step for the whole stack, on the plain
@@ -574,12 +573,16 @@ def argmax_policy(t, p, live):
 
 
 def sample_policy(rng: Rng, eos: int = EOS_ID):
-    """Each live row draws its token from its distribution, one uniform per
-    live row in row order; finished rows emit ``eos``."""
+    """Each live row draws its token from its distribution by the inverse
+    CDF, one uniform per live row in row order; finished rows emit
+    ``eos``.  The row-wise float64 ``cumsum`` adds in the order a per-row
+    one would."""
     def choose(t, p, live):
         tok = np.full(p.shape[0], eos, dtype=np.int64)
-        for b in np.flatnonzero(live):
-            tok[b] = rng.multinomial(p[b])
+        rows = np.flatnonzero(live)
+        cdf = np.cumsum(p[rows].astype(np.float64), axis=1)
+        u = rng.uniform_array(rows.shape, 0.0, 1.0, dtype=np.float64) * cdf[:, -1]
+        tok[rows] = np.minimum(np.count_nonzero(cdf <= u[:, None], axis=1), p.shape[1] - 1)
         return tok
     return choose
 

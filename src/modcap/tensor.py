@@ -905,19 +905,41 @@ def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# the same constants and shift counts as uint64 scalars, for the array path
+_GOLDEN_U, _MIX1_U, _MIX2_U = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def _mix64(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """A ``math`` function over every element, in float64: libm's rounding,
+    which the scalar draws have and numpy's versions do not always match."""
+    return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
 
 
 class Rng:
     """SplitMix64 stream with Box-Muller gaussians.
 
     Pure integer arithmetic, so sequences are identical on every platform.
-    The state snapshot includes the cached second gaussian draw.
+    The stream is counter-based: after n draws the state is
+    seed + n * GOLDEN mod 2**64, and draw n mixes that state.  So the
+    array methods (``uniform_array``, ``normal``, ``gumbel_array``) compute
+    a whole block of draws in a few uint64 numpy operations, and give
+    exactly the values of the scalar methods called once per element in
+    row-major order, leaving exactly the state those calls would.
+
+    A gaussian comes from a Box-Muller pair of draws through libm's
+    ``math.log``, ``math.cos`` and ``math.sin``.  The pair's second value
+    waits in a cache for the next gaussian; ``normal`` consumes a waiting
+    one first and, for a count that leaves its last pair half used,
+    caches the rest as ``gauss`` would.  The state snapshot includes the
+    cache.
     """
 
     def __init__(self, seed: int):
@@ -927,6 +949,21 @@ class Rng:
     def u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix64(self._state)
+
+    def _bits53(self, n: int) -> np.ndarray:
+        """The top 53 bits of the next ``n`` draws, (n,) uint64."""
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            z *= _GOLDEN_U
+            z += np.uint64(self._state)
+            z ^= z >> _S30
+            z *= _MIX1_U
+            z ^= z >> _S27
+            z *= _MIX2_U
+            z ^= z >> _S31
+        z >>= _S11
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return z
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1)."""
@@ -943,10 +980,6 @@ class Rng:
         self._gauss_cache = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
 
-    def gumbel(self) -> float:
-        u = ((self.u64() >> 11) + 0.5) * 2.0**-53  # strictly inside (0, 1)
-        return -math.log(-math.log(u))
-
     def randint(self, n: int) -> int:
         if n <= 0:
             raise ValueError(f"randint bound must be positive, got {n}")
@@ -957,21 +990,36 @@ class Rng:
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def multinomial(self, probs: np.ndarray) -> int:
-        """Sample an index from a probability vector via the inverse CDF."""
-        cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
-        u = self.uniform() * cdf[-1]
-        return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+    def uniform_array(self, shape, low, high, dtype=FLOAT32) -> np.ndarray:
+        """``uniform`` per element, scaled to [low, high).  A 53-bit
+        integer converts to float64 exactly, so the values are the scalar
+        ones."""
+        out = self._bits53(int(np.prod(shape))) * 2.0**-53
+        return (low + (high - low) * out).reshape(shape).astype(dtype)
 
     def normal(self, shape, scale=1.0, dtype=FLOAT32) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        out = np.fromiter((self.gauss() for _ in range(n)), dtype=np.float64, count=n)
-        return (scale * out).reshape(shape).astype(dtype)
+        """``gauss`` per element, times ``scale``."""
+        n = int(np.prod(shape))
+        head = int(n > 0 and self._gauss_cache is not None)
+        out = np.empty(n + 1)          # room for a half-used pair's sine
+        if head:
+            out[0], self._gauss_cache = self._gauss_cache, None
+        bits = self._bits53(2 * ((n - head + 1) // 2)).astype(np.float64)
+        u1 = (bits[0::2] + 1.0) * 2.0**-53  # (0, 1], keeps log finite
+        angle = 2.0 * math.pi * (bits[1::2] * 2.0**-53)
+        r = np.sqrt(-2.0 * _libm(math.log, u1))
+        end = head + bits.size
+        out[head:end:2] = r * _libm(math.cos, angle)
+        out[head + 1:end:2] = r * _libm(math.sin, angle)
+        if end > n:
+            self._gauss_cache = float(out[n])
+        return (scale * out[:n]).reshape(shape).astype(dtype)
 
-    def uniform_array(self, shape, low, high, dtype=FLOAT32) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        out = np.fromiter((self.uniform() for _ in range(n)), dtype=np.float64, count=n)
-        return (low + (high - low) * out).reshape(shape).astype(dtype)
+    def gumbel_array(self, shape, dtype=FLOAT32) -> np.ndarray:
+        """Standard Gumbel draws, -log(-log(u)) with u strictly inside
+        (0, 1), one draw per element."""
+        u = (self._bits53(int(np.prod(shape))).astype(np.float64) + 0.5) * 2.0**-53
+        return (-_libm(math.log, -_libm(math.log, u))).reshape(shape).astype(dtype)
 
     def get_state(self):
         return [self._state, self._gauss_cache]

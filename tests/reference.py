@@ -29,6 +29,10 @@ repeated once per hypothesis; ``reference_greedy`` is argmax decoding on
 the Tensor step, with gradients enabled.  The forward-only decoders
 (``decoder.beam_search``, ``decoder.greedy_decode``) agree with them bit
 for bit.
+
+The random draws: ``gumbel`` and ``multinomial`` take one value at a time
+from the scalar stream, ``Rng.u64`` and ``Rng.uniform``.  The stream
+tests hold ``Rng.gumbel_array`` and ``decoder.sample_policy`` to them.
 """
 
 import dataclasses
@@ -61,6 +65,7 @@ from modcap.tensor import (
     AttentionRun,
     LstmParams,
     LstmRun,
+    Rng,
     Tensor,
     _accum,
     _as_tensor,
@@ -70,6 +75,19 @@ from modcap.tensor import (
     softmax,
     zeros,
 )
+
+
+def gumbel(rng: Rng) -> float:
+    """One Gumbel draw, -log(-log(u)) with u strictly inside (0, 1)."""
+    u = ((rng.u64() >> 11) + 0.5) * 2.0**-53
+    return -math.log(-math.log(u))
+
+
+def multinomial(rng: Rng, probs) -> int:
+    """One index drawn from a probability vector via the inverse CDF."""
+    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
+    u = rng.uniform() * cdf[-1]
+    return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
 
 
 def adam_init(param: Tensor) -> AdamState:

@@ -15,7 +15,6 @@ from modcap.controller import (
     ModuleController,
     ModuleLabel,
     Strategy,
-    gumbel_noise,
     pos_to_module_label,
 )
 from modcap.errors import ShapeError
@@ -151,7 +150,7 @@ class TestController:
         for seed in range(20):
             vo, va, vr, c = controller_inputs(seed, batch=1)
             out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD,
-                                  noise=gumbel_noise(rng, (1, 4), np.float32))
+                                  noise=rng.gumbel_array((1, 4), dtype=np.float32))
             w = out.weights.data[0]
             assert sorted(w.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
@@ -189,8 +188,7 @@ class TestController:
         rng = Rng(2024)
         draws = 10000
         counts = np.zeros(4)
-        for _ in range(draws):
-            noise = np.array([rng.gumbel() for _ in range(4)])
+        for noise in rng.gumbel_array((draws, 4), dtype=np.float64):
             y = logits + noise
             e = np.exp(y - y.max())
             y = e / e.sum()

@@ -77,21 +77,25 @@ class TestBattery:
         assert failed == cases
 
 
+@pytest.fixture(scope="module")
+def decoder_section():
+    """One run of the decoder section, shared by the tests that read it."""
+    return decoder_results()
+
+
 class TestDecoderSection:
-    def test_every_parameter_is_checked(self):
-        results = decoder_results()
-        names = {r.name for r in results}
+    def test_every_parameter_is_checked(self, decoder_section):
+        names = {r.name for r in decoder_section}
         assert "input:r_obj" in names and "input:r_attr" in names
-        param_cases = [r for r in results if r.name.startswith("param:")]
+        param_cases = [r for r in decoder_section if r.name.startswith("param:")]
         assert any("unit1.ctrl" in r.name for r in param_cases)
         assert any("unit2.lstm2" in r.name for r in param_cases)
         assert any("enc.relation" in r.name for r in param_cases)
         assert any("embed" in r.name for r in param_cases)
         assert any("head" in r.name for r in param_cases)
 
-    def test_decoder_section_passes(self):
-        results = decoder_results()
-        failures = [(r.name, r.error) for r in results if not r.ok]
+    def test_decoder_section_passes(self, decoder_section):
+        failures = [(r.name, r.error) for r in decoder_section if not r.ok]
         assert not failures
 
 

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcap import tensor as T
+from modcap.decoder import EOS_ID, sample_policy
 from modcap.errors import ShapeError, TrainingError
 from modcap.tensor import (
     Adam,
@@ -35,7 +38,9 @@ from reference import (
     ReferenceAdam,
     assert_same_update,
     clamp_min,
+    gumbel as reference_gumbel,
     lstm_step,
+    multinomial as reference_multinomial,
     pick,
     slice_axis,
 )
@@ -323,11 +328,10 @@ class TestRng:
         assert abs(np.std(xs) - 1.0) < 0.03
 
     def test_multinomial_frequencies(self):
-        rng = Rng(11)
+        # the sampling policy's inverse-CDF draw over 10000 live rows
         probs = np.array([0.5, 0.3, 0.2])
-        counts = np.zeros(3)
-        for _ in range(10000):
-            counts[rng.multinomial(probs)] += 1
+        tokens = sample_policy(Rng(11))(0, np.tile(probs, (10000, 1)), np.ones(10000, bool))
+        counts = np.bincount(tokens, minlength=3)
         assert np.allclose(counts / 10000, probs, atol=0.02)
 
     def test_derive_gives_independent_streams(self):
@@ -344,6 +348,110 @@ class TestRng:
         ys = list(range(10))
         Rng(3).shuffle(ys)
         assert xs == ys and xs != list(range(10))
+
+
+# each draw kind as an array call and as the scalar loop it stands for
+ARRAY_DRAWS = {
+    "uniform": lambda rng, shape, dtype: rng.uniform_array(shape, -0.5, 2.0, dtype=dtype),
+    "normal": lambda rng, shape, dtype: rng.normal(shape, scale=0.3, dtype=dtype),
+    "gumbel": lambda rng, shape, dtype: rng.gumbel_array(shape, dtype=dtype),
+}
+SCALAR_DRAWS = {
+    "uniform": lambda rng: -0.5 + (2.0 - -0.5) * rng.uniform(),
+    "normal": lambda rng: 0.3 * rng.gauss(),
+    "gumbel": reference_gumbel,
+}
+STREAM = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+seeds = st.integers(0, 2**64 - 1)
+shapes = st.lists(st.integers(0, 5), max_size=3).map(tuple)
+draw_steps = st.lists(st.tuples(st.sampled_from(sorted(ARRAY_DRAWS)), shapes, st.booleans(),
+                                st.sampled_from([np.float32, np.float64])), max_size=6)
+
+
+def scalar_loop(rng, kind, shape, dtype):
+    n = math.prod(shape)
+    return np.array([SCALAR_DRAWS[kind](rng) for _ in range(n)],
+                    dtype=np.float64).reshape(shape).astype(dtype)
+
+
+class TestRngStream:
+    """Array draws are the scalar stream: the same values, bit for bit,
+    and the same state afterwards, whatever the interleaving."""
+
+    @STREAM
+    @given(seeds, draw_steps, st.booleans())
+    def test_array_draws_equal_the_scalar_loop(self, seed, steps, pending):
+        arrays, scalars = Rng(seed), Rng(seed)
+        if pending:                     # leave a cached gaussian waiting
+            assert arrays.gauss() == scalars.gauss()
+        for kind, shape, as_array, dtype in steps:
+            want = scalar_loop(scalars, kind, shape, dtype)
+            got = (ARRAY_DRAWS[kind](arrays, shape, dtype) if as_array
+                   else scalar_loop(arrays, kind, shape, dtype))
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (kind, shape)
+            assert arrays.get_state() == scalars.get_state(), (kind, shape)
+            assert arrays.gauss() == scalars.gauss()   # and the stream goes on alike
+
+    @STREAM
+    @given(seeds, st.integers(0, 7), st.integers(0, 9))
+    def test_normal_counts_odd_and_even(self, seed, skip, n):
+        # skip leaves the cache full or empty; n leaves a pair half used or not
+        arrays, scalars = Rng(seed), Rng(seed)
+        for rng in (arrays, scalars):
+            for _ in range(skip):
+                rng.gauss()
+        got = arrays.normal((n,), dtype=np.float64)
+        want = np.array([scalars.gauss() for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert arrays.get_state() == scalars.get_state()
+        assert (arrays.get_state()[1] is None) == ((n + skip) % 2 == 0)
+
+    @pytest.mark.parametrize("kind", sorted(ARRAY_DRAWS))
+    def test_long_draws_keep_the_libm_bits(self, kind):
+        # numpy's log differs from libm's in about one float64 result of a
+        # thousand; 20000 draws see that, and would see a cos or sin that did
+        arrays, scalars = Rng(2026), Rng(2026)
+        got = ARRAY_DRAWS[kind](arrays, (100, 200), np.float64)
+        assert got.tobytes() == scalar_loop(scalars, kind, (100, 200), np.float64).tobytes()
+
+    def test_long_sample_policy_run(self):
+        p = np.random.RandomState(3).dirichlet(np.full(50, 0.2), size=4000).astype(np.float32)
+        live = np.arange(4000) % 7 != 3
+        policy_rng, scalar_rng = Rng(8), Rng(8)
+        tokens = sample_policy(policy_rng)(0, p, live)
+        want = [reference_multinomial(scalar_rng, p[b]) if live[b] else EOS_ID
+                for b in range(4000)]
+        assert tokens.tolist() == want
+        assert policy_rng.get_state() == scalar_rng.get_state()
+
+    @STREAM
+    @given(seeds, draw_steps, st.sampled_from(sorted(ARRAY_DRAWS)), shapes)
+    def test_set_state_continues_the_stream(self, seed, steps, kind, shape):
+        rng = Rng(seed)
+        for step_kind, step_shape, _, dtype in steps:
+            ARRAY_DRAWS[step_kind](rng, step_shape, dtype)
+        restored = Rng(0)
+        restored.set_state(rng.get_state())
+        want = ARRAY_DRAWS[kind](rng, shape, np.float64)
+        assert ARRAY_DRAWS[kind](restored, shape, np.float64).tobytes() == want.tobytes()
+        assert restored.get_state() == rng.get_state()
+
+    @STREAM
+    @given(seeds, st.integers(1, 6), st.integers(1, 7), st.data())
+    def test_sample_policy_equals_per_row_multinomial(self, seed, rows, vocab, data):
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows * vocab,
+                                     max_size=rows * vocab))
+        p = np.asarray(weights, dtype=np.float32).reshape(rows, vocab)
+        p[:, 0] += 1e-3                 # every row has some mass
+        p /= p.sum(axis=1, keepdims=True)
+        live = np.asarray(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+        policy_rng, scalar_rng = Rng(seed), Rng(seed)
+        tokens = sample_policy(policy_rng)(0, p, live)
+        want = [reference_multinomial(scalar_rng, p[b]) if live[b] else EOS_ID
+                for b in range(rows)]
+        assert tokens.tolist() == want
+        assert policy_rng.get_state() == scalar_rng.get_state()
 
 
 class TestInit:

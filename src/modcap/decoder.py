@@ -63,7 +63,6 @@ from .tensor import (
     gather_rows,
     make_lstm_params,
     mean_pool_rows,
-    no_grad,
     reshape,
     softmax,
     softmax_backward,
@@ -597,8 +596,7 @@ def forced_policy(tokens):
 def greedy_decode(model, enc, max_len: int, bos: int = BOS_ID, eos: int = EOS_ID):
     """Argmax decoding of every row of ``enc``.  Returns one token list per
     row, or the list itself for a single scene."""
-    with no_grad():
-        rows = run_decoder(model, enc, max_len, argmax_policy, bos=bos, eos=eos)
+    rows = run_decoder(model, enc, max_len, argmax_policy, bos=bos, eos=eos)
     return rows[0] if one_scene(enc) else rows
 
 
@@ -637,39 +635,38 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
     def rank(h):
         return (-h.score(length_normalize), h.tokens)
 
-    with no_grad():
-        beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
-        states = model.init_rows(1)
-        for t in range(max_len):
-            live = [h for h in beams if not h.finished]
-            if not live:
-                break
-            prev = [h.tokens[-1] if h.tokens else bos for h in live]
-            if states is not None:      # a model stub may keep no state
-                parents = np.array([h.states for h in live])
-                states = [s[:, parents] for s in states]
-            p, states, _ = model.step(prev, enc, states)
-            _check_distribution(p, t)
-            logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
-            total = np.array([h.logprob for h in live])[:, None] + logp
-            score = total
-            if length_normalize:
-                score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
-            # only expansions scoring at least the beam_width-th best can
-            # survive the exact sort below
-            flat = score.ravel()
-            if flat.size > beam_width:
-                cut = np.partition(flat, flat.size - beam_width)[flat.size - beam_width]
-                picked = np.flatnonzero(flat >= cut)
-            else:
-                picked = np.arange(flat.size)
-            candidates = [h for h in beams if h.finished]
-            rows, toks = np.divmod(picked, score.shape[1])
-            for row, tok, logprob in zip(rows.tolist(), toks.tolist(),
-                                         total.ravel()[picked].tolist()):
-                candidates.append(Hypothesis(live[row].tokens + (tok,), logprob, row, tok == eos))
-            candidates.sort(key=rank)
-            beams = candidates[:beam_width]
+    beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
+    states = model.init_rows(1)
+    for t in range(max_len):
+        live = [h for h in beams if not h.finished]
+        if not live:
+            break
+        prev = [h.tokens[-1] if h.tokens else bos for h in live]
+        if states is not None:      # a model stub may keep no state
+            parents = np.array([h.states for h in live])
+            states = [s[:, parents] for s in states]
+        p, states, _ = model.step(prev, enc, states)
+        _check_distribution(p, t)
+        logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
+        total = np.array([h.logprob for h in live])[:, None] + logp
+        score = total
+        if length_normalize:
+            score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
+        # only expansions scoring at least the beam_width-th best can
+        # survive the exact sort below
+        flat = score.ravel()
+        if flat.size > beam_width:
+            cut = np.partition(flat, flat.size - beam_width)[flat.size - beam_width]
+            picked = np.flatnonzero(flat >= cut)
+        else:
+            picked = np.arange(flat.size)
+        candidates = [h for h in beams if h.finished]
+        rows, toks = np.divmod(picked, score.shape[1])
+        for row, tok, logprob in zip(rows.tolist(), toks.tolist(),
+                                     total.ravel()[picked].tolist()):
+            candidates.append(Hypothesis(live[row].tokens + (tok,), logprob, row, tok == eos))
+        candidates.sort(key=rank)
+        beams = candidates[:beam_width]
     beams.sort(key=rank)
     return beams
 

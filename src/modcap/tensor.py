@@ -9,18 +9,22 @@ collects the nodes reachable from the root once and runs their closures
 in descending id order: each closure runs after those of all its
 consumers.
 
-Besides the elementwise, matrix and rearrangement primitives there is
-one fused op with a hand-written backward, ``masked_nll``:
-``-sum(mask * log(max(p[b, gold_b], eps)))``.
+The library holds only the ops the model runs: ``add``, ``mul`` and
+``div``, ``matmul``, ``transpose`` and ``reshape``, ``sum_``,
+``mean_pool_rows``, ``concat``, ``gather_rows``, ``relu``,
+``leaky_relu`` and ``softmax``, and one fused op with a hand-written
+backward, ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``.
 
 The LSTM, attention and softmax arithmetic lives on plain arrays
 (``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``)
 for the decoder's unit kernel (``decoder.unit_kernel``, a decoder unit
 over T steps as one node, or forward only).  A run records T steps:
 forward and input gradients go step by step, and the parameter
-gradients are one GEMM over the rows of all steps.  The op-composed decoder unit that the kernel
-agrees with bit for bit, and the fused LSTM, attention and fusion ops it
-is built from, are kept with the tests (``tests/reference.py``).
+gradients are one GEMM over the rows of all steps.  The op-composed
+decoder unit that the kernel agrees with bit for bit, the fused LSTM,
+attention and fusion ops it is built from, and the ``tanh``, ``sigmoid``
+and ``log`` ops their references are composed of are kept with the
+tests (``tests/reference.py``).
 
 Scenes with different region counts share a batch by zero-padding the
 region axis.  ``softmax``, ``AttentionRun`` and ``mean_pool_rows`` take
@@ -200,22 +204,8 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def T(self):
-        return transpose(self)
-
     def item(self) -> float:
         return self.data.item()
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
@@ -239,12 +229,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -252,15 +236,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
@@ -347,20 +322,6 @@ def add(a, b) -> Tensor:
     return Tensor._from_op(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return Tensor._from_op(data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
@@ -389,17 +350,6 @@ def div(a, b) -> Tensor:
             _accum(b, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape))
 
     return Tensor._from_op(data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    a_data = a.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, -g)
-
-    return Tensor._from_op(-a_data, (a,), backward)
 
 
 # -- matrix products ----------------------------------------------------------
@@ -579,29 +529,6 @@ def gather_rows(a, indices) -> Tensor:
 # -- nonlinearities -----------------------------------------------------------
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * (1.0 - data * data))
-
-    return Tensor._from_op(data, (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * data * (1.0 - data))
-
-    return Tensor._from_op(data, (a,), backward)
-
-
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     a_data = a.data
@@ -626,30 +553,6 @@ def leaky_relu(a, slope=0.01) -> Tensor:
             _accum(a, g * np.where(a_data >= 0, 1.0, slope).astype(g.dtype))
 
     return Tensor._from_op(np.ascontiguousarray(data), (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * data)
-
-    return Tensor._from_op(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    a_data = a.data
-    with np.errstate(invalid="ignore", divide="ignore"):
-        data = np.log(a_data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g / a_data)
-
-    return Tensor._from_op(data, (a,), backward)
 
 
 def softmax(a, axis=-1, mask=None) -> Tensor:
@@ -752,7 +655,8 @@ class LstmRun:
             # the gate gradient is, block by block, ((p * q) * r) * s with
             # p = [g_c, g_c, g_c, g_h] from this step's gradients and q, r,
             # s, the same for every gradient, formed once for all steps
-            _, c_prev, gates, cand, tanh_c = (_steps(a) for a in zip(*self.steps))
+            c_prev, gates, cand, tanh_c = (_steps(a) for a in list(zip(*self.steps))[1:])
+            self.steps = [xh for xh, *_ in self.steps]      # all that param_grads reads
             block = slice(2 * dh, 3 * dh)
             self.q = np.concatenate([cand, c_prev, gates[..., :dh], tanh_c], axis=-1)
             self.r = gates.copy()
@@ -783,7 +687,7 @@ class LstmRun:
         arrays formed for it are let go, so a graph's runs do not all hold
         them at once."""
         g_z = _rows(self.g_z)
-        grads = _t_matmul(np.concatenate([xh for xh, *_ in self.steps]), g_z), g_z.sum(axis=0)
+        grads = _t_matmul(np.concatenate(self.steps), g_z), g_z.sum(axis=0)
         self.q = self.r = self.s = self.d_tanh_c = self.g_z = None
         return grads
 

@@ -15,8 +15,9 @@ kernel (``LstmRun``, ``AttentionRun``), behind one joint node per op.
 ``decoder.unit_kernel`` agrees with ``reference_step`` bit for bit: in
 every value of a forward-only step, and in every output and gradient of
 a one-step teacher-forced pass from the zero state.  ``slice_axis``,
-``pick`` and ``clamp_min`` are the primitives the fused ops are checked
-against.
+``pick``, ``clamp_min``, ``tanh``, ``sigmoid`` and ``log`` are the
+primitives the fused ops are checked against: the LSTM, attention and
+masked NLL composed from them one node per op.
 
 The stack: ``reference_model_step`` is one decode step of a
 ``CaptionModel`` on the Tensor step, and ``reference_forced`` chains it
@@ -212,6 +213,42 @@ def clamp_min(a, floor) -> Tensor:
     return Tensor._from_op(data, (a,), backward)
 
 
+def tanh(a) -> Tensor:
+    a = _as_tensor(a)
+    data = np.tanh(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g * (1.0 - data * data))
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def sigmoid(a) -> Tensor:
+    a = _as_tensor(a)
+    with np.errstate(over="ignore"):
+        data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g * data * (1.0 - data))
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def log(a) -> Tensor:
+    a = _as_tensor(a)
+    a_data = a.data
+    with np.errstate(invalid="ignore", divide="ignore"):
+        data = np.log(a_data)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g / a_data)
+
+    return Tensor._from_op(data, (a,), backward)
+
+
 def _views(joint: Tensor, shapes) -> tuple[Tensor, ...]:
     """One node per output of a multi-output op whose joint node holds the
     outputs flattened and concatenated in order.  Each view reads its
@@ -379,7 +416,7 @@ class UnitState:
 
 def straight_through(y_soft: Tensor) -> Tensor:
     """One-hot forward value with the soft distribution's gradient."""
-    return Tensor(one_hot_max(y_soft.data)) - y_soft.detach() + y_soft
+    return Tensor(one_hot_max(y_soft.data) - y_soft.data) + y_soft
 
 
 @dataclass

@@ -247,11 +247,12 @@ def test_forward_only_decoders_create_no_tensor(corpus, padded_batch, preset):
         one = model.encode(*FeatureSynthesizer(SPEC).features(corpus.scenes[0]))
         batch = model.encode(padded_batch.r_obj, padded_batch.r_attr,
                              padded_batch.region_mask)
-        start = next(Tensor._ids)
-        beam_search(model, one, 5, 12)
-        greedy_decode(model, one, 12)
-        greedy_decode(model, batch, 12)
-        assert next(Tensor._ids) == start + 1
+    # the decoders need no no_grad scope of their own or of the caller's
+    start = next(Tensor._ids)
+    beam_search(model, one, 5, 12)
+    greedy_decode(model, one, 12)
+    greedy_decode(model, batch, 12)
+    assert next(Tensor._ids) == start + 1
 
 
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Col/1", "Module/O"])

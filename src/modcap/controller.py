@@ -1,7 +1,7 @@
 """Module collocation: the parameters of the attention heads over module
 outputs and of the tiny recurrent controller that weighs the four
 modules each step, and the word-class labels that supervise those
-weights.  Their arithmetic runs inside ``decoder.unit_kernel``."""
+weights.  Their arithmetic runs inside ``decoder.UnitRun.step``."""
 
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ class Strategy(str, Enum):
 class AdditiveAttention:
     """Weights of one attention head: score_n = w_a . tanh(W_v v_n + W_h h),
     alpha = softmax(scores), and the head attends to the alpha-weighted
-    sum of rows.  ``decoder.unit_kernel`` runs the heads of a unit stacked."""
+    sum of rows.  ``decoder.UnitRun`` runs the heads of a unit stacked."""
 
     def __init__(self, d_v: int, d_c: int, d_a: int, rng: Rng, dtype=FLOAT32):
         self.W_v = xavier_uniform(rng, (d_a, d_v), d_v, d_a, dtype=dtype)
@@ -84,7 +84,7 @@ class ModuleController:
 
     SOFT keeps the softmax as-is, HARD draws a Gumbel-softmax sample and
     snaps it to a one-hot straight-through estimate, UNIFORM skips the
-    network entirely and pins every weight to 1; ``decoder.unit_kernel``
+    network entirely and pins every weight to 1; ``decoder.UnitRun.step``
     runs all three.
     """
 

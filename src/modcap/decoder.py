@@ -9,25 +9,33 @@ feature back in.  The unit output is added onto i, so stacking M units
 is a residual chain and i keeps the embedding width throughout.  A
 single-module unit has one attention head and no controller.
 
-A unit's steps are one forward loop on plain arrays, ``unit_kernel``;
-the attention heads of all modules are one stacked computation over
-keys computed once per encoding.  Teacher forcing
-(``CaptionModel.forced``) is the one differentiable path: each unit runs
-the whole caption from the zero state inside one autodiff node with a
-hand-written backward.  Self-critical training scores its sampled
-captions by replaying them through it.  The same step composed of one
-autodiff node per op is kept with the tests (``tests/reference.py``); a
-one-step pass agrees with it bit for bit in every output and gradient.
-The decoders (``CaptionModel.step``) step forward only on plain state
-arrays, one array of rows per unit, and build no Tensor.
+A unit's step is written once, ``UnitRun.step``, on plain arrays.  A
+``UnitRun`` is one pass of a unit over one encoding: it holds what the
+steps share (the weight arrays, the strategy, the LSTM runs and the
+attention heads of all modules as one stacked run over keys computed
+once per encoding), so a step pays only for its arithmetic.  It has two
+callers.  Teacher forcing (``CaptionModel.forced``, ``unit_kernel``) is
+the one differentiable path: each unit runs the whole caption from the
+zero state inside one autodiff node with a hand-written backward, and
+its steps record for that backward only when a gradient can flow.
+Self-critical training scores its sampled captions by replaying them
+through it.  The same step composed of one autodiff node per op is kept
+with the tests (``tests/reference.py``); a one-step pass agrees with it
+bit for bit in every output and gradient.  The decoders
+(``CaptionModel.step``) step forward only on plain state arrays, one
+array of rows per unit, and build no Tensor; each unit's forward-only
+run is kept with the encoding (``Encoded.run``) and built again when a
+weight array is rebound.  A step's unit traces are made only when an
+observer reads them (``StepTraces``).
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax, sample or forced) picks every row's next token and an optional
 observer sees each step.  Greedy and sampling decoding and traces run on
 it; beam search, which reorders the state rows every step, keeps its
-own loop.  A single scene is a batch of one, and its results come back
-unwrapped: a token list rather than a list holding one.  The
-hard-selection noise of a pass is drawn in one place,
+own loop.  Both enter ``np.errstate`` once per decode, for the LSTM gate
+sigmoids that may overflow exp.  A single scene is a batch of one, and
+its results come back unwrapped: a token list rather than a list holding
+one.  The hard-selection noise of a pass is drawn in one place,
 ``CaptionModel.selection_noise``, for all its steps, units and rows.
 """
 
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +72,7 @@ from .tensor import (
     gather_rows,
     make_lstm_params,
     mean_pool_rows,
+    needs_grad,
     reshape,
     softmax,
     softmax_backward,
@@ -82,6 +92,7 @@ class Encoded:
     means: dict[str, Tensor]
     mask: np.ndarray
     _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def batch(self) -> int:
@@ -107,6 +118,15 @@ class Encoded:
             self._keys[id(Wv_T)] = (Wv_T, attention_keys(self.stacked[0], Wv_T))
         return self._keys[id(Wv_T)][1]
 
+    def run(self, unit: DecoderUnit) -> UnitRun:
+        """The forward-only run of ``unit`` over this encoding, built on its
+        first step and again once one of the unit's weight arrays has been
+        rebound (an optimizer step, a checkpoint load)."""
+        run = self._runs.get(unit)
+        if run is None or not all(map(operator.is_, unit.arrays(), run.arrays)):
+            run = self._runs[unit] = UnitRun(unit, self)
+        return run
+
 
 @dataclass
 class UnitTrace:
@@ -117,6 +137,23 @@ class UnitTrace:
     weights: Tensor | None           # (B, 4) fusion weights, None without a controller
     soft: Tensor | None              # noise-free controller softmax, for supervision
     alphas: dict[str, Tensor]        # per-module attention over regions (B, N)
+
+
+class StepTraces(Sequence):
+    """The unit traces of one decode step, made from the step's arrays when
+    first read: a decode that nothing observes makes none."""
+
+    def __init__(self, units, chosen):
+        self._units, self._chosen, self._traces = units, chosen, None
+
+    def __len__(self):
+        return len(self._chosen)
+
+    def __getitem__(self, m):
+        if self._traces is None:
+            self._traces = [UnitTrace(weights=w, soft=soft, alphas=dict(zip(unit.modules, alphas)))
+                            for unit, (alphas, w, soft) in zip(self._units, self._chosen)]
+        return self._traces[m]
 
 
 class DecoderUnit:
@@ -147,14 +184,26 @@ class DecoderUnit:
                              for t in (self.att[name].W_v, self.att[name].W_h,
                                        self.att[name].w_a)]
         self._heads = None
+        self._params = tuple(self.params("").values())
 
     def step(self, i_prev: np.ndarray, enc: Encoded, state: np.ndarray,
              noise: np.ndarray | None = None):
-        """One forward-only step of the unit (``unit_kernel``) on the input
-        rows (B, d_v) and the state rows (n, B, d_c), with the step's
-        (B, K + 1) hard-selection noise.  Returns (i_new, new state rows,
-        trace), plain arrays."""
-        return unit_kernel(self, i_prev, enc, state, noise)
+        """One forward-only step of the unit on the input rows (B, d_v) and
+        the state rows (n, B, d_c), with the step's (B, K + 1)
+        hard-selection noise, by the unit's run kept with the encoding
+        (``Encoded.run``).  Returns (i_new, new state rows, (attention
+        weights (K, B, N), fusion weights or None, controller softmax or
+        None)), plain arrays.  The gate sigmoids may overflow exp: the
+        decoders step under ``np.errstate(over="ignore")``."""
+        out, rows, *chosen = enc.run(self).step(i_prev, state, noise)
+        rows = np.array(rows)
+        check_finite("unit_kernel", out)
+        check_finite("unit_kernel", rows)
+        return out, rows, chosen
+
+    def arrays(self) -> list[np.ndarray]:
+        """The arrays of every weight of the unit, in ``params`` order."""
+        return [t.data for t in self._params]
 
     def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The attention weights stacked over modules: C-contiguous W_v^T
@@ -181,6 +230,96 @@ class DecoderUnit:
         return out
 
 
+class UnitRun:
+    """A pass of a decoder unit over one encoding.
+
+    It holds what every step of the pass shares: the unit's weight
+    arrays and strategy, LSTM runs for LSTM1, LSTM2 and the controller,
+    the K attention heads as one stacked run over the encoding's cached
+    keys, and the scene means per row count.  ``step`` is the unit's one
+    step body.  With ``record`` the steps also keep what ``unit_kernel``'s
+    backward reads.  Without it the run is forward only, and one run
+    serves any number of steps and of rows: a one-scene encoding serves a
+    beam's hypotheses.  The gate sigmoids may overflow exp: step under
+    ``np.errstate(over="ignore")``.
+    """
+
+    def __init__(self, unit: DecoderUnit, enc: Encoded, record: bool = False):
+        self.record = record
+        self.arrays = unit.arrays()
+        self.strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
+        self.controlled = self.strategy is not None and self.strategy is not Strategy.UNIFORM
+        values, self.means_cat = enc.stacked
+        self.means = {len(self.means_cat): self.means_cat}     # per row count
+        Wv_T, Wh_T, wa = unit.heads()
+        self.lstm1 = LstmRun(unit.lstm1.W.data, unit.lstm1.b.data, record)
+        self.lstm2 = LstmRun(unit.lstm2.W.data, unit.lstm2.b.data, record)
+        self.heads = AttentionRun(values, Wv_T, Wh_T, wa, enc.mask if enc.padded else None,
+                                  enc.keys(Wv_T), record)
+        if self.strategy is not None:
+            self.fc_W, self.fc_b = unit.func.fc.W.data, unit.func.fc.b.data
+            self.slope = unit.func.slope
+        if self.controlled:
+            ctrl = unit.ctrl
+            self.lstm_c = LstmRun(ctrl.lstm.W.data, ctrl.lstm.b.data, record)
+            self.proj_W, self.proj_b = ctrl.proj.W.data, ctrl.proj.b.data
+            self.inv_tau = 1.0 / ctrl.tau
+        # per recorded step; step t's context is h2 of step t-1
+        self.contexts, self.pre_f, self.blocks, self.hcs, self.ys = [], [], [], [], []
+
+    def step(self, x: np.ndarray, state, noise: np.ndarray | None = None):
+        """One step on the input rows x (B, d_v) and the state rows h1, c1,
+        h2, c2 and with a controller its h and c, each (B, d_c), with the
+        step's (B, K + 1) hard-selection noise, zero when None.
+
+        LSTM1 runs, then the K attention heads; with a controller the
+        function module, the controller (soft; hard with the noise and a
+        straight-through one-hot; or uniform) and the weighted fusion;
+        then LSTM2 and the residual add.  Returns (x + h2, the new state
+        rows, attention weights (K, B, N), fusion weights (B, K + 1) or
+        None without a controller, controller softmax (B, K + 1) or None).
+        """
+        batch = x.shape[0]
+        h1, c1, h2, c2, *ctrl_rows = state
+        ctx = h2
+        means = self.means.get(batch)
+        if means is None:       # one scene's means for every row
+            means = self.means[batch] = np.repeat(self.means_cat, batch, axis=0)
+        h1, c1 = self.lstm1.forward([x, ctx, means, h1], c1)
+        alpha, att = self.heads.forward(h1)
+        w = soft = None
+        if self.strategy is None:
+            v_hat = att[0]
+        else:
+            pf = np.matmul(ctx, self.fc_W) + self.fc_b
+            v_func = np.where(pf >= 0, pf, self.slope * pf)
+            block = np.concatenate([att.transpose(1, 0, 2), v_func[:, None]], axis=1)
+            if self.controlled:
+                hc, cc = self.lstm_c.forward([*att, ctx, ctrl_rows[0]], ctrl_rows[1])
+                ctrl_rows = [hc, cc]
+                logits = np.matmul(hc, self.proj_W) + self.proj_b
+                w = soft = softmax_forward(logits)
+                if self.strategy is Strategy.HARD:
+                    if noise is None:
+                        noise = np.zeros((batch, block.shape[1]), x.dtype)
+                    self.scale = np.asarray(self.inv_tau, dtype=logits.dtype)
+                    y = softmax_forward((logits + noise) * self.scale)
+                    w = (one_hot_max(y) - y) + y
+                    if self.record:
+                        self.ys.append(y)
+                if self.record:
+                    self.hcs.append(hc)
+            else:
+                w = np.ones((batch, block.shape[1]), dtype=ctx.dtype)
+            v_hat = (w[:, :, None] * block).reshape(batch, -1)
+            if self.record:
+                self.contexts.append(ctx)
+                self.pre_f.append(pf)
+                self.blocks.append(block)
+        h2, c2 = self.lstm2.forward([h1, v_hat, ctx], c2)
+        return x + h2, [h1, c1, h2, c2, *ctrl_rows], alpha, w, soft
+
+
 def _plus(a, b):
     """a + b where either gradient may be None (no consumer)."""
     if a is None:
@@ -188,122 +327,62 @@ def _plus(a, b):
     return a if b is None else a + b
 
 
-def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state: np.ndarray | None = None,
-                noise: np.ndarray | None = None):
-    """T steps of a decoder unit: one forward loop on plain arrays, run
-    inside a single autodiff node when ``i`` is a Tensor.
+def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | None = None):
+    """T steps of a decoder unit from the zero state as one autodiff node:
+    a ``UnitRun`` pass whose steps record for the backward when a
+    gradient can flow.
 
     ``i`` holds the unit's input rows of every step, (T, B, d_v), or of
-    one step, (B, d_v).  Each step runs LSTM1, the K attention heads as
-    one stacked computation over the encoding's cached keys, and with a
-    controller the function module, the controller (soft; hard with the
-    Gumbel ``noise`` of shape ``i.shape[:-1] + (K + 1,)``, zero when None,
-    and a straight-through one-hot; or uniform) and the weighted fusion,
-    then LSTM2 and the residual add; the unit state carries from step to
-    step.
-
-    On Tensors (teacher forcing) the unit starts from the zero state and
-    the call returns (node, trace).  The node is the unit output, shaped
-    like ``i``; the per-step controller softmax is an output that hangs
-    off it, and the backward reads its gradient and returns every input
-    and parameter gradient in one closure.  The derivatives of the
-    nonlinearities and each parameter gradient are formed once over all
-    T*B rows.  A one-step call rounds exactly as the op-composed step in
+    one step, (B, d_v); ``noise``, of shape ``i.shape[:-1] + (K + 1,)``,
+    is the hard strategy's Gumbel noise, zero when None.  Returns (node,
+    trace).  The node is the unit output, shaped like ``i``; the per-step
+    controller softmax is an output that hangs off it, and the backward
+    reads its gradient and returns every input and parameter gradient in
+    one closure.  The derivatives of the nonlinearities and each
+    parameter gradient are formed once over all T*B rows.  A one-step
+    call rounds exactly as the op-composed step in
     ``tests/reference.py``: the backward adds the gradients each tensor
     receives in the order the reference graph's sweep adds them.  Fusion
     weights under the hard and uniform strategies and the attention
     weights come back per step and without gradient.
 
-    On plain arrays (``state`` one (n, B, d_c) array of h1, c1, h2, c2
-    and with a controller its h and c) the call runs forward only and
-    returns (output, new state rows, trace) as plain arrays; it builds no
-    node, closure or step record.  A one-scene encoding then serves any
-    number of rows (a beam's hypotheses).
+    Without gradients (under ``no_grad``, or when no input or parameter
+    requires one) the pass records nothing and runs on the encoding's
+    forward-only run, the one ``DecoderUnit.step`` decodes with.
     """
     dv, dc = unit.cfg.d_v, unit.cfg.d_c
     k_heads = len(unit.modules)
-    record = isinstance(i, Tensor)
     shape = i.shape
-    xs = (i.data if record else i).reshape((-1,) + shape[-2:])
+    xs = i.data.reshape((-1,) + shape[-2:])
     n_steps, batch = xs.shape[:2]
-    values, means_cat = enc.stacked
-    if len(means_cat) != batch:         # one scene's means for every row
-        means_cat = np.repeat(means_cat, batch, axis=0)
-    strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
-    controlled = strategy is not None and strategy is not Strategy.UNIFORM
-    Wv_T, Wh_T, wa = unit.heads()
-    lstm1 = LstmRun(unit.lstm1.W.data, unit.lstm1.b.data, record)
-    lstm2 = LstmRun(unit.lstm2.W.data, unit.lstm2.b.data, record)
-    heads = AttentionRun(values, Wv_T, Wh_T, wa, enc.mask if enc.padded else None,
-                         enc.keys(Wv_T), record)
-    if record:
-        state = np.zeros((4 if unit.ctrl is None else 6, batch, dc), xs.dtype)
-    h1, c1, h2, c2, *ctrl_rows = state
-    # per-step records; step t's context is h2 of step t-1
-    outs, contexts, alphas, pre_f, blocks = [], [], [], [], []
-    weights, hcs, soft, ys = [], [], [], []
-    if strategy is not None:
-        fc = unit.func.fc
-    if controlled:
-        ctrl = unit.ctrl
-        lstm_c = LstmRun(ctrl.lstm.W.data, ctrl.lstm.b.data, record)
-        hc, cc = ctrl_rows
-        if strategy is Strategy.HARD:
-            noise = (np.zeros((n_steps, batch, k_heads + 1), xs.dtype) if noise is None
-                     else noise.reshape(n_steps, batch, -1))
-    with np.errstate(over="ignore"):
-        for t in range(n_steps):
-            ctx = h2
-            contexts.append(ctx)
-            h1, c1 = lstm1.forward([xs[t], ctx, means_cat, h1], c1)
-            alpha, att = heads.forward(h1)
-            alphas.append(alpha)
-            if strategy is None:
-                v_hat = att[0]
-            else:
-                pf = np.matmul(ctx, fc.W.data) + fc.b.data
-                pre_f.append(pf)
-                v_func = np.where(pf >= 0, pf, unit.func.slope * pf)
-                blocks.append(np.concatenate([att.transpose(1, 0, 2), v_func[:, None]], axis=1))
-                if controlled:
-                    hc, cc = lstm_c.forward([*att, ctx, hc], cc)
-                    hcs.append(hc)
-                    logits = np.matmul(hc, ctrl.proj.W.data) + ctrl.proj.b.data
-                    soft.append(softmax_forward(logits))
-                    w = soft[t]
-                    if strategy is Strategy.HARD:
-                        scale = np.asarray(1.0 / ctrl.tau, dtype=logits.dtype)
-                        y = softmax_forward((logits + noise[t]) * scale)
-                        ys.append(y)
-                        w = (one_hot_max(y) - y) + y
-                else:
-                    w = np.ones((batch, k_heads + 1), dtype=ctx.dtype)
-                weights.append(w)
-                v_hat = (w[:, :, None] * blocks[t]).reshape(batch, -1)
-            h2, c2 = lstm2.forward([h1, v_hat, ctx], c2)
-            outs.append(xs[t] + h2)
-
-    # per-step arrays come back stacked on a leading step axis, or as they
-    # are for a one-step call
-    steps = (lambda arrays, axis=0: arrays[0]) if len(shape) == 2 else np.stack
-    alphas = steps(alphas, axis=1)
-    if not record:
-        new_rows = np.array([h1, c1, h2, c2, *([hc, cc] if controlled else ctrl_rows)])
-        out = steps(outs)
-        check_finite("unit_kernel", out)
-        check_finite("unit_kernel", new_rows)
-        return out, new_rows, UnitTrace(weights=steps(weights) if weights else None,
-                                        soft=steps(soft) if soft else None,
-                                        alphas=dict(zip(unit.modules, alphas)))
     feats = [enc.feats[name] for name in unit.modules]
     means = [enc.means[name] for name in unit.modules]
     params = [unit.lstm1.W, unit.lstm1.b, unit.lstm2.W, unit.lstm2.b]
     for name in unit.modules:
         params += [unit.att[name].W_v, unit.att[name].W_h, unit.att[name].w_a]
+    strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
+    controlled = strategy is not None and strategy is not Strategy.UNIFORM
     if strategy is not None:
+        fc = unit.func.fc
         params += [fc.W, fc.b]
     if controlled:
+        ctrl = unit.ctrl
         params += [ctrl.lstm.W, ctrl.lstm.b, ctrl.proj.W, ctrl.proj.b]
+    parents = (i, *feats, *means, *params)
+    run = UnitRun(unit, enc, record=True) if needs_grad(parents) else enc.run(unit)
+    if noise is not None:
+        noise = noise.reshape(n_steps, batch, -1)
+    state = np.zeros((4 if unit.ctrl is None else 6, batch, dc), xs.dtype)
+    outs, alphas, weights, soft = [], [], [], []
+    with np.errstate(over="ignore"):
+        for t in range(n_steps):
+            out, state, alpha, w, s = run.step(xs[t], state, None if noise is None else noise[t])
+            outs.append(out)
+            alphas.append(alpha)
+            if w is not None:
+                weights.append(w)
+            if s is not None:
+                soft.append(s)
 
     g_soft = []         # the controller softmax's gradient, when it has a consumer
 
@@ -315,16 +394,18 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state: np.ndarray | None = N
         def rows(a):
             return a.reshape(-1, a.shape[-1])
 
+        lstm1, lstm2, heads = run.lstm1, run.lstm2, run.heads
         g_out = g_out.reshape(xs.shape)
         g_h1 = g_c1 = g_h2 = g_c2 = g_hc = g_cc = None     # the last state has no consumer
         g_s = g_soft[0].reshape((n_steps,) + soft[0].shape) if g_soft else None
         g_in = np.empty_like(xs)
         g_means = None
         if strategy is not None:
-            pf = _steps(pre_f)
+            pf = _steps(run.pre_f)
             d_pre_f = np.where(pf >= 0, 1.0, unit.func.slope).astype(pf.dtype)
             g_pre_f = np.empty_like(pf)
         if controlled:
+            lstm_c = run.lstm_c
             g_logits_all = np.empty((n_steps,) + soft[0].shape, soft[0].dtype)
         for t in reversed(range(n_steps)):
             g_xh2, g_c2 = lstm2.backward(t, _plus(g_h2, g_out[t]), g_c2)
@@ -339,12 +420,12 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state: np.ndarray | None = N
                 g_func = g_att[:, k_heads]
                 g_att = np.swapaxes(g_att[:, :k_heads], 0, 1)
             if controlled:
-                g_w = (g_blocks * blocks[t]).sum(axis=-1)
+                g_w = (g_blocks * run.blocks[t]).sum(axis=-1)
                 g_soft_t = None if g_s is None else g_s[t]
                 if strategy is Strategy.SOFT:
                     g_logits = softmax_backward(soft[t], _plus(g_soft_t, g_w))
                 else:
-                    g_logits = softmax_backward(ys[t], g_w) * scale
+                    g_logits = softmax_backward(run.ys[t], g_w) * run.scale
                     if g_soft_t is not None:
                         g_logits = g_logits + softmax_backward(soft[t], g_soft_t)
                 g_logits_all[t] = g_logits
@@ -367,8 +448,8 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state: np.ndarray | None = N
             g_means = g_m if g_means is None else g_means + g_m
             g_h1 = g_xh1[:, dv + dc + k_heads * dv:]
 
-        for lstm, run in ((unit.lstm1, lstm1), (unit.lstm2, lstm2)):
-            g_W, g_b = run.param_grads()
+        for lstm, lstm_run in ((unit.lstm1, lstm1), (unit.lstm2, lstm2)):
+            g_W, g_b = lstm_run.param_grads()
             give(lstm.W, g_W)
             give(lstm.b, g_b)
         if controlled:
@@ -376,10 +457,10 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state: np.ndarray | None = N
             give(ctrl.lstm.W, g_W)
             give(ctrl.lstm.b, g_b)
             give(ctrl.proj.b, rows(g_logits_all).sum(axis=0))
-            give(ctrl.proj.W, _t_matmul(np.concatenate(hcs), rows(g_logits_all)))
+            give(ctrl.proj.W, _t_matmul(np.concatenate(run.hcs), rows(g_logits_all)))
         if strategy is not None:
             give(fc.b, rows(g_pre_f).sum(axis=0))
-            give(fc.W, _t_matmul(np.concatenate(contexts), rows(g_pre_f)))
+            give(fc.W, _t_matmul(np.concatenate(run.contexts), rows(g_pre_f)))
         g_direct, g_keys, g_Wv, g_Wh, g_wa = heads.grads()
         for k in reversed(range(k_heads)):
             give(feats[k], g_direct[k])
@@ -392,7 +473,11 @@ def unit_kernel(unit: DecoderUnit, i, enc: Encoded, state: np.ndarray | None = N
         for k, m in enumerate(means):
             give(m, g_means[:, k * dv:(k + 1) * dv])
 
-    node = Tensor._from_op(steps(outs), (i, *feats, *means, *params), backward)
+    # per-step arrays come back stacked on a leading step axis, or as they
+    # are for a one-step call
+    steps = (lambda arrays, axis=0: arrays[0]) if len(shape) == 2 else np.stack
+    alphas = steps(alphas, axis=1)
+    node = Tensor._from_op(steps(outs), parents, backward)
 
     def collect(g):
         # the softmax's closure runs once its gradient is complete: it hands
@@ -478,18 +563,21 @@ class CaptionModel:
 
         prev_tokens: int array (B,); ``noise``: the step's (M, B, K + 1)
         slice of ``selection_noise``.  Returns (word distribution (B, V),
-        new states, per-unit traces), plain arrays; creates no Tensor.
+        new states, per-unit traces), plain arrays; creates no Tensor.  The
+        traces are made when first read (``StepTraces``).  The gate
+        sigmoids may overflow exp: the decoders step under
+        ``np.errstate(over="ignore")``, entered once per decode.
         """
         vec = self.embed.data[np.asarray(prev_tokens, dtype=np.int64)]
         new_states = []
-        traces = []
+        chosen = []
         for m, (unit, st) in enumerate(zip(self.units, states)):
-            vec, st2, tr = unit.step(vec, enc, st, None if noise is None else noise[m])
+            vec, st2, ch = unit.step(vec, enc, st, None if noise is None else noise[m])
             new_states.append(st2)
-            traces.append(tr)
+            chosen.append(ch)
         dist = softmax_forward(np.matmul(vec, self.head.W.data) + self.head.b.data)
         check_finite("word_head", dist)
-        return dist, new_states, traces
+        return dist, new_states, StepTraces(self.units, chosen)
 
     def forced(self, inputs, enc: Encoded, noise: np.ndarray | None = None):
         """A teacher-forced pass over the input tokens (B, T): one embedding
@@ -524,7 +612,7 @@ class CaptionModel:
 def _check_distribution(p: np.ndarray, t: int) -> None:
     """A decoder cannot rank a word distribution holding NaN or Inf: such a
     model (a checkpoint with a non-finite weight) fails here, at step t."""
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise TrainingError(f"non-finite word distribution at decode step {t}")
 
 
@@ -551,18 +639,19 @@ def run_decoder(model, enc, max_len, choose, observe=None, noise=None, bos=BOS_I
     tok = np.full(batch, bos, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     rows = [[] for _ in range(batch)]
-    for t in range(max_len):
-        dist, states, traces = model.step(tok, enc, states,
-                                          None if noise is None else noise[t])
-        _check_distribution(dist, t)
-        tok = np.asarray(choose(t, dist, live), dtype=np.int64)
-        if observe is not None:
-            observe(t, dist, traces, tok, live)
-        for b in np.flatnonzero(live):
-            rows[b].append(int(tok[b]))
-        live = live & (tok != eos)
-        if not live.any():
-            break
+    with np.errstate(over="ignore"):
+        for t in range(max_len):
+            dist, states, traces = model.step(tok, enc, states,
+                                              None if noise is None else noise[t])
+            _check_distribution(dist, t)
+            tok = np.asarray(choose(t, dist, live), dtype=np.int64)
+            if observe is not None:
+                observe(t, dist, traces, tok, live)
+            for b in np.flatnonzero(live):
+                rows[b].append(int(tok[b]))
+            live = live & (tok != eos)
+            if not live.any():
+                break
     return rows
 
 
@@ -626,49 +715,49 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
     log-probability.  Ties prefer the sequence that is lexicographically
     smallest in token ids.  A token of probability 0 scores the log of
     the smallest subnormal of the distribution's dtype.
+
+    The hypotheses are plain tuples that sort by rank, and ``Hypothesis``
+    objects are made only for the beam returned.
     """
     if beam_width < 1:
         raise ValueError(f"beam width must be positive, got {beam_width}")
     if enc is not None and enc.batch != 1:
         raise ValueError(f"beam search decodes one scene, got a batch of {enc.batch}")
 
-    def rank(h):
-        return (-h.score(length_normalize), h.tokens)
-
-    beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
+    # a hypothesis is (-score, tokens, logprob, row in its step's state,
+    # finished); no two share tokens, so tuples sort by rank
+    beams = [(0.0, (), 0.0, 0, False)]
     states = model.init_rows(1)
-    for t in range(max_len):
-        live = [h for h in beams if not h.finished]
-        if not live:
-            break
-        prev = [h.tokens[-1] if h.tokens else bos for h in live]
-        if states is not None:      # a model stub may keep no state
-            parents = np.array([h.states for h in live])
-            states = [s[:, parents] for s in states]
-        p, states, _ = model.step(prev, enc, states)
-        _check_distribution(p, t)
-        logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
-        total = np.array([h.logprob for h in live])[:, None] + logp
-        score = total
-        if length_normalize:
-            score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
-        # only expansions scoring at least the beam_width-th best can
-        # survive the exact sort below
-        flat = score.ravel()
-        if flat.size > beam_width:
-            cut = np.partition(flat, flat.size - beam_width)[flat.size - beam_width]
-            picked = np.flatnonzero(flat >= cut)
-        else:
-            picked = np.arange(flat.size)
-        candidates = [h for h in beams if h.finished]
-        rows, toks = np.divmod(picked, score.shape[1])
-        for row, tok, logprob in zip(rows.tolist(), toks.tolist(),
-                                     total.ravel()[picked].tolist()):
-            candidates.append(Hypothesis(live[row].tokens + (tok,), logprob, row, tok == eos))
-        candidates.sort(key=rank)
-        beams = candidates[:beam_width]
-    beams.sort(key=rank)
-    return beams
+    with np.errstate(over="ignore"):
+        for t in range(max_len):
+            live = [(tokens, logprob, row) for _, tokens, logprob, row, done in beams
+                    if not done]
+            if not live:
+                break
+            prev = [tokens[-1] if tokens else bos for tokens, _, _ in live]
+            if states is not None:      # a model stub may keep no state
+                parents = np.array([row for _, _, row in live])
+                states = [s[:, parents] for s in states]
+            p, states, _ = model.step(prev, enc, states)
+            _check_distribution(p, t)
+            logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
+            total = (np.array([logprob for _, logprob, _ in live])[:, None] + logp).ravel()
+            score = total / (t + 1) if length_normalize else total
+            # only expansions scoring at least the beam_width-th best can
+            # survive the exact sort below
+            if score.size > beam_width:
+                cut = np.partition(score, score.size - beam_width)[score.size - beam_width]
+                picked = (score >= cut).nonzero()[0]
+            else:
+                picked = np.arange(score.size)
+            rows, toks = np.divmod(picked, logp.shape[1])
+            candidates = [h for h in beams if h[-1]]
+            for row, tok, logprob, sc in zip(rows.tolist(), toks.tolist(),
+                                             total[picked].tolist(), score[picked].tolist()):
+                candidates.append((-sc, live[row][0] + (tok,), logprob, row, tok == eos))
+            candidates.sort()
+            beams = candidates[:beam_width]
+    return [Hypothesis(tokens, logprob, row, done) for _, tokens, logprob, row, done in beams]
 
 
 def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,

@@ -284,13 +284,20 @@ _CHAIN_OPS = (
 
 
 def composite_cases(seed: int, count: int = N_COMPOSITES):
-    """Seeded random chains of 3 to 6 ops over a (3, 4) input."""
+    """Seeded random chains of 3 to 6 ops over a (3, 4) input.
+
+    Each chain's streams derive from one parent stream of the seed:
+    ``derive`` XORs its tag into the state, so tags offset from a small
+    seed (``Rng(seed).derive(5000 + i)``) would hand most seeds the
+    chains of another seed.
+    """
+    chains = Rng(seed).derive(5000)
     cases = []
     for i in range(count):
-        rng = Rng(seed).derive(5000 + i)
+        rng = chains.derive(2 * i)
         picked = [_CHAIN_OPS[rng.randint(len(_CHAIN_OPS))]
                   for _ in range(3 + rng.randint(4))]
-        weight_seed = Rng(seed).derive(6000 + i).get_state()[0]
+        weight_seed = chains.derive(2 * i + 1).get_state()[0]
 
         def chain(x, picked=picked, weight_seed=weight_seed):
             r = Rng(weight_seed)        # fresh per call, so chain is pure

@@ -17,10 +17,10 @@ backward, ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``.
 
 The LSTM, attention and softmax arithmetic lives on plain arrays
 (``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``)
-for the decoder's unit kernel (``decoder.unit_kernel``, a decoder unit
-over T steps as one node, or forward only).  A run records T steps:
-forward and input gradients go step by step, and the parameter
-gradients are one GEMM over the rows of all steps.  The op-composed
+for the decoder's unit step (``decoder.UnitRun``: a decoder unit over T
+steps as one node in ``decoder.unit_kernel``, or forward only).  A run
+records T steps: forward and input gradients go step by step, and the
+parameter gradients are one GEMM over the rows of all steps.  The op-composed
 decoder unit that the kernel agrees with bit for bit, the fused LSTM,
 attention and fusion ops it is built from, and the ``tanh``, ``sigmoid``
 and ``log`` ops their references are composed of are kept with the
@@ -77,6 +77,12 @@ def check_finite(op: str, data) -> None:
     ``data`` holds a NaN or Inf."""
     if _debug_finite and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"{op} produced a non-finite value of shape {np.shape(data)}")
+
+
+def needs_grad(parents) -> bool:
+    """Whether an op on ``parents`` records its backward: gradients are on
+    and a parent requires one."""
+    return _grad_enabled and any([p.requires_grad for p in parents])
 
 
 @contextmanager
@@ -180,7 +186,7 @@ class Tensor:
         out.grad = None
         out._id = next(Tensor._ids)
         out._slot = None
-        if _grad_enabled and any([p.requires_grad for p in parents]):
+        if needs_grad(parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -720,6 +726,7 @@ class AttentionRun:
         self.v, self.Wv_T, self.Wh_T, self.wa, self.mask = v, Wv_T, Wh_T, wa, mask
         self.v2 = v.reshape(self.lead + (b * n, d_v))
         self.keys = attention_keys(v, Wv_T) if keys is None else keys
+        self.wa_col = wa[..., None]
         self.record = record
         self.q_in, self.t2, self.alpha = [], [], []
         self.g_direct = self.g_pre = None
@@ -730,7 +737,7 @@ class AttentionRun:
         b, (n, d_a) = q_in.shape[0], self.keys.shape[-2:]
         q = np.matmul(q_in, self.Wh_T).reshape(self.lead + (b, 1, d_a))
         t2 = np.tanh(self.keys + q).reshape(self.lead + (b * n, d_a))
-        scores = np.matmul(t2, self.wa[..., None]).reshape(self.lead + (b, n))
+        scores = np.matmul(t2, self.wa_col).reshape(self.lead + (b, n))
         if self.mask is not None:
             scores = np.where(self.mask, scores, -np.inf)
         alpha = softmax_forward(scores)

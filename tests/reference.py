@@ -29,7 +29,9 @@ step, its state reordered with ``take_rows`` and the scene's encoding
 repeated once per hypothesis; ``reference_greedy`` is argmax decoding on
 the Tensor step, with gradients enabled.  The forward-only decoders
 (``decoder.beam_search``, ``decoder.greedy_decode``) agree with them bit
-for bit.
+for bit.  ``object_beam_search`` is the beam bookkeeping as it was
+before the beam kept plain tuples: one ``Hypothesis`` per candidate,
+sorted by a key function, on any model's ``step``.
 
 The random draws: ``gumbel`` and ``multinomial`` take one value at a time
 from the scalar stream, ``Rng.u64`` and ``Rng.uniform``.  The stream
@@ -606,5 +608,53 @@ def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_I
                                              states=row, finished=tok == eos))
             candidates.sort(key=rank)
             beams = candidates[:beam_width]
+    beams.sort(key=rank)
+    return beams
+
+
+def object_beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
+                       eos: int = EOS_ID, length_normalize: bool = False) -> list[Hypothesis]:
+    """``decoder.beam_search`` with a ``Hypothesis`` object per candidate,
+    ranked by a key function: the same search, step for step."""
+    if beam_width < 1:
+        raise ValueError(f"beam width must be positive, got {beam_width}")
+    if enc is not None and enc.batch != 1:
+        raise ValueError(f"beam search decodes one scene, got a batch of {enc.batch}")
+
+    def rank(h):
+        return (-h.score(length_normalize), h.tokens)
+
+    beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
+    states = model.init_rows(1)
+    for _ in range(max_len):
+        live = [h for h in beams if not h.finished]
+        if not live:
+            break
+        prev = [h.tokens[-1] if h.tokens else bos for h in live]
+        if states is not None:      # a model stub may keep no state
+            parents = np.array([h.states for h in live])
+            states = [s[:, parents] for s in states]
+        with np.errstate(over="ignore"):
+            p, states, _ = model.step(prev, enc, states)
+        logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
+        total = np.array([h.logprob for h in live])[:, None] + logp
+        score = total
+        if length_normalize:
+            score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
+        # only expansions scoring at least the beam_width-th best can
+        # survive the exact sort below
+        flat = score.ravel()
+        if flat.size > beam_width:
+            cut = np.partition(flat, flat.size - beam_width)[flat.size - beam_width]
+            picked = np.flatnonzero(flat >= cut)
+        else:
+            picked = np.arange(flat.size)
+        candidates = [h for h in beams if h.finished]
+        rows, toks = np.divmod(picked, score.shape[1])
+        for row, tok, logprob in zip(rows.tolist(), toks.tolist(),
+                                     total.ravel()[picked].tolist()):
+            candidates.append(Hypothesis(live[row].tokens + (tok,), logprob, row, tok == eos))
+        candidates.sort(key=rank)
+        beams = candidates[:beam_width]
     beams.sort(key=rank)
     return beams

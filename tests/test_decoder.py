@@ -18,7 +18,7 @@ from modcap.decoder import (
     strip_sequence,
 )
 from modcap.tensor import Rng
-from reference import multinomial
+from reference import multinomial, object_beam_search
 
 
 def tiny_cfg(**kw):
@@ -318,6 +318,8 @@ class TestBeam:
                                       length_normalize=normalize)
                     want = reference(table, width, 5, normalize)
                     assert [(h.tokens, h.logprob) for h in got] == want
+                    assert got == object_beam_search(MarkovStub(table), None, width, 5,
+                                                     length_normalize=normalize)
 
     def test_zero_probability_is_clamped_in_float32(self):
         # 1e-300 rounds to 0 in float32; the clamp is the dtype's smallest

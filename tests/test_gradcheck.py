@@ -40,6 +40,15 @@ class TestBattery:
         assert a == b
         assert a != c
 
+    def test_small_seeds_draw_their_own_chains(self):
+        # chain labels drawn at random repeat across seeds only by chance:
+        # 8 seeds of 25 chains of 3 to 6 of 8 ops expect about one repeat
+        labels = {seed: {name.partition("[")[2] for name, _, _ in composite_cases(seed)}
+                  for seed in range(8)}
+        shared = [len(labels[a] & labels[b]) for a in labels for b in labels if a < b]
+        assert sum(shared) <= 3
+        assert max(shared) <= 1
+
     def test_section_filter(self):
         results = run_battery(sections=("primitives",), seed=0)
         assert {r.section for r in results} == {"primitives"}

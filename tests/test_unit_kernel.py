@@ -16,7 +16,13 @@ to float-summation noise, and draw the same random numbers.
 Without gradients, greedy and beam decoding step forward only on plain
 state arrays (``CaptionModel.init_rows``); they must agree bit for bit
 with the same decoders on the Tensor step (``reference.reference_greedy``,
-``reference.reference_beam_search``) and create no Tensor.
+``reference.reference_beam_search``) and create no Tensor.  Beam search
+must return exactly the hypotheses of the beam that keeps one
+``Hypothesis`` per candidate (``reference.object_beam_search``).  The
+decoders step on each unit's forward-only ``UnitRun``, kept with the
+encoding: it must follow rebound weights, and a decode that nothing
+observes makes no ``UnitTrace``.  A pass without gradients records
+nothing for a backward.
 """
 
 import dataclasses
@@ -30,6 +36,9 @@ from modcap.decoder import (
     BOS_ID,
     PAD_ID,
     CaptionModel,
+    UnitRun,
+    UnitTrace,
+    argmax_policy,
     beam_search,
     greedy_decode,
     run_decoder,
@@ -38,10 +47,11 @@ from modcap.decoder import (
     unit_kernel,
 )
 from modcap.metrics import IdfTable
-from modcap.tensor import Rng, Tensor, masked_nll, no_grad
+from modcap.tensor import Adam, Rng, Tensor, masked_nll, no_grad
 from modcap.training import LOSS_EPS, _pack, self_critical_loss, teacher_forced
 from reference import (
     TensorStepModel,
+    object_beam_search,
     reference_beam_search,
     reference_forced,
     reference_greedy,
@@ -238,6 +248,96 @@ def test_cached_attention_keys_follow_rebound_weights(corpus):
         after = greedy_decode(model, enc, 12)
         assert after == greedy_decode(model, model.encode(*features), 12)
     assert after != before
+
+
+# the four kernel variants: soft, hard and uniform selection, and one module
+VARIANTS = ["Col/S", "Col/H", "Col/1", "Module/O"]
+
+
+@pytest.mark.parametrize("preset", VARIANTS)
+def test_beam_matches_the_object_beam(corpus, scenes_by_region_count, preset):
+    model, _ = preset_model(corpus, preset)
+    synth = FeatureSynthesizer(SPEC)
+    for scene in scenes_by_region_count:
+        enc = model.encode(*synth.features(scene))
+        for width in range(1, 6):
+            for normalize in (False, True):
+                got = beam_search(model, enc, width, 12, length_normalize=normalize)
+                want = object_beam_search(model, enc, width, 12, length_normalize=normalize)
+                assert got == want, (scene.scene_id, width, normalize)
+
+
+def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):
+    # an optimizer step rebinds every weight array; decoding an encoding
+    # again must not reuse the forward-only runs built on the old ones
+    model, _ = preset_model(corpus, "CNM#2")
+    features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
+
+    def decode(enc):
+        return ([(h.tokens, h.logprob) for h in beam_search(model, enc, 5, 12)],
+                greedy_decode(model, enc, 12))
+
+    with no_grad():
+        enc = model.encode(*features)
+    before = decode(enc)
+    params = model.named_parameters()
+    teacher_forced(model, padded_batch, rng=Rng(1)).loss.backward()
+    for name, p in params.items():
+        if name.startswith("enc."):
+            p.grad = None       # the encoders keep their weights, so a fresh encoding is equal
+    Adam().step(params, lr=0.05)
+    after = decode(enc)
+    with no_grad():
+        assert after == decode(model.encode(*features))
+    assert after != before
+
+
+def test_unobserved_decoders_make_no_unit_trace(corpus, padded_batch, monkeypatch):
+    model, _ = preset_model(corpus, "CNM#2")
+    with no_grad():
+        one = model.encode(*FeatureSynthesizer(SPEC).features(corpus.scenes[0]))
+        batch = model.encode(padded_batch.r_obj, padded_batch.r_attr,
+                             padded_batch.region_mask)
+    made = []
+    init = UnitTrace.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnitTrace, "__init__", counted)
+    beam_search(model, one, 5, 12)
+    greedy_decode(model, one, 12)
+    greedy_decode(model, batch, 12)
+    sample_decode(model, batch, Rng(4), 12)
+    assert made == []
+    # an observer that reads a step's traces gets every unit's
+    read = []
+    run_decoder(model, batch, 12, argmax_policy,
+                lambda t, dist, traces, tok, live: read.append(traces[-1].weights))
+    assert read and len(made) == len(read) * len(model.units)
+
+
+def test_scoring_without_gradients_records_nothing(corpus, padded_batch, monkeypatch):
+    # validation scoring runs the teacher-forced pass under no_grad: its
+    # steps keep no record for a backward, and its statistics are the
+    # recording pass's, bit for bit
+    model, _ = preset_model(corpus, "Col/H+L")
+    records = []
+    init = UnitRun.__init__
+
+    def spied(self, unit, enc, record=False):
+        records.append(record)
+        init(self, unit, enc, record)
+
+    monkeypatch.setattr(UnitRun, "__init__", spied)
+    with no_grad():
+        quiet = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1))
+    assert records == [False] * len(model.units)
+    loud = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1))
+    assert records[len(model.units):] == [True] * len(model.units)
+    assert quiet.loss.data.tobytes() == loud.loss.data.tobytes()
+    assert (quiet.n_correct, quiet.n_agree) == (loud.n_correct, loud.n_agree)
 
 
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Col/1", "Module/O"])

@@ -139,6 +139,8 @@ class Vocabulary:
             return cls(d["tokens"], d["pos"])
         except KeyError as exc:
             raise FormatError(f"vocabulary is missing field {exc}") from exc
+        except TypeError as exc:
+            raise FormatError(f"malformed vocabulary: {exc}") from exc
 
 
 def build_vocabulary(spec: CorpusSpec) -> Vocabulary:
@@ -456,15 +458,23 @@ def _jsonl_records(path: str):
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
 
 
+def _json_object(path: str) -> dict:
+    """The JSON object stored in the file at ``path``."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_corpus(data_dir: str) -> Corpus:
     meta_path = os.path.join(data_dir, "meta.json")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot open {meta_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{meta_path}: invalid JSON: {exc}") from exc
+    meta = _json_object(meta_path)
     if meta.get("format_version") != _FORMAT_VERSION:
         raise FormatError(f"{meta_path}: unsupported format_version {meta.get('format_version')!r}")
     try:
@@ -472,8 +482,7 @@ def load_corpus(data_dir: str) -> Corpus:
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{meta_path}: bad spec block: {exc}") from exc
 
-    with open(os.path.join(data_dir, "vocab.json")) as fh:
-        vocab = Vocabulary.from_dict(json.load(fh))
+    vocab = Vocabulary.from_dict(_json_object(os.path.join(data_dir, "vocab.json")))
 
     noun_index = {w: i for i, w in enumerate(NOUN_POOL)}
     adj_index = {w: i for i, w in enumerate(ADJ_POOL)}
@@ -495,6 +504,8 @@ def load_corpus(data_dir: str) -> Corpus:
                           regions=regions, relations=relations)
         except KeyError as exc:
             raise FormatError(f"{scenes_path}:{lineno}: missing or unknown field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{scenes_path}:{lineno}: malformed record: {exc}") from exc
         if scene.split not in SPLITS:
             raise FormatError(f"{scenes_path}:{lineno}: unknown split {scene.split!r}")
         for rel in scene.relations:
@@ -512,6 +523,8 @@ def load_corpus(data_dir: str) -> Corpus:
             slot = int(rec.get("slot", 0))
         except KeyError as exc:
             raise FormatError(f"{captions_path}:{lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{captions_path}:{lineno}: malformed record: {exc}") from exc
         if len(words) != len(tags):
             raise FormatError(f"{captions_path}:{lineno}: {len(words)} words vs {len(tags)} tags")
         for w in words:

@@ -13,7 +13,7 @@ A unit's step is written once, ``UnitRun.step``, on plain arrays.  A
 ``UnitRun`` is one pass of a unit over one encoding: it holds what the
 steps share (the weight arrays, the strategy, the LSTM runs and the
 attention heads of all modules as one stacked run over keys computed
-once per encoding), so a step pays only for its arithmetic.  It has two
+once per run), so a step pays only for its arithmetic.  It has two
 callers.  Teacher forcing (``CaptionModel.forced``, ``unit_kernel``) is
 the one differentiable path: each unit runs the whole caption from the
 zero state inside one autodiff node with a hand-written backward, and
@@ -33,9 +33,11 @@ observer reads them (``StepTraces``).
 observer sees each step.  Greedy and sampling decoding and traces run on
 it; beam search, which reorders the state rows every step, keeps its
 own loop.  Both enter ``np.errstate`` once per decode, for the LSTM gate
-sigmoids that may overflow exp.  A single scene is a batch of one, and
-its results come back unwrapped: a token list rather than a list holding
-one.  The hard-selection noise of a pass is drawn in one place,
+sigmoids that may overflow exp.  The decoders have one call form: an
+encoding in, a single scene being a batch of one, and one token list
+per row out; beam search takes a one-scene encoding and returns its
+ranked beam.  Every row starts from ``BOS_ID`` and ends at ``EOS_ID``.
+The hard-selection noise of a pass is drawn in one place,
 ``CaptionModel.selection_noise``, for all its steps, units and rows.
 """
 
@@ -67,7 +69,6 @@ from .tensor import (
     _accum,
     _steps,
     _t_matmul,
-    attention_keys,
     check_finite,
     gather_rows,
     make_lstm_params,
@@ -91,7 +92,6 @@ class Encoded:
     feats: dict[str, Tensor]
     means: dict[str, Tensor]
     mask: np.ndarray
-    _keys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -109,14 +109,6 @@ class Encoded:
         side by side (B, K*d_v), in module order, built once per encoding."""
         return (np.stack([f.data for f in self.feats.values()]),
                 np.concatenate([m.data for m in self.means.values()], axis=-1))
-
-    def keys(self, Wv_T: np.ndarray) -> np.ndarray:
-        """The attention keys (K, B, N, d_a) of the stacked features under a
-        unit's W_v^T (``DecoderUnit.heads``, rebuilt when a head weight is
-        rebound), computed once per encoding and weight array."""
-        if id(Wv_T) not in self._keys:     # the entry holds W_v^T: its id stays unique
-            self._keys[id(Wv_T)] = (Wv_T, attention_keys(self.stacked[0], Wv_T))
-        return self._keys[id(Wv_T)][1]
 
     def run(self, unit: DecoderUnit) -> UnitRun:
         """The forward-only run of ``unit`` over this encoding, built on its
@@ -235,8 +227,8 @@ class UnitRun:
 
     It holds what every step of the pass shares: the unit's weight
     arrays and strategy, LSTM runs for LSTM1, LSTM2 and the controller,
-    the K attention heads as one stacked run over the encoding's cached
-    keys, and the scene means per row count.  ``step`` is the unit's one
+    the K attention heads as one stacked run over the encoding's features,
+    and the scene means per row count.  ``step`` is the unit's one
     step body.  With ``record`` the steps also keep what ``unit_kernel``'s
     backward reads.  Without it the run is forward only, and one run
     serves any number of steps and of rows: a one-scene encoding serves a
@@ -255,7 +247,7 @@ class UnitRun:
         self.lstm1 = LstmRun(unit.lstm1.W.data, unit.lstm1.b.data, record)
         self.lstm2 = LstmRun(unit.lstm2.W.data, unit.lstm2.b.data, record)
         self.heads = AttentionRun(values, Wv_T, Wh_T, wa, enc.mask if enc.padded else None,
-                                  enc.keys(Wv_T), record)
+                                  record)
         if self.strategy is not None:
             self.fc_W, self.fc_b = unit.func.fc.W.data, unit.func.fc.b.data
             self.slope = unit.func.slope
@@ -616,27 +608,19 @@ def _check_distribution(p: np.ndarray, t: int) -> None:
         raise TrainingError(f"non-finite word distribution at decode step {t}")
 
 
-def one_scene(enc) -> bool:
-    """Whether ``enc`` holds a single scene, whose decoder results come back
-    unwrapped; model stubs that need no encoding pass None for one scene."""
-    return enc is None or enc.batch == 1
-
-
-def run_decoder(model, enc, max_len, choose, observe=None, noise=None, bos=BOS_ID,
-                eos=EOS_ID):
-    """Step every row of ``enc`` until each has emitted ``eos`` or
-    ``max_len`` tokens; returns one token list per row.
+def run_decoder(model, enc, max_len, choose, observe=None, noise=None):
+    """Step every row of ``enc`` from ``BOS_ID`` until each has emitted
+    ``EOS_ID`` or ``max_len`` tokens; returns one token list per row.
 
     The token policy ``choose(t, p, live)`` maps step t's (B, V)
     distribution array and the mask of rows still running to the token
     each row emits and is fed next; tokens of finished rows are not kept.
     ``observe(t, dist, traces, tokens, live)`` sees every step.  Step t
-    selects with ``noise[t]``, of a pass's ``selection_noise``.  ``bos``,
-    the first input, is one token id or one per row.
+    selects with ``noise[t]``, of a pass's ``selection_noise``.
     """
-    batch = 1 if enc is None else enc.batch
+    batch = enc.batch
     states = model.init_rows(batch)
-    tok = np.full(batch, bos, dtype=np.int64)
+    tok = np.full(batch, BOS_ID, dtype=np.int64)
     live = np.ones(batch, dtype=bool)
     rows = [[] for _ in range(batch)]
     with np.errstate(over="ignore"):
@@ -649,7 +633,7 @@ def run_decoder(model, enc, max_len, choose, observe=None, noise=None, bos=BOS_I
                 observe(t, dist, traces, tok, live)
             for b in np.flatnonzero(live):
                 rows[b].append(int(tok[b]))
-            live = live & (tok != eos)
+            live = live & (tok != EOS_ID)
             if not live.any():
                 break
     return rows
@@ -660,13 +644,13 @@ def argmax_policy(t, p, live):
     return np.argmax(p, axis=1)
 
 
-def sample_policy(rng: Rng, eos: int = EOS_ID):
+def sample_policy(rng: Rng):
     """Each live row draws its token from its distribution by the inverse
     CDF, one uniform per live row in row order; finished rows emit
-    ``eos``.  The row-wise float64 ``cumsum`` adds in the order a per-row
+    ``EOS_ID``.  The row-wise float64 ``cumsum`` adds in the order a per-row
     one would."""
     def choose(t, p, live):
-        tok = np.full(p.shape[0], eos, dtype=np.int64)
+        tok = np.full(p.shape[0], EOS_ID, dtype=np.int64)
         rows = np.flatnonzero(live)
         cdf = np.cumsum(p[rows].astype(np.float64), axis=1)
         u = rng.uniform_array(rows.shape, 0.0, 1.0, dtype=np.float64) * cdf[:, -1]
@@ -682,11 +666,9 @@ def forced_policy(tokens):
     return lambda t, p, live: tokens[:, t + 1]
 
 
-def greedy_decode(model, enc, max_len: int, bos: int = BOS_ID, eos: int = EOS_ID):
-    """Argmax decoding of every row of ``enc``.  Returns one token list per
-    row, or the list itself for a single scene."""
-    rows = run_decoder(model, enc, max_len, argmax_policy, bos=bos, eos=eos)
-    return rows[0] if one_scene(enc) else rows
+def greedy_decode(model, enc, max_len: int):
+    """Argmax decoding of every row of ``enc``: one token list per row."""
+    return run_decoder(model, enc, max_len, argmax_policy)
 
 
 @dataclass
@@ -696,35 +678,29 @@ class Hypothesis:
     states: object      # row of this hypothesis in its step's batched decoder state
     finished: bool
 
-    def score(self, length_normalize: bool) -> float:
-        if length_normalize and self.tokens:
-            return self.logprob / len(self.tokens)
-        return self.logprob
 
-
-def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
-                eos: int = EOS_ID, length_normalize: bool = False) -> list[Hypothesis]:
-    """Best-first beam decode of one scene.
+def beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypothesis]:
+    """Best-first beam decode of a one-scene encoding.
 
     Each step expands every live hypothesis in one forward-only step on
     plain arrays: the hypotheses are the rows of each unit's state array,
     reordered to their parents by one index per unit, and they attend the
     one-scene encoding, broadcast over them.  A hypothesis that emits the
     end token is frozen: it is never expanded again but keeps competing
-    with live ones on its (optionally length normalized) cumulative
-    log-probability.  Ties prefer the sequence that is lexicographically
-    smallest in token ids.  A token of probability 0 scores the log of
-    the smallest subnormal of the distribution's dtype.
+    with live ones on its cumulative log-probability.  Ties prefer the
+    sequence that is lexicographically smallest in token ids.  A token of
+    probability 0 scores the log of the smallest subnormal of the
+    distribution's dtype.
 
     The hypotheses are plain tuples that sort by rank, and ``Hypothesis``
     objects are made only for the beam returned.
     """
     if beam_width < 1:
         raise ValueError(f"beam width must be positive, got {beam_width}")
-    if enc is not None and enc.batch != 1:
+    if enc.batch != 1:
         raise ValueError(f"beam search decodes one scene, got a batch of {enc.batch}")
 
-    # a hypothesis is (-score, tokens, logprob, row in its step's state,
+    # a hypothesis is (-logprob, tokens, logprob, row in its step's state,
     # finished); no two share tokens, so tuples sort by rank
     beams = [(0.0, (), 0.0, 0, False)]
     states = model.init_rows(1)
@@ -734,55 +710,49 @@ def beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
                     if not done]
             if not live:
                 break
-            prev = [tokens[-1] if tokens else bos for tokens, _, _ in live]
-            if states is not None:      # a model stub may keep no state
-                parents = np.array([row for _, _, row in live])
-                states = [s[:, parents] for s in states]
+            prev = [tokens[-1] if tokens else BOS_ID for tokens, _, _ in live]
+            parents = np.array([row for _, _, row in live])
+            states = [s[:, parents] for s in states]
             p, states, _ = model.step(prev, enc, states)
             _check_distribution(p, t)
             logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
             total = (np.array([logprob for _, logprob, _ in live])[:, None] + logp).ravel()
-            score = total / (t + 1) if length_normalize else total
             # only expansions scoring at least the beam_width-th best can
             # survive the exact sort below
-            if score.size > beam_width:
-                cut = np.partition(score, score.size - beam_width)[score.size - beam_width]
-                picked = (score >= cut).nonzero()[0]
+            if total.size > beam_width:
+                cut = np.partition(total, total.size - beam_width)[total.size - beam_width]
+                picked = (total >= cut).nonzero()[0]
             else:
-                picked = np.arange(score.size)
+                picked = np.arange(total.size)
             rows, toks = np.divmod(picked, logp.shape[1])
             candidates = [h for h in beams if h[-1]]
-            for row, tok, logprob, sc in zip(rows.tolist(), toks.tolist(),
-                                             total[picked].tolist(), score[picked].tolist()):
-                candidates.append((-sc, live[row][0] + (tok,), logprob, row, tok == eos))
+            for row, tok, logprob in zip(rows.tolist(), toks.tolist(), total[picked].tolist()):
+                candidates.append((-logprob, live[row][0] + (tok,), logprob, row,
+                                   tok == EOS_ID))
             candidates.sort()
             beams = candidates[:beam_width]
     return [Hypothesis(tokens, logprob, row, done) for _, tokens, logprob, row, done in beams]
 
 
-def sample_decode(model, enc, rng: Rng, max_len: int, bos: int = BOS_ID,
-                  eos: int = EOS_ID):
+def sample_decode(model, enc, rng: Rng, max_len: int):
     """Ancestral sampling of every row of ``enc``.
 
     Returns (tokens, the pass's hard-selection noise or None), the tokens
-    as one list per row, or the list itself for a single scene.  The model
-    first draws the noise of all ``max_len`` steps (``selection_noise``);
-    then per step each live row draws one uniform, in row order.  A
-    teacher-forced replay of the tokens with that noise
-    (``CaptionModel.forced``) scores them with gradients.
+    as one list per row.  The model first draws the noise of all
+    ``max_len`` steps (``selection_noise``); then per step each live row
+    draws one uniform, in row order.  A teacher-forced replay of the
+    tokens with that noise (``CaptionModel.forced``) scores them with
+    gradients.
     """
-    batch = 1 if enc is None else enc.batch
-    noise = model.selection_noise(rng, max_len, batch)
-    rows = run_decoder(model, enc, max_len, sample_policy(rng, eos), noise=noise, bos=bos,
-                       eos=eos)
-    return (rows[0] if one_scene(enc) else rows), noise
+    noise = model.selection_noise(rng, max_len, enc.batch)
+    return run_decoder(model, enc, max_len, sample_policy(rng), noise=noise), noise
 
 
-def strip_sequence(tokens, eos: int = EOS_ID) -> list[int]:
+def strip_sequence(tokens) -> list[int]:
     """Drop the end token and anything after it."""
     out = []
     for t in tokens:
-        if t == eos:
+        if t == EOS_ID:
             break
         out.append(t)
     return out

@@ -9,7 +9,8 @@ non-visual words have something to attend to.
 
 The object, attribute and function modules are one projection class;
 all accept a single matrix (N, d_in) or a batch (B, N, d_in) and return
-matching (N, d_v) / (B, N, d_v) outputs.
+matching (N, d_v) / (B, N, d_v) outputs.  The relation module takes the
+batch form only, as ``CaptionModel.encode`` passes it.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ class ProjectionModule:
 class RelationModule:
     """Multi-head self-attention over regions, then a two-layer head.
 
+    R is a batch of scenes (B, N, d_r), and the output is (B, N, d_v).
     Each head i projects the rows of R with three (d_r, d_k) matrices to
     form queries, keys and values, mixes values by row-softmaxed scaled
     dot products, and the concatenated heads pass through an output
     projection and FC(d_r) -> ReLU -> FC(d_v) -> LeakyReLU.  A boolean
-    region mask of R's leading shape keeps padded regions out of every
-    key softmax; their own output rows are computed but meaningless.
+    (B, N) region mask keeps padded regions out of every key softmax;
+    their own output rows are computed but meaningless.
     """
 
     def __init__(self, d_r: int, d_v: int, heads: int, rng: Rng,
@@ -83,32 +85,21 @@ class RelationModule:
         b, n, _ = r.shape
         return reshape(matmul(reshape(r, (-1, self.d_r)), w), (b, n, self.d_k))
 
-    def __call__(self, r: Tensor, return_attention: bool = False, mask=None):
-        single = r.ndim == 2
-        if single:
-            r = reshape(r, (1,) + r.shape)
-        key_mask = None if mask is None else np.reshape(mask, (r.shape[0], 1, r.shape[1]))
+    def __call__(self, r: Tensor, mask=None) -> Tensor:
+        b, n, _ = r.shape
+        key_mask = None if mask is None else np.reshape(mask, (b, 1, n))
         scale = 1.0 / math.sqrt(self.d_k)
         head_outs = []
-        attn_maps = []
         for i in range(self.heads):
             q = self._project(r, self.w_q[i])
             k = self._project(r, self.w_k[i])
             v = self._project(r, self.w_v[i])
             scores = matmul(q, transpose(k, (0, 2, 1))) * scale
             attn = softmax(scores, axis=-1, mask=key_mask)
-            attn_maps.append(attn)
             head_outs.append(matmul(attn, v))
         mixed = matmul(reshape(concat(head_outs, axis=-1), (-1, self.d_r)), self.w_out)
         out = leaky_relu(self.fc2(relu(self.fc1(mixed))), self.slope)
-        b, n, _ = r.shape
-        out = reshape(out, (b, n, -1))
-        if single:
-            out = reshape(out, out.shape[1:])
-            attn_maps = [reshape(a, a.shape[1:]) for a in attn_maps]
-        if return_attention:
-            return out, attn_maps
-        return out
+        return reshape(out, (b, n, -1))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {}

@@ -698,13 +698,6 @@ class LstmRun:
         return grads
 
 
-def attention_keys(v, Wv_T):
-    """The keys v W_v^T (..., B, N, d_a) of values (..., B, N, d_v)."""
-    *lead, b, n, d_v = v.shape
-    return np.matmul(v.reshape(tuple(lead) + (b * n, d_v)), Wv_T).reshape(
-        tuple(lead) + (b, n, Wv_T.shape[-1]))
-
-
 class AttentionRun:
     """A run of additive-attention queries over one set of values.
 
@@ -712,20 +705,20 @@ class AttentionRun:
     (..., d_v, d_a) and W_h^T (..., d_c, d_a) and the score vector wa
     (..., d_a); leading axes stack independent heads that share the
     query, and a stacked run rounds exactly as one run per head.  A
-    boolean (B, N) mask gives padded regions a score of -inf.  The key
-    projection is computed once, or passed in as ``keys``; ``forward``
+    boolean (B, N) mask gives padded regions a score of -inf.  The keys
+    v W_v^T (..., B, N, d_a) are computed once per run; ``forward``
     takes the next step's query rows, ``backward`` step t's gradients
     (steps in reverse), and ``grads`` returns the gradients of the values
     and the weights summed over all steps.  Without ``record``, or with
     values of one scene for many query rows, the run is forward only.
     """
 
-    def __init__(self, v, Wv_T, Wh_T, wa, mask=None, keys=None, record=True):
+    def __init__(self, v, Wv_T, Wh_T, wa, mask=None, record=True):
         *lead, b, n, d_v = v.shape
         self.lead = tuple(lead)
         self.v, self.Wv_T, self.Wh_T, self.wa, self.mask = v, Wv_T, Wh_T, wa, mask
         self.v2 = v.reshape(self.lead + (b * n, d_v))
-        self.keys = attention_keys(v, Wv_T) if keys is None else keys
+        self.keys = np.matmul(self.v2, Wv_T).reshape(self.lead + (b, n, Wv_T.shape[-1]))
         self.wa_col = wa[..., None]
         self.record = record
         self.q_in, self.t2, self.alpha = [], [], []

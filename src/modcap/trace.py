@@ -40,13 +40,12 @@ def _unit_dicts(traces):
     return units
 
 
-def _trace(model, corpus, synth, scene, max_len, choose, bos=BOS_ID, targets=None,
-           labels=None):
+def _trace(model, corpus, synth, scene, max_len, choose, targets=None, labels=None):
     """Run one scene through the decode loop without gradients, recording
     every step.  Returns the emitted tokens and the trace document, which
     the caller completes with its kind, slot and words."""
     vocab = corpus.vocab
-    inputs = [bos]
+    inputs = [BOS_ID]
     steps = []
 
     def observe(t, dist, traces, tok, live):
@@ -62,7 +61,7 @@ def _trace(model, corpus, synth, scene, max_len, choose, bos=BOS_ID, targets=Non
 
     with no_grad():
         enc = model.encode(*synth.features(scene))
-        (tokens,) = run_decoder(model, enc, max_len, choose, observe, bos=bos)
+        (tokens,) = run_decoder(model, enc, max_len, choose, observe)
     return tokens, {
         "scene_id": scene.scene_id,
         "strategy": model.cfg.strategy,
@@ -78,7 +77,7 @@ def trace_example(model, corpus, synth, example) -> dict:
     scene = next(s for s in corpus.scenes if s.scene_id == example.scene_id)
     ids = example.token_ids
     _, doc = _trace(model, corpus, synth, scene, len(ids) - 1, forced_policy([ids]),
-                    bos=ids[0], targets=ids[1:], labels=example.labels)
+                    targets=ids[1:], labels=example.labels)
     doc.update({"kind": "teacher_forced", "slot": example.slot, "words": list(example.words)})
     return doc
 

@@ -49,7 +49,6 @@ from .decoder import (
     Encoded,
     beam_search,
     greedy_decode,
-    one_scene,
     sample_decode,
     strip_sequence,
 )
@@ -209,6 +208,31 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
                         n_tokens=n_tokens, n_correct=correct, n_agree=agree)
 
 
+@dataclass
+class _TokenSums:
+    """Teacher-forced statistics summed over batches: a loss, the tokens,
+    the correctly predicted tokens and, with a controller, the module
+    choices that match the gold labels."""
+
+    has_ctrl: bool
+    loss: float = 0.0
+    tokens: float = 0.0
+    correct: float = 0.0
+    agree: float = 0.0
+
+    def add(self, stats: ForwardStats, loss: float) -> None:
+        self.loss += loss
+        self.tokens += stats.n_tokens
+        self.correct += stats.n_correct
+        if self.has_ctrl:
+            self.agree += stats.n_agree
+
+    def per_token(self) -> tuple:
+        """(loss, token accuracy, module agreement or None) per token."""
+        return (self.loss / self.tokens, self.correct / self.tokens,
+                (self.agree / self.tokens) if self.has_ctrl else None)
+
+
 @blas_on_calling_thread()
 def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
                            synth: FeatureSynthesizer, split: str,
@@ -216,25 +240,13 @@ def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
     """Token accuracy, per-token loss, and module agreement on a split."""
     scenes_by_id = {s.scene_id: s for s in corpus.scenes}
     batches = make_batches(corpus.examples_in(split), scenes_by_id, synth, batch_size)
-    xe = 0.0
-    tokens = 0.0
-    correct = 0.0
-    agree = 0.0
-    has_ctrl = model.cfg.single_module is None
+    sums = _TokenSums(model.cfg.single_module is None)
     with no_grad():
         for batch in batches:
             stats = teacher_forced(model, batch)
-            xe += stats.xe_sum.item()
-            tokens += stats.n_tokens
-            correct += stats.n_correct
-            if has_ctrl:
-                agree += stats.n_agree
-    return {
-        "xe_per_token": xe / tokens,
-        "token_acc": correct / tokens,
-        "ctrl_agree": (agree / tokens) if has_ctrl else None,
-        "n_tokens": tokens,
-    }
+            sums.add(stats, stats.xe_sum.item())
+    xe, acc, agree = sums.per_token()
+    return {"xe_per_token": xe, "token_acc": acc, "ctrl_agree": agree, "n_tokens": sums.tokens}
 
 
 # -- self-critical pass -------------------------------------------------------
@@ -257,17 +269,13 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
     pass, and the surrogate adds lam times their word-class term: each
     scene's own mean word-class NLL, as a batch-1 pass would give it.
 
-    ``references`` holds one reference set per scene.  Like the decoders,
-    a single scene is unwrapped: ``references`` is its reference set and
-    the info one dict.  A scene with zero advantage backpropagates
-    exactly zero through its sampled caption.
+    ``references`` holds one reference set per scene, a single scene
+    included.  A scene with zero advantage backpropagates exactly zero
+    through its sampled caption.
     """
     with no_grad():
         sampled, noise = sample_decode(model, enc, rng, max_len)
         baseline = greedy_decode(model, enc, max_len)
-    single = one_scene(enc)
-    if single:
-        sampled, baseline, references = [sampled], [baseline], [references]
     infos = []
     for tokens, base, refs in zip(sampled, baseline, references):
         reward = cider_d([vocab_tokens[t] for t in strip_sequence(tokens)], refs, idf)
@@ -305,20 +313,25 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
     loss = masked_nll(dist, _step_major(targets), _step_major(weights), LOSS_EPS)
     if supervise:
         loss = loss + lam * _word_class_nll(traces, labels, ling_weights)
-    return loss, (infos[0] if single else infos)
+    return loss, infos
 
 
 # -- epochs -------------------------------------------------------------------
 
 
-def _clear_grads(params: dict[str, Tensor]) -> None:
+def _update(loss: Tensor, params: dict[str, Tensor], opt: Adam, lr: float,
+            max_norm: float, where: str) -> float:
+    """One optimizer step on ``loss``: check that it is finite, backpropagate
+    from cleared gradients, clip their global norm and step.  Returns the
+    pre-clip norm."""
+    if not np.all(np.isfinite(loss.data)):
+        raise TrainingError(f"non-finite loss at {where}")
     for p in params.values():
         p.grad = None
-
-
-def _check_finite(value: Tensor, where: str) -> None:
-    if not np.all(np.isfinite(value.data)):
-        raise TrainingError(f"non-finite loss at {where}")
+    loss.backward()
+    norm = clip_global_norm(params, max_norm)
+    opt.step(params, lr)
+    return norm
 
 
 def _norm_record(norms: list, max_norm: float) -> dict:
@@ -340,31 +353,21 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     lr = cfg.lr_at(epoch)
     lam = cfg.lambda_xe if cfg.linguistic else 0.0
 
-    loss_sum = 0.0
-    tokens = 0.0
-    correct = 0.0
-    agree = 0.0
+    sums = _TokenSums(model.cfg.single_module is None)
     norms = []
-    has_ctrl = model.cfg.single_module is None
     for step, batch in enumerate(batches):
         stats = teacher_forced(model, batch, lam_ling=lam, rng=rng)
-        _check_finite(stats.loss, f"epoch {epoch} step {step}")
-        _clear_grads(params)
-        stats.loss.backward()
-        norms.append(clip_global_norm(params, cfg.grad_clip))
-        opt.step(params, lr)
-        loss_sum += stats.loss.item() * stats.n_tokens
-        tokens += stats.n_tokens
-        correct += stats.n_correct
-        if has_ctrl:
-            agree += stats.n_agree
+        norms.append(_update(stats.loss, params, opt, lr, cfg.grad_clip,
+                             f"epoch {epoch} step {step}"))
+        sums.add(stats, stats.loss.item() * stats.n_tokens)
+    loss, acc, agree = sums.per_token()
     return {
         "phase": "xe",
         "lr": lr,
         "steps": len(batches),
-        "loss": loss_sum / tokens,
-        "token_acc": correct / tokens,
-        "ctrl_agree": (agree / tokens) if has_ctrl else None,
+        "loss": loss,
+        "token_acc": acc,
+        "ctrl_agree": agree,
         **_norm_record(norms, cfg.grad_clip),
     }
 
@@ -398,11 +401,8 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
         window = [gold_example[scenes[i].scene_id] for i in order[lo:lo + cfg.batch_size]]
         batch = _pack(window, scenes_by_id, synth)
         enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-        scene_refs = [refs[sid] for sid in batch.scene_ids]
-        single = batch.size == 1
-        loss, infos = self_critical_loss(model, enc, scene_refs[0] if single else scene_refs,
+        loss, infos = self_critical_loss(model, enc, [refs[sid] for sid in batch.scene_ids],
                                          idf, vocab_tokens, rng, cfg.max_len, batch, lam)
-        infos = [infos] if single else infos
         reward_sum += sum(info["reward"] for info in infos)
         adv_sum += sum(info["advantage"] for info in infos)
         steps += batch.size
@@ -411,12 +411,8 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
             # no supervision term: the update would be a no-op, keep it one
             skipped += 1
             continue
-        combined = loss / float(batch.size)
-        _check_finite(combined, f"epoch {epoch} refinement step {steps}")
-        _clear_grads(params)
-        combined.backward()
-        norms.append(clip_global_norm(params, cfg.grad_clip))
-        opt.step(params, lr)
+        norms.append(_update(loss / float(batch.size), params, opt, lr, cfg.grad_clip,
+                             f"epoch {epoch} refinement step {steps}"))
 
     return {
         "phase": "rl",
@@ -502,15 +498,15 @@ def caption_scene(model: CaptionModel, synth: FeatureSynthesizer, scene, vocab: 
     with no_grad():
         enc = model.encode(*synth.features(scene))
         if mode == "greedy":
-            tokens = greedy_decode(model, enc, max_len)
+            rows = greedy_decode(model, enc, max_len)
         elif mode == "beam":
-            tokens = beam_search(model, enc, beam_width, max_len)[0].tokens
+            rows = [beam_search(model, enc, beam_width, max_len)[0].tokens]
         elif mode == "sample" and rng is not None:
-            tokens, _ = sample_decode(model, enc, rng, max_len)
+            rows, _ = sample_decode(model, enc, rng, max_len)
         else:
             raise ValueError(f"unknown decode mode {mode!r}: pick greedy, beam, or sample "
                              "with an rng")
-    return vocab.decode(strip_sequence(tokens))
+    return vocab.decode(strip_sequence(rows[0]))
 
 
 def decode_split(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,

@@ -568,19 +568,21 @@ def take_rows(obj, idx):
     return obj
 
 
-def reference_greedy(model, enc, max_len, bos=BOS_ID, eos=EOS_ID):
+def reference_greedy(model, enc, max_len):
     """Argmax decoding of every row of ``enc`` on the Tensor step, with
     gradients enabled; one token list per row."""
-    return run_decoder(TensorStepModel(model), enc, max_len, argmax_policy, bos=bos, eos=eos)
+    return run_decoder(TensorStepModel(model), enc, max_len, argmax_policy)
 
 
-def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_ID,
-                          length_normalize=False):
+def rank(h: Hypothesis):
+    """Best first: the higher log-probability, then the smaller tokens."""
+    return (-h.logprob, h.tokens)
+
+
+def reference_beam_search(model, enc, beam_width, max_len):
     """``decoder.beam_search`` on the Tensor step: each step expands every
     live hypothesis in one ``model.step`` call, on the scene's encoding
     repeated once per hypothesis and the parents' state rows."""
-    def rank(h):
-        return (-h.score(length_normalize), h.tokens)
 
     repeated = {}       # the scene's encoding, once per number of live hypotheses
     with no_grad():
@@ -590,7 +592,7 @@ def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_I
             live = [h for h in beams if not h.finished]
             if not live:
                 break
-            prev = [h.tokens[-1] if h.tokens else bos for h in live]
+            prev = [h.tokens[-1] if h.tokens else BOS_ID for h in live]
             if len(live) not in repeated:
                 repeated[len(live)] = take_rows(enc, np.zeros(len(live), dtype=np.int64))
             dist, states, _ = reference_model_step(
@@ -598,31 +600,24 @@ def reference_beam_search(model, enc, beam_width, max_len, bos=BOS_ID, eos=EOS_I
                 take_rows(states, np.array([h.states for h in live])))
             logp = np.log(np.maximum(dist.data, np.finfo(dist.data.dtype).smallest_subnormal))
             total = np.array([h.logprob for h in live])[:, None] + logp
-            score = total
-            if length_normalize:
-                score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
             candidates = [h for h in beams if h.finished]
-            for row, tok in np.ndindex(*score.shape):
+            for row, tok in np.ndindex(*total.shape):
                 candidates.append(Hypothesis(tokens=live[row].tokens + (tok,),
                                              logprob=float(total[row, tok]),
-                                             states=row, finished=tok == eos))
+                                             states=row, finished=tok == EOS_ID))
             candidates.sort(key=rank)
             beams = candidates[:beam_width]
     beams.sort(key=rank)
     return beams
 
 
-def object_beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS_ID,
-                       eos: int = EOS_ID, length_normalize: bool = False) -> list[Hypothesis]:
+def object_beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypothesis]:
     """``decoder.beam_search`` with a ``Hypothesis`` object per candidate,
     ranked by a key function: the same search, step for step."""
     if beam_width < 1:
         raise ValueError(f"beam width must be positive, got {beam_width}")
-    if enc is not None and enc.batch != 1:
+    if enc.batch != 1:
         raise ValueError(f"beam search decodes one scene, got a batch of {enc.batch}")
-
-    def rank(h):
-        return (-h.score(length_normalize), h.tokens)
 
     beams = [Hypothesis(tokens=(), logprob=0.0, states=0, finished=False)]
     states = model.init_rows(1)
@@ -630,30 +625,25 @@ def object_beam_search(model, enc, beam_width: int, max_len: int, bos: int = BOS
         live = [h for h in beams if not h.finished]
         if not live:
             break
-        prev = [h.tokens[-1] if h.tokens else bos for h in live]
-        if states is not None:      # a model stub may keep no state
-            parents = np.array([h.states for h in live])
-            states = [s[:, parents] for s in states]
+        prev = [h.tokens[-1] if h.tokens else BOS_ID for h in live]
+        parents = np.array([h.states for h in live])
+        states = [s[:, parents] for s in states]
         with np.errstate(over="ignore"):
             p, states, _ = model.step(prev, enc, states)
         logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
         total = np.array([h.logprob for h in live])[:, None] + logp
-        score = total
-        if length_normalize:
-            score = total / np.array([len(h.tokens) + 1 for h in live])[:, None]
         # only expansions scoring at least the beam_width-th best can
         # survive the exact sort below
-        flat = score.ravel()
+        flat = total.ravel()
         if flat.size > beam_width:
             cut = np.partition(flat, flat.size - beam_width)[flat.size - beam_width]
             picked = np.flatnonzero(flat >= cut)
         else:
             picked = np.arange(flat.size)
         candidates = [h for h in beams if h.finished]
-        rows, toks = np.divmod(picked, score.shape[1])
-        for row, tok, logprob in zip(rows.tolist(), toks.tolist(),
-                                     total.ravel()[picked].tolist()):
-            candidates.append(Hypothesis(live[row].tokens + (tok,), logprob, row, tok == eos))
+        rows, toks = np.divmod(picked, total.shape[1])
+        for row, tok, logprob in zip(rows.tolist(), toks.tolist(), flat[picked].tolist()):
+            candidates.append(Hypothesis(live[row].tokens + (tok,), logprob, row, tok == EOS_ID))
         candidates.sort(key=rank)
         beams = candidates[:beam_width]
     beams.sort(key=rank)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from test_decoder import MarkovStub, enumerate_best
+from test_decoder import ONE, MarkovStub, enumerate_best
 from test_metrics import oracle_bleu, oracle_cider, small_reference_set
 
 from modcap.cli import main as cli_main
@@ -251,7 +251,7 @@ def test_criterion_4_beam_search_exactness():
         feats = Rng(3000 + seed)
         enc = model.encode(feats.normal((3, 8), dtype=np.float32),
                            feats.normal((3, 8), dtype=np.float32))
-        greedy = greedy_decode(model, enc, max_len=6)
+        (greedy,) = greedy_decode(model, enc, max_len=6)
         beam = beam_search(model, enc, beam_width=1, max_len=6)
         assert list(beam[0].tokens) == greedy, f"seed {seed}"
 
@@ -264,8 +264,8 @@ def test_criterion_4_beam_search_exactness():
     ])
     stub = MarkovStub(trap)
     best_logp, best_seq = enumerate_best(trap, BOS_ID, EOS_ID, max_len=3)
-    assert tuple(greedy_decode(stub, None, max_len=3)) != best_seq
-    top = beam_search(stub, None, beam_width=2, max_len=3)[0]
+    assert tuple(greedy_decode(stub, ONE, max_len=3)[0]) != best_seq
+    top = beam_search(stub, ONE, beam_width=2, max_len=3)[0]
     assert top.tokens == best_seq
     assert abs(top.logprob - best_logp) < 1e-12
 
@@ -328,8 +328,8 @@ def test_criterion_6_zero_advantage_is_a_zero_update(tiny_corpus):
     # reward and baseline both to exactly zero.
     refs = [["absent", "everywhere"]]
     idf = IdfTable({0: refs})
-    loss, info = self_critical_loss(model, enc, refs, idf, corpus.vocab.tokens,
-                                    Rng(4), max_len=8)
+    (loss, (info,)) = self_critical_loss(model, enc, [refs], idf, corpus.vocab.tokens,
+                                         Rng(4), max_len=8)
     assert info["advantage"] == 0.0
     assert loss.item() == 0.0
     loss.backward()

@@ -81,6 +81,39 @@ def test_corrupt_corpus_exits_2(data_dir, tmp_path):
     assert run(["train", "--data", str(broken), "--out", str(tmp_path / "m.bin")]) == 2
 
 
+def _drop(path):
+    path.unlink()
+
+
+def _replace_first_line(path, edit):
+    lines = path.read_text().splitlines()
+    lines[0] = json.dumps(edit(json.loads(lines[0])))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _region_x(rec):
+    rec["regions"][0]["x"] = "abc"
+    return rec
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: _drop(d / "vocab.json"),
+    lambda d: (d / "vocab.json").write_text("[1, 2]"),
+    lambda d: (d / "meta.json").write_text("[1]"),
+    lambda d: _replace_first_line(d / "scenes.jsonl", _region_x),
+    lambda d: _replace_first_line(d / "captions.jsonl", lambda rec: [1]),
+], ids=["vocab_missing", "vocab_a_list", "meta_a_list", "region_x_a_string",
+        "caption_a_list"])
+def test_damaged_corpus_exits_2(data_dir, tmp_path, capsys, damage):
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    for name in ("meta.json", "vocab.json", "scenes.jsonl", "captions.jsonl"):
+        (broken / name).write_text((data_dir / name).read_text())
+    damage(broken)
+    assert_data_error(["train", "--data", str(broken), "--out", str(tmp_path / "m.bin")],
+                      capsys)
+
+
 def test_invalid_corpus_shape_exits_2(tmp_path):
     assert run(["corpus", "--out", str(tmp_path / "bad"), "--scenes", "0"]) == 2
 

@@ -11,7 +11,6 @@ from modcap.decoder import (
     BOS_ID,
     EOS_ID,
     CaptionModel,
-    Hypothesis,
     beam_search,
     greedy_decode,
     sample_decode,
@@ -36,19 +35,31 @@ def random_features(seed, batch=1, k=3, d_r=8):
 
 
 class MarkovStub:
-    """Fixed-table model for decoder contract tests: P(next | prev) only."""
+    """Fixed-table model for decoder contract tests: P(next | prev) only.
+    It keeps one zero state row per decoded row and reads no encoding."""
 
     def __init__(self, table, dtype=np.float64):
         self.table = np.asarray(table, dtype=dtype)
 
     def init_rows(self, batch):
-        return None
+        return [np.zeros((1, batch, 1))]
 
     def selection_noise(self, rng, n_steps, batch):
         return None
 
     def step(self, prev, enc, states, noise=None):
         return self.table[np.asarray(prev, dtype=np.int64)], states, []
+
+
+class Scenes:
+    """An encoding of ``batch`` scenes for the stub, which reads only its
+    batch size."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+
+ONE = Scenes(1)
 
 
 def enumerate_best(table, bos, eos, max_len):
@@ -186,7 +197,7 @@ class TestBatchedDecoding:
         model = CaptionModel(tiny_cfg(), Rng(40))
         enc, alone = padded_scenes(model, 0, (3, 5, 4, 3))
         rows = greedy_decode(model, enc, max_len=6)
-        assert rows == [greedy_decode(model, e, max_len=6) for e in alone]
+        assert rows == [greedy_decode(model, e, max_len=6)[0] for e in alone]
 
     def test_sample_rows_follow_the_draw_order(self):
         # one uniform per live row in row order: replaying the batch's
@@ -194,10 +205,7 @@ class TestBatchedDecoding:
         table = np.full((5, 5), 0.1)
         table[:, 2] = 0.6                      # the end token is likely
         stub = MarkovStub(table)
-
-        class TwoScenes:                       # the stub reads no encoding
-            batch = 2
-        tokens, _ = sample_decode(stub, TwoScenes(), Rng(7), max_len=6)
+        tokens, _ = sample_decode(stub, Scenes(2), Rng(7), max_len=6)
         assert len(tokens) == 2
         rng = Rng(7)
         want = [[], []]
@@ -213,21 +221,18 @@ class TestGreedy:
     def test_immediate_end(self):
         table = np.full((4, 4), 1e-9)
         table[BOS_ID, EOS_ID] = 1.0
-        seq = greedy_decode(MarkovStub(table), None, max_len=5)
-        assert seq == [EOS_ID]
+        assert greedy_decode(MarkovStub(table), ONE, max_len=5) == [[EOS_ID]]
 
     def test_stops_at_end_token(self):
         table = np.full((4, 4), 0.25)
         table[BOS_ID] = [0.0, 0.0, 0.0, 1.0]
         table[3] = [0.0, 0.0, 1.0, 0.0]
-        seq = greedy_decode(MarkovStub(table), None, max_len=10)
-        assert seq == [3, EOS_ID]
+        assert greedy_decode(MarkovStub(table), ONE, max_len=10) == [[3, EOS_ID]]
 
     def test_respects_max_len(self):
         table = np.zeros((4, 4))
         table[:, 3] = 1.0  # never ends
-        seq = greedy_decode(MarkovStub(table), None, max_len=4)
-        assert seq == [3, 3, 3, 3]
+        assert greedy_decode(MarkovStub(table), ONE, max_len=4) == [[3, 3, 3, 3]]
 
     def test_tie_breaks_to_lowest_id(self):
         table = np.zeros((5, 5))
@@ -235,7 +240,7 @@ class TestGreedy:
         table[BOS_ID, 4] = 0.5
         table[3, EOS_ID] = 1.0
         table[4, EOS_ID] = 1.0
-        assert greedy_decode(MarkovStub(table), None, max_len=3)[0] == 3
+        assert greedy_decode(MarkovStub(table), ONE, max_len=3)[0][0] == 3
 
 
 class TestBeam:
@@ -250,8 +255,8 @@ class TestBeam:
 
     def test_beam_one_equals_greedy_on_stub(self):
         stub = MarkovStub(self.trap)
-        greedy = greedy_decode(stub, None, max_len=3)
-        beam = beam_search(stub, None, beam_width=1, max_len=3)
+        (greedy,) = greedy_decode(stub, ONE, max_len=3)
+        beam = beam_search(stub, ONE, beam_width=1, max_len=3)
         assert list(beam[0].tokens) == greedy
 
     def test_beam_one_equals_greedy_on_models(self):
@@ -259,22 +264,22 @@ class TestBeam:
             cfg = tiny_cfg()
             model = CaptionModel(cfg, Rng(1000 + seed))
             enc = model.encode(*random_features(seed))
-            greedy = greedy_decode(model, enc, max_len=6)
+            (greedy,) = greedy_decode(model, enc, max_len=6)
             beam = beam_search(model, enc, beam_width=1, max_len=6)
             assert list(beam[0].tokens) == greedy
 
     def test_beam_two_recovers_exhaustive_optimum(self):
         stub = MarkovStub(self.trap)
         best_logp, best_seq = enumerate_best(self.trap, BOS_ID, EOS_ID, max_len=3)
-        greedy = greedy_decode(stub, None, max_len=3)
+        (greedy,) = greedy_decode(stub, ONE, max_len=3)
         assert tuple(greedy) != best_seq  # the trap actually bites
-        beam = beam_search(stub, None, beam_width=2, max_len=3)
+        beam = beam_search(stub, ONE, beam_width=2, max_len=3)
         assert beam[0].tokens == best_seq
         assert abs(beam[0].logprob - best_logp) < 1e-12
 
     def test_finished_hypotheses_freeze(self):
         stub = MarkovStub(self.trap)
-        beam = beam_search(stub, None, beam_width=2, max_len=8)
+        beam = beam_search(stub, ONE, beam_width=2, max_len=8)
         top = beam[0]
         assert top.finished
         assert top.tokens[-1] == EOS_ID
@@ -282,14 +287,14 @@ class TestBeam:
 
     def test_ranked_output(self):
         stub = MarkovStub(self.trap)
-        beam = beam_search(stub, None, beam_width=3, max_len=4)
+        beam = beam_search(stub, ONE, beam_width=3, max_len=4)
         scores = [h.logprob for h in beam]
         assert scores == sorted(scores, reverse=True)
 
     def test_matches_expanding_one_hypothesis_at_a_time(self):
         # the batched expansion against the plain algorithm: expand each
         # live hypothesis alone, sort every candidate by (-score, tokens)
-        def reference(table, width, max_len, normalize):
+        def reference(table, width, max_len):
             beams = [((), 0.0, False)]
             for _ in range(max_len):
                 if all(f for _, _, f in beams):
@@ -302,8 +307,7 @@ class TestBeam:
                                             np.finfo(table.dtype).smallest_subnormal))
                     cands += [(toks + (t,), lp + float(row[t]), t == EOS_ID)
                               for t in range(len(row))]
-                score = lambda c: c[1] / len(c[0]) if normalize and c[0] else c[1]
-                cands.sort(key=lambda c: (-score(c), c[0]))
+                cands.sort(key=lambda c: (-c[1], c[0]))
                 beams = cands[:width]
             return [(toks, lp) for toks, lp, _ in beams]
 
@@ -313,13 +317,9 @@ class TestBeam:
             if trial % 3 == 0:
                 table = np.round(table, 1)     # exact ties in score
             for width in (1, 2, 3, 5):
-                for normalize in (False, True):
-                    got = beam_search(MarkovStub(table), None, width, 5,
-                                      length_normalize=normalize)
-                    want = reference(table, width, 5, normalize)
-                    assert [(h.tokens, h.logprob) for h in got] == want
-                    assert got == object_beam_search(MarkovStub(table), None, width, 5,
-                                                     length_normalize=normalize)
+                got = beam_search(MarkovStub(table), ONE, width, 5)
+                assert [(h.tokens, h.logprob) for h in got] == reference(table, width, 5)
+                assert got == object_beam_search(MarkovStub(table), ONE, width, 5)
 
     def test_zero_probability_is_clamped_in_float32(self):
         # 1e-300 rounds to 0 in float32; the clamp is the dtype's smallest
@@ -329,22 +329,18 @@ class TestBeam:
         table[:, 3] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beam = beam_search(MarkovStub(table, np.float32), None, beam_width=4, max_len=1)
+            beam = beam_search(MarkovStub(table, np.float32), ONE, beam_width=4, max_len=1)
         tiny = float(np.log(np.finfo(np.float32).smallest_subnormal))
         assert [h.tokens for h in beam] == [(3,), (0,), (1,), (2,)]
         assert [h.logprob for h in beam] == [0.0, tiny, tiny, tiny]
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
-            beam_search(MarkovStub(self.trap), None, beam_width=0, max_len=3)
+            beam_search(MarkovStub(self.trap), ONE, beam_width=0, max_len=3)
 
-    def test_length_normalization_flag(self):
-        # normalized scoring can prefer a longer sequence with better
-        # per-token probability
-        h_short = Hypothesis(tokens=(3, 2), logprob=math.log(0.2), states=None, finished=True)
-        h_long = Hypothesis(tokens=(4, 4, 2), logprob=math.log(0.15), states=None, finished=True)
-        assert h_short.score(False) > h_long.score(False)
-        assert h_long.score(True) > h_short.score(True)
+    def test_decodes_one_scene(self):
+        with pytest.raises(ValueError):
+            beam_search(MarkovStub(self.trap), Scenes(2), beam_width=2, max_len=3)
 
 
 class TestSample:
@@ -360,8 +356,8 @@ class TestSample:
         table = np.full((4, 4), 1e-12)
         table[BOS_ID, EOS_ID] = 1.0
         table[EOS_ID, EOS_ID] = 1.0
-        tokens, _ = sample_decode(MarkovStub(table), None, Rng(0), max_len=6)
-        assert tokens == [EOS_ID]
+        tokens, _ = sample_decode(MarkovStub(table), ONE, Rng(0), max_len=6)
+        assert tokens == [[EOS_ID]]
 
 
 class TestStrip:

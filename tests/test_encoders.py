@@ -13,7 +13,8 @@ F64 = np.float64
 
 
 def dense_relation_forward(r, mod, slope=0.01):
-    """Independent numpy-only forward of the relation module."""
+    """Independent numpy-only forward of the relation module on one scene's
+    regions (N, d_r)."""
     heads = []
     for i in range(mod.heads):
         q = r @ mod.w_q[i].data
@@ -77,49 +78,68 @@ class TestRelation:
             RelationModule(6, 4, 4, Rng(0))
 
     def test_single_region_attention_is_one(self):
+        # one region attends only itself: each head passes its value row
+        # through unmixed
         mod = RelationModule(8, 4, 2, Rng(5), dtype=F64)
         r = np.random.RandomState(0).randn(1, 8)
-        out, attn = mod(Tensor(r, dtype=F64), return_attention=True)
-        for a in attn:
-            assert np.allclose(a.data, [[1.0]], atol=1e-12)
-        assert np.allclose(out.data, dense_relation_forward(r, mod), atol=1e-12)
+        out = mod(Tensor(r[None], dtype=F64)).data[0]
+        mixed = np.concatenate([r @ w.data for w in mod.w_v], axis=-1) @ mod.w_out.data
+        h = np.maximum(mixed @ mod.fc1.W.data + mod.fc1.b.data, 0.0) @ mod.fc2.W.data
+        h = h + mod.fc2.b.data
+        assert np.allclose(out, np.where(h >= 0, h, 0.01 * h), atol=1e-12)
+        assert np.allclose(out, dense_relation_forward(r, mod), atol=1e-12)
 
     def test_matches_dense_oracle(self):
         np.random.seed(4)
         for trial in range(5):
             mod = RelationModule(8, 4, 4, Rng(100 + trial), dtype=F64)
-            r = np.random.randn(np.random.randint(2, 6), 8)
+            r = np.random.randn(3, np.random.randint(2, 6), 8)
             out = mod(Tensor(r, dtype=F64)).data
-            assert np.allclose(out, dense_relation_forward(r, mod), atol=1e-10)
+            for b in range(3):
+                assert np.allclose(out[b], dense_relation_forward(r[b], mod), atol=1e-10)
 
     def test_identical_rows_give_uniform_attention(self):
+        # equal rows score every key alike; mixing equal values by weights
+        # that sum to one gives each row the output of a single region
         mod = RelationModule(8, 4, 2, Rng(6), dtype=F64)
         row = np.random.RandomState(1).randn(1, 8)
         r = np.repeat(row, 4, axis=0)
-        _, attn = mod(Tensor(r, dtype=F64), return_attention=True)
-        for a in attn:
-            assert np.allclose(a.data, 0.25, atol=1e-12)
+        out = mod(Tensor(r[None], dtype=F64)).data[0]
+        assert np.allclose(out, dense_relation_forward(r, mod), atol=1e-12)
+        assert np.allclose(out, dense_relation_forward(row, mod), atol=1e-12)
 
     def test_attention_rows_are_stochastic(self):
+        # the oracle normalizes every attention row to sum to one
         mod = RelationModule(8, 4, 4, Rng(7))
-        r = np.random.RandomState(2).randn(5, 8).astype(np.float32)
-        _, attn = mod(Tensor(r), return_attention=True)
-        for a in attn:
-            assert np.all(a.data >= 0)
-            assert np.allclose(a.data.sum(axis=-1), 1.0, atol=1e-6)
+        r = np.random.RandomState(2).randn(2, 5, 8).astype(np.float32)
+        out = mod(Tensor(r)).data
+        for b in range(2):
+            assert np.allclose(out[b], dense_relation_forward(r[b].astype(F64), mod),
+                               atol=1e-5)
+
+    def test_padded_regions_do_not_reach_real_ones(self):
+        mod = RelationModule(8, 4, 2, Rng(10), dtype=F64)
+        rs = np.random.RandomState(7)
+        r = rs.randn(2, 5, 8)
+        mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
+        out = mod(Tensor(r, dtype=F64), mask=mask).data
+        r[0, 3:] = rs.randn(2, 8) * 100.0
+        again = mod(Tensor(r, dtype=F64), mask=mask).data
+        assert again[mask].tobytes() == out[mask].tobytes()
+        assert np.allclose(out[0, :3], dense_relation_forward(r[0, :3], mod), atol=1e-12)
 
     def test_permutation_equivariance(self):
         np.random.seed(5)
         mod = RelationModule(8, 4, 2, Rng(8), dtype=F64)
-        r = np.random.randn(5, 8)
+        r = np.random.randn(1, 5, 8)
         perm = np.array([4, 2, 0, 3, 1])
-        a = mod(Tensor(r[perm], dtype=F64)).data
-        b = mod(Tensor(r, dtype=F64)).data[perm]
+        a = mod(Tensor(r[:, perm], dtype=F64)).data
+        b = mod(Tensor(r, dtype=F64)).data[:, perm]
         assert np.allclose(a, b, atol=1e-12)
 
     def test_gradcheck(self):
         mod = RelationModule(4, 3, 2, Rng(9), dtype=F64)
-        r0 = np.random.RandomState(6).randn(3, 4)
+        r0 = np.random.RandomState(6).randn(1, 3, 4)
 
         def f(x):
             return (mod(x) * mod(x)).sum()

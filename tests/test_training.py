@@ -470,8 +470,8 @@ class TestSelfCritical:
         # sampled and the greedy caption score zero, advantage is exactly 0
         refs = [["qq", "ww", "ee", "rr"]]
         idf = IdfTable({0: refs, 1: [["zz", "xx", "cc", "vv"]]})
-        loss, info = self_critical_loss(model, enc, refs, idf,
-                                        corpus.vocab.tokens, Rng(9), max_len=8)
+        loss, (info,) = self_critical_loss(model, enc, [refs], idf,
+                                           corpus.vocab.tokens, Rng(9), max_len=8)
         assert info["advantage"] == 0.0
         assert loss.item() == 0.0
         loss.backward()
@@ -502,8 +502,8 @@ class TestSelfCritical:
         found = False
         rng = Rng(3)
         for _ in range(10):
-            loss, info = self_critical_loss(model, enc, refs, idf,
-                                            corpus.vocab.tokens, rng, max_len=8)
+            loss, (info,) = self_critical_loss(model, enc, [refs], idf,
+                                               corpus.vocab.tokens, rng, max_len=8)
             if info["advantage"] != 0.0:
                 loss.backward()
                 grads = [p.grad for p in model.named_parameters().values()

@@ -235,8 +235,9 @@ def test_forward_only_decoders_match_the_tensor_step(corpus, padded_batch,
 
 
 def test_cached_attention_keys_follow_rebound_weights(corpus):
-    # the keys are cached per encoding; rebinding a head weight, as an
-    # optimizer step or a checkpoint load does, must not leave them stale
+    # the keys are computed once per run, and the run is cached with the
+    # encoding; rebinding a head weight, as an optimizer step or a
+    # checkpoint load does, must not leave them stale
     model, _ = preset_model(corpus, "CNM#2")
     features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
     with no_grad():
@@ -261,10 +262,8 @@ def test_beam_matches_the_object_beam(corpus, scenes_by_region_count, preset):
     for scene in scenes_by_region_count:
         enc = model.encode(*synth.features(scene))
         for width in range(1, 6):
-            for normalize in (False, True):
-                got = beam_search(model, enc, width, 12, length_normalize=normalize)
-                want = object_beam_search(model, enc, width, 12, length_normalize=normalize)
-                assert got == want, (scene.scene_id, width, normalize)
+            got = beam_search(model, enc, width, 12)
+            assert got == object_beam_search(model, enc, width, 12), (scene.scene_id, width)
 
 
 def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):

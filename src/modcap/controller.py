@@ -1,7 +1,7 @@
-"""Module collocation: the parameters of the attention heads over module
-outputs and of the tiny recurrent controller that weighs the four
-modules each step, and the word-class labels that supervise those
-weights.  Their arithmetic runs inside ``decoder.UnitRun.step``."""
+"""Module collocation: the strategies by which a decoder unit weighs its
+four module vectors each step, and the word-class labels that supervise
+those weights.  The heads' and the controller's weights live in
+``decoder.DecoderUnit.weights``, their arithmetic in ``UnitRun.step``."""
 
 from __future__ import annotations
 
@@ -9,9 +9,6 @@ import logging
 from enum import Enum, IntEnum
 
 import numpy as np
-
-from .layers import Linear
-from .tensor import FLOAT32, Rng, Tensor, make_lstm_params, xavier_uniform
 
 logger = logging.getLogger(__name__)
 
@@ -48,25 +45,13 @@ def pos_to_module_label(tag: str) -> ModuleLabel:
 
 
 class Strategy(str, Enum):
-    """How the four module weights are produced each decoding step."""
+    """How the four module weights are produced each decoding step: SOFT
+    keeps the controller's softmax, HARD snaps a Gumbel-softmax sample to
+    a straight-through one-hot, UNIFORM pins every weight to 1."""
 
     SOFT = "soft"
     HARD = "hard"
     UNIFORM = "uniform"
-
-
-class AdditiveAttention:
-    """Weights of one attention head: score_n = w_a . tanh(W_v v_n + W_h h),
-    alpha = softmax(scores), and the head attends to the alpha-weighted
-    sum of rows.  ``decoder.UnitRun`` runs the heads of a unit stacked."""
-
-    def __init__(self, d_v: int, d_c: int, d_a: int, rng: Rng, dtype=FLOAT32):
-        self.W_v = xavier_uniform(rng, (d_a, d_v), d_v, d_a, dtype=dtype)
-        self.W_h = xavier_uniform(rng, (d_a, d_c), d_c, d_a, dtype=dtype)
-        self.w_a = xavier_uniform(rng, (d_a,), d_a, 1, dtype=dtype)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.Wv": self.W_v, f"{prefix}.Wh": self.W_h, f"{prefix}.wa": self.w_a}
 
 
 def one_hot_max(y: np.ndarray) -> np.ndarray:
@@ -76,25 +61,3 @@ def one_hot_max(y: np.ndarray) -> np.ndarray:
     idx = np.argmax(y.reshape(-1, hard.shape[-1]), axis=-1)
     flat[np.arange(flat.shape[0]), idx] = 1.0
     return hard
-
-
-class ModuleController:
-    """Weights of a one-layer LSTM over [v_O, v_A, v_R, c] followed by a
-    4-way softmax.
-
-    SOFT keeps the softmax as-is, HARD draws a Gumbel-softmax sample and
-    snaps it to a one-hot straight-through estimate, UNIFORM skips the
-    network entirely and pins every weight to 1; ``decoder.UnitRun.step``
-    runs all three.
-    """
-
-    def __init__(self, d_v: int, d_c: int, rng: Rng, tau: float = 1.0, dtype=FLOAT32):
-        self.lstm = make_lstm_params(rng, 3 * d_v + d_c, d_c, dtype=dtype)
-        self.proj = Linear(d_c, len(ModuleLabel), rng, dtype=dtype)
-        self.tau = tau
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.lstm.W": self.lstm.W, f"{prefix}.lstm.b": self.lstm.b}
-        out.update(self.proj.params(f"{prefix}.proj"))
-        return out
-

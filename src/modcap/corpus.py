@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -99,7 +99,12 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusSpec":
-        return cls(**d)
+        spec = cls(**d)
+        for f in fields(cls):      # every field a number, an int where the default is
+            value = getattr(spec, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, type(f.default))):
+                raise TypeError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
+        return spec
 
 
 class Vocabulary:
@@ -444,7 +449,7 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
 
 def _jsonl_records(path: str):
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -453,19 +458,19 @@ def _jsonl_records(path: str):
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
+                yield lineno, json.loads(line.decode("utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
 
 
 def _json_object(path: str) -> dict:
     """The JSON object stored in the file at ``path``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -508,6 +513,8 @@ def load_corpus(data_dir: str) -> Corpus:
             raise FormatError(f"{scenes_path}:{lineno}: malformed record: {exc}") from exc
         if scene.split not in SPLITS:
             raise FormatError(f"{scenes_path}:{lineno}: unknown split {scene.split!r}")
+        if not regions:
+            raise FormatError(f"{scenes_path}:{lineno}: a scene needs at least one region")
         for rel in scene.relations:
             if not (0 <= rel.subject < len(regions) and 0 <= rel.object < len(regions)):
                 raise FormatError(f"{scenes_path}:{lineno}: relation endpoint out of range")

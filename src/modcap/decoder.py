@@ -7,7 +7,9 @@ output queries one attention head per visual module, the controller
 weighs the four module vectors, and the second LSTM folds the fused
 feature back in.  The unit output is added onto i, so stacking M units
 is a residual chain and i keeps the embedding width throughout.  A
-single-module unit has one attention head and no controller.
+single-module unit has one attention head and no controller.  A unit
+lists its weights once, in one table (``DecoderUnit.weights``) that init
+draws, checkpoints name, runs read and the kernel differentiates.
 
 A unit's step is written once, ``UnitRun.step``, on plain arrays.  A
 ``UnitRun`` is one pass of a unit over one encoding: it holds what the
@@ -51,12 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import VISUAL_MODULES, ModelConfig
-from .controller import (
-    AdditiveAttention,
-    ModuleController,
-    Strategy,
-    one_hot_max,
-)
+from .controller import ModuleLabel, Strategy, one_hot_max
 from .encoders import ProjectionModule, RelationModule
 from .errors import TrainingError
 from .layers import Linear
@@ -79,9 +76,12 @@ from .tensor import (
     softmax_backward,
     softmax_forward,
     xavier_uniform,
+    zeros,
 )
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
+
+HEAD_WEIGHTS = ("Wv", "Wh", "wa")      # an attention head's table entries, in draw order
 
 
 @dataclass
@@ -151,32 +151,44 @@ class StepTraces(Sequence):
 class DecoderUnit:
     """One decoder unit over the visual modules in ``modules``.
 
-    With all three visual modules the unit also has the function module
-    and the controller that weighs the four module vectors; with one (the
-    single-module ablation) that module's attended vector is fed to the
-    second LSTM as is.
+    ``weights`` is the unit's one table of weights, in draw order, keyed
+    by the ends of their checkpoint names: LSTM1 (``lstm1.*``), an
+    attention head per module (``att.<module>.Wv``, ``Wh``, ``wa``), with
+    all three visual modules the function module (``func.fc.*``) and the
+    controller (``ctrl.*``, never run under the uniform strategy), and
+    LSTM2 (``lstm2.*``).  A single-module unit (the ablation) has no
+    function module or controller, and its ``strategy`` is None.
     """
 
     def __init__(self, cfg: ModelConfig, modules: tuple, rng: Rng, dtype=FLOAT32):
         d_v, d_c, d_a = cfg.d_v, cfg.d_c, cfg.d_a
         self.cfg = cfg
-        self.dtype = dtype
         self.modules = modules
-        self.lstm1 = make_lstm_params(rng, (len(self.modules) + 1) * d_v + d_c, d_c,
-                                      dtype=dtype)
-        self.att = {name: AdditiveAttention(d_v, d_c, d_a, rng, dtype=dtype)
-                    for name in self.modules}
-        self.func = self.ctrl = None
-        if self.modules == VISUAL_MODULES:
-            self.func = ProjectionModule(d_c, d_v, rng, slope=cfg.leaky_slope, dtype=dtype)
-            self.ctrl = ModuleController(d_v, d_c, rng, tau=cfg.gumbel_tau, dtype=dtype)
-        fused = len(self.modules) + (self.func is not None)
-        self.lstm2 = make_lstm_params(rng, d_c + fused * d_v, d_c, dtype=dtype)
-        self._head_params = [t for name in self.modules
-                             for t in (self.att[name].W_v, self.att[name].W_h,
-                                       self.att[name].w_a)]
+        self.strategy = Strategy(cfg.strategy) if modules == VISUAL_MODULES else None
+        w = self.weights = {}
+
+        def lstm(name, d_in):
+            p = make_lstm_params(rng, d_in, d_c, dtype=dtype)
+            w[f"{name}.W"], w[f"{name}.b"] = p.W, p.b
+
+        lstm("lstm1", (len(modules) + 1) * d_v + d_c)
+        for name in modules:
+            w[f"att.{name}.Wv"] = xavier_uniform(rng, (d_a, d_v), d_v, d_a, dtype=dtype)
+            w[f"att.{name}.Wh"] = xavier_uniform(rng, (d_a, d_c), d_c, d_a, dtype=dtype)
+            w[f"att.{name}.wa"] = xavier_uniform(rng, (d_a,), d_a, 1, dtype=dtype)
+        if self.strategy is not None:
+            n = len(ModuleLabel)
+            w["func.fc.W"] = xavier_uniform(rng, (d_c, d_v), d_c, d_v, dtype=dtype)
+            w["func.fc.b"] = zeros(d_v, dtype=dtype, requires_grad=True)
+            lstm("ctrl.lstm", len(modules) * d_v + d_c)
+            w["ctrl.proj.W"] = xavier_uniform(rng, (d_c, n), d_c, n, dtype=dtype)
+            w["ctrl.proj.b"] = zeros(n, dtype=dtype, requires_grad=True)
+        lstm("lstm2", d_c + (len(modules) + (self.strategy is not None)) * d_v)
         self._heads = None
-        self._params = tuple(self.params("").values())
+
+    def zero_state(self, batch: int, dtype) -> np.ndarray:
+        """Zero state rows (n, B, d_c): h1, c1, h2, c2 and a controller's h, c."""
+        return np.zeros((4 if self.strategy is None else 6, batch, self.cfg.d_c), dtype)
 
     def step(self, i_prev: np.ndarray, enc: Encoded, state: np.ndarray,
              noise: np.ndarray | None = None):
@@ -194,15 +206,16 @@ class DecoderUnit:
         return out, rows, chosen
 
     def arrays(self) -> list[np.ndarray]:
-        """The arrays of every weight of the unit, in ``params`` order."""
-        return [t.data for t in self._params]
+        """The arrays of every weight of the unit, in table order."""
+        return [t.data for t in self.weights.values()]
 
     def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The attention weights stacked over modules: C-contiguous W_v^T
         (K, d_v, d_a) and W_h^T (K, d_c, d_a), and w_a (K, d_a).  Rebuilt
         only after a weight's array is rebound (an optimizer step, a
         checkpoint load)."""
-        arrays = [t.data for t in self._head_params]
+        arrays = [self.weights[f"att.{name}.{part}"].data
+                  for name in self.modules for part in HEAD_WEIGHTS]
         cached = self._heads
         if cached is None or not all(map(operator.is_, arrays, cached[0])):
             stack_t = lambda ws: np.ascontiguousarray(np.stack([w.T for w in ws]))
@@ -211,15 +224,7 @@ class DecoderUnit:
         return cached[1]
 
     def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.lstm1.W": self.lstm1.W, f"{prefix}.lstm1.b": self.lstm1.b}
-        for name in self.modules:
-            out.update(self.att[name].params(f"{prefix}.att.{name}"))
-        if self.ctrl is not None:
-            out.update(self.func.params(f"{prefix}.func"))
-            out.update(self.ctrl.params(f"{prefix}.ctrl"))
-        out[f"{prefix}.lstm2.W"] = self.lstm2.W
-        out[f"{prefix}.lstm2.b"] = self.lstm2.b
-        return out
+        return {f"{prefix}.{name}": t for name, t in self.weights.items()}
 
 
 class UnitRun:
@@ -239,23 +244,23 @@ class UnitRun:
     def __init__(self, unit: DecoderUnit, enc: Encoded, record: bool = False):
         self.record = record
         self.arrays = unit.arrays()
-        self.strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
+        w = dict(zip(unit.weights, self.arrays))
+        self.strategy = unit.strategy
         self.controlled = self.strategy is not None and self.strategy is not Strategy.UNIFORM
         values, self.means_cat = enc.stacked
         self.means = {len(self.means_cat): self.means_cat}     # per row count
         Wv_T, Wh_T, wa = unit.heads()
-        self.lstm1 = LstmRun(unit.lstm1.W.data, unit.lstm1.b.data, record)
-        self.lstm2 = LstmRun(unit.lstm2.W.data, unit.lstm2.b.data, record)
+        self.lstm1 = LstmRun(w["lstm1.W"], w["lstm1.b"], record)
+        self.lstm2 = LstmRun(w["lstm2.W"], w["lstm2.b"], record)
         self.heads = AttentionRun(values, Wv_T, Wh_T, wa, enc.mask if enc.padded else None,
                                   record)
         if self.strategy is not None:
-            self.fc_W, self.fc_b = unit.func.fc.W.data, unit.func.fc.b.data
-            self.slope = unit.func.slope
+            self.fc_W, self.fc_b = w["func.fc.W"], w["func.fc.b"]
+            self.slope = unit.cfg.leaky_slope
         if self.controlled:
-            ctrl = unit.ctrl
-            self.lstm_c = LstmRun(ctrl.lstm.W.data, ctrl.lstm.b.data, record)
-            self.proj_W, self.proj_b = ctrl.proj.W.data, ctrl.proj.b.data
-            self.inv_tau = 1.0 / ctrl.tau
+            self.lstm_c = LstmRun(w["ctrl.lstm.W"], w["ctrl.lstm.b"], record)
+            self.proj_W, self.proj_b = w["ctrl.proj.W"], w["ctrl.proj.b"]
+            self.inv_tau = 1.0 / unit.cfg.gumbel_tau
         # per recorded step; step t's context is h2 of step t-1
         self.contexts, self.pre_f, self.blocks, self.hcs, self.ys = [], [], [], [], []
 
@@ -328,11 +333,12 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
     one step, (B, d_v); ``noise``, of shape ``i.shape[:-1] + (K + 1,)``,
     is the hard strategy's Gumbel noise, zero when None.  Returns (node,
     trace).  The node is the unit output, shaped like ``i``; the per-step
-    controller softmax is an output that hangs off it, and the backward
-    reads its gradient and returns every input and parameter gradient in
-    one closure.  The derivatives of the nonlinearities and each
-    parameter gradient are formed once over all T*B rows.  A one-step
-    call rounds exactly as the op-composed step in
+    controller softmax is an output that hangs off it.  The backward, one
+    closure, reads its gradient and the weight arrays the pass ran on, so
+    a weight rebound since leaves the graph intact, and hands out one
+    gradient per input and table entry; the derivatives of the
+    nonlinearities and each weight gradient are formed once over all T*B
+    rows.  A one-step call rounds exactly as the op-composed step in
     ``tests/reference.py``: the backward adds the gradients each tensor
     receives in the order the reference graph's sweep adds them.  Fusion
     weights under the hard and uniform strategies and the attention
@@ -349,30 +355,21 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
     n_steps, batch = xs.shape[:2]
     feats = [enc.feats[name] for name in unit.modules]
     means = [enc.means[name] for name in unit.modules]
-    params = [unit.lstm1.W, unit.lstm1.b, unit.lstm2.W, unit.lstm2.b]
-    for name in unit.modules:
-        params += [unit.att[name].W_v, unit.att[name].W_h, unit.att[name].w_a]
-    strategy = None if unit.ctrl is None else Strategy(unit.cfg.strategy)
-    controlled = strategy is not None and strategy is not Strategy.UNIFORM
-    if strategy is not None:
-        fc = unit.func.fc
-        params += [fc.W, fc.b]
-    if controlled:
-        ctrl = unit.ctrl
-        params += [ctrl.lstm.W, ctrl.lstm.b, ctrl.proj.W, ctrl.proj.b]
-    parents = (i, *feats, *means, *params)
+    weights = dict(unit.weights)
+    parents = (i, *feats, *means, *weights.values())
     run = UnitRun(unit, enc, record=True) if needs_grad(parents) else enc.run(unit)
+    strategy, controlled = run.strategy, run.controlled
     if noise is not None:
         noise = noise.reshape(n_steps, batch, -1)
-    state = np.zeros((4 if unit.ctrl is None else 6, batch, dc), xs.dtype)
-    outs, alphas, weights, soft = [], [], [], []
+    state = unit.zero_state(batch, xs.dtype)
+    outs, alphas, chosen, soft = [], [], [], []
     with np.errstate(over="ignore"):
         for t in range(n_steps):
             out, state, alpha, w, s = run.step(xs[t], state, None if noise is None else noise[t])
             outs.append(out)
             alphas.append(alpha)
             if w is not None:
-                weights.append(w)
+                chosen.append(w)
             if s is not None:
                 soft.append(s)
 
@@ -394,7 +391,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
         g_means = None
         if strategy is not None:
             pf = _steps(run.pre_f)
-            d_pre_f = np.where(pf >= 0, 1.0, unit.func.slope).astype(pf.dtype)
+            d_pre_f = np.where(pf >= 0, 1.0, run.slope).astype(pf.dtype)
             g_pre_f = np.empty_like(pf)
         if controlled:
             lstm_c = run.lstm_c
@@ -408,7 +405,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
                 g_att = g_vhat[None]
             else:
                 g_blocks = g_vhat.reshape(batch, k_heads + 1, dv)
-                g_att = g_blocks * weights[t][:, :, None]
+                g_att = g_blocks * chosen[t][:, :, None]
                 g_func = g_att[:, k_heads]
                 g_att = np.swapaxes(g_att[:, :k_heads], 0, 1)
             if controlled:
@@ -421,7 +418,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
                     if g_soft_t is not None:
                         g_logits = g_logits + softmax_backward(soft[t], g_soft_t)
                 g_logits_all[t] = g_logits
-                g_hc = _plus(g_hc, np.matmul(g_logits, ctrl.proj.W.data.T))
+                g_hc = _plus(g_hc, np.matmul(g_logits, run.proj_W.T))
                 g_xc, g_cc = lstm_c.backward(t, g_hc, g_cc)
                 g_hc = g_xc[:, k_heads * dv + dc:]
                 g_att = g_att + np.swapaxes(g_xc[:, :k_heads * dv].reshape(batch, k_heads, dv),
@@ -429,7 +426,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
                 g_ctx = g_ctx + g_xc[:, k_heads * dv:k_heads * dv + dc]
             if strategy is not None:
                 g_pre = np.multiply(g_func, d_pre_f[t], out=g_pre_f[t])
-                g_ctx = g_ctx + np.matmul(g_pre, fc.W.data.T)
+                g_ctx = g_ctx + np.matmul(g_pre, run.fc_W.T)
             g_q = heads.backward(t, None, g_att)
             for k in reversed(range(k_heads)):
                 g_h1 = g_h1 + g_q[k]
@@ -440,27 +437,27 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
             g_means = g_m if g_means is None else g_means + g_m
             g_h1 = g_xh1[:, dv + dc + k_heads * dv:]
 
-        for lstm, lstm_run in ((unit.lstm1, lstm1), (unit.lstm2, lstm2)):
-            g_W, g_b = lstm_run.param_grads()
-            give(lstm.W, g_W)
-            give(lstm.b, g_b)
+        # one gradient per table name; the uniform strategy's controller gets none
+        grads = {}
+        grads["lstm1.W"], grads["lstm1.b"] = lstm1.param_grads()
+        grads["lstm2.W"], grads["lstm2.b"] = lstm2.param_grads()
         if controlled:
-            g_W, g_b = lstm_c.param_grads()
-            give(ctrl.lstm.W, g_W)
-            give(ctrl.lstm.b, g_b)
-            give(ctrl.proj.b, rows(g_logits_all).sum(axis=0))
-            give(ctrl.proj.W, _t_matmul(np.concatenate(run.hcs), rows(g_logits_all)))
+            grads["ctrl.lstm.W"], grads["ctrl.lstm.b"] = lstm_c.param_grads()
+            grads["ctrl.proj.b"] = rows(g_logits_all).sum(axis=0)
+            grads["ctrl.proj.W"] = _t_matmul(np.concatenate(run.hcs), rows(g_logits_all))
         if strategy is not None:
-            give(fc.b, rows(g_pre_f).sum(axis=0))
-            give(fc.W, _t_matmul(np.concatenate(run.contexts), rows(g_pre_f)))
+            grads["func.fc.b"] = rows(g_pre_f).sum(axis=0)
+            grads["func.fc.W"] = _t_matmul(np.concatenate(run.contexts), rows(g_pre_f))
         g_direct, g_keys, g_Wv, g_Wh, g_wa = heads.grads()
+        for k, name in enumerate(unit.modules):
+            for part, g in zip(HEAD_WEIGHTS, (g_Wv, g_Wh, g_wa)):
+                grads[f"att.{name}.{part}"] = g[k]
+        for name, t in weights.items():
+            if name in grads:
+                give(t, grads[name])
         for k in reversed(range(k_heads)):
             give(feats[k], g_direct[k])
             give(feats[k], g_keys[k])
-            att_k = unit.att[unit.modules[k]]
-            give(att_k.W_v, g_Wv[k])
-            give(att_k.W_h, g_Wh[k])
-            give(att_k.w_a, g_wa[k])
         give(i, g_in.reshape(shape))
         for k, m in enumerate(means):
             give(m, g_means[:, k * dv:(k + 1) * dv])
@@ -486,7 +483,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
         trace.soft = Tensor._from_op(steps(soft), (node,), collect)
     if strategy is not None:
         trace.weights = (trace.soft if strategy is Strategy.SOFT
-                         else Tensor(steps(weights)))
+                         else Tensor(steps(chosen)))
     return node, trace
 
 
@@ -533,10 +530,8 @@ class CaptionModel:
         return Encoded(feats=feats, means=means, mask=mask)
 
     def init_rows(self, batch: int) -> list[np.ndarray]:
-        """Each unit's zero state as one plain array (n, B, d_c): h1, c1,
-        h2, c2, and with a controller its h and c."""
-        return [np.zeros((4 if unit.ctrl is None else 6, batch, self.cfg.d_c), self.dtype)
-                for unit in self.units]
+        """Each unit's zero state as one plain array (``zero_state``)."""
+        return [unit.zero_state(batch, self.dtype) for unit in self.units]
 
     def selection_noise(self, rng: Rng | None, n_steps: int, batch: int):
         """The hard strategy's Gumbel noise for a pass of ``n_steps`` over
@@ -544,7 +539,7 @@ class CaptionModel:
         order: per step, per unit, all rows.  None under the other
         strategies or without an rng; the units then select without
         noise."""
-        if rng is None or self.units[0].ctrl is None or self.cfg.strategy != Strategy.HARD:
+        if rng is None or self.units[0].strategy is not Strategy.HARD:
             return None
         return rng.gumbel_array((n_steps, len(self.units), batch,
                                  len(self.units[0].modules) + 1), dtype=self.dtype)

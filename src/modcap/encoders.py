@@ -1,16 +1,14 @@
-"""The four encoder modules.
+"""The three visual encoder modules.
 
-Three of them re-embed region features into a common d_v space, each from
-its own evidence: the object module and relation module read the
-object-oriented feature matrix, the attribute module reads the
-attribute-oriented one.  The fourth (function) module has no visual input
-at all; it maps the decoder's recurrent context into the same space so
-non-visual words have something to attend to.
+Each re-embeds region features into a common d_v space from its own
+evidence: the object and relation modules read the object-oriented
+feature matrix, the attribute module the attribute-oriented one.  (The
+fourth, function module has no visual input; each decoder unit holds it.)
 
-The object, attribute and function modules are one projection class;
-all accept a single matrix (N, d_in) or a batch (B, N, d_in) and return
-matching (N, d_v) / (B, N, d_v) outputs.  The relation module takes the
-batch form only, as ``CaptionModel.encode`` passes it.
+The object and attribute modules are one projection class; it accepts a
+single matrix (N, d_in) or a batch (B, N, d_in) and returns matching
+(N, d_v) / (B, N, d_v) outputs.  The relation module takes the batch
+form only, as ``CaptionModel.encode`` passes it.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .tensor import (
 
 class ProjectionModule:
     """LeakyReLU(x W + b), row by row: the object and attribute modules on
-    their region features, the function module on the decoder context."""
+    their region features."""
 
     def __init__(self, d_in: int, d_v: int, rng: Rng, slope: float = 0.01, dtype=FLOAT32):
         self.fc = Linear(d_in, d_v, rng, dtype=dtype)

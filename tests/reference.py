@@ -8,7 +8,11 @@ flat arena.  The equivalence tests hold ``modcap.tensor.Adam`` and
 
 The decoder unit: ``reference_step`` composes one step of a
 ``DecoderUnit`` from one autodiff node per op (LSTM1, one attention head
-per module, the controller, fusion, LSTM2) on a Tensor ``UnitState``.
+per module, the controller, fusion, LSTM2) on a Tensor ``UnitState``,
+reading the unit's weight table.  ``AdditiveAttention`` and
+``ModuleController`` hold the weights of one head or one controller:
+``draw`` draws a lone one as a unit draws its table entries, for the
+tests of those parts on their own, and ``of`` reads a unit's.
 The fused ops it is built from, ``lstm_cell``, ``additive_attention``
 and ``weighted_concat``, run the same array arithmetic as the unit
 kernel (``LstmRun``, ``AttentionRun``), behind one joint node per op.
@@ -44,16 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modcap.controller import (
-    AdditiveAttention,
-    ModuleController,
-    ModuleLabel,
-    Strategy,
-    one_hot_max,
-)
+from modcap.controller import ModuleLabel, Strategy, one_hot_max
 from modcap.decoder import (
     BOS_ID,
     EOS_ID,
+    HEAD_WEIGHTS,
     CaptionModel,
     DecoderUnit,
     Encoded,
@@ -64,6 +63,7 @@ from modcap.decoder import (
 )
 from modcap.errors import ShapeError, TrainingError
 from modcap.tensor import (
+    FLOAT32,
     AdamState,
     AttentionRun,
     LstmParams,
@@ -74,8 +74,12 @@ from modcap.tensor import (
     _as_tensor,
     concat,
     gather_rows,
+    leaky_relu,
+    make_lstm_params,
+    matmul,
     no_grad,
     softmax,
+    xavier_uniform,
     zeros,
 )
 
@@ -361,6 +365,27 @@ def additive_attention(values, query, W_v, W_h, w_a, mask=None):
     return _views(joint, (alpha.shape, attended.shape))
 
 
+@dataclass
+class AdditiveAttention:
+    """One attention head's weights on their own.  ``draw`` draws them as
+    a unit draws its ``att.<module>.*`` table entries, ``of`` reads a
+    unit's."""
+
+    W_v: Tensor     # (d_a, d_v)
+    W_h: Tensor     # (d_a, d_c)
+    w_a: Tensor     # (d_a,)
+
+    @classmethod
+    def draw(cls, d_v: int, d_c: int, d_a: int, rng: Rng, dtype=FLOAT32):
+        return cls(xavier_uniform(rng, (d_a, d_v), d_v, d_a, dtype=dtype),
+                   xavier_uniform(rng, (d_a, d_c), d_c, d_a, dtype=dtype),
+                   xavier_uniform(rng, (d_a,), d_a, 1, dtype=dtype))
+
+    @classmethod
+    def of(cls, unit: DecoderUnit, name: str):
+        return cls(*(unit.weights[f"att.{name}.{part}"] for part in HEAD_WEIGHTS))
+
+
 def attend(att: AdditiveAttention, values, query, mask=None):
     """One attention head on its own: (alpha, attended)."""
     return additive_attention(values, query, att.W_v, att.W_h, att.w_a, mask)
@@ -422,6 +447,32 @@ def straight_through(y_soft: Tensor) -> Tensor:
 
 
 @dataclass
+class ModuleController:
+    """The controller's weights on their own: an LSTM over [v_O, v_A, v_R,
+    c], the projection of its output to four logits, and the Gumbel
+    temperature.  ``draw`` draws them as a unit draws its ``ctrl.*``
+    table entries, ``of`` reads a unit's."""
+
+    lstm: LstmParams
+    proj_W: Tensor      # (d_c, 4)
+    proj_b: Tensor      # (4,)
+    tau: float = 1.0
+
+    @classmethod
+    def draw(cls, d_v: int, d_c: int, rng: Rng, tau: float = 1.0, dtype=FLOAT32):
+        n = len(ModuleLabel)
+        lstm = make_lstm_params(rng, 3 * d_v + d_c, d_c, dtype=dtype)
+        return cls(lstm, xavier_uniform(rng, (d_c, n), d_c, n, dtype=dtype),
+                   zeros(n, dtype=dtype, requires_grad=True), tau)
+
+    @classmethod
+    def of(cls, unit: DecoderUnit):
+        w = unit.weights
+        return cls(LstmParams(W=w["ctrl.lstm.W"], b=w["ctrl.lstm.b"]), w["ctrl.proj.W"],
+                   w["ctrl.proj.b"], unit.cfg.gumbel_tau)
+
+
+@dataclass
 class ControllerOutput:
     weights: Tensor        # what fuse() consumes (one-hot under HARD)
     soft: Tensor | None    # noise-free softmax of the logits, None under UNIFORM
@@ -445,7 +496,7 @@ def controller_step(ctrl: ModuleController, v_obj: Tensor, v_attr: Tensor, v_rel
         return ControllerOutput(weights=ones, soft=None, state=state)
     x = concat([v_obj, v_attr, v_rel, context], axis=-1)
     h, c = lstm_step(x, state.h, state.c, ctrl.lstm)
-    logits = ctrl.proj(h)
+    logits = matmul(h, ctrl.proj_W) + ctrl.proj_b
     soft = softmax(logits, axis=-1)
     if strategy is Strategy.SOFT:
         weights = soft
@@ -461,24 +512,28 @@ def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitS
     """``DecoderUnit.step`` composed of autodiff ops, one node per op, with
     the step's (B, K + 1) selection noise.  Returns (i_new, new state,
     trace)."""
+    w = unit.weights
     context = state.h2
     u = concat([i_prev, context] + [enc.means[name] for name in unit.modules], axis=-1)
-    h1, c1 = lstm_step(u, state.h1, state.c1, unit.lstm1)
+    h1, c1 = lstm_cell(u, state.h1, state.c1, w["lstm1.W"], w["lstm1.b"])
     alphas = {}
     attended = []
     for name in unit.modules:
-        alphas[name], v = attend(unit.att[name], enc.feats[name], h1, enc.mask)
+        alphas[name], v = attend(AdditiveAttention.of(unit, name), enc.feats[name], h1,
+                                 enc.mask)
         attended.append(v)
     weights = soft = ctrl_state = None
-    if unit.ctrl is None:
+    if unit.strategy is None:
         (v_hat,) = attended
     else:
-        v_func = unit.func(context)
-        out = controller_step(unit.ctrl, *attended, context, state.ctrl,
-                              Strategy(unit.cfg.strategy), noise=noise)
+        v_func = leaky_relu(matmul(context, w["func.fc.W"]) + w["func.fc.b"],
+                            unit.cfg.leaky_slope)
+        out = controller_step(ModuleController.of(unit), *attended, context, state.ctrl,
+                              unit.strategy, noise=noise)
         weights, soft, ctrl_state = out.weights, out.soft, out.state
         v_hat = fuse(weights, *attended, v_func)
-    h2, c2 = lstm_step(concat([h1, v_hat], axis=-1), state.h2, state.c2, unit.lstm2)
+    h2, c2 = lstm_cell(concat([h1, v_hat], axis=-1), state.h2, state.c2, w["lstm2.W"],
+                       w["lstm2.b"])
     i_new = i_prev + h2
     new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
     return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)
@@ -492,7 +547,7 @@ def reference_init_state(model: CaptionModel, batch: int) -> list[UnitState]:
     def z():
         return zeros((batch, model.cfg.d_c), dtype=model.dtype)
     return [UnitState(h1=z(), c1=z(), h2=z(), c2=z(),
-                      ctrl=None if unit.ctrl is None else ControllerState(h=z(), c=z()))
+                      ctrl=None if unit.strategy is None else ControllerState(h=z(), c=z()))
             for unit in model.units]
 
 

@@ -96,14 +96,38 @@ def _region_x(rec):
     return rec
 
 
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+
+def _spec_n_scenes_a_string(path):
+    meta = json.loads(path.read_text())
+    meta["spec"]["n_scenes"] = "x"
+    path.write_text(json.dumps(meta))
+
+
+def _empty_train_scene(path):
+    # a scene the training epochs read; without regions it has no relations
+    lines = path.read_text().splitlines()
+    at = next(n for n, line in enumerate(lines) if json.loads(line)["split"] == "train")
+    rec = json.loads(lines[at])
+    rec["regions"], rec["relations"] = [], []
+    lines[at] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("damage", [
     lambda d: _drop(d / "vocab.json"),
     lambda d: (d / "vocab.json").write_text("[1, 2]"),
     lambda d: (d / "meta.json").write_text("[1]"),
     lambda d: _replace_first_line(d / "scenes.jsonl", _region_x),
     lambda d: _replace_first_line(d / "captions.jsonl", lambda rec: [1]),
+    lambda d: _not_utf8(d / "scenes.jsonl"),
+    lambda d: _spec_n_scenes_a_string(d / "meta.json"),
+    lambda d: _empty_train_scene(d / "scenes.jsonl"),
 ], ids=["vocab_missing", "vocab_a_list", "meta_a_list", "region_x_a_string",
-        "caption_a_list"])
+        "caption_a_list", "scenes_not_utf8", "spec_n_scenes_a_string",
+        "train_scene_without_regions"])
 def test_damaged_corpus_exits_2(data_dir, tmp_path, capsys, damage):
     broken = tmp_path / "broken"
     broken.mkdir()

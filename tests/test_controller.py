@@ -1,8 +1,10 @@
 """Module controller: attention, weight strategies, fusion, word-class loss.
 
-The heads and the controller hold the model's parameters; their
-op-composed arithmetic is the reference decoder's (``tests/reference.py``),
-which the unit kernel agrees with bit for bit."""
+A model keeps the weights of its heads and controllers in each decoder
+unit's table (``DecoderUnit.weights``).  The lone heads and controllers
+tested here come from the test-local holders of ``tests/reference.py``,
+which draw them as a unit does, and run on the reference decoder's
+op-composed arithmetic, which the unit kernel agrees with bit for bit."""
 
 import logging
 import math
@@ -10,13 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from modcap.controller import (
-    AdditiveAttention,
-    ModuleController,
-    ModuleLabel,
-    Strategy,
-    pos_to_module_label,
-)
+from modcap.controller import ModuleLabel, Strategy, pos_to_module_label
 from modcap.errors import ShapeError
 from modcap.tensor import (
     Rng,
@@ -27,13 +23,21 @@ from modcap.tensor import (
     softmax,
 )
 from modcap.training import LOSS_EPS
-from reference import ControllerState, attend, controller_step, fuse, straight_through
+from reference import (
+    AdditiveAttention,
+    ControllerState,
+    ModuleController,
+    attend,
+    controller_step,
+    fuse,
+    straight_through,
+)
 
 F64 = np.float64
 
 
 def make_attention(seed, d_v=4, d_c=3, d_a=5, dtype=np.float32):
-    return AdditiveAttention(d_v, d_c, d_a, Rng(seed), dtype=dtype)
+    return AdditiveAttention.draw(d_v, d_c, d_a, Rng(seed), dtype=dtype)
 
 
 class TestAdditiveAttention:
@@ -134,7 +138,7 @@ def zero_state(batch, d_c, dtype=np.float32):
 
 class TestController:
     def test_soft_weights_interior_simplex(self):
-        ctrl = ModuleController(4, 3, Rng(0))
+        ctrl = ModuleController.draw(4, 3, Rng(0))
         state = zero_state(1, 3)
         for seed in range(20):
             vo, va, vr, c = controller_inputs(seed, batch=1)
@@ -144,7 +148,7 @@ class TestController:
             assert abs(w.sum() - 1.0) < 1e-6
 
     def test_hard_weights_one_hot(self):
-        ctrl = ModuleController(4, 3, Rng(1))
+        ctrl = ModuleController.draw(4, 3, Rng(1))
         state = zero_state(1, 3)
         rng = Rng(77)
         for seed in range(20):
@@ -155,14 +159,14 @@ class TestController:
             assert sorted(w.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
     def test_hard_without_noise_is_argmax(self):
-        ctrl = ModuleController(4, 3, Rng(2))
+        ctrl = ModuleController.draw(4, 3, Rng(2))
         state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
         out = controller_step(ctrl, vo, va, vr, c, state, Strategy.HARD, noise=None)
         assert np.argmax(out.weights.data[0]) == np.argmax(out.soft.data[0])
 
     def test_uniform_is_all_ones_and_skips_lstm(self):
-        ctrl = ModuleController(4, 3, Rng(3))
+        ctrl = ModuleController.draw(4, 3, Rng(3))
         state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
         out = controller_step(ctrl, vo, va, vr, c, state, Strategy.UNIFORM)
@@ -171,7 +175,7 @@ class TestController:
         assert out.soft is None
 
     def test_unknown_strategy_rejected(self):
-        ctrl = ModuleController(4, 3, Rng(4))
+        ctrl = ModuleController.draw(4, 3, Rng(4))
         state = zero_state(1, 3)
         vo, va, vr, c = controller_inputs(0, batch=1)
         with pytest.raises(ValueError):
@@ -218,10 +222,10 @@ class TestController:
         assert np.any(logits.grad != 0)
 
     def test_controller_gradcheck(self):
-        ctrl = ModuleController(3, 2, Rng(5), dtype=F64)
+        ctrl = ModuleController.draw(3, 2, Rng(5), dtype=F64)
         rs = np.random.RandomState(9)
         vo0, va0, vr0, c0 = (rs.randn(3), rs.randn(3), rs.randn(3), rs.randn(2))
-        proj_w = np.ascontiguousarray(ctrl.proj.W.data)
+        proj_w = np.ascontiguousarray(ctrl.proj_W.data)
 
         def f(vo):
             state = zero_state(1, 2, dtype=F64)

@@ -87,8 +87,8 @@ class TestStackStructure:
         model = CaptionModel(cfg, Rng(0))
         unit = model.units[0]
         # first LSTM consumes [i, context, three means]; second [h1, fused]
-        assert unit.lstm1.W.shape == (4 * cfg.d_v + 2 * cfg.d_c, 4 * cfg.d_c)
-        assert unit.lstm2.W.shape == (cfg.d_c + 4 * cfg.d_v + cfg.d_c, 4 * cfg.d_c)
+        assert unit.weights["lstm1.W"].shape == (4 * cfg.d_v + 2 * cfg.d_c, 4 * cfg.d_c)
+        assert unit.weights["lstm2.W"].shape == (cfg.d_c + 4 * cfg.d_v + cfg.d_c, 4 * cfg.d_c)
 
     def test_distribution_output(self):
         cfg = tiny_cfg(m_units=3)

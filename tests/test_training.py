@@ -445,7 +445,7 @@ class TestParamArena:
                        for name in params)
         # the stacked attention weights follow the rebound arrays
         unit = model.units[0]
-        w_v = [unit.att[name].W_v.data.T for name in unit.modules]
+        w_v = [unit.weights[f"att.{name}.Wv"].data.T for name in unit.modules]
         np.testing.assert_array_equal(unit.heads()[0], np.stack(w_v))
 
     def test_parameters_and_moments_share_flat_buffers(self, corpus, synth, monkeypatch):

@@ -22,7 +22,8 @@ must return exactly the hypotheses of the beam that keeps one
 decoders step on each unit's forward-only ``UnitRun``, kept with the
 encoding: it must follow rebound weights, and a decode that nothing
 observes makes no ``UnitTrace``.  A pass without gradients records
-nothing for a backward.
+nothing for a backward, and the backward of a recorded pass reads the
+weight arrays the pass ran on, not those bound when it runs.
 """
 
 import dataclasses
@@ -244,8 +245,9 @@ def test_cached_attention_keys_follow_rebound_weights(corpus):
         enc = model.encode(*features)
         before = greedy_decode(model, enc, 12)
         for unit in model.units:
-            for att in unit.att.values():
-                att.W_v.data = -att.W_v.data
+            for name in unit.modules:
+                W_v = unit.weights[f"att.{name}.Wv"]
+                W_v.data = -W_v.data
         after = greedy_decode(model, enc, 12)
         assert after == greedy_decode(model, model.encode(*features), 12)
     assert after != before
@@ -289,6 +291,35 @@ def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):
     with no_grad():
         assert after == decode(model.encode(*features))
     assert after != before
+
+
+@pytest.mark.parametrize("preset", ["CNM#2", "Col/H+L"])
+def test_backward_reads_the_weights_its_forward_ran_on(corpus, padded_batch, preset):
+    # rebinding the weights between a pass and its backward, as an
+    # optimizer step or a checkpoint load does, leaves the recorded graph
+    # intact: the backward differentiates the weights the pass ran on
+    model_cfg, _ = apply_preset(
+        preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_c=16, d_a=8, m_units=2),
+        TrainConfig())
+    model = CaptionModel(model_cfg, Rng(3).derive(1), dtype=np.float64)
+    params = model.named_parameters()
+    arrays = {name: p.data for name, p in params.items()}
+
+    def gradients(rebind):
+        for p in params.values():
+            p.grad = None
+        loss = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(7)).loss
+        if rebind:
+            for p in params.values():
+                p.data = p.data * 2.0 + 0.5
+        loss.backward()
+        for name, p in params.items():
+            p.data = arrays[name]
+        return {name: p.grad.tobytes() for name, p in params.items() if p.grad is not None}
+
+    clean, rebound = gradients(rebind=False), gradients(rebind=True)
+    assert list(rebound) == list(clean)
+    assert [name for name in clean if rebound[name] != clean[name]] == []
 
 
 def test_unobserved_decoders_make_no_unit_trace(corpus, padded_batch, monkeypatch):
@@ -365,7 +396,7 @@ def test_one_node_per_unit_step(corpus, preset):
     created = next(Tensor._ids) - start - 1
     # the node reads the inputs and parameters themselves ...
     assert any(p is i_prev for p in i_new._parents)
-    assert any(p is unit.lstm2.W for p in i_new._parents)
+    assert any(p is unit.weights["lstm2.W"] for p in i_new._parents)
     # ... and the controller softmax hangs off it
     outputs = [] if trace.soft is None else [trace.soft]
     assert all(out._parents == (i_new,) for out in outputs)

@@ -546,5 +546,9 @@ def load_corpus(data_dir: str) -> Corpus:
     for e in examples:
         if e.scene_id not in scene_ids:
             raise DataError(f"caption refers to unknown scene {e.scene_id}")
+    # every scene needs a caption: training feeds a scene its first one
+    uncaptioned = scene_ids - {e.scene_id for e in examples}
+    if uncaptioned:
+        raise DataError(f"scene {min(uncaptioned)} has no captions")
 
     return Corpus(spec=spec, vocab=vocab, scenes=scenes, examples=examples)

@@ -165,6 +165,7 @@ class DecoderUnit:
         self.cfg = cfg
         self.modules = modules
         self.strategy = Strategy(cfg.strategy) if modules == VISUAL_MODULES else None
+        self.controlled = self.strategy not in (None, Strategy.UNIFORM)
         w = self.weights = {}
 
         def lstm(name, d_in):
@@ -187,8 +188,9 @@ class DecoderUnit:
         self._heads = None
 
     def zero_state(self, batch: int, dtype) -> np.ndarray:
-        """Zero state rows (n, B, d_c): h1, c1, h2, c2 and a controller's h, c."""
-        return np.zeros((4 if self.strategy is None else 6, batch, self.cfg.d_c), dtype)
+        """Zero state rows (n, B, d_c): h1, c1, h2, c2 and, when the
+        controller runs (``controlled``), its h and c."""
+        return np.zeros((6 if self.controlled else 4, batch, self.cfg.d_c), dtype)
 
     def step(self, i_prev: np.ndarray, enc: Encoded, state: np.ndarray,
              noise: np.ndarray | None = None):
@@ -245,8 +247,7 @@ class UnitRun:
         self.record = record
         self.arrays = unit.arrays()
         w = dict(zip(unit.weights, self.arrays))
-        self.strategy = unit.strategy
-        self.controlled = self.strategy is not None and self.strategy is not Strategy.UNIFORM
+        self.strategy, self.controlled = unit.strategy, unit.controlled
         values, self.means_cat = enc.stacked
         self.means = {len(self.means_cat): self.means_cat}     # per row count
         Wv_T, Wh_T, wa = unit.heads()
@@ -266,8 +267,8 @@ class UnitRun:
 
     def step(self, x: np.ndarray, state, noise: np.ndarray | None = None):
         """One step on the input rows x (B, d_v) and the state rows h1, c1,
-        h2, c2 and with a controller its h and c, each (B, d_c), with the
-        step's (B, K + 1) hard-selection noise, zero when None.
+        h2, c2 and, when the controller runs, its h and c, each (B, d_c),
+        with the step's (B, K + 1) hard-selection noise, zero when None.
 
         LSTM1 runs, then the K attention heads; with a controller the
         function module, the controller (soft; hard with the noise and a

@@ -110,7 +110,8 @@ class IdfTable:
     """Document frequencies over the reference corpus.
 
     A "document" is one image: an n-gram counts once per image no matter
-    how many of that image's references contain it.  idf of an n-gram
+    how many of that image's references contain it.  The idf,
+    log(n_images / df), is computed once per n-gram of ``df``; an n-gram
     never seen in the references falls back to log(n_images), the same
     value as a frequency of one.  The table also keeps the tf-idf vectors
     of the references it has scored against, because self-critical
@@ -130,10 +131,12 @@ class IdfTable:
                 for order in range(1, max_n + 1):
                     seen.update(ngram_counts(ref, order))
             self.df.update(seen)
+        self._idf = {g: math.log(self.n_images / d) for g, d in self.df.items()}
+        self._unseen = math.log(self.n_images)
         self._ref_vectors: dict = {}
 
     def idf(self, gram) -> float:
-        return math.log(self.n_images / max(1, self.df.get(gram, 0)))
+        return self._idf.get(gram, self._unseen)
 
     def reference_vectors(self, ref, max_n: int) -> list:
         """(vector, norm) of ``ref`` for orders 1..max_n, built once."""
@@ -174,8 +177,9 @@ def cider_d(candidate, references, idf: IdfTable,
                 zip(cand, idf.reference_vectors(ref, max_n))):
             if cand_norm == 0.0 or ref_norm == 0.0:
                 continue
-            dot = sum(min(w, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
-                      for g, w in cand_vec.items())
+            # an n-gram the reference lacks adds an exact zero: skip it
+            dot = sum(min(w, r) * r for g, w in cand_vec.items()
+                      if (r := ref_vec.get(g)) is not None)
             per_order_sum[k] += penalty * dot / (cand_norm * ref_norm)
     mean_over_orders = sum(per_order_sum) / max_n
     return 10.0 * mean_over_orders / len(references)

@@ -6,8 +6,8 @@ token plus the module-supervision term.  Refinement epochs then run
 self-critical policy gradient: sample a caption, score it against the
 greedy caption with the consensus metric, and weight the sampled
 log-probabilities by the advantage.  Both captions are decoded without
-gradients; a teacher-forced replay of the sampled one gives the
-log-probabilities.
+gradients, in one pass; a teacher-forced replay of the sampled one gives
+the log-probabilities.
 
 Cross-entropy batches group examples whose scenes have the same region
 count; caption positions are padded and masked.  A teacher-forced pass
@@ -16,8 +16,9 @@ token at once, runs each decoder unit over the whole caption in one
 kernel call, and scores all T*B positions with one word head, softmax
 and NLL.  A refinement window takes its scenes as they come: their
 region features are zero-padded to the largest count and carry a region
-mask, so the whole window runs as one batched sample pass, one greedy
-pass and one forced pass, which also carries the gold captions of the
+mask, so the whole window runs as one decode pass over its scenes listed
+twice, sampling on the first copy and taking the argmax on the second,
+and one forced pass, which also carries the gold captions of the
 word-class term.  All shuffling, sampling, and hard-selection noise
 comes from one stream derived from the training seed, which is what
 makes resuming from a checkpoint reproduce the uninterrupted run.  Each epoch record keeps the
@@ -47,9 +48,12 @@ from .decoder import (
     PAD_ID,
     CaptionModel,
     Encoded,
+    argmax_policy,
     beam_search,
     greedy_decode,
+    run_decoder,
     sample_decode,
+    sample_policy,
     strip_sequence,
 )
 from .errors import ConfigError, DataError, FormatError, TrainingError
@@ -257,33 +261,51 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
                        lam: float = 0.0):
     """Policy-gradient surrogate summed over the scenes of ``enc``.
 
-    Samples a caption per scene and decodes the greedy one, both without
-    gradients, scores them against that scene's references with CIDEr-D,
-    and returns the sum over scenes of -advantage * (summed
+    One decode pass without gradients runs the B scenes twice, on the
+    encoding listed twice: rows ``:B`` sample a caption per scene, drawing
+    the selection noise of all ``max_len`` steps first (as
+    ``sample_decode`` does), and rows ``B:`` take the greedy caption, with
+    zero noise.  Each caption is scored once against its scene's
+    references with CIDEr-D, and a baseline equal to its sample reuses the
+    sample's reward.  Returns the sum over scenes of -advantage * (summed
     log-probability of the sampled caption), together with one {reward,
     baseline, advantage} dict per scene.  One teacher-forced pass
     (``CaptionModel.forced``) replays the sampled tokens under the
-    selection noise the sample pass drew.  With ``lam > 0`` the pass also
+    selection noise the sample rows drew.  With ``lam > 0`` the pass also
     runs ``gold``, the batch of the scenes' gold captions, as B more rows
-    on the encoding listed twice, under noise drawn after the sample
-    pass, and the surrogate adds lam times their word-class term: each
-    scene's own mean word-class NLL, as a batch-1 pass would give it.
+    on the encoding listed twice, under noise drawn after the decode, and
+    the surrogate adds lam times their word-class term: each scene's own
+    mean word-class NLL, as a batch-1 pass would give it.
 
     ``references`` holds one reference set per scene, a single scene
     included.  A scene with zero advantage backpropagates exactly zero
     through its sampled caption.
     """
+    scenes, supervise = enc.batch, lam > 0.0
+    twice = Encoded(feats={k: concat([v, v]) for k, v in enc.feats.items()},
+                    means={k: concat([v, v]) for k, v in enc.means.items()},
+                    mask=np.concatenate([enc.mask, enc.mask]))
+    noise = model.selection_noise(rng, max_len, scenes)
+    sample = sample_policy(rng)
+
+    def choose(t, p, live):
+        return np.concatenate([sample(t, p[:scenes], live[:scenes]),
+                               argmax_policy(t, p[scenes:], live[scenes:])])
+
+    # the greedy rows select with zero noise
+    both = None if noise is None else np.pad(noise, [(0, 0), (0, 0), (0, scenes), (0, 0)])
     with no_grad():
-        sampled, noise = sample_decode(model, enc, rng, max_len)
-        baseline = greedy_decode(model, enc, max_len)
+        rows = run_decoder(model, twice, max_len, choose, noise=both)
+    sampled, baseline = rows[:scenes], rows[scenes:]
     infos = []
     for tokens, base, refs in zip(sampled, baseline, references):
-        reward = cider_d([vocab_tokens[t] for t in strip_sequence(tokens)], refs, idf)
-        base_reward = cider_d([vocab_tokens[t] for t in strip_sequence(base)], refs, idf)
+        tokens, base = strip_sequence(tokens), strip_sequence(base)
+        reward = cider_d([vocab_tokens[t] for t in tokens], refs, idf)
+        base_reward = (reward if base == tokens
+                       else cider_d([vocab_tokens[t] for t in base], refs, idf))
         infos.append({"reward": reward, "baseline": base_reward,
                       "advantage": reward - base_reward})
 
-    scenes, supervise = len(sampled), lam > 0.0
     gold_steps = gold.inputs.shape[1] if supervise else 0
     n_steps = max(gold_steps, *map(len, sampled))
     # a sampled row is fed [<bos>] + tokens[:-1] and scores its tokens,
@@ -296,16 +318,14 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
         inputs[b, :len(tokens)] = [BOS_ID] + tokens[:-1]
         targets[b, :len(tokens)] = tokens
         weights[b, :len(tokens)] = info["advantage"]
-    if noise is not None:       # zero past the sample pass's max_len steps
+    if noise is not None:       # zero past the decode's max_len steps
         noise = np.pad(noise[:n_steps], [(0, max(0, n_steps - len(noise)))] + [(0, 0)] * 3)
     if supervise:
         inputs[scenes:, :gold_steps] = gold.inputs
         labels[scenes:, :gold_steps] = gold.labels
         ling_weights[scenes:, :gold_steps] = gold.mask / (
             gold.mask.sum(axis=1, keepdims=True) * len(model.units))
-        enc = Encoded(feats={k: concat([v, v]) for k, v in enc.feats.items()},
-                      means={k: concat([v, v]) for k, v in enc.means.items()},
-                      mask=np.concatenate([enc.mask, enc.mask]))
+        enc = twice
         if noise is not None:
             noise = np.concatenate([noise, model.selection_noise(rng, n_steps, scenes)], axis=2)
 
@@ -378,11 +398,14 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                  idf: IdfTable, max_steps: int | None = None) -> dict:
     params = model.named_parameters()
     scenes = corpus.scenes_in("train")
-    refs = corpus.references("train")
-    scenes_by_id = {s.scene_id: s for s in corpus.scenes}
-    gold_example = {}
-    for e in corpus.examples_in("train"):
-        gold_example.setdefault(e.scene_id, e)
+    scenes_by_id = {s.scene_id: s for s in scenes}
+    # each train scene's examples in corpus order: its gold caption, then
+    # the rest of its references
+    examples = {sid: [] for sid in scenes_by_id}
+    for e in corpus.examples:
+        group = examples.get(e.scene_id)
+        if group is not None:
+            group.append(e)
     lr = cfg.lr_at(epoch) * cfg.rl_lr_scale
     lam = cfg.lambda_rl if (cfg.linguistic and model.cfg.single_module is None) else 0.0
     vocab_tokens = corpus.vocab.tokens
@@ -398,11 +421,12 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     skipped = 0
     norms = []
     for lo in range(0, len(order), cfg.batch_size):
-        window = [gold_example[scenes[i].scene_id] for i in order[lo:lo + cfg.batch_size]]
-        batch = _pack(window, scenes_by_id, synth)
+        window = [examples[scenes[i].scene_id] for i in order[lo:lo + cfg.batch_size]]
+        batch = _pack([group[0] for group in window], scenes_by_id, synth)
         enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-        loss, infos = self_critical_loss(model, enc, [refs[sid] for sid in batch.scene_ids],
-                                         idf, vocab_tokens, rng, cfg.max_len, batch, lam)
+        refs = [[e.words for e in group] for group in window]
+        loss, infos = self_critical_loss(model, enc, refs, idf, vocab_tokens, rng, cfg.max_len,
+                                         batch, lam)
         reward_sum += sum(info["reward"] for info in infos)
         adv_sum += sum(info["advantage"] for info in infos)
         steps += batch.size

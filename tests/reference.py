@@ -40,6 +40,17 @@ sorted by a key function, on any model's ``step``.
 The random draws: ``gumbel`` and ``multinomial`` take one value at a time
 from the scalar stream, ``Rng.u64`` and ``Rng.uniform``.  The stream
 tests hold ``Rng.gumbel_array`` and ``decoder.sample_policy`` to them.
+
+Self-critical scoring: ``reference_idf`` and ``reference_cider_d`` are
+CIDEr-D as it was before the idf table precomputed its idf and the dot
+product skipped the n-grams a reference lacks: the idf looked up per
+n-gram, and every candidate n-gram added to the dot product.
+``two_pass_self_critical_loss`` is the self-critical surrogate as it was
+before the sample and its greedy baseline shared one decode pass:
+``decoder.sample_decode`` over the B scenes, then
+``decoder.greedy_decode``, each caption scored with ``reference_cider_d``.
+``training.self_critical_loss`` and ``metrics.cider_d`` agree with them
+bit for bit, and draw the same random numbers.
 """
 
 import dataclasses
@@ -53,15 +64,21 @@ from modcap.decoder import (
     BOS_ID,
     EOS_ID,
     HEAD_WEIGHTS,
+    PAD_ID,
     CaptionModel,
     DecoderUnit,
     Encoded,
     Hypothesis,
     UnitTrace,
     argmax_policy,
+    greedy_decode,
     run_decoder,
+    sample_decode,
+    strip_sequence,
 )
 from modcap.errors import ShapeError, TrainingError
+from modcap.metrics import CIDER_SIGMA, DEFAULT_MAX_N, IdfTable, ngram_counts
+from modcap.training import LOSS_EPS, _step_major, _word_class_nll
 from modcap.tensor import (
     FLOAT32,
     AdamState,
@@ -76,6 +93,7 @@ from modcap.tensor import (
     gather_rows,
     leaky_relu,
     make_lstm_params,
+    masked_nll,
     matmul,
     no_grad,
     softmax,
@@ -547,7 +565,7 @@ def reference_init_state(model: CaptionModel, batch: int) -> list[UnitState]:
     def z():
         return zeros((batch, model.cfg.d_c), dtype=model.dtype)
     return [UnitState(h1=z(), c1=z(), h2=z(), c2=z(),
-                      ctrl=None if unit.strategy is None else ControllerState(h=z(), c=z()))
+                      ctrl=ControllerState(h=z(), c=z()) if unit.controlled else None)
             for unit in model.units]
 
 
@@ -703,3 +721,86 @@ def object_beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypoth
         beams = candidates[:beam_width]
     beams.sort(key=rank)
     return beams
+
+
+# -- self-critical scoring ------------------------------------------------------
+
+
+def reference_idf(table: IdfTable, gram) -> float:
+    """log(n_images / df) of ``gram``, looked up when asked; an unseen
+    n-gram counts as a frequency of one."""
+    return math.log(table.n_images / max(1, table.df.get(gram, 0)))
+
+
+def _reference_tfidf(tokens, order: int, table: IdfTable):
+    vec = {g: c * reference_idf(table, g) for g, c in ngram_counts(tokens, order).items()}
+    return vec, math.sqrt(sum(w * w for w in vec.values()))
+
+
+def reference_cider_d(candidate, references, table: IdfTable,
+                      sigma: float = CIDER_SIGMA, max_n: int = DEFAULT_MAX_N) -> float:
+    """``metrics.cider_d`` summing the dot product over every candidate
+    n-gram, with each vector built afresh."""
+    if not references:
+        raise ValueError("cider_d needs at least one reference")
+    per_order_sum = [0.0] * max_n
+    cand = [_reference_tfidf(candidate, order, table) for order in range(1, max_n + 1)]
+    for ref in references:
+        penalty = math.exp(-((len(candidate) - len(ref)) ** 2) / (2.0 * sigma * sigma))
+        refs = [_reference_tfidf(ref, order, table) for order in range(1, max_n + 1)]
+        for k, ((cand_vec, cand_norm), (ref_vec, ref_norm)) in enumerate(zip(cand, refs)):
+            if cand_norm == 0.0 or ref_norm == 0.0:
+                continue
+            dot = sum(min(w, ref_vec.get(g, 0.0)) * ref_vec.get(g, 0.0)
+                      for g, w in cand_vec.items())
+            per_order_sum[k] += penalty * dot / (cand_norm * ref_norm)
+    mean_over_orders = sum(per_order_sum) / max_n
+    return 10.0 * mean_over_orders / len(references)
+
+
+def two_pass_self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
+                                vocab_tokens, rng: Rng, max_len: int, gold=None,
+                                lam: float = 0.0):
+    """``training.self_critical_loss`` with a sample pass and a separate
+    greedy pass, every caption scored, by ``reference_cider_d``."""
+    with no_grad():
+        sampled, noise = sample_decode(model, enc, rng, max_len)
+        baseline = greedy_decode(model, enc, max_len)
+    infos = []
+    for tokens, base, refs in zip(sampled, baseline, references):
+        reward = reference_cider_d([vocab_tokens[t] for t in strip_sequence(tokens)], refs,
+                                   idf)
+        base_reward = reference_cider_d([vocab_tokens[t] for t in strip_sequence(base)],
+                                        refs, idf)
+        infos.append({"reward": reward, "baseline": base_reward,
+                      "advantage": reward - base_reward})
+
+    scenes, supervise = len(sampled), lam > 0.0
+    gold_steps = gold.inputs.shape[1] if supervise else 0
+    n_steps = max(gold_steps, *map(len, sampled))
+    shape = ((2 if supervise else 1) * scenes, n_steps)
+    inputs = np.full(shape, PAD_ID, dtype=np.int64)
+    targets, labels = inputs.copy(), inputs.copy()
+    weights, ling_weights = np.zeros(shape), np.zeros(shape)
+    for b, (tokens, info) in enumerate(zip(sampled, infos)):
+        inputs[b, :len(tokens)] = [BOS_ID] + tokens[:-1]
+        targets[b, :len(tokens)] = tokens
+        weights[b, :len(tokens)] = info["advantage"]
+    if noise is not None:
+        noise = np.pad(noise[:n_steps], [(0, max(0, n_steps - len(noise)))] + [(0, 0)] * 3)
+    if supervise:
+        inputs[scenes:, :gold_steps] = gold.inputs
+        labels[scenes:, :gold_steps] = gold.labels
+        ling_weights[scenes:, :gold_steps] = gold.mask / (
+            gold.mask.sum(axis=1, keepdims=True) * len(model.units))
+        enc = Encoded(feats={k: concat([v, v]) for k, v in enc.feats.items()},
+                      means={k: concat([v, v]) for k, v in enc.means.items()},
+                      mask=np.concatenate([enc.mask, enc.mask]))
+        if noise is not None:
+            noise = np.concatenate([noise, model.selection_noise(rng, n_steps, scenes)], axis=2)
+
+    dist, traces = model.forced(inputs, enc, noise)
+    loss = masked_nll(dist, _step_major(targets), _step_major(weights), LOSS_EPS)
+    if supervise:
+        loss = loss + lam * _word_class_nll(traces, labels, ling_weights)
+    return loss, infos

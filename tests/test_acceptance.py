@@ -22,7 +22,6 @@ from modcap.cli import main as cli_main
 from modcap.config import ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus, save_corpus
 from modcap.decoder import BOS_ID, EOS_ID, CaptionModel, beam_search, greedy_decode
-from modcap.gradcheck import run_battery
 from modcap.metrics import IdfTable, bleu_n, cider_d
 from modcap.tensor import Rng
 from modcap.trace import trace_example
@@ -91,10 +90,10 @@ def gate_run(default_corpus):
 # -- criterion 1: every gradient agrees with finite differences -----------------
 
 
-def test_criterion_1_gradient_battery():
-    started = time.perf_counter()
-    results = run_battery(tol=GRAD_TOL)
-    elapsed = time.perf_counter() - started
+def test_criterion_1_gradient_battery(gradient_battery):
+    # the session's one timed run of the battery, which test_gradcheck.py reads too
+    battery = gradient_battery(GRAD_TOL)
+    results, elapsed = battery.results, battery.seconds
 
     failures = [r for r in results if not r.ok]
     assert failures == [], [f"{r.section}/{r.name}: {r.error:.2e}" for r in failures]

@@ -116,6 +116,15 @@ def _empty_train_scene(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _uncaptioned_train_scene(path):
+    # the self-critical epochs feed a scene its first caption
+    scenes = [json.loads(line) for line in (path / "scenes.jsonl").read_text().splitlines()]
+    sid = next(rec["id"] for rec in scenes if rec["split"] == "train")
+    captions = path / "captions.jsonl"
+    captions.write_text("".join(line + "\n" for line in captions.read_text().splitlines()
+                                if json.loads(line)["scene"] != sid))
+
+
 @pytest.mark.parametrize("damage", [
     lambda d: _drop(d / "vocab.json"),
     lambda d: (d / "vocab.json").write_text("[1, 2]"),
@@ -125,9 +134,10 @@ def _empty_train_scene(path):
     lambda d: _not_utf8(d / "scenes.jsonl"),
     lambda d: _spec_n_scenes_a_string(d / "meta.json"),
     lambda d: _empty_train_scene(d / "scenes.jsonl"),
+    _uncaptioned_train_scene,
 ], ids=["vocab_missing", "vocab_a_list", "meta_a_list", "region_x_a_string",
         "caption_a_list", "scenes_not_utf8", "spec_n_scenes_a_string",
-        "train_scene_without_regions"])
+        "train_scene_without_regions", "train_scene_without_captions"])
 def test_damaged_corpus_exits_2(data_dir, tmp_path, capsys, damage):
     broken = tmp_path / "broken"
     broken.mkdir()

@@ -5,6 +5,7 @@ import pytest
 
 from modcap.tensor import FLOAT64, AttentionRun, LstmRun, Tensor, relu
 from modcap.gradcheck import (
+    DEFAULT_TOLERANCE,
     HARD_DOWNSTREAM_TENSORS,
     KERNEL_STEPS,
     KERNEL_VARIANTS,
@@ -12,8 +13,6 @@ from modcap.gradcheck import (
     _kernel_inputs,
     check_case,
     composite_cases,
-    decoder_results,
-    kernel_results,
     primitive_cases,
     run_battery,
 )
@@ -88,9 +87,9 @@ class TestBattery:
 
 
 @pytest.fixture(scope="module")
-def decoder_section():
-    """One run of the decoder section, shared by the tests that read it."""
-    return decoder_results()
+def decoder_section(gradient_battery):
+    """The decoder section of the session's one battery run (conftest.py)."""
+    return gradient_battery(DEFAULT_TOLERANCE).section("decoder")
 
 
 class TestDecoderSection:
@@ -110,8 +109,8 @@ class TestDecoderSection:
 
 
 class TestKernelSection:
-    def test_every_input_and_parameter_of_every_variant_passes(self):
-        results = kernel_results()
+    def test_every_input_and_parameter_of_every_variant_passes(self, gradient_battery):
+        results = gradient_battery(DEFAULT_TOLERANCE).section("kernel")
         failures = [(r.name, r.error) for r in results if not r.ok]
         assert not failures
         names = {r.name for r in results}

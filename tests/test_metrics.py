@@ -10,6 +10,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcap import metrics
 from modcap.metrics import (
@@ -21,6 +23,7 @@ from modcap.metrics import (
     ngram_counts,
     pos_recall,
 )
+from reference import reference_cider_d, reference_idf
 
 
 # -- independent oracles -------------------------------------------------
@@ -183,7 +186,30 @@ def small_reference_set():
     }
 
 
+# references draw from four words; candidates also from two no reference
+# holds, and may be empty.  Small alphabets repeat n-grams.
+REF_WORDS = st.lists(st.sampled_from("abcd"), min_size=1, max_size=8)
+CAND_WORDS = st.lists(st.sampled_from("abcdxy"), max_size=10)
+SCORING = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
 class TestCiderD:
+    @SCORING
+    @given(st.dictionaries(st.integers(0, 5), st.lists(REF_WORDS, min_size=1, max_size=3),
+                           min_size=1, max_size=6),
+           st.lists(st.tuples(CAND_WORDS, st.integers(0, 5)), min_size=1, max_size=4))
+    def test_matches_the_per_gram_formulas_bit_for_bit(self, refs_by_image, scored):
+        # the table precomputes idf for the n-grams of df only, and the dot
+        # product skips the n-grams a reference lacks: neither may move a bit
+        idf = IdfTable(refs_by_image)
+        keys = sorted(refs_by_image)
+        for cand, pick in scored:
+            refs = refs_by_image[keys[pick % len(keys)]]
+            assert cider_d(cand, refs, idf).hex() == reference_cider_d(cand, refs, idf).hex()
+            grams = [g for order in range(1, 5) for g in ngram_counts(cand, order)]
+            assert [idf.idf(g).hex() for g in grams] == [reference_idf(idf, g).hex()
+                                                         for g in grams]
+
     def test_self_match_is_ten(self):
         refs = small_reference_set()
         idf = IdfTable(refs)

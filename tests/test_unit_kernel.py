@@ -24,12 +24,20 @@ encoding: it must follow rebound weights, and a decode that nothing
 observes makes no ``UnitTrace``.  A pass without gradients records
 nothing for a backward, and the backward of a recorded pass reads the
 weight arrays the pass ran on, not those bound when it runs.
+
+Self-critical training decodes a window's samples and their greedy
+baselines as one pass over the scenes listed twice; its rewards, loss,
+gradients and random draws must equal those of a sample pass followed by
+a greedy pass (``reference.two_pass_self_critical_loss``), and a
+baseline equal to its sample is scored once.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+
+import modcap.training
 
 from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
@@ -58,6 +66,7 @@ from reference import (
     reference_greedy,
     reference_init_state,
     reference_model_step,
+    two_pass_self_critical_loss,
 )
 
 SPEC = CorpusSpec(n_scenes=40, seed=5)
@@ -534,3 +543,61 @@ def test_replay_scores_tokens_as_they_were_sampled(corpus, padded_batch, preset,
     want = [drawn[t][b] for b, row in enumerate(rows) for t in range(len(row))]
     assert len(got) > 2 * len(rows)
     np.testing.assert_allclose(np.log(got), np.log(want), rtol=1e-5, atol=1e-6)
+
+
+# lam > 0 only where the trainer supervises: a controller that runs
+ONE_PASS_CASES = [("CNM#2", 1.0, 0.0), ("CNM#2", 1.0, 0.5), ("Col/H+L", 0.5, 0.0),
+                  ("Col/H+L", 0.5, 0.5), ("Col/1", 1.0, 0.0), ("Module/O#2", 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("scenes", ["padded", "one"])
+@pytest.mark.parametrize("preset, gumbel_tau, lam", ONE_PASS_CASES)
+def test_one_decode_pass_equals_a_sample_pass_and_a_greedy_pass(corpus, padded_batch, preset,
+                                                                 gumbel_tau, lam, scenes):
+    # self_critical_loss decodes the sample and its greedy baseline as the
+    # two halves of one 2B-row pass; the two-pass surrogate must give the
+    # same rewards, loss and gradients, and leave the stream where it does
+    model, _ = preset_model(corpus, preset, gumbel_tau)
+    batch = padded_batch if scenes == "padded" else _pack(
+        [e for e in corpus.examples if e.scene_id == padded_batch.scene_ids[0]][:1],
+        {s.scene_id: s for s in corpus.scenes}, FeatureSynthesizer(SPEC))
+    refs = corpus.references()
+    scene_refs = [refs[sid] for sid in batch.scene_ids]
+    idf = IdfTable(refs)
+    params = model.named_parameters()
+    out = {}
+    for name, surrogate in (("one", self_critical_loss), ("two", two_pass_self_critical_loss)):
+        for p in params.values():
+            p.grad = None
+        rng = Rng(9)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        loss, infos = surrogate(model, enc, scene_refs, idf, corpus.vocab.tokens, rng, 12,
+                                batch, lam)
+        loss.backward()
+        out[name] = (infos, loss.data.tobytes(), rng.get_state(),
+                     {k: p.grad.tobytes() for k, p in params.items() if p.grad is not None})
+    assert out["one"] == out["two"]
+    assert any(info["advantage"] != 0.0 for info in out["one"][0]) or scenes == "one"
+
+
+def test_a_baseline_equal_to_its_sample_is_scored_once(corpus, padded_batch, monkeypatch):
+    # with the sampler taking the argmax, every sample is its greedy
+    # baseline: each scene is scored once and its advantage is exactly zero
+    model, _ = preset_model(corpus, "CNM#2")
+    refs = corpus.references()
+    scored = []
+    real_cider_d = modcap.training.cider_d
+
+    def counting(candidate, references, idf):
+        scored.append(tuple(candidate))
+        return real_cider_d(candidate, references, idf)
+
+    monkeypatch.setattr(modcap.training, "cider_d", counting)
+    monkeypatch.setattr(modcap.training, "sample_policy", lambda rng: argmax_policy)
+    enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
+    _, infos = self_critical_loss(model, enc, [refs[sid] for sid in padded_batch.scene_ids],
+                                  IdfTable(refs), corpus.vocab.tokens, Rng(9), 12)
+    assert len(scored) == padded_batch.size
+    assert [info["advantage"] for info in infos] == [0.0] * padded_batch.size
+    assert all(info["baseline"] == info["reward"] for info in infos)
+    assert any(scored)

@@ -125,15 +125,15 @@ def _build_configs(args, vocab_size: int):
     return model_cfg, train_cfg
 
 
-def _open_run(args):
-    """Shared loader for commands that need a checkpoint plus its corpus."""
-    corpus = load_corpus(args.data)
-    restored = restore_training(args.checkpoint)
+def _open_run(data_dir: str, checkpoint: str):
+    """The corpus, the training state saved at ``checkpoint``, whose
+    vocabulary must be the corpus's, and the corpus's feature synthesizer."""
+    corpus = load_corpus(data_dir)
+    restored = restore_training(checkpoint)
     if restored.vocab.tokens != corpus.vocab.tokens:
         raise DataError("checkpoint vocabulary does not match the corpus; "
                         "was the model trained on different data?")
-    synth = FeatureSynthesizer(corpus.spec)
-    return corpus, restored, synth
+    return corpus, restored, FeatureSynthesizer(corpus.spec)
 
 
 def _freeze_heap() -> None:
@@ -172,12 +172,8 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus = load_corpus(args.data)
-    synth = FeatureSynthesizer(corpus.spec)
     if args.resume:
-        restored = restore_training(args.out)
-        if restored.vocab.tokens != corpus.vocab.tokens:
-            raise DataError("checkpoint vocabulary does not match the corpus")
+        corpus, restored, synth = _open_run(args.data, args.out)
         model, train_cfg = restored.model, restored.train_cfg
         _echo_config(model.cfg, train_cfg)
         _freeze_heap()
@@ -187,6 +183,8 @@ def cmd_train(args) -> int:
                       checkpoint_path=args.out, max_epochs=args.max_epochs,
                       log_fn=LOG.info)
     else:
+        corpus = load_corpus(args.data)
+        synth = FeatureSynthesizer(corpus.spec)
         model_cfg, train_cfg = _build_configs(args, len(corpus.vocab))
         _echo_config(model_cfg, train_cfg)
         model = CaptionModel(model_cfg, Rng(train_cfg.seed).derive(MODEL_INIT_TAG))
@@ -209,7 +207,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus, restored, synth = _open_run(args)
+    corpus, restored, synth = _open_run(args.data, args.checkpoint)
     _echo_config(restored.model.cfg, restored.train_cfg)
     _freeze_heap()
     mode = "greedy" if args.greedy else "beam"
@@ -222,7 +220,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_caption(args) -> int:
-    corpus, restored, synth = _open_run(args)
+    corpus, restored, synth = _open_run(args.data, args.checkpoint)
     model = restored.model
     max_len = args.max_len or restored.train_cfg.max_len
     scenes = ([_find_scene(corpus, args.scene)] if args.scene is not None
@@ -237,7 +235,7 @@ def cmd_caption(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    corpus, restored, synth = _open_run(args)
+    corpus, restored, synth = _open_run(args.data, args.checkpoint)
     _echo_config(restored.model.cfg, restored.train_cfg)
     scene = _find_scene(corpus, args.scene)
     if args.generated:
@@ -417,8 +415,9 @@ def build_parser() -> _Parser:
     p.add_argument("--scene", type=int, default=None)
     p.add_argument("--split", choices=("train", "val", "test"), default="val")
     p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--sample", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--greedy", action="store_true")
+    mode.add_argument("--sample", action="store_true")
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
     _add_seed(p)
     p.set_defaults(func=cmd_caption)

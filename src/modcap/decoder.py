@@ -27,18 +27,19 @@ bit for bit in every output and gradient.  The decoders
 (``CaptionModel.step``) step forward only on plain state arrays, one
 array of rows per unit, and build no Tensor; each unit's forward-only
 run is kept with the encoding (``Encoded.run``) and built again when a
-weight array is rebound.  A step's unit traces are made only when an
-observer reads them (``StepTraces``).
+weight array is rebound.  A decode step returns only the word
+distribution and the new states: what a unit chose is read from a
+teacher-forced pass over the caption (``CaptionModel.forced``), as
+traces do.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
-(argmax, sample or forced) picks every row's next token and an optional
-observer sees each step.  Greedy and sampling decoding and traces run on
-it; beam search, which reorders the state rows every step, keeps its
-own loop.  Both enter ``np.errstate`` once per decode, for the LSTM gate
-sigmoids that may overflow exp.  The decoders have one call form: an
-encoding in, a single scene being a batch of one, and one token list
-per row out; beam search takes a one-scene encoding and returns its
-ranked beam.  Every row starts from ``BOS_ID`` and ends at ``EOS_ID``.
+(argmax or sample) picks every row's next token.  Greedy and sampling
+decoding run on it; beam search, which reorders the state rows every
+step, keeps its own loop.  Both enter ``np.errstate`` once per decode,
+for the LSTM gate sigmoids that may overflow exp.  The decoders have
+one call form: an encoding in, a single scene being a batch of one, and
+one token list per row out; beam search takes a one-scene encoding and
+returns its ranked beam.  Every row starts from ``BOS_ID`` and ends at ``EOS_ID``.
 The hard-selection noise of a pass is drawn in one place,
 ``CaptionModel.selection_noise``, for all its steps, units and rows.
 """
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,28 +124,12 @@ class Encoded:
 class UnitTrace:
     """What a unit chose.  Only ``soft`` carries gradient (to the
     word-class term); under the soft strategy ``weights`` is ``soft``.
-    A step on plain state arrays returns plain arrays instead of Tensors."""
+    ``unit_kernel`` makes one per pass, its values on a leading step axis
+    (T, B, ...), or (B, ...) for a one-step call."""
 
     weights: Tensor | None           # (B, 4) fusion weights, None without a controller
     soft: Tensor | None              # noise-free controller softmax, for supervision
     alphas: dict[str, Tensor]        # per-module attention over regions (B, N)
-
-
-class StepTraces(Sequence):
-    """The unit traces of one decode step, made from the step's arrays when
-    first read: a decode that nothing observes makes none."""
-
-    def __init__(self, units, chosen):
-        self._units, self._chosen, self._traces = units, chosen, None
-
-    def __len__(self):
-        return len(self._chosen)
-
-    def __getitem__(self, m):
-        if self._traces is None:
-            self._traces = [UnitTrace(weights=w, soft=soft, alphas=dict(zip(unit.modules, alphas)))
-                            for unit, (alphas, w, soft) in zip(self._units, self._chosen)]
-        return self._traces[m]
 
 
 class DecoderUnit:
@@ -197,15 +181,14 @@ class DecoderUnit:
         """One forward-only step of the unit on the input rows (B, d_v) and
         the state rows (n, B, d_c), with the step's (B, K + 1)
         hard-selection noise, by the unit's run kept with the encoding
-        (``Encoded.run``).  Returns (i_new, new state rows, (attention
-        weights (K, B, N), fusion weights or None, controller softmax or
-        None)), plain arrays.  The gate sigmoids may overflow exp: the
-        decoders step under ``np.errstate(over="ignore")``."""
-        out, rows, *chosen = enc.run(self).step(i_prev, state, noise)
+        (``Encoded.run``).  Returns (i_new, new state rows), plain arrays.
+        The gate sigmoids may overflow exp: the decoders step under
+        ``np.errstate(over="ignore")``."""
+        out, rows, *_ = enc.run(self).step(i_prev, state, noise)
         rows = np.array(rows)
         check_finite("unit_kernel", out)
         check_finite("unit_kernel", rows)
-        return out, rows, chosen
+        return out, rows
 
     def arrays(self) -> list[np.ndarray]:
         """The arrays of every weight of the unit, in table order."""
@@ -551,21 +534,18 @@ class CaptionModel:
 
         prev_tokens: int array (B,); ``noise``: the step's (M, B, K + 1)
         slice of ``selection_noise``.  Returns (word distribution (B, V),
-        new states, per-unit traces), plain arrays; creates no Tensor.  The
-        traces are made when first read (``StepTraces``).  The gate
-        sigmoids may overflow exp: the decoders step under
+        new states), plain arrays; creates no Tensor.  The gate sigmoids
+        may overflow exp: the decoders step under
         ``np.errstate(over="ignore")``, entered once per decode.
         """
         vec = self.embed.data[np.asarray(prev_tokens, dtype=np.int64)]
         new_states = []
-        chosen = []
         for m, (unit, st) in enumerate(zip(self.units, states)):
-            vec, st2, ch = unit.step(vec, enc, st, None if noise is None else noise[m])
-            new_states.append(st2)
-            chosen.append(ch)
+            vec, st = unit.step(vec, enc, st, None if noise is None else noise[m])
+            new_states.append(st)
         dist = softmax_forward(np.matmul(vec, self.head.W.data) + self.head.b.data)
         check_finite("word_head", dist)
-        return dist, new_states, StepTraces(self.units, chosen)
+        return dist, new_states
 
     def forced(self, inputs, enc: Encoded, noise: np.ndarray | None = None):
         """A teacher-forced pass over the input tokens (B, T): one embedding
@@ -604,15 +584,14 @@ def _check_distribution(p: np.ndarray, t: int) -> None:
         raise TrainingError(f"non-finite word distribution at decode step {t}")
 
 
-def run_decoder(model, enc, max_len, choose, observe=None, noise=None):
+def run_decoder(model, enc, max_len, choose, noise=None):
     """Step every row of ``enc`` from ``BOS_ID`` until each has emitted
     ``EOS_ID`` or ``max_len`` tokens; returns one token list per row.
 
     The token policy ``choose(t, p, live)`` maps step t's (B, V)
     distribution array and the mask of rows still running to the token
     each row emits and is fed next; tokens of finished rows are not kept.
-    ``observe(t, dist, traces, tokens, live)`` sees every step.  Step t
-    selects with ``noise[t]``, of a pass's ``selection_noise``.
+    Step t selects with ``noise[t]``, of a pass's ``selection_noise``.
     """
     batch = enc.batch
     states = model.init_rows(batch)
@@ -621,12 +600,9 @@ def run_decoder(model, enc, max_len, choose, observe=None, noise=None):
     rows = [[] for _ in range(batch)]
     with np.errstate(over="ignore"):
         for t in range(max_len):
-            dist, states, traces = model.step(tok, enc, states,
-                                              None if noise is None else noise[t])
+            dist, states = model.step(tok, enc, states, None if noise is None else noise[t])
             _check_distribution(dist, t)
             tok = np.asarray(choose(t, dist, live), dtype=np.int64)
-            if observe is not None:
-                observe(t, dist, traces, tok, live)
             for b in np.flatnonzero(live):
                 rows[b].append(int(tok[b]))
             live = live & (tok != EOS_ID)
@@ -653,13 +629,6 @@ def sample_policy(rng: Rng):
         tok[rows] = np.minimum(np.count_nonzero(cdf <= u[:, None], axis=1), p.shape[1] - 1)
         return tok
     return choose
-
-
-def forced_policy(tokens):
-    """Replays ``tokens`` (B, T + 1), whose first column is the first input:
-    step t emits column t + 1."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    return lambda t, p, live: tokens[:, t + 1]
 
 
 def greedy_decode(model, enc, max_len: int):
@@ -709,7 +678,7 @@ def beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypothesis]:
             prev = [tokens[-1] if tokens else BOS_ID for tokens, _, _ in live]
             parents = np.array([row for _, _, row in live])
             states = [s[:, parents] for s in states]
-            p, states, _ = model.step(prev, enc, states)
+            p, states = model.step(prev, enc, states)
             _check_distribution(p, t)
             logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
             total = (np.array([logprob for _, logprob, _ in live])[:, None] + logp).ravel()

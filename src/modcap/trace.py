@@ -1,11 +1,13 @@
 """Step-by-step introspection of a caption pass.
 
-A trace runs a caption through the decoder's step loop (forced along a
-gold example, or greedy) and records, per step and per decoder unit, the
-controller's module weights, the noise-free soft weights, and every
-attention distribution over regions.  The JSON document follows
-docs/trace.schema.json; the SVG renderer draws the module weights as a
-colored grid, one column per generated word.
+A trace reads one teacher-forced pass (``CaptionModel.forced``) over a
+caption without gradients and under zero selection noise: over a gold
+caption, or over the model's own greedy caption.  It records, per step
+and per decoder unit, the controller's module weights, the noise-free
+soft weights, and every attention distribution over regions, and the
+step's predicted token, the argmax of its word distribution.  The JSON
+document follows docs/trace.schema.json; the SVG renderer draws the
+module weights as a colored grid, one column per generated word.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .config import FULL_MODULES as MODULE_ORDER
-from .decoder import BOS_ID, argmax_policy, forced_policy, run_decoder, strip_sequence
+from .decoder import BOS_ID, _check_distribution, greedy_decode, strip_sequence
 from .tensor import no_grad
 
 MODULE_COLORS = {
@@ -26,43 +28,33 @@ MODULE_COLORS = {
 }
 
 
-def _unit_dicts(traces):
-    units = []
-    for tr in traces:
-        units.append({
-            "weights": (None if tr.weights is None
-                        else [float(w) for w in tr.weights[0]]),
-            "soft": (None if tr.soft is None
-                     else [float(w) for w in tr.soft[0]]),
-            "alphas": {name: [float(a) for a in alpha[0]]
-                       for name, alpha in sorted(tr.alphas.items())},
-        })
-    return units
+def _unit_dict(tr, t):
+    """Step t of a unit's trace over a one-caption pass."""
+    def row(value):
+        return None if value is None else [float(w) for w in value.data[t, 0]]
+
+    return {"weights": row(tr.weights), "soft": row(tr.soft),
+            "alphas": {name: row(alpha) for name, alpha in sorted(tr.alphas.items())}}
 
 
-def _trace(model, corpus, synth, scene, max_len, choose, targets=None, labels=None):
-    """Run one scene through the decode loop without gradients, recording
-    every step.  Returns the emitted tokens and the trace document, which
-    the caller completes with its kind, slot and words."""
-    vocab = corpus.vocab
-    inputs = [BOS_ID]
+def _trace(model, vocab, scene, enc, inputs, targets=None, labels=None):
+    """Run the input tokens of one caption through one teacher-forced pass,
+    recording every step; the caller holds ``no_grad``.  Returns the trace
+    document, which the caller completes with its kind, slot and words."""
+    dist, traces = model.forced([inputs], enc) if inputs else (None, [])
     steps = []
-
-    def observe(t, dist, traces, tok, live):
+    for t, tok in enumerate(inputs):
+        p = dist.data[t]
+        _check_distribution(p, t)
         steps.append({
             "t": t,
-            "input_token": vocab.tokens[inputs[t]],
+            "input_token": vocab.tokens[tok],
             "target_token": None if targets is None else vocab.tokens[targets[t]],
-            "predicted_token": vocab.tokens[int(np.argmax(dist[0]))],
+            "predicted_token": vocab.tokens[int(np.argmax(p))],
             "target_label": None if labels is None else MODULE_ORDER[labels[t]],
-            "units": _unit_dicts(traces),
+            "units": [_unit_dict(tr, t) for tr in traces],
         })
-        inputs.append(int(tok[0]))
-
-    with no_grad():
-        enc = model.encode(*synth.features(scene))
-        (tokens,) = run_decoder(model, enc, max_len, choose, observe)
-    return tokens, {
+    return {
         "scene_id": scene.scene_id,
         "strategy": model.cfg.strategy,
         "m_units": len(model.units),
@@ -76,15 +68,20 @@ def trace_example(model, corpus, synth, example) -> dict:
     """Teacher-forced replay of one gold caption."""
     scene = next(s for s in corpus.scenes if s.scene_id == example.scene_id)
     ids = example.token_ids
-    _, doc = _trace(model, corpus, synth, scene, len(ids) - 1, forced_policy([ids]),
-                    targets=ids[1:], labels=example.labels)
+    with no_grad():
+        doc = _trace(model, corpus.vocab, scene, model.encode(*synth.features(scene)),
+                     ids[:-1], targets=ids[1:], labels=example.labels)
     doc.update({"kind": "teacher_forced", "slot": example.slot, "words": list(example.words)})
     return doc
 
 
 def trace_generated(model, corpus, synth, scene, max_len: int = 16) -> dict:
-    """Free-running greedy decode with the same bookkeeping."""
-    tokens, doc = _trace(model, corpus, synth, scene, max_len, argmax_policy)
+    """Greedy decode, then the teacher-forced replay of its caption."""
+    with no_grad():
+        enc = model.encode(*synth.features(scene))
+        (tokens,) = greedy_decode(model, enc, max_len)
+        # fed BOS, then each token it emitted but the last
+        doc = _trace(model, corpus.vocab, scene, enc, ([BOS_ID] + tokens)[:len(tokens)])
     doc.update({"kind": "generated", "slot": None,
                 "words": corpus.vocab.decode(strip_sequence(tokens))})
     return doc

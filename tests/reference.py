@@ -573,7 +573,8 @@ def reference_model_step(model: CaptionModel, prev_tokens, enc: Encoded, states:
                          noise: np.ndarray | None = None):
     """``CaptionModel.step`` on the Tensor step: one ``reference_step`` per
     unit, with the step's (M, B, K + 1) selection noise.  Returns (word
-    distribution Tensor (B, V), new states, per-unit traces)."""
+    distribution Tensor (B, V), new states, per-unit traces); the traces
+    are what ``CaptionModel.forced`` gives for the step."""
     vec = gather_rows(model.embed, np.asarray(prev_tokens, dtype=np.int64))
     new_states, traces = [], []
     for m, (unit, st) in enumerate(zip(model.units, states)):
@@ -615,9 +616,8 @@ class TensorStepModel:
         return self.model.selection_noise(rng, n_steps, batch)
 
     def step(self, prev_tokens, enc, states, noise=None):
-        dist, states, traces = reference_model_step(self.model, prev_tokens, enc, states,
-                                                    noise)
-        return dist.data, states, traces
+        dist, states, _ = reference_model_step(self.model, prev_tokens, enc, states, noise)
+        return dist.data, states
 
 
 # -- decoders on the Tensor step -----------------------------------------------
@@ -702,7 +702,7 @@ def object_beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypoth
         parents = np.array([h.states for h in live])
         states = [s[:, parents] for s in states]
         with np.errstate(over="ignore"):
-            p, states, _ = model.step(prev, enc, states)
+            p, states = model.step(prev, enc, states)
         logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
         total = np.array([h.logprob for h in live])[:, None] + logp
         # only expansions scoring at least the beam_width-th best can

@@ -23,7 +23,7 @@ from modcap.config import ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus, save_corpus
 from modcap.decoder import BOS_ID, EOS_ID, CaptionModel, beam_search, greedy_decode
 from modcap.metrics import IdfTable, bleu_n, cider_d
-from modcap.tensor import Rng
+from modcap.tensor import Rng, no_grad
 from modcap.trace import trace_example
 from modcap.training import (
     MODEL_INIT_TAG,
@@ -144,7 +144,9 @@ def test_criterion_2_architecture_invariants():
         def one_step():
             model = CaptionModel(cfg, Rng(100 + seed))
             enc = model.encode(r_obj, r_attr)
-            dist, states, traces = model.step([BOS_ID], enc, model.init_rows(1))
+            dist, states = model.step([BOS_ID], enc, model.init_rows(1))
+            with no_grad():
+                _, traces = model.forced(np.array([[BOS_ID]]), enc)
             return dist, states, traces
 
         dist, states, traces = one_step()
@@ -162,7 +164,7 @@ def test_criterion_2_architecture_invariants():
                 check(list(tr.alphas) == [cfg.single_module],
                       f"seed {seed}: single module attends alone")
             else:
-                w = tr.weights[0]
+                w = tr.weights.data[0, 0]
                 check(w.shape == (4,), f"seed {seed}: four module weights")
                 if strategy == "uniform":
                     check(np.array_equal(w, np.ones(4, dtype=w.dtype)),
@@ -176,11 +178,12 @@ def test_criterion_2_architecture_invariants():
                     check(abs(float(w.sum()) - 1.0) < 1e-5,
                           f"seed {seed}: soft weights are a distribution")
                 if strategy != "uniform":
-                    check(abs(float(tr.soft.sum()) - 1.0) < 1e-5,
+                    check(abs(float(tr.soft.data.sum()) - 1.0) < 1e-5,
                           f"seed {seed}: controller softmax normalizes")
                 check(sorted(tr.alphas) == ["attribute", "object", "relation"],
                       f"seed {seed}: attention per visual module")
             for alpha in tr.alphas.values():
+                alpha = alpha.data[0]
                 check(alpha.shape == (1, k), f"seed {seed}: alpha over regions")
                 check(abs(float(alpha.sum()) - 1.0) < 1e-5,
                       f"seed {seed}: alpha normalizes")

@@ -234,6 +234,38 @@ def test_malformed_resume_state_exits_2(data_dir, checkpoint, tmp_path, capsys, 
                       capsys)
 
 
+def test_checkpoint_of_another_vocabulary_exits_2(data_dir, checkpoint, tmp_path, capsys):
+    # the same words under other ids: the corpus loads, but the checkpoint's
+    # embedding and word head rows would name the wrong words
+    swapped = tmp_path / "swapped"
+    swapped.mkdir()
+    for name in ("meta.json", "scenes.jsonl", "captions.jsonl"):
+        (swapped / name).write_text((data_dir / name).read_text())
+    vocab = json.loads((data_dir / "vocab.json").read_text())
+    tokens = vocab["tokens"]
+    tokens[4], tokens[5] = tokens[5], tokens[4]
+    (swapped / "vocab.json").write_text(json.dumps(vocab))
+    scene_id = json.loads((data_dir / "scenes.jsonl").read_text().splitlines()[0])["id"]
+    path = copy_checkpoint(checkpoint, tmp_path)
+    opened = ["--checkpoint", str(path), "--data", str(swapped)]
+    for argv in (["eval"] + opened, ["caption", "--greedy"] + opened,
+                 ["trace", "--scene", str(scene_id)] + opened,
+                 ["train", "--data", str(swapped), "--out", str(path), "--resume"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "data error: checkpoint vocabulary does not match the corpus" in err
+        assert "Traceback" not in err
+    assert path.read_bytes() == checkpoint.read_bytes()
+
+
+def test_caption_greedy_and_sample_together_is_a_usage_error(data_dir, checkpoint, capsys):
+    assert run(["caption", "--checkpoint", str(checkpoint), "--data", str(data_dir),
+                "--greedy", "--sample"]) == 1
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err
+    assert captured.out == ""
+
+
 def test_adam_steps_not_a_mapping_exit_2(data_dir, checkpoint, tmp_path, capsys):
     path = copy_checkpoint(checkpoint, tmp_path)
     edit_meta(path, lambda meta: meta.update(adam_t=sorted(meta["adam_t"])))

@@ -48,7 +48,7 @@ class MarkovStub:
         return None
 
     def step(self, prev, enc, states, noise=None):
-        return self.table[np.asarray(prev, dtype=np.int64)], states, []
+        return self.table[np.asarray(prev, dtype=np.int64)], states
 
 
 class Scenes:
@@ -95,7 +95,8 @@ class TestStackStructure:
         model = CaptionModel(cfg, Rng(1))
         enc = model.encode(*random_features(0))
         states = model.init_rows(1)
-        dist, states, traces = model.step([BOS_ID], enc, states)
+        dist, states = model.step([BOS_ID], enc, states)
+        _, traces = model.forced([[BOS_ID]], enc)
         assert dist.shape == (1, cfg.vocab_size)
         assert np.all(dist > 0)
         assert abs(dist.sum() - 1.0) < 1e-5
@@ -109,23 +110,24 @@ class TestStackStructure:
         state = model.init_rows(1)[0]
         rs = np.random.RandomState(7)
         i_prev = rs.randn(1, cfg.d_v).astype(np.float32)
-        i_new, state2, _ = unit.step(i_prev, enc, state)
+        i_new, state2 = unit.step(i_prev, enc, state)
         assert np.array_equal(i_new, i_prev + state2[2])      # h2
 
     def test_uniform_strategy_weights_all_one(self):
         cfg = tiny_cfg(strategy="uniform")
         model = CaptionModel(cfg, Rng(3))
         enc = model.encode(*random_features(2))
-        dist, _, traces = model.step([BOS_ID], enc, model.init_rows(1))
+        _, traces = model.forced([[BOS_ID]], enc)
         for tr in traces:
-            assert np.array_equal(tr.weights, np.ones((1, 4), dtype=np.float32))
+            assert np.array_equal(tr.weights.data, np.ones((1, 1, 4), dtype=np.float32))
 
     def test_single_module_variants(self):
         for name in ("object", "attribute", "relation"):
             cfg = tiny_cfg(modules=(name,), m_units=1)
             model = CaptionModel(cfg, Rng(4))
             enc = model.encode(*random_features(3))
-            dist, states, traces = model.step([BOS_ID], enc, model.init_rows(1))
+            dist, states = model.step([BOS_ID], enc, model.init_rows(1))
+            _, traces = model.forced([[BOS_ID]], enc)
             assert abs(dist.sum() - 1.0) < 1e-5
             assert traces[0].weights is None
             assert list(traces[0].alphas) == [name]
@@ -145,10 +147,10 @@ class TestStackStructure:
         model = CaptionModel(cfg, Rng(7))
         r_obj, r_attr = random_features(4, batch=3)
         enc = model.encode(r_obj, r_attr)
-        dist, _, _ = model.step([4, 5, 6], enc, model.init_rows(3))
+        dist, _ = model.step([4, 5, 6], enc, model.init_rows(3))
         for b in range(3):
             enc1 = model.encode(r_obj[b], r_attr[b])
-            d1, _, _ = model.step([4 + b], enc1, model.init_rows(1))
+            d1, _ = model.step([4 + b], enc1, model.init_rows(1))
             assert np.allclose(dist[b], d1[0], atol=1e-6)
 
         # scenes of 3 and 5 regions share one batch, the first zero-padded
@@ -160,9 +162,9 @@ class TestStackStructure:
         alone = [(model.encode(r_obj[b, :k], r_attr[b, :k]), model.init_rows(1))
                  for b, k in enumerate((3, 5))]
         for tokens in ([4, 5], [7, 3]):
-            dist, states, _ = model.step(tokens, enc, states)
+            dist, states = model.step(tokens, enc, states)
             for b, (enc1, st1) in enumerate(alone):
-                d1, st1, _ = model.step([tokens[b]], enc1, st1)
+                d1, st1 = model.step([tokens[b]], enc1, st1)
                 alone[b] = (enc1, st1)
                 assert np.allclose(dist[b], d1[0], atol=1e-6)
 
@@ -172,7 +174,7 @@ class TestStackStructure:
         cfg = tiny_cfg(m_units=2)
         model = CaptionModel(cfg, Rng(8))
         enc = model.encode(*random_features(5))
-        _, states, _ = model.step([BOS_ID], enc, model.init_rows(1))
+        _, states = model.step([BOS_ID], enc, model.init_rows(1))
         assert not np.allclose(states[0][2], states[1][2])      # h2
 
 

@@ -7,10 +7,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from modcap.config import ModelConfig
+from modcap.config import ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
-from modcap.decoder import CaptionModel
-from modcap.tensor import Rng
+from modcap.decoder import CaptionModel, greedy_decode, strip_sequence
+from modcap.tensor import Rng, no_grad
 from modcap.trace import (
     MODULE_COLORS,
     MODULE_ORDER,
@@ -18,6 +18,7 @@ from modcap.trace import (
     trace_example,
     trace_generated,
 )
+from reference import reference_forced
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "trace.schema.json").read_text())
@@ -102,6 +103,60 @@ def test_single_module_trace_has_null_weights(corpus, synth):
         assert unit["weights"] is None
         assert unit["soft"] is None
         assert list(unit["alphas"]) == ["object"]
+
+
+def preset_model(corpus, preset):
+    model_cfg, _ = apply_preset(preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=8,
+                                                    d_c=8, d_a=4, heads=2),
+                                TrainConfig())
+    return CaptionModel(model_cfg, Rng(11))
+
+
+def reference_units(model, corpus, synth, doc):
+    """The unit entries of every step of ``doc`` as the op-composed step
+    chain (``reference.reference_forced``) computes them on the document's
+    input tokens, without selection noise."""
+    scene = next(s for s in corpus.scenes if s.scene_id == doc["scene_id"])
+    inputs = [[corpus.vocab.index[step["input_token"]] for step in doc["steps"]]]
+    with no_grad():
+        _, traces = reference_forced(model, inputs, model.encode(*synth.features(scene)))
+
+    def row(value):
+        return None if value is None else [float(w) for w in value.data[0]]
+
+    return [[{"weights": row(tr.weights), "soft": row(tr.soft),
+              "alphas": {name: row(a) for name, a in sorted(tr.alphas.items())}}
+             for tr in step] for step in traces]
+
+
+@pytest.mark.parametrize("preset", ["Col/S", "Col/H", "Col/1", "Module/O"])
+def test_trace_units_match_the_reference_step_chain(corpus, synth, preset):
+    # both kinds read one teacher-forced pass; what each unit chose must be
+    # the op-composed steps' bit for bit
+    model = preset_model(corpus, preset)
+    docs = [trace_example(model, corpus, synth, e) for e in corpus.examples[:3]]
+    docs += [trace_generated(model, corpus, synth, scene, max_len=8)
+             for scene in corpus.scenes[:3]]
+    for doc in docs:
+        assert doc["steps"]
+        assert [step["units"] for step in doc["steps"]] == \
+            reference_units(model, corpus, synth, doc)
+
+
+@pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Module/O"])
+def test_generated_trace_replays_its_own_caption(corpus, synth, preset):
+    model = preset_model(corpus, preset)
+    vocab = corpus.vocab
+    for scene in corpus.scenes[:4]:
+        doc = trace_generated(model, corpus, synth, scene, max_len=8)
+        with no_grad():
+            (tokens,) = greedy_decode(model, model.encode(*synth.features(scene)), 8)
+        inputs = [step["input_token"] for step in doc["steps"]]
+        predicted = [step["predicted_token"] for step in doc["steps"]]
+        assert inputs[0] == "<bos>"
+        assert predicted[:-1] == inputs[1:]
+        assert predicted == vocab.decode(tokens)
+        assert doc["words"] == vocab.decode(strip_sequence(tokens))
 
 
 def test_trace_is_deterministic(model, corpus, synth, forced_doc):

@@ -1,13 +1,17 @@
 """The fused decoder unit against the op-composed reference, and the
 whole-sequence kernel against the step loop.
 
-``decoder.unit_kernel`` runs a unit forward only on plain state rows
-(``DecoderUnit.step``) or, in teacher forcing, as one autodiff node from
-the zero state; ``reference.reference_step`` composes the same step from
-one node per op.  Every preset of the ablation grid runs on a batch of
-scenes with different region counts (zero-padded, masked) once through
-each: every forward value, decoded token, and gradient of a one-step
-teacher-forced pass must agree bit for bit.
+A unit's step runs forward only on plain state rows
+(``DecoderUnit.step``) or, in teacher forcing, inside one autodiff node
+from the zero state (``decoder.unit_kernel``);
+``reference.reference_step`` composes the same step from one node per
+op.  Every preset of the ablation grid runs on a batch of scenes with
+different region counts (zero-padded, masked) once through each: every
+forward value, decoded token, and gradient of a one-step teacher-forced
+pass must agree bit for bit.  A decode step returns only the word
+distribution and the states, so the fused side's module weights,
+controller softmax and attention come from a teacher-forced pass over
+the same tokens and noise.
 
 Teacher forcing runs each unit over all T steps in one kernel call
 (``CaptionModel.forced``); it must agree with T chained reference steps
@@ -20,10 +24,10 @@ with the same decoders on the Tensor step (``reference.reference_greedy``,
 must return exactly the hypotheses of the beam that keeps one
 ``Hypothesis`` per candidate (``reference.object_beam_search``).  The
 decoders step on each unit's forward-only ``UnitRun``, kept with the
-encoding: it must follow rebound weights, and a decode that nothing
-observes makes no ``UnitTrace``.  A pass without gradients records
-nothing for a backward, and the backward of a recorded pass reads the
-weight arrays the pass ran on, not those bound when it runs.
+encoding: it must follow rebound weights, and decoding makes no
+``UnitTrace``.  A pass without gradients records nothing for a
+backward, and the backward of a recorded pass reads the weight arrays
+the pass ran on, not those bound when it runs.
 
 Self-critical training decodes a window's samples and their greedy
 baselines as one pass over the scenes listed twice; its rewards, loss,
@@ -153,12 +157,20 @@ def state_rows(state):
     return np.array([t.data for t in [state.h1, state.c1, state.h2, state.c2, *ctrl]])
 
 
+def step_of(trace, t):
+    """Step t of a unit's trace over a teacher-forced pass, as plain arrays."""
+    return UnitTrace(weights=None if trace.weights is None else trace.weights.data[t],
+                     soft=None if trace.soft is None else trace.soft.data[t],
+                     alphas={name: a.data[t] for name, a in trace.alphas.items()})
+
+
 def run_everything(model, train_cfg, batch, reference=False):
     """Bytes of every forward value, decoded tokens and every gradient, on
     the fused kernel or, with ``reference``, on the op-composed Tensor
     step: the gradients of a one-step teacher-forced pass from the zero
-    state, three forward steps, and the greedy, sampling and beam
-    decoders."""
+    state, three forward steps (what the fused units chose read from a
+    three-step teacher-forced pass on the same tokens and noise), and the
+    greedy, sampling and beam decoders."""
     out = {}
     params = model.named_parameters()
     for p in params.values():
@@ -179,12 +191,20 @@ def run_everything(model, train_cfg, batch, reference=False):
 
     enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
     states = (reference_init_state if reference else CaptionModel.init_rows)(model, batch.size)
-    step = reference_model_step if reference else CaptionModel.step
     noise = model.selection_noise(Rng(2), 3, batch.size)
-    tokens = np.full(batch.size, BOS_ID)
+    inputs = np.concatenate([np.full((batch.size, 1), BOS_ID), batch.targets[:, :2]], axis=1)
+    if not reference:
+        # the fused side reads what its units chose from one teacher-forced pass
+        with no_grad():
+            _, forced = model.forced(inputs, enc, noise)
     for t in range(3):
-        dist, states, traces = step(model, tokens, enc, states,
-                                    None if noise is None else noise[t])
+        step_noise = None if noise is None else noise[t]
+        if reference:
+            dist, states, traces = reference_model_step(model, inputs[:, t], enc, states,
+                                                        step_noise)
+        else:
+            dist, states = model.step(inputs[:, t], enc, states, step_noise)
+            traces = [step_of(tr, t) for tr in forced]
         out[f"dist{t}"] = data(dist).tobytes()
         for m, (st, tr) in enumerate(zip(states, traces)):
             out[f"step{t}.unit{m}.state"] = state_rows(st).tobytes()
@@ -192,7 +212,6 @@ def run_everything(model, train_cfg, batch, reference=False):
                 value = getattr(tr, field)
                 out[f"step{t}.unit{m}.{field}"] = None if value is None else data(value).tobytes()
             out[f"step{t}.unit{m}.alphas"] = {k: data(a).tobytes() for k, a in tr.alphas.items()}
-        tokens = batch.targets[:, t]
 
     greedy, beam = (reference_greedy, reference_beam_search) if reference else \
         (greedy_decode, beam_search)
@@ -350,11 +369,6 @@ def test_unobserved_decoders_make_no_unit_trace(corpus, padded_batch, monkeypatc
     greedy_decode(model, batch, 12)
     sample_decode(model, batch, Rng(4), 12)
     assert made == []
-    # an observer that reads a step's traces gets every unit's
-    read = []
-    run_decoder(model, batch, 12, argmax_policy,
-                lambda t, dist, traces, tok, live: read.append(traces[-1].weights))
-    assert read and len(made) == len(read) * len(model.units)
 
 
 def test_scoring_without_gradients_records_nothing(corpus, padded_batch, monkeypatch):
@@ -528,11 +542,14 @@ def test_replay_scores_tokens_as_they_were_sampled(corpus, padded_batch, preset,
     rng = Rng(6)
     noise = model.selection_noise(rng, 12, padded_batch.size)
     drawn = []
+    sample = sample_policy(rng)
 
-    def observe(t, dist, traces, tok, live):
-        drawn.append(dist[np.arange(len(tok)), tok])
+    def choose(t, p, live):
+        tok = sample(t, p, live)
+        drawn.append(p[np.arange(len(tok)), tok])
+        return tok
 
-    rows = run_decoder(model, enc, 12, sample_policy(rng), observe, noise=noise)
+    rows = run_decoder(model, enc, 12, choose, noise=noise)
     n_steps = max(map(len, rows))
     inputs = np.full((len(rows), n_steps), PAD_ID)
     for b, row in enumerate(rows):

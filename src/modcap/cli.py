@@ -25,7 +25,6 @@ from .config import ModelConfig, TrainConfig, apply_preset, validate_run
 from .corpus import (
     CorpusSpec,
     FeatureSynthesizer,
-    few_shot_subset,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -43,6 +42,7 @@ from .tensor import Rng, set_debug_checks
 from .trace import render_svg, trace_example, trace_generated
 from .training import (
     MODEL_INIT_TAG,
+    TrainState,
     caption_scene,
     evaluate_split,
     restore_training,
@@ -67,6 +67,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _default_seed() -> int:
@@ -113,27 +120,31 @@ def _build_configs(args, vocab_size: int):
     if model_over:
         model_cfg = replace(model_cfg, **model_over)
     train_over = {}
-    for flag in ("xe_epochs", "rl_epochs", "batch_size", "lr", "max_len"):
+    for flag in ("xe_epochs", "rl_epochs", "batch_size", "lr", "max_len", "few_shot",
+                 "linguistic"):
         value = getattr(args, flag, None)
         if value is not None:
             train_over[flag] = value
-    if getattr(args, "linguistic", None) is not None:
-        train_over["linguistic"] = args.linguistic
     if train_over:
         train_cfg = replace(train_cfg, **train_over)
     validate_run(model_cfg, train_cfg)
     return model_cfg, train_cfg
 
 
+def _fresh_state(model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainState:
+    return TrainState(CaptionModel(model_cfg, Rng(train_cfg.seed).derive(MODEL_INIT_TAG)),
+                      train_cfg)
+
+
 def _open_run(data_dir: str, checkpoint: str):
     """The corpus, the training state saved at ``checkpoint``, whose
     vocabulary must be the corpus's, and the corpus's feature synthesizer."""
     corpus = load_corpus(data_dir)
-    restored = restore_training(checkpoint)
-    if restored.vocab.tokens != corpus.vocab.tokens:
+    state, vocab = restore_training(checkpoint)
+    if vocab.tokens != corpus.vocab.tokens:
         raise DataError("checkpoint vocabulary does not match the corpus; "
                         "was the model trained on different data?")
-    return corpus, restored, FeatureSynthesizer(corpus.spec)
+    return corpus, state, FeatureSynthesizer(corpus.spec)
 
 
 def _freeze_heap() -> None:
@@ -173,29 +184,15 @@ def cmd_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     if args.resume:
-        corpus, restored, synth = _open_run(args.data, args.out)
-        model, train_cfg = restored.model, restored.train_cfg
-        _echo_config(model.cfg, train_cfg)
-        _freeze_heap()
-        state = train(model, corpus, synth, train_cfg,
-                      opt=restored.opt, rng=restored.rng,
-                      start_epoch=restored.epoch, history=restored.history,
-                      checkpoint_path=args.out, max_epochs=args.max_epochs,
-                      log_fn=LOG.info)
+        corpus, state, synth = _open_run(args.data, args.out)
     else:
         corpus = load_corpus(args.data)
         synth = FeatureSynthesizer(corpus.spec)
-        model_cfg, train_cfg = _build_configs(args, len(corpus.vocab))
-        _echo_config(model_cfg, train_cfg)
-        model = CaptionModel(model_cfg, Rng(train_cfg.seed).derive(MODEL_INIT_TAG))
-        examples = None
-        if args.few_shot is not None:
-            examples = few_shot_subset(corpus.examples_in("train"),
-                                       args.few_shot, train_cfg.seed)
-        _freeze_heap()
-        state = train(model, corpus, synth, train_cfg,
-                      checkpoint_path=args.out, examples=examples,
-                      max_epochs=args.max_epochs, log_fn=LOG.info)
+        state = _fresh_state(*_build_configs(args, len(corpus.vocab)))
+    _echo_config(state.model.cfg, state.cfg)
+    _freeze_heap()
+    train(state, corpus, synth, checkpoint_path=args.out, max_epochs=args.max_epochs,
+          log_fn=LOG.info)
     last = state.history[-1] if state.history else {}
     _emit({
         "checkpoint": args.out,
@@ -207,47 +204,46 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus, restored, synth = _open_run(args.data, args.checkpoint)
-    _echo_config(restored.model.cfg, restored.train_cfg)
+    corpus, state, synth = _open_run(args.data, args.checkpoint)
+    _echo_config(state.model.cfg, state.cfg)
     _freeze_heap()
     mode = "greedy" if args.greedy else "beam"
-    report = evaluate_split(restored.model, corpus, synth, args.split,
+    report = evaluate_split(state.model, corpus, synth, args.split,
                             mode=mode, beam_width=args.beam,
-                            max_len=args.max_len or restored.train_cfg.max_len)
-    report.update(teacher_forced_metrics(restored.model, corpus, synth, args.split))
+                            max_len=args.max_len or state.cfg.max_len)
+    report.update(teacher_forced_metrics(state.model, corpus, synth, args.split))
     _emit(report, args.out)
     return EXIT_OK
 
 
 def cmd_caption(args) -> int:
-    corpus, restored, synth = _open_run(args.data, args.checkpoint)
-    model = restored.model
-    max_len = args.max_len or restored.train_cfg.max_len
+    corpus, state, synth = _open_run(args.data, args.checkpoint)
+    max_len = args.max_len or state.cfg.max_len
     scenes = ([_find_scene(corpus, args.scene)] if args.scene is not None
               else corpus.scenes_in(args.split))
     rng = Rng(_seed_of(args)).derive(313)
     mode = "sample" if args.sample else "greedy" if args.greedy else "beam"
     for scene in scenes:
-        words = caption_scene(model, synth, scene, corpus.vocab, mode, beam_width=args.beam,
-                              max_len=max_len, rng=rng)
+        words = caption_scene(state.model, synth, scene, corpus.vocab, mode,
+                              beam_width=args.beam, max_len=max_len, rng=rng)
         print(f"{scene.scene_id}\t{' '.join(words)}")
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    corpus, restored, synth = _open_run(args.data, args.checkpoint)
-    _echo_config(restored.model.cfg, restored.train_cfg)
+    corpus, state, synth = _open_run(args.data, args.checkpoint)
+    _echo_config(state.model.cfg, state.cfg)
     scene = _find_scene(corpus, args.scene)
     if args.generated:
-        doc = trace_generated(restored.model, corpus, synth, scene,
-                              max_len=args.max_len or restored.train_cfg.max_len)
+        doc = trace_generated(state.model, corpus, synth, scene,
+                              max_len=args.max_len or state.cfg.max_len)
     else:
         example = next((e for e in corpus.examples
                         if e.scene_id == scene.scene_id and e.slot == args.slot),
                        None)
         if example is None:
             raise DataError(f"scene {scene.scene_id} has no caption slot {args.slot}")
-        doc = trace_example(restored.model, corpus, synth, example)
+        doc = trace_example(state.model, corpus, synth, example)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(render_svg(doc, all_units=args.all_units))
@@ -293,17 +289,16 @@ def cmd_ablate(args) -> int:
     rows = []
     for preset in presets:
         run_args = argparse.Namespace(**{**vars(args), "preset": preset})
-        model_cfg, train_cfg = _build_configs(run_args, len(corpus.vocab))
-        _echo_config(model_cfg, train_cfg)
-        model = CaptionModel(model_cfg, Rng(train_cfg.seed).derive(MODEL_INIT_TAG))
+        state = _fresh_state(*_build_configs(run_args, len(corpus.vocab)))
+        _echo_config(state.model.cfg, state.cfg)
         _freeze_heap()
         started = time.perf_counter()
-        train(model, corpus, synth, train_cfg, log_fn=LOG.info)
+        train(state, corpus, synth, log_fn=LOG.info)
         runtime = time.perf_counter() - started
-        report = evaluate_split(model, corpus, synth, "val",
+        report = evaluate_split(state.model, corpus, synth, "val",
                                 mode="beam", beam_width=args.beam,
-                                max_len=train_cfg.max_len)
-        forced = teacher_forced_metrics(model, corpus, synth, "val")
+                                max_len=state.cfg.max_len)
+        forced = teacher_forced_metrics(state.model, corpus, synth, "val")
         row = {
             "preset": preset,
             "bleu1": report["bleu1"],
@@ -365,7 +360,7 @@ def _add_train_flags(p):
     p.add_argument("--rl-epochs", dest="rl_epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    p.add_argument("--max-len", dest="max_len", type=_count, default=None)
 
 
 def build_parser() -> _Parser:
@@ -389,10 +384,12 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--resume", action="store_true",
-                   help="continue from the checkpoint at --out")
-    p.add_argument("--few-shot", dest="few_shot", type=int, default=None,
-                   help="cap captions per training scene")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None,
+                   help="continue the run saved at --out with its stored configuration; "
+                        "training flags other than --max-epochs are ignored")
+    p.add_argument("--few-shot", dest="few_shot", type=_count, default=None,
+                   help="cap the gold captions per training scene that the "
+                        "cross-entropy epochs read; stored in the checkpoint")
+    p.add_argument("--max-epochs", dest="max_epochs", type=_count, default=None,
                    help="stop after this many epochs this invocation")
     _add_model_flags(p)
     _add_train_flags(p)
@@ -403,9 +400,9 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="val")
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=_count, default=5)
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    p.add_argument("--max-len", dest="max_len", type=_count, default=None)
     p.add_argument("--out", default=None, help="also write the report here")
     p.set_defaults(func=cmd_eval)
 
@@ -414,11 +411,11 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--scene", type=int, default=None)
     p.add_argument("--split", choices=("train", "val", "test"), default="val")
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=_count, default=5)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--greedy", action="store_true")
     mode.add_argument("--sample", action="store_true")
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    p.add_argument("--max-len", dest="max_len", type=_count, default=None)
     _add_seed(p)
     p.set_defaults(func=cmd_caption)
 
@@ -433,7 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("--svg", default=None, help="also render an SVG here")
     p.add_argument("--all-units", dest="all_units", action="store_true",
                    help="draw every decoder unit, not just the last")
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
+    p.add_argument("--max-len", dest="max_len", type=_count, default=None)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
@@ -446,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="directory for ablation.{csv,json}")
     p.add_argument("--presets", default=DEFAULT_ABLATION)
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=_count, default=5)
     _add_model_flags(p)
     _add_train_flags(p)
     _add_seed(p)

@@ -91,6 +91,8 @@ class TrainConfig:
     grad_clip: float = 5.0
     seed: int = 0
     max_len: int = 16
+    # at most this many gold captions per training scene in the XE epochs
+    few_shot: int | None = None
 
     def validate(self) -> None:
         if self.xe_epochs < 0 or self.rl_epochs < 0:
@@ -111,6 +113,9 @@ class TrainConfig:
             raise ConfigError(f"decay_every must be at least 1, got {self.decay_every}")
         if self.max_len < 2:
             raise ConfigError(f"max_len={self.max_len} cannot fit a word and the end token")
+        if self.few_shot is not None and not (
+                isinstance(self.few_shot, int) and self.few_shot >= 1):
+            raise ConfigError(f"few_shot must be an integer >= 1, got {self.few_shot!r}")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * self.lr_decay ** (epoch // self.decay_every)

@@ -19,12 +19,16 @@ region features are zero-padded to the largest count and carry a region
 mask, so the whole window runs as one decode pass over its scenes listed
 twice, sampling on the first copy and taking the argmax on the second,
 and one forced pass, which also carries the gold captions of the
-word-class term.  All shuffling, sampling, and hard-selection noise
-comes from one stream derived from the training seed, which is what
-makes resuming from a checkpoint reproduce the uninterrupted run.  Each epoch record keeps the
-mean and largest pre-clip gradient norm of its updates and how many of
-them were clipped.  The epochs and ``teacher_forced_metrics`` keep BLAS
-on the calling thread (``tensor.blas_on_calling_thread``).
+word-class term.  A run is one ``TrainState``: the model, its
+``TrainConfig`` (the few-shot cap on the cross-entropy epochs' captions
+included), the optimizer, the random stream, the next epoch and the
+epoch records; a checkpoint stores all of it.  All shuffling, sampling,
+and hard-selection noise comes from that stream, derived from the
+training seed, so a restored state continues as the uninterrupted run.
+Each epoch record keeps the mean and largest pre-clip gradient norm of
+its updates and how many of them were clipped.  The epochs and
+``teacher_forced_metrics`` keep BLAS on the calling thread
+(``tensor.blas_on_calling_thread``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig, TrainConfig, validate_run
-from .corpus import Corpus, FeatureSynthesizer, Vocabulary
+from .corpus import Corpus, FeatureSynthesizer, Vocabulary, few_shot_subset
 from .decoder import (
     BOS_ID,
     PAD_ID,
@@ -369,6 +373,8 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     scenes_by_id = {s.scene_id: s for s in corpus.scenes}
     if examples is None:
         examples = corpus.examples_in("train")
+        if cfg.few_shot is not None:
+            examples = few_shot_subset(examples, cfg.few_shot, cfg.seed)
     batches = make_batches(examples, scenes_by_id, synth, cfg.batch_size, rng)
     lr = cfg.lr_at(epoch)
     lam = cfg.lambda_xe if cfg.linguistic else 0.0
@@ -454,50 +460,54 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
 
 @dataclass
 class TrainState:
+    """A training run.  A fresh one starts from ``Adam()``, the
+    ``TRAIN_STREAM_TAG`` stream of ``cfg.seed``, epoch 0 and no history."""
+
     model: CaptionModel
-    opt: Adam
-    rng: Rng
-    epoch: int                       # next epoch to run
+    cfg: TrainConfig
+    opt: Adam = field(default_factory=Adam)
+    rng: Rng | None = None
+    epoch: int = 0                   # next epoch to run
     history: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if self.rng is None:
+            self.rng = Rng(self.cfg.seed).derive(TRAIN_STREAM_TAG)
 
-def train(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
-          cfg: TrainConfig, *, opt: Adam | None = None, rng: Rng | None = None,
-          start_epoch: int = 0, history: list | None = None,
-          checkpoint_path: str | None = None, examples=None,
-          max_epochs: int | None = None, log_fn=None) -> TrainState:
-    """Run the remaining epochs of the two-phase schedule.
 
-    Passing the opt/rng/start_epoch/history of a loaded checkpoint
-    continues the original run; all randomness sits in ``rng``, so the
-    continuation is step-for-step identical to never having stopped.
+def train(state: TrainState, corpus: Corpus, synth: FeatureSynthesizer, *,
+          checkpoint_path: str | None = None, max_epochs: int | None = None,
+          log_fn=None) -> TrainState:
+    """Run the remaining epochs of the two-phase schedule on ``state``.
+
+    The state advances in place, ``state.epoch`` after each epoch, and is
+    returned.  All randomness sits in ``state.rng``, so a state restored
+    from a checkpoint continues step for step as if it had never stopped.
     ``max_epochs`` caps how many epochs this call runs, leaving the rest
     for a later resume.
     """
+    model, cfg = state.model, state.cfg
     validate_run(model.cfg, cfg)
-    opt = opt if opt is not None else Adam()
-    rng = rng if rng is not None else Rng(cfg.seed).derive(TRAIN_STREAM_TAG)
-    history = history if history is not None else []
     total = cfg.xe_epochs + cfg.rl_epochs
     if max_epochs is not None:
-        total = min(total, start_epoch + max_epochs)
+        total = min(total, state.epoch + max_epochs)
     idf = None
-    for epoch in range(start_epoch, total):
+    for epoch in range(state.epoch, total):
         started = time.perf_counter()
         if epoch < cfg.xe_epochs:
-            stats = run_xe_epoch(model, corpus, synth, cfg, opt, rng, epoch,
-                                 examples=examples)
+            stats = run_xe_epoch(model, corpus, synth, cfg, state.opt, state.rng, epoch)
         else:
             if idf is None:
                 idf = IdfTable(corpus.references("train"))
-            stats = run_rl_epoch(model, corpus, synth, cfg, opt, rng, epoch, idf)
+            stats = run_rl_epoch(model, corpus, synth, cfg, state.opt, state.rng, epoch, idf)
         val = teacher_forced_metrics(model, corpus, synth, "val",
                                      batch_size=cfg.batch_size)
         entry = {"epoch": epoch, **stats,
                  "val_token_acc": val["token_acc"],
                  "val_ctrl_agree": val["ctrl_agree"],
                  "val_xe_per_token": val["xe_per_token"]}
-        history.append(entry)
+        state.history.append(entry)
+        state.epoch = epoch + 1
         seconds = time.perf_counter() - started
         message = (f"epoch {epoch} [{stats['phase']}] "
                    + " ".join(f"{k}={v:.4f}" for k, v in sorted(entry.items())
@@ -505,10 +515,8 @@ def train(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                    + f" ({seconds:.1f}s)")
         (log_fn or LOG.info)(message)
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, model=model, train_cfg=cfg,
-                            vocab=corpus.vocab, opt=opt, rng=rng,
-                            epoch=epoch + 1, history=history)
-    return TrainState(model=model, opt=opt, rng=rng, epoch=total, history=history)
+            save_checkpoint(checkpoint_path, state, corpus.vocab)
+    return state
 
 
 # -- decoding over splits ------------------------------------------------------
@@ -565,14 +573,13 @@ def _meta_path(path: str) -> str:
     return path + ".meta.json"
 
 
-def save_checkpoint(path: str, *, model: CaptionModel, train_cfg: TrainConfig,
-                    vocab: Vocabulary, opt: Adam, rng: Rng, epoch: int,
-                    history: list) -> None:
-    params = model.named_parameters()
+def save_checkpoint(path: str, state: TrainState, vocab: Vocabulary) -> None:
+    """Write ``state`` and its vocabulary to ``path`` and its meta file."""
+    params = state.model.named_parameters()
     entries = [(name, params[name].data) for name in sorted(params)]
     adam_t = {}
     for name in sorted(params):
-        st = opt.state.get(name)
+        st = state.opt.state.get(name)
         if st is not None:
             entries.append((f"adam.m.{name}", st.m))
             entries.append((f"adam.v.{name}", st.v))
@@ -589,13 +596,13 @@ def save_checkpoint(path: str, *, model: CaptionModel, train_cfg: TrainConfig,
         blob += a.tobytes()
     meta = {
         "version": CKPT_VERSION,
-        "model": model.cfg.to_dict(),
-        "train": train_cfg.to_dict(),
+        "model": state.model.cfg.to_dict(),
+        "train": state.cfg.to_dict(),
         "vocab": vocab.to_dict(),
-        "epoch": epoch,
-        "rng": rng.get_state(),
+        "epoch": state.epoch,
+        "rng": state.rng.get_state(),
         "adam_t": adam_t,
-        "history": history,
+        "history": state.history,
         "bin_sha256": hashlib.sha256(blob).hexdigest(),
     }
     meta_text = json.dumps(meta, sort_keys=True, indent=1) + "\n"
@@ -672,23 +679,14 @@ def load_checkpoint(path: str):
     return tensors, meta
 
 
-@dataclass
-class RestoredTraining:
-    model: CaptionModel
-    train_cfg: TrainConfig
-    vocab: Vocabulary
-    opt: Adam
-    rng: Rng
-    epoch: int
-    history: list
-
-
 def _is_int(value) -> bool:
     """Whether a JSON value is an integer (JSON's true and false are not)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def restore_training(path: str) -> RestoredTraining:
+def restore_training(path: str) -> tuple[TrainState, Vocabulary]:
+    """The training state saved at ``path`` and its vocabulary.  A meta
+    file without ``few_shot`` (saved before it was stored) restores none."""
     tensors, meta = load_checkpoint(path)
     try:
         model_cfg = ModelConfig.from_dict(meta["model"])
@@ -698,8 +696,7 @@ def restore_training(path: str) -> RestoredTraining:
         rng_state = meta["rng"]
         adam_t = meta["adam_t"]
         history = meta["history"]
-        model_cfg.validate()
-        train_cfg.validate()
+        validate_run(model_cfg, train_cfg)
     except KeyError as exc:
         raise FormatError(f"checkpoint metadata is missing field {exc}") from exc
     except TypeError as exc:
@@ -754,5 +751,5 @@ def restore_training(path: str) -> RestoredTraining:
         opt.state[name] = AdamState(m=m, v=v, t=t)
     rng = Rng(0)
     rng.set_state(rng_state)
-    return RestoredTraining(model=model, train_cfg=train_cfg, vocab=vocab,
-                            opt=opt, rng=rng, epoch=epoch, history=history)
+    return TrainState(model=model, cfg=train_cfg, opt=opt, rng=rng, epoch=epoch,
+                      history=history), vocab

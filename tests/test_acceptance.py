@@ -27,6 +27,7 @@ from modcap.tensor import Rng, no_grad
 from modcap.trace import trace_example
 from modcap.training import (
     MODEL_INIT_TAG,
+    TrainState,
     evaluate_split,
     restore_training,
     run_rl_epoch,
@@ -81,7 +82,7 @@ def gate_run(default_corpus):
     model_cfg, train_cfg = gate_config(len(corpus.vocab))
     model = CaptionModel(model_cfg, Rng(train_cfg.seed).derive(MODEL_INIT_TAG))
     started = time.perf_counter()
-    state = train(model, corpus, synth, train_cfg)
+    state = train(TrainState(model, train_cfg), corpus, synth)
     elapsed = time.perf_counter() - started
     return {"model": model, "state": state, "train_cfg": train_cfg,
             "elapsed": elapsed}
@@ -384,13 +385,11 @@ def _train_once(corpus, synth, path, max_epochs=None, resume_from=None):
                       heads=2, m_units=2)
     tcfg = TrainConfig(xe_epochs=2, rl_epochs=0, batch_size=8, lr=3e-3, seed=13)
     if resume_from is not None:
-        r = restore_training(resume_from)
-        return r.model, train(r.model, corpus, synth, r.train_cfg, opt=r.opt,
-                              rng=r.rng, start_epoch=r.epoch, history=r.history,
-                              checkpoint_path=path)
-    model = CaptionModel(cfg, Rng(tcfg.seed).derive(MODEL_INIT_TAG))
-    return model, train(model, corpus, synth, tcfg, checkpoint_path=path,
-                        max_epochs=max_epochs)
+        state, _ = restore_training(resume_from)
+    else:
+        state = TrainState(CaptionModel(cfg, Rng(tcfg.seed).derive(MODEL_INIT_TAG)), tcfg)
+    return state.model, train(state, corpus, synth, checkpoint_path=path,
+                              max_epochs=max_epochs)
 
 
 def test_criterion_8_reproducibility(tiny_corpus, tmp_path):
@@ -414,12 +413,9 @@ def test_criterion_8_reproducibility(tiny_corpus, tmp_path):
     assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
 
     # Save, load, save again: byte-identical artifacts.
-    restored = restore_training(str(a))
+    restored, vocab = restore_training(str(a))
     resaved = tmp_path / "resaved.bin"
-    save_checkpoint(str(resaved), model=restored.model,
-                    train_cfg=restored.train_cfg, vocab=restored.vocab,
-                    opt=restored.opt, rng=restored.rng, epoch=restored.epoch,
-                    history=restored.history)
+    save_checkpoint(str(resaved), restored, vocab)
     assert resaved.read_bytes() == a.read_bytes()
     assert (tmp_path / "resaved.bin.meta.json").read_text() == \
            (tmp_path / "a.bin.meta.json").read_text()

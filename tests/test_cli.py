@@ -53,6 +53,27 @@ def test_unknown_flag_is_a_usage_error():
     assert run(["corpus", "--out", "x", "--wat"]) == 1
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("eval", "--beam", "0"), ("caption", "--beam", "-1"), ("ablate", "--beam", "0"),
+    ("train", "--max-len", "0"), ("eval", "--max-len", "-3"), ("caption", "--max-len", "0"),
+    ("trace", "--max-len", "-1"), ("ablate", "--max-len", "0"),
+    ("train", "--few-shot", "0"), ("train", "--max-epochs", "-1")])
+def test_count_below_one_is_a_usage_error(data_dir, checkpoint, tmp_path, capsys, command,
+                                          flag, value):
+    # unchecked, --beam 0 and --few-shot 0 ended in a ValueError traceback,
+    # --max-len -3 scored empty captions and --max-epochs -1 exited 0
+    # naming a checkpoint it never wrote
+    opened = {"train": ["--out", str(tmp_path / "m.bin")],
+              "ablate": ["--out", str(tmp_path / "abl")],
+              "trace": ["--checkpoint", str(checkpoint), "--scene", "0"]}.get(
+        command, ["--checkpoint", str(checkpoint)])
+    assert run([command, "--data", str(data_dir), flag, value] + opened) == 1
+    captured = capsys.readouterr()
+    assert "usage" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_unknown_preset_exits_1(data_dir, tmp_path):
     code = run(["train", "--data", str(data_dir),
                 "--out", str(tmp_path / "m.bin"), "--preset", "Nope/Q"])
@@ -200,13 +221,12 @@ def test_mis_shaped_adam_moment_exits_2(data_dir, checkpoint, tmp_path, capsys):
     from modcap.training import restore_training, save_checkpoint
 
     path = copy_checkpoint(checkpoint, tmp_path)
-    restored = restore_training(str(path))
-    restored.opt.state[sorted(restored.opt.state)[0]].m = np.zeros(3, dtype=np.float32)
+    state, vocab = restore_training(str(path))
+    state.opt.state[sorted(state.opt.state)[0]].m = np.zeros(3, dtype=np.float32)
     # the save records the rewritten tensor file's sha256; epoch 0 makes the
     # resume run an update, where the moment would otherwise first be used
-    save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,
-                    vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
-                    epoch=0, history=[])
+    state.epoch, state.history = 0, []
+    save_checkpoint(str(path), state, vocab)
     assert_data_error(["train", "--data", str(data_dir), "--out", str(path), "--resume"],
                       capsys)
 
@@ -307,13 +327,11 @@ def nan_checkpoint(checkpoint, tmp_path) -> Path:
     from modcap.training import restore_training, save_checkpoint
 
     path = copy_checkpoint(checkpoint, tmp_path)
-    restored = restore_training(str(path))
-    weight = restored.model.named_parameters()["unit1.lstm2.W"]
+    state, vocab = restore_training(str(path))
+    weight = state.model.named_parameters()["unit1.lstm2.W"]
     weight.data = weight.data.copy()
     weight.data[0, 0] = np.nan
-    save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,
-                    vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
-                    epoch=restored.epoch, history=restored.history)
+    save_checkpoint(str(path), state, vocab)
     return path
 
 
@@ -350,14 +368,13 @@ def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_pat
 
     path = copy_checkpoint(checkpoint, tmp_path)
     before = path.read_bytes()
-    restored = restore_training(str(path))
-    params = restored.model.named_parameters()
+    state, vocab = restore_training(str(path))
+    params = state.model.named_parameters()
     # the last tensor cannot be converted, so the save fails
     params[sorted(params)[-1]].data = np.array(["not a number"], dtype=object)
+    state.epoch += 1
     with pytest.raises(ValueError):
-        save_checkpoint(str(path), model=restored.model, train_cfg=restored.train_cfg,
-                        vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
-                        epoch=restored.epoch + 1, history=restored.history)
+        save_checkpoint(str(path), state, vocab)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.bin.meta.json"]
     assert run(["eval", "--checkpoint", str(path), "--data", str(data_dir),
@@ -422,6 +439,20 @@ def test_corpus_reports_split_sizes(tmp_path, capsys):
 def test_train_writes_checkpoint_and_summary(checkpoint, capsys):
     assert checkpoint.exists()
     assert Path(str(checkpoint) + ".meta.json").exists()
+
+
+def test_few_shot_resume_equals_the_uninterrupted_run(data_dir, tmp_path):
+    # the cap is part of the stored configuration; a resume that lost it
+    # trained its remaining epochs on every caption
+    flags = ["--data", str(data_dir), "--few-shot", "1"] + TRAIN_FLAGS + ["--xe-epochs", "3"]
+    straight, split = tmp_path / "straight.bin", tmp_path / "split.bin"
+    assert run(["train", "--out", str(straight)] + flags) == 0
+    assert run(["train", "--out", str(split), "--max-epochs", "1"] + flags) == 0
+    assert run(["train", "--data", str(data_dir), "--out", str(split), "--resume"]) == 0
+    for suffix in ("", ".meta.json"):
+        assert (Path(str(split) + suffix).read_bytes()
+                == Path(str(straight) + suffix).read_bytes())
+    assert json.loads(Path(str(split) + ".meta.json").read_text())["train"]["few_shot"] == 1
 
 
 def test_eval_reports_metrics(data_dir, checkpoint, tmp_path, capsys):

@@ -15,6 +15,7 @@ from modcap.training import (
     LOSS_EPS,
     TRAIN_STREAM_TAG,
     Batch,
+    TrainState,
     _pack,
     decode_split,
     evaluate_split,
@@ -693,7 +694,7 @@ class TestTrainSchedule:
         model = fresh_model(corpus, m_units=1)
         cfg = TrainConfig(xe_epochs=1, rl_epochs=1, batch_size=8, lr=1e-3,
                           seed=5, max_len=10)
-        state = train(model, corpus, synth, cfg, log_fn=lambda *_: None)
+        state = train(TrainState(model, cfg), corpus, synth, log_fn=lambda *_: None)
         assert [h["phase"] for h in state.history] == ["xe", "rl"]
         assert state.epoch == 2
         assert all("val_token_acc" in h for h in state.history)
@@ -703,7 +704,7 @@ class TestTrainSchedule:
         runs = []
         for _ in range(2):
             model = fresh_model(corpus, m_units=1)
-            state = train(model, corpus, synth, cfg, log_fn=lambda *_: None)
+            train(TrainState(model, cfg), corpus, synth, log_fn=lambda *_: None)
             runs.append({k: v.data.copy()
                          for k, v in model.named_parameters().items()})
         for k in runs[0]:
@@ -711,19 +712,23 @@ class TestTrainSchedule:
 
 
 class TestCheckpoints:
-    def small_cfg(self):
-        return TrainConfig(xe_epochs=1, rl_epochs=1, batch_size=8, lr=1e-3,
-                           seed=5, max_len=10)
+    def small_cfg(self, **over):
+        return TrainConfig(**{"xe_epochs": 1, "rl_epochs": 1, "batch_size": 8, "lr": 1e-3,
+                              "seed": 5, "max_len": 10, **over})
+
+    def one_epoch(self, corpus, synth, **over):
+        """A fresh state after one XE epoch run by hand."""
+        state = TrainState(fresh_model(corpus), self.small_cfg(**over))
+        run_xe_epoch(state.model, corpus, synth, state.cfg, state.opt, state.rng, 0)
+        state.epoch = 1
+        return state
 
     def test_round_trip_tensors(self, corpus, synth, tmp_path):
-        model = fresh_model(corpus)
-        cfg = self.small_cfg()
-        opt = Adam()
-        rng = Rng(cfg.seed).derive(TRAIN_STREAM_TAG)
-        run_xe_epoch(model, corpus, synth, cfg, opt, rng, 0)
+        state = self.one_epoch(corpus, synth)
+        model, opt, rng = state.model, state.opt, state.rng
+        state.history = [{"epoch": 0}]
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, model=model, train_cfg=cfg, vocab=corpus.vocab,
-                        opt=opt, rng=rng, epoch=1, history=[{"epoch": 0}])
+        save_checkpoint(path, state, corpus.vocab)
         tensors, meta = load_checkpoint(path)
         params = model.named_parameters()
         for name, p in params.items():
@@ -735,53 +740,39 @@ class TestCheckpoints:
         assert meta["vocab"]["tokens"] == corpus.vocab.tokens
 
     def test_save_load_save_is_byte_identical(self, corpus, synth, tmp_path):
-        model = fresh_model(corpus)
-        cfg = self.small_cfg()
-        opt = Adam()
-        rng = Rng(cfg.seed).derive(TRAIN_STREAM_TAG)
-        run_xe_epoch(model, corpus, synth, cfg, opt, rng, 0)
         first = str(tmp_path / "a.bin")
-        save_checkpoint(first, model=model, train_cfg=cfg, vocab=corpus.vocab,
-                        opt=opt, rng=rng, epoch=1, history=[])
-        restored = restore_training(first)
+        save_checkpoint(first, self.one_epoch(corpus, synth), corpus.vocab)
+        restored, vocab = restore_training(first)
         second = str(tmp_path / "b.bin")
-        save_checkpoint(second, model=restored.model, train_cfg=restored.train_cfg,
-                        vocab=restored.vocab, opt=restored.opt, rng=restored.rng,
-                        epoch=restored.epoch, history=restored.history)
+        save_checkpoint(second, restored, vocab)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert ((tmp_path / "a.bin.meta.json").read_bytes()
                 == (tmp_path / "b.bin.meta.json").read_bytes())
 
     def test_restored_model_behaves_identically(self, corpus, synth, tmp_path):
-        model = fresh_model(corpus)
-        cfg = self.small_cfg()
-        opt = Adam()
-        rng = Rng(cfg.seed).derive(TRAIN_STREAM_TAG)
-        run_xe_epoch(model, corpus, synth, cfg, opt, rng, 0)
+        state = self.one_epoch(corpus, synth)
         path = str(tmp_path / "model.bin")
-        save_checkpoint(path, model=model, train_cfg=cfg, vocab=corpus.vocab,
-                        opt=opt, rng=rng, epoch=1, history=[])
-        restored = restore_training(path)
-        want = teacher_forced_metrics(model, corpus, synth, "val")
+        save_checkpoint(path, state, corpus.vocab)
+        restored, _ = restore_training(path)
+        want = teacher_forced_metrics(state.model, corpus, synth, "val")
         got = teacher_forced_metrics(restored.model, corpus, synth, "val")
         assert want == got
 
     def test_resume_equals_uninterrupted(self, corpus, synth, tmp_path):
         cfg = self.small_cfg()
 
-        straight = fresh_model(corpus, seed=3)
-        state_a = train(straight, corpus, synth, cfg, log_fn=lambda *_: None)
+        straight = TrainState(fresh_model(corpus, seed=3), cfg)
+        state_a = train(straight, corpus, synth, log_fn=lambda *_: None)
+        assert state_a is straight and state_a.epoch == 2
 
-        broken = fresh_model(corpus, seed=3)
+        broken = TrainState(fresh_model(corpus, seed=3), cfg)
         path = str(tmp_path / "resume.bin")
-        train(broken, corpus, synth, cfg, checkpoint_path=path, max_epochs=1,
+        train(broken, corpus, synth, checkpoint_path=path, max_epochs=1,
               log_fn=lambda *_: None)
-        restored = restore_training(path)
+        assert broken.epoch == 1
+        restored, _ = restore_training(path)
         assert restored.epoch == 1
-        state_b = train(restored.model, corpus, synth, restored.train_cfg,
-                        opt=restored.opt, rng=restored.rng,
-                        start_epoch=restored.epoch, history=restored.history,
-                        log_fn=lambda *_: None)
+        state_b = train(restored, corpus, synth, log_fn=lambda *_: None)
 
         a_params = state_a.model.named_parameters()
         b_params = state_b.model.named_parameters()
@@ -798,32 +789,20 @@ class TestCheckpoints:
             load_checkpoint(str(path))
 
     def test_truncated_file(self, corpus, synth, tmp_path):
-        model = fresh_model(corpus)
-        cfg = self.small_cfg()
-        path = str(tmp_path / "model.bin")
-        save_checkpoint(path, model=model, train_cfg=cfg, vocab=corpus.vocab,
-                        opt=Adam(), rng=Rng(0), epoch=0, history=[])
+        path = self.saved(corpus, tmp_path)
         blob = (tmp_path / "model.bin").read_bytes()
         (tmp_path / "model.bin").write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
 
     def test_missing_metadata(self, corpus, synth, tmp_path):
-        model = fresh_model(corpus)
-        cfg = self.small_cfg()
-        path = str(tmp_path / "model.bin")
-        save_checkpoint(path, model=model, train_cfg=cfg, vocab=corpus.vocab,
-                        opt=Adam(), rng=Rng(0), epoch=0, history=[])
+        path = self.saved(corpus, tmp_path)
         (tmp_path / "model.bin.meta.json").unlink()
         with pytest.raises(DataError, match="metadata"):
             load_checkpoint(path)
 
     def test_config_mismatch_rejected(self, corpus, synth, tmp_path):
-        model = fresh_model(corpus)
-        cfg = self.small_cfg()
-        path = str(tmp_path / "model.bin")
-        save_checkpoint(path, model=model, train_cfg=cfg, vocab=corpus.vocab,
-                        opt=Adam(), rng=Rng(0), epoch=0, history=[])
+        path = self.saved(corpus, tmp_path)
         meta_file = tmp_path / "model.bin.meta.json"
         meta = json.loads(meta_file.read_text())
         meta["model"]["d_v"] = 24
@@ -833,10 +812,9 @@ class TestCheckpoints:
             restore_training(path)
 
     def saved(self, corpus, tmp_path, name="model.bin", seed=3):
-        model = fresh_model(corpus, seed=seed)
         path = str(tmp_path / name)
-        save_checkpoint(path, model=model, train_cfg=self.small_cfg(), vocab=corpus.vocab,
-                        opt=Adam(), rng=Rng(0), epoch=0, history=[])
+        save_checkpoint(path, TrainState(fresh_model(corpus, seed=seed), self.small_cfg(),
+                                         rng=Rng(0)), corpus.vocab)
         return path
 
     def test_flipped_byte_is_caught(self, corpus, tmp_path):
@@ -861,7 +839,26 @@ class TestCheckpoints:
         meta = json.loads(meta_file.read_text())
         del meta["bin_sha256"]
         meta_file.write_text(json.dumps(meta))
-        assert restore_training(path).epoch == 0
+        assert restore_training(path)[0].epoch == 0
+
+    def test_meta_without_few_shot_restores_uncapped_and_resumes(self, corpus, synth,
+                                                                 tmp_path):
+        path = str(tmp_path / "model.bin")
+        capped = self.one_epoch(corpus, synth, xe_epochs=2, rl_epochs=0, few_shot=2)
+        save_checkpoint(path, capped, corpus.vocab)
+        assert restore_training(path)[0].cfg.few_shot == 2
+        # the meta of a checkpoint saved before the cap was stored
+        meta_file = tmp_path / "model.bin.meta.json"
+        meta = json.loads(meta_file.read_text())
+        del meta["train"]["few_shot"]
+        meta_file.write_text(json.dumps(meta))
+        state, _ = restore_training(path)
+        assert state.cfg.few_shot is None
+        train(state, corpus, synth, log_fn=lambda *_: None)
+        assert state.epoch == 2
+        scenes_by_id = {s.scene_id: s for s in corpus.scenes}
+        every_caption = make_batches(corpus.examples_in("train"), scenes_by_id, synth, 8)
+        assert [h["steps"] for h in state.history] == [len(every_caption)]
 
     @pytest.mark.parametrize("field", ["d_r", "d_v", "d_c", "d_a", "heads"])
     def test_non_positive_width_is_a_format_error(self, corpus, tmp_path, field):
@@ -881,7 +878,8 @@ class TestCheckpoints:
                                              ("grad_clip", float("nan")),
                                              ("lambda_xe", -1.0), ("lambda_rl", -0.5),
                                              ("lr", float("nan")),
-                                             ("rl_lr_scale", float("inf"))])
+                                             ("rl_lr_scale", float("inf")),
+                                             ("few_shot", 0), ("few_shot", -2)])
     def test_invalid_training_setting_is_a_format_error(self, corpus, tmp_path, field,
                                                         value):
         with pytest.raises(ConfigError, match=field):
@@ -892,6 +890,17 @@ class TestCheckpoints:
         meta["train"][field] = value
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match=field):
+            restore_training(path)
+
+    def test_configuration_train_refuses_is_a_format_error(self, corpus, tmp_path):
+        # the word-class loss has no controller distribution under uniform
+        # weights; unchecked, a resume ended as a configuration error, exit 1
+        path = self.saved(corpus, tmp_path)
+        meta_file = tmp_path / "model.bin.meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["model"]["strategy"] = "uniform"
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="uniform"):
             restore_training(path)
 
     def test_missing_file_is_data_error(self, tmp_path):

@@ -21,8 +21,9 @@ import time
 from dataclasses import replace
 
 from . import __version__
-from .config import ModelConfig, TrainConfig, apply_preset, validate_run
+from .config import STRATEGIES, ModelConfig, TrainConfig, apply_preset, validate_run
 from .corpus import (
+    SPLITS,
     CorpusSpec,
     FeatureSynthesizer,
     generate_corpus,
@@ -76,18 +77,15 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("CNM_SEED")
-    if raw is None:
-        return 0
+def _seed_of(args) -> int:
+    """--seed, else the CNM_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("CNM_SEED", "0")
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"CNM_SEED must be an integer, got {raw!r}") from None
-
-
-def _seed_of(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
 
 
 def _echo_config(model_cfg: ModelConfig, train_cfg: TrainConfig) -> None:
@@ -103,30 +101,20 @@ def _emit(payload: dict, out_path: str | None = None) -> None:
     print(text)
 
 
-def _build_configs(args, vocab_size: int):
-    """Defaults, then the preset, then explicit flags on top."""
-    model_cfg = ModelConfig(vocab_size=vocab_size)
+def _build_configs(args, corpus):
+    """Defaults, then the preset, then explicit flags on top; the region
+    feature width and the vocabulary are the corpus's."""
+    model_cfg = ModelConfig(vocab_size=len(corpus.vocab), d_r=corpus.spec.d_r)
     train_cfg = TrainConfig(seed=_seed_of(args))
     if getattr(args, "preset", None):
         model_cfg, train_cfg = apply_preset(args.preset, model_cfg, train_cfg)
-    model_over = {}
-    if getattr(args, "d_v", None) is not None:
-        model_over["d_v"] = args.d_v
-        model_over["d_c"] = args.d_v
-    for flag in ("d_a", "heads", "m_units", "strategy"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            model_over[flag] = value
-    if model_over:
-        model_cfg = replace(model_cfg, **model_over)
-    train_over = {}
-    for flag in ("xe_epochs", "rl_epochs", "batch_size", "lr", "max_len", "few_shot",
-                 "linguistic"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            train_over[flag] = value
-    if train_over:
-        train_cfg = replace(train_cfg, **train_over)
+
+    def given(*flags):
+        return {f: getattr(args, f) for f in flags if getattr(args, f, None) is not None}
+
+    model_cfg = replace(model_cfg, **given("d_v", "d_a", "heads", "m_units", "strategy"))
+    train_cfg = replace(train_cfg, **given("xe_epochs", "rl_epochs", "batch_size", "lr",
+                                           "max_len", "few_shot", "linguistic"))
     validate_run(model_cfg, train_cfg)
     return model_cfg, train_cfg
 
@@ -138,12 +126,16 @@ def _fresh_state(model_cfg: ModelConfig, train_cfg: TrainConfig) -> TrainState:
 
 def _open_run(data_dir: str, checkpoint: str):
     """The corpus, the training state saved at ``checkpoint``, whose
-    vocabulary must be the corpus's, and the corpus's feature synthesizer."""
+    vocabulary and region feature width must be the corpus's, and the
+    corpus's feature synthesizer."""
     corpus = load_corpus(data_dir)
     state, vocab = restore_training(checkpoint)
     if vocab.tokens != corpus.vocab.tokens:
         raise DataError("checkpoint vocabulary does not match the corpus; "
                         "was the model trained on different data?")
+    if state.model.cfg.d_r != corpus.spec.d_r:
+        raise DataError(f"checkpoint reads {state.model.cfg.d_r}-wide region features, "
+                        f"the corpus has {corpus.spec.d_r}-wide ones")
     return corpus, state, FeatureSynthesizer(corpus.spec)
 
 
@@ -176,8 +168,7 @@ def cmd_corpus(args) -> int:
         "scenes": len(corpus.scenes),
         "captions": len(corpus.examples),
         "vocab": len(corpus.vocab),
-        "splits": {name: len(corpus.scenes_in(name))
-                   for name in ("train", "val", "test")},
+        "splits": {name: len(corpus.scenes_in(name)) for name in SPLITS},
     })
     return EXIT_OK
 
@@ -188,7 +179,7 @@ def cmd_train(args) -> int:
     else:
         corpus = load_corpus(args.data)
         synth = FeatureSynthesizer(corpus.spec)
-        state = _fresh_state(*_build_configs(args, len(corpus.vocab)))
+        state = _fresh_state(*_build_configs(args, corpus))
     _echo_config(state.model.cfg, state.cfg)
     _freeze_heap()
     train(state, corpus, synth, checkpoint_path=args.out, max_epochs=args.max_epochs,
@@ -289,7 +280,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for preset in presets:
         run_args = argparse.Namespace(**{**vars(args), "preset": preset})
-        state = _fresh_state(*_build_configs(run_args, len(corpus.vocab)))
+        state = _fresh_state(*_build_configs(run_args, corpus))
         _echo_config(state.model.cfg, state.cfg)
         _freeze_heap()
         started = time.perf_counter()
@@ -301,11 +292,7 @@ def cmd_ablate(args) -> int:
         forced = teacher_forced_metrics(state.model, corpus, synth, "val")
         row = {
             "preset": preset,
-            "bleu1": report["bleu1"],
-            "bleu2": report["bleu2"],
-            "bleu3": report["bleu3"],
-            "bleu4": report["bleu4"],
-            "cider_d": report["cider_d"],
+            **{k: report[k] for k in ("bleu1", "bleu2", "bleu3", "bleu4", "cider_d")},
             "token_acc": forced["token_acc"],
             "ctrl_agree": forced["ctrl_agree"],
             "runtime_seconds": round(runtime, 3),
@@ -346,11 +333,12 @@ def _add_model_flags(p):
     p.add_argument("--preset", default=None,
                    help="named configuration, e.g. CNM#2 or Col/S+L")
     p.add_argument("--d-v", dest="d_v", type=int, default=None,
-                   help="module value width (also sets the LSTM width)")
+                   help="module value width, which is also the decoder units' LSTM "
+                        "width: the units stack residually")
     p.add_argument("--d-a", dest="d_a", type=int, default=None)
     p.add_argument("--heads", type=int, default=None)
     p.add_argument("--m-units", dest="m_units", type=int, default=None)
-    p.add_argument("--strategy", choices=("soft", "hard", "uniform"), default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--linguistic", action=argparse.BooleanOptionalAction,
                    default=None, help="word-class supervision of the controller")
 
@@ -387,8 +375,9 @@ def build_parser() -> _Parser:
                    help="continue the run saved at --out with its stored configuration; "
                         "training flags other than --max-epochs are ignored")
     p.add_argument("--few-shot", dest="few_shot", type=_count, default=None,
-                   help="cap the gold captions per training scene that the "
-                        "cross-entropy epochs read; stored in the checkpoint")
+                   help="cap the gold captions per training scene that the run "
+                        "reads, in the cross-entropy epochs and as the self-critical "
+                        "references; stored in the checkpoint")
     p.add_argument("--max-epochs", dest="max_epochs", type=_count, default=None,
                    help="stop after this many epochs this invocation")
     _add_model_flags(p)
@@ -399,7 +388,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="val")
+    p.add_argument("--split", choices=SPLITS, default="val")
     p.add_argument("--beam", type=_count, default=5)
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--max-len", dest="max_len", type=_count, default=None)
@@ -410,7 +399,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--scene", type=int, default=None)
-    p.add_argument("--split", choices=("train", "val", "test"), default="val")
+    p.add_argument("--split", choices=SPLITS, default="val")
     p.add_argument("--beam", type=_count, default=5)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--greedy", action="store_true")

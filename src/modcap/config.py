@@ -4,14 +4,47 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
+from .controller import Strategy
 from .errors import ConfigError
 
 VISUAL_MODULES = ("object", "attribute", "relation")
 FULL_MODULES = VISUAL_MODULES + ("function",)
 
-STRATEGIES = ("soft", "hard", "uniform")
+STRATEGIES = tuple(s.value for s in Strategy)
+
+# Values no run varies.  Training reads its constants as ``config.NAME``,
+# so a test patches each in one place.  The decoder units stack
+# residually, so the units' LSTM width is the value width ``d_v``.
+LEAKY_SLOPE = 0.01      # negative slope of the encoders' and function module's LeakyReLU
+LAMBDA_XE = 1.0         # weight of the word-class term in the cross-entropy epochs
+LAMBDA_RL = 0.5         # and in the self-critical epochs
+# Self-critical updates at the full rate undo converged models; the usual
+# remedy is a much smaller step for the fine-tuning phase.
+RL_LR_SCALE = 0.1
+LR_DECAY = 0.8          # the learning rate is multiplied by LR_DECAY
+DECAY_EVERY = 5         # once every DECAY_EVERY epochs
+GRAD_CLIP = 5.0         # cap on the global gradient norm of an update
+
+# the training settings version-1 metas store, at the values they must hold
+_RETIRED_TRAIN = {"lambda_xe": LAMBDA_XE, "lambda_rl": LAMBDA_RL, "rl_lr_scale": RL_LR_SCALE,
+                  "lr_decay": LR_DECAY, "decay_every": DECAY_EVERY, "grad_clip": GRAD_CLIP}
+
+
+def _drop_retired(d, fixed: dict) -> dict:
+    """A stored configuration without the keys of retired settings, which
+    version-1 metas still carry; each must hold its fixed value."""
+    if not isinstance(d, dict):
+        raise TypeError(f"a stored configuration is a JSON object, not {type(d).__name__}")
+    d = dict(d)
+    for key, value in fixed.items():
+        if key in d:
+            got = d.pop(key)
+            if isinstance(got, bool) or got != value:
+                raise ConfigError(f"{key} is no longer a setting and must be {value!r}, "
+                                  f"got {got!r}")
+    return d
 
 
 @dataclass
@@ -19,29 +52,22 @@ class ModelConfig:
     vocab_size: int
     d_r: int = 64
     d_v: int = 32
-    d_c: int = 32
     d_a: int = 16
     heads: int = 4
     m_units: int = 2
     strategy: str = "soft"
     modules: tuple = FULL_MODULES
-    leaky_slope: float = 0.01
     gumbel_tau: float = 1.0
 
     def __post_init__(self):
         self.modules = tuple(self.modules)
 
     def validate(self) -> None:
-        for name in ("d_r", "d_v", "d_c", "d_a", "heads"):
+        for name in ("d_r", "d_v", "d_a", "heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.vocab_size < 5:
             raise ConfigError(f"vocab_size={self.vocab_size} leaves no room for real words")
-        if self.d_v != self.d_c:
-            raise ConfigError(
-                f"d_v={self.d_v} and d_c={self.d_c} must match: the unit output is "
-                "added back onto the running input vector"
-            )
         if self.d_r % self.heads != 0:
             raise ConfigError(f"d_r={self.d_r} is not divisible by heads={self.heads}")
         if self.m_units < 1:
@@ -55,23 +81,18 @@ class ModelConfig:
                 f"modules must be the full set {FULL_MODULES} or a single visual "
                 f"module, got {self.modules}"
             )
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
 
     @property
     def single_module(self) -> str | None:
         return self.modules[0] if len(self.modules) == 1 else None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["modules"] = list(self.modules)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["modules"] = tuple(d.get("modules", FULL_MODULES))
-        return cls(**d)
+        d_v = d.get("d_v", cls.d_v) if isinstance(d, dict) else None
+        return cls(**_drop_retired(d, {"d_c": d_v, "leaky_slope": LEAKY_SLOPE}))
 
 
 @dataclass
@@ -80,18 +101,10 @@ class TrainConfig:
     rl_epochs: int = 4
     batch_size: int = 16
     lr: float = 5e-4
-    lr_decay: float = 0.8
-    decay_every: int = 5
-    lambda_xe: float = 1.0
-    lambda_rl: float = 0.5
-    # Self-critical updates at the full rate undo converged models; the usual
-    # remedy is a much smaller step for the fine-tuning phase.
-    rl_lr_scale: float = 0.1
     linguistic: bool = True
-    grad_clip: float = 5.0
     seed: int = 0
     max_len: int = 16
-    # at most this many gold captions per training scene in the XE epochs
+    # at most this many gold captions per training scene, for all of the run
     few_shot: int | None = None
 
     def validate(self) -> None:
@@ -99,18 +112,8 @@ class TrainConfig:
             raise ConfigError("epoch counts cannot be negative")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        for name in ("lr", "rl_lr_scale", "grad_clip"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        for name in ("lambda_xe", "lambda_rl"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
-        if self.decay_every < 1:
-            raise ConfigError(f"decay_every must be at least 1, got {self.decay_every}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.max_len < 2:
             raise ConfigError(f"max_len={self.max_len} cannot fit a word and the end token")
         if self.few_shot is not None and not (
@@ -118,14 +121,14 @@ class TrainConfig:
             raise ConfigError(f"few_shot must be an integer >= 1, got {self.few_shot!r}")
 
     def lr_at(self, epoch: int) -> float:
-        return self.lr * self.lr_decay ** (epoch // self.decay_every)
+        return self.lr * LR_DECAY ** (epoch // DECAY_EVERY)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        return cls(**_drop_retired(d, _RETIRED_TRAIN))
 
 
 def validate_run(model_cfg: ModelConfig, train_cfg: TrainConfig) -> None:
@@ -156,42 +159,33 @@ PRESET_GRID = (
     "CNM#2",
 )
 
-_SINGLE = {"Module/O": "object", "Module/A": "attribute", "Module/R": "relation"}
-_COL = {
-    "Col/1": ("uniform", False),
-    "Col/S": ("soft", False),
-    "Col/H": ("hard", False),
-    "Col/S+L": ("soft", True),
-    "Col/H+L": ("hard", True),
+# preset -> (modules, strategy, word-class loss), on one unit; the _DEEP
+# ones take their unit count M after a "#": Module/O#M and CNM#M
+_PRESETS = {
+    "Module/O": (("object",), "soft", False),
+    "Module/A": (("attribute",), "soft", False),
+    "Module/R": (("relation",), "soft", False),
+    "Col/1": (FULL_MODULES, "uniform", False),
+    "Col/S": (FULL_MODULES, "soft", False),
+    "Col/H": (FULL_MODULES, "hard", False),
+    "Col/S+L": (FULL_MODULES, "soft", True),
+    "Col/H+L": (FULL_MODULES, "hard", True),
 }
-
-
-def resolve_preset(name: str) -> dict:
-    """Preset name -> overrides for (modules, strategy, m_units, linguistic)."""
-    if name in _SINGLE:
-        return {"modules": (_SINGLE[name],), "strategy": "soft", "m_units": 1,
-                "linguistic": False}
-    m = re.fullmatch(r"Module/O#(\d+)", name)
-    if m:
-        return {"modules": ("object",), "strategy": "soft", "m_units": int(m.group(1)),
-                "linguistic": False}
-    if name in _COL:
-        strategy, linguistic = _COL[name]
-        return {"modules": FULL_MODULES, "strategy": strategy, "m_units": 1,
-                "linguistic": linguistic}
-    m = re.fullmatch(r"CNM#(\d+)", name)
-    if m:
-        return {"modules": FULL_MODULES, "strategy": "soft", "m_units": int(m.group(1)),
-                "linguistic": True}
-    raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_GRID)} "
-                      "plus Module/O#M and CNM#M for any M")
+_DEEP = {"Module/O": _PRESETS["Module/O"], "CNM": (FULL_MODULES, "soft", True)}
 
 
 def apply_preset(name: str, model_cfg: ModelConfig, train_cfg: TrainConfig):
-    """Return fresh configs with the preset's overrides applied."""
-    ov = resolve_preset(name)
-    model_cfg = replace(model_cfg, modules=ov["modules"], strategy=ov["strategy"],
-                        m_units=ov["m_units"])
-    train_cfg = replace(train_cfg, linguistic=ov["linguistic"])
+    """Return fresh configs with the preset's modules, strategy, unit count
+    and word-class loss applied."""
+    m = re.fullmatch(r"(Module/O|CNM)#(\d+)", name)
+    if m:
+        (modules, strategy, linguistic), m_units = _DEEP[m.group(1)], int(m.group(2))
+    elif name in _PRESETS:
+        (modules, strategy, linguistic), m_units = _PRESETS[name], 1
+    else:
+        raise ConfigError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_GRID)} "
+                          "plus Module/O#M and CNM#M for any M")
+    model_cfg = replace(model_cfg, modules=modules, strategy=strategy, m_units=m_units)
+    train_cfg = replace(train_cfg, linguistic=linguistic)
     validate_run(model_cfg, train_cfg)
     return model_cfg, train_cfg

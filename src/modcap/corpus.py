@@ -234,12 +234,15 @@ class Corpus:
 
     def references(self, split: str | None = None) -> dict[int, list[list[str]]]:
         """scene id -> list of gold word sequences."""
-        wanted = None if split is None else {s.scene_id for s in self.scenes_in(split)}
-        refs: dict[int, list[list[str]]] = {}
-        for e in self.examples:
-            if wanted is None or e.scene_id in wanted:
-                refs.setdefault(e.scene_id, []).append(list(e.words))
-        return refs
+        return references_of(self.examples if split is None else self.examples_in(split))
+
+
+def references_of(examples) -> dict[int, list[list[str]]]:
+    """Scene id -> the word sequences of its examples, in their order."""
+    refs: dict[int, list[list[str]]] = {}
+    for e in examples:
+        refs.setdefault(e.scene_id, []).append(list(e.words))
+    return refs
 
 
 # -- generation ---------------------------------------------------------------

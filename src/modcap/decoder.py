@@ -52,8 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import VISUAL_MODULES, ModelConfig
+from .config import LEAKY_SLOPE, VISUAL_MODULES, ModelConfig
 from .controller import ModuleLabel, Strategy, one_hot_max
+from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID  # noqa: F401 (re-exported)
 from .encoders import ProjectionModule, RelationModule
 from .errors import TrainingError
 from .layers import Linear
@@ -79,7 +80,6 @@ from .tensor import (
     zeros,
 )
 
-PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 
 HEAD_WEIGHTS = ("Wv", "Wh", "wa")      # an attention head's table entries, in draw order
 
@@ -145,7 +145,8 @@ class DecoderUnit:
     """
 
     def __init__(self, cfg: ModelConfig, modules: tuple, rng: Rng, dtype=FLOAT32):
-        d_v, d_c, d_a = cfg.d_v, cfg.d_c, cfg.d_a
+        d_v, d_a = cfg.d_v, cfg.d_a
+        d_c = d_v       # the units stack residually: the LSTM width is the value width
         self.cfg = cfg
         self.modules = modules
         self.strategy = Strategy(cfg.strategy) if modules == VISUAL_MODULES else None
@@ -172,14 +173,14 @@ class DecoderUnit:
         self._heads = None
 
     def zero_state(self, batch: int, dtype) -> np.ndarray:
-        """Zero state rows (n, B, d_c): h1, c1, h2, c2 and, when the
+        """Zero state rows (n, B, d_v): h1, c1, h2, c2 and, when the
         controller runs (``controlled``), its h and c."""
-        return np.zeros((6 if self.controlled else 4, batch, self.cfg.d_c), dtype)
+        return np.zeros((6 if self.controlled else 4, batch, self.cfg.d_v), dtype)
 
     def step(self, i_prev: np.ndarray, enc: Encoded, state: np.ndarray,
              noise: np.ndarray | None = None):
         """One forward-only step of the unit on the input rows (B, d_v) and
-        the state rows (n, B, d_c), with the step's (B, K + 1)
+        the state rows (n, B, d_v), with the step's (B, K + 1)
         hard-selection noise, by the unit's run kept with the encoding
         (``Encoded.run``).  Returns (i_new, new state rows), plain arrays.
         The gate sigmoids may overflow exp: the decoders step under
@@ -196,7 +197,7 @@ class DecoderUnit:
 
     def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The attention weights stacked over modules: C-contiguous W_v^T
-        (K, d_v, d_a) and W_h^T (K, d_c, d_a), and w_a (K, d_a).  Rebuilt
+        (K, d_v, d_a) and W_h^T (K, d_v, d_a), and w_a (K, d_a).  Rebuilt
         only after a weight's array is rebound (an optimizer step, a
         checkpoint load)."""
         arrays = [self.weights[f"att.{name}.{part}"].data
@@ -240,7 +241,6 @@ class UnitRun:
                                   record)
         if self.strategy is not None:
             self.fc_W, self.fc_b = w["func.fc.W"], w["func.fc.b"]
-            self.slope = unit.cfg.leaky_slope
         if self.controlled:
             self.lstm_c = LstmRun(w["ctrl.lstm.W"], w["ctrl.lstm.b"], record)
             self.proj_W, self.proj_b = w["ctrl.proj.W"], w["ctrl.proj.b"]
@@ -250,7 +250,7 @@ class UnitRun:
 
     def step(self, x: np.ndarray, state, noise: np.ndarray | None = None):
         """One step on the input rows x (B, d_v) and the state rows h1, c1,
-        h2, c2 and, when the controller runs, its h and c, each (B, d_c),
+        h2, c2 and, when the controller runs, its h and c, each (B, d_v),
         with the step's (B, K + 1) hard-selection noise, zero when None.
 
         LSTM1 runs, then the K attention heads; with a controller the
@@ -273,7 +273,7 @@ class UnitRun:
             v_hat = att[0]
         else:
             pf = np.matmul(ctx, self.fc_W) + self.fc_b
-            v_func = np.where(pf >= 0, pf, self.slope * pf)
+            v_func = np.where(pf >= 0, pf, LEAKY_SLOPE * pf)
             block = np.concatenate([att.transpose(1, 0, 2), v_func[:, None]], axis=1)
             if self.controlled:
                 hc, cc = self.lstm_c.forward([*att, ctx, ctrl_rows[0]], ctrl_rows[1])
@@ -332,7 +332,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
     requires one) the pass records nothing and runs on the encoding's
     forward-only run, the one ``DecoderUnit.step`` decodes with.
     """
-    dv, dc = unit.cfg.d_v, unit.cfg.d_c
+    dv = dc = unit.cfg.d_v
     k_heads = len(unit.modules)
     shape = i.shape
     xs = i.data.reshape((-1,) + shape[-2:])
@@ -375,7 +375,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
         g_means = None
         if strategy is not None:
             pf = _steps(run.pre_f)
-            d_pre_f = np.where(pf >= 0, 1.0, run.slope).astype(pf.dtype)
+            d_pre_f = np.where(pf >= 0, 1.0, LEAKY_SLOPE).astype(pf.dtype)
             g_pre_f = np.empty_like(pf)
         if controlled:
             lstm_c = run.lstm_c
@@ -482,9 +482,9 @@ class CaptionModel:
         self.encoders = {}
         for name in modules:
             self.encoders[name] = (
-                RelationModule(cfg.d_r, cfg.d_v, cfg.heads, rng, cfg.leaky_slope, dtype)
+                RelationModule(cfg.d_r, cfg.d_v, cfg.heads, rng, dtype)
                 if name == "relation"
-                else ProjectionModule(cfg.d_r, cfg.d_v, rng, cfg.leaky_slope, dtype))
+                else ProjectionModule(cfg.d_r, cfg.d_v, rng, dtype))
         self.embed = xavier_uniform(rng, (cfg.vocab_size, cfg.d_v),
                                     cfg.vocab_size, cfg.d_v, dtype=dtype)
         self.units = [DecoderUnit(cfg, modules, rng, dtype) for _ in range(cfg.m_units)]

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .config import LEAKY_SLOPE
 from .errors import ConfigError
 from .layers import Linear
 from .tensor import (
@@ -38,12 +39,11 @@ class ProjectionModule:
     """LeakyReLU(x W + b), row by row: the object and attribute modules on
     their region features."""
 
-    def __init__(self, d_in: int, d_v: int, rng: Rng, slope: float = 0.01, dtype=FLOAT32):
+    def __init__(self, d_in: int, d_v: int, rng: Rng, dtype=FLOAT32):
         self.fc = Linear(d_in, d_v, rng, dtype=dtype)
-        self.slope = slope
 
     def __call__(self, x: Tensor) -> Tensor:
-        return leaky_relu(self.fc(x), self.slope)
+        return leaky_relu(self.fc(x), LEAKY_SLOPE)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return self.fc.params(f"{prefix}.fc")
@@ -61,14 +61,12 @@ class RelationModule:
     their own output rows are computed but meaningless.
     """
 
-    def __init__(self, d_r: int, d_v: int, heads: int, rng: Rng,
-                 slope: float = 0.01, dtype=FLOAT32):
+    def __init__(self, d_r: int, d_v: int, heads: int, rng: Rng, dtype=FLOAT32):
         if d_r % heads != 0:
             raise ConfigError(f"d_r={d_r} is not divisible by heads={heads}")
         self.d_r = d_r
         self.heads = heads
         self.d_k = d_r // heads
-        self.slope = slope
         self.w_q = [xavier_uniform(rng, (d_r, self.d_k), d_r, self.d_k, dtype=dtype)
                     for _ in range(heads)]
         self.w_k = [xavier_uniform(rng, (d_r, self.d_k), d_r, self.d_k, dtype=dtype)
@@ -96,7 +94,7 @@ class RelationModule:
             attn = softmax(scores, axis=-1, mask=key_mask)
             head_outs.append(matmul(attn, v))
         mixed = matmul(reshape(concat(head_outs, axis=-1), (-1, self.d_r)), self.w_out)
-        out = leaky_relu(self.fc2(relu(self.fc1(mixed))), self.slope)
+        out = leaky_relu(self.fc2(relu(self.fc1(mixed))), LEAKY_SLOPE)
         return reshape(out, (b, n, -1))
 
     def params(self, prefix: str) -> dict[str, Tensor]:

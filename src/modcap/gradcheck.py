@@ -341,7 +341,7 @@ def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
     """A tiny float64 unit of the variant and random inputs: one step's
     rows (2, 3), or ``n_steps`` steps' (n_steps, 2, 3)."""
     modules = ("object",) if variant == "single" else FULL_MODULES
-    cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_c=3, d_a=2, heads=2, m_units=1,
+    cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_a=2, heads=2, m_units=1,
                       strategy="soft" if variant == "single" else variant, modules=modules,
                       gumbel_tau=HARD_MULTI_STEP_TAU if n_steps > 1 else 1.0)
     unit = DecoderUnit(cfg, tuple(m for m in modules if m in VISUAL_MODULES),
@@ -401,7 +401,7 @@ def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseRe
 
 
 def _tiny_decoder():
-    cfg = ModelConfig(vocab_size=7, d_r=8, d_v=4, d_c=4, d_a=3, heads=2,
+    cfg = ModelConfig(vocab_size=7, d_r=8, d_v=4, d_a=3, heads=2,
                       m_units=2, strategy="soft")
     model = CaptionModel(cfg, Rng(1234).derive(9), dtype=FLOAT64)
     _jitter(model.named_parameters(), Rng(1234).derive(11))

@@ -20,11 +20,12 @@ mask, so the whole window runs as one decode pass over its scenes listed
 twice, sampling on the first copy and taking the argmax on the second,
 and one forced pass, which also carries the gold captions of the
 word-class term.  A run is one ``TrainState``: the model, its
-``TrainConfig`` (the few-shot cap on the cross-entropy epochs' captions
-included), the optimizer, the random stream, the next epoch and the
-epoch records; a checkpoint stores all of it.  All shuffling, sampling,
-and hard-selection noise comes from that stream, derived from the
-training seed, so a restored state continues as the uninterrupted run.
+``TrainConfig`` (with the few-shot cap on the train captions the run
+reads, ``train_examples``), the optimizer, the random stream, the next
+epoch and the epoch records; a checkpoint stores all of it.  All
+shuffling, sampling, and hard-selection noise comes from that stream,
+derived from the training seed, so a restored state continues as the
+uninterrupted run.  The constants of the schedule live in ``config``.
 Each epoch record keeps the mean and largest pre-clip gradient norm of
 its updates and how many of them were clipped.  The epochs and
 ``teacher_forced_metrics`` keep BLAS on the calling thread
@@ -45,11 +46,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .config import ModelConfig, TrainConfig, validate_run
-from .corpus import Corpus, FeatureSynthesizer, Vocabulary, few_shot_subset
-from .decoder import (
+from .corpus import (
     BOS_ID,
     PAD_ID,
+    Corpus,
+    FeatureSynthesizer,
+    Vocabulary,
+    few_shot_subset,
+    references_of,
+)
+from .decoder import (
     CaptionModel,
     Encoded,
     argmax_policy,
@@ -83,6 +91,16 @@ MODEL_INIT_TAG = 707
 
 
 # -- batching ----------------------------------------------------------------
+
+
+def train_examples(corpus: Corpus, cfg: TrainConfig) -> list:
+    """The train captions a run reads: all of them in corpus order, or with
+    ``cfg.few_shot`` at most that many per scene (``few_shot_subset``),
+    each scene's in corpus order."""
+    examples = corpus.examples_in("train")
+    if cfg.few_shot is not None:
+        examples = few_shot_subset(examples, cfg.few_shot, cfg.seed)
+    return examples
 
 
 @dataclass
@@ -344,25 +362,25 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
 
 
 def _update(loss: Tensor, params: dict[str, Tensor], opt: Adam, lr: float,
-            max_norm: float, where: str) -> float:
+            where: str) -> float:
     """One optimizer step on ``loss``: check that it is finite, backpropagate
-    from cleared gradients, clip their global norm and step.  Returns the
-    pre-clip norm."""
+    from cleared gradients, clip their global norm to ``config.GRAD_CLIP``
+    and step.  Returns the pre-clip norm."""
     if not np.all(np.isfinite(loss.data)):
         raise TrainingError(f"non-finite loss at {where}")
     for p in params.values():
         p.grad = None
     loss.backward()
-    norm = clip_global_norm(params, max_norm)
+    norm = clip_global_norm(params, config.GRAD_CLIP)
     opt.step(params, lr)
     return norm
 
 
-def _norm_record(norms: list, max_norm: float) -> dict:
+def _norm_record(norms: list) -> dict:
     """The pre-clip gradient norms of an epoch's updates, summarised."""
     return {"grad_norm_mean": sum(norms) / len(norms) if norms else None,
             "grad_norm_max": max(norms) if norms else None,
-            "clipped_steps": sum(norm > max_norm for norm in norms)}
+            "clipped_steps": sum(norm > config.GRAD_CLIP for norm in norms)}
 
 
 @blas_on_calling_thread()
@@ -372,19 +390,16 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     params = model.named_parameters()
     scenes_by_id = {s.scene_id: s for s in corpus.scenes}
     if examples is None:
-        examples = corpus.examples_in("train")
-        if cfg.few_shot is not None:
-            examples = few_shot_subset(examples, cfg.few_shot, cfg.seed)
+        examples = train_examples(corpus, cfg)
     batches = make_batches(examples, scenes_by_id, synth, cfg.batch_size, rng)
     lr = cfg.lr_at(epoch)
-    lam = cfg.lambda_xe if cfg.linguistic else 0.0
+    lam = config.LAMBDA_XE if cfg.linguistic else 0.0
 
     sums = _TokenSums(model.cfg.single_module is None)
     norms = []
     for step, batch in enumerate(batches):
         stats = teacher_forced(model, batch, lam_ling=lam, rng=rng)
-        norms.append(_update(stats.loss, params, opt, lr, cfg.grad_clip,
-                             f"epoch {epoch} step {step}"))
+        norms.append(_update(stats.loss, params, opt, lr, f"epoch {epoch} step {step}"))
         sums.add(stats, stats.loss.item() * stats.n_tokens)
     loss, acc, agree = sums.per_token()
     return {
@@ -394,7 +409,7 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
         "loss": loss,
         "token_acc": acc,
         "ctrl_agree": agree,
-        **_norm_record(norms, cfg.grad_clip),
+        **_norm_record(norms),
     }
 
 
@@ -405,15 +420,13 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     params = model.named_parameters()
     scenes = corpus.scenes_in("train")
     scenes_by_id = {s.scene_id: s for s in scenes}
-    # each train scene's examples in corpus order: its gold caption, then
-    # the rest of its references
-    examples = {sid: [] for sid in scenes_by_id}
-    for e in corpus.examples:
-        group = examples.get(e.scene_id)
-        if group is not None:
-            group.append(e)
-    lr = cfg.lr_at(epoch) * cfg.rl_lr_scale
-    lam = cfg.lambda_rl if (cfg.linguistic and model.cfg.single_module is None) else 0.0
+    # each train scene's captions the run reads: its gold caption, then the
+    # rest of its references
+    examples = {}
+    for e in train_examples(corpus, cfg):
+        examples.setdefault(e.scene_id, []).append(e)
+    lr = cfg.lr_at(epoch) * config.RL_LR_SCALE
+    lam = config.LAMBDA_RL if (cfg.linguistic and model.cfg.single_module is None) else 0.0
     vocab_tokens = corpus.vocab.tokens
 
     order = list(range(len(scenes)))
@@ -441,7 +454,7 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
             # no supervision term: the update would be a no-op, keep it one
             skipped += 1
             continue
-        norms.append(_update(loss / float(batch.size), params, opt, lr, cfg.grad_clip,
+        norms.append(_update(loss / float(batch.size), params, opt, lr,
                              f"epoch {epoch} refinement step {steps}"))
 
     return {
@@ -451,7 +464,7 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
         "mean_reward": reward_sum / max(steps, 1),
         "mean_advantage": adv_sum / max(steps, 1),
         "skipped_updates": skipped,
-        **_norm_record(norms, cfg.grad_clip),
+        **_norm_record(norms),
     }
 
 
@@ -498,7 +511,7 @@ def train(state: TrainState, corpus: Corpus, synth: FeatureSynthesizer, *,
             stats = run_xe_epoch(model, corpus, synth, cfg, state.opt, state.rng, epoch)
         else:
             if idf is None:
-                idf = IdfTable(corpus.references("train"))
+                idf = IdfTable(references_of(train_examples(corpus, cfg)))
             stats = run_rl_epoch(model, corpus, synth, cfg, state.opt, state.rng, epoch, idf)
         val = teacher_forced_metrics(model, corpus, synth, "val",
                                      batch_size=cfg.batch_size)

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from modcap.config import LEAKY_SLOPE
 from modcap.controller import ModuleLabel, Strategy, one_hot_max
 from modcap.decoder import (
     BOS_ID,
@@ -544,8 +545,7 @@ def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitS
     if unit.strategy is None:
         (v_hat,) = attended
     else:
-        v_func = leaky_relu(matmul(context, w["func.fc.W"]) + w["func.fc.b"],
-                            unit.cfg.leaky_slope)
+        v_func = leaky_relu(matmul(context, w["func.fc.W"]) + w["func.fc.b"], LEAKY_SLOPE)
         out = controller_step(ModuleController.of(unit), *attended, context, state.ctrl,
                               unit.strategy, noise=noise)
         weights, soft, ctrl_state = out.weights, out.soft, out.state
@@ -563,7 +563,7 @@ def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitS
 def reference_init_state(model: CaptionModel, batch: int) -> list[UnitState]:
     """Each unit's zero state as Tensors."""
     def z():
-        return zeros((batch, model.cfg.d_c), dtype=model.dtype)
+        return zeros((batch, model.cfg.d_v), dtype=model.dtype)
     return [UnitState(h1=z(), c1=z(), h2=z(), c2=z(),
                       ctrl=ControllerState(h=z(), c=z()) if unit.controlled else None)
             for unit in model.units]

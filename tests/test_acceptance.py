@@ -134,7 +134,7 @@ def test_criterion_2_architecture_invariants():
         strategy = strategies[seed % 3]
         modules = ((singles[seed % 3],) if seed % 5 == 4
                    else ("object", "attribute", "relation", "function"))
-        cfg = ModelConfig(vocab_size=12, d_r=8, d_v=d_v, d_c=d_v, d_a=4,
+        cfg = ModelConfig(vocab_size=12, d_r=8, d_v=d_v, d_a=4,
                           heads=heads, m_units=m_units, strategy=strategy,
                           modules=modules)
         k = 2 + seed % 3
@@ -247,7 +247,7 @@ def test_criterion_4_beam_search_exactness():
     for seed in range(50):
         modules = (("object",) if seed % 7 == 3
                    else ("object", "attribute", "relation", "function"))
-        cfg = ModelConfig(vocab_size=9, d_r=8, d_v=6, d_c=6, d_a=4, heads=2,
+        cfg = ModelConfig(vocab_size=9, d_r=8, d_v=6, d_a=4, heads=2,
                           m_units=1 + seed % 2, strategy=strategies[seed % 3],
                           modules=modules)
         model = CaptionModel(cfg, Rng(2000 + seed))
@@ -322,7 +322,7 @@ def test_criterion_6_rl_stability(default_corpus, gate_run):
 
 def test_criterion_6_zero_advantage_is_a_zero_update(tiny_corpus):
     corpus, synth = tiny_corpus
-    cfg = ModelConfig(vocab_size=len(corpus.vocab), d_v=8, d_c=8, d_a=4,
+    cfg = ModelConfig(vocab_size=len(corpus.vocab), d_v=8, d_a=4,
                       heads=2, m_units=1)
     model = CaptionModel(cfg, Rng(21))
     enc = model.encode(*synth.features(corpus.scenes[0]))
@@ -381,7 +381,7 @@ def test_criterion_7_ablation_grid(tiny_corpus, tmp_path):
 
 
 def _train_once(corpus, synth, path, max_epochs=None, resume_from=None):
-    cfg = ModelConfig(vocab_size=len(corpus.vocab), d_v=8, d_c=8, d_a=4,
+    cfg = ModelConfig(vocab_size=len(corpus.vocab), d_v=8, d_a=4,
                       heads=2, m_units=2)
     tcfg = TrainConfig(xe_epochs=2, rl_epochs=0, batch_size=8, lr=3e-3, seed=13)
     if resume_from is not None:

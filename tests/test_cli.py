@@ -455,6 +455,94 @@ def test_few_shot_resume_equals_the_uninterrupted_run(data_dir, tmp_path):
     assert json.loads(Path(str(split) + ".meta.json").read_text())["train"]["few_shot"] == 1
 
 
+def test_few_shot_self_critical_resume_equals_the_uninterrupted_run(data_dir, tmp_path):
+    flags = (["--data", str(data_dir), "--few-shot", "1"] + TRAIN_FLAGS
+             + ["--xe-epochs", "2", "--rl-epochs", "1"])
+    straight, split = tmp_path / "straight.bin", tmp_path / "split.bin"
+    assert run(["train", "--out", str(straight)] + flags) == 0
+    assert run(["train", "--out", str(split), "--max-epochs", "2"] + flags) == 0
+    assert run(["train", "--data", str(data_dir), "--out", str(split), "--resume"]) == 0
+    for suffix in ("", ".meta.json"):
+        assert (Path(str(split) + suffix).read_bytes()
+                == Path(str(straight) + suffix).read_bytes())
+
+
+RETIRED = {"model": {"d_c": 8, "leaky_slope": 0.01},
+           "train": {"lambda_xe": 1.0, "lambda_rl": 0.5, "rl_lr_scale": 0.1,
+                     "lr_decay": 0.8, "decay_every": 5, "grad_clip": 5.0}}
+
+
+def test_meta_with_retired_settings_resumes_to_the_uninterrupted_bytes(data_dir,
+                                                                        tmp_path):
+    # a version-1 meta written before these settings were fixed stores them
+    # (d_c equal to --d-v 8)
+    flags = ["--data", str(data_dir)] + TRAIN_FLAGS + ["--xe-epochs", "2"]
+    straight, split = tmp_path / "straight.bin", tmp_path / "split.bin"
+    assert run(["train", "--out", str(straight)] + flags) == 0
+    assert run(["train", "--out", str(split), "--max-epochs", "1"] + flags) == 0
+    edit_meta(split, lambda meta: [meta[block].update(keys)
+                                   for block, keys in RETIRED.items()])
+    assert run(["train", "--data", str(data_dir), "--out", str(split), "--resume"]) == 0
+    for suffix in ("", ".meta.json"):
+        assert (Path(str(split) + suffix).read_bytes()
+                == Path(str(straight) + suffix).read_bytes())
+    meta = json.loads(Path(str(split) + ".meta.json").read_text())
+    assert not set(RETIRED["model"]) & set(meta["model"])
+    assert not set(RETIRED["train"]) & set(meta["train"])
+
+
+@pytest.mark.parametrize("block,key,value", [
+    ("model", "d_c", 16), ("model", "leaky_slope", 0.1), ("train", "lambda_xe", 2.0),
+    ("train", "decay_every", 5.5)])
+def test_retired_setting_off_its_value_exits_2(data_dir, checkpoint, tmp_path, capsys, block,
+                                               key, value):
+    path = copy_checkpoint(checkpoint, tmp_path)
+    edit_meta(path, lambda meta: meta[block].update({key: value}))
+    for argv in (["eval", "--checkpoint", str(path), "--data", str(data_dir)],
+                 ["train", "--data", str(data_dir), "--out", str(path), "--resume"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"data error: checkpoint metadata holds an invalid configuration: {key} " in err
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def narrow_data_dir(tmp_path_factory):
+    """The ``data_dir`` corpus with 32-wide region features."""
+    from modcap.corpus import CorpusSpec, generate_corpus, save_corpus
+
+    path = tmp_path_factory.mktemp("cli-narrow") / "data"
+    save_corpus(generate_corpus(CorpusSpec(n_scenes=24, seed=5, d_r=32)), str(path))
+    return path
+
+
+def test_corpus_of_another_feature_width_trains_and_evals(narrow_data_dir, tmp_path,
+                                                          capsys):
+    # the model took the default width 64: training ended in a ShapeError
+    # traceback
+    path = tmp_path / "narrow.bin"
+    assert run(["train", "--data", str(narrow_data_dir), "--out", str(path)]
+               + TRAIN_FLAGS) == 0
+    assert json.loads(Path(str(path) + ".meta.json").read_text())["model"]["d_r"] == 32
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", str(path), "--data", str(narrow_data_dir)]) == 0
+    assert json.loads(capsys.readouterr().out)["split"] == "val"
+
+
+def test_checkpoint_of_another_feature_width_exits_2(data_dir, narrow_data_dir, checkpoint,
+                                                     capsys):
+    # the same vocabulary, so only the width tells the corpora apart; the
+    # decode ended in a ShapeError traceback
+    opened = ["--checkpoint", str(checkpoint), "--data", str(narrow_data_dir)]
+    for argv in (["eval"] + opened, ["caption", "--greedy"] + opened,
+                 ["trace", "--scene", "0"] + opened):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert ("data error: checkpoint reads 64-wide region features, the corpus has "
+                "32-wide ones") in err
+        assert "Traceback" not in err
+
+
 def test_eval_reports_metrics(data_dir, checkpoint, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir),

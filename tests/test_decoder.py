@@ -21,7 +21,7 @@ from reference import multinomial, object_beam_search
 
 
 def tiny_cfg(**kw):
-    base = dict(vocab_size=9, d_r=8, d_v=6, d_c=6, d_a=4, heads=2, m_units=2,
+    base = dict(vocab_size=9, d_r=8, d_v=6, d_a=4, heads=2, m_units=2,
                 strategy="soft")
     base.update(kw)
     return ModelConfig(**base)
@@ -86,9 +86,10 @@ class TestStackStructure:
         cfg = tiny_cfg()
         model = CaptionModel(cfg, Rng(0))
         unit = model.units[0]
+        d_c = cfg.d_v       # the LSTM width: the units stack residually
         # first LSTM consumes [i, context, three means]; second [h1, fused]
-        assert unit.weights["lstm1.W"].shape == (4 * cfg.d_v + 2 * cfg.d_c, 4 * cfg.d_c)
-        assert unit.weights["lstm2.W"].shape == (cfg.d_c + 4 * cfg.d_v + cfg.d_c, 4 * cfg.d_c)
+        assert unit.weights["lstm1.W"].shape == (4 * cfg.d_v + 2 * d_c, 4 * d_c)
+        assert unit.weights["lstm2.W"].shape == (d_c + 4 * cfg.d_v + d_c, 4 * d_c)
 
     def test_distribution_output(self):
         cfg = tiny_cfg(m_units=3)

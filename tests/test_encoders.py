@@ -33,11 +33,11 @@ def dense_relation_forward(r, mod, slope=0.01):
 
 class TestObjectAttribute:
     def test_known_weights(self):
-        mod = ProjectionModule(2, 2, Rng(0), slope=0.1)
+        mod = ProjectionModule(2, 2, Rng(0))
         mod.fc.W.data = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.float32)
         mod.fc.b.data = np.zeros(2, dtype=np.float32)
         out = mod(Tensor([[2.0, 3.0]]))
-        assert np.allclose(out.data, [[2.0, -0.3]], atol=1e-6)
+        assert np.allclose(out.data, [[2.0, -0.03]], atol=1e-6)     # LEAKY_SLOPE 0.01
 
     def test_rowwise_independence(self):
         np.random.seed(0)

@@ -187,7 +187,7 @@ class TestDebugChecksNameTheOp:
 
     @staticmethod
     def tiny_model():
-        cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_c=3, d_a=2, heads=2, m_units=1)
+        cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_a=2, heads=2, m_units=1)
         model = CaptionModel(cfg, Rng(0))
         enc = model.encode(np.ones((3, 4), dtype=np.float32), np.ones((3, 4), dtype=np.float32))
         return model, enc

@@ -35,7 +35,7 @@ def synth(corpus):
 
 
 def make_model(corpus, **over):
-    kwargs = dict(vocab_size=len(corpus.vocab), d_v=8, d_c=8, d_a=4,
+    kwargs = dict(vocab_size=len(corpus.vocab), d_v=8, d_a=4,
                   heads=2, m_units=2)
     kwargs.update(over)
     return CaptionModel(ModelConfig(**kwargs), Rng(11))
@@ -107,7 +107,7 @@ def test_single_module_trace_has_null_weights(corpus, synth):
 
 def preset_model(corpus, preset):
     model_cfg, _ = apply_preset(preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=8,
-                                                    d_c=8, d_a=4, heads=2),
+                                                    d_a=4, heads=2),
                                 TrainConfig())
     return CaptionModel(model_cfg, Rng(11))
 

@@ -1,12 +1,14 @@
 """Training loops, self-critical updates, and checkpoint round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from modcap import config
 from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
-from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
+from modcap.corpus import CorpusSpec, FeatureSynthesizer, few_shot_subset, generate_corpus
 from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel, sample_decode
 from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
@@ -46,7 +48,7 @@ def synth():
 
 
 def model_cfg(corpus, **over):
-    base = dict(vocab_size=len(corpus.vocab), d_r=64, d_v=16, d_c=16, d_a=8,
+    base = dict(vocab_size=len(corpus.vocab), d_r=64, d_v=16, d_a=8,
                 heads=4, m_units=2, strategy="soft")
     base.update(over)
     return ModelConfig(**base)
@@ -224,7 +226,7 @@ class TestTeacherForced:
         counts = []
         for _ in range(2):
             start = next(Tensor._ids)
-            teacher_forced(model, batch, lam_ling=train_cfg.lambda_xe, rng=Rng(1))
+            teacher_forced(model, batch, lam_ling=config.LAMBDA_XE, rng=Rng(1))
             counts.append(next(Tensor._ids) - start - 1)
         assert counts[0] == counts[1]
         assert counts[0] <= 150
@@ -253,10 +255,11 @@ class TestXeEpoch:
         assert last["token_acc"] > first["token_acc"]
         assert first["lr"] == cfg.lr
 
-    def test_decay_schedule_applies(self, corpus, synth):
+    def test_decay_schedule_applies(self, corpus, synth, monkeypatch):
+        monkeypatch.setattr(config, "LR_DECAY", 0.5)
+        monkeypatch.setattr(config, "DECAY_EVERY", 2)
         model = fresh_model(corpus, m_units=1)
-        cfg = TrainConfig(xe_epochs=8, rl_epochs=0, batch_size=16,
-                          lr=1e-3, lr_decay=0.5, decay_every=2, seed=5)
+        cfg = TrainConfig(xe_epochs=8, rl_epochs=0, batch_size=16, lr=1e-3, seed=5)
         opt = Adam()
         rng = Rng(0)
         stats = run_xe_epoch(model, corpus, synth, cfg, opt, rng, 5)
@@ -274,13 +277,13 @@ class TestXeEpoch:
         monkeypatch.setattr(modcap.training, "clip_global_norm", recording_clip)
         model = fresh_model(corpus, m_units=1)
         # a bound between the smallest and the largest norm clips some steps
-        cfg = TrainConfig(xe_epochs=1, rl_epochs=0, batch_size=8, lr=3e-3, seed=5,
-                          grad_clip=0.6)
+        monkeypatch.setattr(config, "GRAD_CLIP", 0.6)
+        cfg = TrainConfig(xe_epochs=1, rl_epochs=0, batch_size=8, lr=3e-3, seed=5)
         stats = run_xe_epoch(model, corpus, synth, cfg, Adam(), Rng(0), 0)
         assert len(norms) == stats["steps"]
         assert stats["grad_norm_mean"] == pytest.approx(sum(norms) / len(norms))
         assert stats["grad_norm_max"] == max(norms)
-        assert stats["clipped_steps"] == sum(n > cfg.grad_clip for n in norms)
+        assert stats["clipped_steps"] == sum(n > 0.6 for n in norms)
         assert 0 < stats["clipped_steps"] < stats["steps"]
 
     def test_nan_gradients_are_named_before_any_update(self, corpus, synth, monkeypatch):
@@ -350,10 +353,9 @@ class TestXeEpoch:
 class TestParamArena:
     """The flat Adam update and clipping against the per-parameter reference."""
 
-    def preset_model(self, corpus, preset, grad_clip=5.0):
+    def preset_model(self, corpus, preset):
         mcfg, train_cfg = apply_preset(
-            preset, model_cfg(corpus),
-            TrainConfig(batch_size=8, lr=3e-3, seed=5, grad_clip=grad_clip, max_len=10))
+            preset, model_cfg(corpus), TrainConfig(batch_size=8, lr=3e-3, seed=5, max_len=10))
         return CaptionModel(mcfg, Rng(7).derive(1)), train_cfg
 
     def three_batches(self, corpus):
@@ -375,7 +377,8 @@ class TestParamArena:
             return norms[-1]
 
         monkeypatch.setattr(modcap.training, "clip_global_norm", recording_clip)
-        model, cfg = self.preset_model(corpus, preset, grad_clip)
+        monkeypatch.setattr(config, "GRAD_CLIP", grad_clip)
+        model, cfg = self.preset_model(corpus, preset)
         rng = Rng(cfg.seed).derive(TRAIN_STREAM_TAG)
         xe = run_xe_epoch(model, corpus, synth, cfg, opt, rng, 0,
                           examples=self.three_batches(corpus))
@@ -555,12 +558,12 @@ class TestSelfCritical:
         # gold captions as more rows of it; chaining the op-composed step
         # along the same tokens and noise gives the same gradients.  Gold
         # captions longer than max_len run past the sampled noise.
-        mcfg, cfg = apply_preset(preset, model_cfg(corpus, gumbel_tau=gumbel_tau),
-                                 TrainConfig())
+        mcfg, _ = apply_preset(preset, model_cfg(corpus, gumbel_tau=gumbel_tau),
+                               TrainConfig())
         model = CaptionModel(mcfg, Rng(7).derive(1))
         params = model.named_parameters()
         _, batch = one_scene_per_region_count(corpus, synth)
-        max_len, lam = 6, cfg.lambda_rl
+        max_len, lam = 6, config.LAMBDA_RL
         assert batch.inputs.shape[1] > max_len
         refs = corpus.references()
         enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
@@ -651,7 +654,34 @@ class TestSelfCritical:
         assert len(norms) == len(windows) - stats["skipped_updates"]
         assert stats["grad_norm_mean"] == pytest.approx(sum(norms) / len(norms))
         assert stats["grad_norm_max"] == max(norms)
-        assert stats["clipped_steps"] == sum(n > cfg.grad_clip for n in norms)
+        assert stats["clipped_steps"] == sum(n > config.GRAD_CLIP for n in norms)
+
+    def test_few_shot_run_scores_against_its_own_captions(self, corpus, synth, monkeypatch):
+        # unchecked, the self-critical epochs of a few-shot run scored each
+        # sample against every reference of its scene, and the idf table
+        # counted every train caption
+        import modcap.training
+        real_loss, real_idf = modcap.training.self_critical_loss, modcap.training.IdfTable
+        refs_seen, tables = [], []
+
+        def recording_loss(model, enc, references, *args, **kwargs):
+            refs_seen.extend(references)
+            return real_loss(model, enc, references, *args, **kwargs)
+
+        def recording_idf(references_by_image, *args, **kwargs):
+            tables.append(references_by_image)
+            return real_idf(references_by_image, *args, **kwargs)
+
+        monkeypatch.setattr(modcap.training, "self_critical_loss", recording_loss)
+        monkeypatch.setattr(modcap.training, "IdfTable", recording_idf)
+        cfg = TrainConfig(xe_epochs=0, rl_epochs=1, batch_size=4, lr=1e-3, seed=5,
+                          max_len=10, few_shot=1)
+        train(TrainState(fresh_model(corpus), cfg), corpus, synth, log_fn=lambda *_: None)
+        kept = few_shot_subset(corpus.examples_in("train"), 1, cfg.seed)
+        assert len(kept) == len(corpus.scenes_in("train")) < len(corpus.examples_in("train"))
+        assert [len(refs) for refs in refs_seen] == [1] * len(kept)
+        assert sorted(refs_seen) == sorted([e.words] for e in kept)
+        assert tables == [{e.scene_id: [e.words] for e in kept}]
 
     def test_rl_epoch_without_supervision(self, corpus, synth):
         model = fresh_model(corpus)
@@ -860,7 +890,7 @@ class TestCheckpoints:
         every_caption = make_batches(corpus.examples_in("train"), scenes_by_id, synth, 8)
         assert [h["steps"] for h in state.history] == [len(every_caption)]
 
-    @pytest.mark.parametrize("field", ["d_r", "d_v", "d_c", "d_a", "heads"])
+    @pytest.mark.parametrize("field", ["d_r", "d_v", "d_a", "heads"])
     def test_non_positive_width_is_a_format_error(self, corpus, tmp_path, field):
         with pytest.raises(ConfigError):
             model_cfg(corpus, **{field: 0}).validate()
@@ -882,14 +912,33 @@ class TestCheckpoints:
                                              ("few_shot", 0), ("few_shot", -2)])
     def test_invalid_training_setting_is_a_format_error(self, corpus, tmp_path, field,
                                                         value):
-        with pytest.raises(ConfigError, match=field):
-            TrainConfig(**{field: value}).validate()
+        # lambda_xe, lambda_rl, rl_lr_scale, lr_decay, decay_every and
+        # grad_clip are retired settings; only a stored meta still has them
+        if field in {f.name for f in dataclasses.fields(TrainConfig)}:
+            with pytest.raises(ConfigError, match=field):
+                TrainConfig(**{field: value}).validate()
         path = self.saved(corpus, tmp_path)
         meta_file = tmp_path / "model.bin.meta.json"
         meta = json.loads(meta_file.read_text())
         meta["train"][field] = value
         meta_file.write_text(json.dumps(meta))
         with pytest.raises(FormatError, match=field):
+            restore_training(path)
+
+    def edit_meta(self, tmp_path, block, **keys):
+        meta_file = tmp_path / "model.bin.meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta[block].update(keys)
+        meta_file.write_text(json.dumps(meta))
+
+    @pytest.mark.parametrize("field,value", [("d_c", -4), ("d_c", 24), ("leaky_slope", 0.2),
+                                             ("leaky_slope", True)])
+    def test_retired_model_setting_off_its_value_is_a_format_error(self, corpus, tmp_path,
+                                                                   field, value):
+        assert field not in {f.name for f in dataclasses.fields(ModelConfig)}
+        path = self.saved(corpus, tmp_path)
+        self.edit_meta(tmp_path, "model", **{field: value})
+        with pytest.raises(FormatError, match=f"{field} is no longer a setting"):
             restore_training(path)
 
     def test_configuration_train_refuses_is_a_format_error(self, corpus, tmp_path):

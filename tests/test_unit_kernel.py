@@ -43,7 +43,7 @@ import pytest
 
 import modcap.training
 
-from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
+from modcap.config import LAMBDA_XE, PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import (
     BOS_ID,
@@ -97,7 +97,7 @@ def padded_batch(corpus):
 
 def preset_model(corpus, preset, gumbel_tau=1.0):
     model_cfg, train_cfg = apply_preset(
-        preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_c=16, d_a=8, m_units=2,
+        preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_a=8, m_units=2,
                             gumbel_tau=gumbel_tau),
         TrainConfig())
     return CaptionModel(model_cfg, Rng(3).derive(1)), train_cfg
@@ -136,7 +136,7 @@ def step_forced(model, batch, lam_ling, rng):
 
 
 def lam_of(train_cfg):
-    return train_cfg.lambda_xe if train_cfg.linguistic else 0.0
+    return LAMBDA_XE if train_cfg.linguistic else 0.0
 
 
 # the grid at the default temperature, and hard selection at another
@@ -327,7 +327,7 @@ def test_backward_reads_the_weights_its_forward_ran_on(corpus, padded_batch, pre
     # optimizer step or a checkpoint load does, leaves the recorded graph
     # intact: the backward differentiates the weights the pass ran on
     model_cfg, _ = apply_preset(
-        preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_c=16, d_a=8, m_units=2),
+        preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_a=8, m_units=2),
         TrainConfig())
     model = CaptionModel(model_cfg, Rng(3).derive(1), dtype=np.float64)
     params = model.named_parameters()

@@ -11,36 +11,33 @@ single-module unit has one attention head and no controller.  A unit
 lists its weights once, in one table (``DecoderUnit.weights``) that init
 draws, checkpoints name, runs read and the kernel differentiates.
 
-A unit's step is written once, ``UnitRun.step``, on plain arrays.  A
+``CaptionModel.encode`` runs the visual modules as one kernel
+(``encoders.encoder_kernel``); without gradients it makes no Tensor.  A
+unit's step is written once, ``UnitRun.step``, on plain arrays.  A
 ``UnitRun`` is one pass of a unit over one encoding: it holds what the
-steps share (the weight arrays, the strategy, the LSTM runs and the
-attention heads of all modules as one stacked run over keys computed
-once per run), so a step pays only for its arithmetic.  It has two
-callers.  Teacher forcing (``CaptionModel.forced``, ``unit_kernel``) is
-the one differentiable path: each unit runs the whole caption from the
-zero state inside one autodiff node with a hand-written backward, and
-its steps record for that backward only when a gradient can flow.
-Self-critical training scores its sampled captions by replaying them
-through it.  The same step composed of one autodiff node per op is kept
-with the tests (``tests/reference.py``); a one-step pass agrees with it
-bit for bit in every output and gradient.  The decoders
-(``CaptionModel.step``) step forward only on plain state arrays, one
-array of rows per unit, and build no Tensor; each unit's forward-only
-run is kept with the encoding (``Encoded.run``) and built again when a
-weight array is rebound.  A decode step returns only the word
-distribution and the new states: what a unit chose is read from a
-teacher-forced pass over the caption (``CaptionModel.forced``), as
-traces do.
+steps share (the weight arrays, the LSTM runs and the attention heads of
+all modules as one stacked run over keys computed once per run).
+Teacher forcing (``CaptionModel.forced``, ``unit_kernel``) is the one
+differentiable path: each unit runs the whole caption from the zero
+state inside one autodiff node with a hand-written backward, and its
+steps record only when a gradient can flow.  The same step composed of
+one node per op is kept with the tests (``tests/reference.py``); a
+one-step pass agrees with it bit for bit.  The decoders
+(``CaptionModel.step``) step forward only on plain state arrays and
+build no Tensor; each unit's forward-only run is kept with the encoding
+(``Encoded.run``).  A decode step returns only the word distribution and
+the new states: what a unit chose is read from a teacher-forced pass
+over the caption, as traces do.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax or sample) picks every row's next token.  Greedy and sampling
 decoding run on it; beam search, which reorders the state rows every
 step, keeps its own loop.  Both enter ``np.errstate`` once per decode,
-for the LSTM gate sigmoids that may overflow exp.  The decoders have
-one call form: an encoding in, a single scene being a batch of one, and
-one token list per row out; beam search takes a one-scene encoding and
-returns its ranked beam.  Every row starts from ``BOS_ID`` and ends at ``EOS_ID``.
-The hard-selection noise of a pass is drawn in one place,
+for the LSTM gate sigmoids that may overflow exp.  The decoders take an
+encoding, a single scene being a batch of one, and return one token list
+per row; beam search takes a one-scene encoding and returns its ranked
+beam.  Every row starts from ``BOS_ID`` and ends at ``EOS_ID``.  The
+hard-selection noise of a pass is drawn in one place,
 ``CaptionModel.selection_noise``, for all its steps, units and rows.
 """
 
@@ -55,7 +52,7 @@ import numpy as np
 from .config import LEAKY_SLOPE, VISUAL_MODULES, ModelConfig
 from .controller import ModuleLabel, Strategy, one_hot_max
 from .corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID  # noqa: F401 (re-exported)
-from .encoders import ProjectionModule, RelationModule
+from .encoders import ProjectionModule, RelationModule, encoder_kernel
 from .errors import TrainingError
 from .layers import Linear
 from .tensor import (
@@ -70,7 +67,6 @@ from .tensor import (
     check_finite,
     gather_rows,
     make_lstm_params,
-    mean_pool_rows,
     needs_grad,
     reshape,
     softmax,
@@ -87,10 +83,11 @@ HEAD_WEIGHTS = ("Wv", "Wh", "wa")      # an attention head's table entries, in d
 @dataclass
 class Encoded:
     """Per-batch module features (B, N, d_v), their means over real regions
-    (B, d_v) and the boolean (B, N) mask of real, unpadded regions."""
+    (B, d_v) and the boolean (B, N) mask of real, unpadded regions: Tensors
+    from ``encoder_kernel`` when a gradient can flow, else plain arrays."""
 
-    feats: dict[str, Tensor]
-    means: dict[str, Tensor]
+    feats: dict
+    means: dict
     mask: np.ndarray
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -107,8 +104,9 @@ class Encoded:
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The features stacked over modules (K, B, N, d_v) and the means
         side by side (B, K*d_v), in module order, built once per encoding."""
-        return (np.stack([f.data for f in self.feats.values()]),
-                np.concatenate([m.data for m in self.means.values()], axis=-1))
+        k, arrays = len(self.feats), [x.data if isinstance(x, Tensor) else x
+                                      for x in (*self.feats.values(), *self.means.values())]
+        return np.stack(arrays[:k]), np.concatenate(arrays[k:], axis=-1)
 
     def run(self, unit: DecoderUnit) -> UnitRun:
         """The forward-only run of ``unit`` over this encoding, built on its
@@ -340,7 +338,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
     feats = [enc.feats[name] for name in unit.modules]
     means = [enc.means[name] for name in unit.modules]
     weights = dict(unit.weights)
-    parents = (i, *feats, *means, *weights.values())
+    parents = (i, *[t for t in feats + means if isinstance(t, Tensor)], *weights.values())
     run = UnitRun(unit, enc, record=True) if needs_grad(parents) else enc.run(unit)
     strategy, controlled = run.strategy, run.controlled
     if noise is not None:
@@ -361,7 +359,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
 
     def backward(g_out):
         def give(t, g):
-            if t.requires_grad:
+            if isinstance(t, Tensor) and t.requires_grad:
                 _accum(t, g)
 
         def rows(a):
@@ -493,25 +491,16 @@ class CaptionModel:
     # -- forward pieces -----------------------------------------------------
 
     def encode(self, r_obj, r_attr, mask=None) -> Encoded:
-        """Region features (K, d_r) or (B, K, d_r) -> per-module value sets.
-
-        ``mask`` (B, K) marks the real regions of a zero-padded batch;
-        without one every region is real.
-        """
-        r_obj = r_obj if isinstance(r_obj, Tensor) else Tensor(r_obj, dtype=self.dtype)
-        r_attr = r_attr if isinstance(r_attr, Tensor) else Tensor(r_attr, dtype=self.dtype)
-        if r_obj.ndim == 2:
-            r_obj = r_obj.reshape((1,) + r_obj.shape)
-            r_attr = r_attr.reshape((1,) + r_attr.shape)
-        lead = r_obj.shape[:2]
+        """Region features (K, d_r) or (B, K, d_r), arrays in the model's
+        dtype or Tensors, -> per-module value sets, by ``encoder_kernel``.
+        ``mask`` (B, K) marks the real regions; without one all are real."""
+        r_obj, r_attr = (r if isinstance(r, Tensor) else np.asarray(r, dtype=self.dtype)
+                         for r in (r_obj, r_attr))
+        shape = r_obj.shape
+        lead = (1,) + shape[:1] if len(shape) == 2 else shape[:2]
         mask = (np.ones(lead, dtype=bool) if mask is None
                 else np.asarray(mask, dtype=bool).reshape(lead))
-        source = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
-        feats = {name: module(source[name], mask=mask) if name == "relation"
-                 else module(source[name])
-                 for name, module in self.encoders.items()}
-        means = {name: mean_pool_rows(v, mask) for name, v in feats.items()}
-        return Encoded(feats=feats, means=means, mask=mask)
+        return Encoded(*encoder_kernel(self.encoders, r_obj, r_attr, mask), mask=mask)
 
     def init_rows(self, batch: int) -> list[np.ndarray]:
         """Each unit's zero state as one plain array (``zero_state``)."""

@@ -1,19 +1,22 @@
-"""The three visual encoder modules.
+"""The three visual encoder modules, run as one kernel.
 
 Each re-embeds region features into a common d_v space from its own
 evidence: the object and relation modules read the object-oriented
 feature matrix, the attribute module the attribute-oriented one.  (The
 fourth, function module has no visual input; each decoder unit holds it.)
 
-The object and attribute modules are one projection class; it accepts a
-single matrix (N, d_in) or a batch (B, N, d_in) and returns matching
-(N, d_v) / (B, N, d_v) outputs.  The relation module takes the batch
-form only, as ``CaptionModel.encode`` passes it.
+The modules hold their weights as Tensors and run on plain arrays; a
+module's ``backward`` reads what its forward saved.  ``encoder_kernel``
+runs every module and each one's mean over the real regions: with a
+gradient as one autodiff node, without one on arrays alone.  It agrees
+bit for bit, in every value and gradient, with the op-composed modules
+kept with the tests (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -24,15 +27,23 @@ from .tensor import (
     FLOAT32,
     Rng,
     Tensor,
-    concat,
-    leaky_relu,
-    matmul,
-    relu,
-    reshape,
-    softmax,
-    transpose,
+    _accum,
+    _t_matmul,
+    check_finite,
+    needs_grad,
+    softmax_backward,
+    softmax_forward,
     xavier_uniform,
 )
+
+
+def _leaky(x: np.ndarray) -> np.ndarray:
+    """x where x >= 0, else slope * x: max(x, slope * x), to the bit, at fewer calls."""
+    return np.maximum(x, LEAKY_SLOPE * x)
+
+
+def _leaky_grad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return g * np.where(x >= 0, 1.0, LEAKY_SLOPE).astype(g.dtype)
 
 
 class ProjectionModule:
@@ -41,9 +52,22 @@ class ProjectionModule:
 
     def __init__(self, d_in: int, d_v: int, rng: Rng, dtype=FLOAT32):
         self.fc = Linear(d_in, d_v, rng, dtype=dtype)
+        self.weights = list(self.params("").values())
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return leaky_relu(self.fc(x), LEAKY_SLOPE)
+    def __call__(self, x: np.ndarray, saved: list | None = None) -> np.ndarray:
+        """Rows (..., d_in) -> (..., d_v); ``saved`` receives what backward reads."""
+        W = self.fc.W.data
+        x2 = x.reshape(-1, x.shape[-1])
+        pre = np.matmul(x2, W) + self.fc.b.data
+        if saved is not None:
+            saved += [x2, W, pre]
+        return _leaky(pre).reshape(x.shape[:-1] + (-1,))
+
+    def backward(self, saved: list, g: np.ndarray, need_x: bool):
+        """(the input's gradient as one part, or None; those of W and b)."""
+        x2, W, pre = saved
+        g = _leaky_grad(g.reshape(pre.shape), pre)
+        return [np.matmul(g, W.T)] if need_x else None, [_t_matmul(x2, g), g.sum(axis=0)]
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return self.fc.params(f"{prefix}.fc")
@@ -58,7 +82,8 @@ class RelationModule:
     dot products, and the concatenated heads pass through an output
     projection and FC(d_r) -> ReLU -> FC(d_v) -> LeakyReLU.  A boolean
     (B, N) region mask keeps padded regions out of every key softmax;
-    their own output rows are computed but meaningless.
+    their own output rows are computed but meaningless.  All heads run
+    at once, from one product of the rows with their stacked weights.
     """
 
     def __init__(self, d_r: int, d_v: int, heads: int, rng: Rng, dtype=FLOAT32):
@@ -67,44 +92,145 @@ class RelationModule:
         self.d_r = d_r
         self.heads = heads
         self.d_k = d_r // heads
-        self.w_q = [xavier_uniform(rng, (d_r, self.d_k), d_r, self.d_k, dtype=dtype)
-                    for _ in range(heads)]
-        self.w_k = [xavier_uniform(rng, (d_r, self.d_k), d_r, self.d_k, dtype=dtype)
-                    for _ in range(heads)]
-        self.w_v = [xavier_uniform(rng, (d_r, self.d_k), d_r, self.d_k, dtype=dtype)
-                    for _ in range(heads)]
+        self.w_q, self.w_k, self.w_v = (
+            [xavier_uniform(rng, (d_r, self.d_k), d_r, self.d_k, dtype=dtype)
+             for _ in range(heads)] for _ in range(3))
         self.w_out = xavier_uniform(rng, (d_r, d_r), d_r, d_r, dtype=dtype)
         self.fc1 = Linear(d_r, d_r, rng, dtype=dtype)
         self.fc2 = Linear(d_r, d_v, rng, dtype=dtype)
+        self.weights = list(self.params("").values())
+        self._qkv = (None, None)
 
-    def _project(self, r: Tensor, w: Tensor) -> Tensor:
-        b, n, _ = r.shape
-        return reshape(matmul(reshape(r, (-1, self.d_r)), w), (b, n, self.d_k))
+    def qkv(self) -> np.ndarray:
+        """All heads' Q, K, V weights (3*heads, d_r, d_k), restacked on a rebind."""
+        arrays = [w.data for w in self.w_q + self.w_k + self.w_v]
+        if self._qkv[0] is None or not all(map(operator.is_, arrays, self._qkv[0])):
+            self._qkv = (arrays, np.stack(arrays))
+        return self._qkv[1]
 
-    def __call__(self, r: Tensor, mask=None) -> Tensor:
-        b, n, _ = r.shape
-        key_mask = None if mask is None else np.reshape(mask, (b, 1, n))
-        scale = 1.0 / math.sqrt(self.d_k)
-        head_outs = []
-        for i in range(self.heads):
-            q = self._project(r, self.w_q[i])
-            k = self._project(r, self.w_k[i])
-            v = self._project(r, self.w_v[i])
-            scores = matmul(q, transpose(k, (0, 2, 1))) * scale
-            attn = softmax(scores, axis=-1, mask=key_mask)
-            head_outs.append(matmul(attn, v))
-        mixed = matmul(reshape(concat(head_outs, axis=-1), (-1, self.d_r)), self.w_out)
-        out = leaky_relu(self.fc2(relu(self.fc1(mixed))), LEAKY_SLOPE)
-        return reshape(out, (b, n, -1))
+    def __call__(self, r: np.ndarray, mask: np.ndarray | None = None,
+                 saved: list | None = None) -> np.ndarray:
+        """Regions (B, N, d_r) and their (B, N) mask -> (B, N, d_v); ``saved``
+        receives what backward reads."""
+        b, n, d_r = r.shape
+        w_qkv, w_out = self.qkv(), self.w_out.data
+        W1, b1, W2, b2 = (t.data for t in (self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b))
+        r2 = r.reshape(-1, d_r)
+        proj = np.matmul(r2, w_qkv).reshape(3, self.heads, b, n, self.d_k)
+        scale = np.asarray(1.0 / math.sqrt(self.d_k), dtype=proj.dtype)
+        k_t = np.ascontiguousarray(np.swapaxes(proj[1], -1, -2))
+        scores = np.matmul(proj[0], k_t) * scale                # (heads, B, N, N)
+        if mask is not None and not mask.all():
+            scores = np.where(mask.reshape(b, 1, n), scores, -np.inf)
+        attn = softmax_forward(scores)
+        mixed_in = np.matmul(attn, proj[2]).transpose(1, 2, 0, 3).reshape(-1, d_r)
+        mixed = np.matmul(mixed_in, w_out)
+        pre1 = np.matmul(mixed, W1) + b1
+        hidden = np.maximum(pre1, 0.0)
+        pre2 = np.matmul(hidden, W2) + b2
+        if saved is not None:
+            saved += [r2, proj, k_t, attn, scale, mixed_in, mixed, pre1, hidden, pre2,
+                      w_qkv, w_out, W1, W2]
+        return _leaky(pre2).reshape(b, n, -1)
+
+    def backward(self, saved: list, g: np.ndarray, need_r: bool):
+        """(the regions' gradient as 3*heads parts, or None; the weights' in
+        ``params`` order).  Each step repeats the op-composed module's
+        arithmetic, and the parts come in the order it adds them: per head
+        from the last, the value, key and query projection."""
+        (r2, proj, k_t, attn, scale, mixed_in, mixed, pre1, hidden, pre2,
+         w_qkv, w_out, W1, W2) = saved
+        h, (_, b, n, d_k) = self.heads, proj.shape[1:]
+        g2 = _leaky_grad(g.reshape(pre2.shape), pre2)
+        g1 = np.matmul(g2, W2.T) * (pre1 > 0)
+        g_mixed = np.matmul(g1, W1.T)
+        g_heads = np.ascontiguousarray(
+            np.matmul(g_mixed, w_out.T).reshape(b, n, h, d_k).transpose(2, 0, 1, 3))
+        g_scores = softmax_backward(attn, np.matmul(g_heads, np.swapaxes(proj[2], -1, -2)))
+        g_scores = g_scores * scale
+        g_proj = np.empty_like(proj)
+        g_proj[0] = np.matmul(g_scores, np.swapaxes(k_t, -1, -2))
+        g_proj[1] = np.swapaxes(np.matmul(np.swapaxes(proj[0], -1, -2), g_scores), -1, -2)
+        g_proj[2] = np.matmul(np.swapaxes(attn, -1, -2), g_heads)
+        g_proj = g_proj.reshape(3 * h, -1, d_k)
+        g_r = None
+        if need_r:
+            parts = np.matmul(g_proj, np.swapaxes(w_qkv, -1, -2))
+            g_r = [parts[j * h + i] for i in reversed(range(h)) for j in (2, 1, 0)]
+        g_qkv = _t_matmul(r2, g_proj)
+        return g_r, [*(g_qkv[j * h + i] for i in range(h) for j in range(3)),
+                     _t_matmul(mixed_in, g_mixed), _t_matmul(mixed, g1), g1.sum(axis=0),
+                     _t_matmul(hidden, g2), g2.sum(axis=0)]
 
     def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for i in range(self.heads):
-            out[f"{prefix}.head{i}.Wq"] = self.w_q[i]
-            out[f"{prefix}.head{i}.Wk"] = self.w_k[i]
-            out[f"{prefix}.head{i}.Wv"] = self.w_v[i]
+        out = {f"{prefix}.head{i}.W{kind}": ws[i] for i in range(self.heads)
+               for kind, ws in zip("qkv", (self.w_q, self.w_k, self.w_v))}
         out[f"{prefix}.Wout"] = self.w_out
         out.update(self.fc1.params(f"{prefix}.fc1"))
         out.update(self.fc2.params(f"{prefix}.fc2"))
         return out
 
+
+def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
+    """The modules ``encoders`` (name -> module, in module order) on region
+    features (B, N, d_r), arrays or Tensors, with the boolean (B, N) mask of
+    real regions: per module its values (B, N, d_v) and their means over
+    the real regions (B, d_v).  With a gradient they are Tensors hanging
+    off one node, as ``decoder.unit_kernel``'s controller softmax does,
+    whose backward adds each gradient's terms in the order the op-composed
+    encoder's sweep does: a value's, then its mean's; the relation
+    module's parts of the object features' gradient, then the object
+    module's.  Without a gradient they are arrays and nothing is recorded."""
+    sources = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
+    parents = tuple(r for r in (r_obj, r_attr) if isinstance(r, Tensor))
+    parents += tuple(t for module in encoders.values() for t in module.weights)
+    record = needs_grad(parents)
+    keep, n_real = mask[..., None], mask.sum(axis=-1, keepdims=True)
+    if not n_real.all():
+        raise ValueError("encoding a scene with no real region")
+    inv = 1.0 / n_real
+    saved = {name: [] if record else None for name in encoders}
+    values, means = {}, {}
+    for name, module in encoders.items():
+        x = sources[name].data if isinstance(sources[name], Tensor) else sources[name]
+        x = x.reshape(mask.shape + x.shape[-1:])
+        v = values[name] = (module(x, mask, saved[name]) if name == "relation"
+                            else module(x, saved[name]))
+        check_finite("encoder_kernel", v)
+        means[name] = (v * keep.astype(v.dtype)).sum(axis=-2) * inv.astype(v.dtype)
+    if not record:
+        return values, means
+
+    g_outs = {}         # (kind, module) -> the gradient an output handed over
+
+    def backward(_):
+        for name in reversed(encoders):
+            g, g_mean = g_outs.get(("value", name)), g_outs.get(("mean", name))
+            if g_mean is not None:
+                dt = g_mean.dtype
+                term = np.expand_dims(g_mean * inv.astype(dt), -2) * keep.astype(dt)
+                g = term if g is None else g + term
+            if g is None:
+                continue
+            src = sources[name]
+            need_x = isinstance(src, Tensor) and src.requires_grad
+            g_x, grads = encoders[name].backward(saved[name], g, need_x)
+            for t, grad in zip(encoders[name].weights, grads):
+                if t.requires_grad:
+                    _accum(t, grad)
+            for part in g_x or ():
+                _accum(src, part.reshape(src.shape))
+
+    node = Tensor._from_op(np.stack(list(values.values())), parents, backward)
+
+    def output(kind, name, data):
+        def collect(g):
+            # hand the complete gradient to the node and make sure its
+            # closure runs; the node never refers to its outputs
+            g_outs[kind, name] = g
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+        return Tensor._from_op(data, (node,), collect)
+
+    return ({name: output("value", name, node.data[k]) for k, name in enumerate(values)},
+            {name: output("mean", name, m) for name, m in means.items()})

@@ -5,26 +5,24 @@ Four tiers, all in float64 against central differences:
 * primitives: every op the model runs, one case each, the fused masked
   NLL, and every input of the array helpers the unit kernel runs: one
   LSTM step through ``LstmRun`` and one attention query through
-  ``AttentionRun``, each wrapped as a single node of a scalar objective;
-  the region-masked paths (attention, relation self-attention, mean
-  pooling) each on a batch with padded regions; inputs kept away from
-  kinks (relu at zero) so the numeric derivative is trustworthy;
+  ``AttentionRun``, each wrapped as a single node of a scalar
+  objective, attention also on a batch with a padded region;
 * composites: seeded random chains of the model's ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
 * kernel: the fused decoder unit (``decoder.unit_kernel``) from the zero
   state, under the soft, hard (no noise) and uniform strategies and with
   a single module, each on one step and on three steps, on two scenes of
-  which one has a padded region, checking every input and every
-  parameter through the unit output and the controller softmax.  The
-  unit's parameters are jittered off the leaky-relu kink, where the
-  zero state would put the function module.  The straight-through
-  gradient of the hard strategy is by design not the derivative of its
-  one-hot forward, so one-step hard cases read only the softmax, except
-  the second LSTM and the function module, which do not reach the
-  controller and read every output; over three steps every output lies
-  downstream of an earlier fusion, so the three-step hard case runs at a
-  temperature where the straight-through term vanishes and reads every
-  output;
+  which one has a padded region, through the unit output and the
+  controller softmax; then the encoder (``encoders.encoder_kernel``) on
+  two scenes, all regions real or one padded, through every value and
+  mean.  Every input and parameter is checked, off the ReLU kinks.  The
+  straight-through gradient of the hard strategy is by design not the
+  derivative of its one-hot forward, so one-step hard cases read only
+  the softmax, except the second LSTM and the function module, which do
+  not reach the controller and read every output; over three steps
+  every output lies downstream of an earlier fusion, so the three-step
+  hard case runs at a temperature where the straight-through term
+  vanishes and reads every output;
 * decoder: a miniature two-unit captioning model driven for three
   teacher-forced steps, checking the gradient of the training objective
   (``training.teacher_forced`` with module supervision) with respect to
@@ -36,13 +34,14 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FULL_MODULES, VISUAL_MODULES, ModelConfig
 from .decoder import CaptionModel, DecoderUnit, Encoded, unit_kernel
-from .encoders import RelationModule
+from .encoders import encoder_kernel
 from .tensor import (
     FLOAT64,
     AttentionRun,
@@ -54,16 +53,12 @@ from .tensor import (
     concat,
     finite_diff_grad,
     gather_rows,
-    leaky_relu,
     masked_nll,
     matmul,
     max_relative_error,
-    mean_pool_rows,
-    relu,
     reshape,
     softmax,
     sum_,
-    transpose,
 )
 from .training import Batch, teacher_forced
 
@@ -83,14 +78,6 @@ class CaseResult:
 def _t(rng: Rng, shape, low=-1.0, high=1.0) -> Tensor:
     return Tensor(rng.uniform_array(shape, low, high, dtype=FLOAT64),
                   requires_grad=True, dtype=FLOAT64)
-
-
-def _away_from_zero(rng: Rng, shape, margin=0.2) -> Tensor:
-    """Values in [-1, -margin] or [margin, 1]: finite differences never
-    step across the relu kink."""
-    mag = rng.uniform_array(shape, margin, 1.0, dtype=FLOAT64)
-    sign = np.where(rng.uniform_array(shape, 0.0, 1.0, dtype=FLOAT64) < 0.5, -1.0, 1.0)
-    return Tensor(mag * sign, requires_grad=True, dtype=FLOAT64)
 
 
 def check_case(section: str, name: str, f, x: Tensor,
@@ -114,8 +101,8 @@ def primitive_cases(seed: int):
     w = Tensor(rng.uniform_array((4, 3), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
     w2 = Tensor(rng.uniform_array((3, 5), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
     bias = Tensor(rng.uniform_array((3,), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
-    other = Tensor(rng.uniform_array((2, 4), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
-    stacked = Tensor(rng.uniform_array((2, 4, 3), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
+    # the draws of the retired transpose cases' weights
+    _retired(rng, 32)
     idx_rows = np.array([2, 0, 1])
     idx_cols = np.array([1, 3, 0, 2])
     lstm = LstmParams(
@@ -136,8 +123,6 @@ def primitive_cases(seed: int):
     nll_mask = np.array([1.0, 0.0, 1.0, 0.5])       # row 1 is masked out
     # three regions in the first scene, two in the second: one padded row
     regions = np.array([[True, True, True], [True, True, False]])
-    relation = RelationModule(4, 3, 2, Rng(seed).derive(72), dtype=FLOAT64)
-    rel_weight = Tensor(regions[..., None] * np.linspace(-1.0, 1.0, 3), dtype=FLOAT64)
 
     cases = [
         ("add_broadcast", lambda x: (x + bias).sum(), _t(rng, (2, 3))),
@@ -148,42 +133,27 @@ def primitive_cases(seed: int):
         ("matmul_right", lambda x: matmul(w, x).sum(), _t(rng, (3, 5))),
         ("matmul_vec", lambda x: matmul(x, w2).sum(), _t(rng, (3,))),
         ("matmul_batched", lambda x: matmul(x, w2).sum(), _t(rng, (2, 4, 3))),
-        ("transpose", lambda x: (transpose(x) * other).sum(), _t(rng, (4, 2))),
-        ("transpose_axes",
-         lambda x: (transpose(x, (1, 0, 2)) * stacked).sum(), _t(rng, (4, 2, 3))),
         ("reshape",
          lambda x: (x.reshape(6) * Tensor(np.arange(6.0), dtype=FLOAT64)).sum(),
-         _t(rng, (2, 3))),
+         _t(_retired(rng, 32), (2, 3))),
         ("sum_axis", lambda x: (sum_(x, axis=0) * bias).sum(), _t(rng, (4, 3))),
         ("sum_keepdims", lambda x: sum_(x, axis=1, keepdims=True).sum(), _t(rng, (4, 3))),
-        ("mean_pool_rows", lambda x: (mean_pool_rows(x) * bias).sum(), _t(rng, (5, 3))),
-        ("concat", lambda x: concat([x, x * 2.0], axis=-1).sum(), _t(rng, (2, 3))),
+        ("concat", lambda x: concat([x, x * 2.0], axis=-1).sum(), _t(_retired(rng, 15), (2, 3))),
         ("gather_rows", lambda x: (gather_rows(x, idx_rows) * bias).sum(), _t(rng, (4, 3))),
-        ("relu", lambda x: relu(x).sum(), _away_from_zero(rng, (3, 4))),
-        ("leaky_relu", lambda x: leaky_relu(x, 0.1).sum(), _away_from_zero(rng, (3, 4))),
         ("softmax",
          lambda x: (softmax(x, axis=-1) * Tensor(np.arange(5.0), dtype=FLOAT64)).sum(),
-         _t(rng, (3, 5))),
+         _t(_retired(rng, 48), (3, 5))),
         ("fanout", lambda x: (x * x + softmax(x) * x).sum(), _t(rng, (2, 3))),
-        ("lstm_step_x", lambda x: _lstm_scalar(x, h0, c0, lstm), _t(rng, (4,))),
-        ("lstm_step_h", lambda h: _lstm_scalar(x_fixed, h, c0, lstm), _t(rng, (3,))),
-        ("lstm_step_c", lambda c: _lstm_scalar(x_fixed, h0, c, lstm), _t(rng, (3,))),
-        ("lstm_step_W",
-         lambda W: _lstm_scalar(x_fixed, h0, c0, LstmParams(W=W, b=lstm.b)),
-         _t(rng, (7, 12), low=-0.5, high=0.5)),
-        ("lstm_step_b",
-         lambda b: _lstm_scalar(x_fixed, h0, c0, LstmParams(W=lstm.W, b=b)),
-         _t(rng, (12,), low=-0.5, high=0.5)),
-        ("lstm_cell_batched_x", lambda x: _lstm_scalar(x, hb, cb, lstm), _t(rng, (2, 4))),
-        ("lstm_cell_batched_h", lambda h: _lstm_scalar(xb, h, cb, lstm), _t(rng, (2, 3))),
-        ("lstm_cell_batched_c", lambda c: _lstm_scalar(xb, hb, c, lstm), _t(rng, (2, 3))),
-        ("lstm_cell_batched_W",
-         lambda W: _lstm_scalar(xb, hb, cb, LstmParams(W=W, b=lstm.b)),
-         _t(rng, (7, 12), low=-0.5, high=0.5)),
-        ("lstm_cell_batched_b",
-         lambda b: _lstm_scalar(xb, hb, cb, LstmParams(W=lstm.W, b=b)),
-         _t(rng, (12,), low=-0.5, high=0.5)),
     ]
+    # every input of one LSTM step on (d,) vectors, then on (B, d) rows
+    for label, fixed in (("lstm_step", (x_fixed, h0, c0)), ("lstm_cell_batched", (xb, hb, cb))):
+        fixed = (*fixed, lstm.W, lstm.b)
+        for k, name in enumerate("xhcWb"):
+            def f(t, k=k, fixed=fixed):
+                x, h, c, W, b = fixed[:k] + (t,) + fixed[k + 1:]
+                return _lstm_scalar(x, h, c, LstmParams(W=W, b=b))
+            bound = 0.5 if k >= 3 else 1.0
+            cases.append((f"{label}_{name}", f, _t(rng, fixed[k].shape, -bound, bound)))
     for k, name in enumerate(("values", "query", "W_v", "W_h", "w_a")):
         def f(x, k=k):
             return _attention_scalar(*att[:k], x, *att[k + 1:])
@@ -199,15 +169,17 @@ def primitive_cases(seed: int):
          lambda v: _attention_scalar(v, Tensor(att_q.data[0], dtype=FLOAT64), att_Wv, att_Wh,
                                    att_wa),
          _t(rng, (3, 4))),
-        ("relation_masked",
-         lambda r: (relation(r, mask=regions) * rel_weight).sum(), _t(rng, (2, 3, 4))),
-        ("mean_pool_rows_masked",
-         lambda x: (mean_pool_rows(x, regions) * bias).sum(), _t(rng, (2, 3, 3))),
         ("masked_nll_zero_mask_row",
          lambda p: masked_nll(p, idx_cols, nll_mask),
-         _t(rng, (4, 5), low=0.05, high=1.0)),
+         _t(_retired(rng, 42), (4, 5), low=0.05, high=1.0)),
     ]
     return cases
+
+
+def _retired(rng: Rng, n: int) -> Rng:
+    """``rng`` past the n draws of retired cases: the cases that stay keep their inputs."""
+    rng.uniform_array((n,), 0.0, 1.0)
+    return rng
 
 
 def _scalar_node(value, inputs, grads) -> Tensor:
@@ -269,7 +241,7 @@ def _weights(rng: Rng, shape) -> Tensor:
 
 # every op preserves the (3, 4) shape, so chains compose in any order
 _CHAIN_OPS = (
-    ("leaky", lambda x, rng: leaky_relu(x, 0.05)),
+    ("leaky", lambda x, rng: x * Tensor(np.where(x.data >= 0, 1.0, 0.05))),
     ("softmax", lambda x, rng: softmax(x, axis=-1)),
     ("square", lambda x, rng: x * x),
     ("ratio", lambda x, rng: x / (x * x + 1.0)),
@@ -317,6 +289,8 @@ KERNEL_VARIANTS = ("soft", "hard", "uniform", "single")
 KERNEL_STEPS = (1, 3)
 # two scenes of three regions, the second with its last region padded
 KERNEL_REGIONS = np.array([[True, True, True], [True, True, False]])
+# the encoder kernel on two scenes of three regions: all real, or one padded
+ENCODER_MASKS = {"encoder": np.ones((2, 3), dtype=bool), "encoder/padded": KERNEL_REGIONS}
 KERNEL_OUTPUTS = ("i_new", "soft")
 # what the hard strategy's straight-through fusion feeds, and what reaches
 # the outputs only through it
@@ -363,14 +337,14 @@ def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
                       mask=KERNEL_REGIONS)
         i_new, trace = unit_kernel(unit, inputs["i_prev"], enc)
         named = {"i_new": i_new, "soft": trace.soft}
-        total = None
-        for name in outputs:
-            if named[name] is not None:
-                out = named[name]
-                term = (out * _ramp(out.data.size).reshape(out.shape)).sum()
-                total = term if total is None else total + term
-        return total
+        return _ramp_sum([named[name] for name in outputs if named[name] is not None])
     return objective
+
+
+def _ramp_sum(outputs) -> Tensor:
+    """The sum of every output (a Tensor or an array) times a ramp over it."""
+    terms = [(_ramp(math.prod(out.shape)).reshape(out.shape) * out).sum() for out in outputs]
+    return sum(terms[1:], terms[0])
 
 
 def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
@@ -394,7 +368,28 @@ def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseRe
                 results += _rebinding_cases("kernel",
                                             _kernel_objective(unit, inputs, outputs),
                                             group, tol)
+    for label, mask in ENCODER_MASKS.items():
+        encoders, params, inputs = _encoder_inputs(seed)
+
+        def objective():
+            values, means = encoder_kernel(encoders, inputs["r_obj"], inputs["r_attr"], mask)
+            return _ramp_sum([*values.values(), *means.values()])
+        tensors = {f"{label}:{kind}:{name}": t
+                   for kind, group in (("input", inputs), ("param", params))
+                   for name, t in group.items()}
+        results += _rebinding_cases("kernel", objective, tensors, tol)
     return results
+
+
+def _encoder_inputs(seed: int):
+    """A tiny float64 model's visual modules, its jittered encoder weights, features."""
+    cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_a=2, heads=2, m_units=1)
+    model = CaptionModel(cfg, Rng(seed).derive(84), dtype=FLOAT64)
+    params = {name: p for name, p in model.named_parameters().items()
+              if name.startswith("enc.")}
+    _jitter(params, Rng(seed).derive(85))
+    rng = Rng(seed).derive(86)
+    return model.encoders, params, {"r_obj": _t(rng, (2, 3, 4)), "r_attr": _t(rng, (2, 3, 4))}
 
 
 # -- full decoder step ----------------------------------------------------------

@@ -9,28 +9,19 @@ collects the nodes reachable from the root once and runs their closures
 in descending id order: each closure runs after those of all its
 consumers.
 
-The library holds only the ops the model runs: ``add``, ``mul`` and
-``div``, ``matmul``, ``transpose`` and ``reshape``, ``sum_``,
-``mean_pool_rows``, ``concat``, ``gather_rows``, ``relu``,
-``leaky_relu`` and ``softmax``, and one fused op with a hand-written
-backward, ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``.
-
-The LSTM, attention and softmax arithmetic lives on plain arrays
-(``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``)
-for the decoder's unit step (``decoder.UnitRun``: a decoder unit over T
-steps as one node in ``decoder.unit_kernel``, or forward only).  A run
-records T steps: forward and input gradients go step by step, and the
-parameter gradients are one GEMM over the rows of all steps.  The op-composed
-decoder unit that the kernel agrees with bit for bit, the fused LSTM,
-attention and fusion ops it is built from, and the ``tanh``, ``sigmoid``
-and ``log`` ops their references are composed of are kept with the
-tests (``tests/reference.py``).
-
-Scenes with different region counts share a batch by zero-padding the
-region axis.  ``softmax``, ``AttentionRun`` and ``mean_pool_rows`` take
-a boolean region mask: padded entries get a score of -inf, so their
-weight is exactly 0, and the pooled mean divides by the count of real
-rows.  Padded rows therefore receive exactly zero gradient.
+The library holds only the ops the model runs: ``add``, ``mul``, ``div``,
+``matmul``, ``reshape``, ``sum_``, ``concat``, ``gather_rows``,
+``softmax`` and the fused ``masked_nll``:
+``-sum(mask * log(max(p[b, gold_b], eps)))``.  The encoder and the
+decoder units run on plain arrays, each as one node with a hand-written
+backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``); the
+LSTM, additive-attention and softmax arithmetic of the units is here
+(``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``).
+A run records T steps: forward and input gradients go step by step, and
+the parameter gradients are one GEMM over the rows of all steps.  The
+op-composed encoder and unit the kernels agree with bit for bit, and the
+ops only they use, are in ``tests/reference.py``.  Padded regions are
+masked: a score of -inf gives them exactly 0 weight and gradient.
 
 The optimizer layer works on a ``ParamArena``: a model's parameters laid
 end to end in one flat buffer of values and one of gradients, with each
@@ -402,30 +393,9 @@ def matmul(a, b) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
             _accum(a, _unbroadcast(ga, a_data.shape))
         if b.requires_grad:
-            if a_data.ndim == 2 and g.ndim == 2:
-                gb = _t_matmul(a_data, g)
-            else:
-                gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b_data.shape))
+            _accum(b, _unbroadcast(_t_matmul(a_data, g), b_data.shape))
 
     return Tensor._from_op(data, (a, b), backward)
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = _as_tensor(a)
-    if axes is None:
-        if a.data.ndim != 2:
-            raise ShapeError(f"default transpose expects 2-d input, got shape {a.data.shape}")
-        axes = (1, 0)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    data = np.ascontiguousarray(np.transpose(a.data, axes))
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, np.transpose(g, inv))
-
-    return Tensor._from_op(data, (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -449,50 +419,11 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     in_shape = a.data.shape
 
     def backward(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _accum(a, np.broadcast_to(g, in_shape).astype(a.data.dtype, copy=True))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, in_shape).astype(a.data.dtype, copy=True))
+        if a.requires_grad:
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            _accum(a, np.broadcast_to(gg, in_shape).astype(a.data.dtype, copy=True))
 
     return Tensor._from_op(np.asarray(data), (a,), backward)
-
-
-def mean_pool_rows(m, mask=None) -> Tensor:
-    """Column-wise mean over the second-to-last axis: (..., N, d) -> (..., d).
-
-    With a boolean (..., N) ``mask`` only the rows it marks count: the
-    masked row sum times 1/n_valid.  Without one every row is real.
-    """
-    m = _as_tensor(m)
-    m_d = m.data
-    if m_d.ndim < 2:
-        raise ShapeError(f"mean_pool_rows expects at least 2-d input, got shape {m_d.shape}")
-    if m_d.shape[-2] == 0:
-        raise ValueError("mean_pool_rows over an empty row set")
-    if mask is None:
-        keep = np.ones(m_d.shape[:-1], dtype=bool)
-    else:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != m_d.shape[:-1]:
-            raise ShapeError(f"mean_pool_rows mask of shape {keep.shape} does not fit "
-                             f"input of shape {m_d.shape}")
-    n_valid = keep.sum(axis=-1, keepdims=True)
-    if np.any(n_valid == 0):
-        raise ValueError("mean_pool_rows over a row set with no valid row")
-    weight = keep[..., None].astype(m_d.dtype)
-    inv = (1.0 / n_valid).astype(m_d.dtype)               # (..., 1)
-    data = (m_d * weight).sum(axis=-2) * inv
-
-    def backward(g):
-        if m.requires_grad:
-            _accum(m, np.expand_dims(g * inv, -2) * weight)
-
-    return Tensor._from_op(data, (m,), backward)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -535,39 +466,12 @@ def gather_rows(a, indices) -> Tensor:
 # -- nonlinearities -----------------------------------------------------------
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    a_data = a.data
-    data = np.maximum(a_data, 0.0)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * (a_data > 0))
-
-    return Tensor._from_op(data, (a,), backward)
-
-
-def leaky_relu(a, slope=0.01) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
-    a = _as_tensor(a)
-    a_data = a.data
-    data = np.where(a_data >= 0, a_data, slope * a_data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * np.where(a_data >= 0, 1.0, slope).astype(g.dtype))
-
-    return Tensor._from_op(np.ascontiguousarray(data), (a,), backward)
-
-
-def softmax(a, axis=-1, mask=None) -> Tensor:
-    """Max-shifted softmax along ``axis``.  Entries where the boolean
-    ``mask`` (broadcast against ``a``) is False get exactly zero weight."""
+def softmax(a, axis=-1) -> Tensor:
+    """Max-shifted softmax along ``axis``."""
     a = _as_tensor(a)
     if a.data.size == 0:
         raise ValueError("softmax of an empty tensor")
-    data = softmax_forward(a.data if mask is None else np.where(mask, a.data, -np.inf), axis)
+    data = softmax_forward(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
@@ -1192,18 +1096,14 @@ def finite_diff_grad(f, x: Tensor, eps: float = 1e-4) -> np.ndarray:
         raise ValueError("finite_diff_grad requires a float64 tensor")
     base = x.data.copy()
     grad = np.zeros_like(base)
-    it = np.nditer(base, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(base.shape):
         for sign in (+1.0, -1.0):
             probe = base.copy()
             probe[idx] += sign * eps
             with no_grad():
                 val = f(Tensor(probe, dtype=FLOAT64))
-            v = val.item() if isinstance(val, Tensor) else float(val)
-            grad[idx] += sign * v
+            grad[idx] += sign * (val.item() if isinstance(val, Tensor) else float(val))
         grad[idx] /= 2.0 * eps
-        it.iternext()
     return grad
 
 

@@ -42,6 +42,7 @@ import math
 import os
 import struct
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,29 +149,29 @@ def _pack(examples, scenes_by_id, synth: FeatureSynthesizer) -> Batch:
 
 
 def make_batches(examples, scenes_by_id, synth: FeatureSynthesizer,
-                 batch_size: int, rng: Rng | None = None) -> list[Batch]:
+                 batch_size: int, rng: Rng | None = None) -> Iterator[Batch]:
     """Batches of examples whose scenes share a region count.
 
     With an rng the example order is shuffled first; buckets flush as they
-    fill, leftovers flush smallest region count first.
+    fill, leftovers flush smallest region count first.  The examples are
+    grouped on the call, and each batch is packed only when the iteration
+    reaches it, so an epoch holds one packed batch at a time.
     """
     order = list(range(len(examples)))
     if rng is not None:
         rng.shuffle(order)
     buckets: dict[int, list] = {}
-    out = []
+    groups = []
     for i in order:
         e = examples[i]
         k = len(scenes_by_id[e.scene_id].regions)
         bucket = buckets.setdefault(k, [])
         bucket.append(e)
         if len(bucket) == batch_size:
-            out.append(_pack(bucket, scenes_by_id, synth))
+            groups.append(bucket)
             buckets[k] = []
-    for k in sorted(buckets):
-        if buckets[k]:
-            out.append(_pack(buckets[k], scenes_by_id, synth))
-    return out
+    groups += [buckets[k] for k in sorted(buckets) if buckets[k]]
+    return (_pack(group, scenes_by_id, synth) for group in groups)
 
 
 # -- teacher-forced pass ----------------------------------------------------
@@ -265,10 +266,9 @@ def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
                            batch_size: int = 16) -> dict:
     """Token accuracy, per-token loss, and module agreement on a split."""
     scenes_by_id = {s.scene_id: s for s in corpus.scenes}
-    batches = make_batches(corpus.examples_in(split), scenes_by_id, synth, batch_size)
     sums = _TokenSums(model.cfg.single_module is None)
     with no_grad():
-        for batch in batches:
+        for batch in make_batches(corpus.examples_in(split), scenes_by_id, synth, batch_size):
             stats = teacher_forced(model, batch)
             sums.add(stats, stats.xe_sum.item())
     xe, acc, agree = sums.per_token()
@@ -405,7 +405,7 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     return {
         "phase": "xe",
         "lr": lr,
-        "steps": len(batches),
+        "steps": len(norms),
         "loss": loss,
         "token_acc": acc,
         "ctrl_agree": agree,

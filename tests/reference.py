@@ -6,6 +6,14 @@ gradient on its own: the optimizer as it was before parameters shared a
 flat arena.  The equivalence tests hold ``modcap.tensor.Adam`` and
 ``clip_global_norm`` to their bits.
 
+The encoder: ``reference_encode`` is ``CaptionModel.encode`` composed of
+one autodiff node per op: ``reference_projection`` (the object and
+attribute modules), ``reference_relation`` (one head at a time) and a
+masked ``mean_pool_rows`` per module, on the ``transpose``, ``relu``,
+``leaky_relu`` and ``masked_softmax`` ops that only it uses.
+``encoders.encoder_kernel`` agrees with it bit for bit in every value,
+mean and gradient.
+
 The decoder unit: ``reference_step`` composes one step of a
 ``DecoderUnit`` from one autodiff node per op (LSTM1, one attention head
 per module, the controller, fusion, LSTM2) on a Tensor ``UnitState``,
@@ -77,6 +85,7 @@ from modcap.decoder import (
     sample_decode,
     strip_sequence,
 )
+from modcap.encoders import ProjectionModule, RelationModule
 from modcap.errors import ShapeError, TrainingError
 from modcap.metrics import CIDER_SIGMA, DEFAULT_MAX_N, IdfTable, ngram_counts
 from modcap.training import LOSS_EPS, _step_major, _word_class_nll
@@ -92,12 +101,14 @@ from modcap.tensor import (
     _as_tensor,
     concat,
     gather_rows,
-    leaky_relu,
     make_lstm_params,
     masked_nll,
     matmul,
     no_grad,
+    reshape,
     softmax,
+    softmax_backward,
+    softmax_forward,
     xavier_uniform,
     zeros,
 )
@@ -183,6 +194,150 @@ def assert_same_update(params, opt, ref_params, ref_opt) -> None:
         ref = ref_opt.state[name]
         assert (st.t, st.m.tobytes(), st.v.tobytes()) == (ref.t, ref.m.tobytes(),
                                                            ref.v.tobytes()), name
+
+
+# -- the op-composed encoder ----------------------------------------------------
+
+
+def transpose(a, axes=None) -> Tensor:
+    a = _as_tensor(a)
+    if axes is None:
+        if a.data.ndim != 2:
+            raise ShapeError(f"default transpose expects 2-d input, got shape {a.data.shape}")
+        axes = (1, 0)
+    axes = tuple(axes)
+    inv = tuple(np.argsort(axes))
+    data = np.ascontiguousarray(np.transpose(a.data, axes))
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, np.transpose(g, inv))
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def mean_pool_rows(m, mask=None) -> Tensor:
+    """Column-wise mean over the second-to-last axis: (..., N, d) -> (..., d).
+
+    With a boolean (..., N) ``mask`` only the rows it marks count: the
+    masked row sum times 1/n_valid.  Without one every row is real.
+    """
+    m = _as_tensor(m)
+    m_d = m.data
+    if m_d.ndim < 2:
+        raise ShapeError(f"mean_pool_rows expects at least 2-d input, got shape {m_d.shape}")
+    if m_d.shape[-2] == 0:
+        raise ValueError("mean_pool_rows over an empty row set")
+    if mask is None:
+        keep = np.ones(m_d.shape[:-1], dtype=bool)
+    else:
+        keep = np.asarray(mask, dtype=bool)
+        if keep.shape != m_d.shape[:-1]:
+            raise ShapeError(f"mean_pool_rows mask of shape {keep.shape} does not fit "
+                             f"input of shape {m_d.shape}")
+    n_valid = keep.sum(axis=-1, keepdims=True)
+    if np.any(n_valid == 0):
+        raise ValueError("mean_pool_rows over a row set with no valid row")
+    weight = keep[..., None].astype(m_d.dtype)
+    inv = (1.0 / n_valid).astype(m_d.dtype)               # (..., 1)
+    data = (m_d * weight).sum(axis=-2) * inv
+
+    def backward(g):
+        if m.requires_grad:
+            _accum(m, np.expand_dims(g * inv, -2) * weight)
+
+    return Tensor._from_op(data, (m,), backward)
+
+
+def relu(a) -> Tensor:
+    a = _as_tensor(a)
+    a_data = a.data
+    data = np.maximum(a_data, 0.0)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g * (a_data > 0))
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def leaky_relu(a, slope=0.01) -> Tensor:
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must lie in (0, 1), got {slope}")
+    a = _as_tensor(a)
+    a_data = a.data
+    data = np.where(a_data >= 0, a_data, slope * a_data)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g * np.where(a_data >= 0, 1.0, slope).astype(g.dtype))
+
+    return Tensor._from_op(np.ascontiguousarray(data), (a,), backward)
+
+
+def masked_softmax(a, mask, axis=-1) -> Tensor:
+    """Max-shifted softmax along ``axis`` in which the entries where the
+    boolean ``mask`` (broadcast against ``a``) is False get exactly zero
+    weight."""
+    a = _as_tensor(a)
+    data = softmax_forward(np.where(mask, a.data, -np.inf), axis)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, softmax_backward(data, g, axis))
+
+    return Tensor._from_op(data, (a,), backward)
+
+
+def reference_projection(module: ProjectionModule, x: Tensor) -> Tensor:
+    """The object or attribute module, ``ProjectionModule``, one node per op,
+    on rows (..., d_in): flattened to (-1, d_in) and restored around the
+    affine map."""
+    y = module.fc(reshape(x, (-1, x.shape[-1])) if x.ndim > 2 else x)
+    return leaky_relu(reshape(y, x.shape[:-1] + (-1,)) if x.ndim > 2 else y, LEAKY_SLOPE)
+
+
+def reference_relation(module: RelationModule, r: Tensor, mask=None) -> Tensor:
+    """The relation module, ``RelationModule``, on regions (B, N, d_r), one
+    node per op and one head at a time."""
+    b, n, _ = r.shape
+    key_mask = None if mask is None else np.reshape(mask, (b, 1, n))
+    scale = 1.0 / math.sqrt(module.d_k)
+
+    def project(w):
+        return reshape(matmul(reshape(r, (-1, module.d_r)), w), (b, n, module.d_k))
+
+    head_outs = []
+    for i in range(module.heads):
+        q = project(module.w_q[i])
+        k = project(module.w_k[i])
+        v = project(module.w_v[i])
+        scores = matmul(q, transpose(k, (0, 2, 1))) * scale
+        attn = (softmax(scores, axis=-1) if key_mask is None
+                else masked_softmax(scores, key_mask, axis=-1))
+        head_outs.append(matmul(attn, v))
+    mixed = matmul(reshape(concat(head_outs, axis=-1), (-1, module.d_r)), module.w_out)
+    out = leaky_relu(module.fc2(relu(module.fc1(mixed))), LEAKY_SLOPE)
+    return reshape(out, (b, n, -1))
+
+
+def reference_encode(model: CaptionModel, r_obj, r_attr, mask=None) -> Encoded:
+    """``CaptionModel.encode`` composed of one autodiff node per op: each
+    module, then each module's masked mean."""
+    r_obj = r_obj if isinstance(r_obj, Tensor) else Tensor(r_obj, dtype=model.dtype)
+    r_attr = r_attr if isinstance(r_attr, Tensor) else Tensor(r_attr, dtype=model.dtype)
+    if r_obj.ndim == 2:
+        r_obj = r_obj.reshape((1,) + r_obj.shape)
+        r_attr = r_attr.reshape((1,) + r_attr.shape)
+    lead = r_obj.shape[:2]
+    mask = (np.ones(lead, dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool).reshape(lead))
+    source = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
+    feats = {name: reference_relation(module, source[name], mask) if name == "relation"
+             else reference_projection(module, source[name])
+             for name, module in model.encoders.items()}
+    means = {name: mean_pool_rows(v, mask) for name, v in feats.items()}
+    return Encoded(feats=feats, means=means, mask=mask)
 
 
 # -- the op-composed decoder unit -----------------------------------------------

@@ -19,7 +19,6 @@ from modcap.tensor import (
     reshape,
     softmax,
     sum_,
-    transpose,
 )
 from reference import (
     additive_attention,
@@ -30,6 +29,7 @@ from reference import (
     sigmoid,
     slice_axis,
     tanh,
+    transpose,
     weighted_concat,
 )
 

@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
-from modcap.tensor import FLOAT64, AttentionRun, LstmRun, Tensor, relu
+from modcap.tensor import FLOAT64, AttentionRun, LstmRun, Tensor
 from modcap.gradcheck import (
     DEFAULT_TOLERANCE,
+    ENCODER_MASKS,
     HARD_DOWNSTREAM_TENSORS,
     KERNEL_STEPS,
     KERNEL_VARIANTS,
     N_COMPOSITES,
+    _encoder_inputs,
     _kernel_inputs,
     check_case,
     composite_cases,
     primitive_cases,
     run_battery,
 )
+from reference import relu
 
 
 class TestBattery:
@@ -131,7 +134,16 @@ class TestKernelSection:
                     last = [n for n in case if any(d in n for d in HARD_DOWNSTREAM_TENSORS)]
                     case = [n for n in case if n not in last] + last
                 expected += case
+        # then every input and parameter of the encoder kernel, unpadded
+        # and padded
+        for label in ENCODER_MASKS:
+            _, params, inputs = _encoder_inputs(seed=0)
+            expected += [f"{label}:input:{name}" for name in inputs]
+            expected += [f"{label}:param:{name}" for name in params]
+            assert len(params) == 15        # two projections, a 2-head relation module
         assert [r.name for r in results] == expected
         assert any(n.startswith("hard:param:unit.ctrl.proj") for n in names)
         assert any(n.startswith("hard/T3:param:unit.ctrl.proj") for n in names)
         assert any(n.startswith("single:param:unit.att.object") for n in names)
+        assert {"encoder:input:r_obj", "encoder/padded:param:enc.relation.head1.Wk",
+                "encoder/padded:param:enc.attribute.fc.b"} <= names

@@ -20,7 +20,8 @@ to float-summation noise, and draw the same random numbers.
 Without gradients, greedy and beam decoding step forward only on plain
 state arrays (``CaptionModel.init_rows``); they must agree bit for bit
 with the same decoders on the Tensor step (``reference.reference_greedy``,
-``reference.reference_beam_search``) and create no Tensor.  Beam search
+``reference.reference_beam_search``) and create no Tensor, nor does the
+encode before them.  Beam search
 must return exactly the hypotheses of the beam that keeps one
 ``Hypothesis`` per candidate (``reference.object_beam_search``).  The
 decoders step on each unit's forward-only ``UnitRun``, kept with the
@@ -396,12 +397,14 @@ def test_scoring_without_gradients_records_nothing(corpus, padded_batch, monkeyp
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Col/1", "Module/O"])
 def test_forward_only_decoders_create_no_tensor(corpus, padded_batch, preset):
     model, _ = preset_model(corpus, preset)
+    features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
+    start = next(Tensor._ids)
+    # an encode without gradients makes no Tensor either
     with no_grad():
-        one = model.encode(*FeatureSynthesizer(SPEC).features(corpus.scenes[0]))
+        one = model.encode(*features)
         batch = model.encode(padded_batch.r_obj, padded_batch.r_attr,
                              padded_batch.region_mask)
     # the decoders need no no_grad scope of their own or of the caller's
-    start = next(Tensor._ids)
     beam_search(model, one, 5, 12)
     greedy_decode(model, one, 12)
     greedy_decode(model, batch, 12)

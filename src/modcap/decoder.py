@@ -443,6 +443,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
         give(i, g_in.reshape(shape))
         for k, m in enumerate(means):
             give(m, g_means[:, k * dv:(k + 1) * dv])
+        run.contexts = run.pre_f = run.blocks = run.hcs = run.ys = None    # records go
 
     # per-step arrays come back stacked on a leading step axis, or as they
     # are for a one-step call

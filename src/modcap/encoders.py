@@ -205,7 +205,7 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
 
     def backward(_):
         for name in reversed(encoders):
-            g, g_mean = g_outs.get(("value", name)), g_outs.get(("mean", name))
+            g, g_mean = g_outs.pop(("value", name), None), g_outs.pop(("mean", name), None)
             if g_mean is not None:
                 dt = g_mean.dtype
                 term = np.expand_dims(g_mean * inv.astype(dt), -2) * keep.astype(dt)
@@ -220,6 +220,7 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
                     _accum(t, grad)
             for part in g_x or ():
                 _accum(src, part.reshape(src.shape))
+        saved.clear()       # the backward is over: its records go
 
     node = Tensor._from_op(np.stack(list(values.values())), parents, backward)
 

@@ -133,6 +133,7 @@ class IdfTable:
             self.df.update(seen)
         self._idf = {g: math.log(self.n_images / d) for g, d in self.df.items()}
         self._unseen = math.log(self.n_images)
+        self._grams = dict(zip(self.df, self.df))   # each n-gram's one tuple
         self._ref_vectors: dict = {}
 
     def idf(self, gram) -> float:
@@ -158,7 +159,9 @@ class IdfTable:
 
 
 def _tfidf_vector(tokens, order: int, idf: IdfTable):
-    vec = {g: c * idf.idf(g) for g, c in ngram_counts(tokens, order).items()}
+    """(tf-idf vector, norm) of the n-grams of one order, keyed on the
+    table's own tuple of each n-gram it holds, not on a fresh copy."""
+    vec = {idf._grams.get(g, g): c * idf.idf(g) for g, c in ngram_counts(tokens, order).items()}
     norm = math.sqrt(sum(w * w for w in vec.values()))
     return vec, norm
 

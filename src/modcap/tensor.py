@@ -17,11 +17,13 @@ decoder units run on plain arrays, each as one node with a hand-written
 backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``); the
 LSTM, additive-attention and softmax arithmetic of the units is here
 (``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``).
-A run records T steps: forward and input gradients go step by step, and
-the parameter gradients are one GEMM over the rows of all steps.  The
-op-composed encoder and unit the kernels agree with bit for bit, and the
-ops only they use, are in ``tests/reference.py``.  Padded regions are
-masked: a score of -inf gives them exactly 0 weight and gradient.
+A run records T steps and keeps only what its backward cannot rebuild
+with one cheap op.  Forward and input gradients go step by step; the
+parameter gradients are one GEMM over the rows of all steps, a call that
+ends the backward and lets the records go.  The op-composed encoder and
+unit the kernels agree with bit for bit, and the ops only they use, are
+in ``tests/reference.py``.  Padded regions are masked: a score of -inf
+gives them exactly 0 weight and gradient.
 
 The optimizer layer works on a ``ParamArena``: a model's parameters laid
 end to end in one flat buffer of values and one of gradients, with each
@@ -494,12 +496,10 @@ def softmax_backward(y: np.ndarray, g: np.ndarray, axis=-1) -> np.ndarray:
 # -- cell math on arrays ----------------------------------------------------
 #
 # Forward and backward arithmetic of the LSTM cell and of additive
-# attention on plain arrays, which the decoder unit kernel runs.  A run
-# records T steps: the forward and the input gradients go step by step,
-# because the steps recur, while the derivatives of the nonlinearities and
-# the parameter gradients are formed once over all T steps.  Each backward
-# repeats the products and reductions of the primitive chain in order, so
-# a one-step run rounds as the op-composed graph does.
+# attention on plain arrays, which the decoder unit kernel runs.  Each
+# backward repeats the products and reductions of the primitive chain in
+# order, so a one-step run rounds as the op-composed graph does; a value
+# it rebuilds is the forward's expression on the same inputs, same bits.
 
 
 @dataclass
@@ -532,73 +532,76 @@ class LstmRun:
     must visit the steps in reverse; ``param_grads`` then returns the
     weight and bias gradients of all steps, one GEMM and one sum over the
     rows of every step.  Without ``record`` the run is forward only.
+
+    A recorded step keeps the input parts it was given (the arrays, not
+    their concatenation), c, the gates, the candidate and tanh(c').  Step
+    t's backward forms that step's gate-gradient factors from them, one
+    in place over its gates; ``param_grads`` joins the parts for its GEMM,
+    ends the backward and lets every record go.
     """
 
     def __init__(self, W, b, record=True):
         self.W, self.b = W, b
         self.dh = b.shape[0] // 4
         self.record = record
-        self.steps = []     # per step: xh, c, gates, candidate, tanh(c')
+        self.steps = []     # per step: parts, c, gates, candidate, tanh(c')
         self.g_z = None
 
     def forward(self, parts, c):
         """The next step on the joined rows xh = [*parts] and the cell state
-        c; returns (h', c').  The gate sigmoid may overflow exp: call under
-        ``np.errstate(over="ignore")``."""
+        c; returns (h', c').  A recording run keeps ``parts``: its arrays
+        must not change before the backward.  The gate sigmoid may overflow
+        exp: call under ``np.errstate(over="ignore")``."""
         dh = self.dh
-        xh = np.concatenate(parts, axis=1)
-        z = np.matmul(xh, self.W) + self.b
+        z = np.matmul(np.concatenate(parts, axis=1), self.W) + self.b
         gates = 1.0 / (1.0 + np.exp(-z))    # the candidate block goes unused
         i, f, o = gates[:, :dh], gates[:, dh:2 * dh], gates[:, 3 * dh:]
         g = np.tanh(z[:, 2 * dh:3 * dh])
         c2 = f * c + i * g
         tanh_c2 = np.tanh(c2)
         if self.record:
-            self.steps.append((xh, c, gates, g, tanh_c2))
+            self.steps.append((parts, c, gates, g, tanh_c2))
         return o * tanh_c2, c2
 
     def backward(self, t, g_h, g_c):
         """Gradients of step t from those of its h' and c' (None when c'
         has no consumer): returns (g_xh, g_c_prev)."""
         dh = self.dh
+        _, c_prev, r, cand, tanh_c = self.steps[t]
         if self.g_z is None:
-            # the gate gradient is, block by block, ((p * q) * r) * s with
-            # p = [g_c, g_c, g_c, g_h] from this step's gradients and q, r,
-            # s, the same for every gradient, formed once for all steps
-            c_prev, gates, cand, tanh_c = (_steps(a) for a in list(zip(*self.steps))[1:])
-            self.steps = [xh for xh, *_ in self.steps]      # all that param_grads reads
-            block = slice(2 * dh, 3 * dh)
-            self.q = np.concatenate([cand, c_prev, gates[..., :dh], tanh_c], axis=-1)
-            self.r = gates.copy()
-            self.r[..., block] = 1.0 - cand * cand
-            self.s = 1.0 - gates
-            self.s[..., block] = 1.0
-            self.d_tanh_c = 1.0 - tanh_c * tanh_c
-            self.g_z = np.empty_like(gates)
-            # One step multiplies by the transposed view of W, as the
-            # op-composed reference does.  Over several steps a contiguous
-            # copy of W^T, made once, multiplies about three times faster
-            # at these sizes on OpenBLAS; it rounds differently only for
-            # fewer than 8 rows.
-            self.W_T = self.W.T if len(gates) == 1 else np.ascontiguousarray(self.W.T)
-        f, o = self.r[t, :, dh:2 * dh], self.r[t, :, 3 * dh:]
-        g_tanh = g_h * o * self.d_tanh_c[t]
+            self.g_z = np.empty((len(self.steps),) + r.shape, r.dtype)
+            # over several steps a contiguous copy of W^T multiplies about
+            # three times faster on OpenBLAS; one step uses the transposed
+            # view, as the reference does (they round apart below 8 rows)
+            self.W_T = self.W.T if len(self.steps) == 1 else np.ascontiguousarray(self.W.T)
+        # the gate gradient is, block by block, ((p * q) * r) * s with p =
+        # [g_c, g_c, g_c, g_h]; r is the gates, candidate block replaced
+        # in place (this step's gates serve nothing else)
+        block = slice(2 * dh, 3 * dh)
+        r[:, block] = 1.0 - cand * cand
+        q = np.concatenate([cand, c_prev, r[:, :dh], tanh_c], axis=-1)
+        s = 1.0 - r
+        s[:, block] = 1.0
+        f, o = r[:, dh:2 * dh], r[:, 3 * dh:]
+        g_tanh = g_h * o * (1.0 - tanh_c * tanh_c)
         g_c = g_tanh if g_c is None else g_c + g_tanh
         p = np.empty((g_c.shape[0], 4, dh), g_c.dtype)
         p[:, :3] = g_c[:, None]
         p[:, 3] = g_h
-        g_z = np.multiply(p.reshape(g_c.shape[0], -1), self.q[t], out=self.g_z[t])
-        g_z *= self.r[t]
-        g_z *= self.s[t]
+        g_z = np.multiply(p.reshape(g_c.shape[0], -1), q, out=self.g_z[t])
+        g_z *= r
+        g_z *= s
         return np.matmul(g_z, self.W_T), g_c * f
 
     def param_grads(self):
         """(g_W, g_b) summed over every step.  This ends the backward: the
-        arrays formed for it are let go, so a graph's runs do not all hold
-        them at once."""
+        records and the arrays formed for it are let go."""
         g_z = _rows(self.g_z)
-        grads = _t_matmul(np.concatenate(self.steps), g_z), g_z.sum(axis=0)
-        self.q = self.r = self.s = self.d_tanh_c = self.g_z = None
+        xh = np.empty(self.g_z.shape[:2] + self.W.shape[:1], np.result_type(*self.steps[0][0]))
+        for t, (parts, *_) in enumerate(self.steps):
+            np.concatenate(parts, axis=1, out=xh[t])
+        grads = _t_matmul(_rows(xh), g_z), g_z.sum(axis=0)
+        self.steps, self.g_z, self.W_T = [], None, None
         return grads
 
 
@@ -615,6 +618,11 @@ class AttentionRun:
     (steps in reverse), and ``grads`` returns the gradients of the values
     and the weights summed over all steps.  Without ``record``, or with
     values of one scene for many query rows, the run is forward only.
+
+    A recorded step keeps its query rows, their projection q (..., B, 1,
+    d_a) and alpha, not the N times larger tanh(keys + q): ``backward``
+    rebuilds that for its step, and ``grads`` for all steps at once, which
+    ends the backward and lets every record go.
     """
 
     def __init__(self, v, Wv_T, Wh_T, wa, mask=None, record=True):
@@ -625,22 +633,26 @@ class AttentionRun:
         self.keys = np.matmul(self.v2, Wv_T).reshape(self.lead + (b, n, Wv_T.shape[-1]))
         self.wa_col = wa[..., None]
         self.record = record
-        self.q_in, self.t2, self.alpha = [], [], []
+        self.q_in, self.q, self.alpha = [], [], []
         self.g_direct = self.g_pre = None
+
+    def _t2(self, q):
+        """tanh(keys + q), the B*N rows of each head (and step) on one axis."""
+        t2 = np.tanh(self.keys + q)
+        return t2.reshape(t2.shape[:-3] + (-1, t2.shape[-1]))
 
     def forward(self, q_in):
         """The next step for the queries q_in (B, d_c): returns (alpha
         (..., B, N), attended (..., B, d_v))."""
         b, (n, d_a) = q_in.shape[0], self.keys.shape[-2:]
         q = np.matmul(q_in, self.Wh_T).reshape(self.lead + (b, 1, d_a))
-        t2 = np.tanh(self.keys + q).reshape(self.lead + (b * n, d_a))
-        scores = np.matmul(t2, self.wa_col).reshape(self.lead + (b, n))
+        scores = np.matmul(self._t2(q), self.wa_col).reshape(self.lead + (b, n))
         if self.mask is not None:
             scores = np.where(self.mask, scores, -np.inf)
         alpha = softmax_forward(scores)
         if self.record:
             self.q_in.append(q_in)
-            self.t2.append(t2)
+            self.q.append(q)
             self.alpha.append(alpha)
         return alpha, (alpha[..., None] * self.v).sum(axis=-2)
 
@@ -648,18 +660,17 @@ class AttentionRun:
         """Gradients of step t from those of alpha (None when alpha has no
         consumer) and of the attended rows; returns the query gradient of
         each head (..., B, d_c)."""
-        v, alpha = self.v, self.alpha[t]
+        v, alpha, t2 = self.v, self.alpha[t], self._t2(self.q[t])
         if self.g_direct is None:
-            t2 = _steps(self.t2)
-            self.d_t2 = 1.0 - t2 * t2
-            self.g_scores = np.empty(t2.shape[:-1] + (1,), t2.dtype)
-            self.g_q = np.empty((len(t2),) + alpha.shape[:-1] + t2.shape[-1:], t2.dtype)
+            steps = len(self.q)
+            self.g_scores = np.empty((steps,) + t2.shape[:-1] + (1,), t2.dtype)
+            self.g_q = np.empty((steps,) + alpha.shape[:-1] + t2.shape[-1:], t2.dtype)
         g_att = np.broadcast_to(g_att[..., None, :], v.shape)
         g_alpha_in = (g_att * v).sum(axis=-1)
         g_alpha = g_alpha_in if g_alpha is None else g_alpha + g_alpha_in
         g_scores = self.g_scores[t]
         g_scores[...] = softmax_backward(alpha, g_alpha).reshape(g_scores.shape)
-        g_pre = g_scores * self.wa[..., None, :] * self.d_t2[t]
+        g_pre = g_scores * self.wa[..., None, :] * (1.0 - t2 * t2)
         g_q = self.g_q[t]
         g_q[...] = g_pre.reshape(alpha.shape + g_pre.shape[-1:]).sum(axis=-2)
         g_direct = g_att * alpha[..., None]
@@ -671,16 +682,17 @@ class AttentionRun:
         """(g_v through the weighted sum, g_v through the keys, g_W_v,
         g_W_h, g_w_a), each summed over every step; the values are shared
         by all steps, so the key path uses the summed key gradient.  This
-        ends the backward, and the arrays formed for it are let go."""
+        ends the backward: the records and the arrays formed for it go."""
         lead = len(self.lead)
         grads = (self.g_direct,
                  np.matmul(self.g_pre, np.swapaxes(self.Wv_T, -1, -2)).reshape(self.v.shape),
                  np.swapaxes(_t_matmul(self.v2, self.g_pre), -1, -2),
                  np.swapaxes(_t_matmul(np.concatenate(self.q_in), _rows(self.g_q, lead)),
                              -1, -2),
-                 np.matmul(np.swapaxes(_rows(_steps(self.t2), lead), -1, -2),
+                 np.matmul(np.swapaxes(_rows(self._t2(_steps(self.q)), lead), -1, -2),
                            _rows(self.g_scores, lead))[..., 0])
-        self.g_direct = self.g_pre = self.d_t2 = self.g_scores = self.g_q = None
+        self.q_in, self.q, self.alpha = [], [], []
+        self.g_direct = self.g_pre = self.g_scores = self.g_q = None
         return grads
 
 
@@ -758,8 +770,8 @@ class Rng:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix64(self._state)
 
-    def _bits53(self, n: int) -> np.ndarray:
-        """The top 53 bits of the next ``n`` draws, (n,) uint64."""
+    def _draws(self, n: int) -> np.ndarray:
+        """The next ``n`` draws, (n,) uint64; ``>> _S11`` keeps the top 53 bits."""
         z = np.arange(1, n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             z *= _GOLDEN_U
@@ -769,7 +781,6 @@ class Rng:
             z ^= z >> _S27
             z *= _MIX2_U
             z ^= z >> _S31
-        z >>= _S11
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z
 
@@ -794,15 +805,17 @@ class Rng:
         return self.u64() % n
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
+        """Fisher-Yates: for i = n-1 .. 1 swap items i and ``randint(i + 1)``."""
+        bounds = np.arange(len(items), 1, -1, dtype=np.uint64)     # i + 1, one block of draws
+        picks = (self._draws(len(bounds)) % bounds).tolist()
+        for i, j in zip(range(len(items) - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def uniform_array(self, shape, low, high, dtype=FLOAT32) -> np.ndarray:
         """``uniform`` per element, scaled to [low, high).  A 53-bit
         integer converts to float64 exactly, so the values are the scalar
         ones."""
-        out = self._bits53(int(np.prod(shape))) * 2.0**-53
+        out = (self._draws(int(np.prod(shape))) >> _S11) * 2.0**-53
         return (low + (high - low) * out).reshape(shape).astype(dtype)
 
     def normal(self, shape, scale=1.0, dtype=FLOAT32) -> np.ndarray:
@@ -812,7 +825,7 @@ class Rng:
         out = np.empty(n + 1)          # room for a half-used pair's sine
         if head:
             out[0], self._gauss_cache = self._gauss_cache, None
-        bits = self._bits53(2 * ((n - head + 1) // 2)).astype(np.float64)
+        bits = (self._draws(2 * ((n - head + 1) // 2)) >> _S11).astype(np.float64)
         u1 = (bits[0::2] + 1.0) * 2.0**-53  # (0, 1], keeps log finite
         angle = 2.0 * math.pi * (bits[1::2] * 2.0**-53)
         r = np.sqrt(-2.0 * _libm(math.log, u1))
@@ -826,7 +839,7 @@ class Rng:
     def gumbel_array(self, shape, dtype=FLOAT32) -> np.ndarray:
         """Standard Gumbel draws, -log(-log(u)) with u strictly inside
         (0, 1), one draw per element."""
-        u = (self._bits53(int(np.prod(shape))).astype(np.float64) + 0.5) * 2.0**-53
+        u = ((self._draws(int(np.prod(shape))) >> _S11).astype(np.float64) + 0.5) * 2.0**-53
         return (-_libm(math.log, -_libm(math.log, u))).reshape(shape).astype(dtype)
 
     def get_state(self):

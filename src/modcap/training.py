@@ -304,8 +304,10 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
     through its sampled caption.
     """
     scenes, supervise = enc.batch, lam > 0.0
-    twice = Encoded(feats={k: concat([v, v]) for k, v in enc.feats.items()},
-                    means={k: concat([v, v]) for k, v in enc.means.items()},
+    doubled = ((lambda v: concat([v, v])) if supervise     # the gold rows replay on these
+               else lambda v: np.concatenate([v.data if isinstance(v, Tensor) else v] * 2))
+    twice = Encoded(feats={k: doubled(v) for k, v in enc.feats.items()},
+                    means={k: doubled(v) for k, v in enc.means.items()},
                     mask=np.concatenate([enc.mask, enc.mask]))
     noise = model.selection_noise(rng, max_len, scenes)
     sample = sample_policy(rng)

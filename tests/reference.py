@@ -45,9 +45,10 @@ for bit.  ``object_beam_search`` is the beam bookkeeping as it was
 before the beam kept plain tuples: one ``Hypothesis`` per candidate,
 sorted by a key function, on any model's ``step``.
 
-The random draws: ``gumbel`` and ``multinomial`` take one value at a time
-from the scalar stream, ``Rng.u64`` and ``Rng.uniform``.  The stream
-tests hold ``Rng.gumbel_array`` and ``decoder.sample_policy`` to them.
+The random draws: ``gumbel``, ``multinomial`` and ``shuffle`` take one
+value at a time from the scalar stream, ``Rng.u64``, ``Rng.uniform`` and
+``Rng.randint``.  The stream tests hold ``Rng.gumbel_array``,
+``decoder.sample_policy`` and ``Rng.shuffle`` to them.
 
 Self-critical scoring: ``reference_idf`` and ``reference_cider_d`` are
 CIDEr-D as it was before the idf table precomputed its idf and the dot
@@ -125,6 +126,13 @@ def multinomial(rng: Rng, probs) -> int:
     cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
     u = rng.uniform() * cdf[-1]
     return int(min(np.searchsorted(cdf, u, side="right"), len(cdf) - 1))
+
+
+def shuffle(rng: Rng, items: list) -> None:
+    """Fisher-Yates in place, one ``randint`` draw per swap, i = n-1 .. 1."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 def adam_init(param: Tensor) -> AdamState:

@@ -41,6 +41,7 @@ from reference import (
     multinomial as reference_multinomial,
     pick,
     relu,
+    shuffle as reference_shuffle,
     sigmoid,
     slice_axis,
     tanh,
@@ -402,6 +403,17 @@ class TestRngStream:
         assert got.tobytes() == want.tobytes()
         assert arrays.get_state() == scalars.get_state()
         assert (arrays.get_state()[1] is None) == ((n + skip) % 2 == 0)
+
+    @STREAM
+    @given(seeds, st.integers(0, 2000))
+    def test_shuffle_is_the_scalar_loop(self, seed, n):
+        # the n-1 swap indices come from one block of draws
+        got, want = list(range(n)), list(range(n))
+        arrays, scalars = Rng(seed), Rng(seed)
+        arrays.shuffle(got)
+        reference_shuffle(scalars, want)
+        assert got == want
+        assert arrays.get_state() == scalars.get_state()
 
     @pytest.mark.parametrize("kind", sorted(ARRAY_DRAWS))
     def test_long_draws_keep_the_libm_bits(self, kind):

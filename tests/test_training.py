@@ -519,6 +519,25 @@ class TestSelfCritical:
                 break
         assert found, "sampling never diverged from greedy"
 
+    @pytest.mark.parametrize("lam, concats", [(0.0, 0), (config.LAMBDA_RL, 6)])
+    def test_only_gold_rows_list_the_encoding_twice_as_tensors(self, corpus, synth,
+                                                              monkeypatch, lam, concats):
+        # without the word-class term the decode reads the doubled arrays and
+        # the replay runs on the encoding as it is: no concat node is made
+        import modcap.training
+        made, real = [], modcap.training.concat
+        monkeypatch.setattr(modcap.training, "concat", lambda ts: made.append(ts) or real(ts))
+        mcfg, _ = apply_preset("CNM#2", model_cfg(corpus), TrainConfig())
+        model = CaptionModel(mcfg, Rng(7).derive(1))
+        _, batch = one_scene_per_region_count(corpus, synth)
+        refs = corpus.references()
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        loss, _ = self_critical_loss(model, enc, [refs[sid] for sid in batch.scene_ids],
+                                     IdfTable(refs), corpus.vocab.tokens, Rng(11), 6,
+                                     gold=batch, lam=lam)
+        loss.backward()
+        assert len(made) == concats
+
     @staticmethod
     def chained_surrogate(model, batch, infos, rng, max_len, lam):
         """The self-critical surrogate on the op-composed Tensor step: the

@@ -3,8 +3,8 @@
 The guard measures one ``CNM#2`` self-critical window with tracemalloc:
 the decode, the replay forward and the backward of a fixed 16-scene
 batch of a test corpus, without an optimizer step.  Its peak is the same
-number of bytes on every run, whatever the hash seed, so it can be held
-to a bound: a recorded pass keeps only what its backward cannot rebuild.
+on every run, whatever the hash seed, to within a few hundred bytes, so
+it can be held to a bound: a recorded pass keeps only what its backward cannot rebuild.
 """
 
 import importlib.util
@@ -24,14 +24,13 @@ from modcap.training import _pack, self_critical_loss
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = CorpusSpec(n_scenes=40, seed=2)
 WINDOW = 16
-# tracemalloc's count moves by up to a few hundred bytes between runs of
-# one hash seed, with what Python's and numpy's small-object caches hold,
-# so the guard reads its peak to the nearest unit of 16 KiB
-UNIT = 16384
-# the guard's peak is 557 units (9.13 MB) now that a recorded pass keeps
-# only what its backward cannot rebuild, and was 803 units (13.15 MB)
-# before; the bound is 5% above 557
-PEAK_BOUND = 584
+# tracemalloc's count moves by up to a few hundred bytes between runs,
+# with what Python's and numpy's small-object caches hold
+DRIFT = 1024
+# the guard's peak is 9.130 MB now that a recorded pass keeps only what
+# its backward cannot rebuild, and was 13.15 MB before; the bound is 5%
+# above 9.130 MB
+PEAK_BOUND = 9_587_000
 
 
 def window(spec=SPEC):
@@ -71,18 +70,18 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def window_peak(hashseed: str) -> int:
-    """The guard's peak in units, under the hash seed ``hashseed``."""
+    """The guard's peak in bytes, under the hash seed ``hashseed``."""
     env = {**os.environ, "PYTHONHASHSEED": hashseed,
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
     done = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], env=env, capture_output=True,
                           text=True, check=True)
-    return round(int(done.stdout) / UNIT)
+    return int(done.stdout)
 
 
 def test_a_self_critical_window_peaks_within_its_bound():
     peaks = {seed: window_peak(seed) for seed in ("0", "1")}
-    assert peaks["0"] == peaks["1"], peaks
-    assert peaks["0"] <= PEAK_BOUND
+    assert abs(peaks["0"] - peaks["1"]) <= DRIFT, peaks
+    assert max(peaks.values()) <= PEAK_BOUND, peaks
 
 
 def test_the_backward_lets_every_record_go(monkeypatch):
@@ -113,12 +112,12 @@ def test_window_memory_tool_reports_every_phase():
                                                   ROOT / "tools" / "window_memory.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    report = tool.window_memory(seed=1, n_scenes=40, top=5)
+    report = tool.window_memory(seed=1, n_scenes=40)
     assert list(report["peaks"]) == list(tool.PHASES)
     for peak, rise in report["peaks"].values():
         assert 0 <= rise <= peak
     backward_peak = report["peaks"]["backward"][0]
     assert 0 < report["line_peak"] <= backward_peak
-    assert len(report["sites"]) == 5
+    assert len(report["sites"]) == tool.SITES
     assert sum(size for size, *_ in report["sites"]) <= report["line_peak"]
     assert any(where.startswith("src/modcap/") for _, _, where, _ in report["sites"])

@@ -1,16 +1,15 @@
 """Where the memory of one self-critical window goes.
 
     python tools/window_memory.py --seed 0
-    python tools/window_memory.py --seed 0 --scenes 60 --top 20
 
-Sets up with the settings of the ``scst_train`` benchmark workload: the
-corpus of the seed (500 scenes unless ``--scenes`` says otherwise), a
-``CNM#2`` model with batch 16, lr 2e-3 and max_len 16, and one XE epoch
-of warm start.
-Then it runs the first 16-scene self-critical window
-(``training.run_rl_epoch`` with ``max_steps=16``) under tracemalloc,
-which starts after the warm start, and prints the peak of traced memory
-in each phase of the window:
+Sets up as the ``scst_train`` benchmark workload does, with the settings
+``bench/workloads.py`` defines: the standard corpus of the seed
+(``STANDARD_SCENES``), a model of preset ``PRESET`` with lr ``LR``,
+max_len ``MAX_LEN`` and batch ``SCST_WINDOW``, and one XE epoch of warm
+start.  Then it runs the first ``SCST_WINDOW``-scene self-critical
+window (``training.run_rl_epoch`` with ``max_steps=SCST_WINDOW``) under
+tracemalloc, which starts after the warm start, and prints the peak of
+traced memory in each phase of the window:
 
 * ``decode``: packing, encoding, the 2B-row decode and CIDEr-D scoring;
 * ``replay forward``: the teacher-forced replay and the loss;
@@ -19,10 +18,10 @@ in each phase of the window:
 
 A phase's peak is the most memory traced at any moment of it, counted
 from the start of tracing; its rise is that peak less what was traced
-when the phase began.  The tool also lists the allocation sites that
-hold the most memory at the backward's peak.  tracemalloc sees only
-function boundaries and lines, not the middle of a numpy expression, so
-the window runs twice from the same state: the first run finds the
+when the phase began.  The tool also lists the ``SITES`` allocation
+sites that hold the most memory at the backward's peak.  tracemalloc
+sees only function boundaries and lines, not the middle of a numpy
+expression, so the window runs twice from the same state: the first run finds the
 line of the backward at which the most memory is traced, and the second
 takes a snapshot there, then steps the optimizer.  The phase peaks are
 those of the first run, whose backward carries no snapshot, but for
@@ -38,11 +37,12 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from modcap import config, corpus, decoder, metrics, tensor, training  # noqa: E402
+from workloads import LR, MAX_LEN, PRESET, SCST_WINDOW, STANDARD_SCENES  # noqa: E402
 
-WINDOW = 16
+SITES = 12
 PHASES = ("decode", "replay forward", "backward", "clip and Adam")
 
 
@@ -83,14 +83,14 @@ class _LineWatch:
 
 
 def set_up(seed: int, n_scenes: int):
-    """Corpus, features, CNM#2 model, train config and a one-epoch XE warm
+    """Corpus, features, model, train config and a one-epoch XE warm
     start, with the settings of the scst_train workload."""
     spec = corpus.CorpusSpec(n_scenes=n_scenes, seed=seed)
     data = corpus.generate_corpus(spec)
     synth = corpus.FeatureSynthesizer(spec)
     model_cfg, train_cfg = config.apply_preset(
-        "CNM#2", config.ModelConfig(vocab_size=len(data.vocab)),
-        config.TrainConfig(seed=seed, lr=2e-3, batch_size=WINDOW, max_len=16,
+        PRESET, config.ModelConfig(vocab_size=len(data.vocab)),
+        config.TrainConfig(seed=seed, lr=LR, batch_size=SCST_WINDOW, max_len=MAX_LEN,
                            xe_epochs=1, rl_epochs=1))
     model = decoder.CaptionModel(model_cfg, tensor.Rng(seed).derive(training.MODEL_INIT_TAG))
     opt, rng = tensor.Adam(), tensor.Rng(seed).derive(training.TRAIN_STREAM_TAG)
@@ -124,7 +124,7 @@ def _window(setup, idf, phases: _Phases, watch: _LineWatch, stop: bool) -> None:
     try:
         phases.begin("decode")
         training.run_rl_epoch(model, data, synth, train_cfg, opt, rng, train_cfg.xe_epochs,
-                              idf, max_steps=WINDOW)
+                              idf, max_steps=SCST_WINDOW)
         phases.begin(None)
     except _Stop:
         pass
@@ -132,10 +132,10 @@ def _window(setup, idf, phases: _Phases, watch: _LineWatch, stop: bool) -> None:
         decoder.CaptionModel.forced, tensor.Tensor.backward = forced, backward
 
 
-def window_memory(seed: int, n_scenes: int = 500, top: int = 12) -> dict:
+def window_memory(seed: int, n_scenes: int = STANDARD_SCENES) -> dict:
     """Per-phase (peak, rise) in bytes, the backward's largest traced size
-    at a line boundary, and the ``top`` allocation sites there as (bytes,
-    blocks, "file:line", source line)."""
+    at a line boundary, and the ``SITES`` largest allocation sites there as
+    (bytes, blocks, "file:line", source line)."""
     setup = set_up(seed, n_scenes)
     data, rng = setup[0], setup[5]
     idf = metrics.IdfTable(data.references("train"))
@@ -153,7 +153,7 @@ def window_memory(seed: int, n_scenes: int = 500, top: int = 12) -> dict:
         tracemalloc.stop()
     ignore = [tracemalloc.Filter(False, tracemalloc.__file__), tracemalloc.Filter(False, __file__)]
     sites = []
-    for stat in snap.snapshot.filter_traces(ignore).statistics("lineno")[:top]:
+    for stat in snap.snapshot.filter_traces(ignore).statistics("lineno")[:SITES]:
         frame = stat.traceback[0]
         path = Path(frame.filename)
         name = str(path.relative_to(ROOT)) if path.is_relative_to(ROOT) else frame.filename
@@ -164,12 +164,10 @@ def window_memory(seed: int, n_scenes: int = 500, top: int = 12) -> dict:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description="Traced memory of one CNM#2 self-critical window.")
+    p = argparse.ArgumentParser(description="Traced memory of one scst_train self-critical window.")
     p.add_argument("--seed", type=int, default=0, help="corpus, model and training seed")
-    p.add_argument("--scenes", type=int, default=500, help="corpus size (default 500)")
-    p.add_argument("--top", type=int, default=12, help="allocation sites to list")
     args = p.parse_args(argv)
-    report = window_memory(args.seed, args.scenes, args.top)
+    report = window_memory(args.seed)
     mb = 1e-6
     print(f"{'phase':<16}{'peak MB':>10}{'rise MB':>10}")
     for name in PHASES:

@@ -226,6 +226,12 @@ class Corpus:
             raise ValueError(f"unknown split {split!r}")
         return [s for s in self.scenes if s.split == split]
 
+    def require(self, *splits: str) -> None:
+        """Raise DataError naming the first of ``splits`` without a scene."""
+        for split in splits:
+            if not self.scenes_in(split):
+                raise DataError(f"the corpus has no {split} scenes")
+
     def examples_in(self, split: str) -> list[CaptionExample]:
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}")

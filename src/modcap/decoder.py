@@ -44,7 +44,6 @@ hard-selection noise of a pass is drawn in one place,
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +58,7 @@ from .tensor import (
     FLOAT32,
     AttentionRun,
     LstmRun,
+    ParamArena,
     Rng,
     Tensor,
     _accum,
@@ -110,10 +110,9 @@ class Encoded:
 
     def run(self, unit: DecoderUnit) -> UnitRun:
         """The forward-only run of ``unit`` over this encoding, built on its
-        first step and again once one of the unit's weight arrays has been
-        rebound (an optimizer step, a checkpoint load)."""
+        first step and again after a weight write (``ParamArena.version``)."""
         run = self._runs.get(unit)
-        if run is None or not all(map(operator.is_, unit.arrays(), run.arrays)):
+        if run is None or run.version != ParamArena.version:
             run = self._runs[unit] = UnitRun(unit, self)
         return run
 
@@ -168,7 +167,7 @@ class DecoderUnit:
             w["ctrl.proj.W"] = xavier_uniform(rng, (d_c, n), d_c, n, dtype=dtype)
             w["ctrl.proj.b"] = zeros(n, dtype=dtype, requires_grad=True)
         lstm("lstm2", d_c + (len(modules) + (self.strategy is not None)) * d_v)
-        self._heads = None
+        self._heads = (None, None)
 
     def zero_state(self, batch: int, dtype) -> np.ndarray:
         """Zero state rows (n, B, d_v): h1, c1, h2, c2 and, when the
@@ -189,23 +188,17 @@ class DecoderUnit:
         check_finite("unit_kernel", rows)
         return out, rows
 
-    def arrays(self) -> list[np.ndarray]:
-        """The arrays of every weight of the unit, in table order."""
-        return [t.data for t in self.weights.values()]
-
     def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The attention weights stacked over modules: C-contiguous W_v^T
         (K, d_v, d_a) and W_h^T (K, d_v, d_a), and w_a (K, d_a).  Rebuilt
-        only after a weight's array is rebound (an optimizer step, a
-        checkpoint load)."""
-        arrays = [self.weights[f"att.{name}.{part}"].data
-                  for name in self.modules for part in HEAD_WEIGHTS]
-        cached = self._heads
-        if cached is None or not all(map(operator.is_, arrays, cached[0])):
+        only after a weight write (``ParamArena.version``)."""
+        if self._heads[0] != ParamArena.version:
+            arrays = [self.weights[f"att.{name}.{part}"].data
+                      for name in self.modules for part in HEAD_WEIGHTS]
             stack_t = lambda ws: np.ascontiguousarray(np.stack([w.T for w in ws]))
-            cached = self._heads = (arrays, (stack_t(arrays[0::3]), stack_t(arrays[1::3]),
-                                             np.stack(arrays[2::3])))
-        return cached[1]
+            self._heads = (ParamArena.version, (stack_t(arrays[0::3]), stack_t(arrays[1::3]),
+                                                np.stack(arrays[2::3])))
+        return self._heads[1]
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.{name}": t for name, t in self.weights.items()}
@@ -215,20 +208,20 @@ class UnitRun:
     """A pass of a decoder unit over one encoding.
 
     It holds what every step of the pass shares: the unit's weight
-    arrays and strategy, LSTM runs for LSTM1, LSTM2 and the controller,
-    the K attention heads as one stacked run over the encoding's features,
-    and the scene means per row count.  ``step`` is the unit's one
-    step body.  With ``record`` the steps also keep what ``unit_kernel``'s
-    backward reads.  Without it the run is forward only, and one run
-    serves any number of steps and of rows: a one-scene encoding serves a
-    beam's hypotheses.  The gate sigmoids may overflow exp: step under
-    ``np.errstate(over="ignore")``.
+    arrays (as of the arena ``version``) and strategy, LSTM runs for
+    LSTM1, LSTM2 and the controller, the K attention heads as one stacked
+    run over the encoding's features, and the scene means per row count.
+    ``step`` is the unit's one step body.  With ``record`` the steps also
+    keep what ``unit_kernel``'s backward reads.  Without it the run is
+    forward only, and one run serves any number of steps and of rows: a
+    one-scene encoding serves a beam's hypotheses.  The gate sigmoids may
+    overflow exp: step under ``np.errstate(over="ignore")``.
     """
 
     def __init__(self, unit: DecoderUnit, enc: Encoded, record: bool = False):
         self.record = record
-        self.arrays = unit.arrays()
-        w = dict(zip(unit.weights, self.arrays))
+        self.version = ParamArena.version
+        w = {name: t.data for name, t in unit.weights.items()}
         self.strategy, self.controlled = unit.strategy, unit.controlled
         values, self.means_cat = enc.stacked
         self.means = {len(self.means_cat): self.means_cat}     # per row count
@@ -317,7 +310,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
     trace).  The node is the unit output, shaped like ``i``; the per-step
     controller softmax is an output that hangs off it.  The backward, one
     closure, reads its gradient and the weight arrays the pass ran on, so
-    a weight rebound since leaves the graph intact, and hands out one
+    a weight written since leaves the graph intact, and hands out one
     gradient per input and table entry; the derivatives of the
     nonlinearities and each weight gradient are formed once over all T*B
     rows.  A one-step call rounds exactly as the op-composed step in
@@ -471,7 +464,7 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
 
 
 class CaptionModel:
-    """Encoder modules + embedding + M decoder units + word head."""
+    """Encoder modules + embedding + M decoder units + word head; ``arena`` holds the weights."""
 
     def __init__(self, cfg: ModelConfig, rng: Rng, dtype=FLOAT32):
         cfg.validate()
@@ -488,6 +481,7 @@ class CaptionModel:
                                     cfg.vocab_size, cfg.d_v, dtype=dtype)
         self.units = [DecoderUnit(cfg, modules, rng, dtype) for _ in range(cfg.m_units)]
         self.head = Linear(cfg.d_v, cfg.vocab_size, rng, dtype=dtype)
+        self.arena = ParamArena(self.named_parameters())
 
     # -- forward pieces -----------------------------------------------------
 

@@ -16,7 +16,6 @@ kept with the tests (``tests/reference.py``).
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import ConfigError
 from .layers import Linear
 from .tensor import (
     FLOAT32,
+    ParamArena,
     Rng,
     Tensor,
     _accum,
@@ -102,10 +102,10 @@ class RelationModule:
         self._qkv = (None, None)
 
     def qkv(self) -> np.ndarray:
-        """All heads' Q, K, V weights (3*heads, d_r, d_k), restacked on a rebind."""
-        arrays = [w.data for w in self.w_q + self.w_k + self.w_v]
-        if self._qkv[0] is None or not all(map(operator.is_, arrays, self._qkv[0])):
-            self._qkv = (arrays, np.stack(arrays))
+        """All heads' Q, K, V weights (3*heads, d_r, d_k), per ``ParamArena.version``."""
+        if self._qkv[0] != ParamArena.version:
+            self._qkv = (ParamArena.version,
+                         np.stack([w.data for w in self.w_q + self.w_k + self.w_v]))
         return self._qkv[1]
 
     def __call__(self, r: np.ndarray, mask: np.ndarray | None = None,

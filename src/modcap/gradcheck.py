@@ -47,6 +47,7 @@ from .tensor import (
     AttentionRun,
     LstmParams,
     LstmRun,
+    ParamArena,
     Rng,
     Tensor,
     _accum,
@@ -302,13 +303,13 @@ HARD_DOWNSTREAM_TENSORS = (".lstm2.", ".func.")
 HARD_MULTI_STEP_TAU = 1e-4
 
 
-def _jitter(params: dict, rng: Rng) -> None:
-    """Move every parameter by up to 0.3: zero-initialized biases leave
-    pre-activations exactly on the leaky-relu kink, where central
-    differences lie."""
-    for name in sorted(params):
-        p = params[name]
-        p.data = p.data + rng.uniform_array(p.data.shape, -0.3, 0.3, dtype=FLOAT64)
+def _jitter(arena: ParamArena, rng: Rng, prefix: str = "") -> None:
+    """Move every parameter whose name starts with ``prefix`` by up to 0.3:
+    zero-initialized biases leave pre-activations exactly on the leaky-relu
+    kink, where central differences lie."""
+    arena.assign({name: p.data + rng.uniform_array(p.data.shape, -0.3, 0.3, dtype=FLOAT64)
+                  for name, p in sorted(zip(arena.names, arena.tensors))
+                  if name.startswith(prefix)})
 
 
 def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
@@ -320,13 +321,14 @@ def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
                       gumbel_tau=HARD_MULTI_STEP_TAU if n_steps > 1 else 1.0)
     unit = DecoderUnit(cfg, tuple(m for m in modules if m in VISUAL_MODULES),
                        Rng(seed).derive(80), dtype=FLOAT64)
-    _jitter(unit.params("unit"), Rng(seed).derive(83))
+    arena = ParamArena(unit.params("unit"))
+    _jitter(arena, Rng(seed).derive(83))
     rng = Rng(seed).derive(81 if n_steps == 1 else 82)
     inputs = {"i_prev": _t(rng, (2, 3) if n_steps == 1 else (n_steps, 2, 3))}
     for name in unit.modules:
         inputs[f"feats.{name}"] = _t(rng, (2, 3, 3))
         inputs[f"means.{name}"] = _t(rng, (2, 3))
-    return unit, inputs
+    return unit, arena, inputs
 
 
 def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
@@ -351,7 +353,7 @@ def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseRe
     results = []
     for n_steps in KERNEL_STEPS:
         for variant in KERNEL_VARIANTS:
-            unit, inputs = _kernel_inputs(variant, seed, n_steps)
+            unit, arena, inputs = _kernel_inputs(variant, seed, n_steps)
             label = variant if n_steps == 1 else f"{variant}/T{n_steps}"
             tensors = {f"{label}:input:{name}": t for name, t in inputs.items()}
             tensors.update((f"{label}:param:{name}", t)
@@ -367,29 +369,29 @@ def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseRe
             for outputs, group in groups:
                 results += _rebinding_cases("kernel",
                                             _kernel_objective(unit, inputs, outputs),
-                                            group, tol)
+                                            group, arena, tol)
     for label, mask in ENCODER_MASKS.items():
-        encoders, params, inputs = _encoder_inputs(seed)
+        model, params, inputs = _encoder_inputs(seed)
 
         def objective():
-            values, means = encoder_kernel(encoders, inputs["r_obj"], inputs["r_attr"], mask)
+            values, means = encoder_kernel(model.encoders, inputs["r_obj"], inputs["r_attr"], mask)
             return _ramp_sum([*values.values(), *means.values()])
         tensors = {f"{label}:{kind}:{name}": t
                    for kind, group in (("input", inputs), ("param", params))
                    for name, t in group.items()}
-        results += _rebinding_cases("kernel", objective, tensors, tol)
+        results += _rebinding_cases("kernel", objective, tensors, model.arena, tol)
     return results
 
 
 def _encoder_inputs(seed: int):
-    """A tiny float64 model's visual modules, its jittered encoder weights, features."""
+    """A tiny float64 model, its jittered encoder weights, features."""
     cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_a=2, heads=2, m_units=1)
     model = CaptionModel(cfg, Rng(seed).derive(84), dtype=FLOAT64)
     params = {name: p for name, p in model.named_parameters().items()
               if name.startswith("enc.")}
-    _jitter(params, Rng(seed).derive(85))
+    _jitter(model.arena, Rng(seed).derive(85), "enc.")
     rng = Rng(seed).derive(86)
-    return model.encoders, params, {"r_obj": _t(rng, (2, 3, 4)), "r_attr": _t(rng, (2, 3, 4))}
+    return model, params, {"r_obj": _t(rng, (2, 3, 4)), "r_attr": _t(rng, (2, 3, 4))}
 
 
 # -- full decoder step ----------------------------------------------------------
@@ -399,7 +401,7 @@ def _tiny_decoder():
     cfg = ModelConfig(vocab_size=7, d_r=8, d_v=4, d_a=3, heads=2,
                       m_units=2, strategy="soft")
     model = CaptionModel(cfg, Rng(1234).derive(9), dtype=FLOAT64)
-    _jitter(model.named_parameters(), Rng(1234).derive(11))
+    _jitter(model.arena, Rng(1234).derive(11))
     rng = Rng(1234).derive(10)
     r_obj = rng.uniform_array((2, 8), -1, 1, dtype=FLOAT64)
     r_attr = rng.uniform_array((2, 8), -1, 1, dtype=FLOAT64)
@@ -411,11 +413,20 @@ def _tiny_decoder():
     return model, r_obj, r_attr, batch
 
 
-def _rebinding_cases(section: str, objective, tensors: dict,
+def _rebinding_cases(section: str, objective, tensors: dict, arena: ParamArena,
                      tol: float) -> list[CaseResult]:
     """Check the gradient of ``objective()`` with respect to each tensor it
     reads by reference: one backward for the analytic gradients, then
-    central differences by rebinding each tensor's data in turn."""
+    central differences by setting each tensor's value in turn, a
+    parameter's through ``arena``."""
+    names = {id(p): name for name, p in zip(arena.names, arena.tensors)}
+
+    def set_value(t, value):
+        if id(t) in names:
+            arena.assign({names[id(t)]: value})
+        else:
+            t.data = value
+
     for t in tensors.values():
         t.grad = None
     objective().backward()
@@ -425,11 +436,11 @@ def _rebinding_cases(section: str, objective, tensors: dict,
     for name, t in tensors.items():
         def f(probe, t=t):
             saved = t.data
-            t.data = probe.data
+            set_value(t, probe.data)
             try:
                 return objective()
             finally:
-                t.data = saved
+                set_value(t, saved)
 
         numeric = finite_diff_grad(f, Tensor(t.data.copy(), dtype=FLOAT64), eps=FD_EPS)
         err = max_relative_error(analytic[name], numeric)
@@ -448,7 +459,7 @@ def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
 
     results = _rebinding_cases(
         "decoder", lambda: objective(r_obj, r_attr),
-        {f"param:{name}": params[name] for name in sorted(params)}, tol)
+        {f"param:{name}": params[name] for name in sorted(params)}, model.arena, tol)
     for label, fn in (
         ("input:r_obj", lambda probe: objective(probe, Tensor(r_attr, dtype=FLOAT64))),
         ("input:r_attr", lambda probe: objective(Tensor(r_obj, dtype=FLOAT64), probe)),

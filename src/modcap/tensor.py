@@ -25,12 +25,12 @@ unit the kernels agree with bit for bit, and the ops only they use, are
 in ``tests/reference.py``.  Padded regions are masked: a score of -inf
 gives them exactly 0 weight and gradient.
 
-The optimizer layer works on a ``ParamArena``: a model's parameters laid
-end to end in one flat buffer of values and one of gradients, with each
-parameter's ``data`` and ``grad`` a view of its slice.  ``Adam`` keeps
-its moments in flat buffers of the same layout and updates the whole set
-elementwise, a stretch of the buffers per numpy call; ``clip_global_norm``
-scales the gradient buffer at once.
+A model's parameters live in a ``ParamArena``: one flat buffer of values
+and one of gradients, each parameter's ``data`` and ``grad`` a view of
+its slice.  Only the arena writes values; caches of them key on
+``ParamArena.version``.  ``Adam`` keeps its moments in flat buffers of the
+same layout and updates them elementwise, a stretch per numpy call;
+``clip_global_norm`` scales the gradient buffer at once.
 
 Also here because the rest of the package leans on them: a portable
 counter-based RNG, parameter initialization, a central-difference
@@ -44,7 +44,6 @@ import ctypes
 import functools
 import itertools
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -141,15 +140,15 @@ def blas_on_calling_thread():
 class Tensor:
     """Immutable n-d float array with an optional gradient slot.
 
-    ``data`` is never written through after construction.  An optimizer
-    step builds a fresh buffer for the values of every parameter in its
-    ``ParamArena`` and rebinds each ``data`` to a view of it, which leaves
-    any already recorded graph (whose closures captured the old arrays)
-    intact.  Gradients, in contrast, are written in place: once an arena
-    holds a parameter, its ``grad`` is a view of the arena's gradient
-    buffer, which backward and clipping write into.  ``grad`` is None until
-    an op reaches the parameter.  ``_slot`` is the (arena, gradient view)
-    pair of a parameter an arena holds, else None.
+    ``data`` is never written through after construction.  A parameter's
+    ``data`` is a view of its ``ParamArena``'s value buffer, and only the
+    arena rebinds it: a write builds a fresh buffer, which leaves any
+    already recorded graph (whose closures captured the old arrays)
+    intact.  Gradients, in contrast, are written in place: a parameter's
+    ``grad`` is a view of the arena's gradient buffer, which backward and
+    clipping write into.  ``grad`` is None until an op reaches the
+    parameter.  ``_slot`` is the gradient view of a parameter an arena
+    holds, else None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_slot")
@@ -267,9 +266,8 @@ def _accum(node: Tensor, g: np.ndarray) -> None:
         node.grad += g
     elif node._slot is not None:
         # a parameter in an arena: its first gradient lands in its slice
-        grad = node._slot[1]
-        grad[...] = g
-        node.grad = grad
+        node._slot[...] = g
+        node.grad = node._slot
     else:
         node.grad = g.copy()
 
@@ -877,22 +875,24 @@ def make_lstm_params(rng: Rng, d_in: int, d_h: int, dtype=FLOAT32) -> LstmParams
 
 
 class ParamArena:
-    """Named parameters laid end to end in flat buffers of their dtype.
+    """Named parameters laid end to end in flat buffers of their dtype, and
+    the one writer of their values.
 
     ``data`` holds the values and ``grad`` the gradients, in the order of
     the dict the arena is built from (``named_parameters`` order for a
-    model).  Each parameter's ``data``, and its ``grad`` once backward
-    reaches it, are views of its slice, so work over the whole set is one
-    numpy call per buffer instead of one per parameter.
+    model, whose arena ``CaptionModel`` builds once).  Each parameter's
+    ``data``, and its ``grad`` once backward reaches it, are views of its
+    slice, so work over the whole set is one numpy call per buffer instead
+    of one per parameter.
 
-    ``ParamArena.of`` finds the arena that holds a dict of parameters.  It
-    builds a new one, copying every value in, when there is none, when the
-    dict holds other parameters, or when a parameter's ``data`` was rebound
-    from outside (a checkpoint load); a gradient set by hand is copied into
-    its slice.
+    Values change only through ``rebind`` (Adam's step) and ``assign``
+    (a checkpoint load, probes): a fresh buffer, and a bump of the
+    class-wide ``version`` that caches of weight values key on.  Adam's
+    step refuses a ``data`` or ``grad`` set behind the arena's back.
     """
 
     SCRATCH = 1 << 18   # bytes of working space, lent to clipping and Adam in turn
+    version = 0         # bumped by every write of any arena's values
 
     def __init__(self, params: dict[str, Tensor]):
         self.names = tuple(params)
@@ -917,7 +917,7 @@ class ParamArena:
                 self.square_runs.append([lo, hi, [i]])
         self.rebind(np.concatenate([p.data.ravel() for p in self.tensors]))
         for p, grad in zip(self.tensors, self.grads):
-            p._slot = (self, grad)
+            p._slot = grad
 
     def views_of(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each parameter's slice of a flat buffer of this layout, in its shape."""
@@ -931,6 +931,18 @@ class ParamArena:
         self.views = self.views_of(data)
         for p, view in zip(self.tensors, self.views):
             p.data = view
+        ParamArena.version += 1
+
+    def assign(self, values: dict) -> None:
+        """Set the named parameters' values, in a fresh buffer that keeps the rest."""
+        data = self.data.copy()
+        views = dict(zip(self.names, self.views_of(data)))
+        for name, value in values.items():
+            if np.shape(value) != views[name].shape:
+                raise ShapeError(f"parameter {name!r} has shape {views[name].shape}, "
+                                 f"got {np.shape(value)}")
+            views[name][...] = value
+        self.rebind(data)
 
     def square_sums(self) -> list:
         """Per parameter, the float64 sum of the squares of its gradient, the
@@ -946,21 +958,6 @@ class ParamArena:
                     a, b = self.bounds[i]
                     sums[i] = float(np.add.reduce(squares[a - lo:b - lo]))
         return sums
-
-    @staticmethod
-    def of(params: dict[str, Tensor]) -> "ParamArena":
-        """The arena holding exactly ``params``, in their order."""
-        first = next(iter(params.values()), None)
-        arena = first._slot[0] if first is not None and first._slot is not None else None
-        if (arena is None or arena.names != tuple(params)
-                or not all(map(operator.is_, arena.tensors, params.values()))
-                or not all(map(operator.is_, [p.data for p in arena.tensors], arena.views))):
-            arena = ParamArena(params)
-        for p, grad in zip(arena.tensors, arena.grads):
-            if p.grad is not None and p.grad is not grad:
-                grad[...] = p.grad
-                p.grad = grad
-        return arena
 
 
 def _non_finite(names) -> TrainingError:
@@ -1015,12 +1012,14 @@ class Adam:
                 v[...] = st.v
                 st.m, st.v = m, v
 
-    def step(self, params: dict[str, Tensor], lr: float) -> None:
-        arena = ParamArena.of(params)
+    def step(self, arena: ParamArena, lr: float) -> None:
         self._moments(arena)
         stepping = []     # (index, step count after this update)
         runs = []         # [lo, hi, t]: adjacent parameters with the same count
         for i, (name, p) in enumerate(zip(arena.names, arena.tensors)):
+            if p.data is not arena.views[i] or p.grad is not None and p.grad is not arena.grads[i]:
+                raise RuntimeError(f"parameter '{name}' was rebound behind its arena; "
+                                   "write values with ParamArena.assign")
             if p.grad is None:
                 continue
             st = self.state.get(name)
@@ -1074,24 +1073,23 @@ class Adam:
         np.subtract(p, out, out=out)
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``;
-    returns the norm before clipping.
+def clip_global_norm(arena: ParamArena, max_norm: float) -> float:
+    """Scale the gradients of ``arena`` so their joint L2 norm is at most
+    ``max_norm``; returns the norm before clipping.
 
     The norm adds up float64 sums of squares per parameter, in name order;
     the scaling is one multiplication of the arena's gradient buffer.  A
     gradient with a NaN or infinite entry raises ``TrainingError`` naming
     every such parameter, before any gradient is scaled.
     """
-    arena = ParamArena.of(params)
     sums = dict(zip(arena.names, arena.square_sums()))
     total = 0.0
     for name in sorted(sums):
         if sums[name] is not None:
             total += sums[name]
     if not math.isfinite(total):
-        bad = [name for name in sorted(params)
-               if params[name].grad is not None and not np.all(np.isfinite(params[name].grad))]
+        bad = sorted(name for name, p in zip(arena.names, arena.tensors)
+                     if p.grad is not None and not np.all(np.isfinite(p.grad)))
         if bad:
             raise _non_finite(bad)
     norm = math.sqrt(total)

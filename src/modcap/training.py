@@ -69,7 +69,7 @@ from .decoder import (
     sample_policy,
     strip_sequence,
 )
-from .errors import ConfigError, DataError, FormatError, TrainingError
+from .errors import ConfigError, DataError, FormatError, ShapeError, TrainingError
 from .metrics import IdfTable, cider_d, evaluate_captions
 from .tensor import (
     Adam,
@@ -363,18 +363,17 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
 # -- epochs -------------------------------------------------------------------
 
 
-def _update(loss: Tensor, params: dict[str, Tensor], opt: Adam, lr: float,
-            where: str) -> float:
+def _update(loss: Tensor, model: CaptionModel, opt: Adam, lr: float, where: str) -> float:
     """One optimizer step on ``loss``: check that it is finite, backpropagate
     from cleared gradients, clip their global norm to ``config.GRAD_CLIP``
     and step.  Returns the pre-clip norm."""
     if not np.all(np.isfinite(loss.data)):
         raise TrainingError(f"non-finite loss at {where}")
-    for p in params.values():
+    for p in model.arena.tensors:
         p.grad = None
     loss.backward()
-    norm = clip_global_norm(params, config.GRAD_CLIP)
-    opt.step(params, lr)
+    norm = clip_global_norm(model.arena, config.GRAD_CLIP)
+    opt.step(model.arena, lr)
     return norm
 
 
@@ -389,7 +388,6 @@ def _norm_record(norms: list) -> dict:
 def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                  cfg: TrainConfig, opt: Adam, rng: Rng, epoch: int,
                  examples=None) -> dict:
-    params = model.named_parameters()
     scenes_by_id = {s.scene_id: s for s in corpus.scenes}
     if examples is None:
         examples = train_examples(corpus, cfg)
@@ -401,7 +399,7 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     norms = []
     for step, batch in enumerate(batches):
         stats = teacher_forced(model, batch, lam_ling=lam, rng=rng)
-        norms.append(_update(stats.loss, params, opt, lr, f"epoch {epoch} step {step}"))
+        norms.append(_update(stats.loss, model, opt, lr, f"epoch {epoch} step {step}"))
         sums.add(stats, stats.loss.item() * stats.n_tokens)
     loss, acc, agree = sums.per_token()
     return {
@@ -419,7 +417,6 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
 def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                  cfg: TrainConfig, opt: Adam, rng: Rng, epoch: int,
                  idf: IdfTable, max_steps: int | None = None) -> dict:
-    params = model.named_parameters()
     scenes = corpus.scenes_in("train")
     scenes_by_id = {s.scene_id: s for s in scenes}
     # each train scene's captions the run reads: its gold caption, then the
@@ -456,7 +453,7 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
             # no supervision term: the update would be a no-op, keep it one
             skipped += 1
             continue
-        norms.append(_update(loss / float(batch.size), params, opt, lr,
+        norms.append(_update(loss / float(batch.size), model, opt, lr,
                              f"epoch {epoch} refinement step {steps}"))
 
     return {
@@ -503,6 +500,7 @@ def train(state: TrainState, corpus: Corpus, synth: FeatureSynthesizer, *,
     """
     model, cfg = state.model, state.cfg
     validate_run(model.cfg, cfg)
+    corpus.require("train", "val")      # every epoch trains, then scores val
     total = cfg.xe_epochs + cfg.rl_epochs
     if max_epochs is not None:
         total = min(total, state.epoch + max_epochs)
@@ -569,6 +567,7 @@ def decode_split(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
 def evaluate_split(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
                    split: str, *, mode: str = "beam", beam_width: int = 5,
                    max_len: int = 16) -> dict:
+    corpus.require(split)
     predictions = decode_split(model, corpus, synth, split, mode=mode,
                                beam_width=beam_width, max_len=max_len)
     report = evaluate_captions(predictions, corpus.references(split),
@@ -739,24 +738,26 @@ def restore_training(path: str) -> tuple[TrainState, Vocabulary]:
         extra = sorted(set(stored) - set(params))
         raise DataError(f"checkpoint does not match the model: "
                         f"missing {missing or 'none'}, unexpected {extra or 'none'}")
-    for name, arr in stored.items():
-        if params[name].data.shape != arr.shape:
-            raise DataError(f"parameter {name!r} has shape {arr.shape}, "
-                            f"model expects {params[name].data.shape}")
-        params[name].data = np.ascontiguousarray(arr)
+    try:
+        model.arena.assign(stored)
+    except ShapeError as exc:
+        raise DataError(f"checkpoint does not match the model: {exc}") from exc
 
     opt = Adam()
     if not isinstance(adam_t, dict):
         raise FormatError(f"{path}: adam_t must map parameter names to step counts")
+    entries = {k for k in tensors if k.startswith("adam.")}
+    expected = {f"adam.{kind}.{name}" for name in adam_t for kind in "mv"}
+    unknown = sorted(set(adam_t) - set(params))
+    if unknown or entries != expected:
+        raise FormatError(f"{path}: each parameter has all of Adam's m, v and step count, or "
+                          f"none: step counts of no parameter {unknown or 'none'}, entries "
+                          f"missing {sorted(expected - entries) or 'none'}, "
+                          f"unexpected {sorted(entries - expected) or 'none'}")
     for name, param in params.items():
-        m_key, v_key = f"adam.m.{name}", f"adam.v.{name}"
-        if m_key not in tensors:
+        if name not in adam_t:
             continue
-        try:
-            m, v, t = tensors[m_key], tensors[v_key], adam_t[name]
-        except KeyError as exc:
-            raise FormatError(f"{path}: incomplete Adam state for parameter "
-                              f"{name!r}: no entry {exc}") from exc
+        m, v, t = tensors[f"adam.m.{name}"], tensors[f"adam.v.{name}"], adam_t[name]
         if m.shape != param.data.shape or v.shape != param.data.shape:
             raise FormatError(f"{path}: Adam moments of {name!r} have shapes {m.shape} "
                               f"and {v.shape}, the parameter {param.data.shape}")

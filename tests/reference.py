@@ -157,27 +157,30 @@ def adam_update(param, grad, state: AdamState, lr, beta1=0.9, beta2=0.999,
 
 
 class ReferenceAdam:
-    """One AdamState per named parameter; an update rebinds each Tensor's
-    buffer.  Parameters whose grad is None are skipped."""
+    """One AdamState per named parameter, updated one parameter at a time;
+    the new values go to the arena in one ``assign``.  Parameters whose grad
+    is None are skipped."""
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.state: dict[str, AdamState] = {}
 
-    def step(self, params: dict[str, Tensor], lr: float) -> None:
+    def step(self, arena, lr: float) -> None:
+        params, new = dict(zip(arena.names, arena.tensors)), {}
         for name in sorted(params):
             p = params[name]
             if p.grad is None:
                 continue
             st = self.state.get(name) or adam_init(p)
-            new, self.state[name] = adam_update(p, p.grad, st, lr, self.beta1,
-                                                self.beta2, self.eps, name=name)
-            p.data = np.ascontiguousarray(new)
+            new[name], self.state[name] = adam_update(p, p.grad, st, lr, self.beta1,
+                                                      self.beta2, self.eps, name=name)
+        arena.assign(new)
 
 
-def reference_clip(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale each gradient so the joint L2 norm is at most ``max_norm``;
-    returns the norm before clipping."""
+def reference_clip(arena, max_norm: float) -> float:
+    """Scale each gradient of ``arena`` so the joint L2 norm is at most
+    ``max_norm``; returns the norm before clipping."""
+    params = dict(zip(arena.names, arena.tensors))
     total = 0.0
     for name in sorted(params):
         g = params[name].grad
@@ -189,7 +192,7 @@ def reference_clip(params: dict[str, Tensor], max_norm: float) -> float:
         for name in sorted(params):
             g = params[name].grad
             if g is not None:
-                params[name].grad = g * g.dtype.type(scale)
+                g *= g.dtype.type(scale)
     return norm
 
 

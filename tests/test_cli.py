@@ -1,7 +1,9 @@
 """Command line behaviour: exit codes, stdout/stderr contracts, round trips."""
 
 import csv
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +213,51 @@ def test_missing_adam_step_exits_2(data_dir, checkpoint, tmp_path, capsys):
     assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
 
 
+def rewrite_checkpoint(path, edit) -> None:
+    """Load the checkpoint at ``path``, let ``edit(tensors, adam_t)`` change
+    its entries and step counts, and write it back with the new file's
+    sha256 in its meta."""
+    from modcap.training import CKPT_MAGIC, CKPT_VERSION, load_checkpoint
+
+    tensors, meta = load_checkpoint(str(path))
+    edit(tensors, meta["adam_t"])
+    blob = bytearray(CKPT_MAGIC) + struct.pack("<II", CKPT_VERSION, len(tensors))
+    for name, a in tensors.items():
+        key = name.encode("utf-8")
+        blob += struct.pack("<I", len(key)) + key + struct.pack("<I", a.ndim)
+        blob += struct.pack(f"<{a.ndim}I", *a.shape) + a.astype("<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    meta["bin_sha256"] = hashlib.sha256(blob).hexdigest()
+    Path(str(path) + ".meta.json").write_text(json.dumps(meta))
+
+
+UNPAIRED_ADAM = {
+    "m_without_v": lambda tensors, steps: tensors.pop("adam.v.embed.W"),
+    "v_without_m": lambda tensors, steps: tensors.pop("adam.m.embed.W"),
+    "moments_without_step": lambda tensors, steps: steps.pop("embed.W"),
+    "step_without_moments": lambda tensors, steps: (tensors.pop("adam.m.embed.W"),
+                                                    tensors.pop("adam.v.embed.W")),
+    "moments_of_no_parameter": lambda tensors, steps: (
+        tensors.update({"adam.m.nope": tensors["adam.m.embed.W"],
+                        "adam.v.nope": tensors["adam.v.embed.W"]}),
+        steps.update(nope=1)),
+    "step_of_no_parameter": lambda tensors, steps: steps.update(nope=1),
+    "stray_adam_entry": lambda tensors, steps: tensors.update(
+        {"adam.q.embed.W": tensors["adam.m.embed.W"]}),
+}
+
+
+@pytest.mark.parametrize("case", UNPAIRED_ADAM)
+def test_unpaired_adam_state_exits_2(data_dir, checkpoint, tmp_path, capsys, case):
+    # unchecked, all but moments_without_step loaded silently: a resume
+    # restarted a parameter's bias correction, or ignored the entry
+    path = copy_checkpoint(checkpoint, tmp_path)
+    rewrite_checkpoint(path, lambda tensors, steps: None)
+    assert path.read_bytes() == checkpoint.read_bytes()     # the rewrite alone is exact
+    rewrite_checkpoint(path, UNPAIRED_ADAM[case])
+    assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data_dir)], capsys)
+
+
 def test_negative_width_in_meta_exits_2(data_dir, checkpoint, tmp_path, capsys):
     path = copy_checkpoint(checkpoint, tmp_path)
     edit_meta(path, lambda meta: meta["model"].update(d_v=-4))
@@ -310,9 +357,9 @@ def test_non_finite_gradient_exits_3_naming_the_parameter(data_dir, tmp_path, ca
     import modcap.training
     real_clip = modcap.training.clip_global_norm
 
-    def poisoning_clip(params, max_norm):
-        params["head.W"].grad[0, 0] = np.nan
-        return real_clip(params, max_norm)
+    def poisoning_clip(arena, max_norm):
+        arena.grads[arena.names.index("head.W")][0, 0] = np.nan
+        return real_clip(arena, max_norm)
 
     monkeypatch.setattr(modcap.training, "clip_global_norm", poisoning_clip)
     path = tmp_path / "m.bin"
@@ -328,9 +375,9 @@ def nan_checkpoint(checkpoint, tmp_path) -> Path:
 
     path = copy_checkpoint(checkpoint, tmp_path)
     state, vocab = restore_training(str(path))
-    weight = state.model.named_parameters()["unit1.lstm2.W"]
-    weight.data = weight.data.copy()
-    weight.data[0, 0] = np.nan
+    weight = state.model.named_parameters()["unit1.lstm2.W"].data.copy()
+    weight[0, 0] = np.nan
+    state.model.arena.assign({"unit1.lstm2.W": weight})
     save_checkpoint(str(path), state, vocab)
     return path
 
@@ -369,9 +416,8 @@ def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_pat
     path = copy_checkpoint(checkpoint, tmp_path)
     before = path.read_bytes()
     state, vocab = restore_training(str(path))
-    params = state.model.named_parameters()
     # the last tensor cannot be converted, so the save fails
-    params[sorted(params)[-1]].data = np.array(["not a number"], dtype=object)
+    state.opt.state[sorted(state.opt.state)[-1]].v = np.array(["not a number"], dtype=object)
     state.epoch += 1
     with pytest.raises(ValueError):
         save_checkpoint(str(path), state, vocab)
@@ -434,6 +480,51 @@ def test_corpus_reports_split_sizes(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["scenes"] == 20
     assert doc["splits"]["train"] + doc["splits"]["val"] + doc["splits"]["test"] == 20
+
+
+@pytest.mark.parametrize("scenes,split", [(3, "val"), (1, "train")])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_an_empty_split_exits_2_before_any_epoch(tmp_path, capsys, monkeypatch, command,
+                                                 scenes, split):
+    # 3 scenes split 2/0/1 and 1 scene 0/0/1; unchecked, training ended in a
+    # ZeroDivisionError traceback
+    import modcap.training
+
+    epochs = []
+    monkeypatch.setattr(modcap.training, "run_xe_epoch", lambda *args: epochs.append(args))
+    data = tmp_path / "data"
+    assert run(["corpus", "--out", str(data), "--scenes", str(scenes), "--seed", "1"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    presets = ["--presets", "Col/S"] if command == "ablate" else []
+    assert run([command, "--data", str(data), "--out", str(out)] + presets + TRAIN_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert f"data error: the corpus has no {split} scenes" in err and "Traceback" not in err
+    assert epochs == [] and not out.exists()
+
+
+def test_eval_of_an_empty_split_exits_2_before_decoding(tmp_path, capsys):
+    # unchecked, a ValueError traceback from the metrics, after decoding
+    from modcap.config import ModelConfig, TrainConfig
+    from modcap.corpus import load_corpus
+    from modcap.decoder import CaptionModel
+    from modcap.tensor import Rng
+    from modcap.training import TrainState, save_checkpoint
+
+    data = tmp_path / "data"
+    assert run(["corpus", "--out", str(data), "--scenes", "3", "--seed", "1"]) == 0
+    corpus = load_corpus(str(data))
+    model = CaptionModel(ModelConfig(vocab_size=len(corpus.vocab), d_r=corpus.spec.d_r,
+                                     d_v=8, d_a=4, heads=2), Rng(0))
+    path = tmp_path / "m.bin"
+    save_checkpoint(str(path), TrainState(model, TrainConfig()), corpus.vocab)
+    capsys.readouterr()
+    assert_data_error(["eval", "--checkpoint", str(path), "--data", str(data)], capsys)
+    assert run(["eval", "--checkpoint", str(path), "--data", str(data), "--split", "val",
+                "--greedy"]) == 2
+    assert "the corpus has no val scenes" in capsys.readouterr().err
+    assert run(["eval", "--checkpoint", str(path), "--data", str(data), "--split", "test",
+                "--beam", "2", "--max-len", "4"]) == 0
 
 
 def test_train_writes_checkpoint_and_summary(checkpoint, capsys):

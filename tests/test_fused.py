@@ -205,7 +205,7 @@ class TestDebugChecksNameTheOp:
     def test_forward_only_decoders(self, decode):
         # a NaN word vector is the first unit's input
         model, enc = self.tiny_model()
-        model.embed.data = np.full_like(model.embed.data, np.nan)
+        model.arena.assign({"embed.W": np.full_like(model.embed.data, np.nan)})
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
             decode(model, enc)
 

@@ -521,43 +521,52 @@ class TestLstmStep:
             lstm_step(Tensor(np.ones(5)), Tensor(np.zeros(2)), Tensor(np.zeros(2)), p)
 
 
+def arena_with_grads(params: dict, grads: dict) -> ParamArena:
+    """The arena of ``params``, with ``grads`` landed in their slices the
+    way backward lands a parameter's first gradient."""
+    arena = ParamArena(params)
+    for name, g in grads.items():
+        T._accum(params[name], np.asarray(g))
+    return arena
+
+
 class TestAdam:
     def test_single_step_closed_form(self):
         # grad 1, lr 1e-3: m_hat = v_hat = 1, so the step is -lr/(1+eps)
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True, dtype=np.float64)
-        p.grad = np.ones(1)
         opt = Adam()
-        opt.step({"p": p}, lr=1e-3)
+        opt.step(arena_with_grads({"p": p}, {"p": np.ones(1)}), lr=1e-3)
         assert abs(p.data[0] + 1e-3) < 1e-8 * 1e-3
         assert opt.state["p"].t == 1
 
     def test_rejects_nonfinite_gradient(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         q = Tensor(np.ones(3), requires_grad=True)
-        p.grad = np.array([np.nan, 0.0])
-        q.grad = np.ones(3)
+        arena = arena_with_grads({"mylayer.W": p, "other.b": q},
+                                 {"mylayer.W": np.array([np.nan, 0.0]), "other.b": np.ones(3)})
         opt = Adam()
         with pytest.raises(TrainingError, match="mylayer.W"):
-            opt.step({"mylayer.W": p, "other.b": q}, 1e-3)
+            opt.step(arena, 1e-3)
         # nothing moved: no state, no step, the values as they were
         assert not opt.state
         assert q.data.tolist() == [1.0, 1.0, 1.0]
 
     def test_optimizer_descends_quadratic(self):
         x = Tensor(np.array([5.0, -3.0]), requires_grad=True, dtype=np.float64)
+        arena = ParamArena({"x": x})
         opt = Adam()
         for _ in range(400):
             x.grad = None
             loss = (x * x).sum()
             loss.backward()
-            opt.step({"x": x}, lr=0.05)
+            opt.step(arena, lr=0.05)
         assert np.all(np.abs(x.data) < 1e-2)
 
     def test_zero_grad_fresh_state_is_noop(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        x.grad = np.zeros(2, dtype=np.float32)
+        arena = arena_with_grads({"x": x}, {"x": np.zeros(2, dtype=np.float32)})
         before = x.data.copy()
-        Adam().step({"x": x}, lr=0.1)
+        Adam().step(arena, lr=0.1)
         assert np.array_equal(x.data, before)
 
 
@@ -570,18 +579,18 @@ class TestParamArena:
     def test_layout_follows_the_dict_order(self):
         params = self.params()
         values = {name: p.data.copy() for name, p in params.items()}
-        arena = ParamArena.of(params)
+        arena = ParamArena(params)
         assert arena.names == ("b.W", "a.b", "c.W")
         assert arena.bounds == ((0, 12), (12, 17), (17, 21))
         assert arena.data.dtype == np.float32 and arena.grad.shape == (21,)
         for name, p in params.items():
             assert p.data.base is arena.data
             np.testing.assert_array_equal(p.data, values[name])
-        assert ParamArena.of(params) is arena
+        assert arena.tensors == tuple(params.values())
 
     def test_gradients_land_in_their_slices(self):
         params = self.params()
-        arena = ParamArena.of(params)
+        arena = ParamArena(params)
         loss = (params["b.W"] * params["b.W"]).sum() + params["a.b"].sum()
         loss.backward()
         assert params["b.W"].grad.base is arena.grad
@@ -589,22 +598,42 @@ class TestParamArena:
         np.testing.assert_array_equal(arena.grad[12:17], np.ones(5))
         assert params["c.W"].grad is None       # no op reached it
 
-    def test_rebound_values_and_hand_set_gradients_are_copied_in(self):
+    def test_assign_writes_a_fresh_buffer_and_bumps_the_version(self):
         params = self.params()
-        arena = ParamArena.of(params)
-        params["a.b"].data = np.full(5, 7.0, dtype=np.float32)
-        params["c.W"].grad = np.ones((2, 2), dtype=np.float32)
-        again = ParamArena.of(params)
-        assert again is not arena
-        np.testing.assert_array_equal(again.data[12:17], np.full(5, 7.0))
-        assert params["c.W"].grad.base is again.grad
-        np.testing.assert_array_equal(again.grad[17:], np.ones(4))
+        arena = ParamArena(params)
+        held = {name: p.data for name, p in params.items()}
+        copies = {name: a.copy() for name, a in held.items()}
+        version = ParamArena.version
+        arena.assign({"a.b": np.full(5, 7.0)})
+        assert ParamArena.version > version
+        np.testing.assert_array_equal(arena.data[12:17], np.full(5, 7.0, dtype=np.float32))
+        for name, p in params.items():
+            assert p.data is not held[name] and p.data.base is arena.data
+            np.testing.assert_array_equal(held[name], copies[name])
+            if name != "a.b":
+                np.testing.assert_array_equal(p.data, copies[name])
+        with pytest.raises(ShapeError, match="'c.W'"):
+            arena.assign({"c.W": np.zeros(4)})
+
+    @pytest.mark.parametrize("behind", ["data", "grad"])
+    def test_a_value_or_gradient_set_behind_the_arena_is_refused(self, behind):
+        params = self.params()
+        arena = arena_with_grads(params, {name: np.ones(p.data.shape, dtype=np.float32)
+                                          for name, p in params.items()})
+        before = arena.data.copy()
+        setattr(params["a.b"], behind, np.full(5, 7.0, dtype=np.float32))
+        opt = Adam()
+        with pytest.raises(RuntimeError, match="parameter 'a.b' was rebound behind its arena"):
+            opt.step(arena, 1e-2)
+        # nothing moved: no state, and the arena's values as they were
+        assert not opt.state
+        np.testing.assert_array_equal(arena.data, before)
 
     def test_one_dtype_per_arena(self):
         params = self.params()
         params["a.b"] = Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)
         with pytest.raises(TypeError, match="float32, float64"):
-            ParamArena.of(params)
+            ParamArena(params)
 
     def steps_of_both(self, prepare, n_steps=3, dtype=np.float32):
         """n_steps updates of the flat and of the per-parameter Adam from the
@@ -612,13 +641,14 @@ class TestParamArena:
         out = []
         for opt in (Adam(), ReferenceAdam()):
             params = self.params(dtype)
+            arena = ParamArena(params)
             prepare(params, opt)
             rng = np.random.default_rng(9)
             for step in range(n_steps):
                 for name, p in params.items():
                     if name != "c.W" or step > 0:       # c.W joins at the second step
-                        p.grad = rng.standard_normal(p.data.shape).astype(dtype)
-                opt.step(params, lr=1e-2)
+                        T._accum(p, rng.standard_normal(p.data.shape).astype(dtype))
+                opt.step(arena, lr=1e-2)
                 for p in params.values():
                     p.grad = None
             out.append((params, opt))
@@ -647,29 +677,29 @@ class TestParamArena:
 
 class TestClip:
     def test_norm_scaling(self):
-        x = Tensor(np.zeros(2), requires_grad=True)
-        y = Tensor(np.zeros(2), requires_grad=True)
-        x.grad = np.array([3.0, 0.0], dtype=np.float32)
-        y.grad = np.array([0.0, 4.0], dtype=np.float32)
-        norm = clip_global_norm({"x": x, "y": y}, 2.5)
+        x = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        y = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        arena = arena_with_grads({"x": x, "y": y}, {"x": np.array([3.0, 0.0], dtype=np.float32),
+                                                    "y": np.array([0.0, 4.0], dtype=np.float32)})
+        norm = clip_global_norm(arena, 2.5)
         assert abs(norm - 5.0) < 1e-6
         joined = math.sqrt(float(np.sum(x.grad**2) + np.sum(y.grad**2)))
         assert abs(joined - 2.5) < 1e-5
 
     def test_below_threshold_untouched(self):
-        x = Tensor(np.zeros(2), requires_grad=True)
-        x.grad = np.array([0.3, 0.4], dtype=np.float32)
-        clip_global_norm({"x": x}, 5.0)
+        x = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        clip_global_norm(arena_with_grads({"x": x}, {"x": np.array([0.3, 0.4], dtype=np.float32)}),
+                         5.0)
         assert np.allclose(x.grad, [0.3, 0.4])
 
     def test_non_finite_gradients_raise_naming_each_parameter(self):
         grads = {"a": [3.0, 0.0], "b": [np.nan, 1.0], "c": [0.0, 4.0], "d": [np.inf, 0.0]}
-        params = {}
-        for name, g in grads.items():
-            params[name] = Tensor(np.zeros(2), requires_grad=True)
-            params[name].grad = np.array(g, dtype=np.float32)
+        params = {name: Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+                  for name in grads}
+        arena = arena_with_grads(params, {name: np.array(g, dtype=np.float32)
+                                          for name, g in grads.items()})
         with pytest.raises(TrainingError) as err:
-            clip_global_norm(params, 1.0)
+            clip_global_norm(arena, 1.0)
         assert "'b'" in str(err.value) and "'d'" in str(err.value)
         assert "'a'" not in str(err.value) and "'c'" not in str(err.value)
         # nothing was scaled

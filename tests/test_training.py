@@ -12,7 +12,7 @@ from modcap.corpus import CorpusSpec, FeatureSynthesizer, few_shot_subset, gener
 from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel, sample_decode
 from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
-from modcap.tensor import Adam, ParamArena, Rng, Tensor, clip_global_norm, masked_nll, no_grad
+from modcap.tensor import Adam, Rng, Tensor, clip_global_norm, masked_nll, no_grad
 from modcap.training import (
     LOSS_EPS,
     TRAIN_STREAM_TAG,
@@ -295,10 +295,10 @@ class TestXeEpoch:
         from modcap.errors import TrainingError
         real_clip = modcap.training.clip_global_norm
 
-        def poisoning_clip(params, max_norm):
+        def poisoning_clip(arena, max_norm):
             params["unit1.lstm2.W"].grad[0, 0] = np.nan
             params["head.b"].grad[1] = np.inf
-            return real_clip(params, max_norm)
+            return real_clip(arena, max_norm)
 
         monkeypatch.setattr(modcap.training, "clip_global_norm", poisoning_clip)
         model = fresh_model(corpus, m_units=1)
@@ -442,7 +442,7 @@ class TestParamArena:
             held = {name: p.data for name, p in params.items()}
             copies = {name: a.copy() for name, a in held.items()}
             loss = stats.loss.data.copy()
-            opt.step(params, cfg.lr)
+            opt.step(model.arena, cfg.lr)
             for name, p in params.items():
                 assert p.data is not held[name]
                 np.testing.assert_array_equal(held[name], copies[name], err_msg=name)
@@ -458,7 +458,7 @@ class TestParamArena:
         model, opt, _ = self.train_once(corpus, synth, monkeypatch, "CNM#2", Adam(),
                                         clip_global_norm)
         params = model.named_parameters()
-        arena = ParamArena.of(params)
+        arena = model.arena
         assert arena.names == tuple(params)
         flat_m = opt.state[arena.names[0]].m.base
         assert flat_m.shape == arena.data.shape

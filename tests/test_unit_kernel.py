@@ -266,17 +266,16 @@ def test_forward_only_decoders_match_the_tensor_step(corpus, padded_batch,
 
 def test_cached_attention_keys_follow_rebound_weights(corpus):
     # the keys are computed once per run, and the run is cached with the
-    # encoding; rebinding a head weight, as an optimizer step or a
-    # checkpoint load does, must not leave them stale
+    # encoding; writing a head weight through the arena, as an optimizer
+    # step or a checkpoint load does, must not leave them stale
     model, _ = preset_model(corpus, "CNM#2")
     features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
+    params = model.named_parameters()
     with no_grad():
         enc = model.encode(*features)
         before = greedy_decode(model, enc, 12)
-        for unit in model.units:
-            for name in unit.modules:
-                W_v = unit.weights[f"att.{name}.Wv"]
-                W_v.data = -W_v.data
+        model.arena.assign({name: -p.data for name, p in params.items()
+                            if ".att." in name and name.endswith(".Wv")})
         after = greedy_decode(model, enc, 12)
         assert after == greedy_decode(model, model.encode(*features), 12)
     assert after != before
@@ -315,7 +314,7 @@ def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):
     for name, p in params.items():
         if name.startswith("enc."):
             p.grad = None       # the encoders keep their weights, so a fresh encoding is equal
-    Adam().step(params, lr=0.05)
+    Adam().step(model.arena, lr=0.05)
     after = decode(enc)
     with no_grad():
         assert after == decode(model.encode(*features))
@@ -324,9 +323,9 @@ def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):
 
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H+L"])
 def test_backward_reads_the_weights_its_forward_ran_on(corpus, padded_batch, preset):
-    # rebinding the weights between a pass and its backward, as an
-    # optimizer step or a checkpoint load does, leaves the recorded graph
-    # intact: the backward differentiates the weights the pass ran on
+    # writing the weights between a pass and its backward, as an optimizer
+    # step or a checkpoint load does, leaves the recorded graph intact: the
+    # backward differentiates the weights the pass ran on
     model_cfg, _ = apply_preset(
         preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_a=8, m_units=2),
         TrainConfig())
@@ -339,11 +338,9 @@ def test_backward_reads_the_weights_its_forward_ran_on(corpus, padded_batch, pre
             p.grad = None
         loss = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(7)).loss
         if rebind:
-            for p in params.values():
-                p.data = p.data * 2.0 + 0.5
+            model.arena.assign({name: p.data * 2.0 + 0.5 for name, p in params.items()})
         loss.backward()
-        for name, p in params.items():
-            p.data = arrays[name]
+        model.arena.assign(arrays)
         return {name: p.grad.tobytes() for name, p in params.items() if p.grad is not None}
 
     clean, rebound = gradients(rebind=False), gradients(rebind=True)

@@ -12,20 +12,21 @@ lists its weights once, in one table (``DecoderUnit.weights``) that init
 draws, checkpoints name, runs read and the kernel differentiates.
 
 ``CaptionModel.encode`` runs the visual modules as one kernel
-(``encoders.encoder_kernel``); without gradients it makes no Tensor.  A
-unit's step is written once, ``UnitRun.step``, on plain arrays.  A
-``UnitRun`` is one pass of a unit over one encoding: it holds what the
-steps share (the weight arrays, the LSTM runs and the attention heads of
-all modules as one stacked run over keys computed once per run).
-Teacher forcing (``CaptionModel.forced``, ``unit_kernel``) is the one
-differentiable path: each unit runs the whole caption from the zero
-state inside one autodiff node with a hand-written backward, and its
-steps record only when a gradient can flow.  The same step composed of
-one node per op is kept with the tests (``tests/reference.py``); a
-one-step pass agrees with it bit for bit.  The decoders
-(``CaptionModel.step``) step forward only on plain state arrays and
-build no Tensor; each unit's forward-only run is kept with the encoding
-(``Encoded.run``).  A decode step returns only the word distribution and
+(``encoders.encoder_kernel``), whose two stacked fields every unit reads
+as they are; without gradients it makes no Tensor.  A unit's step is
+written once, ``UnitRun.step``, on plain arrays.  A ``UnitRun`` is one
+pass of a unit over one encoding: it holds what the steps share (the
+weight arrays, the LSTM runs and the attention heads of all modules as
+one stacked run over keys computed once per run).  Teacher forcing
+(``CaptionModel.forced``, ``unit_kernel``) is the one differentiable
+path: each unit runs the whole caption from the zero state inside one
+autodiff node with a hand-written backward, its steps record only when a
+gradient can flow, and only what carries a gradient is a Tensor.  The
+same step composed of one node per op is kept with the tests
+(``tests/reference.py``); a one-step pass agrees with it bit for bit.
+The decoders (``CaptionModel.step``) step forward only on plain state
+arrays and build no Tensor; each unit's forward-only run is kept with
+the encoding (``Encoded.run``).  A decode step returns only the word distribution and
 the new states: what a unit chose is read from a teacher-forced pass
 over the caption, as traces do.
 
@@ -66,6 +67,7 @@ from .tensor import (
     _t_matmul,
     check_finite,
     gather_rows,
+    kernel_output,
     make_lstm_params,
     needs_grad,
     reshape,
@@ -82,12 +84,12 @@ HEAD_WEIGHTS = ("Wv", "Wh", "wa")      # an attention head's table entries, in d
 
 @dataclass
 class Encoded:
-    """Per-batch module features (B, N, d_v), their means over real regions
-    (B, d_v) and the boolean (B, N) mask of real, unpadded regions: Tensors
-    from ``encoder_kernel`` when a gradient can flow, else plain arrays."""
+    """An encoding as ``encoder_kernel`` lays it out: the modules' values
+    (K, B, N, d_v) and means (B, K*d_v), a node and its output when a
+    gradient can flow, else arrays; the (B, N) mask of real regions."""
 
-    feats: dict
-    means: dict
+    values: np.ndarray | Tensor
+    means: np.ndarray | Tensor
     mask: np.ndarray
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -100,14 +102,6 @@ class Encoded:
         """Whether any region is padding; attention skips the mask if not."""
         return not self.mask.all()
 
-    @functools.cached_property
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The features stacked over modules (K, B, N, d_v) and the means
-        side by side (B, K*d_v), in module order, built once per encoding."""
-        k, arrays = len(self.feats), [x.data if isinstance(x, Tensor) else x
-                                      for x in (*self.feats.values(), *self.means.values())]
-        return np.stack(arrays[:k]), np.concatenate(arrays[k:], axis=-1)
-
     def run(self, unit: DecoderUnit) -> UnitRun:
         """The forward-only run of ``unit`` over this encoding, built on its
         first step and again after a weight write (``ParamArena.version``)."""
@@ -119,14 +113,14 @@ class Encoded:
 
 @dataclass
 class UnitTrace:
-    """What a unit chose.  Only ``soft`` carries gradient (to the
-    word-class term); under the soft strategy ``weights`` is ``soft``.
-    ``unit_kernel`` makes one per pass, its values on a leading step axis
-    (T, B, ...), or (B, ...) for a one-step call."""
+    """What a unit chose over a pass, from ``unit_kernel``: each value on
+    a leading step axis (T, B, ...).  Only ``soft`` is a Tensor, as it
+    carries gradient (to the word-class term); under the soft strategy
+    ``weights`` is its array."""
 
-    weights: Tensor | None           # (B, 4) fusion weights, None without a controller
+    weights: np.ndarray | None       # (T, B, K + 1) fusion weights, None without a controller
     soft: Tensor | None              # noise-free controller softmax, for supervision
-    alphas: dict[str, Tensor]        # per-module attention over regions (B, N)
+    alphas: dict[str, np.ndarray]    # per-module attention over regions (T, B, N)
 
 
 class DecoderUnit:
@@ -223,7 +217,8 @@ class UnitRun:
         self.version = ParamArena.version
         w = {name: t.data for name, t in unit.weights.items()}
         self.strategy, self.controlled = unit.strategy, unit.controlled
-        values, self.means_cat = enc.stacked
+        values, self.means_cat = (x.data if isinstance(x, Tensor) else x
+                                  for x in (enc.values, enc.means))
         self.means = {len(self.means_cat): self.means_cat}     # per row count
         Wv_T, Wh_T, wa = unit.heads()
         self.lstm1 = LstmRun(w["lstm1.W"], w["lstm1.b"], record)
@@ -304,20 +299,20 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
     a ``UnitRun`` pass whose steps record for the backward when a
     gradient can flow.
 
-    ``i`` holds the unit's input rows of every step, (T, B, d_v), or of
-    one step, (B, d_v); ``noise``, of shape ``i.shape[:-1] + (K + 1,)``,
-    is the hard strategy's Gumbel noise, zero when None.  Returns (node,
-    trace).  The node is the unit output, shaped like ``i``; the per-step
-    controller softmax is an output that hangs off it.  The backward, one
+    ``i`` holds the unit's input rows of every step, (T, B, d_v);
+    ``noise``, of shape (T, B, K + 1), is the hard strategy's Gumbel
+    noise, zero when None.  Returns (node, trace).  The node is the unit
+    output, shaped like ``i``; the per-step controller softmax is an
+    output that hangs off it (``kernel_output``).  The backward, one
     closure, reads its gradient and the weight arrays the pass ran on, so
     a weight written since leaves the graph intact, and hands out one
-    gradient per input and table entry; the derivatives of the
+    gradient per input and table entry, the encoding's values taking
+    their direct part and their key path in turn; the derivatives of the
     nonlinearities and each weight gradient are formed once over all T*B
-    rows.  A one-step call rounds exactly as the op-composed step in
+    rows.  A one-step pass rounds exactly as the op-composed step in
     ``tests/reference.py``: the backward adds the gradients each tensor
     receives in the order the reference graph's sweep adds them.  Fusion
-    weights under the hard and uniform strategies and the attention
-    weights come back per step and without gradient.
+    weights and the attention weights come back as arrays.
 
     Without gradients (under ``no_grad``, or when no input or parameter
     requires one) the pass records nothing and runs on the encoding's
@@ -325,17 +320,13 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
     """
     dv = dc = unit.cfg.d_v
     k_heads = len(unit.modules)
-    shape = i.shape
-    xs = i.data.reshape((-1,) + shape[-2:])
+    xs = i.data
     n_steps, batch = xs.shape[:2]
-    feats = [enc.feats[name] for name in unit.modules]
-    means = [enc.means[name] for name in unit.modules]
     weights = dict(unit.weights)
-    parents = (i, *[t for t in feats + means if isinstance(t, Tensor)], *weights.values())
+    parents = (i, *[t for t in (enc.values, enc.means) if isinstance(t, Tensor)],
+               *weights.values())
     run = UnitRun(unit, enc, record=True) if needs_grad(parents) else enc.run(unit)
     strategy, controlled = run.strategy, run.controlled
-    if noise is not None:
-        noise = noise.reshape(n_steps, batch, -1)
     state = unit.zero_state(batch, xs.dtype)
     outs, alphas, chosen, soft = [], [], [], []
     with np.errstate(over="ignore"):
@@ -359,9 +350,8 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
             return a.reshape(-1, a.shape[-1])
 
         lstm1, lstm2, heads = run.lstm1, run.lstm2, run.heads
-        g_out = g_out.reshape(xs.shape)
         g_h1 = g_c1 = g_h2 = g_c2 = g_hc = g_cc = None     # the last state has no consumer
-        g_s = g_soft[0].reshape((n_steps,) + soft[0].shape) if g_soft else None
+        g_s = g_soft[0] if g_soft else None
         g_in = np.empty_like(xs)
         g_means = None
         if strategy is not None:
@@ -430,36 +420,19 @@ def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | 
         for name, t in weights.items():
             if name in grads:
                 give(t, grads[name])
-        for k in reversed(range(k_heads)):
-            give(feats[k], g_direct[k])
-            give(feats[k], g_keys[k])
-        give(i, g_in.reshape(shape))
-        for k, m in enumerate(means):
-            give(m, g_means[:, k * dv:(k + 1) * dv])
+        give(enc.values, g_direct)
+        give(enc.values, g_keys)
+        give(i, g_in)
+        give(enc.means, g_means)
         run.contexts = run.pre_f = run.blocks = run.hcs = run.ys = None    # records go
 
-    # per-step arrays come back stacked on a leading step axis, or as they
-    # are for a one-step call
-    steps = (lambda arrays, axis=0: arrays[0]) if len(shape) == 2 else np.stack
-    alphas = steps(alphas, axis=1)
-    node = Tensor._from_op(steps(outs), parents, backward)
-
-    def collect(g):
-        # the softmax's closure runs once its gradient is complete: it hands
-        # the gradient to the node and makes sure the node's closure runs.
-        # The node never refers to the softmax, so the graph has no cycle
-        # and is freed as soon as the last output is dropped.
-        g_soft.append(g)
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-
+    node = Tensor._from_op(np.stack(outs), parents, backward)
     trace = UnitTrace(weights=None, soft=None,
-                      alphas={name: Tensor(alphas[k]) for k, name in enumerate(unit.modules)})
+                      alphas=dict(zip(unit.modules, np.stack(alphas, axis=1))))
     if controlled:
-        trace.soft = Tensor._from_op(steps(soft), (node,), collect)
+        trace.soft = kernel_output(node, np.stack(soft), g_soft)
     if strategy is not None:
-        trace.weights = (trace.soft if strategy is Strategy.SOFT
-                         else Tensor(steps(chosen)))
+        trace.weights = trace.soft.data if strategy is Strategy.SOFT else np.stack(chosen)
     return node, trace
 
 
@@ -487,7 +460,7 @@ class CaptionModel:
 
     def encode(self, r_obj, r_attr, mask=None) -> Encoded:
         """Region features (K, d_r) or (B, K, d_r), arrays in the model's
-        dtype or Tensors, -> per-module value sets, by ``encoder_kernel``.
+        dtype or Tensors, -> their encoding, by ``encoder_kernel``.
         ``mask`` (B, K) marks the real regions; without one all are real."""
         r_obj, r_attr = (r if isinstance(r, Tensor) else np.asarray(r, dtype=self.dtype)
                          for r in (r_obj, r_attr))

@@ -7,8 +7,10 @@ fourth, function module has no visual input; each decoder unit holds it.)
 
 The modules hold their weights as Tensors and run on plain arrays; a
 module's ``backward`` reads what its forward saved.  ``encoder_kernel``
-runs every module and each one's mean over the real regions: with a
-gradient as one autodiff node, without one on arrays alone.  It agrees
+runs every module and each one's mean over the real regions, and owns
+the layout every decoder unit reads: the values stacked in module order
+and the means side by side; with a gradient one autodiff node and its
+output, without one two arrays.  It agrees
 bit for bit, in every value and gradient, with the op-composed modules
 kept with the tests (``tests/reference.py``).
 """
@@ -30,6 +32,7 @@ from .tensor import (
     _accum,
     _t_matmul,
     check_finite,
+    kernel_output,
     needs_grad,
     softmax_backward,
     softmax_forward,
@@ -174,13 +177,13 @@ class RelationModule:
 def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
     """The modules ``encoders`` (name -> module, in module order) on region
     features (B, N, d_r), arrays or Tensors, with the boolean (B, N) mask of
-    real regions: per module its values (B, N, d_v) and their means over
-    the real regions (B, d_v).  With a gradient they are Tensors hanging
-    off one node, as ``decoder.unit_kernel``'s controller softmax does,
-    whose backward adds each gradient's terms in the order the op-composed
-    encoder's sweep does: a value's, then its mean's; the relation
-    module's parts of the object features' gradient, then the object
-    module's.  Without a gradient they are arrays and nothing is recorded."""
+    real regions: (the values (K, B, N, d_v), their means over the real
+    regions side by side (B, K*d_v)).  With a gradient the values are one
+    node and the means its ``kernel_output``; the backward adds each
+    module's terms in the order the op-composed encoder's sweep does: its
+    values', then its means'; the relation module's parts of the object
+    features' gradient, then the object module's.  Without a gradient
+    both are arrays and nothing is recorded."""
     sources = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
     parents = tuple(r for r in (r_obj, r_attr) if isinstance(r, Tensor))
     parents += tuple(t for module in encoders.values() for t in module.weights)
@@ -190,28 +193,26 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
         raise ValueError("encoding a scene with no real region")
     inv = 1.0 / n_real
     saved = {name: [] if record else None for name in encoders}
-    values, means = {}, {}
+    values, means = [], []
     for name, module in encoders.items():
         x = sources[name].data if isinstance(sources[name], Tensor) else sources[name]
         x = x.reshape(mask.shape + x.shape[-1:])
-        v = values[name] = (module(x, mask, saved[name]) if name == "relation"
-                            else module(x, saved[name]))
+        v = module(x, mask, saved[name]) if name == "relation" else module(x, saved[name])
         check_finite("encoder_kernel", v)
-        means[name] = (v * keep.astype(v.dtype)).sum(axis=-2) * inv.astype(v.dtype)
+        values.append(v)
+        means.append((v * keep.astype(v.dtype)).sum(axis=-2) * inv.astype(v.dtype))
+    values, means = np.stack(values), np.concatenate(means, axis=-1)
     if not record:
         return values, means
 
-    g_outs = {}         # (kind, module) -> the gradient an output handed over
+    g_means = []        # the means' gradient, once complete
 
-    def backward(_):
-        for name in reversed(encoders):
-            g, g_mean = g_outs.pop(("value", name), None), g_outs.pop(("mean", name), None)
+    def backward(g_values):
+        g_mean = np.split(g_means[0], len(encoders), axis=-1) if g_means else None
+        for k, name in reversed(list(enumerate(encoders))):
+            g, dt = g_values[k], g_values.dtype
             if g_mean is not None:
-                dt = g_mean.dtype
-                term = np.expand_dims(g_mean * inv.astype(dt), -2) * keep.astype(dt)
-                g = term if g is None else g + term
-            if g is None:
-                continue
+                g = g + np.expand_dims(g_mean[k] * inv.astype(dt), -2) * keep.astype(dt)
             src = sources[name]
             need_x = isinstance(src, Tensor) and src.requires_grad
             g_x, grads = encoders[name].backward(saved[name], g, need_x)
@@ -222,16 +223,5 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
                 _accum(src, part.reshape(src.shape))
         saved.clear()       # the backward is over: its records go
 
-    node = Tensor._from_op(np.stack(list(values.values())), parents, backward)
-
-    def output(kind, name, data):
-        def collect(g):
-            # hand the complete gradient to the node and make sure its
-            # closure runs; the node never refers to its outputs
-            g_outs[kind, name] = g
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        return Tensor._from_op(data, (node,), collect)
-
-    return ({name: output("value", name, node.data[k]) for k, name in enumerate(values)},
-            {name: output("mean", name, m) for name, m in means.items()})
+    node = Tensor._from_op(values, parents, backward)
+    return node, kernel_output(node, means, g_means)

@@ -51,6 +51,7 @@ from .tensor import (
     Rng,
     Tensor,
     _accum,
+    _as_tensor,
     concat,
     finite_diff_grad,
     gather_rows,
@@ -313,8 +314,8 @@ def _jitter(arena: ParamArena, rng: Rng, prefix: str = "") -> None:
 
 
 def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
-    """A tiny float64 unit of the variant and random inputs: one step's
-    rows (2, 3), or ``n_steps`` steps' (n_steps, 2, 3)."""
+    """A tiny float64 unit of the variant and random inputs: rows of
+    ``n_steps`` steps (n_steps, 2, 3), and an encoding of two scenes."""
     modules = ("object",) if variant == "single" else FULL_MODULES
     cfg = ModelConfig(vocab_size=7, d_r=4, d_v=3, d_a=2, heads=2, m_units=1,
                       strategy="soft" if variant == "single" else variant, modules=modules,
@@ -324,19 +325,17 @@ def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
     arena = ParamArena(unit.params("unit"))
     _jitter(arena, Rng(seed).derive(83))
     rng = Rng(seed).derive(81 if n_steps == 1 else 82)
-    inputs = {"i_prev": _t(rng, (2, 3) if n_steps == 1 else (n_steps, 2, 3))}
-    for name in unit.modules:
-        inputs[f"feats.{name}"] = _t(rng, (2, 3, 3))
-        inputs[f"means.{name}"] = _t(rng, (2, 3))
+    inputs = {"i_prev": _t(rng, (n_steps, 2, 3))}
+    draws = [_t(rng, shape).data for _ in unit.modules for shape in ((2, 3, 3), (2, 3))]
+    inputs["values"] = Tensor(np.stack(draws[0::2]), requires_grad=True)
+    inputs["means"] = Tensor(np.concatenate(draws[1::2], axis=-1), requires_grad=True)
     return unit, arena, inputs
 
 
 def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
     """A ramp-weighted sum of the named outputs of one unit kernel call."""
     def objective():
-        enc = Encoded(feats={name: inputs[f"feats.{name}"] for name in unit.modules},
-                      means={name: inputs[f"means.{name}"] for name in unit.modules},
-                      mask=KERNEL_REGIONS)
+        enc = Encoded(inputs["values"], inputs["means"], KERNEL_REGIONS)
         i_new, trace = unit_kernel(unit, inputs["i_prev"], enc)
         named = {"i_new": i_new, "soft": trace.soft}
         return _ramp_sum([named[name] for name in outputs if named[name] is not None])
@@ -347,6 +346,17 @@ def _ramp_sum(outputs) -> Tensor:
     """The sum of every output (a Tensor or an array) times a ramp over it."""
     terms = [(_ramp(math.prod(out.shape)).reshape(out.shape) * out).sum() for out in outputs]
     return sum(terms[1:], terms[0])
+
+
+def _module_ramp_sum(values, means):
+    """``_ramp_sum`` of each module's values, then of each one's means, as
+    one node over an encoding's stacked values and means."""
+    values, means = _as_tensor(values), _as_tensor(means)
+    k = len(values.data)
+    parts = [*values.data, *np.split(means.data, k, axis=-1)]
+    ramps = [_ramp(p.size).data.reshape(p.shape) for p in parts]
+    return _scalar_node(_ramp_sum(parts).data, (values, means), lambda g: (
+        g * np.stack(ramps[:k]), g * np.concatenate(ramps[k:], axis=-1)))
 
 
 def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
@@ -374,8 +384,8 @@ def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseRe
         model, params, inputs = _encoder_inputs(seed)
 
         def objective():
-            values, means = encoder_kernel(model.encoders, inputs["r_obj"], inputs["r_attr"], mask)
-            return _ramp_sum([*values.values(), *means.values()])
+            return _module_ramp_sum(*encoder_kernel(model.encoders, inputs["r_obj"],
+                                                    inputs["r_attr"], mask))
         tensors = {f"{label}:{kind}:{name}": t
                    for kind, group in (("input", inputs), ("param", params))
                    for name, t in group.items()}

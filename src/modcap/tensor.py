@@ -9,13 +9,15 @@ collects the nodes reachable from the root once and runs their closures
 in descending id order: each closure runs after those of all its
 consumers.
 
-The library holds only the ops the model runs: ``add``, ``mul``, ``div``,
-``matmul``, ``reshape``, ``sum_``, ``concat``, ``gather_rows``,
-``softmax`` and the fused ``masked_nll``:
-``-sum(mask * log(max(p[b, gold_b], eps)))``.  The encoder and the
+The library holds the ops the model runs: ``add``, ``mul``, ``div``,
+``matmul``, ``reshape``, ``concat``, ``gather_rows``, ``softmax`` and the
+fused ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``; and
+``sum_``, which only gradcheck's objectives call.  The encoder and the
 decoder units run on plain arrays, each as one node with a hand-written
-backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``); the
-LSTM, additive-attention and softmax arithmetic of the units is here
+backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``); a
+kernel's second output (the encoder's means, a unit's controller
+softmax) hangs off its node by ``kernel_output``.  The LSTM,
+additive-attention and softmax arithmetic of the units is here
 (``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``).
 A run records T steps and keeps only what its backward cannot rebuild
 with one cheap op.  Forward and input gradients go step by step; the
@@ -27,10 +29,11 @@ gives them exactly 0 weight and gradient.
 
 A model's parameters live in a ``ParamArena``: one flat buffer of values
 and one of gradients, each parameter's ``data`` and ``grad`` a view of
-its slice.  Only the arena writes values; caches of them key on
-``ParamArena.version``.  ``Adam`` keeps its moments in flat buffers of the
-same layout and updates them elementwise, a stretch per numpy call;
-``clip_global_norm`` scales the gradient buffer at once.
+its slice.  Only the arena writes values: setting a held parameter's
+``data`` is refused.  Caches of the values key on ``ParamArena.version``.
+``Adam`` keeps its moments in flat buffers of the same layout and
+updates them elementwise, a stretch per numpy call; ``clip_global_norm``
+scales the gradient buffer at once.
 
 Also here because the rest of the package leans on them: a portable
 counter-based RNG, parameter initialization, a central-difference
@@ -148,10 +151,11 @@ class Tensor:
     ``grad`` is a view of the arena's gradient buffer, which backward and
     clipping write into.  ``grad`` is None until an op reaches the
     parameter.  ``_slot`` is the gradient view of a parameter an arena
-    holds, else None.
+    holds, else None, and ``_name`` its name there.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_slot")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_slot",
+                 "_name")
     _ids = itertools.count()
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -242,6 +246,22 @@ class Tensor:
         return sum_(self, axis=axis, keepdims=keepdims)
 
 
+_DATA = Tensor.data      # the slot itself, which the arena writes
+
+
+class _Held(Tensor):
+    """A parameter a ``ParamArena`` holds: its ``data`` reads as any
+    Tensor's, and setting it is refused (the arena writes the slot)."""
+
+    __slots__ = ()
+
+    def _refuse(self, value):
+        raise RuntimeError(f"parameter '{self._name}' was rebound behind its arena; "
+                           "write values with ParamArena.assign")
+
+    data = property(_DATA.__get__, _refuse)
+
+
 def sweep_order(root: Tensor) -> list[Tensor]:
     """The nodes reachable from ``root`` that have a backward closure,
     newest first.
@@ -270,6 +290,19 @@ def _accum(node: Tensor, g: np.ndarray) -> None:
         node.grad = node._slot
     else:
         node.grad = g.copy()
+
+
+def kernel_output(node: Tensor, data: np.ndarray, sink: list) -> Tensor:
+    """A second output of a kernel's ``node``, named after its op in debug
+    checks.  Its complete gradient goes to ``sink``, and it makes sure the
+    node's closure runs (zero-filling its gradient); no cycle is formed."""
+    def collect(g):
+        sink.append(g)
+        if node.grad is None:
+            node.grad = np.zeros_like(node.data)
+
+    collect.__qualname__ = getattr(node._backward, "__qualname__", "kernel_output")
+    return Tensor._from_op(data, (node,), collect)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -635,7 +668,7 @@ class AttentionRun:
         self.g_direct = self.g_pre = None
 
     def _t2(self, q):
-        """tanh(keys + q), the B*N rows of each head (and step) on one axis."""
+        """tanh(keys + q) of one step, the B*N rows of each head on one axis."""
         t2 = np.tanh(self.keys + q)
         return t2.reshape(t2.shape[:-3] + (-1, t2.shape[-1]))
 
@@ -682,13 +715,15 @@ class AttentionRun:
         by all steps, so the key path uses the summed key gradient.  This
         ends the backward: the records and the arrays formed for it go."""
         lead = len(self.lead)
+        # tanh(keys + q) of all steps, head-major in one buffer: (..., T*B*N, d_a)
+        t2 = np.add(np.expand_dims(self.keys, lead), np.stack(self.q, axis=lead))
+        t2 = np.tanh(t2, out=t2).reshape(self.lead + (-1, t2.shape[-1]))
         grads = (self.g_direct,
                  np.matmul(self.g_pre, np.swapaxes(self.Wv_T, -1, -2)).reshape(self.v.shape),
                  np.swapaxes(_t_matmul(self.v2, self.g_pre), -1, -2),
                  np.swapaxes(_t_matmul(np.concatenate(self.q_in), _rows(self.g_q, lead)),
                              -1, -2),
-                 np.matmul(np.swapaxes(_rows(self._t2(_steps(self.q)), lead), -1, -2),
-                           _rows(self.g_scores, lead))[..., 0])
+                 np.matmul(np.swapaxes(t2, -1, -2), _rows(self.g_scores, lead))[..., 0])
         self.q_in, self.q, self.alpha = [], [], []
         self.g_direct = self.g_pre = self.g_scores = self.g_q = None
         return grads
@@ -887,8 +922,9 @@ class ParamArena:
 
     Values change only through ``rebind`` (Adam's step) and ``assign``
     (a checkpoint load, probes): a fresh buffer, and a bump of the
-    class-wide ``version`` that caches of weight values key on.  Adam's
-    step refuses a ``data`` or ``grad`` set behind the arena's back.
+    class-wide ``version`` that caches of weight values key on.  Setting
+    a held parameter's ``data`` raises, naming it; Adam's step refuses a
+    ``grad`` set behind the arena's back.
     """
 
     SCRATCH = 1 << 18   # bytes of working space, lent to clipping and Adam in turn
@@ -916,8 +952,8 @@ class ParamArena:
             else:
                 self.square_runs.append([lo, hi, [i]])
         self.rebind(np.concatenate([p.data.ravel() for p in self.tensors]))
-        for p, grad in zip(self.tensors, self.grads):
-            p._slot = grad
+        for name, p, grad in zip(self.names, self.tensors, self.grads):
+            p.__class__, p._slot, p._name = _Held, grad, name
 
     def views_of(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each parameter's slice of a flat buffer of this layout, in its shape."""
@@ -930,7 +966,7 @@ class ParamArena:
         self.data = data
         self.views = self.views_of(data)
         for p, view in zip(self.tensors, self.views):
-            p.data = view
+            _DATA.__set__(p, view)
         ParamArena.version += 1
 
     def assign(self, values: dict) -> None:
@@ -1017,7 +1053,7 @@ class Adam:
         stepping = []     # (index, step count after this update)
         runs = []         # [lo, hi, t]: adjacent parameters with the same count
         for i, (name, p) in enumerate(zip(arena.names, arena.tensors)):
-            if p.data is not arena.views[i] or p.grad is not None and p.grad is not arena.grads[i]:
+            if p.grad is not None and p.grad is not arena.grads[i]:
                 raise RuntimeError(f"parameter '{name}' was rebound behind its arena; "
                                    "write values with ParamArena.assign")
             if p.grad is None:

@@ -31,9 +31,9 @@ MODULE_COLORS = {
 def _unit_dict(tr, t):
     """Step t of a unit's trace over a one-caption pass."""
     def row(value):
-        return None if value is None else [float(w) for w in value.data[t, 0]]
+        return None if value is None else [float(w) for w in value[t, 0]]
 
-    return {"weights": row(tr.weights), "soft": row(tr.soft),
+    return {"weights": row(tr.weights), "soft": row(None if tr.soft is None else tr.soft.data),
             "alphas": {name: row(alpha) for name, alpha in sorted(tr.alphas.items())}}
 
 

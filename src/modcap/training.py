@@ -221,7 +221,7 @@ def teacher_forced(model: CaptionModel, batch: Batch, *,
     correct = float(((np.argmax(dist.data, axis=1) == gold) * mask).sum())
     agree = None
     if has_ctrl:
-        chosen = np.argmax(traces[-1].weights.data, axis=-1).ravel()
+        chosen = np.argmax(traces[-1].weights, axis=-1).ravel()
         agree = float(((chosen == _step_major(batch.labels)) * mask).sum())
     ling_sum = _word_class_nll(traces, batch.labels, batch.mask) if supervise else None
 
@@ -304,11 +304,11 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
     through its sampled caption.
     """
     scenes, supervise = enc.batch, lam > 0.0
-    doubled = ((lambda v: concat([v, v])) if supervise     # the gold rows replay on these
-               else lambda v: np.concatenate([v.data if isinstance(v, Tensor) else v] * 2))
-    twice = Encoded(feats={k: doubled(v) for k, v in enc.feats.items()},
-                    means={k: doubled(v) for k, v in enc.means.items()},
-                    mask=np.concatenate([enc.mask, enc.mask]))
+    doubled = ((lambda x, axis: concat([x, x], axis)) if supervise  # the gold rows replay on these
+               else lambda x, axis: np.concatenate([x.data if isinstance(x, Tensor) else x] * 2,
+                                                   axis))
+    twice = Encoded(doubled(enc.values, 1), doubled(enc.means, 0),
+                    np.concatenate([enc.mask, enc.mask]))
     noise = model.selection_noise(rng, max_len, scenes)
     sample = sample_policy(rng)
 

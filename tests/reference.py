@@ -10,17 +10,20 @@ The encoder: ``reference_encode`` is ``CaptionModel.encode`` composed of
 one autodiff node per op: ``reference_projection`` (the object and
 attribute modules), ``reference_relation`` (one head at a time) and a
 masked ``mean_pool_rows`` per module, on the ``transpose``, ``relu``,
-``leaky_relu`` and ``masked_softmax`` ops that only it uses.
+``leaky_relu`` and ``masked_softmax`` ops that only it uses; ``stack``
+and ``concat`` lay the modules out as the kernel does.
 ``encoders.encoder_kernel`` agrees with it bit for bit in every value,
 mean and gradient.
 
 The decoder unit: ``reference_step`` composes one step of a
 ``DecoderUnit`` from one autodiff node per op (LSTM1, one attention head
 per module, the controller, fusion, LSTM2) on a Tensor ``UnitState``,
-reading the unit's weight table.  ``AdditiveAttention`` and
-``ModuleController`` hold the weights of one head or one controller:
-``draw`` draws a lone one as a unit draws its table entries, for the
-tests of those parts on their own, and ``of`` reads a unit's.
+reading the unit's weight table and each module's part of the encoding
+(``module_parts``, one ``split`` of each field per encoding).
+``AdditiveAttention`` and ``ModuleController`` hold the weights of one
+head or one controller: ``draw`` draws a lone one as a unit draws its
+table entries, for the tests of those parts on their own, and ``of``
+reads a unit's.
 The fused ops it is built from, ``lstm_cell``, ``additive_attention``
 and ``weighted_concat``, run the same array arithmetic as the unit
 kernel (``LstmRun``, ``AttentionRun``), behind one joint node per op.
@@ -102,6 +105,7 @@ from modcap.tensor import (
     _as_tensor,
     concat,
     gather_rows,
+    kernel_output,
     make_lstm_params,
     masked_nll,
     matmul,
@@ -344,11 +348,53 @@ def reference_encode(model: CaptionModel, r_obj, r_attr, mask=None) -> Encoded:
     mask = (np.ones(lead, dtype=bool) if mask is None
             else np.asarray(mask, dtype=bool).reshape(lead))
     source = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
-    feats = {name: reference_relation(module, source[name], mask) if name == "relation"
+    feats = [reference_relation(module, source[name], mask) if name == "relation"
              else reference_projection(module, source[name])
-             for name, module in model.encoders.items()}
-    means = {name: mean_pool_rows(v, mask) for name, v in feats.items()}
-    return Encoded(feats=feats, means=means, mask=mask)
+             for name, module in model.encoders.items()]
+    means = [mean_pool_rows(v, mask) for v in feats]
+    return Encoded(stack(feats), concat(means, axis=-1), mask)
+
+
+def stack(tensors) -> Tensor:
+    """Tensors of one shape stacked on a new leading axis."""
+    tensors = [_as_tensor(t) for t in tensors]
+
+    def backward(g):
+        for t, part in zip(tensors, g):
+            if t.requires_grad:
+                _accum(t, part)
+
+    return Tensor._from_op(np.stack([t.data for t in tensors]), tuple(tensors), backward)
+
+
+def split(a, k: int, axis: int) -> list[Tensor]:
+    """``a`` cut into its k parts along ``axis``, which ``stack`` (axis 0,
+    the parts' own axis) or ``concat`` (any other) undo: one node, each
+    part hanging off it (``kernel_output``).  Its backward joins the
+    parts' gradients as they came, zeros only for a part without one, so
+    no zero is added to a gradient (0.0 + -0.0 would be +0.0)."""
+    a = _as_tensor(a)
+    parts = list(a.data) if axis == 0 else np.split(a.data, k, axis=axis)
+    sinks = [[] for _ in parts]
+
+    def backward(_):
+        if a.requires_grad:
+            grads = [sink[0] if sink else np.zeros_like(p) for sink, p in zip(sinks, parts)]
+            _accum(a, np.stack(grads) if axis == 0 else np.concatenate(grads, axis=axis))
+
+    node = Tensor._from_op(a.data, (a,), backward)
+    return [kernel_output(node, np.ascontiguousarray(p), sink) for p, sink in zip(parts, sinks)]
+
+
+def module_parts(enc: Encoded, modules) -> tuple[dict, dict]:
+    """Each module's values (B, N, d_v) and means (B, d_v) in an encoding,
+    by name: one ``split`` of each field, made once per encoding, so every
+    step and unit of a pass adds its gradient to the same parts, in the
+    order the kernel adds them to the fields."""
+    if "reference_parts" not in vars(enc):
+        enc.reference_parts = tuple(dict(zip(modules, split(x, len(modules), axis)))
+                                    for x, axis in ((enc.values, 0), (enc.means, -1)))
+    return enc.reference_parts
 
 
 # -- the op-composed decoder unit -----------------------------------------------
@@ -699,12 +745,13 @@ def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitS
     trace)."""
     w = unit.weights
     context = state.h2
-    u = concat([i_prev, context] + [enc.means[name] for name in unit.modules], axis=-1)
+    values, means = module_parts(enc, unit.modules)
+    u = concat([i_prev, context] + [means[name] for name in unit.modules], axis=-1)
     h1, c1 = lstm_cell(u, state.h1, state.c1, w["lstm1.W"], w["lstm1.b"])
     alphas = {}
     attended = []
     for name in unit.modules:
-        alphas[name], v = attend(AdditiveAttention.of(unit, name), enc.feats[name], h1,
+        alphas[name], v = attend(AdditiveAttention.of(unit, name), values[name], h1,
                                  enc.mask)
         attended.append(v)
     weights = soft = ctrl_state = None
@@ -720,7 +767,8 @@ def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitS
                        w["lstm2.b"])
     i_new = i_prev + h2
     new_state = UnitState(h1=h1, c1=c1, h2=h2, c2=c2, ctrl=ctrl_state)
-    return i_new, new_state, UnitTrace(weights=weights, soft=soft, alphas=alphas)
+    return i_new, new_state, UnitTrace(weights=None if weights is None else weights.data,
+                                       soft=soft, alphas={k: a.data for k, a in alphas.items()})
 
 
 # -- the stack on the Tensor step ----------------------------------------------
@@ -790,8 +838,8 @@ class TensorStepModel:
 
 
 def take_rows(obj, idx):
-    """Rows ``idx`` of every tensor and array in a decoder state or an
-    encoding, in the same structure; None passes through."""
+    """Rows ``idx`` of every tensor and array in a decoder state, in the
+    same structure; None passes through."""
     if isinstance(obj, Tensor):
         return gather_rows(obj, idx)
     if isinstance(obj, np.ndarray):
@@ -833,7 +881,9 @@ def reference_beam_search(model, enc, beam_width, max_len):
                 break
             prev = [h.tokens[-1] if h.tokens else BOS_ID for h in live]
             if len(live) not in repeated:
-                repeated[len(live)] = take_rows(enc, np.zeros(len(live), dtype=np.int64))
+                one = np.zeros(len(live), dtype=np.int64)
+                repeated[len(live)] = Encoded(_as_tensor(enc.values).data[:, one],
+                                              _as_tensor(enc.means).data[one], enc.mask[one])
             dist, states, _ = reference_model_step(
                 model, prev, repeated[len(live)],
                 take_rows(states, np.array([h.states for h in live])))
@@ -959,9 +1009,8 @@ def two_pass_self_critical_loss(model: CaptionModel, enc, references, idf: IdfTa
         labels[scenes:, :gold_steps] = gold.labels
         ling_weights[scenes:, :gold_steps] = gold.mask / (
             gold.mask.sum(axis=1, keepdims=True) * len(model.units))
-        enc = Encoded(feats={k: concat([v, v]) for k, v in enc.feats.items()},
-                      means={k: concat([v, v]) for k, v in enc.means.items()},
-                      mask=np.concatenate([enc.mask, enc.mask]))
+        enc = Encoded(concat([enc.values] * 2, axis=1), concat([enc.means] * 2),
+                      np.concatenate([enc.mask, enc.mask]))
         if noise is not None:
             noise = np.concatenate([noise, model.selection_noise(rng, n_steps, scenes)], axis=2)
 

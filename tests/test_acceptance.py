@@ -165,7 +165,7 @@ def test_criterion_2_architecture_invariants():
                 check(list(tr.alphas) == [cfg.single_module],
                       f"seed {seed}: single module attends alone")
             else:
-                w = tr.weights.data[0, 0]
+                w = tr.weights[0, 0]
                 check(w.shape == (4,), f"seed {seed}: four module weights")
                 if strategy == "uniform":
                     check(np.array_equal(w, np.ones(4, dtype=w.dtype)),
@@ -184,7 +184,7 @@ def test_criterion_2_architecture_invariants():
                 check(sorted(tr.alphas) == ["attribute", "object", "relation"],
                       f"seed {seed}: attention per visual module")
             for alpha in tr.alphas.values():
-                alpha = alpha.data[0]
+                alpha = alpha[0]
                 check(alpha.shape == (1, k), f"seed {seed}: alpha over regions")
                 check(abs(float(alpha.sum()) - 1.0) < 1e-5,
                       f"seed {seed}: alpha normalizes")

@@ -120,7 +120,7 @@ class TestStackStructure:
         enc = model.encode(*random_features(2))
         _, traces = model.forced([[BOS_ID]], enc)
         for tr in traces:
-            assert np.array_equal(tr.weights.data, np.ones((1, 1, 4), dtype=np.float32))
+            assert np.array_equal(tr.weights, np.ones((1, 1, 4), dtype=np.float32))
 
     def test_single_module_variants(self):
         for name in ("object", "attribute", "relation"):

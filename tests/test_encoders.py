@@ -157,8 +157,7 @@ class TestRelation:
             # the relation values of the kernel: a Tensor with a gradient, an
             # array without one (the finite differences)
             values, _ = encoder_kernel({"relation": mod}, x, x, np.ones((1, 3), dtype=bool))
-            v = values["relation"]
-            return (v * v).sum()
+            return (values * values).sum()
 
         x = Tensor(r0, requires_grad=True, dtype=F64)
         out = f(x)
@@ -207,9 +206,10 @@ def kernel_model(corpus, preset, dtype):
     return CaptionModel(model_cfg, Rng(3).derive(1), dtype=dtype)
 
 
-def encode_and_backpropagate(encode, model, r_obj, r_attr, mask, seed):
+def encode_and_backpropagate(encode, model, r_obj, r_attr, mask, seed,
+                             fields=("values", "means")):
     """Encode with gradients reaching the features, backpropagate a random
-    weighting of every value and mean, and return every value, mean and
+    weighting of the encoding's ``fields``, and return them and every
     gradient by name."""
     params = model.named_parameters()
     for p in params.values():
@@ -217,8 +217,7 @@ def encode_and_backpropagate(encode, model, r_obj, r_attr, mask, seed):
     inputs = {name: Tensor(r, requires_grad=True, dtype=model.dtype)
               for name, r in (("r_obj", r_obj), ("r_attr", r_attr))}
     enc = encode(model, inputs["r_obj"], inputs["r_attr"], mask)
-    outputs = {f"{kind}.{name}": t for kind, d in (("value", enc.feats), ("mean", enc.means))
-               for name, t in d.items()}
+    outputs = {name: getattr(enc, name) for name in fields}
     rs = np.random.RandomState(seed)
     total = None
     for out in outputs.values():
@@ -249,6 +248,18 @@ def test_kernel_matches_reference_bit_for_bit(corpus, scenes, preset, case, dtyp
         assert got[name].tobytes() == want[name].tobytes(), name
 
 
+@pytest.mark.parametrize("field", ["values", "means"])
+def test_a_gradient_through_one_field_alone_matches_the_reference(corpus, scenes, field):
+    # through the means alone, the kernel's node runs only because the
+    # means' closure makes it run
+    model = kernel_model(corpus, "CNM#2", np.float32)
+    args = (model, *scenes["batch"], 7)
+    got = encode_and_backpropagate(lambda m, *x: m.encode(*x), *args, fields=(field,))
+    want = encode_and_backpropagate(reference_encode, *args, fields=(field,))
+    assert got.keys() == want.keys() and "grad.r_obj" in got
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
 @pytest.mark.parametrize("preset", KERNEL_PRESETS)
 def test_encode_without_gradients_makes_no_tensor(corpus, scenes, preset):
     model = kernel_model(corpus, preset, np.float32)
@@ -259,20 +270,20 @@ def test_encode_without_gradients_makes_no_tensor(corpus, scenes, preset):
             enc = model.encode(r_obj, r_attr, mask)
         assert next(Tensor._ids) == start + 1
         # the same values and means, to the bit
-        assert enc.stacked[0].tobytes() == with_grad.stacked[0].tobytes()
-        assert enc.stacked[1].tobytes() == with_grad.stacked[1].tobytes()
-        assert all(isinstance(a, np.ndarray) for a in [*enc.feats.values(), *enc.means.values()])
+        assert isinstance(enc.values, np.ndarray) and isinstance(enc.means, np.ndarray)
+        assert enc.values.tobytes() == with_grad.values.data.tobytes()
+        assert enc.means.tobytes() == with_grad.means.data.tobytes()
 
 
 def test_a_training_batch_encodes_as_one_node(corpus, scenes):
     model = kernel_model(corpus, "CNM#2", np.float32)
     start = next(Tensor._ids)
     enc = model.encode(*scenes["batch"])
-    # one node, and the values and means of the three modules hanging off it
-    assert next(Tensor._ids) - start - 1 <= 7
-    outputs = [*enc.feats.values(), *enc.means.values()]
-    (node,) = {id(out._parents[0]): out._parents[0] for out in outputs}.values()
-    assert all(out._parents == (node,) for out in outputs)
+    # two Tensors: the values, the kernel's one node, and the means, whose
+    # only parent is the node
+    assert next(Tensor._ids) - start - 1 == 2
+    node = enc.values
+    assert enc.means._parents == (node,)
     params = model.named_parameters()
     assert {id(p) for name, p in params.items() if name.startswith("enc.")} \
         == {id(p) for p in node._parents}

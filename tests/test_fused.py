@@ -195,7 +195,7 @@ class TestDebugChecksNameTheOp:
     def test_unit_kernel(self):
         model, enc = self.tiny_model()
         unit = model.units[0]
-        i_prev = Tensor(np.full((1, 3), np.nan, dtype=np.float32))
+        i_prev = Tensor(np.full((1, 1, 3), np.nan, dtype=np.float32))
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
             unit_kernel(unit, i_prev, enc)
 

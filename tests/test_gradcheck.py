@@ -125,7 +125,7 @@ class TestKernelSection:
             for variant in KERNEL_VARIANTS:
                 label = variant if n_steps == 1 else f"{variant}/T{n_steps}"
                 unit, _, inputs = _kernel_inputs(variant, seed=0, n_steps=n_steps)
-                assert inputs["i_prev"].ndim == (2 if n_steps == 1 else 3)
+                assert inputs["i_prev"].shape == (n_steps, 2, 3)
                 params = [name for name in unit.params("unit")
                           if variant != "uniform" or ".ctrl." not in name]
                 case = ([f"{label}:input:{name}" for name in inputs]

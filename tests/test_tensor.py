@@ -621,10 +621,16 @@ class TestParamArena:
         arena = arena_with_grads(params, {name: np.ones(p.data.shape, dtype=np.float32)
                                           for name, p in params.items()})
         before = arena.data.copy()
-        setattr(params["a.b"], behind, np.full(5, 7.0, dtype=np.float32))
         opt = Adam()
-        with pytest.raises(RuntimeError, match="parameter 'a.b' was rebound behind its arena"):
-            opt.step(arena, 1e-2)
+        refused = pytest.raises(RuntimeError, match="parameter 'a.b' was rebound behind its arena")
+        if behind == "data":        # refused where it happens
+            with refused:
+                params["a.b"].data = np.full(5, 7.0, dtype=np.float32)
+            assert params["a.b"].data is arena.views[1]
+        else:
+            params["a.b"].grad = np.full(5, 7.0, dtype=np.float32)
+            with refused:
+                opt.step(arena, 1e-2)
         # nothing moved: no state, and the arena's values as they were
         assert not opt.state
         np.testing.assert_array_equal(arena.data, before)

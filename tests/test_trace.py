@@ -122,9 +122,9 @@ def reference_units(model, corpus, synth, doc):
         _, traces = reference_forced(model, inputs, model.encode(*synth.features(scene)))
 
     def row(value):
-        return None if value is None else [float(w) for w in value.data[0]]
+        return None if value is None else [float(w) for w in value[0]]
 
-    return [[{"weights": row(tr.weights), "soft": row(tr.soft),
+    return [[{"weights": row(tr.weights), "soft": row(None if tr.soft is None else tr.soft.data),
               "alphas": {name: row(a) for name, a in sorted(tr.alphas.items())}}
              for tr in step] for step in traces]
 

@@ -26,9 +26,12 @@ same step composed of one node per op is kept with the tests
 (``tests/reference.py``); a one-step pass agrees with it bit for bit.
 The decoders (``CaptionModel.step``) step forward only on plain state
 arrays and build no Tensor; each unit's forward-only run is kept with
-the encoding (``Encoded.run``).  A decode step returns only the word distribution and
-the new states: what a unit chose is read from a teacher-forced pass
-over the caption, as traces do.
+the encoding (``Encoded.run``).  A decode step returns only the word
+distribution and the new states: what a unit chose is read from a
+teacher-forced pass over the caption, as traces do.  Decoding and
+teacher forcing read the words off the last unit's rows through one word
+head, ``word_head``: on a decode step's arrays it returns an array, on a
+forced pass's Tensor one autodiff node.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax or sample) picks every row's next token.  Greedy and sampling
@@ -70,8 +73,6 @@ from .tensor import (
     kernel_output,
     make_lstm_params,
     needs_grad,
-    reshape,
-    softmax,
     softmax_backward,
     softmax_forward,
     xavier_uniform,
@@ -287,6 +288,32 @@ class UnitRun:
         return x + h2, [h1, c1, h2, c2, *ctrl_rows], alpha, w, soft
 
 
+def word_head(vec, W: Tensor, b: Tensor):
+    """The word distribution of each row of ``vec`` (..., d_v): softmax(x W
+    + b) over the rows x, (rows, V).  An array gives an array and builds no
+    Tensor; a Tensor gives one autodiff node, whose backward repeats the
+    op-composed head's chain in order (the softmax's gradient, the bias
+    sum, then the product's input and weight gradients), so it rounds
+    alike."""
+    w_data = W.data
+    x = (vec.data if isinstance(vec, Tensor) else vec).reshape(-1, w_data.shape[0])
+    dist = softmax_forward(np.matmul(x, w_data) + b.data)
+    check_finite("word_head", dist)
+    if not isinstance(vec, Tensor):
+        return dist
+
+    def backward(g):
+        g = softmax_backward(dist, g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+        if vec.requires_grad:
+            _accum(vec, np.matmul(g, w_data.T).reshape(vec.shape))
+        if W.requires_grad:
+            _accum(W, _t_matmul(x, g))
+
+    return Tensor._from_op(dist, (vec, W, b), backward)
+
+
 def _plus(a, b):
     """a + b where either gradient may be None (no consumer)."""
     if a is None:
@@ -500,25 +527,22 @@ class CaptionModel:
         for m, (unit, st) in enumerate(zip(self.units, states)):
             vec, st = unit.step(vec, enc, st, None if noise is None else noise[m])
             new_states.append(st)
-        dist = softmax_forward(np.matmul(vec, self.head.W.data) + self.head.b.data)
-        check_finite("word_head", dist)
-        return dist, new_states
+        return word_head(vec, self.head.W, self.head.b), new_states
 
     def forced(self, inputs, enc: Encoded, noise: np.ndarray | None = None):
         """A teacher-forced pass over the input tokens (B, T): one embedding
         gather, then each unit runs all T steps from the zero state in one
         ``unit_kernel`` call; ``noise`` is the pass's ``selection_noise``.
 
-        Returns (word distributions (T*B, V), rows step-major, per-unit
-        traces of (T, B, ...) arrays).
+        Returns (word distributions (T*B, V), rows step-major, from
+        ``word_head``; per-unit traces of (T, B, ...) arrays).
         """
         vec = gather_rows(self.embed, np.asarray(inputs, dtype=np.int64).T)
         traces = []
         for m, unit in enumerate(self.units):
             vec, trace = unit_kernel(unit, vec, enc, noise=None if noise is None else noise[:, m])
             traces.append(trace)
-        dist = softmax(self.head(reshape(vec, (-1, self.cfg.d_v))), axis=-1)
-        return dist, traces
+        return word_head(vec, self.head.W, self.head.b), traces
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {}

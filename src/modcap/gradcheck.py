@@ -15,14 +15,15 @@ Four tiers, all in float64 against central differences:
   which one has a padded region, through the unit output and the
   controller softmax; then the encoder (``encoders.encoder_kernel``) on
   two scenes, all regions real or one padded, through every value and
-  mean.  Every input and parameter is checked, off the ReLU kinks.  The
-  straight-through gradient of the hard strategy is by design not the
-  derivative of its one-hot forward, so one-step hard cases read only
-  the softmax, except the second LSTM and the function module, which do
-  not reach the controller and read every output; over three steps
-  every output lies downstream of an earlier fusion, so the three-step
-  hard case runs at a temperature where the straight-through term
-  vanishes and reads every output;
+  mean; then the word head (``decoder.word_head``) on the rows of two
+  steps over two scenes.  Every input and parameter is checked, off the
+  ReLU kinks.  The straight-through gradient of the hard strategy is by
+  design not the derivative of its one-hot forward, so one-step hard
+  cases read only the softmax, except the second LSTM and the function
+  module, which do not reach the controller and read every output; over
+  three steps every output lies downstream of an earlier fusion, so the
+  three-step hard case runs at a temperature where the straight-through
+  term vanishes and reads every output;
 * decoder: a miniature two-unit captioning model driven for three
   teacher-forced steps, checking the gradient of the training objective
   (``training.teacher_forced`` with module supervision) with respect to
@@ -40,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FULL_MODULES, VISUAL_MODULES, ModelConfig
-from .decoder import CaptionModel, DecoderUnit, Encoded, unit_kernel
+from .decoder import CaptionModel, DecoderUnit, Encoded, unit_kernel, word_head
 from .encoders import encoder_kernel
+from .layers import Linear
 from .tensor import (
     FLOAT64,
     AttentionRun,
@@ -56,10 +58,8 @@ from .tensor import (
     finite_diff_grad,
     gather_rows,
     masked_nll,
-    matmul,
     max_relative_error,
     reshape,
-    softmax,
     sum_,
 )
 from .training import Batch, teacher_forced
@@ -100,12 +100,13 @@ def check_case(section: str, name: str, f, x: Tensor,
 def primitive_cases(seed: int):
     """(name, scalar function, input tensor) triples covering every op."""
     rng = Rng(seed).derive(71)
-    w = Tensor(rng.uniform_array((4, 3), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
-    w2 = Tensor(rng.uniform_array((3, 5), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
+    # the draws of the retired matmul cases' weights
+    _retired(rng, 27)
     bias = Tensor(rng.uniform_array((3,), -1, 1, dtype=FLOAT64), dtype=FLOAT64)
     # the draws of the retired transpose cases' weights
     _retired(rng, 32)
     idx_rows = np.array([2, 0, 1])
+    idx_swap = np.array([1, 0])
     idx_cols = np.array([1, 3, 0, 2])
     lstm = LstmParams(
         W=Tensor(rng.uniform_array((7, 12), -0.5, 0.5, dtype=FLOAT64), dtype=FLOAT64),
@@ -131,21 +132,15 @@ def primitive_cases(seed: int):
         ("mul_broadcast", lambda x: (x * bias).sum(), _t(rng, (2, 3))),
         ("div", lambda x: (x / Tensor(np.full((2, 3), 2.5), dtype=FLOAT64)).sum(),
          _t(rng, (2, 3))),
-        ("matmul_left", lambda x: matmul(x, w2).sum(), _t(rng, (2, 3))),
-        ("matmul_right", lambda x: matmul(w, x).sum(), _t(rng, (3, 5))),
-        ("matmul_vec", lambda x: matmul(x, w2).sum(), _t(rng, (3,))),
-        ("matmul_batched", lambda x: matmul(x, w2).sum(), _t(rng, (2, 4, 3))),
         ("reshape",
          lambda x: (x.reshape(6) * Tensor(np.arange(6.0), dtype=FLOAT64)).sum(),
-         _t(_retired(rng, 32), (2, 3))),
+         _t(_retired(rng, 80), (2, 3))),
         ("sum_axis", lambda x: (sum_(x, axis=0) * bias).sum(), _t(rng, (4, 3))),
         ("sum_keepdims", lambda x: sum_(x, axis=1, keepdims=True).sum(), _t(rng, (4, 3))),
         ("concat", lambda x: concat([x, x * 2.0], axis=-1).sum(), _t(_retired(rng, 15), (2, 3))),
         ("gather_rows", lambda x: (gather_rows(x, idx_rows) * bias).sum(), _t(rng, (4, 3))),
-        ("softmax",
-         lambda x: (softmax(x, axis=-1) * Tensor(np.arange(5.0), dtype=FLOAT64)).sum(),
-         _t(_retired(rng, 48), (3, 5))),
-        ("fanout", lambda x: (x * x + softmax(x) * x).sum(), _t(rng, (2, 3))),
+        ("fanout_gather", lambda x: (x * x + gather_rows(x, idx_swap) * x).sum(),
+         _t(_retired(rng, 63), (2, 3))),
     ]
     # every input of one LSTM step on (d,) vectors, then on (B, d) rows
     for label, fixed in (("lstm_step", (x_fixed, h0, c0)), ("lstm_cell_batched", (xb, hb, cb))):
@@ -241,19 +236,20 @@ def _weights(rng: Rng, shape) -> Tensor:
     return Tensor(rng.uniform_array(shape, -0.7, 0.7, dtype=FLOAT64), dtype=FLOAT64)
 
 
-# every op preserves the (3, 4) shape, so chains compose in any order
+# every op preserves the (3, 4) shape, so chains compose in any order; a
+# new op takes the place of one retired from the library, so a chain that
+# picks no new op keeps its ops, weights and input
 _CHAIN_OPS = (
     ("leaky", lambda x, rng: x * Tensor(np.where(x.data >= 0, 1.0, 0.05))),
-    ("softmax", lambda x, rng: softmax(x, axis=-1)),
+    ("permute", lambda x, rng: gather_rows(x, [2, 0, 1])),
     ("square", lambda x, rng: x * x),
     ("ratio", lambda x, rng: x / (x * x + 1.0)),
-    ("shift", lambda x, rng: x + softmax(x, axis=-1)),
-    ("gate", lambda x, rng: x * softmax(x, axis=-1)),
+    ("colsum", lambda x, rng: x + sum_(x, axis=0, keepdims=True)),
+    ("cross", lambda x, rng: x * gather_rows(x, [1, 2, 0])),
     ("bias", lambda x, rng: x + _weights(rng, (4,))),
-    ("mix", lambda x, rng: matmul(x, _weights(rng, (4, 4)))),
-    ("widen", lambda x, rng: matmul(concat([x, x * x], axis=-1), _weights(rng, (8, 4)))),
-    ("regroup", lambda x, rng: reshape(matmul(reshape(x, (6, 2)), _weights(rng, (2, 2))),
-                                       (3, 4))),
+    ("scale", lambda x, rng: x * _weights(rng, (4,))),
+    ("interleave", lambda x, rng: gather_rows(concat([x, x * x], axis=0), [0, 4, 2])),
+    ("pairs", lambda x, rng: reshape(reshape(x, (6, 2)) * _weights(rng, (2,)), (3, 4))),
 )
 
 
@@ -390,6 +386,14 @@ def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseRe
                    for kind, group in (("input", inputs), ("param", params))
                    for name, t in group.items()}
         results += _rebinding_cases("kernel", objective, tensors, model.arena, tol)
+    head = Linear(3, 7, Rng(seed).derive(87), dtype=FLOAT64)     # 7 words over 3-wide rows
+    arena = ParamArena(head.params("head"))
+    _jitter(arena, Rng(seed).derive(88))
+    rows = _t(Rng(seed).derive(89), (2, 2, 3))      # two steps over two scenes
+    tensors = {"word_head:input:rows": rows}
+    tensors.update((f"word_head:param:{name}", t) for name, t in head.params("head").items())
+    results += _rebinding_cases("kernel", lambda: _ramp_sum([word_head(rows, head.W, head.b)]),
+                                tensors, arena, tol)
     return results
 
 

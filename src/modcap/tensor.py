@@ -10,21 +10,22 @@ in descending id order: each closure runs after those of all its
 consumers.
 
 The library holds the ops the model runs: ``add``, ``mul``, ``div``,
-``matmul``, ``reshape``, ``concat``, ``gather_rows``, ``softmax`` and the
-fused ``masked_nll``: ``-sum(mask * log(max(p[b, gold_b], eps)))``; and
-``sum_``, which only gradcheck's objectives call.  The encoder and the
-decoder units run on plain arrays, each as one node with a hand-written
-backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``); a
-kernel's second output (the encoder's means, a unit's controller
-softmax) hangs off its node by ``kernel_output``.  The LSTM,
-additive-attention and softmax arithmetic of the units is here
+``reshape``, ``concat``, ``gather_rows`` and the fused ``masked_nll``:
+``-sum(mask * log(max(p[b, gold_b], eps)))``; and ``sum_``, which only
+gradcheck's objectives call.  The encoder, the decoder units and the
+word head run on plain arrays, each as one node with a hand-written
+backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``,
+``decoder.word_head``); a kernel's second output (the encoder's means, a
+unit's controller softmax) hangs off its node by ``kernel_output``.  The
+LSTM, additive-attention and softmax arithmetic of the kernels is here
 (``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``).
 A run records T steps and keeps only what its backward cannot rebuild
 with one cheap op.  Forward and input gradients go step by step; the
 parameter gradients are one GEMM over the rows of all steps, a call that
-ends the backward and lets the records go.  The op-composed encoder and
-unit the kernels agree with bit for bit, and the ops only they use, are
-in ``tests/reference.py``.  Padded regions are masked: a score of -inf
+ends the backward and lets the records go.  The op-composed encoder,
+unit and word head the kernels agree with bit for bit, and the ops only
+they use (``matmul`` and ``softmax`` among them), are in
+``tests/reference.py``.  Padded regions are masked: a score of -inf
 gives them exactly 0 weight and gradient.
 
 A model's parameters live in a ``ParamArena``: one flat buffer of values
@@ -382,53 +383,7 @@ def div(a, b) -> Tensor:
     return Tensor._from_op(data, (a, b), backward)
 
 
-# -- matrix products ----------------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    """numpy ``matmul``/``dot`` semantics for 1-d, 2-d and stacked operands."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    a_data, b_data = a.data, b.data
-    if a_data.ndim == 0 or b_data.ndim == 0:
-        raise ShapeError("matmul needs at least 1-d operands")
-    try:
-        data = np.matmul(a_data, b_data)
-    except ValueError as exc:
-        raise ShapeError(f"matmul mismatch: {a_data.shape} @ {b_data.shape}") from exc
-
-    def backward(g):
-        if a_data.ndim == 1 and b_data.ndim == 1:
-            if a.requires_grad:
-                _accum(a, g * b_data)
-            if b.requires_grad:
-                _accum(b, g * a_data)
-            return
-        if a_data.ndim == 1:
-            # (k,) @ (..., k, n) -> (..., n)
-            if a.requires_grad:
-                ga = np.matmul(b_data, np.expand_dims(g, -1)).squeeze(-1)
-                _accum(a, _unbroadcast(ga, a_data.shape))
-            if b.requires_grad:
-                gb = np.expand_dims(a_data, -1) * np.expand_dims(g, -2)
-                _accum(b, _unbroadcast(gb, b_data.shape))
-            return
-        if b_data.ndim == 1:
-            # (..., m, k) @ (k,) -> (..., m)
-            if a.requires_grad:
-                ga = np.expand_dims(g, -1) * b_data
-                _accum(a, _unbroadcast(ga, a_data.shape))
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a_data, -1, -2), np.expand_dims(g, -1)).squeeze(-1)
-                _accum(b, _unbroadcast(gb, b_data.shape))
-            return
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
-            _accum(a, _unbroadcast(ga, a_data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(_t_matmul(a_data, g), b_data.shape))
-
-    return Tensor._from_op(data, (a, b), backward)
+# -- reductions and rearrangement ----------------------------------------
 
 
 def reshape(a, shape) -> Tensor:
@@ -441,9 +396,6 @@ def reshape(a, shape) -> Tensor:
             _accum(a, g.reshape(old_shape))
 
     return Tensor._from_op(data, (a,), backward)
-
-
-# -- reductions and rearrangement ----------------------------------------
 
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
@@ -497,20 +449,6 @@ def gather_rows(a, indices) -> Tensor:
 
 
 # -- nonlinearities -----------------------------------------------------------
-
-
-def softmax(a, axis=-1) -> Tensor:
-    """Max-shifted softmax along ``axis``."""
-    a = _as_tensor(a)
-    if a.data.size == 0:
-        raise ValueError("softmax of an empty tensor")
-    data = softmax_forward(a.data, axis)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, softmax_backward(data, g, axis))
-
-    return Tensor._from_op(data, (a,), backward)
 
 
 def softmax_forward(x: np.ndarray, axis=-1) -> np.ndarray:

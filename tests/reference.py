@@ -1,5 +1,9 @@
 """Bit-for-bit references the equivalence tests hold production code to.
 
+The generic ops the model no longer runs: ``matmul``, ``softmax`` and
+``linear`` (x W + b of a ``Linear`` layer's weights), which the
+op-composed encoder, unit and word head below are built from.
+
 The optimizer layer: ``adam_update`` and ``ReferenceAdam`` update one
 parameter at a time with fresh arrays, and ``reference_clip`` scales each
 gradient on its own: the optimizer as it was before parameters shared a
@@ -35,8 +39,9 @@ primitives the fused ops are checked against: the LSTM, attention and
 masked NLL composed from them one node per op.
 
 The stack: ``reference_model_step`` is one decode step of a
-``CaptionModel`` on the Tensor step, and ``reference_forced`` chains it
-along given tokens, as teacher forcing does in one pass.
+``CaptionModel`` on the Tensor step, its word head ``linear`` then
+``softmax``, and ``reference_forced`` chains it along given tokens,
+as teacher forcing does in one pass.
 ``TensorStepModel`` hands the Tensor step to ``decoder.run_decoder``.
 
 The decoders: ``reference_beam_search`` is beam search on the Tensor
@@ -91,6 +96,7 @@ from modcap.decoder import (
 )
 from modcap.encoders import ProjectionModule, RelationModule
 from modcap.errors import ShapeError, TrainingError
+from modcap.layers import Linear
 from modcap.metrics import CIDER_SIGMA, DEFAULT_MAX_N, IdfTable, ngram_counts
 from modcap.training import LOSS_EPS, _step_major, _word_class_nll
 from modcap.tensor import (
@@ -103,15 +109,15 @@ from modcap.tensor import (
     Tensor,
     _accum,
     _as_tensor,
+    _t_matmul,
+    _unbroadcast,
     concat,
     gather_rows,
     kernel_output,
     make_lstm_params,
     masked_nll,
-    matmul,
     no_grad,
     reshape,
-    softmax,
     softmax_backward,
     softmax_forward,
     xavier_uniform,
@@ -211,6 +217,74 @@ def assert_same_update(params, opt, ref_params, ref_opt) -> None:
                                                            ref.v.tobytes()), name
 
 
+# -- the product, affine map and softmax ----------------------------------------
+
+
+def matmul(a, b) -> Tensor:
+    """numpy ``matmul``/``dot`` semantics for 1-d, 2-d and stacked operands."""
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    a_data, b_data = a.data, b.data
+    if a_data.ndim == 0 or b_data.ndim == 0:
+        raise ShapeError("matmul needs at least 1-d operands")
+    try:
+        data = np.matmul(a_data, b_data)
+    except ValueError as exc:
+        raise ShapeError(f"matmul mismatch: {a_data.shape} @ {b_data.shape}") from exc
+
+    def backward(g):
+        if a_data.ndim == 1 and b_data.ndim == 1:
+            if a.requires_grad:
+                _accum(a, g * b_data)
+            if b.requires_grad:
+                _accum(b, g * a_data)
+            return
+        if a_data.ndim == 1:
+            # (k,) @ (..., k, n) -> (..., n)
+            if a.requires_grad:
+                ga = np.matmul(b_data, np.expand_dims(g, -1)).squeeze(-1)
+                _accum(a, _unbroadcast(ga, a_data.shape))
+            if b.requires_grad:
+                gb = np.expand_dims(a_data, -1) * np.expand_dims(g, -2)
+                _accum(b, _unbroadcast(gb, b_data.shape))
+            return
+        if b_data.ndim == 1:
+            # (..., m, k) @ (k,) -> (..., m)
+            if a.requires_grad:
+                ga = np.expand_dims(g, -1) * b_data
+                _accum(a, _unbroadcast(ga, a_data.shape))
+            if b.requires_grad:
+                gb = np.matmul(np.swapaxes(a_data, -1, -2), np.expand_dims(g, -1)).squeeze(-1)
+                _accum(b, _unbroadcast(gb, b_data.shape))
+            return
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
+            _accum(a, _unbroadcast(ga, a_data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(_t_matmul(a_data, g), b_data.shape))
+
+    return Tensor._from_op(data, (a, b), backward)
+
+
+def linear(layer: Linear, x) -> Tensor:
+    """The affine map x W + b of a ``Linear`` layer's weights."""
+    return matmul(x, layer.W) + layer.b
+
+
+def softmax(a, axis=-1) -> Tensor:
+    """Max-shifted softmax along ``axis``."""
+    a = _as_tensor(a)
+    if a.data.size == 0:
+        raise ValueError("softmax of an empty tensor")
+    data = softmax_forward(a.data, axis)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, softmax_backward(data, g, axis))
+
+    return Tensor._from_op(data, (a,), backward)
+
+
 # -- the op-composed encoder ----------------------------------------------------
 
 
@@ -308,7 +382,7 @@ def reference_projection(module: ProjectionModule, x: Tensor) -> Tensor:
     """The object or attribute module, ``ProjectionModule``, one node per op,
     on rows (..., d_in): flattened to (-1, d_in) and restored around the
     affine map."""
-    y = module.fc(reshape(x, (-1, x.shape[-1])) if x.ndim > 2 else x)
+    y = linear(module.fc, reshape(x, (-1, x.shape[-1])) if x.ndim > 2 else x)
     return leaky_relu(reshape(y, x.shape[:-1] + (-1,)) if x.ndim > 2 else y, LEAKY_SLOPE)
 
 
@@ -332,7 +406,7 @@ def reference_relation(module: RelationModule, r: Tensor, mask=None) -> Tensor:
                 else masked_softmax(scores, key_mask, axis=-1))
         head_outs.append(matmul(attn, v))
     mixed = matmul(reshape(concat(head_outs, axis=-1), (-1, module.d_r)), module.w_out)
-    out = leaky_relu(module.fc2(relu(module.fc1(mixed))), LEAKY_SLOPE)
+    out = leaky_relu(linear(module.fc2, relu(linear(module.fc1, mixed))), LEAKY_SLOPE)
     return reshape(out, (b, n, -1))
 
 
@@ -795,7 +869,7 @@ def reference_model_step(model: CaptionModel, prev_tokens, enc: Encoded, states:
         vec, st, tr = reference_step(unit, vec, enc, st, None if noise is None else noise[m])
         new_states.append(st)
         traces.append(tr)
-    return softmax(model.head(vec), axis=-1), new_states, traces
+    return softmax(linear(model.head, vec), axis=-1), new_states, traces
 
 
 def reference_forced(model: CaptionModel, inputs, enc: Encoded,

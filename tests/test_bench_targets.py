@@ -8,8 +8,11 @@ zero, so a rename in the library would go unnoticed without this check.
 The op-composed decoder unit (attention heads, controller step, fusion
 and LSTM step) now lives in tests/reference.py, so the five targets that
 wrapped it no longer resolve; a decoder unit step runs as one
-``decoder.unit_kernel`` call.  They stay listed here until the benchmark
-replaces them, and any other target that stops resolving fails the test.
+``decoder.unit_kernel`` call.  ``Linear`` holds only an affine layer's
+weights, and the word head they fed runs as one ``decoder.word_head``
+call, so the ``layers.linear`` target no longer resolves either.  They
+stay listed here until the benchmark replaces them, and any other target
+that stops resolving fails the test.
 """
 
 import importlib
@@ -24,6 +27,7 @@ RETIRED_TARGETS = (
     "modcap.decoder.fuse",
     "modcap.decoder.lstm_step",
     "modcap.controller.lstm_step",
+    "modcap.layers:Linear.__call__",
 )
 
 

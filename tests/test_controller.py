@@ -20,7 +20,6 @@ from modcap.tensor import (
     finite_diff_grad,
     masked_nll,
     max_relative_error,
-    softmax,
 )
 from modcap.training import LOSS_EPS
 from reference import (
@@ -30,6 +29,7 @@ from reference import (
     attend,
     controller_step,
     fuse,
+    softmax,
     straight_through,
 )
 

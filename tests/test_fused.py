@@ -15,9 +15,7 @@ from modcap.tensor import (
     Tensor,
     concat,
     masked_nll,
-    matmul,
     reshape,
-    softmax,
     sum_,
 )
 from reference import (
@@ -25,9 +23,11 @@ from reference import (
     clamp_min,
     log,
     lstm_cell,
+    matmul,
     pick,
     sigmoid,
     slice_axis,
+    softmax,
     tanh,
     transpose,
     weighted_concat,
@@ -208,6 +208,17 @@ class TestDebugChecksNameTheOp:
         model.arena.assign({"embed.W": np.full_like(model.embed.data, np.nan)})
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
             decode(model, enc)
+
+    @pytest.mark.parametrize("run", [lambda m, e: m.forced([[1, 2, 3]], e),
+                                     lambda m, e: greedy_decode(m, e, 4)],
+                             ids=["forced", "greedy"])
+    def test_word_head(self, run):
+        # teacher forcing (with gradients) and decoding score words through
+        # one head, which names itself
+        model, enc = self.tiny_model()
+        model.arena.assign({"head.W": np.full_like(model.head.W.data, np.nan)})
+        with pytest.raises(FloatingPointError, match="^word_head produced"):
+            run(model, enc)
 
 
 def test_float32_values_and_gradients_are_bitwise():

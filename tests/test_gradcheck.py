@@ -141,6 +141,8 @@ class TestKernelSection:
             expected += [f"{label}:input:{name}" for name in inputs]
             expected += [f"{label}:param:{name}" for name in params]
             assert len(params) == 15        # two projections, a 2-head relation module
+        # then the word head's rows and weights
+        expected += ["word_head:input:rows", "word_head:param:head.W", "word_head:param:head.b"]
         assert [r.name for r in results] == expected
         assert any(n.startswith("hard:param:unit.ctrl.proj") for n in names)
         assert any(n.startswith("hard/T3:param:unit.ctrl.proj") for n in names)

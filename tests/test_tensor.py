@@ -21,10 +21,8 @@ from modcap.tensor import (
     finite_diff_grad,
     gather_rows,
     make_lstm_params,
-    matmul,
     max_relative_error,
     reshape,
-    softmax,
     sweep_order,
     xavier_uniform,
 )
@@ -37,6 +35,7 @@ from reference import (
     log,
     lstm_step,
     masked_softmax,
+    matmul,
     mean_pool_rows,
     multinomial as reference_multinomial,
     pick,
@@ -44,6 +43,7 @@ from reference import (
     shuffle as reference_shuffle,
     sigmoid,
     slice_axis,
+    softmax,
     tanh,
     transpose,
 )

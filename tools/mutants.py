@@ -43,7 +43,7 @@ OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)")
 # pytest's line, on stderr, for a conftest.py that raised on import
 CONFTEST = re.compile(r"^ImportError while loading conftest '(.+)'")
 JOBS = 2  # mutants run at once
-TIMEOUT = 120  # seconds one pytest run may take; the whole battery takes about 30
+TIMEOUT = 120  # seconds one pytest run may take; the whole battery takes about 60
 
 
 def run_tests(tree: Path, ids: list[str]) -> tuple[dict[str, str], str]:

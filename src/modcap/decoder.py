@@ -13,16 +13,14 @@ draws, checkpoints name, runs read and the kernel differentiates.
 
 ``CaptionModel.encode`` runs the visual modules as one kernel
 (``encoders.encoder_kernel``), whose two stacked fields every unit reads
-as they are; without gradients it makes no Tensor.  A unit's step is
-written once, ``UnitRun.step``, on plain arrays.  A ``UnitRun`` is one
-pass of a unit over one encoding: it holds what the steps share (the
-weight arrays, the LSTM runs and the attention heads of all modules as
-one stacked run over keys computed once per run).  Teacher forcing
-(``CaptionModel.forced``, ``unit_kernel``) is the one differentiable
-path: each unit runs the whole caption from the zero state inside one
-autodiff node with a hand-written backward, its steps record only when a
-gradient can flow, and only what carries a gradient is a Tensor.  The
-same step composed of one node per op is kept with the tests
+as they are; without gradients it makes no Tensor.  A ``UnitRun`` is one
+pass of a unit over one encoding, on plain arrays: it holds what the
+steps share, ``step`` is the unit's one step body, and a recording run
+is also the pass's backward (``backward``, ``grads``).  Teacher forcing
+(``CaptionModel.forced``) is the one differentiable path: each unit runs
+the caption from the zero state in one ``unit_kernel`` call, which makes
+one autodiff node over a recording run, and the trace.  The same step
+composed of one node per op is kept with the tests
 (``tests/reference.py``); a one-step pass agrees with it bit for bit.
 The decoders (``CaptionModel.step``) step forward only on plain state
 arrays and build no Tensor; each unit's forward-only run is kept with
@@ -66,6 +64,7 @@ from .tensor import (
     Rng,
     Tensor,
     _accum,
+    _rows,
     _steps,
     _t_matmul,
     check_finite,
@@ -199,25 +198,38 @@ class DecoderUnit:
         return {f"{prefix}.{name}": t for name, t in self.weights.items()}
 
 
+def _plus(a, b):
+    """a + b where either gradient may be None (no consumer)."""
+    return b if a is None else a if b is None else a + b
+
+
 class UnitRun:
-    """A pass of a decoder unit over one encoding.
+    """A pass of a decoder unit over one encoding, forward and backward.
 
     It holds what every step of the pass shares: the unit's weight
     arrays (as of the arena ``version``) and strategy, LSTM runs for
     LSTM1, LSTM2 and the controller, the K attention heads as one stacked
     run over the encoding's features, and the scene means per row count.
-    ``step`` is the unit's one step body.  With ``record`` the steps also
-    keep what ``unit_kernel``'s backward reads.  Without it the run is
+    ``step`` is the unit's one step body.  Without ``record`` the run is
     forward only, and one run serves any number of steps and of rows: a
     one-scene encoding serves a beam's hypotheses.  The gate sigmoids may
     overflow exp: step under ``np.errstate(over="ignore")``.
+
+    A recording run is its own backward, as ``LstmRun`` is: ``backward``
+    runs step t's gradient, visiting the steps in reverse and carrying
+    the state gradients on the run, and ``grads`` returns those of all
+    steps, which ends the backward and lets every record go.  A step
+    records in ``steps`` the arrays its backward reads but the fused
+    block, rebuilt from the attended rows (which the controller's LSTM
+    keeps) and the function module's pre-activation: only LSTM2's input
+    keeps the weighted block.
     """
 
     def __init__(self, unit: DecoderUnit, enc: Encoded, record: bool = False):
         self.record = record
         self.version = ParamArena.version
         w = {name: t.data for name, t in unit.weights.items()}
-        self.strategy, self.controlled = unit.strategy, unit.controlled
+        self.modules, self.strategy, self.controlled = unit.modules, unit.strategy, unit.controlled
         values, self.means_cat = (x.data if isinstance(x, Tensor) else x
                                   for x in (enc.values, enc.means))
         self.means = {len(self.means_cat): self.means_cat}     # per row count
@@ -231,9 +243,17 @@ class UnitRun:
         if self.controlled:
             self.lstm_c = LstmRun(w["ctrl.lstm.W"], w["ctrl.lstm.b"], record)
             self.proj_W, self.proj_b = w["ctrl.proj.W"], w["ctrl.proj.b"]
-            self.inv_tau = 1.0 / unit.cfg.gumbel_tau
-        # per recorded step; step t's context is h2 of step t-1
-        self.contexts, self.pre_f, self.blocks, self.hcs, self.ys = [], [], [], [], []
+            self.scale = np.asarray(1.0 / unit.cfg.gumbel_tau, dtype=self.proj_W.dtype)
+        # per step: context (h2 of step t-1), pre-activation, fusion weights,
+        # attended rows, the controller's h, softmax and noisy softmax
+        self.steps = []
+
+    @staticmethod
+    def _block(att, pf):
+        """The fused inputs (B, K + 1, d_v): the K attended rows and the
+        function module's output."""
+        v_func = np.where(pf >= 0, pf, LEAKY_SLOPE * pf)
+        return np.concatenate([att.transpose(1, 0, 2), v_func[:, None]], axis=1)
 
     def step(self, x: np.ndarray, state, noise: np.ndarray | None = None):
         """One step on the input rows x (B, d_v) and the state rows h1, c1,
@@ -255,13 +275,12 @@ class UnitRun:
             means = self.means[batch] = np.repeat(self.means_cat, batch, axis=0)
         h1, c1 = self.lstm1.forward([x, ctx, means, h1], c1)
         alpha, att = self.heads.forward(h1)
-        w = soft = None
+        pf = w = hc = soft = y = None
         if self.strategy is None:
             v_hat = att[0]
         else:
             pf = np.matmul(ctx, self.fc_W) + self.fc_b
-            v_func = np.where(pf >= 0, pf, LEAKY_SLOPE * pf)
-            block = np.concatenate([att.transpose(1, 0, 2), v_func[:, None]], axis=1)
+            block = self._block(att, pf)
             if self.controlled:
                 hc, cc = self.lstm_c.forward([*att, ctx, ctrl_rows[0]], ctrl_rows[1])
                 ctrl_rows = [hc, cc]
@@ -270,22 +289,94 @@ class UnitRun:
                 if self.strategy is Strategy.HARD:
                     if noise is None:
                         noise = np.zeros((batch, block.shape[1]), x.dtype)
-                    self.scale = np.asarray(self.inv_tau, dtype=logits.dtype)
                     y = softmax_forward((logits + noise) * self.scale)
                     w = (one_hot_max(y) - y) + y
-                    if self.record:
-                        self.ys.append(y)
-                if self.record:
-                    self.hcs.append(hc)
             else:
                 w = np.ones((batch, block.shape[1]), dtype=ctx.dtype)
             v_hat = (w[:, :, None] * block).reshape(batch, -1)
-            if self.record:
-                self.contexts.append(ctx)
-                self.pre_f.append(pf)
-                self.blocks.append(block)
         h2, c2 = self.lstm2.forward([h1, v_hat, ctx], c2)
+        if self.record:
+            self.steps.append((ctx, pf, w, att if self.controlled else None, hc, soft, y))
         return x + h2, [h1, c1, h2, c2, *ctrl_rows], alpha, w, soft
+
+    def backward(self, t, g_out, g_soft):
+        """Gradients of step t from those of its output rows (B, d_v) and of
+        its controller softmax (None when that has no consumer)."""
+        ctx, pf, w, att, hc, soft, y = self.steps[t]
+        dv, k_heads, batch, n_steps = self.lstm1.dh, len(self.modules), len(g_out), len(self.steps)
+        if t == n_steps - 1:    # the first visited: the last state has no consumer
+            self.g_rows = [None] * 6    # of h1, c1, h2, c2 and the controller's h and c
+            self.g_in = np.empty((n_steps,) + g_out.shape, g_out.dtype)
+            if self.strategy is not None:
+                pf_all = _steps([s[1] for s in self.steps])
+                self.d_pre_f = np.where(pf_all >= 0, 1.0, LEAKY_SLOPE).astype(pf_all.dtype)
+                self.g_pre_f = np.empty_like(pf_all)
+            if self.controlled:
+                self.g_logits = np.empty((n_steps,) + soft.shape, soft.dtype)
+        g_h1, g_c1, g_h2, g_c2, g_hc, g_cc = self.g_rows
+        g_xh2, g_c2 = self.lstm2.backward(t, _plus(g_h2, g_out), g_c2)
+        g_h1 = _plus(g_h1, g_xh2[:, :dv])
+        g_vhat = g_xh2[:, dv:-dv]
+        g_ctx = g_xh2[:, -dv:]
+        if self.strategy is None:
+            g_att = g_vhat[None]
+        else:
+            g_blocks = g_vhat.reshape(batch, k_heads + 1, dv)
+            g_att = g_blocks * w[:, :, None]
+            g_func = g_att[:, k_heads]
+            g_att = np.swapaxes(g_att[:, :k_heads], 0, 1)
+        if self.controlled:
+            g_w = (g_blocks * self._block(att, pf)).sum(axis=-1)
+            if self.strategy is Strategy.SOFT:
+                g_logits = softmax_backward(soft, _plus(g_soft, g_w))
+            else:
+                g_logits = softmax_backward(y, g_w) * self.scale
+                if g_soft is not None:
+                    g_logits = g_logits + softmax_backward(soft, g_soft)
+            self.g_logits[t] = g_logits
+            g_hc = _plus(g_hc, np.matmul(g_logits, self.proj_W.T))
+            g_xc, g_cc = self.lstm_c.backward(t, g_hc, g_cc)
+            g_hc = g_xc[:, k_heads * dv + dv:]
+            g_att = g_att + np.swapaxes(g_xc[:, :k_heads * dv].reshape(batch, k_heads, dv), 0, 1)
+            g_ctx = g_ctx + g_xc[:, k_heads * dv:k_heads * dv + dv]
+        if self.strategy is not None:
+            g_pre = np.multiply(g_func, self.d_pre_f[t], out=self.g_pre_f[t])
+            g_ctx = g_ctx + np.matmul(g_pre, self.fc_W.T)
+        g_q = self.heads.backward(t, None, g_att)
+        for k in reversed(range(k_heads)):
+            g_h1 = g_h1 + g_q[k]
+        g_xh1, g_c1 = self.lstm1.backward(t, g_h1, g_c1)
+        np.add(g_out, g_xh1[:, :dv], out=self.g_in[t])
+        g_h2 = g_ctx + g_xh1[:, dv:2 * dv]
+        g_m = g_xh1[:, 2 * dv:(2 + k_heads) * dv]
+        self.g_means = g_m if t == n_steps - 1 else self.g_means + g_m
+        self.g_rows = [g_xh1[:, (2 + k_heads) * dv:], g_c1, g_h2, g_c2, g_hc, g_cc]
+
+    def grads(self):
+        """({table name: gradient}, the encoding's values' gradient through
+        the attended sum and through the keys, the means' gradient, the
+        input rows' gradient (T, B, d_v)), each summed over every step; the
+        uniform strategy's controller gets none.  This ends the backward:
+        the records and the arrays formed for it are let go."""
+        grads = {}
+        grads["lstm1.W"], grads["lstm1.b"] = self.lstm1.param_grads()
+        grads["lstm2.W"], grads["lstm2.b"] = self.lstm2.param_grads()
+        if self.controlled:
+            grads["ctrl.lstm.W"], grads["ctrl.lstm.b"] = self.lstm_c.param_grads()
+            g_logits = _rows(self.g_logits)
+            grads["ctrl.proj.b"] = g_logits.sum(axis=0)
+            grads["ctrl.proj.W"] = _t_matmul(np.concatenate([s[4] for s in self.steps]), g_logits)
+        if self.strategy is not None:
+            g_pre_f = _rows(self.g_pre_f)
+            grads["func.fc.b"] = g_pre_f.sum(axis=0)
+            grads["func.fc.W"] = _t_matmul(np.concatenate([s[0] for s in self.steps]), g_pre_f)
+        g_direct, g_keys, *g_heads = self.heads.grads()
+        for k, name in enumerate(self.modules):
+            grads.update((f"att.{name}.{part}", g[k]) for part, g in zip(HEAD_WEIGHTS, g_heads))
+        out = grads, g_direct, g_keys, self.g_means, self.g_in
+        self.steps, self.g_rows, self.g_in, self.g_means = [], None, None, None
+        self.d_pre_f = self.g_pre_f = self.g_logits = None
+        return out
 
 
 def word_head(vec, W: Tensor, b: Tensor):
@@ -314,152 +405,61 @@ def word_head(vec, W: Tensor, b: Tensor):
     return Tensor._from_op(dist, (vec, W, b), backward)
 
 
-def _plus(a, b):
-    """a + b where either gradient may be None (no consumer)."""
-    if a is None:
-        return b
-    return a if b is None else a + b
-
-
 def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | None = None):
     """T steps of a decoder unit from the zero state as one autodiff node:
-    a ``UnitRun`` pass whose steps record for the backward when a
-    gradient can flow.
+    a ``UnitRun`` pass, recorded when a gradient can flow.
 
     ``i`` holds the unit's input rows of every step, (T, B, d_v);
     ``noise``, of shape (T, B, K + 1), is the hard strategy's Gumbel
     noise, zero when None.  Returns (node, trace).  The node is the unit
     output, shaped like ``i``; the per-step controller softmax is an
-    output that hangs off it (``kernel_output``).  The backward, one
-    closure, reads its gradient and the weight arrays the pass ran on, so
-    a weight written since leaves the graph intact, and hands out one
-    gradient per input and table entry, the encoding's values taking
-    their direct part and their key path in turn; the derivatives of the
-    nonlinearities and each weight gradient are formed once over all T*B
-    rows.  A one-step pass rounds exactly as the op-composed step in
-    ``tests/reference.py``: the backward adds the gradients each tensor
-    receives in the order the reference graph's sweep adds them.  Fusion
-    weights and the attention weights come back as arrays.
+    output that hangs off it (``kernel_output``).  Its backward runs the
+    pass's own (``UnitRun.backward`` over the steps in reverse, then
+    ``UnitRun.grads``), on the weight arrays the pass ran on, so a weight
+    written since leaves the graph intact, and hands out one gradient per
+    input and table entry, the encoding's values taking their direct part
+    and their key path in turn.  A one-step pass rounds exactly as the
+    op-composed step in ``tests/reference.py``.  The trace holds the
+    fusion weights and the attention weights as arrays.
 
     Without gradients (under ``no_grad``, or when no input or parameter
     requires one) the pass records nothing and runs on the encoding's
     forward-only run, the one ``DecoderUnit.step`` decodes with.
     """
-    dv = dc = unit.cfg.d_v
-    k_heads = len(unit.modules)
     xs = i.data
-    n_steps, batch = xs.shape[:2]
     weights = dict(unit.weights)
     parents = (i, *[t for t in (enc.values, enc.means) if isinstance(t, Tensor)],
                *weights.values())
     run = UnitRun(unit, enc, record=True) if needs_grad(parents) else enc.run(unit)
-    strategy, controlled = run.strategy, run.controlled
-    state = unit.zero_state(batch, xs.dtype)
-    outs, alphas, chosen, soft = [], [], [], []
+    state = unit.zero_state(xs.shape[1], xs.dtype)
+    outs, kept = [], []     # per step: attention weights, fusion weights, softmax
     with np.errstate(over="ignore"):
-        for t in range(n_steps):
-            out, state, alpha, w, s = run.step(xs[t], state, None if noise is None else noise[t])
+        for t in range(len(xs)):
+            out, state, *step = run.step(xs[t], state, None if noise is None else noise[t])
             outs.append(out)
-            alphas.append(alpha)
-            if w is not None:
-                chosen.append(w)
-            if s is not None:
-                soft.append(s)
+            kept.append(step)
+    alphas, chosen, soft = zip(*kept)
 
     g_soft = []         # the controller softmax's gradient, when it has a consumer
 
     def backward(g_out):
-        def give(t, g):
-            if isinstance(t, Tensor) and t.requires_grad:
-                _accum(t, g)
-
-        def rows(a):
-            return a.reshape(-1, a.shape[-1])
-
-        lstm1, lstm2, heads = run.lstm1, run.lstm2, run.heads
-        g_h1 = g_c1 = g_h2 = g_c2 = g_hc = g_cc = None     # the last state has no consumer
         g_s = g_soft[0] if g_soft else None
-        g_in = np.empty_like(xs)
-        g_means = None
-        if strategy is not None:
-            pf = _steps(run.pre_f)
-            d_pre_f = np.where(pf >= 0, 1.0, LEAKY_SLOPE).astype(pf.dtype)
-            g_pre_f = np.empty_like(pf)
-        if controlled:
-            lstm_c = run.lstm_c
-            g_logits_all = np.empty((n_steps,) + soft[0].shape, soft[0].dtype)
-        for t in reversed(range(n_steps)):
-            g_xh2, g_c2 = lstm2.backward(t, _plus(g_h2, g_out[t]), g_c2)
-            g_h1 = _plus(g_h1, g_xh2[:, :dc])
-            g_vhat = g_xh2[:, dc:-dc]
-            g_ctx = g_xh2[:, -dc:]
-            if strategy is None:
-                g_att = g_vhat[None]
-            else:
-                g_blocks = g_vhat.reshape(batch, k_heads + 1, dv)
-                g_att = g_blocks * chosen[t][:, :, None]
-                g_func = g_att[:, k_heads]
-                g_att = np.swapaxes(g_att[:, :k_heads], 0, 1)
-            if controlled:
-                g_w = (g_blocks * run.blocks[t]).sum(axis=-1)
-                g_soft_t = None if g_s is None else g_s[t]
-                if strategy is Strategy.SOFT:
-                    g_logits = softmax_backward(soft[t], _plus(g_soft_t, g_w))
-                else:
-                    g_logits = softmax_backward(run.ys[t], g_w) * run.scale
-                    if g_soft_t is not None:
-                        g_logits = g_logits + softmax_backward(soft[t], g_soft_t)
-                g_logits_all[t] = g_logits
-                g_hc = _plus(g_hc, np.matmul(g_logits, run.proj_W.T))
-                g_xc, g_cc = lstm_c.backward(t, g_hc, g_cc)
-                g_hc = g_xc[:, k_heads * dv + dc:]
-                g_att = g_att + np.swapaxes(g_xc[:, :k_heads * dv].reshape(batch, k_heads, dv),
-                                            0, 1)
-                g_ctx = g_ctx + g_xc[:, k_heads * dv:k_heads * dv + dc]
-            if strategy is not None:
-                g_pre = np.multiply(g_func, d_pre_f[t], out=g_pre_f[t])
-                g_ctx = g_ctx + np.matmul(g_pre, run.fc_W.T)
-            g_q = heads.backward(t, None, g_att)
-            for k in reversed(range(k_heads)):
-                g_h1 = g_h1 + g_q[k]
-            g_xh1, g_c1 = lstm1.backward(t, g_h1, g_c1)
-            np.add(g_out[t], g_xh1[:, :dv], out=g_in[t])
-            g_h2 = g_ctx + g_xh1[:, dv:dv + dc]
-            g_m = g_xh1[:, dv + dc:dv + dc + k_heads * dv]
-            g_means = g_m if g_means is None else g_means + g_m
-            g_h1 = g_xh1[:, dv + dc + k_heads * dv:]
-
-        # one gradient per table name; the uniform strategy's controller gets none
-        grads = {}
-        grads["lstm1.W"], grads["lstm1.b"] = lstm1.param_grads()
-        grads["lstm2.W"], grads["lstm2.b"] = lstm2.param_grads()
-        if controlled:
-            grads["ctrl.lstm.W"], grads["ctrl.lstm.b"] = lstm_c.param_grads()
-            grads["ctrl.proj.b"] = rows(g_logits_all).sum(axis=0)
-            grads["ctrl.proj.W"] = _t_matmul(np.concatenate(run.hcs), rows(g_logits_all))
-        if strategy is not None:
-            grads["func.fc.b"] = rows(g_pre_f).sum(axis=0)
-            grads["func.fc.W"] = _t_matmul(np.concatenate(run.contexts), rows(g_pre_f))
-        g_direct, g_keys, g_Wv, g_Wh, g_wa = heads.grads()
-        for k, name in enumerate(unit.modules):
-            for part, g in zip(HEAD_WEIGHTS, (g_Wv, g_Wh, g_wa)):
-                grads[f"att.{name}.{part}"] = g[k]
-        for name, t in weights.items():
-            if name in grads:
-                give(t, grads[name])
-        give(enc.values, g_direct)
-        give(enc.values, g_keys)
-        give(i, g_in)
-        give(enc.means, g_means)
-        run.contexts = run.pre_f = run.blocks = run.hcs = run.ys = None    # records go
+        for t in reversed(range(len(xs))):
+            run.backward(t, g_out[t], None if g_s is None else g_s[t])
+        grads, g_direct, g_keys, g_means, g_in = run.grads()
+        given = [(p, grads[name]) for name, p in weights.items() if name in grads]
+        given += [(enc.values, g_direct), (enc.values, g_keys), (i, g_in), (enc.means, g_means)]
+        for p, g in given:
+            if isinstance(p, Tensor) and p.requires_grad:
+                _accum(p, g)
 
     node = Tensor._from_op(np.stack(outs), parents, backward)
     trace = UnitTrace(weights=None, soft=None,
                       alphas=dict(zip(unit.modules, np.stack(alphas, axis=1))))
-    if controlled:
+    if run.controlled:
         trace.soft = kernel_output(node, np.stack(soft), g_soft)
-    if strategy is not None:
-        trace.weights = trace.soft.data if strategy is Strategy.SOFT else np.stack(chosen)
+    if run.strategy is not None:
+        trace.weights = trace.soft.data if run.strategy is Strategy.SOFT else np.stack(chosen)
     return node, trace
 
 

@@ -36,7 +36,11 @@ every value of a forward-only step, and in every output and gradient of
 a one-step teacher-forced pass from the zero state.  ``slice_axis``,
 ``pick``, ``clamp_min``, ``tanh``, ``sigmoid`` and ``log`` are the
 primitives the fused ops are checked against: the LSTM, attention and
-masked NLL composed from them one node per op.
+masked NLL composed from them one node per op.  The LSTM so composed,
+``reference_lstm``, shares no arithmetic with ``LstmRun``: put in place
+of ``lstm_cell`` (which ``reference_step`` and ``controller_step`` look
+up when they run), it makes the chained steps an oracle for the unit
+kernel's LSTMs, to float64 rounding.
 
 The stack: ``reference_model_step`` is one decode step of a
 ``CaptionModel`` on the Tensor step, its word head ``linear`` then
@@ -619,6 +623,26 @@ def lstm_cell(x, h, c, W, b):
                             backward)
     shape = (dh,) if single else h2.shape
     return _views(joint, (shape, shape))
+
+
+def reference_lstm(x, h, c, W, b):
+    """``lstm_cell`` composed of one node per primitive (``matmul``,
+    ``slice_axis``, ``sigmoid``, ``tanh``, ``concat``): an LSTM that shares
+    no arithmetic with ``LstmRun``.  Returns (h', c')."""
+    single = x.ndim == 1
+    if single:
+        x, h, c = (reshape(t, (1, -1)) for t in (x, h, c))
+    dh = b.shape[0] // 4
+    z = matmul(concat([x, h], axis=1), W) + b
+    i = sigmoid(slice_axis(z, 1, 0, dh))
+    f = sigmoid(slice_axis(z, 1, dh, 2 * dh))
+    g = tanh(slice_axis(z, 1, 2 * dh, 3 * dh))
+    o = sigmoid(slice_axis(z, 1, 3 * dh, 4 * dh))
+    c2 = f * c + i * g
+    h2 = o * tanh(c2)
+    if single:
+        h2, c2 = reshape(h2, (-1,)), reshape(c2, (-1,))
+    return h2, c2
 
 
 def lstm_step(x, h, c, params: LstmParams):

@@ -2,7 +2,9 @@
 
 ``masked_nll`` is a library op; the fused LSTM cell, attention and
 weighted concat are the reference decoder's (``tests/reference.py``),
-built on the array helpers the unit kernel runs."""
+built on the array helpers the unit kernel runs.  The LSTM composed of
+primitives is ``reference.reference_lstm``, which the unit kernel's
+tests use as their independent oracle too."""
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from reference import (
     lstm_cell,
     matmul,
     pick,
-    sigmoid,
+    reference_lstm,
     slice_axis,
     softmax,
     tanh,
@@ -35,23 +37,6 @@ from reference import (
 
 F64 = np.float64
 TOL = 1e-10
-
-
-def reference_lstm(x, h, c, W, b):
-    single = x.ndim == 1
-    if single:
-        x, h, c = (reshape(t, (1, -1)) for t in (x, h, c))
-    dh = b.shape[0] // 4
-    z = matmul(concat([x, h], axis=1), W) + b
-    i = sigmoid(slice_axis(z, 1, 0, dh))
-    f = sigmoid(slice_axis(z, 1, dh, 2 * dh))
-    g = tanh(slice_axis(z, 1, 2 * dh, 3 * dh))
-    o = sigmoid(slice_axis(z, 1, 3 * dh, 4 * dh))
-    c2 = f * c + i * g
-    h2 = o * tanh(c2)
-    if single:
-        h2, c2 = reshape(h2, (-1,)), reshape(c2, (-1,))
-    return h2, c2
 
 
 def reference_attention(values, query, W_v, W_h, w_a):

@@ -27,12 +27,10 @@ WINDOW = 16
 # tracemalloc's count moves by up to a few hundred bytes between runs,
 # with what Python's and numpy's small-object caches hold
 DRIFT = 1024
-# the guard's peak is 9.107 MB now that an encoding is two stacked
-# arrays and the attention gradient builds tanh(keys + q) in one buffer;
-# it was 9.122 MB before, 9.130 MB when a recorded pass first kept only
-# what its backward cannot rebuild, and 13.15 MB before that; the bound
-# is 5% above 9.107 MB
-PEAK_BOUND = 9_563_000
+# the guard's peak is 7.953 MB (8.623 MB while a unit's step kept its
+# fused block as well as the weighted copy LSTM2 keeps); the bound is 5%
+# above it
+PEAK_BOUND = 8_351_000
 
 
 def window(spec=SPEC):
@@ -100,9 +98,10 @@ def test_the_backward_lets_every_record_go(monkeypatch):
     loss, _ = self_critical_loss(model, enc, *args)
     recording = [run for run in runs if run.record]
     assert len(recording) == len(model.units)
-    assert all(run.lstm1.steps for run in recording)
+    assert all(run.lstm1.steps and run.steps for run in recording)
     loss.backward()
     for run in recording:
+        assert not run.steps and run.g_in is None and run.g_pre_f is None
         for lstm in (run.lstm1, run.lstm2, run.lstm_c):
             assert not lstm.steps and lstm.g_z is None
         assert not (run.heads.q_in or run.heads.q or run.heads.alpha)

@@ -174,6 +174,17 @@ class TestTeacherForced:
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
 
+    def test_the_word_loss_alone_reaches_every_unit_parameter(self, corpus, synth):
+        # the word-class term reaches every parameter by itself: without
+        # it, only the word head's gradient of its rows can reach the units
+        model = fresh_model(corpus)
+        (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
+        teacher_forced(model, batch, lam_ling=0.0).loss.backward()
+        units = {n: p for n, p in model.named_parameters().items() if n.startswith("unit")}
+        assert len(units) == sum(len(unit.weights) for unit in model.units)
+        for name, p in units.items():
+            assert p.grad is not None and np.any(p.grad), name
+
     def test_single_module_has_no_agreement(self, corpus, synth):
         model = fresh_model(corpus, modules=("object",), m_units=1)
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])

@@ -15,7 +15,11 @@ the same tokens and noise.
 
 Teacher forcing runs each unit over all T steps in one kernel call
 (``CaptionModel.forced``); it must agree with T chained reference steps
-to float-summation noise, and draw the same random numbers.
+to float-summation noise, and draw the same random numbers.  In
+float64, a three-step kernel pass must agree to rounding with chained
+reference steps whose LSTMs are composed of primitives
+(``reference.reference_lstm``), an oracle that shares no arithmetic with
+the kernel's ``LstmRun``.
 
 Without gradients, greedy and beam decoding step forward only on plain
 state arrays (``CaptionModel.init_rows``); they must agree bit for bit
@@ -43,6 +47,7 @@ import numpy as np
 import pytest
 
 import modcap.training
+import reference
 
 from modcap.config import LAMBDA_XE, PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
@@ -71,6 +76,7 @@ from reference import (
     reference_greedy,
     reference_init_state,
     reference_model_step,
+    reference_step,
     two_pass_self_critical_loss,
 )
 
@@ -507,6 +513,70 @@ def test_sequence_matches_chained_steps(corpus, padded_batch, preset, gumbel_tau
     assert any(name.startswith("unit1.att.") for name in whole_grads)
     for name in whole_grads:
         assert relative(whole_grads[name], chained_grads[name]) <= 1e-5, name
+
+
+@pytest.mark.parametrize("preset", ["CNM#2", "Col/1", "Col/H", "Module/O"])
+def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, preset,
+                                                        monkeypatch):
+    # the chained reference steps run their LSTMs composed of primitives,
+    # not on LstmRun, so a fault there shows; float64 leaves only rounding
+    monkeypatch.setattr(reference, "lstm_cell", reference.reference_lstm)
+    model_cfg, _ = apply_preset(preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16,
+                                                    d_a=8, m_units=2), TrainConfig())
+    model = CaptionModel(model_cfg, Rng(3).derive(1), dtype=np.float64)
+    unit, batch, n_steps = model.units[0], padded_batch, 3
+    params = model.named_parameters()
+    rs = np.random.RandomState(7)
+    xs = rs.uniform(-1.0, 1.0, (n_steps, batch.size, model_cfg.d_v))
+    w_out = rs.standard_normal(xs.shape)
+    w_soft = rs.standard_normal((n_steps, batch.size, len(unit.modules) + 1))
+    noise = model.selection_noise(Rng(2), n_steps, batch.size)
+    noise = None if noise is None else noise[:, 0]
+
+    def encode():
+        return model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+
+    def weighted(out, soft, t=slice(None)):
+        loss = (out * Tensor(w_out[t])).sum()
+        return loss if soft is None else loss + (soft * Tensor(w_soft[t])).sum()
+
+    def taken(got, i_grad):
+        got["grad:i"] = i_grad
+        for name, p in params.items():
+            if p.grad is not None:
+                got[f"grad:{name}"], p.grad = p.grad, None
+        return got
+
+    i = Tensor(xs, requires_grad=True)
+    node, trace = unit_kernel(unit, i, encode(), noise)
+    weighted(node, trace.soft).backward()
+    fused = {"out": node.data, "weights": trace.weights,
+             "soft": None if trace.soft is None else trace.soft.data,
+             **{f"alpha:{k}": a for k, a in trace.alphas.items()}}
+    fused = taken(fused, i.grad)
+
+    enc, state = encode(), reference_init_state(model, batch.size)[0]
+    rows = [Tensor(x, requires_grad=True) for x in xs]
+    loss, steps = None, []
+    for t in range(n_steps):
+        out, state, tr = reference_step(unit, rows[t], enc, state,
+                                        None if noise is None else noise[t])
+        loss = weighted(out, tr.soft, t) if loss is None else loss + weighted(out, tr.soft, t)
+        steps.append((out.data, tr))
+    loss.backward()
+    chain = {"out": np.stack([out for out, _ in steps]),
+             "weights": None if trace.weights is None else np.stack([tr.weights for _, tr in steps]),
+             "soft": None if trace.soft is None else np.stack([tr.soft.data for _, tr in steps]),
+             **{f"alpha:{k}": np.stack([tr.alphas[k] for _, tr in steps]) for k in unit.modules}}
+    chain = taken(chain, np.stack([r.grad for r in rows]))
+
+    assert fused.keys() == chain.keys()
+    assert any(key.startswith("grad:unit1.lstm1.") for key in fused)
+    for key, got in fused.items():
+        if got is None:
+            assert chain[key] is None, key
+        else:
+            np.testing.assert_allclose(got, chain[key], rtol=0, atol=1e-10, err_msg=key)
 
 
 def assert_freed_by_reference_counting(build_loss):

@@ -14,17 +14,22 @@ draws, checkpoints name, runs read and the kernel differentiates.
 ``CaptionModel.encode`` runs the visual modules as one kernel
 (``encoders.encoder_kernel``), whose two stacked fields every unit reads
 as they are; without gradients it makes no Tensor.  A ``UnitRun`` is one
-pass of a unit over one encoding, on plain arrays: it holds what the
-steps share, ``step`` is the unit's one step body, and a recording run
-is also the pass's backward (``backward``, ``grads``).  Teacher forcing
-(``CaptionModel.forced``) is the one differentiable path: each unit runs
-the caption from the zero state in one ``unit_kernel`` call, which makes
-one autodiff node over a recording run, and the trace.  The same step
-composed of one node per op is kept with the tests
-(``tests/reference.py``); a one-step pass agrees with it bit for bit.
-The decoders (``CaptionModel.step``) step forward only on plain state
-arrays and build no Tensor; each unit's forward-only run is kept with
-the encoding (``Encoded.run``).  A decode step returns only the word
+pass of the stack of units over one encoding, on plain arrays: it holds
+what the steps share, the weights of every unit along a leading unit
+axis (views of the arena, not copies), and ``step`` is the units' one
+step body, which steps one unit or several at once, rank-agnostic.  A
+recording run is also the pass's backward (``backward``, ``grads``).
+Teacher forcing (``CaptionModel.forced``) is the one differentiable
+path: the M units run the caption from the zero state in one
+``unit_kernel`` call, a wavefront of T + M - 1 calls in which unit m's
+step t and unit m + 1's step t - 1 run together, as one autodiff node
+over a recording run, with a trace per unit.  Each unit's steps round
+exactly as if it ran alone.  The same step composed of one node per op
+is kept with the tests (``tests/reference.py``); a one-step pass agrees
+with it bit for bit.  The decoders (``CaptionModel.step``) step forward
+only on plain state arrays, one unit at a time, and build no Tensor;
+the stack's forward-only run is kept with the encoding
+(``Encoded.run``).  A decode step returns only the word
 distribution and the new states: what a unit chose is read from a
 teacher-forced pass over the caption, as traces do.  Decoding and
 teacher forcing read the words off the last unit's rows through one word
@@ -46,6 +51,7 @@ hard-selection noise of a pass is drawn in one place,
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,14 +70,14 @@ from .tensor import (
     Rng,
     Tensor,
     _accum,
-    _rows,
-    _steps,
     _t_matmul,
+    _unit_steps,
     check_finite,
     gather_rows,
     kernel_output,
     make_lstm_params,
     needs_grad,
+    stacked,
     softmax_backward,
     softmax_forward,
     xavier_uniform,
@@ -102,12 +108,14 @@ class Encoded:
         """Whether any region is padding; attention skips the mask if not."""
         return not self.mask.all()
 
-    def run(self, unit: DecoderUnit) -> UnitRun:
-        """The forward-only run of ``unit`` over this encoding, built on its
-        first step and again after a weight write (``ParamArena.version``)."""
-        run = self._runs.get(unit)
+    def run(self, units) -> UnitRun:
+        """The forward-only run of the stack ``units`` over this encoding,
+        built on its first step and again after a weight write
+        (``ParamArena.version``)."""
+        units = tuple(units)
+        run = self._runs.get(units)
         if run is None or run.version != ParamArena.version:
-            run = self._runs[unit] = UnitRun(unit, self)
+            run = self._runs[units] = UnitRun(units, self)
         return run
 
 
@@ -133,6 +141,8 @@ class DecoderUnit:
     controller (``ctrl.*``, never run under the uniform strategy), and
     LSTM2 (``lstm2.*``).  A single-module unit (the ablation) has no
     function module or controller, and its ``strategy`` is None.
+    ``stack`` is the units it steps with, a model's units (the unit alone
+    until a model sets it), and ``index`` its place among them.
     """
 
     def __init__(self, cfg: ModelConfig, modules: tuple, rng: Rng, dtype=FLOAT32):
@@ -161,7 +171,14 @@ class DecoderUnit:
             w["ctrl.proj.W"] = xavier_uniform(rng, (d_c, n), d_c, n, dtype=dtype)
             w["ctrl.proj.b"] = zeros(n, dtype=dtype, requires_grad=True)
         lstm("lstm2", d_c + (len(modules) + (self.strategy is not None)) * d_v)
-        self._heads = (None, None)
+        self._stack, self.index = (weakref.ref(self),), 0
+        self._stack_table = (None, None)
+
+    @property
+    def stack(self) -> tuple:
+        """The units it steps with, itself among them; the unit keeps weak
+        references, as units holding each other would form a cycle."""
+        return tuple(map(weakref.ref.__call__, self._stack))
 
     def zero_state(self, batch: int, dtype) -> np.ndarray:
         """Zero state rows (n, B, d_v): h1, c1, h2, c2 and, when the
@@ -172,27 +189,22 @@ class DecoderUnit:
              noise: np.ndarray | None = None):
         """One forward-only step of the unit on the input rows (B, d_v) and
         the state rows (n, B, d_v), with the step's (B, K + 1)
-        hard-selection noise, by the unit's run kept with the encoding
+        hard-selection noise, on its stack's run kept with the encoding
         (``Encoded.run``).  Returns (i_new, new state rows), plain arrays.
         The gate sigmoids may overflow exp: the decoders step under
         ``np.errstate(over="ignore")``."""
-        out, rows, *_ = enc.run(self).step(i_prev, state, noise)
+        out, rows, *_ = enc.run(self.stack).step(i_prev, state, noise, self.index)
         rows = np.array(rows)
         check_finite("unit_kernel", out)
         check_finite("unit_kernel", rows)
         return out, rows
 
     def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The attention weights stacked over modules: C-contiguous W_v^T
-        (K, d_v, d_a) and W_h^T (K, d_v, d_a), and w_a (K, d_a).  Rebuilt
-        only after a weight write (``ParamArena.version``)."""
-        if self._heads[0] != ParamArena.version:
-            arrays = [self.weights[f"att.{name}.{part}"].data
-                      for name in self.modules for part in HEAD_WEIGHTS]
-            stack_t = lambda ws: np.ascontiguousarray(np.stack([w.T for w in ws]))
-            self._heads = (ParamArena.version, (stack_t(arrays[0::3]), stack_t(arrays[1::3]),
-                                                np.stack(arrays[2::3])))
-        return self._heads[1]
+        """The attention weights stacked over modules, as its stack's runs
+        read them: C-contiguous W_v^T (K, d_v, d_a) and W_h^T (K, d_v,
+        d_a), and w_a (K, d_a).  Rebuilt only after a weight write
+        (``ParamArena.version``)."""
+        return tuple(part[self.index] for part in _stack_table(self.stack)["heads"])
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.{name}": t for name, t in self.weights.items()}
@@ -203,179 +215,259 @@ def _plus(a, b):
     return b if a is None else a if b is None else a + b
 
 
+def _stack_table(units) -> dict:
+    """The weight table of a stack of units, each entry but the attention
+    heads' with a leading unit axis (``tensor.stacked``), and under "heads"
+    the heads' weights over the unit and module axes: C-contiguous W_v^T
+    (M, K, d_v, d_a) and W_h^T (M, K, d_c, d_a), and w_a (M, K, d_a).
+    Kept on the first unit until a weight write (``ParamArena.version``)."""
+    first = units[0]
+    key = (ParamArena.version, *map(weakref.ref, units))
+    if first._stack_table[0] != key:
+        table = {name: stacked([unit.weights[name] for unit in units])
+                 for name in first.weights if not name.startswith("att.")}
+        lead = (len(units), len(first.modules))
+        Wv, Wh, wa = (np.array([unit.weights[f"att.{name}.{part}"].data for unit in units
+                                for name in first.modules]) for part in HEAD_WEIGHTS)
+        table["heads"] = (*(np.ascontiguousarray(w.reshape(lead + w.shape[1:]).swapaxes(-1, -2))
+                            for w in (Wv, Wh)), wa.reshape(lead + wa.shape[1:]))
+        first._stack_table = (key, table)
+    return first._stack_table[1]
+
+
+def _rerange(rows: np.ndarray, old: slice, new: slice, fill: float) -> np.ndarray:
+    """Rows (L, ...) of the units in the slice ``old`` as the rows of those
+    in ``new``; a unit only in ``new`` gets rows of ``fill``."""
+    kept = rows[max(new.start - old.start, 0):max(new.stop - old.start, 0)]
+    before = min(old.start, new.stop) - new.start
+    after = new.stop - max(old.stop, new.start)
+    if before <= 0 and after <= 0:
+        return kept
+
+    def pad(n):
+        return [np.full((n,) + rows.shape[1:], fill, rows.dtype)] if n > 0 else []
+
+    return np.concatenate(pad(before) + [kept] + pad(after))
+
+
 class UnitRun:
-    """A pass of a decoder unit over one encoding, forward and backward.
+    """A pass of a stack of M decoder units over one encoding, forward and
+    backward.
 
-    It holds what every step of the pass shares: the unit's weight
-    arrays (as of the arena ``version``) and strategy, LSTM runs for
-    LSTM1, LSTM2 and the controller, the K attention heads as one stacked
-    run over the encoding's features, and the scene means per row count.
-    ``step`` is the unit's one step body.  Without ``record`` the run is
-    forward only, and one run serves any number of steps and of rows: a
-    one-scene encoding serves a beam's hypotheses.  The gate sigmoids may
-    overflow exp: step under ``np.errstate(over="ignore")``.
+    It holds what every step of the pass shares: the units' weight arrays
+    (as of the arena ``version``), each with a leading unit axis, and
+    their strategy, LSTM runs for LSTM1, LSTM2 and the controller, the
+    K attention heads of every unit as one stacked run over the
+    encoding's features, and the scene means per row shape.  ``step`` is
+    the units' one step body: a call steps one unit (``u`` an int, on
+    rows (B, d_v)) or a slice of them at once (on rows (L, B, d_v)),
+    which rounds exactly as one call per unit.  Without ``record`` the
+    run is forward only, and one run serves any number of steps and of
+    rows: a one-scene encoding serves a beam's hypotheses.  The gate
+    sigmoids may overflow exp: step under ``np.errstate(over="ignore")``.
 
-    A recording run is its own backward, as ``LstmRun`` is: ``backward``
-    runs step t's gradient, visiting the steps in reverse and carrying
-    the state gradients on the run, and ``grads`` returns those of all
-    steps, which ends the backward and lets every record go.  A step
-    records in ``steps`` the arrays its backward reads but the fused
-    block, rebuilt from the attended rows (which the controller's LSTM
-    keeps) and the function module's pre-activation: only LSTM2's input
-    keeps the weighted block.
+    A recording run is stepped as a wavefront (``unit_kernel``): call t
+    steps unit m's step t - m, for every unit with one, on the output
+    rows of unit m - 1's step at call t - 1.  It is its own backward, as
+    ``LstmRun`` is: ``backward`` runs call t's gradient, visiting the
+    calls in reverse and carrying the state gradients on the run, and
+    ``grads`` returns those of all steps, which ends the backward and
+    lets every record go.  A call records in ``steps`` the arrays its
+    backward reads but the fused block, rebuilt from the attended rows
+    (which the controller's LSTM keeps) and the function module's
+    pre-activation: only LSTM2's input keeps the weighted block.  A
+    call's backward keeps of them only what ``grads`` reads.
     """
 
-    def __init__(self, unit: DecoderUnit, enc: Encoded, record: bool = False):
+    def __init__(self, units, enc: Encoded, record: bool = False):
+        unit = units[0]
         self.record = record
         self.version = ParamArena.version
-        w = {name: t.data for name, t in unit.weights.items()}
+        self.n_units = len(units)
+        w = _stack_table(units)
         self.modules, self.strategy, self.controlled = unit.modules, unit.strategy, unit.controlled
         values, self.means_cat = (x.data if isinstance(x, Tensor) else x
                                   for x in (enc.values, enc.means))
-        self.means = {len(self.means_cat): self.means_cat}     # per row count
-        Wv_T, Wh_T, wa = unit.heads()
+        self.means = {self.means_cat.shape[:-1]: self.means_cat}     # per row shape
         self.lstm1 = LstmRun(w["lstm1.W"], w["lstm1.b"], record)
         self.lstm2 = LstmRun(w["lstm2.W"], w["lstm2.b"], record)
-        self.heads = AttentionRun(values, Wv_T, Wh_T, wa, enc.mask if enc.padded else None,
-                                  record)
+        self.heads = AttentionRun(values, *w["heads"], enc.mask if enc.padded else None, record)
         if self.strategy is not None:
-            self.fc_W, self.fc_b = w["func.fc.W"], w["func.fc.b"]
+            self.fc_W, self.fc_b = w["func.fc.W"], w["func.fc.b"][:, None]
         if self.controlled:
             self.lstm_c = LstmRun(w["ctrl.lstm.W"], w["ctrl.lstm.b"], record)
-            self.proj_W, self.proj_b = w["ctrl.proj.W"], w["ctrl.proj.b"]
+            self.proj_W, self.proj_b = w["ctrl.proj.W"], w["ctrl.proj.b"][:, None]
             self.scale = np.asarray(1.0 / unit.cfg.gumbel_tau, dtype=self.proj_W.dtype)
-        # per step: context (h2 of step t-1), pre-activation, fusion weights,
-        # attended rows, the controller's h, softmax and noisy softmax
-        self.steps = []
+        # per call: context (h2 of the step before), pre-activation, fusion
+        # weights, attended rows, the controller's h, softmax and noisy
+        # softmax; and the units it stepped
+        self.steps, self.calls = [], []
+        self.g_pre_f = self.g_logits = self.g_in = None
 
     @staticmethod
     def _block(att, pf):
-        """The fused inputs (B, K + 1, d_v): the K attended rows and the
-        function module's output."""
+        """The fused inputs (..., B, K + 1, d_v): the K attended rows and
+        the function module's output."""
         v_func = np.where(pf >= 0, pf, LEAKY_SLOPE * pf)
-        return np.concatenate([att.transpose(1, 0, 2), v_func[:, None]], axis=1)
+        return np.concatenate([att.swapaxes(-3, -2), v_func[..., None, :]], axis=-2)
 
-    def step(self, x: np.ndarray, state, noise: np.ndarray | None = None):
-        """One step on the input rows x (B, d_v) and the state rows h1, c1,
-        h2, c2 and, when the controller runs, its h and c, each (B, d_v),
-        with the step's (B, K + 1) hard-selection noise, zero when None.
+    def step(self, x: np.ndarray, state, noise: np.ndarray | None, u):
+        """One call on the units ``u`` (an index of the stack), with the
+        input rows x (..., B, d_v) and the state rows h1, c1, h2, c2 and,
+        when the controller runs, its h and c, each shaped like x, and the
+        (..., B, K + 1) hard-selection noise, zero when None.
 
         LSTM1 runs, then the K attention heads; with a controller the
         function module, the controller (soft; hard with the noise and a
         straight-through one-hot; or uniform) and the weighted fusion;
         then LSTM2 and the residual add.  Returns (x + h2, the new state
-        rows, attention weights (K, B, N), fusion weights (B, K + 1) or
-        None without a controller, controller softmax (B, K + 1) or None).
+        rows, attention weights (..., K, B, N), fusion weights (..., B,
+        K + 1) or None without a controller, controller softmax or None).
         """
-        batch = x.shape[0]
+        rows = x.shape[:-1]
         h1, c1, h2, c2, *ctrl_rows = state
         ctx = h2
-        means = self.means.get(batch)
-        if means is None:       # one scene's means for every row
-            means = self.means[batch] = np.repeat(self.means_cat, batch, axis=0)
-        h1, c1 = self.lstm1.forward([x, ctx, means, h1], c1)
-        alpha, att = self.heads.forward(h1)
+        means = self.means.get(rows)
+        if means is None:       # one scene's means for every row, and every unit's
+            means = self.means[rows] = np.broadcast_to(self.means_cat,
+                                                       rows + self.means_cat.shape[-1:])
+        h1, c1 = self.lstm1.forward([x, ctx, means, h1], c1, u)
+        alpha, att = self.heads.forward(h1, u)
         pf = w = hc = soft = y = None
         if self.strategy is None:
-            v_hat = att[0]
+            v_hat = att[..., 0, :, :]
         else:
-            pf = np.matmul(ctx, self.fc_W) + self.fc_b
+            pf = np.matmul(ctx, self.fc_W[u]) + self.fc_b[u]
             block = self._block(att, pf)
             if self.controlled:
-                hc, cc = self.lstm_c.forward([*att, ctx, ctrl_rows[0]], ctrl_rows[1])
+                hc, cc = self.lstm_c.forward([*att.swapaxes(0, -3), ctx, ctrl_rows[0]],
+                                             ctrl_rows[1], u)
                 ctrl_rows = [hc, cc]
-                logits = np.matmul(hc, self.proj_W) + self.proj_b
+                logits = np.matmul(hc, self.proj_W[u]) + self.proj_b[u]
                 w = soft = softmax_forward(logits)
                 if self.strategy is Strategy.HARD:
                     if noise is None:
-                        noise = np.zeros((batch, block.shape[1]), x.dtype)
+                        noise = np.zeros(block.shape[:-1], x.dtype)
                     y = softmax_forward((logits + noise) * self.scale)
                     w = (one_hot_max(y) - y) + y
             else:
-                w = np.ones((batch, block.shape[1]), dtype=ctx.dtype)
-            v_hat = (w[:, :, None] * block).reshape(batch, -1)
-        h2, c2 = self.lstm2.forward([h1, v_hat, ctx], c2)
+                w = np.ones(block.shape[:-1], dtype=ctx.dtype)
+            v_hat = (w[..., None] * block).reshape(rows + (-1,))
+        h2, c2 = self.lstm2.forward([h1, v_hat, ctx], c2, u)
         if self.record:
             self.steps.append((ctx, pf, w, att if self.controlled else None, hc, soft, y))
+            self.calls.append(u)
         return x + h2, [h1, c1, h2, c2, *ctrl_rows], alpha, w, soft
 
-    def backward(self, t, g_out, g_soft):
-        """Gradients of step t from those of its output rows (B, d_v) and of
-        its controller softmax (None when that has no consumer)."""
+    def backward(self, t, g_top, g_soft):
+        """Gradients of call t of a wavefront, from those of the last unit's
+        output rows g_top (T, B, d_v) and of the units' controller softmax
+        g_soft (M, T, B, K + 1), None when it has no consumer.  A unit's
+        output rows take the gradient the next unit's step handed back at
+        call t + 1."""
         ctx, pf, w, att, hc, soft, y = self.steps[t]
-        dv, k_heads, batch, n_steps = self.lstm1.dh, len(self.modules), len(g_out), len(self.steps)
-        if t == n_steps - 1:    # the first visited: the last state has no consumer
-            self.g_rows = [None] * 6    # of h1, c1, h2, c2 and the controller's h and c
-            self.g_in = np.empty((n_steps,) + g_out.shape, g_out.dtype)
-            if self.strategy is not None:
-                pf_all = _steps([s[1] for s in self.steps])
-                self.d_pre_f = np.where(pf_all >= 0, 1.0, LEAKY_SLOPE).astype(pf_all.dtype)
-                self.g_pre_f = np.empty_like(pf_all)
-            if self.controlled:
-                self.g_logits = np.empty((n_steps,) + soft.shape, soft.dtype)
+        self.steps[t] = (ctx, hc)       # what the weight gradients read
+        u, n_units = self.calls[t], self.n_units
+        dv, k_heads = self.lstm1.dh, len(self.modules)
+        if t == len(self.steps) - 1:    # the first visited: the last state has no consumer
+            self.g_in = np.empty_like(g_top)        # the first unit's input rows'
+            # the carried state gradients, of no unit yet; a unit's first
+            # ones are -0.0, which adds as nothing does, negative zeros kept
+            self.g_rows = [np.empty((0,) + g_top.shape[1:], g_top.dtype)] * 5
+            self.g_fed = self.g_rows.pop()
+            self.g_rows += self.g_rows[:2] if self.controlled else [None, None]
+            self.g_u = slice(n_units, n_units)
+            self.g_means = np.full((n_units,) + self.means_cat.shape, -0.0, g_top.dtype)
+            self.g_pre_f, self.g_logits = [None] * len(self.steps), [None] * len(self.steps)
+        if u != self.g_u:
+            self.g_rows = [g if g is None else _rerange(g, self.g_u, u, -0.0)
+                           for g in self.g_rows]
         g_h1, g_c1, g_h2, g_c2, g_hc, g_cc = self.g_rows
-        g_xh2, g_c2 = self.lstm2.backward(t, _plus(g_h2, g_out), g_c2)
-        g_h1 = _plus(g_h1, g_xh2[:, :dv])
-        g_vhat = g_xh2[:, dv:-dv]
-        g_ctx = g_xh2[:, -dv:]
+        # the output rows' gradient: what the next unit's step handed back
+        # to its input rows, and the pass's output's for the last unit
+        g_out = _rerange(self.g_fed, slice(self.g_u.start - 1, self.g_u.stop - 1), u, 0.0)
+        if u.stop == n_units:
+            g_out[-1] = g_top[t - n_units + 1]
+        g_xh2, g_c2 = self.lstm2.backward(t, g_h2 + g_out, g_c2)
+        g_h1 = g_h1 + g_xh2[..., :dv]
+        g_vhat = g_xh2[..., dv:-dv]
+        g_ctx = g_xh2[..., -dv:]
         if self.strategy is None:
-            g_att = g_vhat[None]
+            g_att = g_vhat[..., None, :, :]
         else:
-            g_blocks = g_vhat.reshape(batch, k_heads + 1, dv)
-            g_att = g_blocks * w[:, :, None]
-            g_func = g_att[:, k_heads]
-            g_att = np.swapaxes(g_att[:, :k_heads], 0, 1)
+            g_blocks = g_vhat.reshape(g_vhat.shape[:-1] + (k_heads + 1, dv))
+            g_att = g_blocks * w[..., None]
+            g_func = g_att[..., k_heads, :]
+            g_att = g_att[..., :k_heads, :].swapaxes(-3, -2)
         if self.controlled:
             g_w = (g_blocks * self._block(att, pf)).sum(axis=-1)
+            live = np.arange(u.start, u.stop)
+            g_s = None if g_soft is None else g_soft[live, t - live]
             if self.strategy is Strategy.SOFT:
-                g_logits = softmax_backward(soft, _plus(g_soft, g_w))
+                g_logits = softmax_backward(soft, _plus(g_s, g_w))
             else:
                 g_logits = softmax_backward(y, g_w) * self.scale
-                if g_soft is not None:
-                    g_logits = g_logits + softmax_backward(soft, g_soft)
+                if g_s is not None:
+                    g_logits = g_logits + softmax_backward(soft, g_s)
             self.g_logits[t] = g_logits
-            g_hc = _plus(g_hc, np.matmul(g_logits, self.proj_W.T))
+            g_hc = g_hc + np.matmul(g_logits, self.proj_W[u].swapaxes(-1, -2))
             g_xc, g_cc = self.lstm_c.backward(t, g_hc, g_cc)
-            g_hc = g_xc[:, k_heads * dv + dv:]
-            g_att = g_att + np.swapaxes(g_xc[:, :k_heads * dv].reshape(batch, k_heads, dv), 0, 1)
-            g_ctx = g_ctx + g_xc[:, k_heads * dv:k_heads * dv + dv]
+            g_hc = g_xc[..., k_heads * dv + dv:]
+            g_att = g_att + g_xc[..., :k_heads * dv].reshape(
+                g_xc.shape[:-1] + (k_heads, dv)).swapaxes(-3, -2)
+            g_ctx = g_ctx + g_xc[..., k_heads * dv:k_heads * dv + dv]
         if self.strategy is not None:
-            g_pre = np.multiply(g_func, self.d_pre_f[t], out=self.g_pre_f[t])
-            g_ctx = g_ctx + np.matmul(g_pre, self.fc_W.T)
+            d_pre = np.where(pf >= 0, 1.0, LEAKY_SLOPE).astype(pf.dtype)
+            g_pre = self.g_pre_f[t] = g_func * d_pre
+            g_ctx = g_ctx + np.matmul(g_pre, self.fc_W[u].swapaxes(-1, -2))
         g_q = self.heads.backward(t, None, g_att)
         for k in reversed(range(k_heads)):
-            g_h1 = g_h1 + g_q[k]
+            g_h1 = g_h1 + g_q[..., k, :, :]
         g_xh1, g_c1 = self.lstm1.backward(t, g_h1, g_c1)
-        np.add(g_out, g_xh1[:, :dv], out=self.g_in[t])
-        g_h2 = g_ctx + g_xh1[:, dv:2 * dv]
-        g_m = g_xh1[:, 2 * dv:(2 + k_heads) * dv]
-        self.g_means = g_m if t == n_steps - 1 else self.g_means + g_m
-        self.g_rows = [g_xh1[:, (2 + k_heads) * dv:], g_c1, g_h2, g_c2, g_hc, g_cc]
+        self.g_fed = g_out + g_xh1[..., :dv]
+        if u.start == 0:
+            self.g_in[t] = self.g_fed[0]
+        g_h2 = g_ctx + g_xh1[..., dv:2 * dv]
+        self.g_means[u] += g_xh1[..., 2 * dv:(2 + k_heads) * dv]
+        self.g_rows = [g_xh1[..., (2 + k_heads) * dv:], g_c1, g_h2, g_c2, g_hc, g_cc]
+        self.g_u = u
 
     def grads(self):
-        """({table name: gradient}, the encoding's values' gradient through
-        the attended sum and through the keys, the means' gradient, the
-        input rows' gradient (T, B, d_v)), each summed over every step; the
-        uniform strategy's controller gets none.  This ends the backward:
-        the records and the arrays formed for it are let go."""
+        """({table name: one gradient per unit}, per unit the encoding's
+        values' gradient through the attended sum and through the keys,
+        the means' gradient, and the first unit's input rows' gradient (T,
+        B, d_v)), each summed over every step; the uniform strategy's
+        controller gets none.  This ends the backward: the records and the
+        arrays formed for it are let go."""
         grads = {}
         grads["lstm1.W"], grads["lstm1.b"] = self.lstm1.param_grads()
         grads["lstm2.W"], grads["lstm2.b"] = self.lstm2.param_grads()
         if self.controlled:
             grads["ctrl.lstm.W"], grads["ctrl.lstm.b"] = self.lstm_c.param_grads()
-            g_logits = _rows(self.g_logits)
-            grads["ctrl.proj.b"] = g_logits.sum(axis=0)
-            grads["ctrl.proj.W"] = _t_matmul(np.concatenate([s[4] for s in self.steps]), g_logits)
+
+        def dense(x, g):
+            """Per unit, the weight and bias gradients of a product x W + b
+            from its inputs and output gradients, one array per call each."""
+            out = []
+            for unit_steps in _unit_steps(self.calls):
+                x_rows, g_rows = ([a[t][j] for t, j in unit_steps] for a in (x, g))
+                g_rows = np.concatenate(g_rows)
+                out.append((_t_matmul(np.concatenate(x_rows), g_rows), g_rows.sum(axis=0)))
+            return zip(*out)
+
+        if self.controlled:
+            grads["ctrl.proj.W"], grads["ctrl.proj.b"] = dense([s[1] for s in self.steps],
+                                                               self.g_logits)
         if self.strategy is not None:
-            g_pre_f = _rows(self.g_pre_f)
-            grads["func.fc.b"] = g_pre_f.sum(axis=0)
-            grads["func.fc.W"] = _t_matmul(np.concatenate([s[0] for s in self.steps]), g_pre_f)
+            grads["func.fc.W"], grads["func.fc.b"] = dense([s[0] for s in self.steps],
+                                                           self.g_pre_f)
         g_direct, g_keys, *g_heads = self.heads.grads()
         for k, name in enumerate(self.modules):
-            grads.update((f"att.{name}.{part}", g[k]) for part, g in zip(HEAD_WEIGHTS, g_heads))
+            grads.update((f"att.{name}.{part}", [g_m[k] for g_m in g])
+                         for part, g in zip(HEAD_WEIGHTS, g_heads))
         out = grads, g_direct, g_keys, self.g_means, self.g_in
-        self.steps, self.g_rows, self.g_in, self.g_means = [], None, None, None
-        self.d_pre_f = self.g_pre_f = self.g_logits = None
+        self.steps, self.calls, self.g_rows, self.g_fed, self.g_in = [], [], None, None, None
+        self.g_means = self.g_pre_f = self.g_logits = None
         return out
 
 
@@ -405,62 +497,96 @@ def word_head(vec, W: Tensor, b: Tensor):
     return Tensor._from_op(dist, (vec, W, b), backward)
 
 
-def unit_kernel(unit: DecoderUnit, i: Tensor, enc: Encoded, noise: np.ndarray | None = None):
-    """T steps of a decoder unit from the zero state as one autodiff node:
-    a ``UnitRun`` pass, recorded when a gradient can flow.
+def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None):
+    """T steps of a stack of M decoder units from the zero state as one
+    autodiff node: a ``UnitRun`` pass, recorded when a gradient can flow.
 
-    ``i`` holds the unit's input rows of every step, (T, B, d_v);
-    ``noise``, of shape (T, B, K + 1), is the hard strategy's Gumbel
-    noise, zero when None.  Returns (node, trace).  The node is the unit
-    output, shaped like ``i``; the per-step controller softmax is an
-    output that hangs off it (``kernel_output``).  Its backward runs the
-    pass's own (``UnitRun.backward`` over the steps in reverse, then
+    ``i`` holds the first unit's input rows of every step, (T, B, d_v);
+    each later unit takes the output rows of the one before.  The pass is
+    a wavefront of T + M - 1 calls: call t steps unit m's step t - m for
+    every unit with 0 <= t - m < T, in one set of numpy calls over arrays
+    with a leading unit axis, and a unit's step rounds exactly as the
+    unit stepped on its own.  ``noise``, of shape (T, M, B, K + 1), is the
+    hard strategy's Gumbel noise, zero when None.  Returns (node, one
+    trace per unit).  The node is the last unit's output, shaped like
+    ``i``; each unit's per-step controller softmax is an output that hangs
+    off it (``kernel_output``).  Its backward runs the pass's own
+    (``UnitRun.backward`` over the calls in reverse, then
     ``UnitRun.grads``), on the weight arrays the pass ran on, so a weight
-    written since leaves the graph intact, and hands out one gradient per
-    input and table entry, the encoding's values taking their direct part
-    and their key path in turn.  A one-step pass rounds exactly as the
-    op-composed step in ``tests/reference.py``.  The trace holds the
-    fusion weights and the attention weights as arrays.
+    written since leaves the graph intact.  It hands out the gradients as
+    one node per unit would: the last unit's first, each unit's table
+    entries, then the encoding's values' direct part and key path, and
+    the means; then ``i``'s.  A one-step pass rounds exactly as the
+    op-composed step in ``tests/reference.py``.  A trace holds the fusion
+    weights and the attention weights as arrays.
 
     Without gradients (under ``no_grad``, or when no input or parameter
     requires one) the pass records nothing and runs on the encoding's
     forward-only run, the one ``DecoderUnit.step`` decodes with.
     """
     xs = i.data
-    weights = dict(unit.weights)
+    n_steps, n_units = len(xs), len(units)
+    weights = [dict(unit.weights) for unit in units]
     parents = (i, *[t for t in (enc.values, enc.means) if isinstance(t, Tensor)],
-               *weights.values())
-    run = UnitRun(unit, enc, record=True) if needs_grad(parents) else enc.run(unit)
-    state = unit.zero_state(xs.shape[1], xs.dtype)
-    outs, kept = [], []     # per step: attention weights, fusion weights, softmax
+               *[p for table in weights for p in table.values()])
+    run = UnitRun(units, enc, record=True) if needs_grad(parents) else enc.run(units)
+    top = np.empty_like(xs)     # the last unit's output rows
+    calls = [slice(max(0, t - n_steps + 1), min(n_units, t + 1))
+             for t in range(n_steps + n_units - 1)]
+    # the first call steps the first unit from its zero state
+    out, state = xs[:0], list(units[0].zero_state(xs.shape[1], xs.dtype)[:, None])
+    kept = []       # per call: attention weights, fusion weights, softmax
     with np.errstate(over="ignore"):
-        for t in range(len(xs)):
-            out, state, *step = run.step(xs[t], state, None if noise is None else noise[t])
-            outs.append(out)
+        for t, u in enumerate(calls):
+            x = out[:u.stop - max(u.start, 1)]      # what each unit hands the next
+            if u.start == 0:
+                x = np.concatenate([xs[t:t + 1], x])
+            if u != calls[max(t - 1, 0)]:
+                state = [_rerange(rows, calls[t - 1], u, 0.0) for rows in state]
+            live = np.arange(u.start, u.stop)
+            out, state, *step = run.step(x, state,
+                                         None if noise is None else noise[t - live, live], u)
+            if u.stop == n_units:
+                top[t - n_units + 1] = out[-1]
             kept.append(step)
-    alphas, chosen, soft = zip(*kept)
+    steps = _unit_steps(calls)
 
-    g_soft = []         # the controller softmax's gradient, when it has a consumer
+    def per_unit(records, axis=0):
+        """A record of every call, as each unit's array over its steps."""
+        return [np.stack([records[t][j] for t, j in unit_steps], axis=axis)
+                for unit_steps in steps]
+
+    alphas, chosen, softs = zip(*kept)
+    alphas = per_unit(alphas, axis=1)
+    chosen = None if run.strategy in (None, Strategy.SOFT) else per_unit(chosen)
+    softs = per_unit(softs) if run.controlled else None
+    sinks = [[] for _ in units]     # the softmaxes' gradients, when they have a consumer
 
     def backward(g_out):
-        g_s = g_soft[0] if g_soft else None
-        for t in reversed(range(len(xs))):
-            run.backward(t, g_out[t], None if g_s is None else g_s[t])
+        g_soft = None
+        if any(sinks):
+            g_soft = np.stack([sink[0] if sink else np.zeros_like(softs[0]) for sink in sinks])
+        for t in reversed(range(len(calls))):
+            run.backward(t, g_out, g_soft)
         grads, g_direct, g_keys, g_means, g_in = run.grads()
-        given = [(p, grads[name]) for name, p in weights.items() if name in grads]
-        given += [(enc.values, g_direct), (enc.values, g_keys), (i, g_in), (enc.means, g_means)]
-        for p, g in given:
+        given = []
+        for m in reversed(range(n_units)):
+            given += [(p, grads[name][m]) for name, p in weights[m].items() if name in grads]
+            given += [(enc.values, g_direct[m]), (enc.values, g_keys[m]), (enc.means, g_means[m])]
+        for p, g in given + [(i, g_in)]:
             if isinstance(p, Tensor) and p.requires_grad:
                 _accum(p, g)
 
-    node = Tensor._from_op(np.stack(outs), parents, backward)
-    trace = UnitTrace(weights=None, soft=None,
-                      alphas=dict(zip(unit.modules, np.stack(alphas, axis=1))))
-    if run.controlled:
-        trace.soft = kernel_output(node, np.stack(soft), g_soft)
-    if run.strategy is not None:
-        trace.weights = trace.soft.data if run.strategy is Strategy.SOFT else np.stack(chosen)
-    return node, trace
+    node = Tensor._from_op(top, parents, backward)
+    traces = []
+    for m, unit in enumerate(units):
+        trace = UnitTrace(weights=None, soft=None, alphas=dict(zip(unit.modules, alphas[m])))
+        if run.controlled:
+            trace.soft = kernel_output(node, softs[m], sinks[m])
+        if run.strategy is not None:
+            trace.weights = trace.soft.data if run.strategy is Strategy.SOFT else chosen[m]
+        traces.append(trace)
+    return node, traces
 
 
 class CaptionModel:
@@ -480,6 +606,9 @@ class CaptionModel:
         self.embed = xavier_uniform(rng, (cfg.vocab_size, cfg.d_v),
                                     cfg.vocab_size, cfg.d_v, dtype=dtype)
         self.units = [DecoderUnit(cfg, modules, rng, dtype) for _ in range(cfg.m_units)]
+        refs = tuple(map(weakref.ref, self.units))
+        for m, unit in enumerate(self.units):
+            unit._stack, unit.index = refs, m
         self.head = Linear(cfg.d_v, cfg.vocab_size, rng, dtype=dtype)
         self.arena = ParamArena(self.named_parameters())
 
@@ -531,17 +660,15 @@ class CaptionModel:
 
     def forced(self, inputs, enc: Encoded, noise: np.ndarray | None = None):
         """A teacher-forced pass over the input tokens (B, T): one embedding
-        gather, then each unit runs all T steps from the zero state in one
-        ``unit_kernel`` call; ``noise`` is the pass's ``selection_noise``.
+        gather, then the units run all T steps from the zero state in one
+        ``unit_kernel`` call, as a wavefront; ``noise`` is the pass's
+        ``selection_noise``.
 
         Returns (word distributions (T*B, V), rows step-major, from
         ``word_head``; per-unit traces of (T, B, ...) arrays).
         """
-        vec = gather_rows(self.embed, np.asarray(inputs, dtype=np.int64).T)
-        traces = []
-        for m, unit in enumerate(self.units):
-            vec, trace = unit_kernel(unit, vec, enc, noise=None if noise is None else noise[:, m])
-            traces.append(trace)
+        vec, traces = unit_kernel(self.units, gather_rows(
+            self.embed, np.asarray(inputs, dtype=np.int64).T), enc, noise)
         return word_head(vec, self.head.W, self.head.b), traces
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -10,7 +10,7 @@ Four tiers, all in float64 against central differences:
 * composites: seeded random chains of the model's ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
 * kernel: the fused decoder unit (``decoder.unit_kernel``) from the zero
-  state, under the soft, hard (no noise) and uniform strategies and with
+  state, a unit alone under the soft, hard (no noise) and uniform strategies and with
   a single module, each on one step and on three steps, on two scenes of
   which one has a padded region, through the unit output and the
   controller softmax; then the encoder (``encoders.encoder_kernel``) on
@@ -23,7 +23,9 @@ Four tiers, all in float64 against central differences:
   module, which do not reach the controller and read every output; over
   three steps every output lies downstream of an earlier fusion, so the
   three-step hard case runs at a temperature where the straight-through
-  term vanishes and reads every output;
+  term vanishes and reads every output.  Stacks of two and of three soft
+  units run as one wavefront over three steps, through the last unit's
+  output and every unit's softmax;
 * decoder: a miniature two-unit captioning model driven for three
   teacher-forced steps, checking the gradient of the training objective
   (``training.teacher_forced`` with module supervision) with respect to
@@ -290,6 +292,10 @@ KERNEL_REGIONS = np.array([[True, True, True], [True, True, False]])
 # the encoder kernel on two scenes of three regions: all real, or one padded
 ENCODER_MASKS = {"encoder": np.ones((2, 3), dtype=bool), "encoder/padded": KERNEL_REGIONS}
 KERNEL_OUTPUTS = ("i_new", "soft")
+# stacks of soft units stepped as one wavefront, over three steps: with
+# three units, the middle call steps all three
+KERNEL_STACKS = (2, 3)
+KERNEL_STACK_STEPS = 3
 # what the hard strategy's straight-through fusion feeds, and what reaches
 # the outputs only through it
 HARD_UPSTREAM_OUTPUTS = ("soft",)
@@ -328,13 +334,32 @@ def _kernel_inputs(variant: str, seed: int, n_steps: int = 1):
     return unit, arena, inputs
 
 
-def _kernel_objective(unit: DecoderUnit, inputs: dict, outputs):
-    """A ramp-weighted sum of the named outputs of one unit kernel call."""
+def _stack_inputs(n_units: int, seed: int):
+    """A tiny float64 stack of ``n_units`` soft units of width 2 in one
+    arena and random inputs: rows of ``KERNEL_STACK_STEPS`` steps (T, 2,
+    2), and an encoding of two scenes of three regions."""
+    cfg = ModelConfig(vocab_size=7, d_r=4, d_v=2, d_a=2, heads=2, m_units=n_units)
+    rng = Rng(seed).derive(90)
+    units = [DecoderUnit(cfg, VISUAL_MODULES, rng, dtype=FLOAT64) for _ in range(n_units)]
+    arena = ParamArena({name: t for m, unit in enumerate(units, start=1)
+                        for name, t in unit.params(f"unit{m}").items()})
+    _jitter(arena, Rng(seed).derive(91))
+    rng = Rng(seed).derive(92)
+    inputs = {"i_prev": _t(rng, (KERNEL_STACK_STEPS, 2, 2))}
+    draws = [_t(rng, shape).data for _ in VISUAL_MODULES for shape in ((2, 3, 2), (2, 2))]
+    inputs["values"] = Tensor(np.stack(draws[0::2]), requires_grad=True)
+    inputs["means"] = Tensor(np.concatenate(draws[1::2], axis=-1), requires_grad=True)
+    return units, arena, inputs
+
+
+def _kernel_objective(units: list, inputs: dict, outputs):
+    """A ramp-weighted sum of the named outputs of one unit kernel call
+    over a stack of units: its output, then every unit's softmax."""
     def objective():
         enc = Encoded(inputs["values"], inputs["means"], KERNEL_REGIONS)
-        i_new, trace = unit_kernel(unit, inputs["i_prev"], enc)
-        named = {"i_new": i_new, "soft": trace.soft}
-        return _ramp_sum([named[name] for name in outputs if named[name] is not None])
+        i_new, traces = unit_kernel(units, inputs["i_prev"], enc)
+        named = {"i_new": [i_new], "soft": [trace.soft for trace in traces]}
+        return _ramp_sum([out for name in outputs for out in named[name] if out is not None])
     return objective
 
 
@@ -374,8 +399,15 @@ def kernel_results(seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> list[CaseRe
                           (KERNEL_OUTPUTS, {n: tensors[n] for n in downstream})]
             for outputs, group in groups:
                 results += _rebinding_cases("kernel",
-                                            _kernel_objective(unit, inputs, outputs),
+                                            _kernel_objective([unit], inputs, outputs),
                                             group, arena, tol)
+    for n_units in KERNEL_STACKS:
+        units, arena, inputs = _stack_inputs(n_units, seed)
+        label = f"stack{n_units}"
+        tensors = {f"{label}:input:{name}": t for name, t in inputs.items()}
+        tensors.update((f"{label}:param:{name}", t) for name, t in zip(arena.names, arena.tensors))
+        results += _rebinding_cases("kernel", _kernel_objective(units, inputs, KERNEL_OUTPUTS),
+                                    tensors, arena, tol)
     for label, mask in ENCODER_MASKS.items():
         model, params, inputs = _encoder_inputs(seed)
 

@@ -19,10 +19,14 @@ backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``,
 unit's controller softmax) hangs off its node by ``kernel_output``.  The
 LSTM, additive-attention and softmax arithmetic of the kernels is here
 (``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``).
-A run records T steps and keeps only what its backward cannot rebuild
-with one cheap op.  Forward and input gradients go step by step; the
-parameter gradients are one GEMM over the rows of all steps, a call that
-ends the backward and lets the records go.  The op-composed encoder,
+A run's weights may stack units along a leading axis, and its arithmetic
+is rank-agnostic: one call steps one unit, or several at once on rows
+with a leading unit axis, and each unit's rows round as if it ran alone.
+A run records its calls and keeps only what its backward cannot rebuild
+with one cheap op.  Forward and input gradients go call by call, and a
+call's backward lets go of what only it reads; the parameter gradients
+are one GEMM per unit over the rows of all its steps, a call that ends
+the backward and lets the records go.  The op-composed encoder,
 unit and word head the kernels agree with bit for bit, and the ops only
 they use (``matmul`` and ``softmax`` among them), are in
 ``tests/reference.py``.  Padded regions are masked: a score of -inf
@@ -152,11 +156,12 @@ class Tensor:
     ``grad`` is a view of the arena's gradient buffer, which backward and
     clipping write into.  ``grad`` is None until an op reaches the
     parameter.  ``_slot`` is the gradient view of a parameter an arena
-    holds, else None, and ``_name`` its name there.
+    holds, else None, ``_name`` its name there and ``_lo`` the index of
+    its first element in the arena's buffers.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_slot",
-                 "_name")
+                 "_name", "_lo")
     _ids = itertools.count()
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -326,7 +331,7 @@ def _t_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
         return np.dot(a.T, b)
-    return np.matmul(np.swapaxes(a, -1, -2), b)
+    return np.matmul(a.swapaxes(-1, -2), b)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -480,98 +485,136 @@ class LstmParams:
     b: Tensor  # (4*d_h,)
 
 
-def _steps(arrays: list) -> np.ndarray:
-    """Per-step arrays stacked along a new leading step axis; a single step
-    is a view, not a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _rows(a: np.ndarray, lead: int = 0) -> np.ndarray:
     """(T, *lead_axes, ..., d) -> (*lead_axes, T*..., d): the rows of all
-    steps of each head, a view when T is 1."""
-    a = np.moveaxis(a, 0, lead)
+    steps of each head, a view when T is 1 or there are no lead axes."""
+    if lead:
+        a = np.moveaxis(a, 0, lead)
     return a.reshape(a.shape[:lead] + (-1, a.shape[-1]))
 
 
+# A run's calls.  An unstacked run's call t is its step t, and it indexes
+# its weights with ().  A stacked run's weights have a leading unit axis,
+# and a call names the units it steps, an index into that axis: one unit
+# (an int), or a slice of them stepped as a wavefront, where call t steps
+# unit m's step t - m.
+
+
+def _unit_steps(calls: list) -> list[list[tuple]]:
+    """Each unit's steps in a run's calls, in order, as (call, the unit's
+    index into the call's rows) pairs: one list for an unstacked run,
+    whose index is (), else one list per unit."""
+    if calls[-1] == ():
+        return [[(t, ()) for t in range(len(calls))]]
+    steps = [[] for _ in range(calls[-1].stop)]
+    for t, u in enumerate(calls):
+        for m in range(u.start, u.stop):
+            steps[m].append((t, m - u.start))
+    return steps
+
+
+def _per_unit(grads: list, stacked: bool):
+    """Per-unit gradient tuples as a tuple of per-unit lists, or, for an
+    unstacked run, its one tuple."""
+    return tuple(zip(*grads)) if stacked else grads[0]
+
+
 class LstmRun:
-    """A run of LSTM steps over B rows, with weights W (d_in + d_h, 4*d_h)
-    and bias b (4*d_h,).
+    """A run of LSTM steps over B rows, with weights W (..., d_in + d_h,
+    4*d_h) and bias b (..., 4*d_h).
 
-    ``forward`` runs the next step; ``backward`` runs step t's gradient and
-    must visit the steps in reverse; ``param_grads`` then returns the
-    weight and bias gradients of all steps, one GEMM and one sum over the
-    rows of every step.  Without ``record`` the run is forward only.
+    Leading axes of W and b stack units of their own, and ``forward``
+    takes the index ``u`` of the units it steps (see the run's calls
+    above); rows carry the units' axis before the row axis, and a stacked
+    run rounds exactly as one run per unit.  ``forward`` runs the next
+    call; ``backward`` runs call t's gradient and must visit the calls in
+    reverse; ``param_grads`` then returns the weight and bias gradients
+    of all steps of each unit, one GEMM and one sum over its rows.
+    Without ``record`` the run is forward only.
 
-    A recorded step keeps the input parts it was given (the arrays, not
-    their concatenation), c, the gates, the candidate and tanh(c').  Step
-    t's backward forms that step's gate-gradient factors from them, one
-    in place over its gates; ``param_grads`` joins the parts for its GEMM,
-    ends the backward and lets every record go.
+    A recorded call keeps the input parts it was given (the arrays, not
+    their concatenation), c, the gates with the candidate in its block,
+    and tanh(c').  Call
+    t's backward forms that call's gate-gradient factors from them, one
+    in place over its gates, and keeps only the parts and the gate
+    gradient; ``param_grads`` joins them for its GEMMs, ends the backward
+    and lets every record go.
     """
 
     def __init__(self, W, b, record=True):
-        self.W, self.b = W, b
-        self.dh = b.shape[0] // 4
+        self.W, self.b_row = W, b[..., None, :]
+        self.dh = b.shape[-1] // 4
         self.record = record
-        self.steps = []     # per step: parts, c, gates, candidate, tanh(c')
-        self.g_z = None
+        self.steps = []     # per call: parts, c, gates and candidate, tanh(c'), units
+        self.W_T = None
 
-    def forward(self, parts, c):
-        """The next step on the joined rows xh = [*parts] and the cell state
-        c; returns (h', c').  A recording run keeps ``parts``: its arrays
-        must not change before the backward.  The gate sigmoid may overflow
-        exp: call under ``np.errstate(over="ignore")``."""
+    def forward(self, parts, c, u=()):
+        """The next call, on the units u, with the joined rows xh =
+        [*parts] and the cell state c; returns (h', c').  A recording run
+        keeps ``parts``: its arrays must not change before the backward.
+        The gate sigmoid may overflow exp: call under
+        ``np.errstate(over="ignore")``."""
         dh = self.dh
-        z = np.matmul(np.concatenate(parts, axis=1), self.W) + self.b
+        z = np.matmul(np.concatenate(parts, axis=-1), self.W[u]) + self.b_row[u]
         gates = 1.0 / (1.0 + np.exp(-z))    # the candidate block goes unused
-        i, f, o = gates[:, :dh], gates[:, dh:2 * dh], gates[:, 3 * dh:]
-        g = np.tanh(z[:, 2 * dh:3 * dh])
+        i, f, o = gates[..., :dh], gates[..., dh:2 * dh], gates[..., 3 * dh:]
+        g = np.tanh(z[..., 2 * dh:3 * dh])
         c2 = f * c + i * g
         tanh_c2 = np.tanh(c2)
         if self.record:
-            self.steps.append((parts, c, gates, g, tanh_c2))
+            gates[..., 2 * dh:3 * dh] = g       # the record keeps the candidate there
+            self.steps.append((parts, c, gates, tanh_c2, u))
         return o * tanh_c2, c2
 
     def backward(self, t, g_h, g_c):
-        """Gradients of step t from those of its h' and c' (None when c'
+        """Gradients of call t from those of its h' and c' (None when c'
         has no consumer): returns (g_xh, g_c_prev)."""
         dh = self.dh
-        _, c_prev, r, cand, tanh_c = self.steps[t]
-        if self.g_z is None:
-            self.g_z = np.empty((len(self.steps),) + r.shape, r.dtype)
+        parts, c_prev, r, tanh_c, u = self.steps[t]
+        if self.W_T is None:
             # over several steps a contiguous copy of W^T multiplies about
             # three times faster on OpenBLAS; one step uses the transposed
             # view, as the reference does (they round apart below 8 rows)
-            self.W_T = self.W.T if len(self.steps) == 1 else np.ascontiguousarray(self.W.T)
+            W_T = self.W.swapaxes(-1, -2)
+            one_step = len(self.steps) == (self.W.shape[0] if self.W.ndim > 2 else 1)
+            self.W_T = W_T if one_step else np.ascontiguousarray(W_T)
         # the gate gradient is, block by block, ((p * q) * r) * s with p =
-        # [g_c, g_c, g_c, g_h]; r is the gates, candidate block replaced
-        # in place (this step's gates serve nothing else)
+        # [g_c, g_c, g_c, g_h]; r is the gates, the candidate's block
+        # replaced in place by its derivative (this call's gates serve
+        # nothing else)
         block = slice(2 * dh, 3 * dh)
-        r[:, block] = 1.0 - cand * cand
-        q = np.concatenate([cand, c_prev, r[:, :dh], tanh_c], axis=-1)
+        cand = r[..., block]
+        q = np.concatenate([cand, c_prev, r[..., :dh], tanh_c], axis=-1)
+        r[..., block] = 1.0 - cand * cand
         s = 1.0 - r
-        s[:, block] = 1.0
-        f, o = r[:, dh:2 * dh], r[:, 3 * dh:]
+        s[..., block] = 1.0
+        f, o = r[..., dh:2 * dh], r[..., 3 * dh:]
         g_tanh = g_h * o * (1.0 - tanh_c * tanh_c)
         g_c = g_tanh if g_c is None else g_c + g_tanh
-        p = np.empty((g_c.shape[0], 4, dh), g_c.dtype)
-        p[:, :3] = g_c[:, None]
-        p[:, 3] = g_h
-        g_z = np.multiply(p.reshape(g_c.shape[0], -1), q, out=self.g_z[t])
+        p = np.empty(g_c.shape[:-1] + (4, dh), g_c.dtype)
+        p[..., :3, :] = g_c[..., None, :]
+        p[..., 3, :] = g_h
+        g_z = np.multiply(p.reshape(q.shape), q, out=q)
         g_z *= r
         g_z *= s
-        return np.matmul(g_z, self.W_T), g_c * f
+        self.steps[t] = (parts, g_z, u)
+        return np.matmul(g_z, self.W_T[u]), g_c * f
 
     def param_grads(self):
-        """(g_W, g_b) summed over every step.  This ends the backward: the
-        records and the arrays formed for it are let go."""
-        g_z = _rows(self.g_z)
-        xh = np.empty(self.g_z.shape[:2] + self.W.shape[:1], np.result_type(*self.steps[0][0]))
-        for t, (parts, *_) in enumerate(self.steps):
-            np.concatenate(parts, axis=1, out=xh[t])
-        grads = _t_matmul(_rows(xh), g_z), g_z.sum(axis=0)
-        self.steps, self.g_z, self.W_T = [], None, None
-        return grads
+        """(g_W, g_b) summed over every step; of a stacked run, a list of
+        them per unit.  This ends the backward: the records and the arrays
+        formed for it are let go."""
+        grads = []
+        for steps in _unit_steps([s[-1] for s in self.steps]):
+            g_z = np.array([self.steps[t][1][k] for t, k in steps])
+            xh = np.empty(g_z.shape[:-1] + self.W.shape[-2:-1],
+                          np.result_type(*self.steps[0][0]))
+            for row, (t, k) in zip(xh, steps):
+                np.concatenate([part[k] for part in self.steps[t][0]], axis=-1, out=row)
+            g_z = g_z.reshape(-1, g_z.shape[-1])
+            grads.append((_t_matmul(xh.reshape(-1, xh.shape[-1]), g_z), g_z.sum(axis=0)))
+        self.steps, self.W_T = [], None
+        return _per_unit(grads, self.W.ndim > 2)
 
 
 class AttentionRun:
@@ -579,43 +622,54 @@ class AttentionRun:
 
     The values v (..., B, N, d_v) are attended with C-contiguous W_v^T
     (..., d_v, d_a) and W_h^T (..., d_c, d_a) and the score vector wa
-    (..., d_a); leading axes stack independent heads that share the
-    query, and a stacked run rounds exactly as one run per head.  A
-    boolean (B, N) mask gives padded regions a score of -inf.  The keys
-    v W_v^T (..., B, N, d_a) are computed once per run; ``forward``
-    takes the next step's query rows, ``backward`` step t's gradients
-    (steps in reverse), and ``grads`` returns the gradients of the values
-    and the weights summed over all steps.  Without ``record``, or with
-    values of one scene for many query rows, the run is forward only.
+    (..., d_a); the values' leading axes stack independent heads that
+    share the query, and a stacked run rounds exactly as one run per
+    head.  An axis of the weights before the heads' stacks units, each
+    with heads of its own over the same values, which a call indexes by
+    the units it steps, as ``LstmRun`` does.  A boolean (B, N) mask gives
+    padded regions a score of -inf.  The keys v W_v^T (..., B, N, d_a)
+    of every unit are computed at once, per run; ``forward`` takes the
+    next call's query rows, ``backward`` call t's gradients (calls in
+    reverse), and ``grads`` returns the gradients of the values and the
+    weights summed over all steps, per unit when stacked.  Without
+    ``record``, or with values of one scene for many query rows, the run
+    is forward only.
 
-    A recorded step keeps its query rows, their projection q (..., B, 1,
+    A recorded call keeps its query rows, their projection q (..., B, 1,
     d_a) and alpha, not the N times larger tanh(keys + q): ``backward``
-    rebuilds that for its step, and ``grads`` for all steps at once, which
-    ends the backward and lets every record go.
+    rebuilds that for its call, and ``grads`` for all steps of a unit at
+    once, which ends the backward and lets every record go.
     """
 
     def __init__(self, v, Wv_T, Wh_T, wa, mask=None, record=True):
         *lead, b, n, d_v = v.shape
         self.lead = tuple(lead)
+        self.stacked = Wv_T.ndim > len(lead) + 2
+        self.per_head = (..., *[None] * len(lead), slice(None), slice(None))  # a query's rows
         self.v, self.Wv_T, self.Wh_T, self.wa, self.mask = v, Wv_T, Wh_T, wa, mask
         self.v2 = v.reshape(self.lead + (b * n, d_v))
-        self.keys = np.matmul(self.v2, Wv_T).reshape(self.lead + (b, n, Wv_T.shape[-1]))
+        self.keys = np.matmul(self.v2, Wv_T).reshape(
+            Wv_T.shape[:-2] + (b, n, Wv_T.shape[-1]))
         self.wa_col = wa[..., None]
+        self.wa_row = wa[..., None, :]
         self.record = record
-        self.q_in, self.q, self.alpha = [], [], []
+        self.q_in, self.q, self.alpha, self.calls = [], [], [], []
+        self.g_scores, self.g_q = [], []
         self.g_direct = self.g_pre = None
 
-    def _t2(self, q):
-        """tanh(keys + q) of one step, the B*N rows of each head on one axis."""
-        t2 = np.tanh(self.keys + q)
+    def _t2(self, q, u):
+        """tanh(keys + q) of one call, the B*N rows of each head on one axis."""
+        t2 = np.tanh(self.keys[u] + q)
         return t2.reshape(t2.shape[:-3] + (-1, t2.shape[-1]))
 
-    def forward(self, q_in):
-        """The next step for the queries q_in (B, d_c): returns (alpha
-        (..., B, N), attended (..., B, d_v))."""
-        b, (n, d_a) = q_in.shape[0], self.keys.shape[-2:]
-        q = np.matmul(q_in, self.Wh_T).reshape(self.lead + (b, 1, d_a))
-        scores = np.matmul(self._t2(q), self.wa_col).reshape(self.lead + (b, n))
+    def forward(self, q_in, u=()):
+        """The next call, on the units u, for the queries q_in (..., B,
+        d_c): returns (alpha (..., B, N), attended (..., B, d_v)), the
+        heads' axes before the row axis."""
+        b, n = q_in.shape[-2], self.keys.shape[-2]
+        q = np.matmul(q_in[self.per_head], self.Wh_T[u])[..., None, :]
+        t2 = self._t2(q, u)
+        scores = np.matmul(t2, self.wa_col[u]).reshape(t2.shape[:-2] + (b, n))
         if self.mask is not None:
             scores = np.where(self.mask, scores, -np.inf)
         alpha = softmax_forward(scores)
@@ -623,48 +677,63 @@ class AttentionRun:
             self.q_in.append(q_in)
             self.q.append(q)
             self.alpha.append(alpha)
+            self.calls.append(u)
         return alpha, (alpha[..., None] * self.v).sum(axis=-2)
 
     def backward(self, t, g_alpha, g_att):
-        """Gradients of step t from those of alpha (None when alpha has no
+        """Gradients of call t from those of alpha (None when alpha has no
         consumer) and of the attended rows; returns the query gradient of
         each head (..., B, d_c)."""
-        v, alpha, t2 = self.v, self.alpha[t], self._t2(self.q[t])
+        v, alpha, u = self.v, self.alpha[t], self.calls[t]
+        t2 = self._t2(self.q[t], u)
         if self.g_direct is None:
-            steps = len(self.q)
-            self.g_scores = np.empty((steps,) + t2.shape[:-1] + (1,), t2.dtype)
-            self.g_q = np.empty((steps,) + alpha.shape[:-1] + t2.shape[-1:], t2.dtype)
-        g_att = np.broadcast_to(g_att[..., None, :], v.shape)
-        g_alpha_in = (g_att * v).sum(axis=-1)
+            # sums over the steps of each unit, from -0.0: adding it keeps
+            # the first step's bits, negative zeros included
+            units = self.Wv_T.shape[:1] if self.stacked else ()
+            self.g_direct = np.full(units + v.shape, -0.0, v.dtype)
+            self.g_pre = np.full(units + t2.shape[-len(self.lead) - 2:], -0.0, t2.dtype)
+            self.g_scores, self.g_q = [None] * len(self.calls), [None] * len(self.calls)
+        self.alpha[t] = None
+        g_alpha_in = (g_att[..., None, :] * v).sum(axis=-1)
         g_alpha = g_alpha_in if g_alpha is None else g_alpha + g_alpha_in
-        g_scores = self.g_scores[t]
-        g_scores[...] = softmax_backward(alpha, g_alpha).reshape(g_scores.shape)
-        g_pre = g_scores * self.wa[..., None, :] * (1.0 - t2 * t2)
-        g_q = self.g_q[t]
-        g_q[...] = g_pre.reshape(alpha.shape + g_pre.shape[-1:]).sum(axis=-2)
-        g_direct = g_att * alpha[..., None]
-        self.g_direct = g_direct if self.g_direct is None else self.g_direct + g_direct
-        self.g_pre = g_pre if self.g_pre is None else self.g_pre + g_pre
-        return np.matmul(g_q, np.swapaxes(self.Wh_T, -1, -2))
+        g_scores = softmax_backward(alpha, g_alpha).reshape(t2.shape[:-1] + (1,))
+        g_pre = g_scores * self.wa_row[u] * (1.0 - t2 * t2)
+        g_q = g_pre.reshape(alpha.shape + g_pre.shape[-1:]).sum(axis=-2)
+        self.g_scores[t], self.g_q[t] = g_scores, g_q
+        self.g_direct[u] += g_att[..., None, :] * alpha[..., None]
+        self.g_pre[u] += g_pre
+        return np.matmul(g_q, self.Wh_T[u].swapaxes(-1, -2))
 
     def grads(self):
         """(g_v through the weighted sum, g_v through the keys, g_W_v,
-        g_W_h, g_w_a), each summed over every step; the values are shared
-        by all steps, so the key path uses the summed key gradient.  This
-        ends the backward: the records and the arrays formed for it go."""
+        g_W_h, g_w_a), each summed over every step; of a stacked run, a
+        list of them per unit.  The values are shared by all steps, so the
+        key path uses the summed key gradient.  This ends the backward:
+        the records and the arrays formed for it go."""
         lead = len(self.lead)
-        # tanh(keys + q) of all steps, head-major in one buffer: (..., T*B*N, d_a)
-        t2 = np.add(np.expand_dims(self.keys, lead), np.stack(self.q, axis=lead))
-        t2 = np.tanh(t2, out=t2).reshape(self.lead + (-1, t2.shape[-1]))
-        grads = (self.g_direct,
-                 np.matmul(self.g_pre, np.swapaxes(self.Wv_T, -1, -2)).reshape(self.v.shape),
-                 np.swapaxes(_t_matmul(self.v2, self.g_pre), -1, -2),
-                 np.swapaxes(_t_matmul(np.concatenate(self.q_in), _rows(self.g_q, lead)),
-                             -1, -2),
-                 np.matmul(np.swapaxes(t2, -1, -2), _rows(self.g_scores, lead))[..., 0])
-        self.q_in, self.q, self.alpha = [], [], []
-        self.g_direct = self.g_pre = self.g_scores = self.g_q = None
-        return grads
+        grads = []
+        for m, steps in enumerate(_unit_steps(self.calls)):
+            m = m if self.stacked else ()
+            Wv_T, g_pre = self.Wv_T[m], self.g_pre[m]
+
+            def rows(records, axis=0):
+                return np.stack([records[t][k] for t, k in steps], axis=axis)
+
+            # tanh(keys + q) of all steps, head-major in one buffer: (..., T*B*N, d_a)
+            t2 = np.add(np.expand_dims(self.keys[m], lead), rows(self.q, lead))
+            t2 = np.tanh(t2, out=t2).reshape(self.lead + (-1, t2.shape[-1]))
+            q_in = rows(self.q_in)
+            grads.append((
+                self.g_direct[m],
+                np.matmul(g_pre, Wv_T.swapaxes(-1, -2)).reshape(self.v.shape),
+                _t_matmul(self.v2, g_pre).swapaxes(-1, -2),
+                _t_matmul(q_in.reshape(-1, q_in.shape[-1]), _rows(rows(self.g_q), lead))
+                .swapaxes(-1, -2),
+                np.matmul(t2.swapaxes(-1, -2), _rows(rows(self.g_scores), lead))[..., 0]))
+        self.q_in, self.q, self.alpha, self.calls = [], [], [], []
+        self.g_direct = self.g_pre = None
+        self.g_scores, self.g_q = [], []
+        return _per_unit(grads, self.stacked)
 
 
 def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:
@@ -890,8 +959,8 @@ class ParamArena:
             else:
                 self.square_runs.append([lo, hi, [i]])
         self.rebind(np.concatenate([p.data.ravel() for p in self.tensors]))
-        for name, p, grad in zip(self.names, self.tensors, self.grads):
-            p.__class__, p._slot, p._name = _Held, grad, name
+        for name, p, grad, (lo, _) in zip(self.names, self.tensors, self.grads, self.bounds):
+            p.__class__, p._slot, p._name, p._lo = _Held, grad, name, lo
 
     def views_of(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each parameter's slice of a flat buffer of this layout, in its shape."""
@@ -900,8 +969,9 @@ class ParamArena:
 
     def rebind(self, data: np.ndarray) -> None:
         """Make ``data`` the values: every parameter's ``data`` becomes a view
-        of its slice."""
-        self.data = data
+        of its slice.  The buffer owns its memory (``stacked`` reads a
+        view's base as the buffer)."""
+        self.data = data if data.base is None else data.copy()
         self.views = self.views_of(data)
         for p, view in zip(self.tensors, self.views):
             _DATA.__set__(p, view)
@@ -932,6 +1002,25 @@ class ParamArena:
                     a, b = self.bounds[i]
                     sums[i] = float(np.add.reduce(squares[a - lo:b - lo]))
         return sums
+
+
+def stacked(params) -> np.ndarray:
+    """The values of equal-shaped parameters along a new leading axis: a
+    view of their arena's values where it holds them one stride apart, as
+    a model's arena does each weight of its decoder units, else a copy."""
+    first = params[0]
+    data = first.data
+    if type(first) is _Held:
+        lo = first._lo
+        stride = (params[-1]._lo - lo) // max(len(params) - 1, 1)
+        for m, p in enumerate(params):
+            if not (type(p) is _Held and p._lo == lo + m * stride and p.data.base is data.base
+                    and p.data.shape == data.shape):
+                break
+        else:
+            return np.ndarray((len(params),) + data.shape, data.dtype, data.base,
+                              lo * data.itemsize, (stride * data.itemsize,) + data.strides)
+    return np.stack([p.data for p in params])
 
 
 def _non_finite(names) -> TrainingError:

@@ -40,7 +40,9 @@ masked NLL composed from them one node per op.  The LSTM so composed,
 ``reference_lstm``, shares no arithmetic with ``LstmRun``: put in place
 of ``lstm_cell`` (which ``reference_step`` and ``controller_step`` look
 up when they run), it makes the chained steps an oracle for the unit
-kernel's LSTMs, to float64 rounding.
+kernel's LSTMs, to float64 rounding.  ``reference_attention``, composed
+of ``matmul``, ``tanh`` and ``softmax``, is the same for ``AttentionRun``
+in place of ``additive_attention`` (which ``attend`` looks up).
 
 The stack: ``reference_model_step`` is one decode step of a
 ``CaptionModel`` on the Tensor step, its word head ``linear`` then
@@ -123,6 +125,7 @@ from modcap.tensor import (
     no_grad,
     reshape,
     softmax_backward,
+    sum_,
     softmax_forward,
     xavier_uniform,
     zeros,
@@ -692,6 +695,26 @@ def additive_attention(values, query, W_v, W_h, w_a, mask=None):
     if single:
         return _views(joint, (alpha.shape[1:], attended.shape[1:]))
     return _views(joint, (alpha.shape, attended.shape))
+
+
+def reference_attention(values, query, W_v, W_h, w_a, mask=None):
+    """``additive_attention`` composed of one node per primitive
+    (``matmul``, ``transpose``, ``tanh``, ``softmax`` or
+    ``masked_softmax``, ``reshape``, ``mul``, ``sum_``): an attention that
+    shares no arithmetic with ``AttentionRun``.  Returns (alpha,
+    attended)."""
+    single = values.ndim == 2
+    if single:
+        values, query = reshape(values, (1,) + values.shape), reshape(query, (1, -1))
+    batch, n, _ = values.shape
+    keys = matmul(values, transpose(W_v))
+    q = reshape(matmul(query, transpose(W_h)), (batch, 1, -1))
+    scores = matmul(tanh(keys + q), w_a)
+    alpha = softmax(scores) if mask is None else masked_softmax(scores, mask)
+    attended = sum_(reshape(alpha, (batch, n, 1)) * values, axis=1)
+    if single:
+        return reshape(alpha, (n,)), reshape(attended, (-1,))
+    return alpha, attended
 
 
 @dataclass

@@ -182,7 +182,7 @@ class TestDebugChecksNameTheOp:
         unit = model.units[0]
         i_prev = Tensor(np.full((1, 1, 3), np.nan, dtype=np.float32))
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
-            unit_kernel(unit, i_prev, enc)
+            unit_kernel([unit], i_prev, enc)
 
     @pytest.mark.parametrize("decode", [lambda m, e: greedy_decode(m, e, 4),
                                         lambda m, e: beam_search(m, e, 3, 4)],

@@ -8,11 +8,14 @@ from modcap.gradcheck import (
     DEFAULT_TOLERANCE,
     ENCODER_MASKS,
     HARD_DOWNSTREAM_TENSORS,
+    KERNEL_STACK_STEPS,
+    KERNEL_STACKS,
     KERNEL_STEPS,
     KERNEL_VARIANTS,
     N_COMPOSITES,
     _encoder_inputs,
     _kernel_inputs,
+    _stack_inputs,
     check_case,
     composite_cases,
     primitive_cases,
@@ -134,6 +137,14 @@ class TestKernelSection:
                     last = [n for n in case if any(d in n for d in HARD_DOWNSTREAM_TENSORS)]
                     case = [n for n in case if n not in last] + last
                 expected += case
+        # then every input and then every unit's parameters of each stack
+        for n_units in KERNEL_STACKS:
+            units, arena, inputs = _stack_inputs(n_units, seed=0)
+            assert inputs["i_prev"].shape == (KERNEL_STACK_STEPS, 2, 2)
+            assert arena.names == tuple(name for m, unit in enumerate(units, start=1)
+                                        for name in unit.params(f"unit{m}"))
+            expected += [f"stack{n_units}:input:{name}" for name in inputs]
+            expected += [f"stack{n_units}:param:{name}" for name in arena.names]
         # then every input and parameter of the encoder kernel, unpadded
         # and padded
         for label in ENCODER_MASKS:
@@ -147,5 +158,7 @@ class TestKernelSection:
         assert any(n.startswith("hard:param:unit.ctrl.proj") for n in names)
         assert any(n.startswith("hard/T3:param:unit.ctrl.proj") for n in names)
         assert any(n.startswith("single:param:unit.att.object") for n in names)
+        assert {"stack2:param:unit2.ctrl.proj.W", "stack3:param:unit3.lstm1.W",
+                "stack3:input:values"} <= names
         assert {"encoder:input:r_obj", "encoder/padded:param:enc.relation.head1.Wk",
                 "encoder/padded:param:enc.attribute.fc.b"} <= names

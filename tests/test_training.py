@@ -227,13 +227,13 @@ class TestTeacherForced:
         assert np.array_equal(fed[0], batch.inputs.T)
 
     def test_node_count_is_deterministic_and_bounded(self, corpus, synth):
-        # 21 nodes with the encoder as one node (plus its means), one node
-        # per decoder unit over the whole caption (plus its controller
-        # softmax) and the word head as one node; with the word head
-        # composed of four ops the same pass built 24, with per-module
-        # encoder outputs and Tensor traces 35, with the op-composed
-        # encoder 113, with one node per unit step 358, with op-composed
-        # unit steps 646
+        # 20 nodes with the encoder as one node (plus its means), the
+        # decoder units as one node over the whole caption (plus each
+        # unit's controller softmax) and the word head as one node; with
+        # one node per unit the same pass built 21, with the word head
+        # composed of four ops 24, with per-module encoder outputs and
+        # Tensor traces 35, with the op-composed encoder 113, with one
+        # node per unit step 358, with op-composed unit steps 646
         model_cfg, train_cfg = apply_preset(
             "CNM#2", ModelConfig(vocab_size=len(corpus.vocab)), TrainConfig())
         model = CaptionModel(model_cfg, Rng(3))
@@ -244,7 +244,7 @@ class TestTeacherForced:
             teacher_forced(model, batch, lam_ling=config.LAMBDA_XE, rng=Rng(1))
             counts.append(next(Tensor._ids) - start - 1)
         assert counts[0] == counts[1]
-        assert counts[0] <= 23      # 21 and 10%
+        assert counts[0] <= 22      # 20 and 10%
 
     def test_metrics_shape(self, corpus, synth):
         model = fresh_model(corpus)

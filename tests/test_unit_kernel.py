@@ -13,13 +13,16 @@ distribution and the states, so the fused side's module weights,
 controller softmax and attention come from a teacher-forced pass over
 the same tokens and noise.
 
-Teacher forcing runs each unit over all T steps in one kernel call
-(``CaptionModel.forced``); it must agree with T chained reference steps
-to float-summation noise, and draw the same random numbers.  In
-float64, a three-step kernel pass must agree to rounding with chained
-reference steps whose LSTMs are composed of primitives
-(``reference.reference_lstm``), an oracle that shares no arithmetic with
-the kernel's ``LstmRun``.
+Teacher forcing runs the units over all T steps in one kernel call
+(``CaptionModel.forced``), a wavefront that steps unit m's step t with
+unit m + 1's step t - 1; it must agree with T chained reference steps
+to float-summation noise, and draw the same random numbers, and bit for
+bit with the units chained one kernel node each.  In float64, a
+three-step kernel pass must agree to rounding with chained reference
+steps whose LSTMs or attention heads are composed of primitives
+(``reference.reference_lstm``, ``reference.reference_attention``),
+oracles that share no arithmetic with the kernel's ``LstmRun`` and
+``AttentionRun``.
 
 Without gradients, greedy and beam decoding step forward only on plain
 state arrays (``CaptionModel.init_rows``); they must agree bit for bit
@@ -28,9 +31,10 @@ with the same decoders on the Tensor step (``reference.reference_greedy``,
 encode before them.  Beam search
 must return exactly the hypotheses of the beam that keeps one
 ``Hypothesis`` per candidate (``reference.object_beam_search``).  The
-decoders step on each unit's forward-only ``UnitRun``, kept with the
+decoders step on the stack's forward-only ``UnitRun``, kept with the
 encoding: it must follow rebound weights, and decoding makes no
-``UnitTrace``.  A pass without gradients records nothing for a
+``UnitTrace``.  A model and the caches it fills are freed by reference
+counting.  A pass without gradients records nothing for a
 backward, and the backward of a recorded pass reads the weight arrays
 the pass ran on, not those bound when it runs.
 
@@ -64,9 +68,10 @@ from modcap.decoder import (
     sample_decode,
     sample_policy,
     unit_kernel,
+    word_head,
 )
 from modcap.metrics import IdfTable
-from modcap.tensor import Adam, Rng, Tensor, masked_nll, no_grad
+from modcap.tensor import Adam, Rng, Tensor, gather_rows, masked_nll, no_grad
 from modcap.training import LOSS_EPS, _pack, self_critical_loss, teacher_forced
 from reference import (
     TensorStepModel,
@@ -320,26 +325,30 @@ def test_beam_matches_the_object_beam(corpus, scenes_by_region_count, preset):
 
 def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):
     # an optimizer step rebinds every weight array; decoding an encoding
-    # again must not reuse the forward-only runs built on the old ones
+    # again must not reuse the forward-only runs, nor the stacked weights,
+    # built on the old ones: it decodes as a model built on the new values
     model, _ = preset_model(corpus, "CNM#2")
     features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
 
-    def decode(enc):
+    def decode(model, enc):
         return ([(h.tokens, h.logprob) for h in beam_search(model, enc, 5, 12)],
                 greedy_decode(model, enc, 12))
 
     with no_grad():
         enc = model.encode(*features)
-    before = decode(enc)
+    before = decode(model, enc)
     params = model.named_parameters()
     teacher_forced(model, padded_batch, rng=Rng(1)).loss.backward()
     for name, p in params.items():
         if name.startswith("enc."):
             p.grad = None       # the encoders keep their weights, so a fresh encoding is equal
     Adam().step(model.arena, lr=0.05)
-    after = decode(enc)
+    after = decode(model, enc)
     with no_grad():
-        assert after == decode(model.encode(*features))
+        assert after == decode(model, model.encode(*features))
+        fresh = CaptionModel(model.cfg, Rng(0))
+        fresh.arena.assign(dict(zip(model.arena.names, model.arena.views)))
+        assert after == decode(fresh, fresh.encode(*features))
     assert after != before
 
 
@@ -437,7 +446,7 @@ def test_one_node_per_unit_step(corpus, preset):
     unit = model.units[0]
     i_prev = Tensor(np.ones((1, 1, model.cfg.d_v), dtype=np.float32), requires_grad=True)
     start = next(Tensor._ids)
-    i_new, trace = unit_kernel(unit, i_prev, enc)
+    i_new, (trace,) = unit_kernel([unit], i_prev, enc)
     created = next(Tensor._ids) - start - 1
     # the node reads the inputs and parameters themselves ...
     assert any(p is i_prev for p in i_new._parents)
@@ -515,12 +524,10 @@ def test_sequence_matches_chained_steps(corpus, padded_batch, preset, gumbel_tau
         assert relative(whole_grads[name], chained_grads[name]) <= 1e-5, name
 
 
-@pytest.mark.parametrize("preset", ["CNM#2", "Col/1", "Col/H", "Module/O"])
-def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, preset,
-                                                        monkeypatch):
-    # the chained reference steps run their LSTMs composed of primitives,
-    # not on LstmRun, so a fault there shows; float64 leaves only rounding
-    monkeypatch.setattr(reference, "lstm_cell", reference.reference_lstm)
+def three_steps_against_a_chain(corpus, padded_batch, preset):
+    """A float64 three-step ``unit_kernel`` pass of a preset's first unit on
+    the padded batch, and T chained ``reference_step`` calls: every output
+    and gradient of each, by name, for a weighted sum of the outputs."""
     model_cfg, _ = apply_preset(preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16,
                                                     d_a=8, m_units=2), TrainConfig())
     model = CaptionModel(model_cfg, Rng(3).derive(1), dtype=np.float64)
@@ -531,7 +538,7 @@ def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, pr
     w_out = rs.standard_normal(xs.shape)
     w_soft = rs.standard_normal((n_steps, batch.size, len(unit.modules) + 1))
     noise = model.selection_noise(Rng(2), n_steps, batch.size)
-    noise = None if noise is None else noise[:, 0]
+    noise = None if noise is None else noise[:, :1]
 
     def encode():
         return model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
@@ -548,7 +555,7 @@ def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, pr
         return got
 
     i = Tensor(xs, requires_grad=True)
-    node, trace = unit_kernel(unit, i, encode(), noise)
+    node, (trace,) = unit_kernel([unit], i, encode(), noise)
     weighted(node, trace.soft).backward()
     fused = {"out": node.data, "weights": trace.weights,
              "soft": None if trace.soft is None else trace.soft.data,
@@ -560,7 +567,7 @@ def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, pr
     loss, steps = None, []
     for t in range(n_steps):
         out, state, tr = reference_step(unit, rows[t], enc, state,
-                                        None if noise is None else noise[t])
+                                        None if noise is None else noise[t, 0])
         loss = weighted(out, tr.soft, t) if loss is None else loss + weighted(out, tr.soft, t)
         steps.append((out.data, tr))
     loss.backward()
@@ -569,7 +576,11 @@ def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, pr
              "soft": None if trace.soft is None else np.stack([tr.soft.data for _, tr in steps]),
              **{f"alpha:{k}": np.stack([tr.alphas[k] for _, tr in steps]) for k in unit.modules}}
     chain = taken(chain, np.stack([r.grad for r in rows]))
+    assert any(key.startswith("grad:unit1.att.") for key in fused)
+    return fused, chain
 
+
+def assert_agree_to_rounding(fused, chain):
     assert fused.keys() == chain.keys()
     assert any(key.startswith("grad:unit1.lstm1.") for key in fused)
     for key, got in fused.items():
@@ -577,6 +588,94 @@ def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, pr
             assert chain[key] is None, key
         else:
             np.testing.assert_allclose(got, chain[key], rtol=0, atol=1e-10, err_msg=key)
+
+
+@pytest.mark.parametrize("preset", ["CNM#2", "Col/1", "Col/H", "Module/O"])
+def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, preset,
+                                                        monkeypatch):
+    # the chained reference steps run their LSTMs composed of primitives,
+    # not on LstmRun, so a fault there shows; float64 leaves only rounding
+    monkeypatch.setattr(reference, "lstm_cell", reference.reference_lstm)
+    assert_agree_to_rounding(*three_steps_against_a_chain(corpus, padded_batch, preset))
+
+
+@pytest.mark.parametrize("preset", ["CNM#2", "Col/1", "Col/H", "Module/O"])
+def test_three_steps_match_a_chain_on_the_composed_attention(corpus, padded_batch, preset,
+                                                             monkeypatch):
+    # the same with the attention heads composed of primitives, not run on
+    # AttentionRun; the batch pads regions, so the mask is checked too
+    monkeypatch.setattr(reference, "additive_attention", reference.reference_attention)
+    assert_agree_to_rounding(*three_steps_against_a_chain(corpus, padded_batch, preset))
+
+
+def chained_forced(model, inputs, enc, noise=None):
+    """``CaptionModel.forced`` with each unit a ``unit_kernel`` node of its
+    own, run over the whole caption before the next unit starts."""
+    vec = gather_rows(model.embed, np.asarray(inputs, dtype=np.int64).T)
+    traces = []
+    for m, unit in enumerate(model.units):
+        vec, (trace,) = unit_kernel([unit], vec, enc, None if noise is None else noise[:, m:m + 1])
+        traces.append(trace)
+    return word_head(vec, model.head.W, model.head.b), traces
+
+
+# (preset, unit count or None for the preset's own, temperature): the
+# soft, hard and uniform strategies and one module, on two units and on
+# three, whose middle calls step all three at once
+WAVEFRONT = [("CNM#2", None, 1.0), ("CNM#3", None, 1.0), ("Module/O#2", None, 1.0),
+             ("Col/H+L", 2, 0.5), ("Col/1", 2, 1.0)]
+
+
+@pytest.mark.parametrize("steps", ["all", "one"])
+@pytest.mark.parametrize("preset, m_units, gumbel_tau", WAVEFRONT)
+def test_wavefront_matches_the_units_chained_one_per_call(corpus, padded_batch, preset,
+                                                          m_units, gumbel_tau, steps,
+                                                          monkeypatch):
+    # the stack steps as a wavefront, unit m's step t at call t + m; every
+    # output, trace and gradient must be those of the units run one after
+    # the other, bit for bit, and the hard strategy draws the same noise
+    model_cfg, train_cfg = apply_preset(
+        preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_a=8,
+                            gumbel_tau=gumbel_tau), TrainConfig())
+    if m_units is not None:
+        model_cfg = dataclasses.replace(model_cfg, m_units=m_units)
+    model = CaptionModel(model_cfg, Rng(3).derive(1))
+    batch = padded_batch if steps == "all" else dataclasses.replace(
+        padded_batch, inputs=padded_batch.inputs[:, :1], targets=padded_batch.targets[:, :1],
+        labels=padded_batch.labels[:, :1], mask=padded_batch.mask[:, :1])
+    params = model.named_parameters()
+
+    def run(forced_pass):
+        for p in params.values():
+            p.grad = None
+        forced = []
+
+        def spied(*args):
+            forced.append(forced_pass(model, *args))
+            return forced[-1]
+
+        monkeypatch.setattr(model, "forced", spied)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        rng = Rng(1)
+        stats = teacher_forced(model, batch, lam_ling=lam_of(train_cfg) or 0.5 * (
+            model.units[0].controlled), rng=rng, enc=enc)
+        stats.loss.backward()
+        dist, traces = forced[0]
+        out = {"dist": dist.data.tobytes(), "loss": stats.loss.data.tobytes(),
+               "rng": rng.get_state(), "values": enc.values.grad.tobytes(),
+               "means": enc.means.grad.tobytes()}
+        for m, tr in enumerate(traces):
+            out[f"unit{m}.weights"] = None if tr.weights is None else tr.weights.tobytes()
+            out[f"unit{m}.soft"] = None if tr.soft is None else tr.soft.data.tobytes()
+            out.update((f"unit{m}.alpha.{k}", a.tobytes()) for k, a in tr.alphas.items())
+        out.update((f"grad:{name}", p.grad.tobytes()) for name, p in params.items()
+                   if p.grad is not None)
+        return out
+
+    stacked, chained = run(CaptionModel.forced), run(chained_forced)
+    assert stacked.keys() == chained.keys()
+    assert [key for key in stacked if stacked[key] != chained[key]] == []
+    assert f"grad:unit{len(model.units)}.lstm1.W" in stacked and "grad:embed.W" in stacked
 
 
 def assert_freed_by_reference_counting(build_loss):
@@ -599,6 +698,25 @@ def test_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
     model, _ = preset_model(corpus, "CNM#2")
     assert_freed_by_reference_counting(
         lambda: teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1)).loss)
+
+
+def test_a_model_is_freed_without_the_cycle_collector(corpus, padded_batch):
+    # the units know their stack by weak references, and the stacked
+    # weights are kept by the first unit: a model that has trained and
+    # decoded, and the caches it filled, are freed by reference counting
+    import gc
+    gc.collect()
+    gc.disable()
+    try:
+        model, _ = preset_model(corpus, "CNM#2")
+        enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
+        teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1), enc=enc).loss.backward()
+        greedy_decode(model, enc, 4)
+        assert model.units[1].stack == tuple(model.units)
+        del model, enc
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_self_critical_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):

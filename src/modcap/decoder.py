@@ -27,10 +27,11 @@ over a recording run, with a trace per unit.  Each unit's steps round
 exactly as if it ran alone.  The same step composed of one node per op
 is kept with the tests (``tests/reference.py``); a one-step pass agrees
 with it bit for bit.  The decoders (``CaptionModel.step``) step forward
-only on plain state arrays, one unit at a time, and build no Tensor;
-the stack's forward-only run is kept with the encoding
-(``Encoded.run``).  A decode step returns only the word
-distribution and the new states: what a unit chose is read from a
+only, on one plain state array for the stack (M, n, B, d_v), and build
+no Tensor: a decode step steps unit after unit on the stack's
+forward-only run, kept with the encoding (``Encoded.run``), and checks
+the new state once.  A decode step returns only the word
+distribution and the new state: what a unit chose is read from a
 teacher-forced pass over the caption, as traces do.  Decoding and
 teacher forcing read the words off the last unit's rows through one word
 head, ``word_head``: on a decode step's arrays it returns an array, on a
@@ -141,8 +142,9 @@ class DecoderUnit:
     controller (``ctrl.*``, never run under the uniform strategy), and
     LSTM2 (``lstm2.*``).  A single-module unit (the ablation) has no
     function module or controller, and its ``strategy`` is None.
-    ``stack`` is the units it steps with, a model's units (the unit alone
-    until a model sets it), and ``index`` its place among them.
+    ``n_rows`` is the number of its state rows: h1, c1, h2, c2 and, when
+    the controller runs (``controlled``), its h and c.  A unit has no step
+    of its own: its stack's run (``UnitRun``) steps it.
     """
 
     def __init__(self, cfg: ModelConfig, modules: tuple, rng: Rng, dtype=FLOAT32):
@@ -152,6 +154,7 @@ class DecoderUnit:
         self.modules = modules
         self.strategy = Strategy(cfg.strategy) if modules == VISUAL_MODULES else None
         self.controlled = self.strategy not in (None, Strategy.UNIFORM)
+        self.n_rows = 6 if self.controlled else 4
         w = self.weights = {}
 
         def lstm(name, d_in):
@@ -171,40 +174,7 @@ class DecoderUnit:
             w["ctrl.proj.W"] = xavier_uniform(rng, (d_c, n), d_c, n, dtype=dtype)
             w["ctrl.proj.b"] = zeros(n, dtype=dtype, requires_grad=True)
         lstm("lstm2", d_c + (len(modules) + (self.strategy is not None)) * d_v)
-        self._stack, self.index = (weakref.ref(self),), 0
         self._stack_table = (None, None)
-
-    @property
-    def stack(self) -> tuple:
-        """The units it steps with, itself among them; the unit keeps weak
-        references, as units holding each other would form a cycle."""
-        return tuple(map(weakref.ref.__call__, self._stack))
-
-    def zero_state(self, batch: int, dtype) -> np.ndarray:
-        """Zero state rows (n, B, d_v): h1, c1, h2, c2 and, when the
-        controller runs (``controlled``), its h and c."""
-        return np.zeros((6 if self.controlled else 4, batch, self.cfg.d_v), dtype)
-
-    def step(self, i_prev: np.ndarray, enc: Encoded, state: np.ndarray,
-             noise: np.ndarray | None = None):
-        """One forward-only step of the unit on the input rows (B, d_v) and
-        the state rows (n, B, d_v), with the step's (B, K + 1)
-        hard-selection noise, on its stack's run kept with the encoding
-        (``Encoded.run``).  Returns (i_new, new state rows), plain arrays.
-        The gate sigmoids may overflow exp: the decoders step under
-        ``np.errstate(over="ignore")``."""
-        out, rows, *_ = enc.run(self.stack).step(i_prev, state, noise, self.index)
-        rows = np.array(rows)
-        check_finite("unit_kernel", out)
-        check_finite("unit_kernel", rows)
-        return out, rows
-
-    def heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The attention weights stacked over modules, as its stack's runs
-        read them: C-contiguous W_v^T (K, d_v, d_a) and W_h^T (K, d_v,
-        d_a), and w_a (K, d_a).  Rebuilt only after a weight write
-        (``ParamArena.version``)."""
-        return tuple(part[self.index] for part in _stack_table(self.stack)["heads"])
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.{name}": t for name, t in self.weights.items()}
@@ -522,7 +492,7 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
 
     Without gradients (under ``no_grad``, or when no input or parameter
     requires one) the pass records nothing and runs on the encoding's
-    forward-only run, the one ``DecoderUnit.step`` decodes with.
+    forward-only run, the one ``CaptionModel.step`` decodes with.
     """
     xs = i.data
     n_steps, n_units = len(xs), len(units)
@@ -534,7 +504,7 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     calls = [slice(max(0, t - n_steps + 1), min(n_units, t + 1))
              for t in range(n_steps + n_units - 1)]
     # the first call steps the first unit from its zero state
-    out, state = xs[:0], list(units[0].zero_state(xs.shape[1], xs.dtype)[:, None])
+    out, state = xs[:0], list(np.zeros((units[0].n_rows, 1) + xs.shape[1:], xs.dtype))
     kept = []       # per call: attention weights, fusion weights, softmax
     with np.errstate(over="ignore"):
         for t, u in enumerate(calls):
@@ -606,9 +576,6 @@ class CaptionModel:
         self.embed = xavier_uniform(rng, (cfg.vocab_size, cfg.d_v),
                                     cfg.vocab_size, cfg.d_v, dtype=dtype)
         self.units = [DecoderUnit(cfg, modules, rng, dtype) for _ in range(cfg.m_units)]
-        refs = tuple(map(weakref.ref, self.units))
-        for m, unit in enumerate(self.units):
-            unit._stack, unit.index = refs, m
         self.head = Linear(cfg.d_v, cfg.vocab_size, rng, dtype=dtype)
         self.arena = ParamArena(self.named_parameters())
 
@@ -626,9 +593,11 @@ class CaptionModel:
                 else np.asarray(mask, dtype=bool).reshape(lead))
         return Encoded(*encoder_kernel(self.encoders, r_obj, r_attr, mask), mask=mask)
 
-    def init_rows(self, batch: int) -> list[np.ndarray]:
-        """Each unit's zero state as one plain array (``zero_state``)."""
-        return [unit.zero_state(batch, self.dtype) for unit in self.units]
+    def init_rows(self, batch: int) -> np.ndarray:
+        """The stack's zero state as one plain array (M, n, B, d_v): per
+        unit, its n state rows (``DecoderUnit.n_rows``)."""
+        return np.zeros((len(self.units), self.units[0].n_rows, batch, self.cfg.d_v),
+                        self.dtype)
 
     def selection_noise(self, rng: Rng | None, n_steps: int, batch: int):
         """The hard strategy's Gumbel noise for a pass of ``n_steps`` over
@@ -641,22 +610,26 @@ class CaptionModel:
         return rng.gumbel_array((n_steps, len(self.units), batch,
                                  len(self.units[0].modules) + 1), dtype=self.dtype)
 
-    def step(self, prev_tokens, enc: Encoded, states: list, noise: np.ndarray | None = None):
-        """One forward-only decode step for the whole stack, on the plain
-        state arrays of ``init_rows``.
+    def step(self, prev_tokens, enc: Encoded, states: np.ndarray,
+             noise: np.ndarray | None = None):
+        """One forward-only decode step of the stack, on the state array
+        (M, n, B, d_v) of ``init_rows``: unit m steps on the stack's run
+        kept with the encoding (``Encoded.run``), from the output rows of
+        unit m - 1.
 
         prev_tokens: int array (B,); ``noise``: the step's (M, B, K + 1)
         slice of ``selection_noise``.  Returns (word distribution (B, V),
-        new states), plain arrays; creates no Tensor.  The gate sigmoids
-        may overflow exp: the decoders step under
+        new state array), plain arrays; creates no Tensor.  The gate
+        sigmoids may overflow exp: the decoders step under
         ``np.errstate(over="ignore")``, entered once per decode.
         """
         vec = self.embed.data[np.asarray(prev_tokens, dtype=np.int64)]
-        new_states = []
-        for m, (unit, st) in enumerate(zip(self.units, states)):
-            vec, st = unit.step(vec, enc, st, None if noise is None else noise[m])
-            new_states.append(st)
-        return word_head(vec, self.head.W, self.head.b), new_states
+        run = enc.run(self.units)
+        new = np.empty_like(states)
+        for m in range(len(states)):
+            vec, new[m], *_ = run.step(vec, states[m], None if noise is None else noise[m], m)
+        check_finite("unit_kernel", new)
+        return word_head(vec, self.head.W, self.head.b), new
 
     def forced(self, inputs, enc: Encoded, noise: np.ndarray | None = None):
         """A teacher-forced pass over the input tokens (B, T): one embedding
@@ -756,8 +729,8 @@ def beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypothesis]:
     """Best-first beam decode of a one-scene encoding.
 
     Each step expands every live hypothesis in one forward-only step on
-    plain arrays: the hypotheses are the rows of each unit's state array,
-    reordered to their parents by one index per unit, and they attend the
+    plain arrays: the hypotheses are the rows of the stack's state array,
+    reordered to their parents by one gather, and they attend the
     one-scene encoding, broadcast over them.  A hypothesis that emits the
     end token is frozen: it is never expanded again but keeps competing
     with live ones on its cumulative log-probability.  Ties prefer the
@@ -785,8 +758,7 @@ def beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypothesis]:
                 break
             prev = [tokens[-1] if tokens else BOS_ID for tokens, _, _ in live]
             parents = np.array([row for _, _, row in live])
-            states = [s[:, parents] for s in states]
-            p, states = model.step(prev, enc, states)
+            p, states = model.step(prev, enc, states[:, :, parents])
             _check_distribution(p, t)
             logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
             total = (np.array([logprob for _, logprob, _ in live])[:, None] + logp).ravel()

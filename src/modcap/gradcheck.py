@@ -5,8 +5,9 @@ Four tiers, all in float64 against central differences:
 * primitives: every op the model runs, one case each, the fused masked
   NLL, and every input of the array helpers the unit kernel runs: one
   LSTM step through ``LstmRun`` and one attention query through
-  ``AttentionRun``, each wrapped as a single node of a scalar
-  objective, attention also on a batch with a padded region;
+  ``AttentionRun``, each on a stack of one unit and wrapped as a single
+  node of a scalar objective, attention also on a batch with a padded
+  region;
 * composites: seeded random chains of the model's ops, because op-by-op checks miss
   bugs in how gradients accumulate through shared nodes;
 * kernel: the fused decoder unit (``decoder.unit_kernel``) from the zero
@@ -195,16 +196,17 @@ def _scalar_node(value, inputs, grads) -> Tensor:
 
 def _lstm_scalar(x, h, c, params):
     """sum(h' * h') + sum(c') of one ``LstmRun`` step on (d,) vectors or
-    (B, d) rows."""
+    (B, d) rows, a stack of one unit."""
     inputs = (x, h, c, params.W, params.b)
-    run = LstmRun(params.W.data, params.b.data)
+    run = LstmRun(params.W.data[None], params.b.data[None])
     with np.errstate(over="ignore"):
-        h2, c2 = run.forward([a.data.reshape(-1, a.shape[-1]) for a in (x, h)],
-                             c.data.reshape(-1, c.shape[-1]))
+        h2, c2 = run.forward([a.data.reshape(1, -1, a.shape[-1]) for a in (x, h)],
+                             c.data.reshape(1, -1, c.shape[-1]), slice(0, 1))
 
     def grads(g):
         g_xh, g_c = run.backward(0, g * 2.0 * h2, np.broadcast_to(g, c2.shape))
-        return (g_xh[:, :x.shape[-1]], g_xh[:, x.shape[-1]:], g_c, *run.param_grads())
+        (g_W,), (g_b,) = run.param_grads()
+        return g_xh[..., :x.shape[-1]], g_xh[..., x.shape[-1]:], g_c, g_W, g_b
 
     return _scalar_node((h2 * h2).sum() + c2.sum(), inputs, grads)
 
@@ -216,17 +218,18 @@ def _ramp(n: int) -> Tensor:
 def _attention_scalar(values, query, W_v, W_h, w_a, mask=None):
     """sum(ramp * alpha) + sum(attended * attended) of one ``AttentionRun``
     query, on (N, d_v) values with a (d_c,) query or (B, N, d_v) with
-    (B, d_c): every input is reached through both outputs."""
+    (B, d_c), a stack of one unit: every input is reached through both
+    outputs."""
     inputs = (values, query, W_v, W_h, w_a)
     v = values.data.reshape((-1,) + values.shape[-2:])
-    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T),
-                       w_a.data, mask)
-    alpha, attended = run.forward(query.data.reshape(-1, query.shape[-1]))
+    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T[None]),
+                       np.ascontiguousarray(W_h.data.T[None]), w_a.data[None], mask)
+    alpha, attended = run.forward(query.data.reshape(1, -1, query.shape[-1]), slice(0, 1))
     ramp = _ramp(alpha.shape[-1]).data
 
     def grads(g):
         g_q = run.backward(0, np.broadcast_to(g * ramp, alpha.shape), g * 2.0 * attended)
-        g_direct, g_keys, g_Wv, g_Wh, g_wa = run.grads()
+        (g_direct,), (g_keys,), (g_Wv,), (g_Wh,), (g_wa,) = run.grads()
         return g_direct + g_keys, g_q, g_Wv, g_Wh, g_wa
 
     return _scalar_node((alpha * ramp).sum() + (attended * attended).sum(), inputs, grads)
@@ -481,14 +484,14 @@ def _rebinding_cases(section: str, objective, tensors: dict, arena: ParamArena,
     results = []
     for name, t in tensors.items():
         def f(probe, t=t):
-            saved = t.data
             set_value(t, probe.data)
-            try:
-                return objective()
-            finally:
-                set_value(t, saved)
+            return objective()
 
-        numeric = finite_diff_grad(f, Tensor(t.data.copy(), dtype=FLOAT64), eps=FD_EPS)
+        saved = t.data
+        try:
+            numeric = finite_diff_grad(f, Tensor(saved.copy(), dtype=FLOAT64), eps=FD_EPS)
+        finally:
+            set_value(t, saved)
         err = max_relative_error(analytic[name], numeric)
         results.append(CaseResult(section, name, err, err < tol))
     return results

@@ -493,19 +493,15 @@ def _rows(a: np.ndarray, lead: int = 0) -> np.ndarray:
     return a.reshape(a.shape[:lead] + (-1, a.shape[-1]))
 
 
-# A run's calls.  An unstacked run's call t is its step t, and it indexes
-# its weights with ().  A stacked run's weights have a leading unit axis,
-# and a call names the units it steps, an index into that axis: one unit
-# (an int), or a slice of them stepped as a wavefront, where call t steps
-# unit m's step t - m.
+# A run's calls.  A run's weights have a leading unit axis, a stack of
+# units (one unit is a stack of one), and a call names the units it
+# steps, an index into that axis: one unit (an int), or a slice of them
+# stepped as a wavefront, where call t steps unit m's step t - m.
 
 
 def _unit_steps(calls: list) -> list[list[tuple]]:
-    """Each unit's steps in a run's calls, in order, as (call, the unit's
-    index into the call's rows) pairs: one list for an unstacked run,
-    whose index is (), else one list per unit."""
-    if calls[-1] == ():
-        return [[(t, ()) for t in range(len(calls))]]
+    """Each unit's steps in a recorded run's calls, in order, as (call,
+    the unit's index into the call's rows) pairs, one list per unit."""
     steps = [[] for _ in range(calls[-1].stop)]
     for t, u in enumerate(calls):
         for m in range(u.start, u.stop):
@@ -513,24 +509,17 @@ def _unit_steps(calls: list) -> list[list[tuple]]:
     return steps
 
 
-def _per_unit(grads: list, stacked: bool):
-    """Per-unit gradient tuples as a tuple of per-unit lists, or, for an
-    unstacked run, its one tuple."""
-    return tuple(zip(*grads)) if stacked else grads[0]
-
-
 class LstmRun:
-    """A run of LSTM steps over B rows, with weights W (..., d_in + d_h,
-    4*d_h) and bias b (..., 4*d_h).
+    """A run of LSTM steps over B rows, with weights W (M, d_in + d_h,
+    4*d_h) and bias b (M, 4*d_h) of a stack of M units.
 
-    Leading axes of W and b stack units of their own, and ``forward``
-    takes the index ``u`` of the units it steps (see the run's calls
-    above); rows carry the units' axis before the row axis, and a stacked
-    run rounds exactly as one run per unit.  ``forward`` runs the next
-    call; ``backward`` runs call t's gradient and must visit the calls in
-    reverse; ``param_grads`` then returns the weight and bias gradients
-    of all steps of each unit, one GEMM and one sum over its rows.
-    Without ``record`` the run is forward only.
+    ``forward`` takes the index ``u`` of the units it steps (see the
+    run's calls above); rows carry the units' axis before the row axis,
+    and a run rounds exactly as one run per unit.  ``forward`` runs the
+    next call; ``backward`` runs call t's gradient and must visit the
+    calls in reverse; ``param_grads`` then returns the weight and bias
+    gradients of all steps of each unit, one GEMM and one sum over its
+    rows.  Without ``record`` the run is forward only.
 
     A recorded call keeps the input parts it was given (the arrays, not
     their concatenation), c, the gates with the candidate in its block,
@@ -548,7 +537,7 @@ class LstmRun:
         self.steps = []     # per call: parts, c, gates and candidate, tanh(c'), units
         self.W_T = None
 
-    def forward(self, parts, c, u=()):
+    def forward(self, parts, c, u):
         """The next call, on the units u, with the joined rows xh =
         [*parts] and the cell state c; returns (h', c').  A recording run
         keeps ``parts``: its arrays must not change before the backward.
@@ -576,7 +565,7 @@ class LstmRun:
             # three times faster on OpenBLAS; one step uses the transposed
             # view, as the reference does (they round apart below 8 rows)
             W_T = self.W.swapaxes(-1, -2)
-            one_step = len(self.steps) == (self.W.shape[0] if self.W.ndim > 2 else 1)
+            one_step = len(self.steps) == len(self.W)
             self.W_T = W_T if one_step else np.ascontiguousarray(W_T)
         # the gate gradient is, block by block, ((p * q) * r) * s with p =
         # [g_c, g_c, g_c, g_h]; r is the gates, the candidate's block
@@ -601,9 +590,9 @@ class LstmRun:
         return np.matmul(g_z, self.W_T[u]), g_c * f
 
     def param_grads(self):
-        """(g_W, g_b) summed over every step; of a stacked run, a list of
-        them per unit.  This ends the backward: the records and the arrays
-        formed for it are let go."""
+        """(g_W, g_b), each a list of one per unit, summed over its steps.
+        This ends the backward: the records and the arrays formed for it
+        are let go."""
         grads = []
         for steps in _unit_steps([s[-1] for s in self.steps]):
             g_z = np.array([self.steps[t][1][k] for t, k in steps])
@@ -614,26 +603,25 @@ class LstmRun:
             g_z = g_z.reshape(-1, g_z.shape[-1])
             grads.append((_t_matmul(xh.reshape(-1, xh.shape[-1]), g_z), g_z.sum(axis=0)))
         self.steps, self.W_T = [], None
-        return _per_unit(grads, self.W.ndim > 2)
+        return tuple(zip(*grads))
 
 
 class AttentionRun:
     """A run of additive-attention queries over one set of values.
 
     The values v (..., B, N, d_v) are attended with C-contiguous W_v^T
-    (..., d_v, d_a) and W_h^T (..., d_c, d_a) and the score vector wa
-    (..., d_a); the values' leading axes stack independent heads that
-    share the query, and a stacked run rounds exactly as one run per
-    head.  An axis of the weights before the heads' stacks units, each
-    with heads of its own over the same values, which a call indexes by
-    the units it steps, as ``LstmRun`` does.  A boolean (B, N) mask gives
-    padded regions a score of -inf.  The keys v W_v^T (..., B, N, d_a)
-    of every unit are computed at once, per run; ``forward`` takes the
-    next call's query rows, ``backward`` call t's gradients (calls in
+    (M, ..., d_v, d_a) and W_h^T (M, ..., d_c, d_a) and the score vector
+    wa (M, ..., d_a); the values' leading axes stack independent heads
+    that share the query, and a stacked run rounds exactly as one run per
+    head.  The weights' leading axis stacks M units, each with heads of
+    its own over the same values, which a call indexes by the units it
+    steps, as ``LstmRun`` does.  A boolean (B, N) mask gives padded
+    regions a score of -inf.  The keys v W_v^T (M, ..., B, N, d_a) of
+    every unit are computed at once, per run; ``forward`` takes the next
+    call's query rows, ``backward`` call t's gradients (calls in
     reverse), and ``grads`` returns the gradients of the values and the
-    weights summed over all steps, per unit when stacked.  Without
-    ``record``, or with values of one scene for many query rows, the run
-    is forward only.
+    weights summed over all steps, per unit.  Without ``record``, or with
+    values of one scene for many query rows, the run is forward only.
 
     A recorded call keeps its query rows, their projection q (..., B, 1,
     d_a) and alpha, not the N times larger tanh(keys + q): ``backward``
@@ -644,7 +632,6 @@ class AttentionRun:
     def __init__(self, v, Wv_T, Wh_T, wa, mask=None, record=True):
         *lead, b, n, d_v = v.shape
         self.lead = tuple(lead)
-        self.stacked = Wv_T.ndim > len(lead) + 2
         self.per_head = (..., *[None] * len(lead), slice(None), slice(None))  # a query's rows
         self.v, self.Wv_T, self.Wh_T, self.wa, self.mask = v, Wv_T, Wh_T, wa, mask
         self.v2 = v.reshape(self.lead + (b * n, d_v))
@@ -662,7 +649,7 @@ class AttentionRun:
         t2 = np.tanh(self.keys[u] + q)
         return t2.reshape(t2.shape[:-3] + (-1, t2.shape[-1]))
 
-    def forward(self, q_in, u=()):
+    def forward(self, q_in, u):
         """The next call, on the units u, for the queries q_in (..., B,
         d_c): returns (alpha (..., B, N), attended (..., B, d_v)), the
         heads' axes before the row axis."""
@@ -689,7 +676,7 @@ class AttentionRun:
         if self.g_direct is None:
             # sums over the steps of each unit, from -0.0: adding it keeps
             # the first step's bits, negative zeros included
-            units = self.Wv_T.shape[:1] if self.stacked else ()
+            units = self.Wv_T.shape[:1]
             self.g_direct = np.full(units + v.shape, -0.0, v.dtype)
             self.g_pre = np.full(units + t2.shape[-len(self.lead) - 2:], -0.0, t2.dtype)
             self.g_scores, self.g_q = [None] * len(self.calls), [None] * len(self.calls)
@@ -706,14 +693,13 @@ class AttentionRun:
 
     def grads(self):
         """(g_v through the weighted sum, g_v through the keys, g_W_v,
-        g_W_h, g_w_a), each summed over every step; of a stacked run, a
-        list of them per unit.  The values are shared by all steps, so the
-        key path uses the summed key gradient.  This ends the backward:
-        the records and the arrays formed for it go."""
+        g_W_h, g_w_a), each a list of one per unit, summed over its steps.
+        The values are shared by all steps, so the key path uses the summed
+        key gradient.  This ends the backward: the records and the arrays
+        formed for it go."""
         lead = len(self.lead)
         grads = []
         for m, steps in enumerate(_unit_steps(self.calls)):
-            m = m if self.stacked else ()
             Wv_T, g_pre = self.Wv_T[m], self.g_pre[m]
 
             def rows(records, axis=0):
@@ -733,7 +719,7 @@ class AttentionRun:
         self.q_in, self.q, self.alpha, self.calls = [], [], [], []
         self.g_direct = self.g_pre = None
         self.g_scores, self.g_q = [], []
-        return _per_unit(grads, self.stacked)
+        return tuple(zip(*grads))
 
 
 def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:

@@ -30,7 +30,8 @@ table entries, for the tests of those parts on their own, and ``of``
 reads a unit's.
 The fused ops it is built from, ``lstm_cell``, ``additive_attention``
 and ``weighted_concat``, run the same array arithmetic as the unit
-kernel (``LstmRun``, ``AttentionRun``), behind one joint node per op.
+kernel (``LstmRun``, ``AttentionRun``, on a stack of one unit), behind
+one joint node per op.
 ``decoder.unit_kernel`` agrees with ``reference_step`` bit for bit: in
 every value of a forward-only step, and in every output and gradient of
 a one-step teacher-forced pass from the zero state.  ``slice_axis``,
@@ -603,14 +604,14 @@ def lstm_cell(x, h, c, W, b):
     d_in = W.data.shape[0] - dh
     if x_d.shape[-1] != d_in:
         raise ShapeError(f"lstm_step input has width {x_d.shape[-1]}, weights expect {d_in}")
-    run = LstmRun(W.data, b.data)
+    run = LstmRun(W.data[None], b.data[None])        # a stack of one unit
     with np.errstate(over="ignore"):
-        h2, c2 = run.forward([x_d, h_d], c_d)
+        h2, c2 = (a[0] for a in run.forward([x_d[None], h_d[None]], c_d[None], slice(0, 1)))
 
     def backward(grad):
-        g_xh, g_c = run.backward(0, grad[:h2.size].reshape(h2.shape),
-                                 grad[h2.size:].reshape(c2.shape))
-        g_W, g_b = run.param_grads()
+        g_xh, g_c = (a[0] for a in run.backward(0, grad[:h2.size].reshape((1,) + h2.shape),
+                                                grad[h2.size:].reshape((1,) + c2.shape)))
+        (g_W,), (g_b,) = run.param_grads()
         if W.requires_grad:
             _accum(W, g_W)
         if b.requires_grad:
@@ -670,14 +671,14 @@ def additive_attention(values, query, W_v, W_h, w_a, mask=None):
         q_in = q_in.reshape(1, -1)
     if v.shape[1] == 0:
         raise ValueError("attention over an empty value set")
-    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T), np.ascontiguousarray(W_h.data.T),
-                       w_a.data, mask)
-    alpha, attended = run.forward(q_in)
+    run = AttentionRun(v, np.ascontiguousarray(W_v.data.T[None]),      # a stack of one unit
+                       np.ascontiguousarray(W_h.data.T[None]), w_a.data[None], mask)
+    alpha, attended = (a[0] for a in run.forward(q_in[None], slice(0, 1)))
 
     def backward(grad):
-        g_q = run.backward(0, grad[:alpha.size].reshape(alpha.shape),
-                           grad[alpha.size:].reshape(attended.shape))
-        g_direct, g_keys, g_Wv, g_Wh, g_wa = run.grads()
+        g_q = run.backward(0, grad[:alpha.size].reshape((1,) + alpha.shape),
+                           grad[alpha.size:].reshape((1,) + attended.shape))[0]
+        (g_direct,), (g_keys,), (g_Wv,), (g_Wh,), (g_wa,) = run.grads()
         if values.requires_grad:
             _accum(values, g_direct.reshape(values.data.shape))
             _accum(values, g_keys.reshape(values.data.shape))
@@ -861,9 +862,9 @@ def controller_step(ctrl: ModuleController, v_obj: Tensor, v_attr: Tensor, v_rel
 
 def reference_step(unit: DecoderUnit, i_prev: Tensor, enc: Encoded, state: UnitState,
                    noise: np.ndarray | None = None):
-    """``DecoderUnit.step`` composed of autodiff ops, one node per op, with
-    the step's (B, K + 1) selection noise.  Returns (i_new, new state,
-    trace)."""
+    """One unit's decode step (``UnitRun.step`` on the unit's index)
+    composed of autodiff ops, one node per op, with the step's (B, K + 1)
+    selection noise.  Returns (i_new, new state, trace)."""
     w = unit.weights
     context = state.h2
     values, means = module_parts(enc, unit.modules)
@@ -1037,9 +1038,8 @@ def object_beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypoth
             break
         prev = [h.tokens[-1] if h.tokens else BOS_ID for h in live]
         parents = np.array([h.states for h in live])
-        states = [s[:, parents] for s in states]
         with np.errstate(over="ignore"):
-            p, states = model.step(prev, enc, states)
+            p, states = model.step(prev, enc, states[:, :, parents])
         logp = np.log(np.maximum(p, np.finfo(p.dtype).smallest_subnormal))
         total = np.array([h.logprob for h in live])[:, None] + logp
         # only expansions scoring at least the beam_width-th best can

@@ -36,13 +36,14 @@ def random_features(seed, batch=1, k=3, d_r=8):
 
 class MarkovStub:
     """Fixed-table model for decoder contract tests: P(next | prev) only.
-    It keeps one zero state row per decoded row and reads no encoding."""
+    Its state array is a stack of one unit with one zero row per decoded
+    row, and it reads no encoding."""
 
     def __init__(self, table, dtype=np.float64):
         self.table = np.asarray(table, dtype=dtype)
 
     def init_rows(self, batch):
-        return [np.zeros((1, batch, 1))]
+        return np.zeros((1, 1, batch, 1))
 
     def selection_noise(self, rng, n_steps, batch):
         return None
@@ -107,11 +108,10 @@ class TestStackStructure:
         cfg = tiny_cfg()
         model = CaptionModel(cfg, Rng(2))
         enc = model.encode(*random_features(1))
-        unit = model.units[0]
         state = model.init_rows(1)[0]
         rs = np.random.RandomState(7)
         i_prev = rs.randn(1, cfg.d_v).astype(np.float32)
-        i_new, state2 = unit.step(i_prev, enc, state)
+        i_new, state2, *_ = enc.run(model.units).step(i_prev, state, None, 0)
         assert np.array_equal(i_new, i_prev + state2[2])      # h2
 
     def test_uniform_strategy_weights_all_one(self):

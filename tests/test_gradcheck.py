@@ -78,12 +78,13 @@ class TestBattery:
     def test_cases_check_the_helpers_production_runs(self, monkeypatch, run, method, k,
                                                      cases):
         # a 1% error in one gradient of the unit kernel's array helpers
-        # fails exactly the primitive cases that check it
+        # fails exactly the primitive cases that check it; the helpers
+        # return each gradient as one array per unit
         real = getattr(run, method)
 
         def off_by_one_percent(self):
             grads = list(real(self))
-            grads[k] = grads[k] * 1.01
+            grads[k] = [g * 1.01 for g in grads[k]]
             return tuple(grads)
 
         monkeypatch.setattr(run, method, off_by_one_percent)

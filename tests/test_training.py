@@ -9,7 +9,7 @@ import pytest
 from modcap import config
 from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, few_shot_subset, generate_corpus
-from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel, sample_decode
+from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel, _stack_table, sample_decode
 from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
 from modcap.tensor import Adam, Rng, Tensor, clip_global_norm, masked_nll, no_grad
@@ -465,7 +465,7 @@ class TestParamArena:
         # the stacked attention weights follow the rebound arrays
         unit = model.units[0]
         w_v = [unit.weights[f"att.{name}.Wv"].data.T for name in unit.modules]
-        np.testing.assert_array_equal(unit.heads()[0], np.stack(w_v))
+        np.testing.assert_array_equal(_stack_table(model.units)["heads"][0][0], np.stack(w_v))
 
     def test_parameters_and_moments_share_flat_buffers(self, corpus, synth, monkeypatch):
         model, opt, _ = self.train_once(corpus, synth, monkeypatch, "CNM#2", Adam(),

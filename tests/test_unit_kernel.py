@@ -1,15 +1,15 @@
 """The fused decoder unit against the op-composed reference, and the
 whole-sequence kernel against the step loop.
 
-A unit's step runs forward only on plain state rows
-(``DecoderUnit.step``) or, in teacher forcing, inside one autodiff node
+A unit's step runs forward only on plain state rows (a decode step,
+``CaptionModel.step``) or, in teacher forcing, inside one autodiff node
 from the zero state (``decoder.unit_kernel``);
 ``reference.reference_step`` composes the same step from one node per
 op.  Every preset of the ablation grid runs on a batch of scenes with
 different region counts (zero-padded, masked) once through each: every
 forward value, decoded token, and gradient of a one-step teacher-forced
 pass must agree bit for bit.  A decode step returns only the word
-distribution and the states, so the fused side's module weights,
+distribution and the state, so the fused side's module weights,
 controller softmax and attention come from a teacher-forced pass over
 the same tokens and noise.
 
@@ -24,10 +24,11 @@ steps whose LSTMs or attention heads are composed of primitives
 oracles that share no arithmetic with the kernel's ``LstmRun`` and
 ``AttentionRun``.
 
-Without gradients, greedy and beam decoding step forward only on plain
-state arrays (``CaptionModel.init_rows``); they must agree bit for bit
-with the same decoders on the Tensor step (``reference.reference_greedy``,
-``reference.reference_beam_search``) and create no Tensor, nor does the
+Without gradients, greedy and beam decoding step forward only on the
+stack's plain state array (``CaptionModel.init_rows``); they must agree
+bit for bit with the same decoders on the Tensor step
+(``reference.reference_greedy``, ``reference.reference_beam_search``),
+for stacks of one to three units, and create no Tensor, nor does the
 encode before them.  Beam search
 must return exactly the hypotheses of the beam that keeps one
 ``Hypothesis`` per candidate (``reference.object_beam_search``).  The
@@ -61,6 +62,7 @@ from modcap.decoder import (
     CaptionModel,
     UnitRun,
     UnitTrace,
+    _stack_table,
     argmax_policy,
     beam_search,
     greedy_decode,
@@ -259,7 +261,7 @@ def scenes_by_region_count(corpus):
     return [by_count[k] for k in sorted(by_count)]
 
 
-@pytest.mark.parametrize("preset, gumbel_tau", GRID)
+@pytest.mark.parametrize("preset, gumbel_tau", GRID + [("CNM#3", 1.0)])
 def test_forward_only_decoders_match_the_tensor_step(corpus, padded_batch,
                                                      scenes_by_region_count, preset,
                                                      gumbel_tau):
@@ -298,12 +300,12 @@ def test_a_weight_rebound_behind_the_arena_is_refused(corpus):
     model, _ = preset_model(corpus, "CNM#2")
     features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
     w = model.named_parameters()["unit1.att.object.Wv"]
-    heads = [a.copy() for a in model.units[0].heads()]
+    heads = [a.copy() for a in _stack_table(model.units)["heads"]]
     dist, _ = model.step([BOS_ID], model.encode(*features), model.init_rows(1))
     with pytest.raises(RuntimeError, match="parameter 'unit1.att.object.Wv' was rebound "
                                            "behind its arena; write values with ParamArena"):
         w.data = -w.data
-    assert all(np.array_equal(a, b) for a, b in zip(model.units[0].heads(), heads))
+    assert all(np.array_equal(a, b) for a, b in zip(_stack_table(model.units)["heads"], heads))
     again, _ = model.step([BOS_ID], model.encode(*features), model.init_rows(1))
     assert again.tobytes() == dist.tobytes()
 
@@ -701,9 +703,9 @@ def test_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
 
 
 def test_a_model_is_freed_without_the_cycle_collector(corpus, padded_batch):
-    # the units know their stack by weak references, and the stacked
-    # weights are kept by the first unit: a model that has trained and
-    # decoded, and the caches it filled, are freed by reference counting
+    # the stacked weights are kept by the first unit, keyed by weak
+    # references to the units: a model that has trained and decoded, and
+    # the caches it filled, are freed by reference counting
     import gc
     gc.collect()
     gc.disable()
@@ -712,7 +714,6 @@ def test_a_model_is_freed_without_the_cycle_collector(corpus, padded_batch):
         enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
         teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1), enc=enc).loss.backward()
         greedy_decode(model, enc, 4)
-        assert model.units[1].stack == tuple(model.units)
         del model, enc
         assert gc.collect() == 0
     finally:

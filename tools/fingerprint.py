@@ -9,7 +9,8 @@ temporary directory, and records its sha256:
 * the seed-0 reference run (``modcap train --preset CNM#2 --lr 2e-3`` on
   the 500-scene seed-0 corpus): the checkpoint and its meta;
 * the checkpoints and metas of the CI runs in .github/workflows/tier1.yml,
-  on the 60-scene seed-1 corpus and a 40-scene 32-wide one;
+  on the 60-scene seed-1 corpus and a 40-scene 32-wide one, the
+  three-unit ``CNM#3`` run among them;
 * their ``eval`` reports (beam and ``--greedy``), captions (beam, greedy
   and ``--sample``) and forced and generated traces (JSON and SVG);
 * ``modcap gradcheck --debug-finite`` stdout under PYTHONHASHSEED 0 and
@@ -126,6 +127,9 @@ class Build:
         self.decodes("col1", "seed1")
         self.checkpoint("obj", "seed1", "--preset", "Module/O#2", *SMALL)
         self.decodes("obj", "seed1")
+        self.checkpoint("cnm3", "seed1", "--preset", "CNM#3", "--xe-epochs", "1",
+                        "--rl-epochs", "1", "--d-v", "8", "--d-a", "4", "--heads", "2")
+        self.decodes("cnm3", "seed1")
         self.checkpoint("fs", "seed1", *FEW_SHOT, "--xe-epochs", "3", "--rl-epochs", "0")
         self.checkpoint("fsrl", "seed1", *FEW_SHOT, "--xe-epochs", "1", "--rl-epochs", "1")
         self.python("narrow corpus", "-c", NARROW_CORPUS, "narrow")

@@ -18,15 +18,16 @@ pass of the stack of units over one encoding, on plain arrays: it holds
 what the steps share, the weights of every unit along a leading unit
 axis (views of the arena, not copies), and ``step`` is the units' one
 step body, which steps one unit or several at once, rank-agnostic.  A
-recording run is also the pass's backward (``backward``, ``grads``).
-Teacher forcing (``CaptionModel.forced``) is the one differentiable
-path: the M units run the caption from the zero state in one
-``unit_kernel`` call, a wavefront of T + M - 1 calls in which unit m's
-step t and unit m + 1's step t - 1 run together, as one autodiff node
-over a recording run, with a trace per unit.  Each unit's steps round
-exactly as if it ran alone.  The same step composed of one node per op
-is kept with the tests (``tests/reference.py``); a one-step pass agrees
-with it bit for bit.  The decoders (``CaptionModel.step``) step forward
+recording run is also the pass's backward (``backward``), one call that
+visits the pass's calls in reverse.  Teacher forcing
+(``CaptionModel.forced``) is the one differentiable path: the M units
+run the caption from the zero state in one ``unit_kernel`` call, a
+wavefront of T + M - 1 calls in which unit m's step t and unit m + 1's
+step t - 1 run together on the stack's state array, as one autodiff
+node over a recording run, with a trace per unit.  Each unit's steps
+round exactly as if it ran alone.  The same step composed of one node
+per op is kept with the tests (``tests/reference.py``); a one-step pass
+agrees with it bit for bit.  The decoders (``CaptionModel.step``) step forward
 only, on one plain state array for the stack (M, n, B, d_v), and build
 no Tensor: a decode step steps unit after unit on the stack's
 forward-only run, kept with the encoding (``Encoded.run``), and checks
@@ -205,21 +206,6 @@ def _stack_table(units) -> dict:
     return first._stack_table[1]
 
 
-def _rerange(rows: np.ndarray, old: slice, new: slice, fill: float) -> np.ndarray:
-    """Rows (L, ...) of the units in the slice ``old`` as the rows of those
-    in ``new``; a unit only in ``new`` gets rows of ``fill``."""
-    kept = rows[max(new.start - old.start, 0):max(new.stop - old.start, 0)]
-    before = min(old.start, new.stop) - new.start
-    after = new.stop - max(old.stop, new.start)
-    if before <= 0 and after <= 0:
-        return kept
-
-    def pad(n):
-        return [np.full((n,) + rows.shape[1:], fill, rows.dtype)] if n > 0 else []
-
-    return np.concatenate(pad(before) + [kept] + pad(after))
-
-
 class UnitRun:
     """A pass of a stack of M decoder units over one encoding, forward and
     backward.
@@ -239,14 +225,13 @@ class UnitRun:
     A recording run is stepped as a wavefront (``unit_kernel``): call t
     steps unit m's step t - m, for every unit with one, on the output
     rows of unit m - 1's step at call t - 1.  It is its own backward, as
-    ``LstmRun`` is: ``backward`` runs call t's gradient, visiting the
-    calls in reverse and carrying the state gradients on the run, and
-    ``grads`` returns those of all steps, which ends the backward and
-    lets every record go.  A call records in ``steps`` the arrays its
-    backward reads but the fused block, rebuilt from the attended rows
-    (which the controller's LSTM keeps) and the function module's
-    pre-activation: only LSTM2's input keeps the weighted block.  A
-    call's backward keeps of them only what ``grads`` reads.
+    ``LstmRun`` is: one ``backward`` call runs the gradients of every
+    call, in reverse, and returns those of the weights, which ends the
+    backward and lets every record go.  A call records in ``steps`` the
+    arrays its backward reads but the fused block, rebuilt from the
+    attended rows (which the controller's LSTM keeps) and the function
+    module's pre-activation: only LSTM2's input keeps the weighted block.
+    A call's backward keeps of them only what the weight gradients read.
     """
 
     def __init__(self, units, enc: Encoded, record: bool = False):
@@ -272,7 +257,6 @@ class UnitRun:
         # weights, attended rows, the controller's h, softmax and noisy
         # softmax; and the units it stepped
         self.steps, self.calls = [], []
-        self.g_pre_f = self.g_logits = self.g_in = None
 
     @staticmethod
     def _block(att, pf):
@@ -329,86 +313,85 @@ class UnitRun:
             self.calls.append(u)
         return x + h2, [h1, c1, h2, c2, *ctrl_rows], alpha, w, soft
 
-    def backward(self, t, g_top, g_soft):
-        """Gradients of call t of a wavefront, from those of the last unit's
-        output rows g_top (T, B, d_v) and of the units' controller softmax
-        g_soft (M, T, B, K + 1), None when it has no consumer.  A unit's
-        output rows take the gradient the next unit's step handed back at
-        call t + 1."""
-        ctx, pf, w, att, hc, soft, y = self.steps[t]
-        self.steps[t] = (ctx, hc)       # what the weight gradients read
-        u, n_units = self.calls[t], self.n_units
-        dv, k_heads = self.lstm1.dh, len(self.modules)
-        if t == len(self.steps) - 1:    # the first visited: the last state has no consumer
-            self.g_in = np.empty_like(g_top)        # the first unit's input rows'
-            # the carried state gradients, of no unit yet; a unit's first
-            # ones are -0.0, which adds as nothing does, negative zeros kept
-            self.g_rows = [np.empty((0,) + g_top.shape[1:], g_top.dtype)] * 5
-            self.g_fed = self.g_rows.pop()
-            self.g_rows += self.g_rows[:2] if self.controlled else [None, None]
-            self.g_u = slice(n_units, n_units)
-            self.g_means = np.full((n_units,) + self.means_cat.shape, -0.0, g_top.dtype)
-            self.g_pre_f, self.g_logits = [None] * len(self.steps), [None] * len(self.steps)
-        if u != self.g_u:
-            self.g_rows = [g if g is None else _rerange(g, self.g_u, u, -0.0)
-                           for g in self.g_rows]
-        g_h1, g_c1, g_h2, g_c2, g_hc, g_cc = self.g_rows
-        # the output rows' gradient: what the next unit's step handed back
-        # to its input rows, and the pass's output's for the last unit
-        g_out = _rerange(self.g_fed, slice(self.g_u.start - 1, self.g_u.stop - 1), u, 0.0)
-        if u.stop == n_units:
-            g_out[-1] = g_top[t - n_units + 1]
-        g_xh2, g_c2 = self.lstm2.backward(t, g_h2 + g_out, g_c2)
-        g_h1 = g_h1 + g_xh2[..., :dv]
-        g_vhat = g_xh2[..., dv:-dv]
-        g_ctx = g_xh2[..., -dv:]
-        if self.strategy is None:
-            g_att = g_vhat[..., None, :, :]
-        else:
-            g_blocks = g_vhat.reshape(g_vhat.shape[:-1] + (k_heads + 1, dv))
-            g_att = g_blocks * w[..., None]
-            g_func = g_att[..., k_heads, :]
-            g_att = g_att[..., :k_heads, :].swapaxes(-3, -2)
-        if self.controlled:
-            g_w = (g_blocks * self._block(att, pf)).sum(axis=-1)
-            live = np.arange(u.start, u.stop)
-            g_s = None if g_soft is None else g_soft[live, t - live]
-            if self.strategy is Strategy.SOFT:
-                g_logits = softmax_backward(soft, _plus(g_s, g_w))
-            else:
-                g_logits = softmax_backward(y, g_w) * self.scale
-                if g_s is not None:
-                    g_logits = g_logits + softmax_backward(soft, g_s)
-            self.g_logits[t] = g_logits
-            g_hc = g_hc + np.matmul(g_logits, self.proj_W[u].swapaxes(-1, -2))
-            g_xc, g_cc = self.lstm_c.backward(t, g_hc, g_cc)
-            g_hc = g_xc[..., k_heads * dv + dv:]
-            g_att = g_att + g_xc[..., :k_heads * dv].reshape(
-                g_xc.shape[:-1] + (k_heads, dv)).swapaxes(-3, -2)
-            g_ctx = g_ctx + g_xc[..., k_heads * dv:k_heads * dv + dv]
-        if self.strategy is not None:
-            d_pre = np.where(pf >= 0, 1.0, LEAKY_SLOPE).astype(pf.dtype)
-            g_pre = self.g_pre_f[t] = g_func * d_pre
-            g_ctx = g_ctx + np.matmul(g_pre, self.fc_W[u].swapaxes(-1, -2))
-        g_q = self.heads.backward(t, None, g_att)
-        for k in reversed(range(k_heads)):
-            g_h1 = g_h1 + g_q[..., k, :, :]
-        g_xh1, g_c1 = self.lstm1.backward(t, g_h1, g_c1)
-        self.g_fed = g_out + g_xh1[..., :dv]
-        if u.start == 0:
-            self.g_in[t] = self.g_fed[0]
-        g_h2 = g_ctx + g_xh1[..., dv:2 * dv]
-        self.g_means[u] += g_xh1[..., 2 * dv:(2 + k_heads) * dv]
-        self.g_rows = [g_xh1[..., (2 + k_heads) * dv:], g_c1, g_h2, g_c2, g_hc, g_cc]
-        self.g_u = u
+    def backward(self, g_top, g_soft):
+        """The backward of a wavefront pass, from the gradients of the last
+        unit's output rows g_top (T, B, d_v) and of the units' controller
+        softmax g_soft (M, T, B, K + 1), None when it has no consumer.
 
-    def grads(self):
-        """({table name: one gradient per unit}, per unit the encoding's
-        values' gradient through the attended sum and through the keys,
-        the means' gradient, and the first unit's input rows' gradient (T,
-        B, d_v)), each summed over every step; the uniform strategy's
-        controller gets none.  This ends the backward: the records and the
-        arrays formed for it are let go."""
+        It visits the calls in reverse.  A unit's output rows take the
+        gradient the next unit's step handed back to its input rows at the
+        call after, the last unit's g_top's; each unit's state gradients
+        carry to its step before.  Returns ({table name: one gradient per
+        unit}, per unit the encoding's values' gradient through the
+        attended sum and through the keys, the means' gradient, and the
+        first unit's input rows' gradient (T, B, d_v)), each summed over
+        every step; the uniform strategy's controller gets none.  This ends
+        the backward: the records and the arrays formed for it are let go.
+        """
+        dv, k_heads, n_units = self.lstm1.dh, len(self.modules), self.n_units
+        n_calls, rows, dtype = len(self.steps), g_top.shape[1:], g_top.dtype
+        # per state row (h1, c1, h2, c2 and the controller's h and c), each
+        # unit's gradient; a unit's last step starts from -0.0, which adds
+        # as nothing does, negative zeros kept
+        g_state = np.full((4 + 2 * self.controlled, n_units) + rows, -0.0, dtype)
+        # per unit, what its step handed back to its input rows; last, the
+        # pass's output's
+        g_fed = np.empty((n_units + 1,) + rows, dtype)
+        g_in = np.empty_like(g_top)         # the first unit's input rows'
+        g_means = np.full((n_units,) + self.means_cat.shape, -0.0, dtype)
+        g_pre_f, g_logits = [None] * n_calls, [None] * n_calls
+        for t in reversed(range(n_calls)):
+            ctx, pf, w, att, hc, soft, y = self.steps[t]
+            self.steps[t] = (ctx, hc)       # what the weight gradients read
+            u = self.calls[t]
+            g_h1, g_c1, g_h2, g_c2, *g_ctrl = g_state[:, u]
+            if u.stop == n_units:
+                g_fed[-1] = g_top[t - n_units + 1]
+            g_out = g_fed[u.start + 1:u.stop + 1]
+            g_xh2, g_c2 = self.lstm2.backward(t, g_h2 + g_out, g_c2)
+            g_h1 = g_h1 + g_xh2[..., :dv]
+            g_vhat = g_xh2[..., dv:-dv]
+            g_ctx = g_xh2[..., -dv:]
+            if self.strategy is None:
+                g_att = g_vhat[..., None, :, :]
+            else:
+                g_blocks = g_vhat.reshape(g_vhat.shape[:-1] + (k_heads + 1, dv))
+                g_att = g_blocks * w[..., None]
+                g_func = g_att[..., k_heads, :]
+                g_att = g_att[..., :k_heads, :].swapaxes(-3, -2)
+            if self.controlled:
+                g_hc, g_cc = g_ctrl
+                g_w = (g_blocks * self._block(att, pf)).sum(axis=-1)
+                live = np.arange(u.start, u.stop)
+                g_s = None if g_soft is None else g_soft[live, t - live]
+                if self.strategy is Strategy.SOFT:
+                    g_l = softmax_backward(soft, _plus(g_s, g_w))
+                else:
+                    g_l = softmax_backward(y, g_w) * self.scale
+                    if g_s is not None:
+                        g_l = g_l + softmax_backward(soft, g_s)
+                g_logits[t] = g_l
+                g_hc = g_hc + np.matmul(g_l, self.proj_W[u].swapaxes(-1, -2))
+                g_xc, g_cc = self.lstm_c.backward(t, g_hc, g_cc)
+                g_ctrl = [g_xc[..., k_heads * dv + dv:], g_cc]
+                g_att = g_att + g_xc[..., :k_heads * dv].reshape(
+                    g_xc.shape[:-1] + (k_heads, dv)).swapaxes(-3, -2)
+                g_ctx = g_ctx + g_xc[..., k_heads * dv:k_heads * dv + dv]
+            if self.strategy is not None:
+                d_pre = np.where(pf >= 0, 1.0, LEAKY_SLOPE).astype(pf.dtype)
+                g_pre = g_pre_f[t] = g_func * d_pre
+                g_ctx = g_ctx + np.matmul(g_pre, self.fc_W[u].swapaxes(-1, -2))
+            g_q = self.heads.backward(t, None, g_att)
+            for k in reversed(range(k_heads)):
+                g_h1 = g_h1 + g_q[..., k, :, :]
+            g_xh1, g_c1 = self.lstm1.backward(t, g_h1, g_c1)
+            g_fed[u] = g_out + g_xh1[..., :dv]
+            if u.start == 0:
+                g_in[t] = g_fed[0]
+            g_means[u] += g_xh1[..., 2 * dv:(2 + k_heads) * dv]
+            g_state[:, u] = [g_xh1[..., (2 + k_heads) * dv:], g_c1,
+                             g_ctx + g_xh1[..., dv:2 * dv], g_c2, *g_ctrl]
+
         grads = {}
         grads["lstm1.W"], grads["lstm1.b"] = self.lstm1.param_grads()
         grads["lstm2.W"], grads["lstm2.b"] = self.lstm2.param_grads()
@@ -427,18 +410,15 @@ class UnitRun:
 
         if self.controlled:
             grads["ctrl.proj.W"], grads["ctrl.proj.b"] = dense([s[1] for s in self.steps],
-                                                               self.g_logits)
+                                                               g_logits)
         if self.strategy is not None:
-            grads["func.fc.W"], grads["func.fc.b"] = dense([s[0] for s in self.steps],
-                                                           self.g_pre_f)
+            grads["func.fc.W"], grads["func.fc.b"] = dense([s[0] for s in self.steps], g_pre_f)
         g_direct, g_keys, *g_heads = self.heads.grads()
         for k, name in enumerate(self.modules):
             grads.update((f"att.{name}.{part}", [g_m[k] for g_m in g])
                          for part, g in zip(HEAD_WEIGHTS, g_heads))
-        out = grads, g_direct, g_keys, self.g_means, self.g_in
-        self.steps, self.calls, self.g_rows, self.g_fed, self.g_in = [], [], None, None, None
-        self.g_means = self.g_pre_f = self.g_logits = None
-        return out
+        self.steps, self.calls = [], []
+        return grads, g_direct, g_keys, g_means, g_in
 
 
 def word_head(vec, W: Tensor, b: Tensor):
@@ -476,19 +456,21 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     a wavefront of T + M - 1 calls: call t steps unit m's step t - m for
     every unit with 0 <= t - m < T, in one set of numpy calls over arrays
     with a leading unit axis, and a unit's step rounds exactly as the
-    unit stepped on its own.  ``noise``, of shape (T, M, B, K + 1), is the
-    hard strategy's Gumbel noise, zero when None.  Returns (node, one
-    trace per unit).  The node is the last unit's output, shaped like
-    ``i``; each unit's per-step controller softmax is an output that hangs
-    off it (``kernel_output``).  Its backward runs the pass's own
-    (``UnitRun.backward`` over the calls in reverse, then
-    ``UnitRun.grads``), on the weight arrays the pass ran on, so a weight
-    written since leaves the graph intact.  It hands out the gradients as
-    one node per unit would: the last unit's first, each unit's table
-    entries, then the encoding's values' direct part and key path, and
-    the means; then ``i``'s.  A one-step pass rounds exactly as the
-    op-composed step in ``tests/reference.py``.  A trace holds the fusion
-    weights and the attention weights as arrays.
+    unit stepped on its own.  The calls step the stack's state as one
+    array laid out as a decode step's (M, n, B, d_v), a fresh one per
+    call, and write each unit's traces into arrays with a leading unit
+    axis.  ``noise``, of shape (T, M, B, K + 1), is the hard strategy's
+    Gumbel noise, zero when None.  Returns (node, one trace per unit).
+    The node is the last unit's output, shaped like ``i``; each unit's
+    per-step controller softmax is an output that hangs off it
+    (``kernel_output``).  Its backward runs the pass's own
+    (``UnitRun.backward``), on the weight arrays the pass ran on, so a
+    weight written since leaves the graph intact, and hands out the
+    gradients as one node per unit would: the last unit's first, each
+    unit's table entries, then the encoding's values' direct part and
+    key path, and the means; then ``i``'s.  A one-step pass rounds
+    exactly as the op-composed step in ``tests/reference.py``.  A trace
+    holds the fusion weights and the attention weights as arrays.
 
     Without gradients (under ``no_grad``, or when no input or parameter
     requires one) the pass records nothing and runs on the encoding's
@@ -503,42 +485,37 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     top = np.empty_like(xs)     # the last unit's output rows
     calls = [slice(max(0, t - n_steps + 1), min(n_units, t + 1))
              for t in range(n_steps + n_units - 1)]
-    # the first call steps the first unit from its zero state
-    out, state = xs[:0], list(np.zeros((units[0].n_rows, 1) + xs.shape[1:], xs.dtype))
-    kept = []       # per call: attention weights, fusion weights, softmax
+    out = xs[:0]
+    state = np.zeros((n_units, units[0].n_rows) + xs.shape[1:], xs.dtype)
+    # each unit's traces over its steps: attention, fusion weights, softmax
+    k_heads, rows = len(run.modules), xs.shape[1:-1]
+    alphas = np.empty((n_units, k_heads, n_steps) + rows + enc.mask.shape[-1:], xs.dtype)
+    chosen = np.empty((n_units, n_steps) + rows + (k_heads + 1,), xs.dtype)
+    softs = np.empty_like(chosen)
     with np.errstate(over="ignore"):
         for t, u in enumerate(calls):
             x = out[:u.stop - max(u.start, 1)]      # what each unit hands the next
             if u.start == 0:
                 x = np.concatenate([xs[t:t + 1], x])
-            if u != calls[max(t - 1, 0)]:
-                state = [_rerange(rows, calls[t - 1], u, 0.0) for rows in state]
             live = np.arange(u.start, u.stop)
-            out, state, *step = run.step(x, state,
-                                         None if noise is None else noise[t - live, live], u)
+            out, new, alphas[live, :, t - live], w, soft = run.step(
+                x, state[u].swapaxes(0, 1), None if noise is None else noise[t - live, live], u)
+            # a fresh array: a recording run keeps the rows it was given
+            state = np.zeros_like(state)
+            state[u] = np.stack(new, axis=1)
             if u.stop == n_units:
                 top[t - n_units + 1] = out[-1]
-            kept.append(step)
-    steps = _unit_steps(calls)
-
-    def per_unit(records, axis=0):
-        """A record of every call, as each unit's array over its steps."""
-        return [np.stack([records[t][j] for t, j in unit_steps], axis=axis)
-                for unit_steps in steps]
-
-    alphas, chosen, softs = zip(*kept)
-    alphas = per_unit(alphas, axis=1)
-    chosen = None if run.strategy in (None, Strategy.SOFT) else per_unit(chosen)
-    softs = per_unit(softs) if run.controlled else None
+            if run.controlled:
+                softs[live, t - live] = soft
+            if run.strategy not in (None, Strategy.SOFT):
+                chosen[live, t - live] = w
     sinks = [[] for _ in units]     # the softmaxes' gradients, when they have a consumer
 
     def backward(g_out):
         g_soft = None
         if any(sinks):
             g_soft = np.stack([sink[0] if sink else np.zeros_like(softs[0]) for sink in sinks])
-        for t in reversed(range(len(calls))):
-            run.backward(t, g_out, g_soft)
-        grads, g_direct, g_keys, g_means, g_in = run.grads()
+        grads, g_direct, g_keys, g_means, g_in = run.backward(g_out, g_soft)
         given = []
         for m in reversed(range(n_units)):
             given += [(p, grads[name][m]) for name, p in weights[m].items() if name in grads]

@@ -27,10 +27,11 @@ WINDOW = 16
 # tracemalloc's count moves by up to a few hundred bytes between runs,
 # with what Python's and numpy's small-object caches hold
 DRIFT = 1024
-# the guard's peak is 7.018 MB since the units step as one wavefront,
-# whose backward lets a call's records go as it passes (7.953 MB with one
-# run per unit, 8.623 MB while a unit's step kept its fused block as well
-# as the weighted copy LSTM2 keeps); the bound is 5% above 7.953 MB
+# the guard's peak is 7.828 MB since the wavefront steps the stack's state
+# as one array, a fresh one per call, which the call's records keep whole
+# (7.018 MB when a call stepped the rows the one before returned, 7.953 MB
+# with one run per unit, 8.623 MB while a unit's step kept its fused block
+# as well as the weighted copy LSTM2 keeps); the bound is 5% above 7.953 MB
 PEAK_BOUND = 8_351_000
 
 
@@ -101,9 +102,12 @@ def test_the_backward_lets_every_record_go(monkeypatch):
     recording = [run for run in runs if run.record]
     assert len(recording) == 1 and recording[0].n_units == len(model.units)
     assert all(run.lstm1.steps and run.steps for run in recording)
+    names = [set(vars(run)) for run in recording]
     loss.backward()
+    # the backward keeps no gradient state on the run
+    assert [set(vars(run)) for run in recording] == names
     for run in recording:
-        assert not run.steps and run.g_in is None and run.g_pre_f is None
+        assert not run.steps and not run.calls
         for lstm in (run.lstm1, run.lstm2, run.lstm_c):
             assert not lstm.steps and lstm.W_T is None
         assert not (run.heads.q_in or run.heads.q or run.heads.alpha)

@@ -17,7 +17,8 @@ Teacher forcing runs the units over all T steps in one kernel call
 (``CaptionModel.forced``), a wavefront that steps unit m's step t with
 unit m + 1's step t - 1; it must agree with T chained reference steps
 to float-summation noise, and draw the same random numbers, and bit for
-bit with the units chained one kernel node each.  In float64, a
+bit with the units chained one kernel node each, on presets and on
+stacks that ``hypothesis`` draws.  In float64, a
 three-step kernel pass must agree to rounding with chained reference
 steps whose LSTMs or attention heads are composed of primitives
 (``reference.reference_lstm``, ``reference.reference_attention``),
@@ -50,11 +51,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modcap.training
 import reference
 
-from modcap.config import LAMBDA_XE, PRESET_GRID, ModelConfig, TrainConfig, apply_preset
+from modcap.config import (FULL_MODULES, LAMBDA_XE, PRESET_GRID, VISUAL_MODULES,
+                           ModelConfig, TrainConfig, apply_preset)
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import (
     BOS_ID,
@@ -621,6 +625,62 @@ def chained_forced(model, inputs, enc, noise=None):
     return word_head(vec, model.head.W, model.head.b), traces
 
 
+def forced_bytes(model, batch, lam_ling, forced_pass):
+    """Bytes of everything a teacher-forced objective makes when its pass is
+    ``forced_pass`` in place of ``CaptionModel.forced``: the word
+    distributions, the loss, the random draws, every unit's traces, and
+    the gradients of the encoding and of every parameter."""
+    params = model.named_parameters()
+    for p in params.values():
+        p.grad = None
+    forced = []
+
+    def spied(*args):
+        forced.append(forced_pass(model, *args))
+        return forced[-1]
+
+    model.forced = spied
+    try:
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        rng = Rng(1)
+        stats = teacher_forced(model, batch, lam_ling=lam_ling, rng=rng, enc=enc)
+    finally:
+        del model.forced
+    stats.loss.backward()
+    dist, traces = forced[0]
+    out = {"dist": dist.data.tobytes(), "loss": stats.loss.data.tobytes(),
+           "rng": rng.get_state(), "values": enc.values.grad.tobytes(),
+           "means": enc.means.grad.tobytes()}
+    for m, tr in enumerate(traces):
+        out[f"unit{m}.weights"] = None if tr.weights is None else tr.weights.tobytes()
+        out[f"unit{m}.soft"] = None if tr.soft is None else tr.soft.data.tobytes()
+        out.update((f"unit{m}.alpha.{k}", a.tobytes()) for k, a in tr.alphas.items())
+    out.update((f"grad:{name}", p.grad.tobytes()) for name, p in params.items()
+               if p.grad is not None)
+    return out
+
+
+def assert_wavefront_matches_the_chain(model, batch, lam_ling):
+    """Every output, trace and gradient of the stack stepped as a wavefront
+    equals those of its units chained one node each, bit for bit, and the
+    hard strategy draws the same noise."""
+    stacked, chained = (forced_bytes(model, batch, lam_ling, forced_pass)
+                        for forced_pass in (CaptionModel.forced, chained_forced))
+    assert stacked.keys() == chained.keys()
+    assert [key for key in stacked if stacked[key] != chained[key]] == []
+    assert f"grad:unit{len(model.units)}.lstm1.W" in stacked and "grad:embed.W" in stacked
+
+
+def first_steps(batch, n_steps, rows=slice(None)):
+    """The first ``n_steps`` steps of the captions of ``batch``'s ``rows``."""
+    return dataclasses.replace(
+        batch, scene_ids=list(np.asarray(batch.scene_ids)[rows]),
+        r_obj=batch.r_obj[rows], r_attr=batch.r_attr[rows],
+        region_mask=batch.region_mask[rows],
+        **{name: getattr(batch, name)[rows, :n_steps]
+           for name in ("inputs", "targets", "labels", "mask")})
+
+
 # (preset, unit count or None for the preset's own, temperature): the
 # soft, hard and uniform strategies and one module, on two units and on
 # three, whose middle calls step all three at once
@@ -631,53 +691,41 @@ WAVEFRONT = [("CNM#2", None, 1.0), ("CNM#3", None, 1.0), ("Module/O#2", None, 1.
 @pytest.mark.parametrize("steps", ["all", "one"])
 @pytest.mark.parametrize("preset, m_units, gumbel_tau", WAVEFRONT)
 def test_wavefront_matches_the_units_chained_one_per_call(corpus, padded_batch, preset,
-                                                          m_units, gumbel_tau, steps,
-                                                          monkeypatch):
-    # the stack steps as a wavefront, unit m's step t at call t + m; every
-    # output, trace and gradient must be those of the units run one after
-    # the other, bit for bit, and the hard strategy draws the same noise
+                                                          m_units, gumbel_tau, steps):
+    # the stack steps as a wavefront, unit m's step t at call t + m
     model_cfg, train_cfg = apply_preset(
         preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_a=8,
                             gumbel_tau=gumbel_tau), TrainConfig())
     if m_units is not None:
         model_cfg = dataclasses.replace(model_cfg, m_units=m_units)
     model = CaptionModel(model_cfg, Rng(3).derive(1))
-    batch = padded_batch if steps == "all" else dataclasses.replace(
-        padded_batch, inputs=padded_batch.inputs[:, :1], targets=padded_batch.targets[:, :1],
-        labels=padded_batch.labels[:, :1], mask=padded_batch.mask[:, :1])
-    params = model.named_parameters()
+    batch = padded_batch if steps == "all" else first_steps(padded_batch, 1)
+    assert_wavefront_matches_the_chain(
+        model, batch, lam_of(train_cfg) or 0.5 * model.units[0].controlled)
 
-    def run(forced_pass):
-        for p in params.values():
-            p.grad = None
-        forced = []
 
-        def spied(*args):
-            forced.append(forced_pass(model, *args))
-            return forced[-1]
+# the strategies a unit with all three modules selects by, the hard one
+# with noise, and each single module
+VARIANTS_DRAWN = [(FULL_MODULES, strategy) for strategy in ("soft", "hard", "uniform")] + [
+    ((name,), "soft") for name in VISUAL_MODULES]
 
-        monkeypatch.setattr(model, "forced", spied)
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-        rng = Rng(1)
-        stats = teacher_forced(model, batch, lam_ling=lam_of(train_cfg) or 0.5 * (
-            model.units[0].controlled), rng=rng, enc=enc)
-        stats.loss.backward()
-        dist, traces = forced[0]
-        out = {"dist": dist.data.tobytes(), "loss": stats.loss.data.tobytes(),
-               "rng": rng.get_state(), "values": enc.values.grad.tobytes(),
-               "means": enc.means.grad.tobytes()}
-        for m, tr in enumerate(traces):
-            out[f"unit{m}.weights"] = None if tr.weights is None else tr.weights.tobytes()
-            out[f"unit{m}.soft"] = None if tr.soft is None else tr.soft.data.tobytes()
-            out.update((f"unit{m}.alpha.{k}", a.tobytes()) for k, a in tr.alphas.items())
-        out.update((f"grad:{name}", p.grad.tobytes()) for name, p in params.items()
-                   if p.grad is not None)
-        return out
 
-    stacked, chained = run(CaptionModel.forced), run(chained_forced)
-    assert stacked.keys() == chained.keys()
-    assert [key for key in stacked if stacked[key] != chained[key]] == []
-    assert f"grad:unit{len(model.units)}.lstm1.W" in stacked and "grad:embed.W" in stacked
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(m_units=st.integers(1, 3), n_steps=st.integers(1, 4),
+       variant=st.sampled_from(VARIANTS_DRAWN),
+       rows=st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True))
+def test_wavefront_matches_the_chain_on_drawn_stacks(corpus, padded_batch, m_units, n_steps,
+                                                     variant, rows):
+    # float64, stacks of one to three units over one to four steps, so a
+    # pass shorter than its stack has units that enter and leave in one
+    # call; the drawn scenes have different region counts, padded
+    modules, strategy = variant
+    model = CaptionModel(ModelConfig(vocab_size=len(corpus.vocab), d_v=8, d_a=4,
+                                     m_units=m_units, strategy=strategy, modules=modules,
+                                     gumbel_tau=0.5),
+                         Rng(3).derive(1), dtype=np.float64)
+    assert_wavefront_matches_the_chain(model, first_steps(padded_batch, n_steps, rows),
+                                       0.5 * model.units[0].controlled)
 
 
 def assert_freed_by_reference_counting(build_loss):

@@ -23,15 +23,15 @@ visits the pass's calls in reverse.  Teacher forcing
 (``CaptionModel.forced``) is the one differentiable path: the M units
 run the caption from the zero state in one ``unit_kernel`` call, a
 wavefront of T + M - 1 calls in which unit m's step t and unit m + 1's
-step t - 1 run together on the stack's state array, as one autodiff
-node over a recording run, with a trace per unit.  Each unit's steps
-round exactly as if it ran alone.  The same step composed of one node
-per op is kept with the tests (``tests/reference.py``); a one-step pass
-agrees with it bit for bit.  The decoders (``CaptionModel.step``) step forward
-only, on one plain state array for the stack (M, n, B, d_v), and build
-no Tensor: a decode step steps unit after unit on the stack's
-forward-only run, kept with the encoding (``Encoded.run``), and checks
-the new state once.  A decode step returns only the word
+step t - 1 run together, each call on the state rows the call before
+returned, as one autodiff node over a recording run, with a trace per
+unit.  Each unit's steps round exactly as if it ran alone.  The same
+step composed of one node per op is kept with the tests
+(``tests/reference.py``); a one-step pass agrees with it bit for bit.
+The decoders (``CaptionModel.step``) step forward only, on one plain
+state array for the stack (M, n, B, d_v), and build no Tensor: a decode
+step steps unit after unit on the stack's forward-only run, kept with
+the encoding (``Encoded.run``), and checks the new state once.  A decode step returns only the word
 distribution and the new state: what a unit chose is read from a
 teacher-forced pass over the caption, as traces do.  Decoding and
 teacher forcing read the words off the last unit's rows through one word
@@ -227,11 +227,14 @@ class UnitRun:
     rows of unit m - 1's step at call t - 1.  It is its own backward, as
     ``LstmRun`` is: one ``backward`` call runs the gradients of every
     call, in reverse, and returns those of the weights, which ends the
-    backward and lets every record go.  A call records in ``steps`` the
-    arrays its backward reads but the fused block, rebuilt from the
-    attended rows (which the controller's LSTM keeps) and the function
-    module's pre-activation: only LSTM2's input keeps the weighted block.
-    A call's backward keeps of them only what the weight gradients read.
+    backward and lets every record go.  A call records in ``steps`` one
+    tuple, ending with its units, of the arrays its backward reads but
+    the fused block, rebuilt from the attended rows (which the
+    controller's LSTM keeps) and the function module's pre-activation:
+    only LSTM2's input keeps the weighted block.  The call's backward
+    replaces it with what the weight gradients read: the context, the
+    controller's h and the gradients of the function module's
+    pre-activation and of the controller's logits.
     """
 
     def __init__(self, units, enc: Encoded, record: bool = False):
@@ -255,8 +258,8 @@ class UnitRun:
             self.scale = np.asarray(1.0 / unit.cfg.gumbel_tau, dtype=self.proj_W.dtype)
         # per call: context (h2 of the step before), pre-activation, fusion
         # weights, attended rows, the controller's h, softmax and noisy
-        # softmax; and the units it stepped
-        self.steps, self.calls = [], []
+        # softmax, and the units it stepped
+        self.steps = []
 
     @staticmethod
     def _block(att, pf):
@@ -309,8 +312,7 @@ class UnitRun:
             v_hat = (w[..., None] * block).reshape(rows + (-1,))
         h2, c2 = self.lstm2.forward([h1, v_hat, ctx], c2, u)
         if self.record:
-            self.steps.append((ctx, pf, w, att if self.controlled else None, hc, soft, y))
-            self.calls.append(u)
+            self.steps.append((ctx, pf, w, att if self.controlled else None, hc, soft, y, u))
         return x + h2, [h1, c1, h2, c2, *ctrl_rows], alpha, w, soft
 
     def backward(self, g_top, g_soft):
@@ -339,11 +341,9 @@ class UnitRun:
         g_fed = np.empty((n_units + 1,) + rows, dtype)
         g_in = np.empty_like(g_top)         # the first unit's input rows'
         g_means = np.full((n_units,) + self.means_cat.shape, -0.0, dtype)
-        g_pre_f, g_logits = [None] * n_calls, [None] * n_calls
         for t in reversed(range(n_calls)):
-            ctx, pf, w, att, hc, soft, y = self.steps[t]
-            self.steps[t] = (ctx, hc)       # what the weight gradients read
-            u = self.calls[t]
+            ctx, pf, w, att, hc, soft, y, u = self.steps[t]
+            g_pre = g_l = None
             g_h1, g_c1, g_h2, g_c2, *g_ctrl = g_state[:, u]
             if u.stop == n_units:
                 g_fed[-1] = g_top[t - n_units + 1]
@@ -370,7 +370,6 @@ class UnitRun:
                     g_l = softmax_backward(y, g_w) * self.scale
                     if g_s is not None:
                         g_l = g_l + softmax_backward(soft, g_s)
-                g_logits[t] = g_l
                 g_hc = g_hc + np.matmul(g_l, self.proj_W[u].swapaxes(-1, -2))
                 g_xc, g_cc = self.lstm_c.backward(t, g_hc, g_cc)
                 g_ctrl = [g_xc[..., k_heads * dv + dv:], g_cc]
@@ -379,8 +378,9 @@ class UnitRun:
                 g_ctx = g_ctx + g_xc[..., k_heads * dv:k_heads * dv + dv]
             if self.strategy is not None:
                 d_pre = np.where(pf >= 0, 1.0, LEAKY_SLOPE).astype(pf.dtype)
-                g_pre = g_pre_f[t] = g_func * d_pre
+                g_pre = g_func * d_pre
                 g_ctx = g_ctx + np.matmul(g_pre, self.fc_W[u].swapaxes(-1, -2))
+            self.steps[t] = (ctx, hc, g_pre, g_l, u)        # what the weight gradients read
             g_q = self.heads.backward(t, None, g_att)
             for k in reversed(range(k_heads)):
                 g_h1 = g_h1 + g_q[..., k, :, :]
@@ -400,24 +400,23 @@ class UnitRun:
 
         def dense(x, g):
             """Per unit, the weight and bias gradients of a product x W + b
-            from its inputs and output gradients, one array per call each."""
+            from the record fields of its inputs and output gradients."""
             out = []
-            for unit_steps in _unit_steps(self.calls):
-                x_rows, g_rows = ([a[t][j] for t, j in unit_steps] for a in (x, g))
+            for unit_steps in _unit_steps(self.steps):
+                x_rows, g_rows = ([self.steps[t][f][j] for t, j in unit_steps] for f in (x, g))
                 g_rows = np.concatenate(g_rows)
                 out.append((_t_matmul(np.concatenate(x_rows), g_rows), g_rows.sum(axis=0)))
             return zip(*out)
 
         if self.controlled:
-            grads["ctrl.proj.W"], grads["ctrl.proj.b"] = dense([s[1] for s in self.steps],
-                                                               g_logits)
+            grads["ctrl.proj.W"], grads["ctrl.proj.b"] = dense(1, 3)
         if self.strategy is not None:
-            grads["func.fc.W"], grads["func.fc.b"] = dense([s[0] for s in self.steps], g_pre_f)
+            grads["func.fc.W"], grads["func.fc.b"] = dense(0, 2)
         g_direct, g_keys, *g_heads = self.heads.grads()
         for k, name in enumerate(self.modules):
             grads.update((f"att.{name}.{part}", [g_m[k] for g_m in g])
                          for part, g in zip(HEAD_WEIGHTS, g_heads))
-        self.steps, self.calls = [], []
+        self.steps = []
         return grads, g_direct, g_keys, g_means, g_in
 
 
@@ -456,11 +455,12 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     a wavefront of T + M - 1 calls: call t steps unit m's step t - m for
     every unit with 0 <= t - m < T, in one set of numpy calls over arrays
     with a leading unit axis, and a unit's step rounds exactly as the
-    unit stepped on its own.  The calls step the stack's state as one
-    array laid out as a decode step's (M, n, B, d_v), a fresh one per
-    call, and write each unit's traces into arrays with a leading unit
-    axis.  ``noise``, of shape (T, M, B, K + 1), is the hard strategy's
-    Gumbel noise, zero when None.  Returns (node, one trace per unit).
+    unit stepped on its own.  Each call steps the n state rows the call
+    before returned, (L, B, d_v) for its L units: a unit that has left
+    drops its entries, and one that enters adds zero rows.  Each unit's
+    traces go into arrays with a leading unit axis.  ``noise``, of shape
+    (T, M, B, K + 1), is the hard strategy's Gumbel noise, zero when
+    None.  Returns (node, one trace per unit).
     The node is the last unit's output, shaped like ``i``; each unit's
     per-step controller softmax is an output that hangs off it
     (``kernel_output``).  Its backward runs the pass's own
@@ -486,7 +486,8 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     calls = [slice(max(0, t - n_steps + 1), min(n_units, t + 1))
              for t in range(n_steps + n_units - 1)]
     out = xs[:0]
-    state = np.zeros((n_units, units[0].n_rows) + xs.shape[1:], xs.dtype)
+    zero = np.zeros((1,) + xs.shape[1:], xs.dtype)
+    state = [zero] * units[0].n_rows        # the first unit's, at the first call
     # each unit's traces over its steps: attention, fusion weights, softmax
     k_heads, rows = len(run.modules), xs.shape[1:-1]
     alphas = np.empty((n_units, k_heads, n_steps) + rows + enc.mask.shape[-1:], xs.dtype)
@@ -497,12 +498,13 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
             x = out[:u.stop - max(u.start, 1)]      # what each unit hands the next
             if u.start == 0:
                 x = np.concatenate([xs[t:t + 1], x])
+            else:                                   # unit u.start - 1 has left
+                state = [r[1:] for r in state]
+            if 0 < t < n_units:                     # unit t enters
+                state = [np.concatenate([r, zero]) for r in state]
             live = np.arange(u.start, u.stop)
-            out, new, alphas[live, :, t - live], w, soft = run.step(
-                x, state[u].swapaxes(0, 1), None if noise is None else noise[t - live, live], u)
-            # a fresh array: a recording run keeps the rows it was given
-            state = np.zeros_like(state)
-            state[u] = np.stack(new, axis=1)
+            out, state, alphas[live, :, t - live], w, soft = run.step(
+                x, state, None if noise is None else noise[t - live, live], u)
             if u.stop == n_units:
                 top[t - n_units + 1] = out[-1]
             if run.controlled:

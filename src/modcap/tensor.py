@@ -22,11 +22,12 @@ LSTM, additive-attention and softmax arithmetic of the kernels is here
 A run's weights may stack units along a leading axis, and its arithmetic
 is rank-agnostic: one call steps one unit, or several at once on rows
 with a leading unit axis, and each unit's rows round as if it ran alone.
-A run records its calls and keeps only what its backward cannot rebuild
-with one cheap op.  Forward and input gradients go call by call, and a
-call's backward lets go of what only it reads; the parameter gradients
-are one GEMM per unit over the rows of all its steps, a call that ends
-the backward and lets the records go.  The op-composed encoder,
+A run keeps one record per call, a tuple ending with the call's units,
+of only what its backward cannot rebuild with one cheap op.  Forward and
+input gradients go call by call, and a call's backward replaces its
+record with what the weight gradients read; the parameter gradients are
+one GEMM per unit over the rows of all its steps, a call that ends the
+backward and lets the records go.  The op-composed encoder,
 unit and word head the kernels agree with bit for bit, and the ops only
 they use (``matmul`` and ``softmax`` among them), are in
 ``tests/reference.py``.  Padded regions are masked: a score of -inf
@@ -485,25 +486,18 @@ class LstmParams:
     b: Tensor  # (4*d_h,)
 
 
-def _rows(a: np.ndarray, lead: int = 0) -> np.ndarray:
-    """(T, *lead_axes, ..., d) -> (*lead_axes, T*..., d): the rows of all
-    steps of each head, a view when T is 1 or there are no lead axes."""
-    if lead:
-        a = np.moveaxis(a, 0, lead)
-    return a.reshape(a.shape[:lead] + (-1, a.shape[-1]))
-
-
 # A run's calls.  A run's weights have a leading unit axis, a stack of
 # units (one unit is a stack of one), and a call names the units it
 # steps, an index into that axis: one unit (an int), or a slice of them
 # stepped as a wavefront, where call t steps unit m's step t - m.
 
 
-def _unit_steps(calls: list) -> list[list[tuple]]:
-    """Each unit's steps in a recorded run's calls, in order, as (call,
-    the unit's index into the call's rows) pairs, one list per unit."""
-    steps = [[] for _ in range(calls[-1].stop)]
-    for t, u in enumerate(calls):
+def _unit_steps(records: list) -> list[list[tuple]]:
+    """Each unit's steps in a run's records, each ending with its call's
+    units, in order, as (call, the unit's index into the call's rows)
+    pairs, one list per unit."""
+    steps = [[] for _ in range(records[-1][-1].stop)]
+    for t, (*_, u) in enumerate(records):
         for m in range(u.start, u.stop):
             steps[m].append((t, m - u.start))
     return steps
@@ -556,8 +550,8 @@ class LstmRun:
         return o * tanh_c2, c2
 
     def backward(self, t, g_h, g_c):
-        """Gradients of call t from those of its h' and c' (None when c'
-        has no consumer): returns (g_xh, g_c_prev)."""
+        """Gradients of call t from those of its h' and c': returns
+        (g_xh, g_c_prev)."""
         dh = self.dh
         parts, c_prev, r, tanh_c, u = self.steps[t]
         if self.W_T is None:
@@ -579,7 +573,7 @@ class LstmRun:
         s[..., block] = 1.0
         f, o = r[..., dh:2 * dh], r[..., 3 * dh:]
         g_tanh = g_h * o * (1.0 - tanh_c * tanh_c)
-        g_c = g_tanh if g_c is None else g_c + g_tanh
+        g_c = g_c + g_tanh
         p = np.empty(g_c.shape[:-1] + (4, dh), g_c.dtype)
         p[..., :3, :] = g_c[..., None, :]
         p[..., 3, :] = g_h
@@ -594,7 +588,7 @@ class LstmRun:
         This ends the backward: the records and the arrays formed for it
         are let go."""
         grads = []
-        for steps in _unit_steps([s[-1] for s in self.steps]):
+        for steps in _unit_steps(self.steps):
             g_z = np.array([self.steps[t][1][k] for t, k in steps])
             xh = np.empty(g_z.shape[:-1] + self.W.shape[-2:-1],
                           np.result_type(*self.steps[0][0]))
@@ -624,9 +618,12 @@ class AttentionRun:
     values of one scene for many query rows, the run is forward only.
 
     A recorded call keeps its query rows, their projection q (..., B, 1,
-    d_a) and alpha, not the N times larger tanh(keys + q): ``backward``
-    rebuilds that for its call, and ``grads`` for all steps of a unit at
-    once, which ends the backward and lets every record go.
+    d_a), alpha and its units, not the N times larger tanh(keys + q):
+    ``backward`` rebuilds that for its call and replaces alpha in the
+    record with the score and query-projection gradients, and ``grads``
+    rebuilds it for all steps of a unit at once, which ends the backward
+    and lets every record go.  The value and key gradients are sums over
+    the steps of each unit, which a recording run makes at the start.
     """
 
     def __init__(self, v, Wv_T, Wh_T, wa, mask=None, record=True):
@@ -640,9 +637,15 @@ class AttentionRun:
         self.wa_col = wa[..., None]
         self.wa_row = wa[..., None, :]
         self.record = record
-        self.q_in, self.q, self.alpha, self.calls = [], [], [], []
-        self.g_scores, self.g_q = [], []
+        self.steps = []     # per call: query rows, q, alpha, units
         self.g_direct = self.g_pre = None
+        if record:
+            # sums over the steps of each unit, from -0.0: adding it keeps
+            # the first step's bits, negative zeros included
+            units = Wv_T.shape[:1]
+            self.g_direct = np.full(units + v.shape, -0.0, v.dtype)
+            self.g_pre = np.full(units + self.lead + (b * n, Wv_T.shape[-1]), -0.0,
+                                 self.keys.dtype)
 
     def _t2(self, q, u):
         """tanh(keys + q) of one call, the B*N rows of each head on one axis."""
@@ -661,32 +664,21 @@ class AttentionRun:
             scores = np.where(self.mask, scores, -np.inf)
         alpha = softmax_forward(scores)
         if self.record:
-            self.q_in.append(q_in)
-            self.q.append(q)
-            self.alpha.append(alpha)
-            self.calls.append(u)
+            self.steps.append((q_in, q, alpha, u))
         return alpha, (alpha[..., None] * self.v).sum(axis=-2)
 
     def backward(self, t, g_alpha, g_att):
         """Gradients of call t from those of alpha (None when alpha has no
         consumer) and of the attended rows; returns the query gradient of
         each head (..., B, d_c)."""
-        v, alpha, u = self.v, self.alpha[t], self.calls[t]
-        t2 = self._t2(self.q[t], u)
-        if self.g_direct is None:
-            # sums over the steps of each unit, from -0.0: adding it keeps
-            # the first step's bits, negative zeros included
-            units = self.Wv_T.shape[:1]
-            self.g_direct = np.full(units + v.shape, -0.0, v.dtype)
-            self.g_pre = np.full(units + t2.shape[-len(self.lead) - 2:], -0.0, t2.dtype)
-            self.g_scores, self.g_q = [None] * len(self.calls), [None] * len(self.calls)
-        self.alpha[t] = None
-        g_alpha_in = (g_att[..., None, :] * v).sum(axis=-1)
+        q_in, q, alpha, u = self.steps[t]
+        t2 = self._t2(q, u)
+        g_alpha_in = (g_att[..., None, :] * self.v).sum(axis=-1)
         g_alpha = g_alpha_in if g_alpha is None else g_alpha + g_alpha_in
         g_scores = softmax_backward(alpha, g_alpha).reshape(t2.shape[:-1] + (1,))
         g_pre = g_scores * self.wa_row[u] * (1.0 - t2 * t2)
         g_q = g_pre.reshape(alpha.shape + g_pre.shape[-1:]).sum(axis=-2)
-        self.g_scores[t], self.g_q[t] = g_scores, g_q
+        self.steps[t] = (q_in, q, g_scores, g_q, u)       # what the weight gradients read
         self.g_direct[u] += g_att[..., None, :] * alpha[..., None]
         self.g_pre[u] += g_pre
         return np.matmul(g_q, self.Wh_T[u].swapaxes(-1, -2))
@@ -699,26 +691,27 @@ class AttentionRun:
         formed for it go."""
         lead = len(self.lead)
         grads = []
-        for m, steps in enumerate(_unit_steps(self.calls)):
+        for m, steps in enumerate(_unit_steps(self.steps)):
             Wv_T, g_pre = self.Wv_T[m], self.g_pre[m]
 
-            def rows(records, axis=0):
-                return np.stack([records[t][k] for t, k in steps], axis=axis)
+            def rows(field, axis=0):
+                return np.stack([self.steps[t][field][k] for t, k in steps], axis=axis)
 
             # tanh(keys + q) of all steps, head-major in one buffer: (..., T*B*N, d_a)
-            t2 = np.add(np.expand_dims(self.keys[m], lead), rows(self.q, lead))
+            t2 = np.add(np.expand_dims(self.keys[m], lead), rows(1, lead))
             t2 = np.tanh(t2, out=t2).reshape(self.lead + (-1, t2.shape[-1]))
-            q_in = rows(self.q_in)
+            # each head's rows of all steps: (..., T*B, d_a) and (..., T*B*N, 1)
+            g_q, g_scores = (a.reshape(self.lead + (-1, a.shape[-1]))
+                             for a in (rows(3, lead), rows(2, lead)))
+            q_in = rows(0)
             grads.append((
                 self.g_direct[m],
                 np.matmul(g_pre, Wv_T.swapaxes(-1, -2)).reshape(self.v.shape),
                 _t_matmul(self.v2, g_pre).swapaxes(-1, -2),
-                _t_matmul(q_in.reshape(-1, q_in.shape[-1]), _rows(rows(self.g_q), lead))
-                .swapaxes(-1, -2),
-                np.matmul(t2.swapaxes(-1, -2), _rows(rows(self.g_scores), lead))[..., 0]))
-        self.q_in, self.q, self.alpha, self.calls = [], [], [], []
+                _t_matmul(q_in.reshape(-1, q_in.shape[-1]), g_q).swapaxes(-1, -2),
+                np.matmul(t2.swapaxes(-1, -2), g_scores)[..., 0]))
+        self.steps = []
         self.g_direct = self.g_pre = None
-        self.g_scores, self.g_q = [], []
         return tuple(zip(*grads))
 
 

@@ -27,12 +27,14 @@ WINDOW = 16
 # tracemalloc's count moves by up to a few hundred bytes between runs,
 # with what Python's and numpy's small-object caches hold
 DRIFT = 1024
-# the guard's peak is 7.828 MB since the wavefront steps the stack's state
-# as one array, a fresh one per call, which the call's records keep whole
-# (7.018 MB when a call stepped the rows the one before returned, 7.953 MB
-# with one run per unit, 8.623 MB while a unit's step kept its fused block
-# as well as the weighted copy LSTM2 keeps); the bound is 5% above 7.953 MB
-PEAK_BOUND = 8_351_000
+# the guard's peak is 7.135 MB since each wavefront call steps the rows the
+# call before returned and every run keeps one record per call (7.828 MB
+# while the wavefront stepped the stack's state as one array, a fresh one
+# per call, which the call's records kept whole; 7.018 MB when it stepped
+# per-call row arrays and kept its carries in lists; 7.953 MB with one run
+# per unit; 8.623 MB while a unit's step kept its fused block as well as
+# the weighted copy LSTM2 keeps); the bound is 5% above 7.135 MB
+PEAK_BOUND = 7_492_000
 
 
 def window(spec=SPEC):
@@ -107,11 +109,11 @@ def test_the_backward_lets_every_record_go(monkeypatch):
     # the backward keeps no gradient state on the run
     assert [set(vars(run)) for run in recording] == names
     for run in recording:
-        assert not run.steps and not run.calls
+        for each in (run, run.lstm1, run.lstm2, run.lstm_c, run.heads):
+            assert not each.steps
         for lstm in (run.lstm1, run.lstm2, run.lstm_c):
-            assert not lstm.steps and lstm.W_T is None
-        assert not (run.heads.q_in or run.heads.q or run.heads.alpha)
-        assert run.heads.g_pre is None and not run.heads.g_scores
+            assert lstm.W_T is None
+        assert run.heads.g_direct is None and run.heads.g_pre is None
 
 
 def test_window_memory_tool_reports_every_phase():

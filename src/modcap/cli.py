@@ -158,10 +158,7 @@ def _find_scene(corpus, scene_id: int):
 
 
 def cmd_corpus(args) -> int:
-    spec = CorpusSpec(n_scenes=args.scenes, k_min=args.k_min, k_max=args.k_max,
-                      captions_per_scene=args.captions,
-                      noise_sigma=args.noise_sigma, seed=_seed_of(args))
-    corpus = generate_corpus(spec)
+    corpus = generate_corpus(CorpusSpec(n_scenes=args.scenes, seed=_seed_of(args)))
     save_corpus(corpus, args.out)
     _emit({
         "out": args.out,
@@ -360,11 +357,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("corpus", help="generate a scene corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--scenes", type=int, default=500)
-    p.add_argument("--k-min", dest="k_min", type=int, default=3)
-    p.add_argument("--k-max", dest="k_max", type=int, default=6)
-    p.add_argument("--captions", type=int, default=5)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.05)
+    p.add_argument("--scenes", type=_count, default=500)
     _add_seed(p)
     p.set_defaults(func=cmd_corpus)
 

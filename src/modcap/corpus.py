@@ -11,9 +11,9 @@ Region features come in two matrices per scene.  Rows of R_O carry the
 object-class embedding, rows of R_A the summed attribute embeddings;
 both end in a four-value context block derived from geometry (x, y,
 rank in the left-to-right order, and for R_O the count of that object
-class in the scene).  Gaussian noise with configurable sigma is added to
-the content block only, from a per-scene stream, so features are a pure
-function of (corpus seed, scene id).
+class in the scene).  Gaussian noise of the fixed sigma ``NOISE_SIGMA``
+is added to the content block only, from a per-scene stream, so features
+are a pure function of (corpus seed, scene id).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .config import _drop_retired
 from .controller import pos_to_module_label
-from .errors import CorpusSpecError, DataError, FormatError
+from .errors import ConfigError, CorpusSpecError, DataError, FormatError
 from .tensor import Rng
 
 PAD, BOS, EOS, UNK = "<pad>", "<bos>", "<eos>", "<unk>"
@@ -51,59 +52,43 @@ _RANK_SCALE = 8.0
 SPLITS = ("train", "val", "test")
 _SPLIT_FRACTIONS = (0.8, 0.1)  # train, val; the remainder is test
 
+K_MIN, K_MAX = 3, 6       # regions per scene; captions describe relations between them
+CAPTIONS_PER_SCENE = 5
+NOISE_SIGMA = 0.05        # of the Gaussian noise on a region's content features
+
+# the settings version-1 corpus metas store, at the values they must hold
+_RETIRED_SPEC = {"k_min": K_MIN, "k_max": K_MAX, "n_objects": len(NOUN_POOL),
+                 "n_attributes": len(ADJ_POOL), "n_predicates": len(PRED_POOL),
+                 "n_function": len(FUNC_POOL), "captions_per_scene": CAPTIONS_PER_SCENE,
+                 "noise_sigma": NOISE_SIGMA}
+
 
 @dataclass
 class CorpusSpec:
+    """What varies between corpora: the scene count, the region feature
+    width and the seed.  Every corpus uses the whole word pools and the
+    constants above."""
+
     n_scenes: int = 500
-    k_min: int = 3
-    k_max: int = 6
-    n_objects: int = 20
-    n_attributes: int = 10
-    n_predicates: int = 8
-    n_function: int = 6
-    captions_per_scene: int = 5
     d_r: int = 64
-    noise_sigma: float = 0.05
     seed: int = 0
 
     def validate(self) -> None:
         if self.n_scenes < 1:
             raise CorpusSpecError(f"n_scenes must be positive, got {self.n_scenes}")
-        if self.k_min < 2:
-            raise CorpusSpecError(
-                f"k_min={self.k_min}: captions describe relations, which need at "
-                "least two regions per scene"
-            )
-        if self.k_max < self.k_min:
-            raise CorpusSpecError(f"k_max={self.k_max} is below k_min={self.k_min}")
-        if not 2 <= self.n_objects <= len(NOUN_POOL):
-            raise CorpusSpecError(f"n_objects must be in [2, {len(NOUN_POOL)}], got {self.n_objects}")
-        if not 1 <= self.n_attributes <= len(ADJ_POOL):
-            raise CorpusSpecError(f"n_attributes must be in [1, {len(ADJ_POOL)}], got {self.n_attributes}")
-        if not 1 <= self.n_predicates <= len(PRED_POOL):
-            raise CorpusSpecError(f"n_predicates must be in [1, {len(PRED_POOL)}], got {self.n_predicates}")
-        if not 3 <= self.n_function <= len(FUNC_POOL):
-            raise CorpusSpecError(
-                f"n_function must be in [3, {len(FUNC_POOL)}] so the templates "
-                f"can use 'a' and 'and', got {self.n_function}"
-            )
-        if self.captions_per_scene < 1:
-            raise CorpusSpecError("captions_per_scene must be positive")
         if self.d_r < CONTEXT_BLOCK + 4:
             raise CorpusSpecError(f"d_r={self.d_r} leaves no room for content features")
-        if self.noise_sigma < 0:
-            raise CorpusSpecError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CorpusSpec":
-        spec = cls(**d)
-        for f in fields(cls):      # every field a number, an int where the default is
+        spec = cls(**_drop_retired(d, _RETIRED_SPEC))
+        for f in fields(cls):      # every field an int
             value = getattr(spec, f.name)
-            if isinstance(value, bool) or not isinstance(value, (int, type(f.default))):
-                raise TypeError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{f.name} must be int, got {value!r}")
         return spec
 
 
@@ -148,22 +133,22 @@ class Vocabulary:
             raise FormatError(f"malformed vocabulary: {exc}") from exc
 
 
-def build_vocabulary(spec: CorpusSpec) -> Vocabulary:
+def build_vocabulary() -> Vocabulary:
     tokens = list(RESERVED)
     pos: dict[str, str] = {}
-    for word, tag in zip(FUNC_POOL[: spec.n_function], FUNC_TAGS):
+    for word, tag in zip(FUNC_POOL, FUNC_TAGS):
         tokens.append(word)
         pos[word] = tag
     for count_word in QUANT_WORDS.values():
         tokens.append(count_word)
         pos[count_word] = "CD"
-    for word in NOUN_POOL[: spec.n_objects]:
+    for word in NOUN_POOL:
         tokens.append(word)
         pos[word] = "NN"
-    for word in ADJ_POOL[: spec.n_attributes]:
+    for word in ADJ_POOL:
         tokens.append(word)
         pos[word] = "ADJ"
-    for word, tag in zip(PRED_POOL[: spec.n_predicates], PRED_TAGS):
+    for word, tag in zip(PRED_POOL, PRED_TAGS):
         tokens.append(word)
         pos[word] = tag
     return Vocabulary(tokens, pos)
@@ -254,7 +239,7 @@ def references_of(examples) -> dict[int, list[list[str]]]:
 # -- generation ---------------------------------------------------------------
 
 
-def _caption_words(scene: Scene, spec: CorpusSpec, slot: int):
+def _caption_words(scene: Scene, slot: int):
     """Template fill for one caption slot.  Slot 3 (when present) carries the
     variant reading; every other slot repeats the base description.  Variants
     open with the marker word "then" so the reading is announced before the
@@ -292,7 +277,7 @@ def _caption_words(scene: Scene, spec: CorpusSpec, slot: int):
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
     spec.validate()
-    vocab = build_vocabulary(spec)
+    vocab = build_vocabulary()
 
     scene_rng = Rng(spec.seed).derive(101)
     split_rng = Rng(spec.seed).derive(202)
@@ -308,14 +293,14 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     scenes = []
     examples = []
     for sid in range(spec.n_scenes):
-        k = spec.k_min + scene_rng.randint(spec.k_max - spec.k_min + 1)
+        k = K_MIN + scene_rng.randint(K_MAX - K_MIN + 1)
         regions = []
         for _ in range(k):
-            object_id = scene_rng.randint(spec.n_objects)
+            object_id = scene_rng.randint(len(NOUN_POOL))
             n_attr = 1 + scene_rng.randint(2)
             attrs = set()
-            while len(attrs) < min(n_attr, spec.n_attributes):
-                attrs.add(scene_rng.randint(spec.n_attributes))
+            while len(attrs) < n_attr:
+                attrs.add(scene_rng.randint(len(ADJ_POOL)))
             regions.append(Region(object_id=object_id, attributes=sorted(attrs),
                                   x=scene_rng.uniform(), y=scene_rng.uniform()))
         scene = Scene(scene_id=sid, split=split_of[sid], regions=regions, relations=[])
@@ -325,12 +310,12 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         for a, b in list(zip(roles, roles[1:]))[:2]:
             subj_class = regions[a].object_id
             scene.relations.append(Relation(subject=a,
-                                            predicate=subj_class % spec.n_predicates,
+                                            predicate=subj_class % len(PRED_POOL),
                                             object=b))
         scenes.append(scene)
 
-        for slot in range(spec.captions_per_scene):
-            words, tags = _caption_words(scene, spec, slot)
+        for slot in range(CAPTIONS_PER_SCENE):
+            words, tags = _caption_words(scene, slot)
             tags_full = tags + ["EOS"]
             labels = [int(pos_to_module_label(t)) for t in tags_full]
             examples.append(CaptionExample(scene_id=sid, slot=slot, words=words,
@@ -376,8 +361,8 @@ class FeatureSynthesizer:
         self.spec = spec
         d_content = spec.d_r - CONTEXT_BLOCK
         table_rng = Rng(spec.seed).derive(404)
-        self.obj_table = table_rng.normal((spec.n_objects, d_content), dtype=np.float32)
-        self.attr_table = table_rng.normal((spec.n_attributes, d_content), dtype=np.float32)
+        self.obj_table = table_rng.normal((len(NOUN_POOL), d_content), dtype=np.float32)
+        self.attr_table = table_rng.normal((len(ADJ_POOL), d_content), dtype=np.float32)
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def features(self, scene: Scene):
@@ -397,8 +382,7 @@ class FeatureSynthesizer:
             return hot
 
         # the scene's noise in one draw: object rows first, then attribute rows
-        noise = noise_rng.normal((2, k, d_content), scale=spec.noise_sigma, dtype=np.float32) \
-            if spec.noise_sigma > 0 else np.zeros((2, k, d_content), dtype=np.float32)
+        noise = noise_rng.normal((2, k, d_content), scale=NOISE_SIGMA, dtype=np.float32)
         r_obj = np.zeros((k, spec.d_r), dtype=np.float32)
         r_attr = np.zeros((k, spec.d_r), dtype=np.float32)
         for i, reg in enumerate(scene.regions):
@@ -493,7 +477,7 @@ def load_corpus(data_dir: str) -> Corpus:
         raise FormatError(f"{meta_path}: unsupported format_version {meta.get('format_version')!r}")
     try:
         spec = CorpusSpec.from_dict(meta["spec"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise FormatError(f"{meta_path}: bad spec block: {exc}") from exc
 
     vocab = Vocabulary.from_dict(_json_object(os.path.join(data_dir, "vocab.json")))

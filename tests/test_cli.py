@@ -55,21 +55,34 @@ def test_unknown_flag_is_a_usage_error():
     assert run(["corpus", "--out", "x", "--wat"]) == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--k-min", "4"), ("--k-max", "5"), ("--captions", "3"),
+                                        ("--noise-sigma", "0.1")])
+def test_retired_corpus_flag_is_a_usage_error(tmp_path, capsys, flag, value):
+    # the corpus design is fixed: regions per scene, captions per scene and
+    # the feature noise are constants
+    assert run(["corpus", "--out", str(tmp_path / "c"), flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("eval", "--beam", "0"), ("caption", "--beam", "-1"), ("ablate", "--beam", "0"),
     ("train", "--max-len", "0"), ("eval", "--max-len", "-3"), ("caption", "--max-len", "0"),
     ("trace", "--max-len", "-1"), ("ablate", "--max-len", "0"),
-    ("train", "--few-shot", "0"), ("train", "--max-epochs", "-1")])
+    ("train", "--few-shot", "0"), ("train", "--max-epochs", "-1"),
+    ("corpus", "--scenes", "0")])
 def test_count_below_one_is_a_usage_error(data_dir, checkpoint, tmp_path, capsys, command,
                                           flag, value):
     # unchecked, --beam 0 and --few-shot 0 ended in a ValueError traceback,
-    # --max-len -3 scored empty captions and --max-epochs -1 exited 0
-    # naming a checkpoint it never wrote
+    # --max-len -3 scored empty captions, --max-epochs -1 exited 0
+    # naming a checkpoint it never wrote, and --scenes 0 exited 2
+    data = [] if command == "corpus" else ["--data", str(data_dir)]
     opened = {"train": ["--out", str(tmp_path / "m.bin")],
               "ablate": ["--out", str(tmp_path / "abl")],
-              "trace": ["--checkpoint", str(checkpoint), "--scene", "0"]}.get(
+              "trace": ["--checkpoint", str(checkpoint), "--scene", "0"],
+              "corpus": ["--out", str(tmp_path / "c")]}.get(
         command, ["--checkpoint", str(checkpoint)])
-    assert run([command, "--data", str(data_dir), flag, value] + opened) == 1
+    assert run([command, *data, flag, value] + opened) == 1
     captured = capsys.readouterr()
     assert "usage" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
@@ -171,8 +184,21 @@ def test_damaged_corpus_exits_2(data_dir, tmp_path, capsys, damage):
                       capsys)
 
 
-def test_invalid_corpus_shape_exits_2(tmp_path):
-    assert run(["corpus", "--out", str(tmp_path / "bad"), "--scenes", "0"]) == 2
+def test_retired_corpus_setting_off_its_value_exits_2(data_dir, checkpoint, tmp_path,
+                                                      capsys):
+    # a corpus meta saved while k_min was a setting stores it; only the
+    # fixed value 3 loads
+    edited = tmp_path / "data"
+    edited.mkdir()
+    for name in ("vocab.json", "scenes.jsonl", "captions.jsonl"):
+        (edited / name).write_bytes((data_dir / name).read_bytes())
+    meta = json.loads((data_dir / "meta.json").read_text())
+    meta["spec"]["k_min"] = 4
+    (edited / "meta.json").write_text(json.dumps(meta))
+    assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(edited)]) == 2
+    captured = capsys.readouterr()
+    assert "data error" in captured.err and "k_min" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_missing_scene_exits_2(data_dir, checkpoint):

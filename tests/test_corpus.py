@@ -1,5 +1,6 @@
 """Scene corpus: generation, captions, features, persistence."""
 
+import dataclasses
 import json
 import os
 
@@ -10,8 +11,12 @@ from modcap.controller import ModuleLabel
 from modcap.corpus import (
     ADJ_POOL,
     BOS_ID,
+    CAPTIONS_PER_SCENE,
     CONTEXT_BLOCK,
     EOS_ID,
+    K_MAX,
+    K_MIN,
+    NOISE_SIGMA,
     NOUN_POOL,
     PRED_POOL,
     PRED_TAGS,
@@ -33,6 +38,7 @@ from modcap.corpus import (
     save_corpus,
 )
 from modcap.errors import CorpusSpecError, DataError, FormatError
+from modcap.tensor import Rng
 
 SMALL = CorpusSpec(n_scenes=40, seed=7)
 
@@ -49,35 +55,46 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kwargs", [
         {"n_scenes": 0},
         {"k_min": 1},
-        {"k_min": 5, "k_max": 4},
+        {"k_max": 4},
         {"n_objects": 1},
-        {"n_objects": len(NOUN_POOL) + 1},
+        {"n_attributes": True},
         {"n_attributes": 0},
         {"n_predicates": 0},
-        {"n_function": 2},     # templates need both 'a' and 'and'
+        {"n_function": 3},     # no "then", which slot-3 captions open with
         {"captions_per_scene": 0},
         {"d_r": CONTEXT_BLOCK + 3},
-        {"noise_sigma": -0.1},
+        {"noise_sigma": 0.0},
     ])
-    def test_rejects(self, kwargs):
-        with pytest.raises(CorpusSpecError):
-            CorpusSpec(**kwargs).validate()
+    def test_rejects(self, kwargs, small_corpus, tmp_path):
+        # the spec's settings are its fields; a retired one can only come
+        # from the meta of a corpus saved while it was a setting
+        (key, value), = kwargs.items()
+        if key in {f.name for f in dataclasses.fields(CorpusSpec)}:
+            with pytest.raises(CorpusSpecError):
+                CorpusSpec(**kwargs).validate()
+            return
+        save_corpus(small_corpus, str(tmp_path))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["spec"][key] = value
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=f"{key} is no longer a setting"):
+            load_corpus(str(tmp_path))
 
 
 class TestVocabulary:
     def test_reserved_prefix(self):
-        v = build_vocabulary(CorpusSpec())
+        v = build_vocabulary()
         assert v.tokens[:4] == ["<pad>", "<bos>", "<eos>", "<unk>"]
         assert v.id("<pad>") == 0 and v.id("<eos>") == 2
 
     def test_round_trip_and_unknown(self):
-        v = build_vocabulary(CorpusSpec())
+        v = build_vocabulary()
         ids = v.encode(["a", "red", "cat", "on", "two"])
         assert v.decode(ids) == ["a", "red", "cat", "on", "two"]
         assert v.id("zebra") == UNK_ID
 
     def test_tags(self):
-        v = build_vocabulary(CorpusSpec())
+        v = build_vocabulary()
         assert v.tag("cat") == "NN"
         assert v.tag("red") == "ADJ"
         assert v.tag("on") == "PREP"
@@ -87,7 +104,7 @@ class TestVocabulary:
         assert v.tag("<eos>") == "OTHER"
 
     def test_serialization(self):
-        v = build_vocabulary(CorpusSpec())
+        v = build_vocabulary()
         again = Vocabulary.from_dict(v.to_dict())
         assert again.tokens == v.tokens and again.pos == v.pos
 
@@ -111,14 +128,13 @@ class TestGeneration:
         assert other.scenes != small_corpus.scenes
 
     def test_scene_shapes(self, small_corpus):
-        spec = small_corpus.spec
         for s in small_corpus.scenes:
-            assert spec.k_min <= len(s.regions) <= spec.k_max
+            assert K_MIN <= len(s.regions) <= K_MAX
             for r in s.regions:
-                assert 0 <= r.object_id < spec.n_objects
+                assert 0 <= r.object_id < len(NOUN_POOL)
                 assert r.attributes == sorted(set(r.attributes))
                 assert 1 <= len(r.attributes) <= 2
-                assert all(0 <= a < spec.n_attributes for a in r.attributes)
+                assert all(0 <= a < len(ADJ_POOL) for a in r.attributes)
                 assert 0.0 <= r.x < 1.0 and 0.0 <= r.y < 1.0
             assert len(s.relations) == 2  # k_min=3 guarantees a chain of two
             for rel in s.relations:
@@ -128,11 +144,10 @@ class TestGeneration:
     def test_relations_follow_roles(self, small_corpus):
         for s in small_corpus.scenes:
             roles = s.roles()
-            spec = small_corpus.spec
             for i, rel in enumerate(s.relations):
                 assert rel.subject == roles[i]
                 assert rel.object == roles[i + 1]
-                assert rel.predicate == s.regions[rel.subject].object_id % spec.n_predicates
+                assert rel.predicate == s.regions[rel.subject].object_id % len(PRED_POOL)
 
     def test_split_partition(self):
         corpus = generate_corpus(CorpusSpec(n_scenes=500))
@@ -150,7 +165,7 @@ class TestGeneration:
         refs = small_corpus.references("val")
         assert set(refs) == {s.scene_id for s in small_corpus.scenes_in("val")}
         for ref_list in refs.values():
-            assert len(ref_list) == SMALL.captions_per_scene
+            assert len(ref_list) == CAPTIONS_PER_SCENE
 
 
 def _scene(regions, relations, sid=0):
@@ -169,15 +184,15 @@ class TestCaptionTemplates:
 
     def test_base_slot(self):
         scene = self.make_base_scene()
-        words, tags = _caption_words(scene, CorpusSpec(), slot=0)
+        words, tags = _caption_words(scene, slot=0)
         assert words == ["a", ADJ_POOL[1], NOUN_POOL[3], PRED_POOL[3], "a", NOUN_POOL[7]]
         assert tags == ["DT", "ADJ", "NN", PRED_TAGS[3], "DT", "NN"]
         for slot in (1, 2, 4):
-            assert _caption_words(scene, CorpusSpec(), slot)[0] == words
+            assert _caption_words(scene, slot)[0] == words
 
     def test_variant_second_relation(self):
         scene = self.make_base_scene()
-        words, tags = _caption_words(scene, CorpusSpec(), slot=3)
+        words, tags = _caption_words(scene, slot=3)
         assert words == ["then", "a", ADJ_POOL[1], NOUN_POOL[3],
                          PRED_POOL[7], "a", NOUN_POOL[2]]
         assert tags == ["RB", "DT", "ADJ", "NN", PRED_TAGS[7], "DT", "NN"]
@@ -189,7 +204,7 @@ class TestCaptionTemplates:
             Region(object_id=5, attributes=[2], x=0.9, y=0.9),
         ]
         relations = [Relation(0, 5, 1), Relation(1, 5, 2)]
-        words, tags = _caption_words(_scene(regions, relations), CorpusSpec(), slot=3)
+        words, tags = _caption_words(_scene(regions, relations), slot=3)
         assert words == ["then", "a", ADJ_POOL[0], NOUN_POOL[5],
                          "and", QUANT_WORDS[3], NOUN_POOL[5]]
         assert tags == ["RB", "DT", "ADJ", "NN", "CC", "CD", "NN"]
@@ -214,7 +229,7 @@ class TestCaptionTemplates:
         ]
         relations = [Relation(0, 1, 1)]
         scene = _scene(regions, relations)
-        assert _caption_words(scene, CorpusSpec(), 3) == _caption_words(scene, CorpusSpec(), 0)
+        assert _caption_words(scene, 3) == _caption_words(scene, 0)
 
     def test_grounding(self, small_corpus):
         """Every caption is entailed by its scene."""
@@ -329,7 +344,7 @@ class TestFeatures:
         ro_before, ra_before = FeatureSynthesizer(SMALL).features(scene)
         bent = Scene(scene_id=scene.scene_id, split=scene.split,
                      regions=[Region(r.object_id,
-                                     [(a + 1) % SMALL.n_attributes for a in r.attributes],
+                                     [(a + 1) % len(ADJ_POOL) for a in r.attributes],
                                      r.x, r.y)
                               for r in scene.regions],
                      relations=scene.relations)
@@ -341,7 +356,7 @@ class TestFeatures:
         scene = small_corpus.scenes[1]
         ro_before, ra_before = FeatureSynthesizer(SMALL).features(scene)
         bent = Scene(scene_id=scene.scene_id, split=scene.split,
-                     regions=[Region((r.object_id + 1) % SMALL.n_objects,
+                     regions=[Region((r.object_id + 1) % len(NOUN_POOL),
                                      list(r.attributes), r.x, r.y)
                               for r in scene.regions],
                      relations=scene.relations)
@@ -350,26 +365,30 @@ class TestFeatures:
         assert not np.array_equal(ro_before, ro_after)
 
     def test_zero_noise_matches_tables(self):
-        spec = CorpusSpec(n_scenes=4, noise_sigma=0.0, seed=3)
+        """The content block is the table rows plus the scene's own noise
+        draw, object rows first."""
+        spec = CorpusSpec(n_scenes=4, seed=3)
         corpus = generate_corpus(spec)
         synth = FeatureSynthesizer(spec)
         d = spec.d_r - CONTEXT_BLOCK
         for s in corpus.scenes:
             ro, ra = synth.features(s)
+            noise = Rng(spec.seed).derive(50000 + s.scene_id).normal(
+                (2, len(s.regions), d), scale=NOISE_SIGMA, dtype=np.float32)
             for i, reg in enumerate(s.regions):
-                np.testing.assert_array_equal(ro[i, :d], synth.obj_table[reg.object_id])
+                np.testing.assert_array_equal(ro[i, :d],
+                                              synth.obj_table[reg.object_id] + noise[0, i])
                 np.testing.assert_array_equal(
-                    ra[i, :d], synth.attr_table[reg.attributes].sum(axis=0))
+                    ra[i, :d], synth.attr_table[reg.attributes].sum(axis=0) + noise[1, i])
 
     def test_noise_scale(self):
-        noisy = CorpusSpec(n_scenes=2, noise_sigma=0.05, seed=3)
-        clean = CorpusSpec(n_scenes=2, noise_sigma=0.0, seed=3)
-        scene = generate_corpus(clean).scenes[0]
-        d = clean.d_r - CONTEXT_BLOCK
-        ro_n, _ = FeatureSynthesizer(noisy).features(scene)
-        ro_c, _ = FeatureSynthesizer(clean).features(scene)
-        delta = ro_n[:, :d] - ro_c[:, :d]
-        assert 0 < np.abs(delta).max() < 0.05 * 6
+        spec = CorpusSpec(n_scenes=2, seed=3)
+        scene = generate_corpus(spec).scenes[0]
+        d = spec.d_r - CONTEXT_BLOCK
+        synth = FeatureSynthesizer(spec)
+        ro, _ = synth.features(scene)
+        delta = ro[:, :d] - synth.obj_table[[r.object_id for r in scene.regions]]
+        assert 0 < np.abs(delta).max() < NOISE_SIGMA * 6
 
 
 class TestPersistence:
@@ -380,6 +399,25 @@ class TestPersistence:
         assert loaded.vocab.tokens == small_corpus.vocab.tokens
         assert loaded.scenes == small_corpus.scenes
         assert loaded.examples == small_corpus.examples
+
+    def test_parent_format_meta_loads_to_the_same_corpus(self, small_corpus, tmp_path):
+        # a meta saved while the corpus design was settable stores all
+        # eleven settings; at their fixed values it loads as before
+        save_corpus(small_corpus, str(tmp_path))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert sorted(meta["spec"]) == ["d_r", "n_scenes", "seed"]
+        meta["spec"].update(k_min=3, k_max=6, n_objects=20, n_attributes=10, n_predicates=8,
+                            n_function=6, captions_per_scene=5, noise_sigma=0.05)
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        loaded = load_corpus(str(tmp_path))
+        assert loaded.spec == small_corpus.spec
+        assert loaded.vocab.tokens == small_corpus.vocab.tokens
+        assert loaded.scenes == small_corpus.scenes
+        assert loaded.examples == small_corpus.examples
+        ours, theirs = FeatureSynthesizer(SMALL), FeatureSynthesizer(loaded.spec)
+        for scene in loaded.scenes:
+            for a, b in zip(ours.features(scene), theirs.features(scene)):
+                assert a.tobytes() == b.tobytes()
 
     def test_regeneration_writes_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,9 +1,10 @@
-"""Damaged checkpoints through the command line.
+"""Damaged checkpoints and corpora through the command line.
 
 Every truncation or flipped byte of a checkpoint's tensor file or of its
-meta JSON either leaves a checkpoint the loader accepts or exits 2 with a
-data error; none ends in a traceback.  The tensor file's sha256 sits in
-the meta file, so every change to the tensor file exits 2.
+meta JSON, or of one of a corpus's four files, either leaves files the
+loaders accept or exits 2 with a data error; none ends in a traceback.
+The tensor file's sha256 sits in the meta file, so every change to the
+tensor file exits 2.
 """
 
 import json
@@ -28,13 +29,17 @@ def run(argv):
         return int(ex.code or 0)
 
 
+CORPUS_FILES = ("meta.json", "vocab.json", "scenes.jsonl", "captions.jsonl")
+
+
 class Saved:
     """A corpus, a checkpoint trained one epoch on it, and the bytes of the
-    checkpoint's two files."""
+    checkpoint's two files and of the corpus's files."""
 
     def __init__(self, data, path, meta):
         self.data, self.path, self.meta = data, path, meta
         self.bin_bytes, self.meta_bytes = path.read_bytes(), meta.read_bytes()
+        self.corpus_bytes = {name: (data / name).read_bytes() for name in CORPUS_FILES}
 
     def __repr__(self):
         return f"Saved({self.path})"
@@ -73,6 +78,8 @@ def caption(saved, capsys):
 def restore(saved):
     saved.path.write_bytes(saved.bin_bytes)
     saved.meta.write_bytes(saved.meta_bytes)
+    for name, blob in saved.corpus_bytes.items():
+        (saved.data / name).write_bytes(blob)
 
 
 def test_undamaged_checkpoint_loads(saved, capsys):
@@ -109,3 +116,14 @@ def test_damaged_meta_exits_2_or_loads(saved, capsys, data):
         # a changed value the caption command does not use (a history
         # entry, the epoch) still loads
         assert code in (0, 2) and (code == 0 or "data error" in err)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+@FUZZ
+@given(data=st.data())
+def test_damaged_corpus_file_exits_2_or_loads(saved, capsys, name, data):
+    restore(saved)
+    (saved.data / name).write_bytes(data.draw(damage(saved.corpus_bytes[name])))
+    code, err = caption(saved, capsys)
+    assert "Traceback" not in err
+    assert code == 0 or (code == 2 and "data error" in err)

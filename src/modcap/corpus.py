@@ -512,6 +512,9 @@ def load_corpus(data_dir: str) -> Corpus:
             if not (0 <= rel.subject < len(regions) and 0 <= rel.object < len(regions)):
                 raise FormatError(f"{scenes_path}:{lineno}: relation endpoint out of range")
         scenes.append(scene)
+    if len(scenes) != spec.n_scenes:
+        raise FormatError(f"{meta_path}: the spec names {spec.n_scenes} scenes, but "
+                          f"{scenes_path} holds {len(scenes)}")
 
     captions_path = os.path.join(data_dir, "captions.jsonl")
     examples = []

@@ -73,9 +73,10 @@ from .tensor import (
     Tensor,
     _accum,
     _t_matmul,
-    _unit_steps,
+    affine_grads,
     check_finite,
     gather_rows,
+    grad_out,
     kernel_output,
     make_lstm_params,
     needs_grad,
@@ -215,19 +216,12 @@ class UnitRun:
     their strategy, LSTM runs for LSTM1, LSTM2 and the controller, the
     K attention heads of every unit as one stacked run over the
     encoding's features, and the scene means per row shape.  ``step`` is
-    the units' one step body: a call steps one unit (``u`` an int, on
-    rows (B, d_v)) or a slice of them at once (on rows (L, B, d_v)),
-    which rounds exactly as one call per unit.  Without ``record`` the
-    run is forward only, and one run serves any number of steps and of
-    rows: a one-scene encoding serves a beam's hypotheses.  The gate
-    sigmoids may overflow exp: step under ``np.errstate(over="ignore")``.
+    the units' one step body, for one unit or several at once.  Without
+    ``record`` the run is forward only, and one run serves any number of
+    steps and of rows: a one-scene encoding serves a beam's hypotheses.
 
-    A recording run is stepped as a wavefront (``unit_kernel``): call t
-    steps unit m's step t - m, for every unit with one, on the output
-    rows of unit m - 1's step at call t - 1.  It is its own backward, as
-    ``LstmRun`` is: one ``backward`` call runs the gradients of every
-    call, in reverse, and returns those of the weights, which ends the
-    backward and lets every record go.  A call records in ``steps`` one
+    A recording run is stepped as a wavefront (``unit_kernel``) and is
+    its own backward, as ``LstmRun`` is.  A call records in ``steps`` one
     tuple, ending with its units, of the arrays its backward reads but
     the fused block, rebuilt from the attended rows (which the
     controller's LSTM keeps) and the function module's pre-activation:
@@ -239,6 +233,7 @@ class UnitRun:
 
     def __init__(self, units, enc: Encoded, record: bool = False):
         unit = units[0]
+        self.units = units
         self.record = record
         self.version = ParamArena.version
         self.n_units = len(units)
@@ -280,6 +275,8 @@ class UnitRun:
         then LSTM2 and the residual add.  Returns (x + h2, the new state
         rows, attention weights (..., K, B, N), fusion weights (..., B,
         K + 1) or None without a controller, controller softmax or None).
+        A slice of units rounds exactly as one call per unit.  The gate
+        sigmoids may overflow exp: step under ``np.errstate(over="ignore")``.
         """
         rows = x.shape[:-1]
         h1, c1, h2, c2, *ctrl_rows = state
@@ -323,12 +320,13 @@ class UnitRun:
         It visits the calls in reverse.  A unit's output rows take the
         gradient the next unit's step handed back to its input rows at the
         call after, the last unit's g_top's; each unit's state gradients
-        carry to its step before.  Returns ({table name: one gradient per
-        unit}, per unit the encoding's values' gradient through the
+        carry to its step before.  The weights' gradients go to the arena
+        (``grad_out``); the uniform strategy's controller gets none.
+        Returns (per unit the encoding's values' gradient through the
         attended sum and through the keys, the means' gradient, and the
         first unit's input rows' gradient (T, B, d_v)), each summed over
-        every step; the uniform strategy's controller gets none.  This ends
-        the backward: the records and the arrays formed for it are let go.
+        every step.  This ends the backward: the records and the arrays
+        formed for it are let go.
         """
         dv, k_heads, n_units = self.lstm1.dh, len(self.modules), self.n_units
         n_calls, rows, dtype = len(self.steps), g_top.shape[1:], g_top.dtype
@@ -380,7 +378,7 @@ class UnitRun:
                 d_pre = np.where(pf >= 0, 1.0, LEAKY_SLOPE).astype(pf.dtype)
                 g_pre = g_func * d_pre
                 g_ctx = g_ctx + np.matmul(g_pre, self.fc_W[u].swapaxes(-1, -2))
-            self.steps[t] = (ctx, hc, g_pre, g_l, u)        # what the weight gradients read
+            self.steps[t] = ((ctx,), (hc,), g_pre, g_l, u)  # what the weight gradients read
             g_q = self.heads.backward(t, None, g_att)
             for k in reversed(range(k_heads)):
                 g_h1 = g_h1 + g_q[..., k, :, :]
@@ -392,32 +390,23 @@ class UnitRun:
             g_state[:, u] = [g_xh1[..., (2 + k_heads) * dv:], g_c1,
                              g_ctx + g_xh1[..., dv:2 * dv], g_c2, *g_ctrl]
 
-        grads = {}
-        grads["lstm1.W"], grads["lstm1.b"] = self.lstm1.param_grads()
-        grads["lstm2.W"], grads["lstm2.b"] = self.lstm2.param_grads()
-        if self.controlled:
-            grads["ctrl.lstm.W"], grads["ctrl.lstm.b"] = self.lstm_c.param_grads()
+        def out(name):
+            """The units' stacked gradients of the table entry ``name``."""
+            return grad_out([unit.weights[name] for unit in self.units])
 
-        def dense(x, g):
-            """Per unit, the weight and bias gradients of a product x W + b
-            from the record fields of its inputs and output gradients."""
-            out = []
-            for unit_steps in _unit_steps(self.steps):
-                x_rows, g_rows = ([self.steps[t][f][j] for t, j in unit_steps] for f in (x, g))
-                g_rows = np.concatenate(g_rows)
-                out.append((_t_matmul(np.concatenate(x_rows), g_rows), g_rows.sum(axis=0)))
-            return zip(*out)
-
+        self.lstm1.param_grads(out("lstm1.W"), out("lstm1.b"))
+        self.lstm2.param_grads(out("lstm2.W"), out("lstm2.b"))
         if self.controlled:
-            grads["ctrl.proj.W"], grads["ctrl.proj.b"] = dense(1, 3)
+            self.lstm_c.param_grads(out("ctrl.lstm.W"), out("ctrl.lstm.b"))
+            affine_grads(self.steps, 1, 3, out("ctrl.proj.W"), out("ctrl.proj.b"))
         if self.strategy is not None:
-            grads["func.fc.W"], grads["func.fc.b"] = dense(0, 2)
+            affine_grads(self.steps, 0, 2, out("func.fc.W"), out("func.fc.b"))
         g_direct, g_keys, *g_heads = self.heads.grads()
-        for k, name in enumerate(self.modules):
-            grads.update((f"att.{name}.{part}", [g_m[k] for g_m in g])
-                         for part, g in zip(HEAD_WEIGHTS, g_heads))
+        for part, g in zip(HEAD_WEIGHTS, g_heads):
+            for k, name in enumerate(self.modules):
+                out(f"att.{name}.{part}")[...] = [g_m[k] for g_m in g]
         self.steps = []
-        return grads, g_direct, g_keys, g_means, g_in
+        return g_direct, g_keys, g_means, g_in
 
 
 def word_head(vec, W: Tensor, b: Tensor):
@@ -426,7 +415,7 @@ def word_head(vec, W: Tensor, b: Tensor):
     Tensor; a Tensor gives one autodiff node, whose backward repeats the
     op-composed head's chain in order (the softmax's gradient, the bias
     sum, then the product's input and weight gradients), so it rounds
-    alike."""
+    alike; the weights' go to their arena."""
     w_data = W.data
     x = (vec.data if isinstance(vec, Tensor) else vec).reshape(-1, w_data.shape[0])
     dist = softmax_forward(np.matmul(x, w_data) + b.data)
@@ -436,12 +425,10 @@ def word_head(vec, W: Tensor, b: Tensor):
 
     def backward(g):
         g = softmax_backward(dist, g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+        g.sum(axis=0, out=grad_out([b])[0])
         if vec.requires_grad:
             _accum(vec, np.matmul(g, w_data.T).reshape(vec.shape))
-        if W.requires_grad:
-            _accum(W, _t_matmul(x, g))
+        _t_matmul(x, g, out=grad_out([W])[0])
 
     return Tensor._from_op(dist, (vec, W, b), backward)
 
@@ -453,24 +440,20 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     ``i`` holds the first unit's input rows of every step, (T, B, d_v);
     each later unit takes the output rows of the one before.  The pass is
     a wavefront of T + M - 1 calls: call t steps unit m's step t - m for
-    every unit with 0 <= t - m < T, in one set of numpy calls over arrays
-    with a leading unit axis, and a unit's step rounds exactly as the
-    unit stepped on its own.  Each call steps the n state rows the call
-    before returned, (L, B, d_v) for its L units: a unit that has left
-    drops its entries, and one that enters adds zero rows.  Each unit's
-    traces go into arrays with a leading unit axis.  ``noise``, of shape
-    (T, M, B, K + 1), is the hard strategy's Gumbel noise, zero when
-    None.  Returns (node, one trace per unit).
-    The node is the last unit's output, shaped like ``i``; each unit's
+    every unit with 0 <= t - m < T, in one set of numpy calls, on the
+    state rows the call before returned.  ``noise``, of shape (T, M, B,
+    K + 1), is the hard strategy's Gumbel noise, zero when None.
+    Returns (node, one trace per unit, of arrays but the softmax).  The
+    node is the last unit's output, shaped like ``i``; each unit's
     per-step controller softmax is an output that hangs off it
     (``kernel_output``).  Its backward runs the pass's own
     (``UnitRun.backward``), on the weight arrays the pass ran on, so a
-    weight written since leaves the graph intact, and hands out the
-    gradients as one node per unit would: the last unit's first, each
-    unit's table entries, then the encoding's values' direct part and
-    key path, and the means; then ``i``'s.  A one-step pass rounds
-    exactly as the op-composed step in ``tests/reference.py``.  A trace
-    holds the fusion weights and the attention weights as arrays.
+    weight written since leaves the graph intact; that writes the
+    weights' gradients into the arena.  It hands out the inputs'
+    gradients as one node per unit would: the last unit's first, the
+    encoding's values' direct part and key path, and the means; then
+    ``i``'s.  A one-step pass rounds exactly as the op-composed step in
+    ``tests/reference.py``.
 
     Without gradients (under ``no_grad``, or when no input or parameter
     requires one) the pass records nothing and runs on the encoding's
@@ -478,9 +461,8 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     """
     xs = i.data
     n_steps, n_units = len(xs), len(units)
-    weights = [dict(unit.weights) for unit in units]
     parents = (i, *[t for t in (enc.values, enc.means) if isinstance(t, Tensor)],
-               *[p for table in weights for p in table.values()])
+               *[p for unit in units for p in unit.weights.values()])
     run = UnitRun(units, enc, record=True) if needs_grad(parents) else enc.run(units)
     top = np.empty_like(xs)     # the last unit's output rows
     calls = [slice(max(0, t - n_steps + 1), min(n_units, t + 1))
@@ -514,14 +496,11 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
     sinks = [[] for _ in units]     # the softmaxes' gradients, when they have a consumer
 
     def backward(g_out):
-        g_soft = None
-        if any(sinks):
-            g_soft = np.stack([sink[0] if sink else np.zeros_like(softs[0]) for sink in sinks])
-        grads, g_direct, g_keys, g_means, g_in = run.backward(g_out, g_soft)
-        given = []
-        for m in reversed(range(n_units)):
-            given += [(p, grads[name][m]) for name, p in weights[m].items() if name in grads]
-            given += [(enc.values, g_direct[m]), (enc.values, g_keys[m]), (enc.means, g_means[m])]
+        g_soft = None if not any(sinks) else np.stack(
+            [sink[0] if sink else np.zeros_like(softs[0]) for sink in sinks])
+        g_direct, g_keys, g_means, g_in = run.backward(g_out, g_soft)
+        given = [(x, g[m]) for m in reversed(range(n_units))
+                 for x, g in ((enc.values, g_direct), (enc.values, g_keys), (enc.means, g_means))]
         for p, g in given + [(i, g_in)]:
             if isinstance(p, Tensor) and p.requires_grad:
                 _accum(p, g)

@@ -6,7 +6,8 @@ feature matrix, the attribute module the attribute-oriented one.  (The
 fourth, function module has no visual input; each decoder unit holds it.)
 
 The modules hold their weights as Tensors and run on plain arrays; a
-module's ``backward`` reads what its forward saved.  ``encoder_kernel``
+module's ``backward`` reads what its forward saved and writes its
+weights' gradients into their arena.  ``encoder_kernel``
 runs every module and each one's mean over the real regions, and owns
 the layout every decoder unit reads: the values stacked in module order
 and the means side by side; with a gradient one autodiff node and its
@@ -26,16 +27,17 @@ from .errors import ConfigError
 from .layers import Linear
 from .tensor import (
     FLOAT32,
-    ParamArena,
     Rng,
     Tensor,
     _accum,
     _t_matmul,
     check_finite,
+    grad_out,
     kernel_output,
     needs_grad,
     softmax_backward,
     softmax_forward,
+    stacked,
     xavier_uniform,
 )
 
@@ -55,7 +57,6 @@ class ProjectionModule:
 
     def __init__(self, d_in: int, d_v: int, rng: Rng, dtype=FLOAT32):
         self.fc = Linear(d_in, d_v, rng, dtype=dtype)
-        self.weights = list(self.params("").values())
 
     def __call__(self, x: np.ndarray, saved: list | None = None) -> np.ndarray:
         """Rows (..., d_in) -> (..., d_v); ``saved`` receives what backward reads."""
@@ -67,10 +68,12 @@ class ProjectionModule:
         return _leaky(pre).reshape(x.shape[:-1] + (-1,))
 
     def backward(self, saved: list, g: np.ndarray, need_x: bool):
-        """(the input's gradient as one part, or None; those of W and b)."""
+        """The input's gradient as one part, or None; W's and b's go to the arena."""
         x2, W, pre = saved
         g = _leaky_grad(g.reshape(pre.shape), pre)
-        return [np.matmul(g, W.T)] if need_x else None, [_t_matmul(x2, g), g.sum(axis=0)]
+        g.sum(axis=0, out=grad_out([self.fc.b])[0])
+        _t_matmul(x2, g, out=grad_out([self.fc.W])[0])
+        return [np.matmul(g, W.T)] if need_x else None
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return self.fc.params(f"{prefix}.fc")
@@ -101,25 +104,18 @@ class RelationModule:
         self.w_out = xavier_uniform(rng, (d_r, d_r), d_r, d_r, dtype=dtype)
         self.fc1 = Linear(d_r, d_r, rng, dtype=dtype)
         self.fc2 = Linear(d_r, d_v, rng, dtype=dtype)
-        self.weights = list(self.params("").values())
-        self._qkv = (None, None)
-
-    def qkv(self) -> np.ndarray:
-        """All heads' Q, K, V weights (3*heads, d_r, d_k), per ``ParamArena.version``."""
-        if self._qkv[0] != ParamArena.version:
-            self._qkv = (ParamArena.version,
-                         np.stack([w.data for w in self.w_q + self.w_k + self.w_v]))
-        return self._qkv[1]
+        # per head its Q, K, V weights, as the arena lays them out
+        self.qkv = [w for ws in zip(self.w_q, self.w_k, self.w_v) for w in ws]
 
     def __call__(self, r: np.ndarray, mask: np.ndarray | None = None,
                  saved: list | None = None) -> np.ndarray:
         """Regions (B, N, d_r) and their (B, N) mask -> (B, N, d_v); ``saved``
         receives what backward reads."""
         b, n, d_r = r.shape
-        w_qkv, w_out = self.qkv(), self.w_out.data
+        w_qkv, w_out = stacked(self.qkv), self.w_out.data
         W1, b1, W2, b2 = (t.data for t in (self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b))
         r2 = r.reshape(-1, d_r)
-        proj = np.matmul(r2, w_qkv).reshape(3, self.heads, b, n, self.d_k)
+        proj = np.matmul(r2, w_qkv).reshape(self.heads, 3, b, n, self.d_k).swapaxes(0, 1)
         scale = np.asarray(1.0 / math.sqrt(self.d_k), dtype=proj.dtype)
         k_t = np.ascontiguousarray(np.swapaxes(proj[1], -1, -2))
         scores = np.matmul(proj[0], k_t) * scale                # (heads, B, N, N)
@@ -137,8 +133,8 @@ class RelationModule:
         return _leaky(pre2).reshape(b, n, -1)
 
     def backward(self, saved: list, g: np.ndarray, need_r: bool):
-        """(the regions' gradient as 3*heads parts, or None; the weights' in
-        ``params`` order).  Each step repeats the op-composed module's
+        """The regions' gradient as 3*heads parts, or None; the weights' go
+        to their arena.  Each step repeats the op-composed module's
         arithmetic, and the parts come in the order it adds them: per head
         from the last, the value, key and query projection."""
         (r2, proj, k_t, attn, scale, mixed_in, mixed, pre1, hidden, pre2,
@@ -151,19 +147,22 @@ class RelationModule:
             np.matmul(g_mixed, w_out.T).reshape(b, n, h, d_k).transpose(2, 0, 1, 3))
         g_scores = softmax_backward(attn, np.matmul(g_heads, np.swapaxes(proj[2], -1, -2)))
         g_scores = g_scores * scale
-        g_proj = np.empty_like(proj)
-        g_proj[0] = np.matmul(g_scores, np.swapaxes(k_t, -1, -2))
-        g_proj[1] = np.swapaxes(np.matmul(np.swapaxes(proj[0], -1, -2), g_scores), -1, -2)
-        g_proj[2] = np.matmul(np.swapaxes(attn, -1, -2), g_heads)
-        g_proj = g_proj.reshape(3 * h, -1, d_k)
+        g_proj = np.empty((h, 3) + proj.shape[2:], proj.dtype)     # the weights' layout
+        g_proj[:, 0] = np.matmul(g_scores, np.swapaxes(k_t, -1, -2))
+        g_proj[:, 1] = np.swapaxes(np.matmul(np.swapaxes(proj[0], -1, -2), g_scores), -1, -2)
+        g_proj[:, 2] = np.matmul(np.swapaxes(attn, -1, -2), g_heads)
+        g_proj = g_proj.reshape(h * 3, -1, d_k)
         g_r = None
         if need_r:
             parts = np.matmul(g_proj, np.swapaxes(w_qkv, -1, -2))
-            g_r = [parts[j * h + i] for i in reversed(range(h)) for j in (2, 1, 0)]
-        g_qkv = _t_matmul(r2, g_proj)
-        return g_r, [*(g_qkv[j * h + i] for i in range(h) for j in range(3)),
-                     _t_matmul(mixed_in, g_mixed), _t_matmul(mixed, g1), g1.sum(axis=0),
-                     _t_matmul(hidden, g2), g2.sum(axis=0)]
+            g_r = [parts[3 * i + j] for i in reversed(range(h)) for j in (2, 1, 0)]
+        _t_matmul(r2, g_proj, out=grad_out(self.qkv))
+        _t_matmul(mixed_in, g_mixed, out=grad_out([self.w_out])[0])
+        _t_matmul(mixed, g1, out=grad_out([self.fc1.W])[0])
+        g1.sum(axis=0, out=grad_out([self.fc1.b])[0])
+        _t_matmul(hidden, g2, out=grad_out([self.fc2.W])[0])
+        g2.sum(axis=0, out=grad_out([self.fc2.b])[0])
+        return g_r
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {f"{prefix}.head{i}.W{kind}": ws[i] for i in range(self.heads)
@@ -179,14 +178,15 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
     features (B, N, d_r), arrays or Tensors, with the boolean (B, N) mask of
     real regions: (the values (K, B, N, d_v), their means over the real
     regions side by side (B, K*d_v)).  With a gradient the values are one
-    node and the means its ``kernel_output``; the backward adds each
-    module's terms in the order the op-composed encoder's sweep does: its
-    values', then its means'; the relation module's parts of the object
-    features' gradient, then the object module's.  Without a gradient
-    both are arrays and nothing is recorded."""
+    node and the means its ``kernel_output``; the backward writes the
+    weights' gradients into their arena and adds each module's terms in
+    the order the op-composed encoder's sweep does: its values', then its
+    means'; the relation module's parts of the object features' gradient,
+    then the object module's.  Without a gradient both are arrays and
+    nothing is recorded."""
     sources = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
     parents = tuple(r for r in (r_obj, r_attr) if isinstance(r, Tensor))
-    parents += tuple(t for module in encoders.values() for t in module.weights)
+    parents += tuple(t for module in encoders.values() for t in module.params("").values())
     record = needs_grad(parents)
     keep, n_real = mask[..., None], mask.sum(axis=-1, keepdims=True)
     if not n_real.all():
@@ -215,11 +215,7 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
                 g = g + np.expand_dims(g_mean[k] * inv.astype(dt), -2) * keep.astype(dt)
             src = sources[name]
             need_x = isinstance(src, Tensor) and src.requires_grad
-            g_x, grads = encoders[name].backward(saved[name], g, need_x)
-            for t, grad in zip(encoders[name].weights, grads):
-                if t.requires_grad:
-                    _accum(t, grad)
-            for part in g_x or ():
+            for part in encoders[name].backward(saved[name], g, need_x) or ():
                 _accum(src, part.reshape(src.shape))
         saved.clear()       # the backward is over: its records go
 

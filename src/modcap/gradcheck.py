@@ -205,8 +205,9 @@ def _lstm_scalar(x, h, c, params):
 
     def grads(g):
         g_xh, g_c = run.backward(0, g * 2.0 * h2, np.broadcast_to(g, c2.shape))
-        (g_W,), (g_b,) = run.param_grads()
-        return g_xh[..., :x.shape[-1]], g_xh[..., x.shape[-1]:], g_c, g_W, g_b
+        g_W, g_b = np.empty_like(run.W), np.empty_like(run.b_row[:, 0])
+        run.param_grads(g_W, g_b)
+        return g_xh[..., :x.shape[-1]], g_xh[..., x.shape[-1]:], g_c, g_W[0], g_b[0]
 
     return _scalar_node((h2 * h2).sum() + c2.sum(), inputs, grads)
 
@@ -476,6 +477,7 @@ def _rebinding_cases(section: str, objective, tensors: dict, arena: ParamArena,
         else:
             t.data = value
 
+    arena.clear_grads()
     for t in tensors.values():
         t.grad = None
     objective().backward()
@@ -515,6 +517,7 @@ def decoder_results(tol: float = DEFAULT_TOLERANCE) -> list[CaseResult]:
     ):
         x = Tensor((r_obj if "obj" in label else r_attr).copy(),
                    requires_grad=True, dtype=FLOAT64)
+        model.arena.clear_grads()
         results.append(check_case("decoder", label, fn, x, tol))
     return results
 

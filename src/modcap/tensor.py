@@ -25,18 +25,20 @@ with a leading unit axis, and each unit's rows round as if it ran alone.
 A run keeps one record per call, a tuple ending with the call's units,
 of only what its backward cannot rebuild with one cheap op.  Forward and
 input gradients go call by call, and a call's backward replaces its
-record with what the weight gradients read; the parameter gradients are
-one GEMM per unit over the rows of all its steps, a call that ends the
-backward and lets the records go.  The op-composed encoder,
-unit and word head the kernels agree with bit for bit, and the ops only
-they use (``matmul`` and ``softmax`` among them), are in
-``tests/reference.py``.  Padded regions are masked: a score of -inf
-gives them exactly 0 weight and gradient.
+record with what the weight gradients read; the weight gradients are
+one GEMM per unit over the rows of all its steps (``affine_grads``),
+written into the arena, a call that ends the backward and lets the
+records go.  The op-composed encoder, unit and word head the kernels
+agree with bit for bit, and the ops only they use (``matmul`` and
+``softmax`` among them), are in ``tests/reference.py``.  Padded regions
+are masked: a score of -inf gives them exactly 0 weight and gradient.
 
 A model's parameters live in a ``ParamArena``: one flat buffer of values
 and one of gradients, each parameter's ``data`` and ``grad`` a view of
 its slice.  Only the arena writes values: setting a held parameter's
 ``data`` is refused.  Caches of the values key on ``ParamArena.version``.
+No parameter is a node's parent: the kernels write each weight's
+gradient in place (``grad_out``).
 ``Adam`` keeps its moments in flat buffers of the same layout and
 updates them elementwise, a stretch per numpy call; ``clip_global_norm``
 scales the gradient buffer at once.
@@ -147,7 +149,7 @@ def blas_on_calling_thread():
 
 
 class Tensor:
-    """Immutable n-d float array with an optional gradient slot.
+    """Immutable n-d float array with an optional gradient.
 
     ``data`` is never written through after construction.  A parameter's
     ``data`` is a view of its ``ParamArena``'s value buffer, and only the
@@ -155,14 +157,14 @@ class Tensor:
     already recorded graph (whose closures captured the old arrays)
     intact.  Gradients, in contrast, are written in place: a parameter's
     ``grad`` is a view of the arena's gradient buffer, which backward and
-    clipping write into.  ``grad`` is None until an op reaches the
-    parameter.  ``_slot`` is the gradient view of a parameter an arena
-    holds, else None, ``_name`` its name there and ``_lo`` the index of
-    its first element in the arena's buffers.
+    clipping write into, and None until a backward reaches it.  A held
+    parameter is its arena's parameter ``_index``, named ``_name``, and
+    starts at element ``_lo``; it shares the arena's gradient views
+    ``_grads`` and ``reached`` record ``_reached``, but not the arena.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_slot",
-                 "_name", "_lo")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_name",
+                 "_grads", "_reached", "_index", "_lo")
     _ids = itertools.count()
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -178,7 +180,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._id = next(Tensor._ids)
-        self._slot = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -188,10 +189,10 @@ class Tensor:
         out.data = data
         out.grad = None
         out._id = next(Tensor._ids)
-        out._slot = None
         if needs_grad(parents):
             out.requires_grad = True
-            out._parents = parents
+            # a parameter is no parent: the backward gives its arena its gradient
+            out._parents = tuple(p for p in parents if type(p) is not _Held)
             out._backward = backward
         else:
             out.requires_grad = False
@@ -258,15 +259,30 @@ _DATA = Tensor.data      # the slot itself, which the arena writes
 
 class _Held(Tensor):
     """A parameter a ``ParamArena`` holds: its ``data`` reads as any
-    Tensor's, and setting it is refused (the arena writes the slot)."""
+    Tensor's, and setting it is refused (the arena writes the slot).  Its
+    ``grad`` is its slice of the arena's gradient buffer once reached:
+    setting it lands a first gradient there, None clears it, and another
+    array is refused."""
 
     __slots__ = ()
 
-    def _refuse(self, value):
-        raise RuntimeError(f"parameter '{self._name}' was rebound behind its arena; "
-                           "write values with ParamArena.assign")
+    def _refuse(self, value, how="write values with ParamArena.assign"):
+        raise RuntimeError(f"parameter '{self._name}' was rebound behind its arena; {how}")
 
     data = property(_DATA.__get__, _refuse)
+
+    @property
+    def grad(self):
+        return self._grads[self._index] if self._reached[self._index] else None
+
+    @grad.setter
+    def grad(self, g):
+        i = self._index
+        if g is not None and g is not self._grads[i]:
+            if self._reached[i]:
+                self._refuse(g, "clear its gradient before setting another")
+            self._grads[i][...] = g
+        self._reached[i] = g is not None
 
 
 def sweep_order(root: Tensor) -> list[Tensor]:
@@ -291,10 +307,6 @@ def sweep_order(root: Tensor) -> list[Tensor]:
 def _accum(node: Tensor, g: np.ndarray) -> None:
     if node.grad is not None:
         node.grad += g
-    elif node._slot is not None:
-        # a parameter in an arena: its first gradient lands in its slice
-        node._slot[...] = g
-        node.grad = node._slot
     else:
         node.grad = g.copy()
 
@@ -322,17 +334,17 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _t_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^T b over the last two axes, the weight gradient of a batched
-    product; leading axes broadcast.
+def _t_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a^T b over the last two axes, into ``out`` when given: the weight
+    gradient of a batched product; leading axes broadcast.
 
     With one row each, 2-d operands form an outer product, which numpy's
     matmul runs through a slow non-BLAS loop; np.dot forms the same single
     products several times faster.
     """
     if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
-        return np.dot(a.T, b)
-    return np.matmul(a.swapaxes(-1, -2), b)
+        return np.dot(a.T, b, out=out)
+    return np.matmul(a.swapaxes(-1, -2), b, out=out)
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -503,6 +515,21 @@ def _unit_steps(records: list) -> list[list[tuple]]:
     return steps
 
 
+def affine_grads(records, x, g, g_W, g_b) -> None:
+    """Write into g_W and g_b, per unit of a run's records, the weight and
+    bias gradients of a product x W + b summed over the unit's steps, one
+    GEMM and one sum: a record's field x holds the parts its input rows
+    join, and its field g the output's gradient rows."""
+    for m, steps in enumerate(_unit_steps(records)):
+        g_rows = np.array([records[t][g][k] for t, k in steps])
+        x_rows = np.empty(g_rows.shape[:-1] + g_W.shape[-2:-1], g_rows.dtype)
+        for row, (t, k) in zip(x_rows, steps):
+            np.concatenate([part[k] for part in records[t][x]], axis=-1, out=row)
+        g_rows = g_rows.reshape(-1, g_rows.shape[-1])
+        _t_matmul(x_rows.reshape(-1, x_rows.shape[-1]), g_rows, out=g_W[m])
+        g_rows.sum(axis=0, out=g_b[m])
+
+
 class LstmRun:
     """A run of LSTM steps over B rows, with weights W (M, d_in + d_h,
     4*d_h) and bias b (M, 4*d_h) of a stack of M units.
@@ -511,9 +538,9 @@ class LstmRun:
     run's calls above); rows carry the units' axis before the row axis,
     and a run rounds exactly as one run per unit.  ``forward`` runs the
     next call; ``backward`` runs call t's gradient and must visit the
-    calls in reverse; ``param_grads`` then returns the weight and bias
-    gradients of all steps of each unit, one GEMM and one sum over its
-    rows.  Without ``record`` the run is forward only.
+    calls in reverse; ``param_grads`` then writes the weight and bias
+    gradients of all steps of each unit.  Without ``record`` the run is
+    forward only.
 
     A recorded call keeps the input parts it was given (the arrays, not
     their concatenation), c, the gates with the candidate in its block,
@@ -583,21 +610,12 @@ class LstmRun:
         self.steps[t] = (parts, g_z, u)
         return np.matmul(g_z, self.W_T[u]), g_c * f
 
-    def param_grads(self):
-        """(g_W, g_b), each a list of one per unit, summed over its steps.
-        This ends the backward: the records and the arrays formed for it
-        are let go."""
-        grads = []
-        for steps in _unit_steps(self.steps):
-            g_z = np.array([self.steps[t][1][k] for t, k in steps])
-            xh = np.empty(g_z.shape[:-1] + self.W.shape[-2:-1],
-                          np.result_type(*self.steps[0][0]))
-            for row, (t, k) in zip(xh, steps):
-                np.concatenate([part[k] for part in self.steps[t][0]], axis=-1, out=row)
-            g_z = g_z.reshape(-1, g_z.shape[-1])
-            grads.append((_t_matmul(xh.reshape(-1, xh.shape[-1]), g_z), g_z.sum(axis=0)))
+    def param_grads(self, g_W, g_b):
+        """Write into g_W and g_b, shaped as W and b, each unit's weight
+        and bias gradients summed over its steps (``affine_grads``).  This
+        ends the backward: the records and the arrays formed for it go."""
+        affine_grads(self.steps, 0, 1, g_W, g_b)
         self.steps, self.W_T = [], None
-        return tuple(zip(*grads))
 
 
 class AttentionRun:
@@ -909,8 +927,10 @@ class ParamArena:
     Values change only through ``rebind`` (Adam's step) and ``assign``
     (a checkpoint load, probes): a fresh buffer, and a bump of the
     class-wide ``version`` that caches of weight values key on.  Setting
-    a held parameter's ``data`` raises, naming it; Adam's step refuses a
-    ``grad`` set behind the arena's back.
+    a held parameter's ``data`` raises, naming it.  A backward writes the
+    gradients in place (``grad_out``), and ``reached`` records which
+    parameters it reached since ``clear_grads``; clipping and Adam read
+    that record.
     """
 
     SCRATCH = 1 << 18   # bytes of working space, lent to clipping and Adam in turn
@@ -927,6 +947,7 @@ class ParamArena:
         self.bounds = tuple(zip([0] + ends[:-1], ends))
         self.grad = np.zeros(ends[-1], dtype=dtypes.pop())
         self.grads = self.views_of(self.grad)
+        self.reached = [False] * len(self.tensors)
         self.scratch = np.empty(max(self.SCRATCH, 8 * max(hi - lo for lo, hi in self.bounds)),
                                 dtype=np.uint8)
         # runs of whole parameters whose float64 squares fit the scratch
@@ -938,8 +959,10 @@ class ParamArena:
             else:
                 self.square_runs.append([lo, hi, [i]])
         self.rebind(np.concatenate([p.data.ravel() for p in self.tensors]))
-        for name, p, grad, (lo, _) in zip(self.names, self.tensors, self.grads, self.bounds):
-            p.__class__, p._slot, p._name, p._lo = _Held, grad, name, lo
+        # what a parameter shares of its arena holds no reference back to it
+        for i, (name, p, (lo, _)) in enumerate(zip(self.names, self.tensors, self.bounds)):
+            p.__class__, p._name, p._grads, p._reached, p._index, p._lo = \
+                _Held, name, self.grads, self.reached, i, lo
 
     def views_of(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each parameter's slice of a flat buffer of this layout, in its shape."""
@@ -967,17 +990,21 @@ class ParamArena:
             views[name][...] = value
         self.rebind(data)
 
+    def clear_grads(self) -> None:
+        """Clear every gradient: no parameter counts as reached."""
+        self.reached[:] = [False] * len(self.reached)
+
     def square_sums(self) -> list:
         """Per parameter, the float64 sum of the squares of its gradient, the
-        value of ``np.sum(g.astype(np.float64) ** 2)``; None where ``grad``
-        is None.  numpy sums a contiguous array as one run whatever its
+        value of ``np.sum(g.astype(np.float64) ** 2)``; 0.0 where no backward
+        reached it.  numpy sums a contiguous array as one run whatever its
         shape, so the flat slice of the squares gives the same bits."""
-        sums = [None] * len(self.tensors)
+        sums = [0.0] * len(self.tensors)
         for lo, hi, members in self.square_runs:
             squares = self.scratch.view(FLOAT64)[:hi - lo]
             np.square(self.grad[lo:hi], out=squares, dtype=FLOAT64)
             for i in members:
-                if self.tensors[i].grad is not None:
+                if self.reached[i]:
                     a, b = self.bounds[i]
                     sums[i] = float(np.add.reduce(squares[a - lo:b - lo]))
         return sums
@@ -992,19 +1019,46 @@ def stacked(params) -> np.ndarray:
     if type(first) is _Held:
         lo = first._lo
         stride = (params[-1]._lo - lo) // max(len(params) - 1, 1)
-        for m, p in enumerate(params):
-            if not (type(p) is _Held and p._lo == lo + m * stride and p.data.base is data.base
-                    and p.data.shape == data.shape):
-                break
-        else:
+        if all(type(p) is _Held and p._lo == lo + m * stride and p.data.base is data.base
+               and p.data.shape == data.shape for m, p in enumerate(params)):
             return np.ndarray((len(params),) + data.shape, data.dtype, data.base,
                               lo * data.itemsize, (stride * data.itemsize,) + data.strides)
     return np.stack([p.data for p in params])
 
 
-def _non_finite(names) -> TrainingError:
-    return TrainingError(f"non-finite gradient for parameter{'s' * (len(names) > 1)} "
-                         + ", ".join(f"'{name}'" for name in names))
+def grad_out(params) -> np.ndarray:
+    """Where a backward writes the gradients of equal-shaped parameters,
+    stacked as ``stacked`` stacks their values: the same view of their
+    arena's gradients, which then counts those that require one as
+    reached, or for weights outside an arena a fresh array whose entries
+    become their ``grad``.  A parameter that holds a gradient is refused."""
+    for p in params:
+        if p.requires_grad and p.grad is not None:
+            raise RuntimeError(f"parameter {getattr(p, '_name', p)!r} already holds a "
+                               "gradient; clear it before a backward")
+    first = params[0]
+    if type(first) is not _Held:
+        out = np.empty((len(params),) + first.shape, first.data.dtype)
+        for p, g in zip(params, out):
+            p.grad = g if p.requires_grad else None
+        return out
+    values = stacked(params)
+    if values.base is not first.data.base:
+        raise ValueError("the parameters are not one stride apart in one arena")
+    for p in params:
+        first._reached[p._index] = p.requires_grad
+    # the same strides over the gradient buffer, the base of every view of it
+    return np.ndarray(values.shape, values.dtype, first._grads[0].base,
+                      first._lo * values.itemsize, values.strides)
+
+
+def _check_finite(arena) -> None:
+    """Raise naming every reached parameter whose gradient is not finite."""
+    bad = sorted(name for name, g, reached in zip(arena.names, arena.grads, arena.reached)
+                 if reached and not np.isfinite(g).all())
+    if bad:
+        raise TrainingError(f"non-finite gradient for parameter{'s' * (len(bad) > 1)} "
+                            + ", ".join(f"'{name}'" for name in bad))
 
 
 @dataclass
@@ -1021,11 +1075,11 @@ class Adam:
     """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) over a ParamArena.
 
     ``state`` maps every parameter that has been updated to its AdamState.
-    A parameter whose ``grad`` is None is skipped: no update, no state, no
-    step.  The moments live in flat buffers laid out like the arena and are
-    updated in place; the values go to a fresh buffer (see ``Tensor``).
-    States set from outside, a restored checkpoint's, are copied into the
-    flat buffers on the next step.
+    A parameter no backward reached (``ParamArena.reached``) is skipped:
+    no update, no state, no step.  The moments live in flat buffers laid
+    out like the arena and are updated in place; the values go to a fresh
+    buffer (see ``Tensor``).  States set from outside, a restored
+    checkpoint's, are copied into the flat buffers on the next step.
 
     Each element goes through the arithmetic of a per-parameter update,
     with the same Python-float scalars cast to the buffer dtype, so the
@@ -1058,13 +1112,8 @@ class Adam:
         self._moments(arena)
         stepping = []     # (index, step count after this update)
         runs = []         # [lo, hi, t]: adjacent parameters with the same count
-        for i, (name, p) in enumerate(zip(arena.names, arena.tensors)):
-            if p.grad is not None and p.grad is not arena.grads[i]:
-                raise RuntimeError(f"parameter '{name}' was rebound behind its arena; "
-                                   "write values with ParamArena.assign")
-            if p.grad is None:
-                continue
-            st = self.state.get(name)
+        for i in itertools.compress(range(len(arena.reached)), arena.reached):
+            st = self.state.get(arena.names[i])
             t = (0 if st is None else st.t) + 1
             stepping.append((i, t))
             lo, hi = arena.bounds[i]
@@ -1074,8 +1123,7 @@ class Adam:
                 runs.append([lo, hi, t])
         g = arena.grad
         if not all(np.isfinite(g[lo:hi]).all() for lo, hi, _ in runs):
-            raise _non_finite(sorted(arena.names[i] for i, _ in stepping
-                                     if not np.isfinite(arena.grads[i]).all()))
+            _check_finite(arena)
         for i, t in stepping:
             st = self.state.get(arena.names[i])
             if st is None:
@@ -1124,16 +1172,11 @@ def clip_global_norm(arena: ParamArena, max_norm: float) -> float:
     gradient with a NaN or infinite entry raises ``TrainingError`` naming
     every such parameter, before any gradient is scaled.
     """
-    sums = dict(zip(arena.names, arena.square_sums()))
     total = 0.0
-    for name in sorted(sums):
-        if sums[name] is not None:
-            total += sums[name]
+    for _, square_sum in sorted(zip(arena.names, arena.square_sums())):
+        total += square_sum
     if not math.isfinite(total):
-        bad = sorted(name for name, p in zip(arena.names, arena.tensors)
-                     if p.grad is not None and not np.all(np.isfinite(p.grad)))
-        if bad:
-            raise _non_finite(bad)
+        _check_finite(arena)
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         arena.grad *= arena.grad.dtype.type(max_norm / norm)

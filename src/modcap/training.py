@@ -369,8 +369,7 @@ def _update(loss: Tensor, model: CaptionModel, opt: Adam, lr: float, where: str)
     and step.  Returns the pre-clip norm."""
     if not np.all(np.isfinite(loss.data)):
         raise TrainingError(f"non-finite loss at {where}")
-    for p in model.arena.tensors:
-        p.grad = None
+    model.arena.clear_grads()
     loss.backward()
     norm = clip_global_norm(model.arena, config.GRAD_CLIP)
     opt.step(model.arena, lr)

@@ -611,11 +611,12 @@ def lstm_cell(x, h, c, W, b):
     def backward(grad):
         g_xh, g_c = (a[0] for a in run.backward(0, grad[:h2.size].reshape((1,) + h2.shape),
                                                 grad[h2.size:].reshape((1,) + c2.shape)))
-        (g_W,), (g_b,) = run.param_grads()
+        g_W, g_b = np.empty_like(run.W), np.empty_like(run.b_row[:, 0])
+        run.param_grads(g_W, g_b)
         if W.requires_grad:
-            _accum(W, g_W)
+            _accum(W, g_W[0])
         if b.requires_grad:
-            _accum(b, g_b)
+            _accum(b, g_b[0])
         if x.requires_grad:
             _accum(x, g_xh[:, :d_in].reshape(x.data.shape))
         if h.requires_grad:

@@ -201,6 +201,21 @@ def test_retired_corpus_setting_off_its_value_exits_2(data_dir, checkpoint, tmp_
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_meta_scene_count_off_the_scenes_exits_2(data_dir, checkpoint, tmp_path, capsys):
+    # the 24-scene corpus with a meta that names 999 scenes of another seed
+    edited = tmp_path / "data"
+    edited.mkdir()
+    for name in ("vocab.json", "scenes.jsonl", "captions.jsonl"):
+        (edited / name).write_bytes((data_dir / name).read_bytes())
+    meta = json.loads((data_dir / "meta.json").read_text())
+    meta["spec"].update(n_scenes=999, seed=4)
+    (edited / "meta.json").write_text(json.dumps(meta))
+    assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(edited)]) == 2
+    captured = capsys.readouterr()
+    assert "data error" in captured.err and "999" in captured.err and "24" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_missing_scene_exits_2(data_dir, checkpoint):
     assert run(["caption", "--checkpoint", str(checkpoint),
                 "--data", str(data_dir), "--scene", "99999"]) == 2

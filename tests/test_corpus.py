@@ -454,6 +454,16 @@ class TestPersistence:
         with pytest.raises(FormatError, match="format_version"):
             load_corpus(str(tmp_path))
 
+    def test_meta_scene_count_must_match_the_scenes(self, tmp_path):
+        # a meta whose spec disagrees with the scenes it sits beside; only
+        # the count shows: a seed alone is not checked against the files
+        save_corpus(generate_corpus(CorpusSpec(n_scenes=24, seed=5)), str(tmp_path))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["spec"].update(n_scenes=999, seed=4)
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match=r"999 scenes, but .*scenes\.jsonl holds 24"):
+            load_corpus(str(tmp_path))
+
     def test_missing_dir_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_corpus(str(tmp_path / "nope"))

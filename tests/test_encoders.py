@@ -17,7 +17,8 @@ from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import CaptionModel
 from modcap.encoders import ProjectionModule, RelationModule, encoder_kernel
 from modcap.errors import ConfigError
-from modcap.tensor import Rng, Tensor, finite_diff_grad, max_relative_error, no_grad
+from modcap.tensor import (ParamArena, Rng, Tensor, finite_diff_grad, max_relative_error,
+                           no_grad)
 from modcap.training import _pack
 from reference import reference_encode
 
@@ -166,6 +167,38 @@ class TestRelation:
         assert max_relative_error(x.grad, numeric) < 1e-3
 
 
+def test_modules_outside_an_arena_keep_their_weight_gradients():
+    # a module built on its own has no arena: its backward gives each weight
+    # a gradient of its own, the bits the weight gets in an arena, and a
+    # second backward onto gradients not cleared is refused
+    r0 = np.random.RandomState(6).randn(2, 3, 4)
+    mask = np.array([[True] * 3, [True, True, False]])
+
+    def backpropagate(held):
+        encoders = {"object": ProjectionModule(4, 3, Rng(12), dtype=F64),
+                    "relation": RelationModule(4, 3, 2, Rng(13), dtype=F64)}
+        params = {name: t for kind, mod in encoders.items()
+                  for name, t in mod.params(kind).items()}
+        if held:
+            ParamArena(params)
+        x = Tensor(r0, requires_grad=True, dtype=F64)
+
+        def loss():
+            values, means = encoder_kernel(encoders, x, x, mask)
+            return (values * values).sum() + means.sum()
+
+        loss().backward()
+        grads = {name: t.grad.copy() for name, t in params.items()}
+        with pytest.raises(RuntimeError, match="already holds a gradient"):
+            loss().backward()
+        return grads
+
+    bare, held = backpropagate(False), backpropagate(True)
+    assert len(bare) == 13 and bare.keys() == held.keys()
+    for name in bare:
+        assert bare[name].tobytes() == held[name].tobytes(), name
+
+
 class TestFunction:
     def test_zero_context_zero_bias(self):
         mod = ProjectionModule(4, 3, Rng(10))
@@ -225,7 +258,9 @@ def encode_and_backpropagate(encode, model, r_obj, r_attr, mask, seed,
         total = term if total is None else total + term
     total.backward()
     got = {name: out.data for name, out in outputs.items()}
-    got.update((f"grad.{name}", t.grad) for name, t in {**params, **inputs}.items()
+    # a parameter's gradient is a view of the arena, which the next
+    # backward writes: keep a copy
+    got.update((f"grad.{name}", t.grad.copy()) for name, t in {**params, **inputs}.items()
                if name.startswith(("enc.", "r_")) and t.grad is not None)
     return got
 
@@ -284,6 +319,6 @@ def test_a_training_batch_encodes_as_one_node(corpus, scenes):
     assert next(Tensor._ids) - start - 1 == 2
     node = enc.values
     assert enc.means._parents == (node,)
-    params = model.named_parameters()
-    assert {id(p) for name, p in params.items() if name.startswith("enc.")} \
-        == {id(p) for p in node._parents}
+    # the node records because its weights require a gradient, but they
+    # are not its parents, and array features make none
+    assert node.requires_grad and node._parents == ()

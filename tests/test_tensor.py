@@ -623,14 +623,16 @@ class TestParamArena:
         before = arena.data.copy()
         opt = Adam()
         refused = pytest.raises(RuntimeError, match="parameter 'a.b' was rebound behind its arena")
-        if behind == "data":        # refused where it happens
+        # both are refused where they happen
+        if behind == "data":
             with refused:
                 params["a.b"].data = np.full(5, 7.0, dtype=np.float32)
             assert params["a.b"].data is arena.views[1]
         else:
-            params["a.b"].grad = np.full(5, 7.0, dtype=np.float32)
             with refused:
-                opt.step(arena, 1e-2)
+                params["a.b"].grad = np.full(5, 7.0, dtype=np.float32)
+            assert params["a.b"].grad is arena.grads[1]
+            np.testing.assert_array_equal(arena.grad, np.ones(21, dtype=np.float32))
         # nothing moved: no state, and the arena's values as they were
         assert not opt.state
         np.testing.assert_array_equal(arena.data, before)

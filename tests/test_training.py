@@ -12,7 +12,8 @@ from modcap.corpus import CorpusSpec, FeatureSynthesizer, few_shot_subset, gener
 from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel, _stack_table, sample_decode
 from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
-from modcap.tensor import Adam, Rng, Tensor, clip_global_norm, masked_nll, no_grad
+from modcap.tensor import (Adam, Rng, Tensor, clip_global_norm, masked_nll, no_grad,
+                           sweep_order)
 from modcap.training import (
     LOSS_EPS,
     TRAIN_STREAM_TAG,
@@ -184,6 +185,43 @@ class TestTeacherForced:
         assert len(units) == sum(len(unit.weights) for unit in model.units)
         for name, p in units.items():
             assert p.grad is not None and np.any(p.grad), name
+
+    def test_no_parameter_is_a_parent(self, corpus, synth):
+        # the kernels read the weights and write their gradients into the
+        # arena: no node a loss reaches lists a parameter among its parents,
+        # in an XE step or in a self-critical surrogate with the word-class
+        # term
+        mcfg, _ = apply_preset("CNM#2", model_cfg(corpus), TrainConfig())
+        model = CaptionModel(mcfg, Rng(3).derive(1))
+        held = {id(p) for p in model.named_parameters().values()}
+        (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        refs = corpus.references()
+        scst, _ = self_critical_loss(model, enc, [refs[i] for i in batch.scene_ids],
+                                     IdfTable(refs), corpus.vocab.tokens, Rng(9), max_len=8,
+                                     gold=batch, lam=1.0)
+        for loss in (teacher_forced(model, batch, lam_ling=1.0, rng=Rng(0)).loss, scst):
+            nodes = sweep_order(loss)
+            assert len(nodes) > 5
+            assert [p for node in nodes for p in node._parents if id(p) in held] == []
+            model.arena.clear_grads()
+            loss.backward()
+            assert all(model.arena.reached)
+
+    def test_a_second_gradient_term_is_refused(self, corpus, synth):
+        # the kernels write a parameter's gradient in place: a backward that
+        # would write over one the arena holds is refused until the
+        # gradients are cleared
+        model = fresh_model(corpus)
+        (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
+        teacher_forced(model, batch, lam_ling=1.0).loss.backward()
+        first = model.arena.grad.copy()
+        with pytest.raises(RuntimeError, match="'head.b' already holds a gradient"):
+            teacher_forced(model, batch, lam_ling=1.0).loss.backward()
+        assert model.arena.grad.tobytes() == first.tobytes()
+        model.arena.clear_grads()
+        teacher_forced(model, batch, lam_ling=1.0).loss.backward()
+        assert model.arena.grad.tobytes() == first.tobytes()
 
     def test_single_module_has_no_agreement(self, corpus, synth):
         model = fresh_model(corpus, modules=("object",), m_units=1)

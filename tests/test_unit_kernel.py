@@ -454,9 +454,9 @@ def test_one_node_per_unit_step(corpus, preset):
     start = next(Tensor._ids)
     i_new, (trace,) = unit_kernel([unit], i_prev, enc)
     created = next(Tensor._ids) - start - 1
-    # the node reads the inputs and parameters themselves ...
-    assert any(p is i_prev for p in i_new._parents)
-    assert any(p is unit.weights["lstm2.W"] for p in i_new._parents)
+    # the node's parents are its inputs; it reads the parameters, but none
+    # of them is a parent ...
+    assert i_new._parents == (i_prev, enc.values, enc.means)
     # ... and the controller softmax hangs off it
     outputs = [] if trace.soft is None else [trace.soft]
     assert all(out._parents == (i_new,) for out in outputs)

@@ -5,7 +5,8 @@ evidence: the object and relation modules read the object-oriented
 feature matrix, the attribute module the attribute-oriented one.  (The
 fourth, function module has no visual input; each decoder unit holds it.)
 
-The modules hold their weights as Tensors and run on plain arrays; a
+The modules hold their weights as Tensors (``weights``, one tuple in
+the order of ``params``) and run on plain arrays; a
 module's ``backward`` reads what its forward saved and writes its
 weights' gradients into their arena.  ``encoder_kernel``
 runs every module and each one's mean over the real regions, and owns
@@ -57,6 +58,7 @@ class ProjectionModule:
 
     def __init__(self, d_in: int, d_v: int, rng: Rng, dtype=FLOAT32):
         self.fc = Linear(d_in, d_v, rng, dtype=dtype)
+        self.weights = tuple(self.params("").values())
 
     def __call__(self, x: np.ndarray, saved: list | None = None) -> np.ndarray:
         """Rows (..., d_in) -> (..., d_v); ``saved`` receives what backward reads."""
@@ -106,6 +108,7 @@ class RelationModule:
         self.fc2 = Linear(d_r, d_v, rng, dtype=dtype)
         # per head its Q, K, V weights, as the arena lays them out
         self.qkv = [w for ws in zip(self.w_q, self.w_k, self.w_v) for w in ws]
+        self.weights = tuple(self.params("").values())
 
     def __call__(self, r: np.ndarray, mask: np.ndarray | None = None,
                  saved: list | None = None) -> np.ndarray:
@@ -186,7 +189,8 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
     nothing is recorded."""
     sources = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
     parents = tuple(r for r in (r_obj, r_attr) if isinstance(r, Tensor))
-    parents += tuple(t for module in encoders.values() for t in module.params("").values())
+    for module in encoders.values():
+        parents += module.weights
     record = needs_grad(parents)
     keep, n_real = mask[..., None], mask.sum(axis=-1, keepdims=True)
     if not n_real.all():

@@ -4,6 +4,13 @@ All functions work on token lists (already split).  CIDEr-D needs
 corpus-level document frequencies, so those live in an ``IdfTable`` built
 once from the evaluation references and passed in; the table exposes a
 checksum so runs can assert they scored against the same statistics.
+
+A report (``evaluate_captions``) counts each distinct sentence's n-grams
+once per order, in one table that every score reads: the document
+frequencies, the tf-idf vectors of references and candidates, and
+BLEU's clipped counts.  It also tags each reference word once.  The
+table lives for that one call; an ``IdfTable`` keeps only its document
+frequencies and the reference vectors CIDEr-D asked it for.
 """
 
 from __future__ import annotations
@@ -18,7 +25,30 @@ CIDER_SIGMA = 6.0
 
 
 def ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _orders(tokens, max_n: int) -> list:
+    """The n-gram counts of ``tokens`` for orders 1..max_n."""
+    return [ngram_counts(tokens, n) for n in range(1, max_n + 1)]
+
+
+class _Memo(dict):
+    """key -> make(key), made on the first lookup of the key."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _counts_table(max_n: int) -> _Memo:
+    """A tuple of tokens -> its n-gram counts of orders 1..max_n, each
+    distinct sentence counted once."""
+    return _Memo(lambda tokens: _orders(tokens, max_n))
 
 
 def _closest_ref_length(cand_len: int, references) -> int:
@@ -35,17 +65,17 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
-def _clipped_counts(candidate, references, order: int) -> tuple[int, int]:
-    """(clipped matches, total) of the candidate's n-grams of one order:
+def _clipped_counts(cand: list, refs: list) -> list:
+    """Per order, (clipped matches, total) of a candidate's n-grams, from
+    the per-order counts of the candidate and of each of its references:
     each n-gram counts at most as often as in the reference that holds it
     most often."""
-    cand = ngram_counts(candidate, order)
-    best = Counter()
-    for ref in references:
-        for gram, count in ngram_counts(ref, order).items():
-            if count > best[gram]:
-                best[gram] = count
-    return sum(min(c, best[g]) for g, c in cand.items()), sum(cand.values())
+    out = []
+    for k, grams in enumerate(cand):
+        held = [ref[k] for ref in refs]
+        out.append((sum(min(c, max([r.get(g, 0) for r in held])) for g, c in grams.items()),
+                    sum(grams.values())))
+    return out
 
 
 def bleu_n(candidate, references, n: int = DEFAULT_MAX_N) -> float:
@@ -61,8 +91,8 @@ def bleu_n(candidate, references, n: int = DEFAULT_MAX_N) -> float:
     if not references:
         raise ValueError("bleu_n needs at least one reference")
     log_sum = 0.0
-    for order in range(1, n + 1):
-        clipped, total = _clipped_counts(candidate, references, order)
+    for clipped, total in _clipped_counts(_orders(candidate, n),
+                                          [_orders(r, n) for r in references]):
         if total == 0 or clipped == 0:
             return 0.0
         log_sum += math.log(clipped / total)
@@ -77,6 +107,11 @@ def corpus_bleu(candidates, references_list, n: int = DEFAULT_MAX_N) -> float:
 
 def corpus_bleu_orders(candidates, references_list, max_n: int = DEFAULT_MAX_N) -> list:
     """Corpus BLEU-1 to BLEU-``max_n`` from one pooled count of every order."""
+    return _pooled_bleu(candidates, references_list, _counts_table(max_n), max_n)
+
+
+def _pooled_bleu(candidates, references_list, counts: _Memo, max_n: int) -> list:
+    """``corpus_bleu_orders`` reading each sentence's n-grams from ``counts``."""
     if len(candidates) != len(references_list):
         raise ValueError(
             f"{len(candidates)} candidates vs {len(references_list)} reference sets")
@@ -91,10 +126,10 @@ def corpus_bleu_orders(candidates, references_list, max_n: int = DEFAULT_MAX_N) 
             raise ValueError("every candidate needs at least one reference")
         cand_len += len(cand)
         ref_len += _closest_ref_length(len(cand), refs)
-        for order in range(1, max_n + 1):
-            matched, total = _clipped_counts(cand, refs, order)
-            clipped[order - 1] += matched
-            totals[order - 1] += total
+        for k, (matched, total) in enumerate(_clipped_counts(
+                counts[tuple(cand)], [counts[tuple(r)] for r in refs])):
+            clipped[k] += matched
+            totals[k] += total
     penalty = _brevity_penalty(cand_len, ref_len)
     scores = []
     log_sum = 0.0
@@ -120,6 +155,18 @@ class IdfTable:
     """
 
     def __init__(self, references_by_image: dict, max_n: int = DEFAULT_MAX_N):
+        # each reference's counts go as soon as they are read: a table that
+        # lives for a whole run holds none of them
+        self._count(references_by_image, lambda ref: _orders(ref, max_n), max_n)
+
+    @classmethod
+    def _counted(cls, references_by_image: dict, counts: _Memo, max_n: int) -> IdfTable:
+        """The table of ``references_by_image``, its n-grams read from ``counts``."""
+        table = cls.__new__(cls)
+        table._count(references_by_image, lambda ref: counts[tuple(ref)], max_n)
+        return table
+
+    def _count(self, references_by_image: dict, orders_of, max_n: int) -> None:
         if not references_by_image:
             raise ValueError("idf table needs at least one image")
         self.max_n = max_n
@@ -128,8 +175,8 @@ class IdfTable:
         for refs in references_by_image.values():
             seen = set()
             for ref in refs:
-                for order in range(1, max_n + 1):
-                    seen.update(ngram_counts(ref, order))
+                for grams in orders_of(ref):
+                    seen.update(grams)
             self.df.update(seen)
         self._idf = {g: math.log(self.n_images / d) for g, d in self.df.items()}
         self._unseen = math.log(self.n_images)
@@ -144,9 +191,19 @@ class IdfTable:
         key = (tuple(ref), max_n)
         vectors = self._ref_vectors.get(key)
         if vectors is None:
-            vectors = [_tfidf_vector(ref, order, self) for order in range(1, max_n + 1)]
-            self._ref_vectors[key] = vectors
+            vectors = self._ref_vectors[key] = self.vectors(_orders(ref, max_n))
         return vectors
+
+    def vectors(self, counts: list) -> list:
+        """(tf-idf vector, norm) of each order's n-gram counts, the vector
+        keyed on the table's own tuple of each n-gram it holds, not on a
+        fresh copy."""
+        own, idf, unseen = self._grams.get, self._idf.get, self._unseen
+        out = []
+        for grams in counts:
+            vec = {own(g, g): c * idf(g, unseen) for g, c in grams.items()}
+            out.append((vec, math.sqrt(sum(w * w for w in vec.values()))))
+        return out
 
     def checksum(self) -> str:
         payload = {
@@ -158,26 +215,25 @@ class IdfTable:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _tfidf_vector(tokens, order: int, idf: IdfTable):
-    """(tf-idf vector, norm) of the n-grams of one order, keyed on the
-    table's own tuple of each n-gram it holds, not on a fresh copy."""
-    vec = {idf._grams.get(g, g): c * idf.idf(g) for g, c in ngram_counts(tokens, order).items()}
-    norm = math.sqrt(sum(w * w for w in vec.values()))
-    return vec, norm
-
-
 def cider_d(candidate, references, idf: IdfTable,
             sigma: float = CIDER_SIGMA, max_n: int = DEFAULT_MAX_N) -> float:
     """Consensus score: clipped tf-idf cosine per order, Gaussian length
     penalty, averaged over orders then references, scaled by 10."""
-    if not references:
+    return _consensus(len(candidate), idf.vectors(_orders(candidate, max_n)),
+                      [(len(r), idf.reference_vectors(r, max_n)) for r in references],
+                      sigma, max_n)
+
+
+def _consensus(cand_len: int, cand: list, refs: list, sigma: float, max_n: int) -> float:
+    """CIDEr-D of a candidate's length and per-order (vector, norm) against
+    each reference's (length, per-order (vector, norm))."""
+    if not refs:
         raise ValueError("cider_d needs at least one reference")
     per_order_sum = [0.0] * max_n
-    cand = [_tfidf_vector(candidate, order, idf) for order in range(1, max_n + 1)]
-    for ref in references:
-        penalty = math.exp(-((len(candidate) - len(ref)) ** 2) / (2.0 * sigma * sigma))
+    for ref_len, ref_vectors in refs:
+        penalty = math.exp(-((cand_len - ref_len) ** 2) / (2.0 * sigma * sigma))
         for k, ((cand_vec, cand_norm), (ref_vec, ref_norm)) in enumerate(
-                zip(cand, idf.reference_vectors(ref, max_n))):
+                zip(cand, ref_vectors)):
             if cand_norm == 0.0 or ref_norm == 0.0:
                 continue
             # an n-gram the reference lacks adds an exact zero: skip it
@@ -185,7 +241,7 @@ def cider_d(candidate, references, idf: IdfTable,
                       if (r := ref_vec.get(g)) is not None)
             per_order_sum[k] += penalty * dot / (cand_norm * ref_norm)
     mean_over_orders = sum(per_order_sum) / max_n
-    return 10.0 * mean_over_orders / len(references)
+    return 10.0 * mean_over_orders / len(refs)
 
 
 POS_CLASSES = {
@@ -204,13 +260,16 @@ def pos_recall(predictions: dict, references: dict, tag_of) -> dict:
     of that class; recall is the fraction the prediction mentions.
     Images whose references contain no word of a class do not count
     toward that class; a class absent from the whole corpus maps to None.
+    Each distinct word is tagged once.
     """
+    tags = _Memo(tag_of)
     sums = {name: 0.0 for name in POS_CLASSES}
     counts = {name: 0 for name in POS_CLASSES}
     for key, refs in references.items():
         pred_words = set(predictions.get(key, ()))
-        for name, tags in POS_CLASSES.items():
-            gold = {w for ref in refs for w in ref if tag_of(w) in tags}
+        words = {w for ref in refs for w in ref}
+        for name, classes in POS_CLASSES.items():
+            gold = {w for w in words if tags[w] in classes}
             if not gold:
                 continue
             counts[name] += 1
@@ -225,21 +284,39 @@ def evaluate_captions(predictions: dict, references: dict, tag_of,
 
     predictions: image key -> token list.  references: image key -> list
     of token lists.  Only keys present in the references are scored;
-    missing predictions score as empty captions.
+    missing predictions score as empty captions.  Every sentence's
+    n-grams are counted once, and its tf-idf vectors built once from
+    them, in tables that go with the call.
     """
     if not references:
         raise ValueError("nothing to evaluate")
-    idf = IdfTable(references, max_n=max_n)
+    counts = _counts_table(max_n)
+    idf = IdfTable._counted(references, counts, max_n)
     keys = sorted(references)
-    cands = [list(predictions.get(k, ())) for k in keys]
-    refs_list = [references[k] for k in keys]
+    cands = [tuple(predictions.get(k, ())) for k in keys]
+    refs_list = [[tuple(r) for r in references[k]] for k in keys]
+    bleu = _pooled_bleu(cands, refs_list, counts, max_n)
+    cider = _mean_cider_d(cands, refs_list, counts, idf, max_n)
     report = {
         "n_images": len(keys),
         "idf_checksum": idf.checksum(),
-        "cider_d": sum(cider_d(c, r, idf, max_n=max_n)
-                       for c, r in zip(cands, refs_list)) / len(keys),
+        "cider_d": cider,
         "pos_recall": pos_recall(predictions, references, tag_of),
     }
-    for order, score in enumerate(corpus_bleu_orders(cands, refs_list, max_n), start=1):
+    for order, score in enumerate(bleu, start=1):
         report[f"bleu{order}"] = score
     return report
+
+
+def _mean_cider_d(cands: list, refs_list: list, counts: _Memo, idf: IdfTable,
+                  max_n: int) -> float:
+    """The mean CIDEr-D of the candidates, with each sentence's vectors
+    built once from ``counts``, which it empties: a sentence's counts go
+    as its vectors come."""
+    vectors = {}
+    while counts:
+        tokens, grams = counts.popitem()
+        vectors[tokens] = idf.vectors(grams)
+    return sum(_consensus(len(c), vectors[c], [(len(r), vectors[r]) for r in refs],
+                          CIDER_SIGMA, max_n)
+               for c, refs in zip(cands, refs_list)) / len(cands)

@@ -75,11 +75,24 @@ before the sample and its greedy baseline shared one decode pass:
 ``decoder.greedy_decode``, each caption scored with ``reference_cider_d``.
 ``training.self_critical_loss`` and ``metrics.cider_d`` agree with them
 bit for bit, and draw the same random numbers.
+
+Caption reports: ``reference_evaluate_captions`` is
+``metrics.evaluate_captions`` as it was before a report counted each
+sentence once: every scorer counts every sentence it reads afresh with
+``reference_ngram_counts`` (a slice per n-gram).  The document
+frequencies come from ``reference_document_frequencies``, corpus BLEU
+from ``reference_corpus_bleu_orders`` clipping each candidate with
+``reference_clipped_counts`` (one reference maximum per order), CIDEr-D
+from ``reference_cider_d`` and word recall from ``reference_pos_recall``,
+which tags every reference word once per word class.  Its report equals
+``evaluate_captions``'s by ``==``.
 """
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,7 +117,14 @@ from modcap.decoder import (
 from modcap.encoders import ProjectionModule, RelationModule
 from modcap.errors import ShapeError, TrainingError
 from modcap.layers import Linear
-from modcap.metrics import CIDER_SIGMA, DEFAULT_MAX_N, IdfTable, ngram_counts
+from modcap.metrics import (
+    CIDER_SIGMA,
+    DEFAULT_MAX_N,
+    POS_CLASSES,
+    IdfTable,
+    _brevity_penalty,
+    _closest_ref_length,
+)
 from modcap.training import LOSS_EPS, _step_major, _word_class_nll
 from modcap.tensor import (
     FLOAT32,
@@ -1064,6 +1084,10 @@ def object_beam_search(model, enc, beam_width: int, max_len: int) -> list[Hypoth
 # -- self-critical scoring ------------------------------------------------------
 
 
+def reference_ngram_counts(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
 def reference_idf(table: IdfTable, gram) -> float:
     """log(n_images / df) of ``gram``, looked up when asked; an unseen
     n-gram counts as a frequency of one."""
@@ -1071,7 +1095,8 @@ def reference_idf(table: IdfTable, gram) -> float:
 
 
 def _reference_tfidf(tokens, order: int, table: IdfTable):
-    vec = {g: c * reference_idf(table, g) for g, c in ngram_counts(tokens, order).items()}
+    vec = {g: c * reference_idf(table, g)
+           for g, c in reference_ngram_counts(tokens, order).items()}
     return vec, math.sqrt(sum(w * w for w in vec.values()))
 
 
@@ -1094,6 +1119,95 @@ def reference_cider_d(candidate, references, table: IdfTable,
             per_order_sum[k] += penalty * dot / (cand_norm * ref_norm)
     mean_over_orders = sum(per_order_sum) / max_n
     return 10.0 * mean_over_orders / len(references)
+
+
+# -- caption reports ------------------------------------------------------------
+
+
+def reference_clipped_counts(candidate, references, order: int) -> tuple[int, int]:
+    """(clipped matches, total) of the candidate's n-grams of one order:
+    each n-gram counts at most as often as in the reference that holds it
+    most often."""
+    cand = reference_ngram_counts(candidate, order)
+    best = Counter()
+    for ref in references:
+        for gram, count in reference_ngram_counts(ref, order).items():
+            if count > best[gram]:
+                best[gram] = count
+    return sum(min(c, best[g]) for g, c in cand.items()), sum(cand.values())
+
+
+def reference_corpus_bleu_orders(candidates, references_list, max_n: int) -> list:
+    clipped = [0] * max_n
+    totals = [0] * max_n
+    cand_len = 0
+    ref_len = 0
+    for cand, refs in zip(candidates, references_list):
+        cand_len += len(cand)
+        ref_len += _closest_ref_length(len(cand), refs)
+        for order in range(1, max_n + 1):
+            matched, total = reference_clipped_counts(cand, refs, order)
+            clipped[order - 1] += matched
+            totals[order - 1] += total
+    penalty = _brevity_penalty(cand_len, ref_len)
+    scores = []
+    log_sum = 0.0
+    for order in range(max_n):
+        if clipped[order] == 0 or totals[order] == 0:
+            return scores + [0.0] * (max_n - order)
+        log_sum += math.log(clipped[order] / totals[order])
+        scores.append(penalty * math.exp(log_sum / (order + 1)))
+    return scores
+
+
+def reference_document_frequencies(references_by_image: dict, max_n: int) -> Counter:
+    """Per n-gram, the number of images whose references hold it."""
+    df = Counter()
+    for refs in references_by_image.values():
+        seen = set()
+        for ref in refs:
+            for order in range(1, max_n + 1):
+                seen.update(reference_ngram_counts(ref, order))
+        df.update(seen)
+    return df
+
+
+def reference_pos_recall(predictions: dict, references: dict, tag_of) -> dict:
+    sums = {name: 0.0 for name in POS_CLASSES}
+    counts = {name: 0 for name in POS_CLASSES}
+    for key, refs in references.items():
+        pred_words = set(predictions.get(key, ()))
+        for name, tags in POS_CLASSES.items():
+            gold = {w for ref in refs for w in ref if tag_of(w) in tags}
+            if not gold:
+                continue
+            counts[name] += 1
+            sums[name] += len(gold & pred_words) / len(gold)
+    return {name: (100.0 * sums[name] / counts[name] if counts[name] else None)
+            for name in POS_CLASSES}
+
+
+def reference_evaluate_captions(predictions: dict, references: dict, tag_of,
+                                max_n: int = DEFAULT_MAX_N) -> dict:
+    """``metrics.evaluate_captions`` with every sentence counted afresh by
+    each scorer that reads it; the checksum is ``IdfTable.checksum`` of
+    the document frequencies counted here."""
+    table = SimpleNamespace(n_images=len(references), max_n=max_n,
+                            df=reference_document_frequencies(references, max_n))
+    keys = sorted(references)
+    cands = [list(predictions.get(k, ())) for k in keys]
+    refs_list = [references[k] for k in keys]
+    report = {
+        "n_images": len(keys),
+        "idf_checksum": IdfTable.checksum(table),
+        "cider_d": sum(reference_cider_d(c, r, table, max_n=max_n)
+                       for c, r in zip(cands, refs_list)) / len(keys),
+        "pos_recall": reference_pos_recall(predictions, references, tag_of),
+    }
+    for order, score in enumerate(reference_corpus_bleu_orders(cands, refs_list, max_n),
+                                  start=1):
+        report[f"bleu{order}"] = score
+    return report
 
 
 def two_pass_self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,

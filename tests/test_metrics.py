@@ -7,10 +7,15 @@ out on paper first.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modcap import metrics
@@ -23,7 +28,12 @@ from modcap.metrics import (
     ngram_counts,
     pos_recall,
 )
-from reference import reference_cider_d, reference_idf
+from reference import (
+    reference_cider_d,
+    reference_evaluate_captions,
+    reference_idf,
+    reference_ngram_counts,
+)
 
 
 # -- independent oracles -------------------------------------------------
@@ -178,6 +188,19 @@ class TestCorpusBleu:
 # -- CIDEr-D ---------------------------------------------------------------
 
 
+def record_counts(monkeypatch) -> list:
+    """The (sentence, order) of every ``ngram_counts`` call from now on."""
+    counted = []
+    original = metrics.ngram_counts
+
+    def counting(tokens, n):
+        counted.append((tuple(tokens), n))
+        return original(tokens, n)
+
+    monkeypatch.setattr(metrics, "ngram_counts", counting)
+    return counted
+
+
 def small_reference_set():
     return {
         0: [["a", "red", "cat", "on", "a", "mat"]],
@@ -271,25 +294,18 @@ class TestCiderD:
 
     def test_vectors_built_once_per_call_and_reference(self, monkeypatch):
         # self-critical training scores many candidates against the same
-        # references: each candidate's vectors are built once per call, each
-        # reference's once per table
+        # references: each candidate's n-grams are counted once per call,
+        # each reference's once per table
         refs = small_reference_set()
         refs[0].append(["the", "red", "cat", "sits"])
         idf = IdfTable(refs)
-        built = []
-        original = metrics._tfidf_vector
-
-        def counting(tokens, order, table):
-            built.append((tuple(tokens), order))
-            return original(tokens, order, table)
-
-        monkeypatch.setattr(metrics, "_tfidf_vector", counting)
+        counted = record_counts(monkeypatch)
         cands = (["a", "cat", "on", "a", "mat"], ["a", "red", "dog"])
         scores = [cider_d(cand, refs[0], idf) for cand in cands]
         monkeypatch.undo()
         ref_keys = {(tuple(r), order) for r in refs[0] for order in range(1, 5)}
-        assert sorted(b for b in built if b in ref_keys) == sorted(ref_keys)
-        assert sorted(b for b in built if b not in ref_keys) == sorted(
+        assert sorted(b for b in counted if b in ref_keys) == sorted(ref_keys)
+        assert sorted(b for b in counted if b not in ref_keys) == sorted(
             (tuple(c), order) for c in cands for order in range(1, 5))
         assert scores == [cider_d(cand, refs[0], IdfTable(refs)) for cand in cands]
 
@@ -339,7 +355,69 @@ class TestPosRecall:
         assert got["noun"] == pytest.approx(100.0)
 
 
+# references draw from "abcd", candidates also from "xy"; no reference
+# word is a preposition, so that class reads None
+_LETTER_TAGS = {"a": "NN", "b": "ADJ", "c": "VB", "d": "CD", "x": "NN"}
+
+
+def _letter_tag(word):
+    return _LETTER_TAGS.get(word, "OTHER")
+
+
+def hashed_report() -> dict:
+    references = small_reference_set()
+    references[0].append(["a", "red", "dog", "on", "a", "tree"])
+    predictions = {0: ["a", "red", "cat", "on", "a", "tree"],
+                   1: ["a", "blue", "dog", "under", "a", "mat"]}
+    return evaluate_captions(predictions, references, _tag_of)
+
+
+HASHED_REPORT = "from test_metrics import hashed_report; print(sorted(hashed_report().items()))"
+
+
 class TestEvaluateCaptions:
+    @SCORING
+    @given(st.dictionaries(st.integers(0, 5), st.lists(REF_WORDS, min_size=1, max_size=3),
+                           min_size=1, max_size=6),
+           st.dictionaries(st.integers(0, 7), CAND_WORDS, max_size=8),
+           st.integers(1, 4))
+    # an empty and a one-token caption, a missing prediction, repeated
+    # n-grams, and a caption that shares no n-gram with its references
+    @example({0: [["a", "b"]], 1: [["a", "a", "b"], ["b", "a", "a"]], 2: [["c"]]},
+             {0: [], 1: ["a", "a", "a", "b"]}, 4)
+    @example({0: [["a", "b", "a", "b"]], 1: [["c", "d"], ["d", "c", "d"]]},
+             {0: ["x", "y"], 1: ["d"]}, 2)
+    def test_report_equals_the_reference_scorers(self, references, predictions, max_n):
+        # one count per sentence moves no score, no idf and no bit
+        assert evaluate_captions(predictions, references, _letter_tag, max_n) == \
+            reference_evaluate_captions(predictions, references, _letter_tag, max_n)
+
+    @SCORING
+    @given(CAND_WORDS, st.integers(1, 5))
+    def test_ngram_counts_equal_the_slicing_count(self, tokens, n):
+        # the same counts, in the same first-occurrence order
+        assert list(ngram_counts(tokens, n).items()) == \
+            list(reference_ngram_counts(tokens, n).items())
+
+    def test_a_report_counts_each_sentence_once(self, monkeypatch):
+        references = small_reference_set()
+        references[0].append(["a", "blue", "dog", "under", "a", "tree"])   # image 1's
+        references[2].append(["a", "red", "cat"])
+        predictions = {0: ["a", "red", "cat"], 1: ["a", "dog"]}         # image 2's missing
+        counted, tagged = record_counts(monkeypatch), []
+
+        def tag_of(word):
+            tagged.append(word)
+            return _tag_of(word)
+
+        evaluate_captions(predictions, references, tag_of, max_n=3)
+        monkeypatch.undo()
+        sentences = {tuple(r) for refs in references.values() for r in refs}
+        sentences |= {tuple(p) for p in predictions.values()} | {()}
+        assert Counter(counted) == {(s, n): 1 for s in sentences for n in (1, 2, 3)}
+        assert Counter(tagged) == {w: 1 for refs in references.values() for r in refs
+                                   for w in r}
+
     def test_perfect_predictions(self):
         references = small_reference_set()
         predictions = {k: list(v[0]) for k, v in references.items()}
@@ -349,6 +427,18 @@ class TestEvaluateCaptions:
         assert report["bleu1"] == pytest.approx(1.0)
         assert report["n_images"] == 3
         assert len(report["idf_checksum"]) == 64
+
+    def test_report_does_not_depend_on_the_hash_seed(self):
+        # the document frequencies are counted from sets: no score may
+        # follow their order
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                            str(root / "tests")])}
+        reports = [subprocess.run([sys.executable, "-c", HASHED_REPORT], capture_output=True,
+                                  text=True, check=True, env={**env, "PYTHONHASHSEED": seed}
+                                  ).stdout for seed in ("0", "1")]
+        assert reports[0] == reports[1] == repr(sorted(hashed_report().items())) + "\n"
+        assert 0.0 < hashed_report()["cider_d"] and 0.0 < hashed_report()["bleu4"]
 
     def test_deterministic(self):
         references = small_reference_set()

@@ -18,6 +18,7 @@ are a pure function of (corpus seed, scene id).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections import Counter
@@ -238,48 +239,54 @@ def references_of(examples) -> dict[int, list[list[str]]]:
 
 # -- generation ---------------------------------------------------------------
 
+_DRAW_BLOCK = 256   # draws computed per block of the scene stream
+_VARIANT_SLOT = 3
 
-def _caption_words(scene: Scene, slot: int):
-    """Template fill for one caption slot.  Slot 3 (when present) carries the
-    variant reading; every other slot repeats the base description.  Variants
-    open with the marker word "then" so the reading is announced before the
-    captions diverge: given the scene and the visible prefix, every later
-    token has a unique right answer under teacher forcing."""
+
+def _draw_stream(rng: Rng):
+    """``rng``'s draws one at a time, each the value ``u64`` would return,
+    computed a block at a time.  The stream runs up to a block ahead of
+    what it has handed out, so ``rng`` serves nothing else."""
+    while True:
+        yield from rng._draws(_DRAW_BLOCK).tolist()
+
+
+def _captions(scene: Scene, roles: list[int]):
+    """Template fills of a scene's captions: the base description's
+    (words, tags), which every slot but ``_VARIANT_SLOT`` repeats, and the
+    variant reading's, or None when the scene has nothing to vary and the
+    variant slot repeats the base too.  Variants open with the marker word
+    "then" so the reading is announced before the captions diverge: given
+    the scene and the visible prefix, every later token has a unique right
+    answer under teacher forcing."""
     regions = scene.regions
-    roles = scene.roles()
     r0 = regions[roles[0]]
     adj1 = ADJ_POOL[min(r0.attributes)]
     nn1 = NOUN_POOL[r0.object_id]
     rel1 = scene.relations[0]
-    pred1 = PRED_POOL[rel1.predicate]
-    nn2 = NOUN_POOL[regions[rel1.object].object_id]
-
-    base = (["a", adj1, nn1, pred1, "a", nn2],
+    base = (["a", adj1, nn1, PRED_POOL[rel1.predicate], "a",
+             NOUN_POOL[regions[rel1.object].object_id]],
             ["DT", "ADJ", "NN", PRED_TAGS[rel1.predicate], "DT", "NN"])
-    if slot != 3:
-        return base
 
     counts = scene.class_counts()
     dups = sorted(c for c, n in counts.items() if n in QUANT_WORDS)
     if dups:
         dup = dups[0]
-        cd = QUANT_WORDS[counts[dup]]
-        return (["then", "a", adj1, nn1, "and", cd, NOUN_POOL[dup]],
-                ["RB", "DT", "ADJ", "NN", "CC", "CD", "NN"])
+        return base, (["then", "a", adj1, nn1, "and", QUANT_WORDS[counts[dup]], NOUN_POOL[dup]],
+                      ["RB", "DT", "ADJ", "NN", "CC", "CD", "NN"])
     if len(scene.relations) >= 2:
         rel2 = scene.relations[1]
-        pred2 = PRED_POOL[rel2.predicate]
-        nn3 = NOUN_POOL[regions[rel2.object].object_id]
-        return (["then", "a", adj1, nn1, pred2, "a", nn3],
-                ["RB", "DT", "ADJ", "NN", PRED_TAGS[rel2.predicate], "DT", "NN"])
-    return base
+        return base, (["then", "a", adj1, nn1, PRED_POOL[rel2.predicate], "a",
+                       NOUN_POOL[regions[rel2.object].object_id]],
+                      ["RB", "DT", "ADJ", "NN", PRED_TAGS[rel2.predicate], "DT", "NN"])
+    return base, None
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
     spec.validate()
     vocab = build_vocabulary()
 
-    scene_rng = Rng(spec.seed).derive(101)
+    draw = _draw_stream(Rng(spec.seed).derive(101)).__next__
     split_rng = Rng(spec.seed).derive(202)
 
     order = list(range(spec.n_scenes))
@@ -290,19 +297,29 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     for pos, sid in enumerate(order):
         split_of[sid] = "train" if pos < n_train else ("val" if pos < n_train + n_val else "test")
 
+    label = functools.cache(lambda tag: int(pos_to_module_label(tag)))
+
+    def caption(words, tags):
+        """(words, tags, labels, token ids) of one caption; tags and labels
+        end with the end of sentence's."""
+        tags = tags + ["EOS"]
+        return words, tags, list(map(label, tags)), [BOS_ID] + vocab.encode(words) + [EOS_ID]
+
     scenes = []
     examples = []
     for sid in range(spec.n_scenes):
-        k = K_MIN + scene_rng.randint(K_MAX - K_MIN + 1)
+        # each draw is randint's (draw % bound) or uniform's (top 53 bits)
+        k = K_MIN + draw() % (K_MAX - K_MIN + 1)
         regions = []
         for _ in range(k):
-            object_id = scene_rng.randint(len(NOUN_POOL))
-            n_attr = 1 + scene_rng.randint(2)
+            object_id = draw() % len(NOUN_POOL)
+            n_attr = 1 + draw() % 2
             attrs = set()
             while len(attrs) < n_attr:
-                attrs.add(scene_rng.randint(len(ADJ_POOL)))
-            regions.append(Region(object_id=object_id, attributes=sorted(attrs),
-                                  x=scene_rng.uniform(), y=scene_rng.uniform()))
+                attrs.add(draw() % len(ADJ_POOL))
+            x = (draw() >> 11) * 2.0**-53
+            y = (draw() >> 11) * 2.0**-53
+            regions.append(Region(object_id=object_id, attributes=sorted(attrs), x=x, y=y))
         scene = Scene(scene_id=sid, split=split_of[sid], regions=regions, relations=[])
         roles = scene.roles()
         # relations chain the left-to-right roles; the predicate is a fixed
@@ -314,12 +331,15 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
                                             object=b))
         scenes.append(scene)
 
+        base, variant = _captions(scene, roles)
+        base = caption(*base)
+        variant = base if variant is None else caption(*variant)
         for slot in range(CAPTIONS_PER_SCENE):
-            words, tags = _caption_words(scene, slot)
-            tags_full = tags + ["EOS"]
-            labels = [int(pos_to_module_label(t)) for t in tags_full]
-            examples.append(CaptionExample(scene_id=sid, slot=slot, words=words,
-                                           tags=tags_full, labels=labels).finalize(vocab))
+            # every example owns its lists
+            words, tags, labels, ids = variant if slot == _VARIANT_SLOT else base
+            examples.append(CaptionExample(scene_id=sid, slot=slot, words=words.copy(),
+                                           tags=tags.copy(), labels=labels.copy(),
+                                           token_ids=ids.copy()))
 
     return Corpus(spec=spec, vocab=vocab, scenes=scenes, examples=examples)
 
@@ -363,42 +383,49 @@ class FeatureSynthesizer:
         table_rng = Rng(spec.seed).derive(404)
         self.obj_table = table_rng.normal((len(NOUN_POOL), d_content), dtype=np.float32)
         self.attr_table = table_rng.normal((len(ADJ_POOL), d_content), dtype=np.float32)
+        # the attribute table, then the rows that stand in for a missing
+        # attribute: +0.0 the sum of none, and -0.0, which leaves a sum as it is
+        self._attr_rows = np.concatenate([self.attr_table, np.zeros((1, d_content), np.float32),
+                                          np.full((1, d_content), -0.0, np.float32)])
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def features(self, scene: Scene):
         hit = self._cache.get(scene.scene_id)
         if hit is not None:
             return hit
-        spec = self.spec
-        d_content = spec.d_r - CONTEXT_BLOCK
-        k = len(scene.regions)
-        noise_rng = Rng(spec.seed).derive(50000 + scene.scene_id)
-        rank_of = {idx: pos for pos, idx in enumerate(scene.roles())}
-        counts = scene.class_counts()
-
-        def rank_onehot(rank):
-            hot = np.zeros(_RANK_SLOTS, dtype=np.float32)
-            hot[min(rank, _RANK_SLOTS - 1)] = 1.0
-            return hot
-
+        d_r = self.spec.d_r
+        d_content = d_r - CONTEXT_BLOCK
+        regions = scene.regions
+        k = len(regions)
+        noise_rng = Rng(self.spec.seed).derive(50000 + scene.scene_id)
         # the scene's noise in one draw: object rows first, then attribute rows
         noise = noise_rng.normal((2, k, d_content), scale=NOISE_SIGMA, dtype=np.float32)
-        r_obj = np.zeros((k, spec.d_r), dtype=np.float32)
-        r_attr = np.zeros((k, spec.d_r), dtype=np.float32)
-        for i, reg in enumerate(scene.regions):
-            r_obj[i, :d_content] = self.obj_table[reg.object_id] + noise[0, i]
-            r_obj[i, d_content:d_content + 4] = (reg.x, reg.y,
-                                                 rank_of[i] / _RANK_SCALE,
-                                                 counts[reg.object_id] / _RANK_SCALE)
-            r_obj[i, d_content + 4:] = rank_onehot(rank_of[i])
-        for i, reg in enumerate(scene.regions):
-            r_attr[i, :d_content] = self.attr_table[reg.attributes].sum(axis=0) + noise[1, i]
-            r_attr[i, d_content:d_content + 4] = (reg.x, reg.y,
-                                                  rank_of[i] / _RANK_SCALE, 0.0)
-            r_attr[i, d_content + 4:] = rank_onehot(rank_of[i])
-        out = (r_obj, r_attr)
-        self._cache[scene.scene_id] = out
-        return out
+
+        r_obj = np.empty((k, d_r), dtype=np.float32)
+        r_attr = np.empty((k, d_r), dtype=np.float32)
+        np.add(self.obj_table[[r.object_id for r in regions]], noise[0], out=r_obj[:, :d_content])
+        # each region's attribute rows summed in order from the first, as a
+        # sum over axis 0 forms them, one attribute of every region at a time
+        attrs = [r.attributes for r in regions]
+        none, pad = len(ADJ_POOL), len(ADJ_POOL) + 1
+        attr_sum = r_attr[:, :d_content]
+        attr_sum[...] = self._attr_rows[[a[0] if a else none for a in attrs]]
+        for j in range(1, max(map(len, attrs), default=0)):
+            attr_sum += self._attr_rows[[a[j] if len(a) > j else pad for a in attrs]]
+        attr_sum += noise[1]
+
+        # x, y, rank, class count, then the rank one-hot; R_A has no count
+        counts = scene.class_counts()
+        context = [None] * k
+        for rank, i in enumerate(scene.roles()):
+            reg = regions[i]
+            row = context[i] = [reg.x, reg.y, rank / _RANK_SCALE,
+                                counts[reg.object_id] / _RANK_SCALE] + [0.0] * _RANK_SLOTS
+            row[4 + min(rank, _RANK_SLOTS - 1)] = 1.0
+        r_obj[:, d_content:] = r_attr[:, d_content:] = np.reshape(context, (k, CONTEXT_BLOCK))
+        r_attr[:, d_content + 3] = 0.0
+        pair = self._cache[scene.scene_id] = (r_obj, r_attr)
+        return pair
 
 
 # -- persistence ----------------------------------------------------------

@@ -809,15 +809,14 @@ class Rng:
 
     def _draws(self, n: int) -> np.ndarray:
         """The next ``n`` draws, (n,) uint64; ``>> _S11`` keeps the top 53 bits."""
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            z *= _GOLDEN_U
-            z += np.uint64(self._state)
-            z ^= z >> _S30
-            z *= _MIX1_U
-            z ^= z >> _S27
-            z *= _MIX2_U
-            z ^= z >> _S31
+        z = np.arange(1, n + 1, dtype=np.uint64)     # uint64 array arithmetic wraps silently
+        z *= _GOLDEN_U
+        z += np.uint64(self._state)
+        z ^= z >> _S30
+        z *= _MIX1_U
+        z ^= z >> _S27
+        z *= _MIX2_U
+        z ^= z >> _S31
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z
 
@@ -857,21 +856,30 @@ class Rng:
 
     def normal(self, shape, scale=1.0, dtype=FLOAT32) -> np.ndarray:
         """``gauss`` per element, times ``scale``."""
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         head = int(n > 0 and self._gauss_cache is not None)
         out = np.empty(n + 1)          # room for a half-used pair's sine
         if head:
             out[0], self._gauss_cache = self._gauss_cache, None
-        bits = (self._draws(2 * ((n - head + 1) // 2)) >> _S11).astype(np.float64)
-        u1 = (bits[0::2] + 1.0) * 2.0**-53  # (0, 1], keeps log finite
-        angle = 2.0 * math.pi * (bits[1::2] * 2.0**-53)
-        r = np.sqrt(-2.0 * _libm(math.log, u1))
-        end = head + bits.size
-        out[head:end:2] = r * _libm(math.cos, angle)
-        out[head + 1:end:2] = r * _libm(math.sin, angle)
+        pairs = (n - head + 1) // 2
+        u = self._draws(2 * pairs)
+        u >>= _S11
+        u = u.astype(np.float64)
+        u *= 2.0**-53
+        u1 = u[0::2]
+        u1 += 2.0**-53                 # (0, 1], keeps log finite
+        angle = 2.0 * math.pi * u[1::2]
+        r = _libm(math.log, u1)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        end = head + 2 * pairs
+        np.multiply(r, _libm(math.cos, angle), out=out[head:end:2])
+        np.multiply(r, _libm(math.sin, angle), out=out[head + 1:end:2])
         if end > n:
             self._gauss_cache = float(out[n])
-        return (scale * out[:n]).reshape(shape).astype(dtype)
+        out = out[:n]
+        out *= scale
+        return out.reshape(shape).astype(dtype)
 
     def gumbel_array(self, shape, dtype=FLOAT32) -> np.ndarray:
         """Standard Gumbel draws, -log(-log(u)) with u strictly inside

@@ -28,22 +28,26 @@ reading the unit's weight table and each module's part of the encoding
 head or one controller: ``draw`` draws a lone one as a unit draws its
 table entries, for the tests of those parts on their own, and ``of``
 reads a unit's.
-The fused ops it is built from, ``lstm_cell``, ``additive_attention``
-and ``weighted_concat``, run the same array arithmetic as the unit
-kernel (``LstmRun``, ``AttentionRun``, on a stack of one unit), behind
-one joint node per op.
+Its LSTMs, ``lstm_cell`` (``lstm_step`` on an ``LstmParams``), are
+composed of one node per primitive
+(``matmul``, ``concat``, ``slice_axis``, ``sigmoid``, ``tanh``) and
+share no arithmetic with the kernel's ``LstmRun``, but keep its order of
+products and sums.  The fused ops ``additive_attention`` and
+``weighted_concat`` run the same array arithmetic as the unit kernel
+(``AttentionRun`` on a stack of one unit), behind one joint node per op.
 ``decoder.unit_kernel`` agrees with ``reference_step`` bit for bit: in
 every value of a forward-only step, and in every output and gradient of
-a one-step teacher-forced pass from the zero state.  ``slice_axis``,
-``pick``, ``clamp_min``, ``tanh``, ``sigmoid`` and ``log`` are the
-primitives the fused ops are checked against: the LSTM, attention and
-masked NLL composed from them one node per op.  The LSTM so composed,
-``reference_lstm``, shares no arithmetic with ``LstmRun``: put in place
-of ``lstm_cell`` (which ``reference_step`` and ``controller_step`` look
-up when they run), it makes the chained steps an oracle for the unit
-kernel's LSTMs, to float64 rounding.  ``reference_attention``, composed
-of ``matmul``, ``tanh`` and ``softmax``, is the same for ``AttentionRun``
-in place of ``additive_attention`` (which ``attend`` looks up).
+a one-step teacher-forced pass from the zero state.  So the float32
+tests are an oracle for the kernel's LSTMs, and for its attention only
+through the fused op.  ``pick``, ``clamp_min`` and ``log`` are the
+primitives, with those above, that the fused ops are checked against:
+the attention and masked NLL composed from them one node per op.
+``reference_attention``, composed of ``matmul``, ``tanh`` and
+``softmax``, shares no arithmetic with ``AttentionRun``: put in place of
+``additive_attention`` (which ``attend`` looks up when it runs), it makes
+the chained steps an oracle for the unit kernel's attention heads, to
+float64 rounding.  ``kernel_lstm_cell`` is the LSTM kernel alone, behind
+one node, for the tests of that kernel; no reference steps on it.
 
 The stack: ``reference_model_step`` is one decode step of a
 ``CaptionModel`` on the Tensor step, its word head ``linear`` then
@@ -86,6 +90,13 @@ from ``reference_corpus_bleu_orders`` clipping each candidate with
 from ``reference_cider_d`` and word recall from ``reference_pos_recall``,
 which tags every reference word once per word class.  Its report equals
 ``evaluate_captions``'s by ``==``.
+
+The corpus: ``reference_generate_corpus`` is ``corpus.generate_corpus``
+as it was before generation read its draws a block at a time: one
+scalar ``randint`` or ``uniform`` per draw, and every caption slot
+built afresh by ``reference_caption_words``.  ``reference_features`` is
+``FeatureSynthesizer.features`` filled one region at a time.  Saved
+corpora and feature bytes equal the library's.
 """
 
 import dataclasses
@@ -97,7 +108,30 @@ from types import SimpleNamespace
 import numpy as np
 
 from modcap.config import LEAKY_SLOPE
-from modcap.controller import ModuleLabel, Strategy, one_hot_max
+from modcap.controller import ModuleLabel, Strategy, one_hot_max, pos_to_module_label
+from modcap.corpus import (
+    _RANK_SCALE,
+    _RANK_SLOTS,
+    _SPLIT_FRACTIONS,
+    ADJ_POOL,
+    CAPTIONS_PER_SCENE,
+    CONTEXT_BLOCK,
+    K_MAX,
+    K_MIN,
+    NOISE_SIGMA,
+    NOUN_POOL,
+    PRED_POOL,
+    PRED_TAGS,
+    QUANT_WORDS,
+    CaptionExample,
+    Corpus,
+    CorpusSpec,
+    FeatureSynthesizer,
+    Region,
+    Relation,
+    Scene,
+    build_vocabulary,
+)
 from modcap.decoder import (
     BOS_ID,
     EOS_ID,
@@ -609,12 +643,39 @@ def _views(joint: Tensor, shapes) -> tuple[Tensor, ...]:
 
 
 def lstm_cell(x, h, c, W, b):
-    """Fused LSTM update; returns (h', c').
+    """An LSTM update composed of one node per primitive (``matmul``,
+    ``concat``, ``slice_axis``, ``sigmoid``, ``tanh``); returns (h', c').
 
     z = [x, h] W + b holds the input, forget, candidate and output gate
     blocks in that order; c' = f*c + i*g and h' = o*tanh(c').  Accepts
-    (d,) vectors or (B, d) batches.
+    (d,) vectors or (B, d) batches.  It shares no arithmetic with
+    ``LstmRun``, yet forms every value and gradient in the kernel's order
+    of products and sums, so in float32 they agree bit for bit: a gate's
+    gradient is ((upstream * other factor) * gate) * its derivative, as
+    the kernel forms it block by block.
     """
+    x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
+    single = x.ndim == 1
+    if single:
+        x, h, c = (reshape(t, (1, -1)) for t in (x, h, c))
+    dh = b.shape[0] // 4
+    z = matmul(concat([x, h], axis=1), W) + b
+    i = sigmoid(slice_axis(z, 1, 0, dh))
+    f = sigmoid(slice_axis(z, 1, dh, 2 * dh))
+    g = tanh(slice_axis(z, 1, 2 * dh, 3 * dh))
+    o = sigmoid(slice_axis(z, 1, 3 * dh, 4 * dh))
+    c2 = f * c + i * g
+    h2 = o * tanh(c2)
+    if single:
+        h2, c2 = reshape(h2, (-1,)), reshape(c2, (-1,))
+    return h2, c2
+
+
+def kernel_lstm_cell(x, h, c, W, b):
+    """The LSTM kernel on its own: ``LstmRun`` on a stack of one unit,
+    behind one joint node of (h', c'), for the tests of that kernel
+    against ``lstm_cell``, finite differences and closed forms.  No
+    reference here steps on it."""
     x, h, c, W, b = (_as_tensor(t) for t in (x, h, c, W, b))
     x_d, h_d, c_d = x.data, h.data, c.data
     single = x_d.ndim == 1
@@ -648,26 +709,6 @@ def lstm_cell(x, h, c, W, b):
                             backward)
     shape = (dh,) if single else h2.shape
     return _views(joint, (shape, shape))
-
-
-def reference_lstm(x, h, c, W, b):
-    """``lstm_cell`` composed of one node per primitive (``matmul``,
-    ``slice_axis``, ``sigmoid``, ``tanh``, ``concat``): an LSTM that shares
-    no arithmetic with ``LstmRun``.  Returns (h', c')."""
-    single = x.ndim == 1
-    if single:
-        x, h, c = (reshape(t, (1, -1)) for t in (x, h, c))
-    dh = b.shape[0] // 4
-    z = matmul(concat([x, h], axis=1), W) + b
-    i = sigmoid(slice_axis(z, 1, 0, dh))
-    f = sigmoid(slice_axis(z, 1, dh, 2 * dh))
-    g = tanh(slice_axis(z, 1, 2 * dh, 3 * dh))
-    o = sigmoid(slice_axis(z, 1, 3 * dh, 4 * dh))
-    c2 = f * c + i * g
-    h2 = o * tanh(c2)
-    if single:
-        h2, c2 = reshape(h2, (-1,)), reshape(c2, (-1,))
-    return h2, c2
 
 
 def lstm_step(x, h, c, params: LstmParams):
@@ -1255,3 +1296,120 @@ def two_pass_self_critical_loss(model: CaptionModel, enc, references, idf: IdfTa
     if supervise:
         loss = loss + lam * _word_class_nll(traces, labels, ling_weights)
     return loss, infos
+
+
+# -- corpus generation and region features --------------------------------------
+
+
+def reference_caption_words(scene: Scene, slot: int):
+    """One caption slot's (words, tags), every slot built afresh from the
+    scene: slot 3 the variant reading, every other slot the base."""
+    regions = scene.regions
+    roles = scene.roles()
+    r0 = regions[roles[0]]
+    adj1 = ADJ_POOL[min(r0.attributes)]
+    nn1 = NOUN_POOL[r0.object_id]
+    rel1 = scene.relations[0]
+    pred1 = PRED_POOL[rel1.predicate]
+    nn2 = NOUN_POOL[regions[rel1.object].object_id]
+
+    base = (["a", adj1, nn1, pred1, "a", nn2],
+            ["DT", "ADJ", "NN", PRED_TAGS[rel1.predicate], "DT", "NN"])
+    if slot != 3:
+        return base
+
+    counts = scene.class_counts()
+    dups = sorted(c for c, n in counts.items() if n in QUANT_WORDS)
+    if dups:
+        dup = dups[0]
+        cd = QUANT_WORDS[counts[dup]]
+        return (["then", "a", adj1, nn1, "and", cd, NOUN_POOL[dup]],
+                ["RB", "DT", "ADJ", "NN", "CC", "CD", "NN"])
+    if len(scene.relations) >= 2:
+        rel2 = scene.relations[1]
+        pred2 = PRED_POOL[rel2.predicate]
+        nn3 = NOUN_POOL[regions[rel2.object].object_id]
+        return (["then", "a", adj1, nn1, pred2, "a", nn3],
+                ["RB", "DT", "ADJ", "NN", PRED_TAGS[rel2.predicate], "DT", "NN"])
+    return base
+
+
+def reference_generate_corpus(spec: CorpusSpec) -> Corpus:
+    """``generate_corpus`` on the scalar stream: one ``randint`` or
+    ``uniform`` per draw, and every caption slot built on its own."""
+    spec.validate()
+    vocab = build_vocabulary()
+
+    scene_rng = Rng(spec.seed).derive(101)
+    split_rng = Rng(spec.seed).derive(202)
+
+    order = list(range(spec.n_scenes))
+    shuffle(split_rng, order)
+    n_train = int(spec.n_scenes * _SPLIT_FRACTIONS[0])
+    n_val = int(spec.n_scenes * _SPLIT_FRACTIONS[1])
+    split_of = {}
+    for pos, sid in enumerate(order):
+        split_of[sid] = "train" if pos < n_train else ("val" if pos < n_train + n_val else "test")
+
+    scenes = []
+    examples = []
+    for sid in range(spec.n_scenes):
+        k = K_MIN + scene_rng.randint(K_MAX - K_MIN + 1)
+        regions = []
+        for _ in range(k):
+            object_id = scene_rng.randint(len(NOUN_POOL))
+            n_attr = 1 + scene_rng.randint(2)
+            attrs = set()
+            while len(attrs) < n_attr:
+                attrs.add(scene_rng.randint(len(ADJ_POOL)))
+            regions.append(Region(object_id=object_id, attributes=sorted(attrs),
+                                  x=scene_rng.uniform(), y=scene_rng.uniform()))
+        scene = Scene(scene_id=sid, split=split_of[sid], regions=regions, relations=[])
+        roles = scene.roles()
+        for a, b in list(zip(roles, roles[1:]))[:2]:
+            subj_class = regions[a].object_id
+            scene.relations.append(Relation(subject=a,
+                                            predicate=subj_class % len(PRED_POOL),
+                                            object=b))
+        scenes.append(scene)
+
+        for slot in range(CAPTIONS_PER_SCENE):
+            words, tags = reference_caption_words(scene, slot)
+            tags_full = tags + ["EOS"]
+            labels = [int(pos_to_module_label(t)) for t in tags_full]
+            examples.append(CaptionExample(scene_id=sid, slot=slot, words=words,
+                                           tags=tags_full, labels=labels).finalize(vocab))
+
+    return Corpus(spec=spec, vocab=vocab, scenes=scenes, examples=examples)
+
+
+def reference_features(synth: FeatureSynthesizer, scene: Scene):
+    """``FeatureSynthesizer.features`` filled one region at a time, on
+    ``synth``'s embedding tables, with nothing cached."""
+    spec = synth.spec
+    d_content = spec.d_r - CONTEXT_BLOCK
+    k = len(scene.regions)
+    noise_rng = Rng(spec.seed).derive(50000 + scene.scene_id)
+    rank_of = {idx: pos for pos, idx in enumerate(scene.roles())}
+    counts = scene.class_counts()
+
+    def rank_onehot(rank):
+        hot = np.zeros(_RANK_SLOTS, dtype=np.float32)
+        hot[min(rank, _RANK_SLOTS - 1)] = 1.0
+        return hot
+
+    noise = noise_rng.normal((2, k, d_content), scale=NOISE_SIGMA, dtype=np.float32)
+    r_obj = np.zeros((k, spec.d_r), dtype=np.float32)
+    r_attr = np.zeros((k, spec.d_r), dtype=np.float32)
+    for i, reg in enumerate(scene.regions):
+        r_obj[i, :d_content] = synth.obj_table[reg.object_id] + noise[0, i]
+        r_obj[i, d_content:d_content + 4] = (reg.x, reg.y,
+                                             rank_of[i] / _RANK_SCALE,
+                                             counts[reg.object_id] / _RANK_SCALE)
+        r_obj[i, d_content + 4:] = rank_onehot(rank_of[i])
+    for i, reg in enumerate(scene.regions):
+        r_attr[i, :d_content] = synth.attr_table[reg.attributes].sum(axis=0) + noise[1, i]
+        r_attr[i, d_content:d_content + 4] = (reg.x, reg.y,
+                                              rank_of[i] / _RANK_SCALE, 0.0)
+        r_attr[i, d_content + 4:] = rank_onehot(rank_of[i])
+    return r_obj, r_attr

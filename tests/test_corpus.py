@@ -3,9 +3,12 @@
 import dataclasses
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modcap.controller import ModuleLabel
 from modcap.corpus import (
@@ -30,7 +33,9 @@ from modcap.corpus import (
     Relation,
     Scene,
     Vocabulary,
-    _caption_words,
+    _DRAW_BLOCK,
+    _captions,
+    _draw_stream,
     build_vocabulary,
     few_shot_subset,
     generate_corpus,
@@ -39,6 +44,7 @@ from modcap.corpus import (
 )
 from modcap.errors import CorpusSpecError, DataError, FormatError
 from modcap.tensor import Rng
+from reference import reference_features, reference_generate_corpus
 
 SMALL = CorpusSpec(n_scenes=40, seed=7)
 
@@ -167,6 +173,42 @@ class TestGeneration:
         for ref_list in refs.values():
             assert len(ref_list) == CAPTIONS_PER_SCENE
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3 * _DRAW_BLOCK + 1))
+    @example(seed=9, n=_DRAW_BLOCK + 1)
+    def test_draw_stream_is_the_scalar_stream(self, seed, n):
+        # up to and across block boundaries, each draw the one u64 would return
+        blocks = _draw_stream(Rng(seed))
+        scalar = Rng(seed)
+        assert [next(blocks) for _ in range(n)] == [scalar.u64() for _ in range(n)]
+
+
+def saved_bytes(corpus) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        save_corpus(corpus, out)
+        return {name: open(os.path.join(out, name), "rb").read()
+                for name in sorted(os.listdir(out))}
+
+
+def assert_features_match_the_oracle(synth, scenes):
+    for scene in scenes:
+        for got, want in zip(synth.features(scene), reference_features(synth, scene)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1), n_scenes=st.integers(1, 60),
+       d_r=st.sampled_from([32, 64]))
+def test_generation_and_features_match_the_scalar_oracles(seed, n_scenes, d_r):
+    # block draws and one caption per repeated slot against one scalar
+    # draw at a time and every slot built afresh; array features against
+    # features filled one region at a time
+    spec = CorpusSpec(n_scenes=n_scenes, d_r=d_r, seed=seed)
+    corpus = generate_corpus(spec)
+    assert saved_bytes(corpus) == saved_bytes(reference_generate_corpus(spec))
+    assert_features_match_the_oracle(FeatureSynthesizer(spec), corpus.scenes)
+
 
 def _scene(regions, relations, sid=0):
     return Scene(scene_id=sid, split="train", regions=regions, relations=relations)
@@ -184,15 +226,28 @@ class TestCaptionTemplates:
 
     def test_base_slot(self):
         scene = self.make_base_scene()
-        words, tags = _caption_words(scene, slot=0)
+        (words, tags), _ = _captions(scene, scene.roles())
         assert words == ["a", ADJ_POOL[1], NOUN_POOL[3], PRED_POOL[3], "a", NOUN_POOL[7]]
         assert tags == ["DT", "ADJ", "NN", PRED_TAGS[3], "DT", "NN"]
-        for slot in (1, 2, 4):
-            assert _caption_words(scene, slot)[0] == words
+
+    def test_base_slots_repeat_the_base_in_lists_of_their_own(self, small_corpus):
+        fields = ("words", "tags", "labels", "token_ids")
+        by_scene = {}
+        for e in small_corpus.examples:
+            by_scene.setdefault(e.scene_id, []).append(e)
+        for group in by_scene.values():
+            assert [e.slot for e in group] == list(range(CAPTIONS_PER_SCENE))
+            base = [getattr(group[0], f) for f in fields]
+            for e in group:
+                if e.slot != 3:
+                    assert [getattr(e, f) for f in fields] == base
+            # no two examples share a list: a caller may edit one alone
+            lists = [getattr(e, f) for e in group for f in fields]
+            assert len({id(x) for x in lists}) == len(lists)
 
     def test_variant_second_relation(self):
         scene = self.make_base_scene()
-        words, tags = _caption_words(scene, slot=3)
+        _, (words, tags) = _captions(scene, scene.roles())
         assert words == ["then", "a", ADJ_POOL[1], NOUN_POOL[3],
                          PRED_POOL[7], "a", NOUN_POOL[2]]
         assert tags == ["RB", "DT", "ADJ", "NN", PRED_TAGS[7], "DT", "NN"]
@@ -204,7 +259,8 @@ class TestCaptionTemplates:
             Region(object_id=5, attributes=[2], x=0.9, y=0.9),
         ]
         relations = [Relation(0, 5, 1), Relation(1, 5, 2)]
-        words, tags = _caption_words(_scene(regions, relations), slot=3)
+        scene = _scene(regions, relations)
+        _, (words, tags) = _captions(scene, scene.roles())
         assert words == ["then", "a", ADJ_POOL[0], NOUN_POOL[5],
                          "and", QUANT_WORDS[3], NOUN_POOL[5]]
         assert tags == ["RB", "DT", "ADJ", "NN", "CC", "CD", "NN"]
@@ -229,7 +285,7 @@ class TestCaptionTemplates:
         ]
         relations = [Relation(0, 1, 1)]
         scene = _scene(regions, relations)
-        assert _caption_words(scene, 3) == _caption_words(scene, 0)
+        assert _captions(scene, scene.roles())[1] is None
 
     def test_grounding(self, small_corpus):
         """Every caption is entailed by its scene."""
@@ -380,6 +436,19 @@ class TestFeatures:
                                               synth.obj_table[reg.object_id] + noise[0, i])
                 np.testing.assert_array_equal(
                     ra[i, :d], synth.attr_table[reg.attributes].sum(axis=0) + noise[1, i])
+
+    def test_loaded_scene_shapes_match_the_oracle(self):
+        # a loaded corpus may hold more regions than the one-hot has rank
+        # slots, and any number of attributes per region, none included
+        regions = [Region(object_id=i % 3, attributes=list(range(i % 5)),
+                          x=0.5 if i % 2 else 0.1 * i, y=0.3)
+                   for i in range(11)]
+        scene = _scene(regions, [Relation(0, 0, 1)], sid=3)
+        assert_features_match_the_oracle(FeatureSynthesizer(SMALL), [scene])
+
+    def test_a_scene_without_regions_has_empty_features(self):
+        r_obj, r_attr = FeatureSynthesizer(SMALL).features(_scene([], [], sid=4))
+        assert r_obj.shape == r_attr.shape == (0, SMALL.d_r)
 
     def test_noise_scale(self):
         spec = CorpusSpec(n_scenes=2, seed=3)

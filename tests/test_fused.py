@@ -1,10 +1,12 @@
 """Fused ops against the same math built from primitive ops, in float64.
 
-``masked_nll`` is a library op; the fused LSTM cell, attention and
-weighted concat are the reference decoder's (``tests/reference.py``),
-built on the array helpers the unit kernel runs.  The LSTM composed of
-primitives is ``reference.reference_lstm``, which the unit kernel's
-tests use as their independent oracle too."""
+``masked_nll`` is a library op; the fused attention and weighted concat
+are the reference decoder's (``tests/reference.py``), built on the array
+helpers the unit kernel runs.  ``reference.kernel_lstm_cell`` is the
+unit kernel's ``LstmRun`` behind one autodiff node; the LSTM composed of
+primitives is ``reference.lstm_cell``, which the reference decoder unit
+steps on, so the unit kernel's tests hold its LSTMs to an independent
+oracle too."""
 
 import numpy as np
 import pytest
@@ -23,11 +25,11 @@ from modcap.tensor import (
 from reference import (
     additive_attention,
     clamp_min,
+    kernel_lstm_cell,
     log,
     lstm_cell,
     matmul,
     pick,
-    reference_lstm,
     slice_axis,
     softmax,
     tanh,
@@ -89,7 +91,7 @@ def test_lstm_cell_matches_primitives(batch):
     lead = (batch,) if batch else ()
     inputs = leaves(rs, lead + (5,), lead + (4,), lead + (4,), (9, 16), (16,))
     weights = [rs.randn(*lead, 4), rs.randn(*lead, 4)]
-    assert_same(lstm_cell, reference_lstm, inputs, weights)
+    assert_same(kernel_lstm_cell, lstm_cell, inputs, weights)
 
 
 @pytest.mark.parametrize("batch", [None, 1, 3])
@@ -156,8 +158,8 @@ class TestDebugChecksNameTheOp:
     def test_lstm_cell(self):
         x = Tensor([np.nan, 0.0])
         W = Tensor(np.ones((3, 4)))
-        with pytest.raises(FloatingPointError, match="lstm_cell"):
-            lstm_cell(x, Tensor([0.0]), Tensor([0.0]), W, Tensor(np.zeros(4)))
+        with pytest.raises(FloatingPointError, match="^kernel_lstm_cell produced"):
+            kernel_lstm_cell(x, Tensor([0.0]), Tensor([0.0]), W, Tensor(np.zeros(4)))
 
     def test_additive_attention(self):
         values = Tensor(np.full((2, 3), np.nan))
@@ -210,7 +212,7 @@ def test_float32_values_and_gradients_are_bitwise():
     # the fused backward repeats the primitive chain's arithmetic in order
     rs = np.random.RandomState(40)
     cases = [
-        (lstm_cell, reference_lstm, ((3, 5), (3, 4), (3, 4), (9, 16), (16,)), ((3, 4),) * 2),
+        (kernel_lstm_cell, lstm_cell, ((3, 5), (3, 4), (3, 4), (9, 16), (16,)), ((3, 4),) * 2),
         (additive_attention, reference_attention,
          ((3, 6, 4), (3, 3), (5, 4), (5, 3), (5,)), ((3, 6), (3, 4))),
     ]

@@ -31,6 +31,7 @@ from reference import (
     assert_same_update,
     clamp_min,
     gumbel as reference_gumbel,
+    kernel_lstm_cell,
     leaky_relu,
     log,
     lstm_step,
@@ -484,8 +485,9 @@ class TestLstmStep:
         p = make_lstm_params(Rng(0), 1, 1, dtype=np.float64)
         p.W.data = np.zeros_like(p.W.data)
         p.b.data = np.zeros_like(p.b.data)
-        h2, c2 = lstm_step(Tensor([0.0], dtype=np.float64), Tensor([0.0], dtype=np.float64),
-                           Tensor([2.0], dtype=np.float64), p)
+        h2, c2 = kernel_lstm_cell(Tensor([0.0], dtype=np.float64),
+                                  Tensor([0.0], dtype=np.float64),
+                                  Tensor([2.0], dtype=np.float64), p.W, p.b)
         assert abs(c2.item() - 1.0) < 1e-12
         assert abs(h2.item() - 0.5 * math.tanh(1.0)) < 1e-12
 
@@ -495,11 +497,12 @@ class TestLstmStep:
         xs = np.random.RandomState(0).randn(3, 5)
         h0 = np.random.RandomState(1).randn(3, 4)
         c0 = np.random.RandomState(2).randn(3, 4)
-        hb, cb = lstm_step(Tensor(xs, dtype=np.float64), Tensor(h0, dtype=np.float64),
-                           Tensor(c0, dtype=np.float64), p)
+        hb, cb = kernel_lstm_cell(Tensor(xs, dtype=np.float64), Tensor(h0, dtype=np.float64),
+                                  Tensor(c0, dtype=np.float64), p.W, p.b)
         for i in range(3):
-            hi, ci = lstm_step(Tensor(xs[i], dtype=np.float64), Tensor(h0[i], dtype=np.float64),
-                               Tensor(c0[i], dtype=np.float64), p)
+            hi, ci = kernel_lstm_cell(Tensor(xs[i], dtype=np.float64),
+                                      Tensor(h0[i], dtype=np.float64),
+                                      Tensor(c0[i], dtype=np.float64), p.W, p.b)
             assert np.allclose(hb.data[i], hi.data, atol=1e-12)
             assert np.allclose(cb.data[i], ci.data, atol=1e-12)
 
@@ -508,7 +511,7 @@ class TestLstmStep:
         p = make_lstm_params(rng, 3, 2, dtype=np.float64)
 
         def f(x, h, c, W, b):
-            h2, c2 = lstm_step(x, h, c, T.LstmParams(W=W, b=b))
+            h2, c2 = kernel_lstm_cell(x, h, c, W, b)
             return (h2 * h2).sum() + c2.sum()
 
         np.random.seed(13)

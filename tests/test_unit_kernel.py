@@ -20,10 +20,10 @@ to float-summation noise, and draw the same random numbers, and bit for
 bit with the units chained one kernel node each, on presets and on
 stacks that ``hypothesis`` draws.  In float64, a
 three-step kernel pass must agree to rounding with chained reference
-steps whose LSTMs or attention heads are composed of primitives
-(``reference.reference_lstm``, ``reference.reference_attention``),
-oracles that share no arithmetic with the kernel's ``LstmRun`` and
-``AttentionRun``.
+steps, whose LSTMs are composed of primitives (``reference.lstm_cell``),
+and with the same steps whose attention heads are composed of primitives
+too (``reference.reference_attention``): oracles that share no
+arithmetic with the kernel's ``LstmRun`` and ``AttentionRun``.
 
 Without gradients, greedy and beam decoding step forward only on the
 stack's plain state array (``CaptionModel.init_rows``); they must agree
@@ -597,11 +597,9 @@ def assert_agree_to_rounding(fused, chain):
 
 
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/1", "Col/H", "Module/O"])
-def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, preset,
-                                                        monkeypatch):
+def test_three_steps_match_a_chain_on_the_composed_lstm(corpus, padded_batch, preset):
     # the chained reference steps run their LSTMs composed of primitives,
     # not on LstmRun, so a fault there shows; float64 leaves only rounding
-    monkeypatch.setattr(reference, "lstm_cell", reference.reference_lstm)
     assert_agree_to_rounding(*three_steps_against_a_chain(corpus, padded_batch, preset))
 
 

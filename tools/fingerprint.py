@@ -44,6 +44,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SMALL = ["--xe-epochs", "1", "--rl-epochs", "1", "--d-v", "8", "--d-a", "4", "--heads", "2",
          "--batch-size", "8"]
+HARD = ["--preset", "Col/H+L", "--xe-epochs", "6", "--rl-epochs", "1", "--lr", "1e-2",
+        "--d-v", "8", "--d-a", "4", "--heads", "2", "--batch-size", "8"]
 FEW_SHOT = ["--preset", "CNM#2", "--few-shot", "1", "--d-v", "8", "--d-a", "4", "--heads", "2",
             "--batch-size", "8"]
 NARROW_CORPUS = """
@@ -119,7 +121,7 @@ class Build:
         self.modcap("corpus", "--out", "seed0", "--seed", "0")
         self.checkpoint("reference", "seed0", "--preset", "CNM#2", "--lr", "2e-3")
         self.modcap("corpus", "--out", "seed1", "--scenes", "60", "--seed", "1")
-        self.checkpoint("hl", "seed1", "--preset", "Col/H+L", *SMALL)
+        self.checkpoint("hl", "seed1", *HARD)
         self.decodes("hl", "seed1", captions=True, svg=True)
         self.modcap("train", "--data", "seed1", "--out", "col1.bin", "--preset", "Col/1",
                     *SMALL, "--max-epochs", "1")

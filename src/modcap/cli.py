@@ -141,9 +141,9 @@ def _open_run(data_dir: str, checkpoint: str):
 
 def _freeze_heap() -> None:
     """Exempt everything built so far (corpus, feature tables, model)
-    from the cycle collector.  The graphs built from here on hold no
-    cycles, so a full collection over these long-lived objects would free
-    nothing."""
+    from the cycle collector.  What a training step or a decode builds
+    from here on is freed by reference counting, so a full collection
+    over these long-lived objects would free nothing."""
     gc.freeze()
 
 
@@ -178,6 +178,9 @@ def cmd_train(args) -> int:
         synth = FeatureSynthesizer(corpus.spec)
         state = _fresh_state(*_build_configs(args, corpus))
     _echo_config(state.model.cfg, state.cfg)
+    if state.epoch == 0 and state.cfg.xe_epochs + state.cfg.rl_epochs == 0:
+        raise ConfigError("a fresh run of 0 epochs writes no checkpoint; give "
+                          "--xe-epochs or --rl-epochs of at least 1")
     _freeze_heap()
     train(state, corpus, synth, checkpoint_path=args.out, max_epochs=args.max_epochs,
           log_fn=LOG.info)
@@ -271,9 +274,11 @@ _ABLATION_FIELDS = ("preset", "bleu1", "bleu2", "bleu3", "bleu4", "cider_d",
 
 
 def cmd_ablate(args) -> int:
+    presets = [p.strip() for p in args.presets.split(",") if p.strip()]
+    if not presets:
+        raise ConfigError(f"--presets names no preset: {args.presets!r}")
     corpus = load_corpus(args.data)
     synth = FeatureSynthesizer(corpus.spec)
-    presets = [p.strip() for p in args.presets.split(",") if p.strip()]
     rows = []
     for preset in presets:
         run_args = argparse.Namespace(**{**vars(args), "preset": preset})
@@ -434,7 +439,8 @@ def build_parser() -> _Parser:
     for name in ("train", "eval", "gradcheck"):
         sub.choices[name].add_argument("--debug-finite", dest="debug_finite",
                                        action="store_true",
-                                       help="check every op output for NaN/Inf (exit 3)")
+                                       help="check every stage's output and outgoing gradient "
+                                            "for NaN/Inf (exit 3)")
     return parser
 
 

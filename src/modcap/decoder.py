@@ -13,30 +13,27 @@ draws, checkpoints name, runs read and the kernel differentiates.
 
 ``CaptionModel.encode`` runs the visual modules as one kernel
 (``encoders.encoder_kernel``), whose two stacked fields every unit reads
-as they are; without gradients it makes no Tensor.  A ``UnitRun`` is one
-pass of the stack of units over one encoding, on plain arrays: it holds
-what the steps share, the weights of every unit along a leading unit
-axis (views of the arena, not copies), and ``step`` is the units' one
-step body, which steps one unit or several at once, rank-agnostic.  A
-recording run is also the pass's backward (``backward``), one call that
-visits the pass's calls in reverse.  Teacher forcing
-(``CaptionModel.forced``) is the one differentiable path: the M units
-run the caption from the zero state in one ``unit_kernel`` call, a
+as they are.  A ``UnitRun`` is one pass of the stack of units over one
+encoding, on plain arrays: it holds what the steps share, the weights of
+every unit along a leading unit axis (views of the arena, not copies),
+and ``step`` is the units' one step body, which steps one unit or
+several at once, rank-agnostic.  A recording run is also the pass's
+backward (``backward``), one call that visits the pass's calls in
+reverse.  Teacher forcing (``training.step_grads``) runs the M units
+over the caption from the zero state in one ``unit_kernel`` call, a
 wavefront of T + M - 1 calls in which unit m's step t and unit m + 1's
 step t - 1 run together, each call on the state rows the call before
-returned, as one autodiff node over a recording run, with a trace per
-unit.  Each unit's steps round exactly as if it ran alone.  The same
-step composed of one node per op is kept with the tests
-(``tests/reference.py``); a one-step pass agrees with it bit for bit.
-The decoders (``CaptionModel.step``) step forward only, on one plain
-state array for the stack (M, n, B, d_v), and build no Tensor: a decode
-step steps unit after unit on the stack's forward-only run, kept with
-the encoding (``Encoded.run``), and checks the new state once.  A decode step returns only the word
-distribution and the new state: what a unit chose is read from a
-teacher-forced pass over the caption, as traces do.  Decoding and
+returned, with a trace per unit.  Each unit's steps round exactly as if
+it ran alone.  The same step composed of one node per op is kept with
+the tests (``tests/reference.py``); a one-step pass agrees with it bit
+for bit.  The decoders (``CaptionModel.step``) step forward only, on one
+plain state array for the stack (M, n, B, d_v): a decode step steps unit
+after unit on the stack's forward-only run, kept with the encoding
+(``Encoded.run``), and checks the new state once.  A decode step returns
+only the word distribution and the new state: what a unit chose is read
+from a teacher-forced pass over the caption, as traces do.  Decoding and
 teacher forcing read the words off the last unit's rows through one word
-head, ``word_head``: on a decode step's arrays it returns an array, on a
-forced pass's Tensor one autodiff node.
+head, ``word_head``, whose backward is ``word_head_backward``.
 
 ``run_decoder`` is the one batch-native step loop: a token policy
 (argmax or sample) picks every row's next token.  Greedy and sampling
@@ -71,15 +68,11 @@ from .tensor import (
     ParamArena,
     Rng,
     Tensor,
-    _accum,
     _t_matmul,
     affine_grads,
     check_finite,
-    gather_rows,
     grad_out,
-    kernel_output,
     make_lstm_params,
-    needs_grad,
     stacked,
     softmax_backward,
     softmax_forward,
@@ -94,17 +87,25 @@ HEAD_WEIGHTS = ("Wv", "Wh", "wa")      # an attention head's table entries, in d
 @dataclass
 class Encoded:
     """An encoding as ``encoder_kernel`` lays it out: the modules' values
-    (K, B, N, d_v) and means (B, K*d_v), a node and its output when a
-    gradient can flow, else arrays; the (B, N) mask of real regions."""
+    (K, B, N, d_v) and means (B, K*d_v); the (B, N) mask of real regions;
+    and, when the encode recorded, what its backward reads
+    (``encoders.encoder_backward``)."""
 
-    values: np.ndarray | Tensor
-    means: np.ndarray | Tensor
+    values: np.ndarray
+    means: np.ndarray
     mask: np.ndarray
+    record: tuple | None = field(default=None, repr=False, compare=False)
     _runs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def batch(self) -> int:
         return self.mask.shape[0]
+
+    def twice(self) -> Encoded:
+        """The encoding with its scenes listed twice, B more rows after
+        the B it has, without a record."""
+        return Encoded(np.concatenate([self.values] * 2, axis=1),
+                       np.concatenate([self.means] * 2), np.concatenate([self.mask] * 2))
 
     @functools.cached_property
     def padded(self) -> bool:
@@ -125,12 +126,11 @@ class Encoded:
 @dataclass
 class UnitTrace:
     """What a unit chose over a pass, from ``unit_kernel``: each value on
-    a leading step axis (T, B, ...).  Only ``soft`` is a Tensor, as it
-    carries gradient (to the word-class term); under the soft strategy
-    ``weights`` is its array."""
+    a leading step axis (T, B, ...).  Under the soft strategy ``weights``
+    is ``soft``."""
 
     weights: np.ndarray | None       # (T, B, K + 1) fusion weights, None without a controller
-    soft: Tensor | None              # noise-free controller softmax, for supervision
+    soft: np.ndarray | None          # noise-free controller softmax, for supervision
     alphas: dict[str, np.ndarray]    # per-module attention over regions (T, B, N)
 
 
@@ -239,8 +239,7 @@ class UnitRun:
         self.n_units = len(units)
         w = _stack_table(units)
         self.modules, self.strategy, self.controlled = unit.modules, unit.strategy, unit.controlled
-        values, self.means_cat = (x.data if isinstance(x, Tensor) else x
-                                  for x in (enc.values, enc.means))
+        values, self.means_cat = enc.values, enc.means
         self.means = {self.means_cat.shape[:-1]: self.means_cat}     # per row shape
         self.lstm1 = LstmRun(w["lstm1.W"], w["lstm1.b"], record)
         self.lstm2 = LstmRun(w["lstm2.W"], w["lstm2.b"], record)
@@ -409,61 +408,52 @@ class UnitRun:
         return g_direct, g_keys, g_means, g_in
 
 
-def word_head(vec, W: Tensor, b: Tensor):
+def word_head(vec: np.ndarray, W: Tensor, b: Tensor) -> np.ndarray:
     """The word distribution of each row of ``vec`` (..., d_v): softmax(x W
-    + b) over the rows x, (rows, V).  An array gives an array and builds no
-    Tensor; a Tensor gives one autodiff node, whose backward repeats the
-    op-composed head's chain in order (the softmax's gradient, the bias
-    sum, then the product's input and weight gradients), so it rounds
-    alike; the weights' go to their arena."""
-    w_data = W.data
-    x = (vec.data if isinstance(vec, Tensor) else vec).reshape(-1, w_data.shape[0])
-    dist = softmax_forward(np.matmul(x, w_data) + b.data)
+    + b) over the rows x, (rows, V)."""
+    dist = softmax_forward(np.matmul(vec.reshape(-1, W.shape[0]), W.data) + b.data)
     check_finite("word_head", dist)
-    if not isinstance(vec, Tensor):
-        return dist
-
-    def backward(g):
-        g = softmax_backward(dist, g)
-        g.sum(axis=0, out=grad_out([b])[0])
-        if vec.requires_grad:
-            _accum(vec, np.matmul(g, w_data.T).reshape(vec.shape))
-        _t_matmul(x, g, out=grad_out([W])[0])
-
-    return Tensor._from_op(dist, (vec, W, b), backward)
+    return dist
 
 
-def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None):
-    """T steps of a stack of M decoder units from the zero state as one
-    autodiff node: a ``UnitRun`` pass, recorded when a gradient can flow.
+def word_head_backward(vec: np.ndarray, dist: np.ndarray, W: Tensor, b: Tensor,
+                       g: np.ndarray, w_data: np.ndarray | None = None) -> np.ndarray:
+    """The backward of ``word_head(vec, W, b)``, which gave ``dist``, from
+    the distribution's gradient g: writes the weights' gradients into their
+    arena and returns the rows' gradient, shaped as ``vec``.  ``w_data``
+    is W's value the forward read, by default W's value now.  It repeats
+    the op-composed head's chain in order (the softmax's gradient, the
+    bias sum, then the product's input and weight gradients), so it
+    rounds alike."""
+    w_data = W.data if w_data is None else w_data
+    g = softmax_backward(dist, g)
+    g.sum(axis=0, out=grad_out([b])[0])
+    g_vec = np.matmul(g, w_data.T).reshape(vec.shape)
+    _t_matmul(vec.reshape(-1, w_data.shape[0]), g, out=grad_out([W])[0])
+    return g_vec
 
-    ``i`` holds the first unit's input rows of every step, (T, B, d_v);
+
+def unit_kernel(units, xs: np.ndarray, enc: Encoded, noise: np.ndarray | None = None,
+                record: bool = False):
+    """T steps of a stack of M decoder units from the zero state: one
+    ``UnitRun`` pass.
+
+    ``xs`` holds the first unit's input rows of every step, (T, B, d_v);
     each later unit takes the output rows of the one before.  The pass is
     a wavefront of T + M - 1 calls: call t steps unit m's step t - m for
     every unit with 0 <= t - m < T, in one set of numpy calls, on the
     state rows the call before returned.  ``noise``, of shape (T, M, B,
     K + 1), is the hard strategy's Gumbel noise, zero when None.
-    Returns (node, one trace per unit, of arrays but the softmax).  The
-    node is the last unit's output, shaped like ``i``; each unit's
-    per-step controller softmax is an output that hangs off it
-    (``kernel_output``).  Its backward runs the pass's own
-    (``UnitRun.backward``), on the weight arrays the pass ran on, so a
-    weight written since leaves the graph intact; that writes the
-    weights' gradients into the arena.  It hands out the inputs'
-    gradients as one node per unit would: the last unit's first, the
-    encoding's values' direct part and key path, and the means; then
-    ``i``'s.  A one-step pass rounds exactly as the op-composed step in
-    ``tests/reference.py``.
-
-    Without gradients (under ``no_grad``, or when no input or parameter
-    requires one) the pass records nothing and runs on the encoding's
-    forward-only run, the one ``CaptionModel.step`` decodes with.
+    Returns (the last unit's output rows, shaped like ``xs``; one trace
+    per unit; with ``record`` the recorded run, whose ``backward`` is the
+    pass's, else None).  The backward reads the weight arrays the pass
+    ran on, so a weight written since changes nothing.  A one-step pass
+    rounds exactly as the op-composed step in ``tests/reference.py``.
+    Without ``record`` the pass runs on the encoding's forward-only run,
+    the one ``CaptionModel.step`` decodes with.
     """
-    xs = i.data
     n_steps, n_units = len(xs), len(units)
-    parents = (i, *[t for t in (enc.values, enc.means) if isinstance(t, Tensor)],
-               *[p for unit in units for p in unit.weights.values()])
-    run = UnitRun(units, enc, record=True) if needs_grad(parents) else enc.run(units)
+    run = UnitRun(units, enc, record=True) if record else enc.run(units)
     top = np.empty_like(xs)     # the last unit's output rows
     calls = [slice(max(0, t - n_steps + 1), min(n_units, t + 1))
              for t in range(n_steps + n_units - 1)]
@@ -493,28 +483,18 @@ def unit_kernel(units, i: Tensor, enc: Encoded, noise: np.ndarray | None = None)
                 softs[live, t - live] = soft
             if run.strategy not in (None, Strategy.SOFT):
                 chosen[live, t - live] = w
-    sinks = [[] for _ in units]     # the softmaxes' gradients, when they have a consumer
-
-    def backward(g_out):
-        g_soft = None if not any(sinks) else np.stack(
-            [sink[0] if sink else np.zeros_like(softs[0]) for sink in sinks])
-        g_direct, g_keys, g_means, g_in = run.backward(g_out, g_soft)
-        given = [(x, g[m]) for m in reversed(range(n_units))
-                 for x, g in ((enc.values, g_direct), (enc.values, g_keys), (enc.means, g_means))]
-        for p, g in given + [(i, g_in)]:
-            if isinstance(p, Tensor) and p.requires_grad:
-                _accum(p, g)
-
-    node = Tensor._from_op(top, parents, backward)
+    check_finite("unit_kernel", top)
+    if run.controlled:
+        check_finite("unit_kernel", softs)
     traces = []
     for m, unit in enumerate(units):
         trace = UnitTrace(weights=None, soft=None, alphas=dict(zip(unit.modules, alphas[m])))
         if run.controlled:
-            trace.soft = kernel_output(node, softs[m], sinks[m])
+            trace.soft = softs[m]
         if run.strategy is not None:
-            trace.weights = trace.soft.data if run.strategy is Strategy.SOFT else chosen[m]
+            trace.weights = trace.soft if run.strategy is Strategy.SOFT else chosen[m]
         traces.append(trace)
-    return node, traces
+    return top, traces, run if record else None
 
 
 class CaptionModel:
@@ -539,17 +519,17 @@ class CaptionModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def encode(self, r_obj, r_attr, mask=None) -> Encoded:
-        """Region features (K, d_r) or (B, K, d_r), arrays in the model's
-        dtype or Tensors, -> their encoding, by ``encoder_kernel``.
+    def encode(self, r_obj, r_attr, mask=None, record: bool = False) -> Encoded:
+        """Region features (K, d_r) or (B, K, d_r) -> their encoding, by
+        ``encoder_kernel``, which keeps its record with ``record``.
         ``mask`` (B, K) marks the real regions; without one all are real."""
-        r_obj, r_attr = (r if isinstance(r, Tensor) else np.asarray(r, dtype=self.dtype)
-                         for r in (r_obj, r_attr))
+        r_obj, r_attr = (np.asarray(r, dtype=self.dtype) for r in (r_obj, r_attr))
         shape = r_obj.shape
         lead = (1,) + shape[:1] if len(shape) == 2 else shape[:2]
         mask = (np.ones(lead, dtype=bool) if mask is None
                 else np.asarray(mask, dtype=bool).reshape(lead))
-        return Encoded(*encoder_kernel(self.encoders, r_obj, r_attr, mask), mask=mask)
+        values, means, rec = encoder_kernel(self.encoders, r_obj, r_attr, mask, record)
+        return Encoded(values, means, mask, rec)
 
     def init_rows(self, batch: int) -> np.ndarray:
         """The stack's zero state as one plain array (M, n, B, d_v): per
@@ -588,19 +568,6 @@ class CaptionModel:
             vec, new[m], *_ = run.step(vec, states[m], None if noise is None else noise[m], m)
         check_finite("unit_kernel", new)
         return word_head(vec, self.head.W, self.head.b), new
-
-    def forced(self, inputs, enc: Encoded, noise: np.ndarray | None = None):
-        """A teacher-forced pass over the input tokens (B, T): one embedding
-        gather, then the units run all T steps from the zero state in one
-        ``unit_kernel`` call, as a wavefront; ``noise`` is the pass's
-        ``selection_noise``.
-
-        Returns (word distributions (T*B, V), rows step-major, from
-        ``word_head``; per-unit traces of (T, B, ...) arrays).
-        """
-        vec, traces = unit_kernel(self.units, gather_rows(
-            self.embed, np.asarray(inputs, dtype=np.int64).T), enc, noise)
-        return word_head(vec, self.head.W, self.head.b), traces
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -744,7 +711,7 @@ def sample_decode(model, enc, rng: Rng, max_len: int):
     as one list per row.  The model first draws the noise of all
     ``max_len`` steps (``selection_noise``); then per step each live row
     draws one uniform, in row order.  A teacher-forced replay of the
-    tokens with that noise (``CaptionModel.forced``) scores them with
+    tokens with that noise (``training.step_grads``) scores them with
     gradients.
     """
     noise = model.selection_noise(rng, max_len, enc.batch)

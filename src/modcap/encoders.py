@@ -6,15 +6,15 @@ feature matrix, the attribute module the attribute-oriented one.  (The
 fourth, function module has no visual input; each decoder unit holds it.)
 
 The modules hold their weights as Tensors (``weights``, one tuple in
-the order of ``params``) and run on plain arrays; a
-module's ``backward`` reads what its forward saved and writes its
-weights' gradients into their arena.  ``encoder_kernel``
-runs every module and each one's mean over the real regions, and owns
-the layout every decoder unit reads: the values stacked in module order
-and the means side by side; with a gradient one autodiff node and its
-output, without one two arrays.  It agrees
-bit for bit, in every value and gradient, with the op-composed modules
-kept with the tests (``tests/reference.py``).
+the order of ``params``) and run on plain arrays; a module's
+``backward`` reads what its forward saved and writes its weights'
+gradients into their arena.  ``encoder_kernel`` runs every module and
+each one's mean over the real regions, and owns the layout every
+decoder unit reads: the values stacked in module order and the means
+side by side; with ``record`` it keeps what ``encoder_backward``, the
+encode stage's backward, reads.  It agrees bit for bit, in every value
+and gradient, with the op-composed modules kept with the tests
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ from .tensor import (
     FLOAT32,
     Rng,
     Tensor,
-    _accum,
     _t_matmul,
     check_finite,
     grad_out,
-    kernel_output,
-    needs_grad,
     softmax_backward,
     softmax_forward,
     stacked,
@@ -176,22 +173,13 @@ class RelationModule:
         return out
 
 
-def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
+def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray, record: bool = False):
     """The modules ``encoders`` (name -> module, in module order) on region
-    features (B, N, d_r), arrays or Tensors, with the boolean (B, N) mask of
-    real regions: (the values (K, B, N, d_v), their means over the real
-    regions side by side (B, K*d_v)).  With a gradient the values are one
-    node and the means its ``kernel_output``; the backward writes the
-    weights' gradients into their arena and adds each module's terms in
-    the order the op-composed encoder's sweep does: its values', then its
-    means'; the relation module's parts of the object features' gradient,
-    then the object module's.  Without a gradient both are arrays and
-    nothing is recorded."""
+    features (B, N, d_r) with the boolean (B, N) mask of real regions:
+    (the values (K, B, N, d_v), their means over the real regions side by
+    side (B, K*d_v), and with ``record`` what ``encoder_backward`` reads,
+    else None)."""
     sources = {"object": r_obj, "attribute": r_attr, "relation": r_obj}
-    parents = tuple(r for r in (r_obj, r_attr) if isinstance(r, Tensor))
-    for module in encoders.values():
-        parents += module.weights
-    record = needs_grad(parents)
     keep, n_real = mask[..., None], mask.sum(axis=-1, keepdims=True)
     if not n_real.all():
         raise ValueError("encoding a scene with no real region")
@@ -199,29 +187,40 @@ def encoder_kernel(encoders: dict, r_obj, r_attr, mask: np.ndarray):
     saved = {name: [] if record else None for name in encoders}
     values, means = [], []
     for name, module in encoders.items():
-        x = sources[name].data if isinstance(sources[name], Tensor) else sources[name]
-        x = x.reshape(mask.shape + x.shape[-1:])
+        x = sources[name].reshape(mask.shape + sources[name].shape[-1:])
         v = module(x, mask, saved[name]) if name == "relation" else module(x, saved[name])
         check_finite("encoder_kernel", v)
         values.append(v)
         means.append((v * keep.astype(v.dtype)).sum(axis=-2) * inv.astype(v.dtype))
     values, means = np.stack(values), np.concatenate(means, axis=-1)
     if not record:
-        return values, means
+        return values, means, None
+    return values, means, (saved, keep, inv, r_obj.shape, r_attr.shape)
 
-    g_means = []        # the means' gradient, once complete
 
-    def backward(g_values):
-        g_mean = np.split(g_means[0], len(encoders), axis=-1) if g_means else None
-        for k, name in reversed(list(enumerate(encoders))):
-            g, dt = g_values[k], g_values.dtype
-            if g_mean is not None:
-                g = g + np.expand_dims(g_mean[k] * inv.astype(dt), -2) * keep.astype(dt)
-            src = sources[name]
-            need_x = isinstance(src, Tensor) and src.requires_grad
-            for part in encoders[name].backward(saved[name], g, need_x) or ():
-                _accum(src, part.reshape(src.shape))
-        saved.clear()       # the backward is over: its records go
-
-    node = Tensor._from_op(values, parents, backward)
-    return node, kernel_output(node, means, g_means)
+def encoder_backward(encoders: dict, record, g_values, g_means, need_x: bool = False):
+    """The backward of a recorded ``encoder_kernel`` call from the
+    gradients of its values and means (None: no gradient): writes the weights' gradients into
+    their arena and, with ``need_x``, returns those of (r_obj, r_attr), or
+    None for features no module reads.  Each module's terms are added in
+    the order the op-composed encoder's sweep adds them: its values', then
+    its means'; the relation module's parts of the object features'
+    gradient, then the object module's."""
+    saved, keep, inv, *shapes = record
+    sources = {"object": 0, "attribute": 1, "relation": 0}
+    g_src = [None, None]
+    g_mean = None if g_means is None else np.split(g_means, len(encoders), axis=-1)
+    dt = g_values.dtype
+    for k, name in reversed(list(enumerate(encoders))):
+        g = g_values[k]
+        if g_mean is not None:
+            g = g + np.expand_dims(g_mean[k] * inv.astype(dt), -2) * keep.astype(dt)
+        s = sources[name]
+        for part in encoders[name].backward(saved[name], g, need_x) or ():
+            part = part.reshape(shapes[s])
+            if g_src[s] is None:
+                g_src[s] = part.copy()
+            else:
+                g_src[s] += part
+    saved.clear()       # the backward is over: its records go
+    return tuple(g_src) if need_x else None

@@ -1,24 +1,18 @@
-"""Small reverse-mode autodiff core on numpy arrays.
+"""Array arithmetic of the model's stages, its weights, and their optimizer.
 
-A Tensor wraps a numpy array (float32 by default, float64 for gradient
-checking).  Every op returns a fresh Tensor and, when gradients are
-enabled, records a closure that scatters the output gradient back to the
-op's parents.  Nodes take increasing ids as they are created, and an op's
-output is always created after its inputs, so ``Tensor.backward()``
-collects the nodes reachable from the root once and runs their closures
-in descending id order: each closure runs after those of all its
-consumers.
+There is no autodiff graph.  A training step is a fixed chain of stages
+(``training.step_grads``): encode, embedding rows, the decoder units'
+wavefront, the word head and the masked NLLs.  Each stage has a forward
+on plain arrays, which keeps a record when its caller passes
+``record=True``, and a hand-written backward that reads the record; the
+step runs the backwards in reverse.  Reverse mode over such a
+straight-line program is its adjoint run backwards, so no tape is
+needed.  This module holds what the stages share: the LSTM,
+additive-attention and softmax arithmetic of the kernels (``LstmRun``,
+``AttentionRun``, ``softmax_forward``/``softmax_backward``), the fused
+``masked_nll`` (``-sum(mask * log(max(p[b, gold_b], eps)))``) with its
+gradient, and the gradient of a row gather (``gather_grad``).
 
-The library holds the ops the model runs: ``add``, ``mul``, ``div``,
-``reshape``, ``concat``, ``gather_rows`` and the fused ``masked_nll``:
-``-sum(mask * log(max(p[b, gold_b], eps)))``; and ``sum_``, which only
-gradcheck's objectives call.  The encoder, the decoder units and the
-word head run on plain arrays, each as one node with a hand-written
-backward (``encoders.encoder_kernel``, ``decoder.unit_kernel``,
-``decoder.word_head``); a kernel's second output (the encoder's means, a
-unit's controller softmax) hangs off its node by ``kernel_output``.  The
-LSTM, additive-attention and softmax arithmetic of the kernels is here
-(``LstmRun``, ``AttentionRun``, ``softmax_forward``/``softmax_backward``).
 A run's weights may stack units along a leading axis, and its arithmetic
 is rank-agnostic: one call steps one unit, or several at once on rows
 with a leading unit axis, and each unit's rows round as if it ran alone.
@@ -28,20 +22,20 @@ input gradients go call by call, and a call's backward replaces its
 record with what the weight gradients read; the weight gradients are
 one GEMM per unit over the rows of all its steps (``affine_grads``),
 written into the arena, a call that ends the backward and lets the
-records go.  The op-composed encoder, unit and word head the kernels
-agree with bit for bit, and the ops only they use (``matmul`` and
-``softmax`` among them), are in ``tests/reference.py``.  Padded regions
-are masked: a score of -inf gives them exactly 0 weight and gradient.
+records go.  The op-composed encoder, unit and word head the stages
+agree with bit for bit, and the graph engine they are composed on, are
+in ``tests/reference.py``.  Padded regions are masked: a score of -inf
+gives them exactly 0 weight and gradient.
 
-A model's parameters live in a ``ParamArena``: one flat buffer of values
-and one of gradients, each parameter's ``data`` and ``grad`` a view of
-its slice.  Only the arena writes values: setting a held parameter's
-``data`` is refused.  Caches of the values key on ``ParamArena.version``.
-No parameter is a node's parent: the kernels write each weight's
-gradient in place (``grad_out``).
-``Adam`` keeps its moments in flat buffers of the same layout and
-updates them elementwise, a stretch per numpy call; ``clip_global_norm``
-scales the gradient buffer at once.
+``Tensor`` is the type of a weight: a named, write-guarded view of its
+``ParamArena``, one flat buffer of values and one of gradients, each
+parameter's ``data`` and ``grad`` a view of its slice.  Only the arena
+writes values: setting a held parameter's ``data`` is refused.  Caches
+of the values key on ``ParamArena.version``.  The stages write each
+weight's gradient in place (``grad_out``).  ``Adam`` keeps its moments
+in flat buffers of the same layout and updates them elementwise, a
+stretch per numpy call; ``clip_global_norm`` scales the gradient buffer
+at once.
 
 Also here because the rest of the package leans on them: a portable
 counter-based RNG, parameter initialization, a central-difference
@@ -65,12 +59,12 @@ from .errors import ShapeError, TrainingError
 FLOAT32 = np.float32
 FLOAT64 = np.float64
 
-_grad_enabled = True
 _debug_finite = False
 
 
 def set_debug_checks(flag: bool) -> None:
-    """When on, every op output is checked for NaN/Inf."""
+    """When on, every stage's output and outgoing gradient is checked for
+    NaN/Inf."""
     global _debug_finite
     _debug_finite = bool(flag)
 
@@ -82,21 +76,12 @@ def check_finite(op: str, data) -> None:
         raise FloatingPointError(f"{op} produced a non-finite value of shape {np.shape(data)}")
 
 
-def needs_grad(parents) -> bool:
-    """Whether an op on ``parents`` records its backward: gradients are on
-    and a parent requires one."""
-    return _grad_enabled and any([p.requires_grad for p in parents])
-
-
 @contextmanager
 def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+    """A scope that changes nothing: the library records a stage's
+    backward only when its caller asks (``record=True``).  Kept for
+    callers written when gradients were recorded by default."""
+    yield
 
 
 # -- BLAS threads -------------------------------------------------------------
@@ -149,23 +134,22 @@ def blas_on_calling_thread():
 
 
 class Tensor:
-    """Immutable n-d float array with an optional gradient.
+    """A named float array with a gradient: the type of a model's weights.
 
     ``data`` is never written through after construction.  A parameter's
     ``data`` is a view of its ``ParamArena``'s value buffer, and only the
     arena rebinds it: a write builds a fresh buffer, which leaves any
-    already recorded graph (whose closures captured the old arrays)
-    intact.  Gradients, in contrast, are written in place: a parameter's
-    ``grad`` is a view of the arena's gradient buffer, which backward and
-    clipping write into, and None until a backward reaches it.  A held
-    parameter is its arena's parameter ``_index``, named ``_name``, and
-    starts at element ``_lo``; it shares the arena's gradient views
-    ``_grads`` and ``reached`` record ``_reached``, but not the arena.
+    array a recorded stage read intact.  Gradients, in contrast, are
+    written in place: a parameter's ``grad`` is a view of the arena's
+    gradient buffer, which a backward (``grad_out``) and clipping write
+    into, and None until a backward reaches it.  A held parameter is its
+    arena's parameter ``_index``, named ``_name``, and starts at element
+    ``_lo``; it shares the arena's gradient views ``_grads`` and
+    ``reached`` record ``_reached``, but not the arena.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_id", "_name",
-                 "_grads", "_reached", "_index", "_lo")
-    _ids = itertools.count()
+    __slots__ = ("data", "requires_grad", "grad", "_name", "_grads", "_reached", "_index",
+                 "_lo")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         if isinstance(data, Tensor):
@@ -177,34 +161,6 @@ class Tensor:
         self.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
-        self._id = next(Tensor._ids)
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _from_op(data, parents, backward):
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        out._id = next(Tensor._ids)
-        if needs_grad(parents):
-            out.requires_grad = True
-            # a parameter is no parent: the backward gives its arena its gradient
-            out._parents = tuple(p for p in parents if type(p) is not _Held)
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
-        if _debug_finite:
-            # every op defines its closure inside the op function, so the
-            # closure's qualified name starts with the op's name
-            check_finite(backward.__qualname__.partition(".")[0], data)
-        return out
-
-    # -- basic properties -----------------------------------------------------
 
     @property
     def shape(self):
@@ -219,39 +175,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
-
-    # -- autodiff ---------------------------------------------------------
-
-    def backward(self) -> None:
-        """Backpropagate from a scalar root through the recorded graph."""
-        if self.data.size != 1:
-            raise ValueError(f"backward() needs a scalar root, got shape {self.data.shape}")
-        nodes = sweep_order(self)
-        self.grad = np.ones_like(self.data)
-        for node in nodes:
-            if node.grad is not None:
-                node._backward(node.grad)
-
-    # -- operator sugar ---------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
 
 
 _DATA = Tensor.data      # the slot itself, which the arena writes
@@ -285,55 +208,6 @@ class _Held(Tensor):
         self._reached[i] = g is not None
 
 
-def sweep_order(root: Tensor) -> list[Tensor]:
-    """The nodes reachable from ``root`` that have a backward closure,
-    newest first.
-
-    An op's output is created after its inputs, so ids grow along every
-    edge and descending id order runs each closure only after the
-    closures of all its consumers have added their gradient to it.
-    """
-    found = {}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node._backward is None or node._id in found:
-            continue
-        found[node._id] = node
-        stack.extend(node._parents)
-    return [found[i] for i in sorted(found, reverse=True)]
-
-
-def _accum(node: Tensor, g: np.ndarray) -> None:
-    if node.grad is not None:
-        node.grad += g
-    else:
-        node.grad = g.copy()
-
-
-def kernel_output(node: Tensor, data: np.ndarray, sink: list) -> Tensor:
-    """A second output of a kernel's ``node``, named after its op in debug
-    checks.  Its complete gradient goes to ``sink``, and it makes sure the
-    node's closure runs (zero-filling its gradient); no cycle is formed."""
-    def collect(g):
-        sink.append(g)
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-
-    collect.__qualname__ = getattr(node._backward, "__qualname__", "kernel_output")
-    return Tensor._from_op(data, (node,), collect)
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a gradient down to the shape the operand had before broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def _t_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """a^T b over the last two axes, into ``out`` when given: the weight
     gradient of a batched product; leading axes broadcast.
@@ -345,125 +219,6 @@ def _t_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
         return np.dot(a.T, b, out=out)
     return np.matmul(a.swapaxes(-1, -2), b, out=out)
-
-
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else None
-    return Tensor(np.asarray(x), dtype=dtype)
-
-
-# -- elementwise arithmetic ---------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor._from_op(data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    a_data, b_data = a.data, b.data
-    data = a_data * b_data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b_data, a_data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a_data, b_data.shape))
-
-    return Tensor._from_op(data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, like=a)
-    a_data, b_data = a.data, b.data
-    data = a_data / b_data
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b_data, a_data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape))
-
-    return Tensor._from_op(data, (a, b), backward)
-
-
-# -- reductions and rearrangement ----------------------------------------
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    old_shape = a.data.shape
-    data = np.ascontiguousarray(a.data.reshape(shape))
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g.reshape(old_shape))
-
-    return Tensor._from_op(data, (a,), backward)
-
-
-def sum_(a, axis=None, keepdims=False) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    in_shape = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, in_shape).astype(a.data.dtype, copy=True))
-
-    return Tensor._from_op(np.asarray(data), (a,), backward)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("concat of an empty list")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
-                _accum(t, g[tuple(idx)])
-
-    return Tensor._from_op(data, tuple(tensors), backward)
-
-
-def gather_rows(a, indices) -> Tensor:
-    """Select entries along the leading axis: (V, ...)[idx (B,)] -> (B, ...).
-    Used for embedding lookups and to pick rows of batched decoder state."""
-    a = _as_tensor(a)
-    if a.data.ndim < 1:
-        raise ShapeError("gather_rows needs at least a 1-d input")
-    idx = np.asarray(indices, dtype=np.int64)
-    data = np.ascontiguousarray(a.data[idx])
-    in_shape = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            full = np.zeros(in_shape, dtype=g.dtype)
-            np.add.at(full, idx, g)
-            _accum(a, full)
-
-    return Tensor._from_op(data, (a,), backward)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -733,29 +488,37 @@ class AttentionRun:
         return tuple(zip(*grads))
 
 
-def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Tensor:
-    """Fused masked negative log-likelihood of the gold columns of a
-    (B, V) distribution: -sum_b mask_b * log(max(p[b, gold_b], eps)).
+def masked_nll(p: np.ndarray, gold, mask=None, eps: float = 1e-12) -> np.ndarray:
+    """Fused masked negative log-likelihood of the gold columns of a (B, V)
+    distribution, a 0-d array: -sum_b mask_b * log(max(p[b, gold_b], eps)).
     ``mask`` defaults to all ones; its entries may be any weights."""
-    p = _as_tensor(p)
-    p_d = p.data
-    if p_d.ndim != 2:
-        raise ShapeError(f"masked_nll expects a 2-d distribution, got shape {p_d.shape}")
-    rows = np.arange(p_d.shape[0])
-    idx = np.asarray(gold, dtype=np.int64)
-    picked = p_d[rows, idx]
+    if p.ndim != 2:
+        raise ShapeError(f"masked_nll expects a 2-d distribution, got shape {p.shape}")
+    picked = p[np.arange(p.shape[0]), np.asarray(gold, dtype=np.int64)]
+    weight = np.ones_like(picked) if mask is None else np.asarray(mask, dtype=p.dtype)
+    return np.asarray(-(np.log(np.maximum(picked, eps)) * weight).sum())
+
+
+def masked_nll_grad(p: np.ndarray, gold, mask, g, eps: float = 1e-12) -> np.ndarray:
+    """The gradient of ``masked_nll(p, gold, mask, eps)`` times the scalar
+    g with respect to p: zero but in the gold columns, and there too where
+    the clamp holds."""
+    rows, idx = np.arange(p.shape[0]), np.asarray(gold, dtype=np.int64)
+    picked = p[rows, idx]
     clamped = np.maximum(picked, eps)
-    weight = np.ones_like(picked) if mask is None else np.asarray(mask, dtype=p_d.dtype)
-    terms = np.log(clamped) * weight
-    data = np.asarray(-terms.sum())
+    weight = np.ones_like(picked) if mask is None else np.asarray(mask, dtype=p.dtype)
+    full = np.zeros_like(p)
+    full[rows, idx] = -g * weight / clamped * (picked >= eps)
+    return full
 
-    def backward(g):
-        if p.requires_grad:
-            full = np.zeros_like(p_d)
-            full[rows, idx] = -g * weight / clamped * (picked >= eps)
-            _accum(p, full)
 
-    return Tensor._from_op(data, (p,), backward)
+def gather_grad(out: np.ndarray, idx, g: np.ndarray) -> np.ndarray:
+    """Write into ``out``, shaped as a table, the gradient of the row gather
+    ``table[idx]`` from that of its rows g: zero, then each row added in
+    order, so a repeated index sums its rows."""
+    out[...] = 0.0
+    np.add.at(out, idx, g)
+    return out
 
 
 # -- RNG ------------------------------------------------------------------
@@ -1060,6 +823,18 @@ def grad_out(params) -> np.ndarray:
                       first._lo * values.itemsize, values.strides)
 
 
+def check_finite_grads(stage: str, arena, *grads) -> None:
+    """With debug checks on, after the backward of ``stage``: raise
+    ``FloatingPointError`` naming the stage if a gradient it hands back
+    holds a NaN or Inf, and ``TrainingError`` naming each weight whose
+    gradient does (``_check_finite``).  A gradient of None is skipped."""
+    if _debug_finite:
+        for g in grads:
+            if g is not None:
+                check_finite(f"{stage} backward", g)
+        _check_finite(arena)
+
+
 def _check_finite(arena) -> None:
     """Raise naming every reached parameter whose gradient is not finite."""
     bad = sorted(name for name, g, reached in zip(arena.names, arena.grads, arena.reached)
@@ -1194,19 +969,18 @@ def clip_global_norm(arena: ParamArena, max_norm: float) -> float:
 # -- numerical gradient oracle ---------------------------------------------
 
 
-def finite_diff_grad(f, x: Tensor, eps: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x (64-bit only)."""
-    if x.data.dtype != FLOAT64:
-        raise ValueError("finite_diff_grad requires a float64 tensor")
-    base = x.data.copy()
+def finite_diff_grad(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient at x (float64 only) of a scalar function
+    of an array, its value anything ``float`` takes."""
+    if x.dtype != FLOAT64:
+        raise ValueError("finite_diff_grad requires a float64 array")
+    base = x.copy()
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
         for sign in (+1.0, -1.0):
             probe = base.copy()
             probe[idx] += sign * eps
-            with no_grad():
-                val = f(Tensor(probe, dtype=FLOAT64))
-            grad[idx] += sign * (val.item() if isinstance(val, Tensor) else float(val))
+            grad[idx] += sign * float(f(probe))
         grad[idx] /= 2.0 * eps
     return grad
 

@@ -1,7 +1,7 @@
 """Step-by-step introspection of a caption pass.
 
-A trace reads one teacher-forced pass (``CaptionModel.forced``) over a
-caption without gradients and under zero selection noise: over a gold
+A trace reads the forward half of one teacher-forced step
+(``training.step_grads``) over a caption, under zero selection noise: over a gold
 caption, or over the model's own greedy caption.  It records, per step
 and per decoder unit, the controller's module weights, the noise-free
 soft weights, and every attention distribution over regions, and the
@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import FULL_MODULES as MODULE_ORDER
 from .decoder import BOS_ID, _check_distribution, greedy_decode, strip_sequence
-from .tensor import no_grad
+from .training import Replay, step_grads
 
 MODULE_COLORS = {
     "object": "#d62728",
@@ -33,18 +33,19 @@ def _unit_dict(tr, t):
     def row(value):
         return None if value is None else [float(w) for w in value[t, 0]]
 
-    return {"weights": row(tr.weights), "soft": row(None if tr.soft is None else tr.soft.data),
+    return {"weights": row(tr.weights), "soft": row(tr.soft),
             "alphas": {name: row(alpha) for name, alpha in sorted(tr.alphas.items())}}
 
 
 def _trace(model, vocab, scene, enc, inputs, targets=None, labels=None):
     """Run the input tokens of one caption through one teacher-forced pass,
-    recording every step; the caller holds ``no_grad``.  Returns the trace
-    document, which the caller completes with its kind, slot and words."""
-    dist, traces = model.forced([inputs], enc) if inputs else (None, [])
+    recording every step.  Returns the trace document, which the caller
+    completes with its kind, slot and words."""
+    step = step_grads(model, enc, Replay(np.array([inputs]))) if inputs else None
+    traces = step.traces if inputs else []
     steps = []
     for t, tok in enumerate(inputs):
-        p = dist.data[t]
+        p = step.dist[t]
         _check_distribution(p, t)
         steps.append({
             "t": t,
@@ -68,20 +69,18 @@ def trace_example(model, corpus, synth, example) -> dict:
     """Teacher-forced replay of one gold caption."""
     scene = next(s for s in corpus.scenes if s.scene_id == example.scene_id)
     ids = example.token_ids
-    with no_grad():
-        doc = _trace(model, corpus.vocab, scene, model.encode(*synth.features(scene)),
-                     ids[:-1], targets=ids[1:], labels=example.labels)
+    doc = _trace(model, corpus.vocab, scene, model.encode(*synth.features(scene)),
+                 ids[:-1], targets=ids[1:], labels=example.labels)
     doc.update({"kind": "teacher_forced", "slot": example.slot, "words": list(example.words)})
     return doc
 
 
 def trace_generated(model, corpus, synth, scene, max_len: int = 16) -> dict:
     """Greedy decode, then the teacher-forced replay of its caption."""
-    with no_grad():
-        enc = model.encode(*synth.features(scene))
-        (tokens,) = greedy_decode(model, enc, max_len)
-        # fed BOS, then each token it emitted but the last
-        doc = _trace(model, corpus.vocab, scene, enc, ([BOS_ID] + tokens)[:len(tokens)])
+    enc = model.encode(*synth.features(scene))
+    (tokens,) = greedy_decode(model, enc, max_len)
+    # fed BOS, then each token it emitted but the last
+    doc = _trace(model, corpus.vocab, scene, enc, ([BOS_ID] + tokens)[:len(tokens)])
     doc.update({"kind": "generated", "slot": None,
                 "words": corpus.vocab.decode(strip_sequence(tokens))})
     return doc

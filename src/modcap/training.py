@@ -5,10 +5,15 @@ captions in batches; the objective is mean negative log-likelihood per
 token plus the module-supervision term.  Refinement epochs then run
 self-critical policy gradient: sample a caption, score it against the
 greedy caption with the consensus metric, and weight the sampled
-log-probabilities by the advantage.  Both captions are decoded without
-gradients, in one pass; a teacher-forced replay of the sampled one gives
-the log-probabilities.
+log-probabilities by the advantage.  Both captions are decoded forward
+only, in one pass; a teacher-forced replay of the sampled one gives the
+log-probabilities.
 
+Both phases update on one step (``step_grads``), a fixed chain of
+stages: encode, embedding rows, the units' wavefront, the word head and
+the masked NLLs.  It runs them forward, each keeping a record, then
+their hand-written backwards in reverse, the scalar arithmetic between
+the losses and the objective (``Glue``) done on the seed gradients.
 Cross-entropy batches group examples whose scenes have the same region
 count; caption positions are padded and masked.  A teacher-forced pass
 does not step the decode loop: it gathers the embeddings of every input
@@ -61,6 +66,7 @@ from .corpus import (
 from .decoder import (
     CaptionModel,
     Encoded,
+    UnitTrace,
     argmax_policy,
     beam_search,
     greedy_decode,
@@ -68,20 +74,25 @@ from .decoder import (
     sample_decode,
     sample_policy,
     strip_sequence,
+    unit_kernel,
+    word_head,
+    word_head_backward,
 )
+from .encoders import encoder_backward
 from .errors import ConfigError, DataError, FormatError, ShapeError, TrainingError
 from .metrics import IdfTable, cider_d, evaluate_captions
 from .tensor import (
     Adam,
     AdamState,
     Rng,
-    Tensor,
     blas_on_calling_thread,
+    check_finite,
+    check_finite_grads,
     clip_global_norm,
-    concat,
+    gather_grad,
+    grad_out,
     masked_nll,
-    no_grad,
-    reshape,
+    masked_nll_grad,
 )
 
 LOG = logging.getLogger(__name__)
@@ -174,17 +185,7 @@ def make_batches(examples, scenes_by_id, synth: FeatureSynthesizer,
     return (_pack(group, scenes_by_id, synth) for group in groups)
 
 
-# -- teacher-forced pass ----------------------------------------------------
-
-
-@dataclass
-class ForwardStats:
-    loss: Tensor                 # scalar objective, ready for backward()
-    xe_sum: Tensor               # summed token negative log-likelihood
-    ling_mean: Tensor | None     # module-supervision term, None when unused
-    n_tokens: float
-    n_correct: float
-    n_agree: float | None        # last-unit module choices matching labels
+# -- the training step --------------------------------------------------------
 
 
 def _step_major(a) -> np.ndarray:
@@ -192,47 +193,196 @@ def _step_major(a) -> np.ndarray:
     return np.asarray(a).T.ravel()
 
 
-def _word_class_nll(traces, labels, weights) -> Tensor:
-    """The NLL of the gold module labels (B, T) under each unit's
-    controller softmax, token weights (B, T), summed over units."""
-    terms = [masked_nll(reshape(tr.soft, (-1, tr.soft.shape[-1])), _step_major(labels),
-                        _step_major(weights), LOSS_EPS) for tr in traces]
-    return sum(terms[1:], terms[0])
+@dataclass
+class Replay:
+    """What one teacher-forced pass of the step reads: B rows of captions
+    over T steps, (B, T) each but the noise."""
+
+    inputs: np.ndarray                      # tokens fed, a row's step t at column t
+    noise: np.ndarray | None = None         # (T, M, B, K + 1) selection noise
+    targets: np.ndarray | None = None       # tokens the word NLL scores; None: no loss
+    weights: np.ndarray | None = None       # each scored token's weight
+    labels: np.ndarray | None = None        # gold word classes; None: no word-class NLL
+    ling_weights: np.ndarray | None = None  # each label's weight
+    twice: bool = False                     # the rows read the encoding listed twice
+
+
+@dataclass(frozen=True)
+class Glue:
+    """The scalar arithmetic from a step's two sums to its objective,
+    (xe_sum / n_xe + lam * (ling_sum / n_ling)) / n_out, in the sums'
+    dtype; ``seeds`` is the objective's gradient with respect to each sum.
+    Both repeat, operation for operation, the scalar nodes the objective
+    was once composed of, so they round alike."""
+
+    n_xe: float = 1.0
+    lam: float = 0.0
+    n_ling: float = 1.0
+    n_out: float = 1.0
+
+    def loss(self, xe_sum: np.ndarray, ling_sum: np.ndarray | None):
+        dt = xe_sum.dtype.type
+        loss = xe_sum / dt(self.n_xe)
+        if ling_sum is not None:
+            loss = loss + (ling_sum / dt(self.n_ling)) * dt(self.lam)
+        return loss / dt(self.n_out)
+
+    def seeds(self, dtype) -> tuple:
+        dt = np.dtype(dtype).type
+        g = dt(1.0) / dt(self.n_out)
+        return g / dt(self.n_xe), (g * dt(self.lam)) / dt(self.n_ling)
+
+
+@dataclass
+class Step:
+    """A step's forward, and what its backward handed to the features."""
+
+    dist: np.ndarray                        # (T*B, V) word distributions, rows step-major
+    traces: list[UnitTrace]                 # one per unit, (T, B, ...) arrays
+    xe_sum: np.ndarray | None = None        # the weighted word NLL
+    ling_sum: np.ndarray | None = None      # the weighted word-class NLL, summed over units
+    loss: np.floating | None = None         # the glue's objective
+    region_grads: tuple | None = None       # the gradients of (r_obj, r_attr)
+
+
+def _in_order(terms) -> np.ndarray:
+    """The sum of the arrays ``terms``, added left to right into a copy of
+    the first."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+def step_grads(model: CaptionModel, enc: Encoded, replay: Replay, glue: Glue | None = None,
+               *, grads: bool = False, region_grads: bool = False,
+               where: str = "a step") -> Step:
+    """One training step over an encoding: the fixed chain of stages run
+    forward, then, with ``grads``, backward.
+
+    The stages are the encode (run by the caller: ``enc``, recorded when
+    ``grads``), the embedding rows of ``replay.inputs``, the units'
+    wavefront (``decoder.unit_kernel``), the word head, the masked NLL of
+    the targets and each unit's word-class NLL of the labels.  With
+    ``glue`` the step's objective is ``glue.loss`` of the two sums.  With
+    ``grads`` the objective must be finite (else ``TrainingError`` naming
+    ``where``), and the stages' backwards run last stage first, in the
+    order a graph of one node per stage and one per scalar operation would
+    sweep them, each writing its weights' gradients into the arena, which
+    must hold none (``ParamArena.clear_grads``); ``region_grads`` keeps
+    the encode's gradients of the region features.  Where several stages or
+    rows add to one gradient (the encoding read by every unit, and twice
+    by ``replay.twice``), the terms add in that graph's order, so the
+    gradients round as it did.  Under debug checks each backward's
+    outgoing gradients and weight gradients are checked, naming the stage
+    (``tensor.check_finite_grads``).
+    """
+    units, arena = model.units, model.arena
+    fed = enc.twice() if replay.twice else enc
+    idx = np.asarray(replay.inputs, dtype=np.int64).T
+    rows = np.ascontiguousarray(model.embed.data[idx])
+    check_finite("embedding", rows)
+    top, traces, run = unit_kernel(units, rows, fed, replay.noise, record=grads)
+    dist = word_head(top, model.head.W, model.head.b)
+    step = Step(dist, traces)
+    if replay.targets is not None:
+        gold, weights = _step_major(replay.targets), _step_major(replay.weights)
+        step.xe_sum = masked_nll(dist, gold, weights, LOSS_EPS)
+        check_finite("masked_nll", step.xe_sum)
+    if replay.labels is not None:
+        labels, ling_weights = _step_major(replay.labels), _step_major(replay.ling_weights)
+        terms = [masked_nll(tr.soft.reshape(-1, tr.soft.shape[-1]), labels, ling_weights,
+                            LOSS_EPS) for tr in traces]
+        step.ling_sum = sum(terms[1:], terms[0])
+        check_finite("word_class_nll", step.ling_sum)
+    if glue is not None:
+        step.loss = glue.loss(step.xe_sum, step.ling_sum)
+    if not grads:
+        return step
+    if enc.record is None:
+        raise ValueError("a step with gradients needs an encoding made with record=True")
+    if not np.isfinite(step.loss):
+        raise TrainingError(f"non-finite loss at {where}")
+    g_xe, g_ling = glue.seeds(dist.dtype)
+    g_soft = None
+    if replay.labels is not None:
+        g_soft = np.stack([masked_nll_grad(tr.soft.reshape(-1, tr.soft.shape[-1]), labels,
+                                           ling_weights, g_ling, LOSS_EPS).reshape(tr.soft.shape)
+                           for tr in traces])
+        check_finite_grads("word_class_nll", arena, g_soft)
+    g_dist = masked_nll_grad(dist, gold, weights, g_xe, LOSS_EPS)
+    check_finite_grads("masked_nll", arena, g_dist)
+    g_top = word_head_backward(top, dist, model.head.W, model.head.b, g_dist)
+    check_finite_grads("word_head", arena, g_top)
+    g_direct, g_keys, g_means, g_rows = run.backward(g_top, g_soft)
+    # per unit from the last, its attended sum's terms and its keys'
+    g_values = _in_order([g for m in reversed(range(len(units)))
+                          for g in (g_direct[m], g_keys[m])])
+    g_means = _in_order(g_means[::-1])
+    check_finite_grads("unit_kernel", arena, g_values, g_means, g_rows)
+    gather_grad(grad_out([model.embed])[0], idx, g_rows)
+    check_finite_grads("embedding", arena)
+    if replay.twice:        # each scene's rows, then its second listing's
+        b = enc.batch
+        g_values, g_means = g_values[:, :b] + g_values[:, b:], g_means[:b] + g_means[b:]
+    step.region_grads = encoder_backward(model.encoders, enc.record, g_values, g_means,
+                                         need_x=region_grads)
+    check_finite_grads("encoder_kernel", arena, *(step.region_grads or ()))
+    return step
+
+
+# -- teacher-forced pass ----------------------------------------------------
+
+
+@dataclass
+class ForwardStats:
+    loss: np.floating            # scalar objective
+    xe_sum: np.ndarray           # summed token negative log-likelihood
+    ling_mean: np.floating | None  # module-supervision term, None when unused
+    n_tokens: float
+    n_correct: float
+    n_agree: float | None        # last-unit module choices matching labels
+
+
+def xe_replay(model: CaptionModel, batch: Batch, lam_ling: float = 0.0,
+              rng: Rng | None = None) -> tuple[Replay, Glue]:
+    """The replay and glue of a teacher-forced objective on a batch: mean
+    token NLL plus ``lam_ling`` times the word-class NLL averaged over
+    tokens and units, when the units have a controller.  Draws the
+    pass's selection noise from ``rng``."""
+    supervise = lam_ling > 0.0 and model.cfg.single_module is None
+    n_tokens = float(batch.mask.sum())
+    noise = model.selection_noise(rng, batch.inputs.shape[1], batch.size)
+    replay = Replay(batch.inputs, noise, batch.targets, batch.mask,
+                    *((batch.labels, batch.mask) if supervise else ()))
+    return replay, Glue(n_xe=n_tokens, lam=lam_ling, n_ling=n_tokens * len(model.units))
 
 
 def teacher_forced(model: CaptionModel, batch: Batch, *,
                    lam_ling: float = 0.0, rng: Rng | None = None,
-                   enc=None) -> ForwardStats:
-    """One teacher-forced pass over a batch.
+                   enc=None, grads: bool = False, where: str = "a step") -> ForwardStats:
+    """One teacher-forced pass over a batch (``xe_replay``), and with
+    ``grads`` its backward (``step_grads``).
 
     The module-supervision term ``ling_mean`` is the unit NLL of the gold
     module labels averaged over tokens and units.  ``enc`` reuses an
     encoding of the batch's regions.
     """
     if enc is None:
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-    has_ctrl = model.cfg.single_module is None
-    supervise = lam_ling > 0.0 and has_ctrl
-
-    noise = model.selection_noise(rng, batch.inputs.shape[1], batch.size)
-    dist, traces = model.forced(batch.inputs, enc, noise)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=grads)
+    replay, glue = xe_replay(model, batch, lam_ling, rng)
+    step = step_grads(model, enc, replay, glue, grads=grads, where=where)
     gold, mask = _step_major(batch.targets), _step_major(batch.mask)
-    xe_sum = masked_nll(dist, gold, mask, LOSS_EPS)
-    correct = float(((np.argmax(dist.data, axis=1) == gold) * mask).sum())
+    correct = float(((np.argmax(step.dist, axis=1) == gold) * mask).sum())
     agree = None
-    if has_ctrl:
-        chosen = np.argmax(traces[-1].weights, axis=-1).ravel()
+    if model.cfg.single_module is None:
+        chosen = np.argmax(step.traces[-1].weights, axis=-1).ravel()
         agree = float(((chosen == _step_major(batch.labels)) * mask).sum())
-    ling_sum = _word_class_nll(traces, batch.labels, batch.mask) if supervise else None
-
-    n_tokens = float(batch.mask.sum())
-    loss = xe_sum / n_tokens
     ling_mean = None
-    if supervise:
-        ling_mean = ling_sum / (n_tokens * len(model.units))
-        loss = loss + lam_ling * ling_mean
-    return ForwardStats(loss=loss, xe_sum=xe_sum, ling_mean=ling_mean,
-                        n_tokens=n_tokens, n_correct=correct, n_agree=agree)
+    if step.ling_sum is not None:
+        ling_mean = step.ling_sum / step.ling_sum.dtype.type(glue.n_ling)
+    return ForwardStats(loss=step.loss, xe_sum=step.xe_sum, ling_mean=ling_mean,
+                        n_tokens=glue.n_xe, n_correct=correct, n_agree=agree)
 
 
 @dataclass
@@ -267,10 +417,9 @@ def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
     """Token accuracy, per-token loss, and module agreement on a split."""
     scenes_by_id = {s.scene_id: s for s in corpus.scenes}
     sums = _TokenSums(model.cfg.single_module is None)
-    with no_grad():
-        for batch in make_batches(corpus.examples_in(split), scenes_by_id, synth, batch_size):
-            stats = teacher_forced(model, batch)
-            sums.add(stats, stats.xe_sum.item())
+    for batch in make_batches(corpus.examples_in(split), scenes_by_id, synth, batch_size):
+        stats = teacher_forced(model, batch)
+        sums.add(stats, stats.xe_sum.item())
     xe, acc, agree = sums.per_token()
     return {"xe_per_token": xe, "token_acc": acc, "ctrl_agree": agree, "n_tokens": sums.tokens}
 
@@ -280,35 +429,33 @@ def teacher_forced_metrics(model: CaptionModel, corpus: Corpus,
 
 def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
                        vocab_tokens, rng: Rng, max_len: int, gold: Batch | None = None,
-                       lam: float = 0.0):
-    """Policy-gradient surrogate summed over the scenes of ``enc``.
+                       lam: float = 0.0, *, grads: bool = False, where: str = "a step"):
+    """Policy-gradient surrogate averaged over the scenes of ``enc``.
 
-    One decode pass without gradients runs the B scenes twice, on the
-    encoding listed twice: rows ``:B`` sample a caption per scene, drawing
+    One decode pass runs the B scenes twice, on the encoding listed twice
+    (``Encoded.twice``): rows ``:B`` sample a caption per scene, drawing
     the selection noise of all ``max_len`` steps first (as
     ``sample_decode`` does), and rows ``B:`` take the greedy caption, with
     zero noise.  Each caption is scored once against its scene's
     references with CIDEr-D, and a baseline equal to its sample reuses the
     sample's reward.  Returns the sum over scenes of -advantage * (summed
-    log-probability of the sampled caption), together with one {reward,
-    baseline, advantage} dict per scene.  One teacher-forced pass
-    (``CaptionModel.forced``) replays the sampled tokens under the
-    selection noise the sample rows drew.  With ``lam > 0`` the pass also
-    runs ``gold``, the batch of the scenes' gold captions, as B more rows
-    on the encoding listed twice, under noise drawn after the decode, and
-    the surrogate adds lam times their word-class term: each scene's own
-    mean word-class NLL, as a batch-1 pass would give it.
+    log-probability of the sampled caption), divided by B, together with
+    one {reward, baseline, advantage} dict per scene.  One teacher-forced
+    pass (``step_grads``) replays the sampled tokens under the selection
+    noise the sample rows drew, and with ``grads`` writes the surrogate's
+    gradient into the arena, which must hold none.  With ``lam > 0`` the pass also runs
+    ``gold``, the batch of the scenes' gold captions, as B more rows on
+    the encoding listed twice, under noise drawn after the decode, and the
+    surrogate adds lam times their word-class term: each scene's own mean
+    word-class NLL, as a batch-1 pass would give it.
 
     ``references`` holds one reference set per scene, a single scene
     included.  A scene with zero advantage backpropagates exactly zero
-    through its sampled caption.
+    through its sampled caption; without the word-class term and with
+    every advantage zero the gradient is zero, and ``grads`` writes
+    nothing.
     """
     scenes, supervise = enc.batch, lam > 0.0
-    doubled = ((lambda x, axis: concat([x, x], axis)) if supervise  # the gold rows replay on these
-               else lambda x, axis: np.concatenate([x.data if isinstance(x, Tensor) else x] * 2,
-                                                   axis))
-    twice = Encoded(doubled(enc.values, 1), doubled(enc.means, 0),
-                    np.concatenate([enc.mask, enc.mask]))
     noise = model.selection_noise(rng, max_len, scenes)
     sample = sample_policy(rng)
 
@@ -318,8 +465,7 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
 
     # the greedy rows select with zero noise
     both = None if noise is None else np.pad(noise, [(0, 0), (0, 0), (0, scenes), (0, 0)])
-    with no_grad():
-        rows = run_decoder(model, twice, max_len, choose, noise=both)
+    rows = run_decoder(model, enc.twice(), max_len, choose, noise=both)
     sampled, baseline = rows[:scenes], rows[scenes:]
     infos = []
     for tokens, base, refs in zip(sampled, baseline, references):
@@ -349,28 +495,24 @@ def self_critical_loss(model: CaptionModel, enc, references, idf: IdfTable,
         labels[scenes:, :gold_steps] = gold.labels
         ling_weights[scenes:, :gold_steps] = gold.mask / (
             gold.mask.sum(axis=1, keepdims=True) * len(model.units))
-        enc = twice
         if noise is not None:
             noise = np.concatenate([noise, model.selection_noise(rng, n_steps, scenes)], axis=2)
 
-    dist, traces = model.forced(inputs, enc, noise)
-    loss = masked_nll(dist, _step_major(targets), _step_major(weights), LOSS_EPS)
-    if supervise:
-        loss = loss + lam * _word_class_nll(traces, labels, ling_weights)
-    return loss, infos
+    replay = Replay(inputs, noise, targets, weights,
+                    *((labels, ling_weights) if supervise else ()), twice=supervise)
+    no_op = not supervise and all(info["advantage"] == 0.0 for info in infos)
+    step = step_grads(model, enc, replay, Glue(lam=lam, n_out=scenes),
+                      grads=grads and not no_op, where=where)
+    return step.loss, infos
 
 
 # -- epochs -------------------------------------------------------------------
 
 
-def _update(loss: Tensor, model: CaptionModel, opt: Adam, lr: float, where: str) -> float:
-    """One optimizer step on ``loss``: check that it is finite, backpropagate
-    from cleared gradients, clip their global norm to ``config.GRAD_CLIP``
-    and step.  Returns the pre-clip norm."""
-    if not np.all(np.isfinite(loss.data)):
-        raise TrainingError(f"non-finite loss at {where}")
-    model.arena.clear_grads()
-    loss.backward()
+def _update(model: CaptionModel, opt: Adam, lr: float) -> float:
+    """One optimizer step on the gradients a step left in the cleared
+    arena: clip their global norm to ``config.GRAD_CLIP`` and step.
+    Returns the pre-clip norm."""
     norm = clip_global_norm(model.arena, config.GRAD_CLIP)
     opt.step(model.arena, lr)
     return norm
@@ -397,8 +539,10 @@ def run_xe_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     sums = _TokenSums(model.cfg.single_module is None)
     norms = []
     for step, batch in enumerate(batches):
-        stats = teacher_forced(model, batch, lam_ling=lam, rng=rng)
-        norms.append(_update(stats.loss, model, opt, lr, f"epoch {epoch} step {step}"))
+        model.arena.clear_grads()
+        stats = teacher_forced(model, batch, lam_ling=lam, rng=rng, grads=True,
+                               where=f"epoch {epoch} step {step}")
+        norms.append(_update(model, opt, lr))
         sums.add(stats, stats.loss.item() * stats.n_tokens)
     loss, acc, agree = sums.per_token()
     return {
@@ -440,10 +584,13 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
     for lo in range(0, len(order), cfg.batch_size):
         window = [examples[scenes[i].scene_id] for i in order[lo:lo + cfg.batch_size]]
         batch = _pack([group[0] for group in window], scenes_by_id, synth)
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
         refs = [[e.words for e in group] for group in window]
-        loss, infos = self_critical_loss(model, enc, refs, idf, vocab_tokens, rng, cfg.max_len,
-                                         batch, lam)
+        model.arena.clear_grads()
+        _, infos = self_critical_loss(model, enc, refs, idf, vocab_tokens, rng, cfg.max_len,
+                                      batch, lam, grads=True,
+                                      where=f"epoch {epoch} refinement step "
+                                            f"{steps + batch.size}")
         reward_sum += sum(info["reward"] for info in infos)
         adv_sum += sum(info["advantage"] for info in infos)
         steps += batch.size
@@ -452,8 +599,7 @@ def run_rl_epoch(model: CaptionModel, corpus: Corpus, synth: FeatureSynthesizer,
             # no supervision term: the update would be a no-op, keep it one
             skipped += 1
             continue
-        norms.append(_update(loss / float(batch.size), model, opt, lr,
-                             f"epoch {epoch} refinement step {steps}"))
+        norms.append(_update(model, opt, lr))
 
     return {
         "phase": "rl",
@@ -538,18 +684,17 @@ def caption_scene(model: CaptionModel, synth: FeatureSynthesizer, scene, vocab: 
                   mode: str, *, beam_width: int = 5, max_len: int = 16,
                   rng: Rng | None = None) -> list[str]:
     """The words of a scene's caption under greedy, beam or sampled (``rng``
-    required) decoding, without gradients."""
-    with no_grad():
-        enc = model.encode(*synth.features(scene))
-        if mode == "greedy":
-            rows = greedy_decode(model, enc, max_len)
-        elif mode == "beam":
-            rows = [beam_search(model, enc, beam_width, max_len)[0].tokens]
-        elif mode == "sample" and rng is not None:
-            rows, _ = sample_decode(model, enc, rng, max_len)
-        else:
-            raise ValueError(f"unknown decode mode {mode!r}: pick greedy, beam, or sample "
-                             "with an rng")
+    required) decoding."""
+    enc = model.encode(*synth.features(scene))
+    if mode == "greedy":
+        rows = greedy_decode(model, enc, max_len)
+    elif mode == "beam":
+        rows = [beam_search(model, enc, beam_width, max_len)[0].tokens]
+    elif mode == "sample" and rng is not None:
+        rows, _ = sample_decode(model, enc, rng, max_len)
+    else:
+        raise ValueError(f"unknown decode mode {mode!r}: pick greedy, beam, or sample "
+                         "with an rng")
     return vocab.decode(strip_sequence(rows[0]))
 
 
@@ -673,8 +818,9 @@ def load_checkpoint(path: str):
             raise FormatError(f"{path}: truncated checkpoint: {exc}") from exc
         except DataError:
             raise
-        except ValueError as exc:
-            # a damaged header: a name that is not UTF-8, an impossible rank
+        except (ValueError, OverflowError) as exc:
+            # a damaged header: a name that is not UTF-8, an impossible rank,
+            # a shape of more bytes than a read can ask for
             raise FormatError(f"{path}: malformed tensor entry: {exc}") from exc
     meta_file = _meta_path(path)
     try:

@@ -1,5 +1,17 @@
 """Bit-for-bit references the equivalence tests hold production code to.
 
+The graph engine the library no longer runs: ``Node``, a Tensor that
+records a backward closure per op, ``Node.backward`` over
+``sweep_order``, ``_accum``, ``kernel_output`` and ``no_grad``, and the
+generic ops ``add``, ``mul``, ``div``, ``reshape``, ``sum_``, ``concat``
+and ``gather_rows``; ``test_reference_ops.py`` finite-differences them.
+The library's stages as nodes of it (``kernel_encode``, ``unit_node``,
+``word_head_node``, ``masked_nll``), each a stage's forward and its
+hand-written backward behind one closure, and on them the teacher-forced
+pass and objective as graphs (``kernel_forced``,
+``kernel_teacher_forced``): the graph whose sweep ``training.step_grads``
+replays by hand.  ``forced`` is the forward half of ``step_grads``.
+
 The generic ops the model no longer runs: ``matmul``, ``softmax`` and
 ``linear`` (x W + b of a ``Linear`` layer's weights), which the
 op-composed encoder, unit and word head below are built from.
@@ -77,8 +89,9 @@ n-gram, and every candidate n-gram added to the dot product.
 before the sample and its greedy baseline shared one decode pass:
 ``decoder.sample_decode`` over the B scenes, then
 ``decoder.greedy_decode``, each caption scored with ``reference_cider_d``.
-``training.self_critical_loss`` and ``metrics.cider_d`` agree with them
-bit for bit, and draw the same random numbers.
+Its replay is a graph of the stages' nodes.  ``training.self_critical_loss``
+and ``metrics.cider_d`` agree with them bit for bit, and draw the same
+random numbers.
 
 Caption reports: ``reference_evaluate_captions`` is
 ``metrics.evaluate_captions`` as it was before a report counted each
@@ -100,8 +113,10 @@ corpora and feature bytes equal the library's.
 """
 
 import dataclasses
+import itertools
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -132,6 +147,7 @@ from modcap.corpus import (
     Scene,
     build_vocabulary,
 )
+from modcap import tensor
 from modcap.decoder import (
     BOS_ID,
     EOS_ID,
@@ -147,8 +163,11 @@ from modcap.decoder import (
     run_decoder,
     sample_decode,
     strip_sequence,
+    unit_kernel,
+    word_head,
+    word_head_backward,
 )
-from modcap.encoders import ProjectionModule, RelationModule
+from modcap.encoders import ProjectionModule, RelationModule, encoder_backward, encoder_kernel
 from modcap.errors import ShapeError, TrainingError
 from modcap.layers import Linear
 from modcap.metrics import (
@@ -159,7 +178,7 @@ from modcap.metrics import (
     _brevity_penalty,
     _closest_ref_length,
 )
-from modcap.training import LOSS_EPS, _step_major, _word_class_nll
+from modcap.training import LOSS_EPS, Replay, _step_major, step_grads
 from modcap.tensor import (
     FLOAT32,
     AdamState,
@@ -168,23 +187,457 @@ from modcap.tensor import (
     LstmRun,
     Rng,
     Tensor,
-    _accum,
-    _as_tensor,
     _t_matmul,
-    _unbroadcast,
-    concat,
-    gather_rows,
-    kernel_output,
+    check_finite,
     make_lstm_params,
-    masked_nll,
-    no_grad,
-    reshape,
     softmax_backward,
-    sum_,
     softmax_forward,
     xavier_uniform,
     zeros,
 )
+
+
+# -- the graph engine -------------------------------------------------------------
+#
+# A ``Node`` is a Tensor that records, when gradients are enabled, a
+# closure that scatters its gradient back to the op's parents.  Nodes take
+# increasing ids as they are created, and an op's output is always
+# created after its inputs, so ``Node.backward()`` collects the nodes
+# reachable from the root once and runs their closures in descending id
+# order: each closure runs after those of all its consumers.  Leaves are
+# any Tensors, parameters among them, and gradients land in their
+# ``grad``; no parameter is a node's parent.
+
+_grad_enabled = True
+
+
+def needs_grad(parents) -> bool:
+    """Whether an op on ``parents`` records its backward: gradients are on
+    and a parent requires one."""
+    return _grad_enabled and any([p.requires_grad for p in parents])
+
+
+@contextmanager
+def no_grad():
+    """Build nodes that record nothing."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
+class Node(Tensor):
+    """A Tensor of the reference's graph."""
+
+    __slots__ = ("_parents", "_backward", "_id")
+    _ids = itertools.count()
+
+    def __init__(self, data, requires_grad=False, dtype=None):
+        super().__init__(data, requires_grad, dtype)
+        self._parents, self._backward, self._id = (), None, next(Node._ids)
+
+    @staticmethod
+    def _from_op(data, parents, backward):
+        out = Node.__new__(Node)
+        out.data = data
+        out.grad = None
+        out._id = next(Node._ids)
+        if needs_grad(parents):
+            out.requires_grad = True
+            out._parents = tuple(p for p in parents if isinstance(p, Node))
+            out._backward = backward
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
+        # every op defines its closure inside the op function, so the
+        # closure's qualified name starts with the op's name
+        check_finite(backward.__qualname__.partition(".")[0], data)
+        return out
+
+    def __float__(self):
+        return float(self.data)
+
+    def backward(self) -> None:
+        """Backpropagate from a scalar root through the recorded graph."""
+        if self.data.size != 1:
+            raise ValueError(f"backward() needs a scalar root, got shape {self.data.shape}")
+        nodes = sweep_order(self)
+        self.grad = np.ones_like(self.data)
+        for node in nodes:
+            if node.grad is not None:
+                node._backward(node.grad)
+
+    def __add__(self, other):
+        return add(self, other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return div(self, other)
+
+    def reshape(self, *shape):
+        return reshape(self, shape if len(shape) > 1 else shape[0])
+
+    def sum(self, axis=None, keepdims=False):
+        return sum_(self, axis=axis, keepdims=keepdims)
+
+
+def sweep_order(root: Node) -> list[Node]:
+    """The nodes reachable from ``root`` that have a backward closure,
+    newest first.
+
+    An op's output is created after its inputs, so ids grow along every
+    edge and descending id order runs each closure only after the
+    closures of all its consumers have added their gradient to it.
+    """
+    found = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Node) or node._backward is None or node._id in found:
+            continue
+        found[node._id] = node
+        stack.extend(node._parents)
+    return [found[i] for i in sorted(found, reverse=True)]
+
+
+def _accum(node: Tensor, g: np.ndarray) -> None:
+    if node.grad is not None:
+        node.grad += g
+    else:
+        node.grad = g.copy()
+
+
+def kernel_output(node: Node, data: np.ndarray, sink: list) -> Node:
+    """A second output of a kernel's ``node``, named after its op in debug
+    checks.  Its complete gradient goes to ``sink``, and it makes sure the
+    node's closure runs (zero-filling its gradient); no cycle is formed."""
+    def collect(g):
+        sink.append(g)
+        if node.grad is None:
+            node.grad = np.zeros_like(node.data)
+
+    collect.__qualname__ = getattr(node._backward, "__qualname__", "kernel_output")
+    return Node._from_op(data, (node,), collect)
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum a gradient down to the shape the operand had before broadcasting."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
+
+
+def _as_tensor(x, like: Tensor | None = None) -> Tensor:
+    if isinstance(x, Tensor):
+        return x
+    dtype = like.data.dtype if like is not None else None
+    return Node(np.asarray(x), dtype=dtype)
+
+
+def data_of(x) -> np.ndarray:
+    """The array of a Tensor, or the array itself."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def add(a, b) -> Node:
+    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
+    b = _as_tensor(b, like=a)
+    data = a.data + b.data
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+
+    return Node._from_op(data, (a, b), backward)
+
+
+def mul(a, b) -> Node:
+    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
+    b = _as_tensor(b, like=a)
+    a_data, b_data = a.data, b.data
+    data = a_data * b_data
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b_data, a_data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a_data, b_data.shape))
+
+    return Node._from_op(data, (a, b), backward)
+
+
+def div(a, b) -> Node:
+    a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
+    b = _as_tensor(b, like=a)
+    a_data, b_data = a.data, b.data
+    data = a_data / b_data
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b_data, a_data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape))
+
+    return Node._from_op(data, (a, b), backward)
+
+
+def reshape(a, shape) -> Node:
+    a = _as_tensor(a)
+    old_shape = a.data.shape
+    data = np.ascontiguousarray(a.data.reshape(shape))
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g.reshape(old_shape))
+
+    return Node._from_op(data, (a,), backward)
+
+
+def sum_(a, axis=None, keepdims=False) -> Node:
+    a = _as_tensor(a)
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+    in_shape = a.data.shape
+
+    def backward(g):
+        if a.requires_grad:
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            _accum(a, np.broadcast_to(gg, in_shape).astype(a.data.dtype, copy=True))
+
+    return Node._from_op(np.asarray(data), (a,), backward)
+
+
+def concat(tensors, axis=0) -> Node:
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ValueError("concat of an empty list")
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.data.shape[axis] for t in tensors]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+
+    def backward(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis if axis >= 0 else g.ndim + axis] = slice(lo, hi)
+                _accum(t, g[tuple(idx)])
+
+    return Node._from_op(data, tuple(tensors), backward)
+
+
+def gather_rows(a, indices) -> Node:
+    """Select entries along the leading axis: (V, ...)[idx (B,)] -> (B, ...).
+    Used for embedding lookups and to pick rows of batched decoder state."""
+    a = _as_tensor(a)
+    if a.data.ndim < 1:
+        raise ShapeError("gather_rows needs at least a 1-d input")
+    idx = np.asarray(indices, dtype=np.int64)
+    data = np.ascontiguousarray(a.data[idx])
+    in_shape = a.data.shape
+
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros(in_shape, dtype=g.dtype)
+            np.add.at(full, idx, g)
+            _accum(a, full)
+
+    return Node._from_op(data, (a,), backward)
+
+
+# -- the library's stages as reference nodes ----------------------------------------
+#
+# Each adapter runs a stage's forward and turns its hand-written backward
+# into one node's closure, so a graph of reference ops can hold a stage:
+# the encode (``kernel_encode``), the decoder units (``unit_node``), the
+# word head (``word_head_node``) and the masked NLL (``masked_nll``); and
+# on them the teacher-forced pass (``kernel_forced``) and objective
+# (``kernel_teacher_forced``) as graphs of one node per stage and one per
+# scalar operation, the graph ``training.step_grads`` replays by hand.
+
+
+def masked_nll(p, gold, mask=None, eps: float = 1e-12) -> Node:
+    """``tensor.masked_nll`` as one node, its backward ``masked_nll_grad``."""
+    p = _as_tensor(p)
+    data = tensor.masked_nll(p.data, gold, mask, eps)
+
+    def backward(g):
+        if p.requires_grad:
+            _accum(p, tensor.masked_nll_grad(p.data, gold, mask, g, eps))
+
+    return Node._from_op(data, (p,), backward)
+
+
+def arrays(enc: Encoded) -> Encoded:
+    """An encoding of the arrays of one whose fields may be nodes."""
+    return Encoded(data_of(enc.values), data_of(enc.means), enc.mask)
+
+
+def kernel_encode(model: CaptionModel, r_obj, r_attr, mask=None) -> Encoded:
+    """``CaptionModel.encode`` on region features, arrays or Tensors, as one
+    node (the values) and its means, a ``kernel_output`` of it, when a
+    gradient can flow: the encode stage's backward is the node's, and
+    adds to the features' gradients."""
+    r_obj, r_attr = (r if isinstance(r, Tensor) else Node(np.asarray(r, dtype=model.dtype))
+                     for r in (r_obj, r_attr))
+    shape = r_obj.shape
+    lead = (1,) + shape[:1] if len(shape) == 2 else shape[:2]
+    mask = (np.ones(lead, dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool).reshape(lead))
+    parents = (r_obj, r_attr, *[w for module in model.encoders.values() for w in module.weights])
+    record = needs_grad(parents)
+    values, means, rec = encoder_kernel(model.encoders, r_obj.data, r_attr.data, mask, record)
+    if not record:
+        return Encoded(values, means, mask)
+    sinks = []
+
+    def backward(g_values):
+        need = r_obj.requires_grad or r_attr.requires_grad
+        g_r = encoder_backward(model.encoders, rec, g_values, sinks[0] if sinks else None,
+                               need_x=need)
+        for r, g in zip((r_obj, r_attr), g_r or ()):
+            if r.requires_grad and g is not None:
+                _accum(r, g)
+
+    node = Node._from_op(values, parents, backward)
+    return Encoded(node, kernel_output(node, means, sinks), mask)
+
+
+def unit_node(units, i, enc: Encoded, noise: np.ndarray | None = None):
+    """``decoder.unit_kernel`` as one node over the input rows ``i`` (T, B,
+    d_v) and an encoding whose fields may be nodes: (the last unit's
+    output rows, one trace per unit whose softmax hangs off the node).
+    Its backward is the run's, and hands out the inputs' gradients as one
+    node per unit would: the last unit's first, the encoding's values'
+    direct part and key path, and the means; then ``i``'s."""
+    i = _as_tensor(i)
+    parents = (i, *[t for t in (enc.values, enc.means) if isinstance(t, Tensor)],
+               *[p for unit in units for p in unit.weights.values()])
+    record = needs_grad(parents)
+    top, traces, run = unit_kernel(units, i.data, arrays(enc), noise, record=record)
+    sinks = [[] for _ in units]     # the softmaxes' gradients, when they have a consumer
+    softs = [tr.soft for tr in traces]
+
+    def backward(g_out):
+        g_soft = None if not any(sinks) else np.stack(
+            [sink[0] if sink else np.zeros_like(softs[0]) for sink in sinks])
+        g_direct, g_keys, g_means, g_in = run.backward(g_out, g_soft)
+        given = [(x, g[m]) for m in reversed(range(len(units)))
+                 for x, g in ((enc.values, g_direct), (enc.values, g_keys), (enc.means, g_means))]
+        for p, g in given + [(i, g_in)]:
+            if isinstance(p, Tensor) and p.requires_grad:
+                _accum(p, g)
+
+    node = Node._from_op(top, parents, backward)
+    for tr, sink in zip(traces, sinks):
+        if tr.soft is not None:
+            tr.soft = kernel_output(node, tr.soft, sink)
+    return node, traces
+
+
+def word_head_node(vec, W: Tensor, b: Tensor) -> Node:
+    """``decoder.word_head`` as one node, its backward ``word_head_backward``
+    on the weight values the forward read."""
+    vec = _as_tensor(vec)
+    w_data = W.data
+    dist = word_head(vec.data, W, b)
+
+    def backward(g):
+        g_vec = word_head_backward(vec.data, dist, W, b, g, w_data)
+        if vec.requires_grad:
+            _accum(vec, g_vec)
+
+    return Node._from_op(dist, (vec, W, b), backward)
+
+
+def kernel_forced(model: CaptionModel, inputs, enc: Encoded, noise=None):
+    """The teacher-forced pass on the stages' nodes: one embedding gather,
+    the units' node, the word head's node.  Returns (word distributions
+    (T*B, V), rows step-major; per-unit traces)."""
+    vec, traces = unit_node(model.units, gather_rows(
+        model.embed, np.asarray(inputs, dtype=np.int64).T), enc, noise)
+    return word_head_node(vec, model.head.W, model.head.b), traces
+
+
+def word_class_nll(traces, labels, weights) -> Node:
+    """The NLL of the gold module labels (B, T) under each unit's
+    controller softmax, token weights (B, T), summed over units."""
+    terms = [masked_nll(reshape(tr.soft, (-1, tr.soft.shape[-1])), _step_major(labels),
+                        _step_major(weights), LOSS_EPS) for tr in traces]
+    return sum(terms[1:], terms[0])
+
+
+@dataclass
+class NodeStats:
+    loss: Node
+    xe_sum: Node
+    ling_mean: Node | None
+    n_tokens: float
+    n_correct: float
+    n_agree: float | None
+
+
+def kernel_teacher_forced(model: CaptionModel, batch, *, lam_ling: float = 0.0, rng=None,
+                          enc=None, forced=kernel_forced) -> NodeStats:
+    """``training.teacher_forced`` as a graph: the stages' nodes (the pass
+    ``forced``, by default ``kernel_forced``), the masked NLLs' nodes and
+    one node per scalar operation."""
+    if enc is None:
+        enc = kernel_encode(model, batch.r_obj, batch.r_attr, batch.region_mask)
+    has_ctrl = model.cfg.single_module is None
+    supervise = lam_ling > 0.0 and has_ctrl
+    noise = model.selection_noise(rng, batch.inputs.shape[1], batch.size)
+    dist, traces = forced(model, batch.inputs, enc, noise)
+    gold, mask = _step_major(batch.targets), _step_major(batch.mask)
+    xe_sum = masked_nll(dist, gold, mask, LOSS_EPS)
+    correct = float(((np.argmax(dist.data, axis=1) == gold) * mask).sum())
+    agree = None
+    if has_ctrl:
+        chosen = np.argmax(traces[-1].weights, axis=-1).ravel()
+        agree = float(((chosen == _step_major(batch.labels)) * mask).sum())
+    ling_sum = word_class_nll(traces, batch.labels, batch.mask) if supervise else None
+    n_tokens = float(batch.mask.sum())
+    loss = xe_sum / n_tokens
+    ling_mean = None
+    if supervise:
+        ling_mean = ling_sum / (n_tokens * len(model.units))
+        loss = loss + lam_ling * ling_mean
+    return NodeStats(loss=loss, xe_sum=xe_sum, ling_mean=ling_mean, n_tokens=n_tokens,
+                     n_correct=correct, n_agree=agree)
+
+
+def node_objective(f):
+    """A gradient-battery objective of an array (``gradcheck.check_case``)
+    from a function of a ``Node`` leaf: f's value, and with ``grad`` also
+    the leaf's gradient by the graph's backward."""
+    def objective(x, grad=False):
+        leaf = Node(x, requires_grad=grad, dtype=x.dtype)
+        out = f(leaf)
+        if not grad:
+            return float(out)
+        out.backward()
+        return float(out), np.zeros_like(x) if leaf.grad is None else leaf.grad
+    return objective
+
+
+def forced(model: CaptionModel, inputs, enc: Encoded, noise=None):
+    """The forward half of ``training.step_grads`` over the input tokens
+    (B, T): (word distributions (T*B, V), per-unit traces)."""
+    step = step_grads(model, enc, Replay(np.asarray(inputs), noise))
+    return step.dist, step.traces
 
 
 def gumbel(rng: Rng) -> float:
@@ -325,7 +778,7 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(_t_matmul(a_data, g), b_data.shape))
 
-    return Tensor._from_op(data, (a, b), backward)
+    return Node._from_op(data, (a, b), backward)
 
 
 def linear(layer: Linear, x) -> Tensor:
@@ -344,7 +797,7 @@ def softmax(a, axis=-1) -> Tensor:
         if a.requires_grad:
             _accum(a, softmax_backward(data, g, axis))
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 # -- the op-composed encoder ----------------------------------------------------
@@ -364,7 +817,7 @@ def transpose(a, axes=None) -> Tensor:
         if a.requires_grad:
             _accum(a, np.transpose(g, inv))
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def mean_pool_rows(m, mask=None) -> Tensor:
@@ -397,7 +850,7 @@ def mean_pool_rows(m, mask=None) -> Tensor:
         if m.requires_grad:
             _accum(m, np.expand_dims(g * inv, -2) * weight)
 
-    return Tensor._from_op(data, (m,), backward)
+    return Node._from_op(data, (m,), backward)
 
 
 def relu(a) -> Tensor:
@@ -409,7 +862,7 @@ def relu(a) -> Tensor:
         if a.requires_grad:
             _accum(a, g * (a_data > 0))
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def leaky_relu(a, slope=0.01) -> Tensor:
@@ -423,7 +876,7 @@ def leaky_relu(a, slope=0.01) -> Tensor:
         if a.requires_grad:
             _accum(a, g * np.where(a_data >= 0, 1.0, slope).astype(g.dtype))
 
-    return Tensor._from_op(np.ascontiguousarray(data), (a,), backward)
+    return Node._from_op(np.ascontiguousarray(data), (a,), backward)
 
 
 def masked_softmax(a, mask, axis=-1) -> Tensor:
@@ -437,7 +890,7 @@ def masked_softmax(a, mask, axis=-1) -> Tensor:
         if a.requires_grad:
             _accum(a, softmax_backward(data, g, axis))
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def reference_projection(module: ProjectionModule, x: Tensor) -> Tensor:
@@ -475,11 +928,11 @@ def reference_relation(module: RelationModule, r: Tensor, mask=None) -> Tensor:
 def reference_encode(model: CaptionModel, r_obj, r_attr, mask=None) -> Encoded:
     """``CaptionModel.encode`` composed of one autodiff node per op: each
     module, then each module's masked mean."""
-    r_obj = r_obj if isinstance(r_obj, Tensor) else Tensor(r_obj, dtype=model.dtype)
-    r_attr = r_attr if isinstance(r_attr, Tensor) else Tensor(r_attr, dtype=model.dtype)
+    r_obj = r_obj if isinstance(r_obj, Tensor) else Node(r_obj, dtype=model.dtype)
+    r_attr = r_attr if isinstance(r_attr, Tensor) else Node(r_attr, dtype=model.dtype)
     if r_obj.ndim == 2:
-        r_obj = r_obj.reshape((1,) + r_obj.shape)
-        r_attr = r_attr.reshape((1,) + r_attr.shape)
+        r_obj = reshape(r_obj, (1,) + r_obj.shape)
+        r_attr = reshape(r_attr, (1,) + r_attr.shape)
     lead = r_obj.shape[:2]
     mask = (np.ones(lead, dtype=bool) if mask is None
             else np.asarray(mask, dtype=bool).reshape(lead))
@@ -500,7 +953,7 @@ def stack(tensors) -> Tensor:
             if t.requires_grad:
                 _accum(t, part)
 
-    return Tensor._from_op(np.stack([t.data for t in tensors]), tuple(tensors), backward)
+    return Node._from_op(np.stack([t.data for t in tensors]), tuple(tensors), backward)
 
 
 def split(a, k: int, axis: int) -> list[Tensor]:
@@ -518,7 +971,7 @@ def split(a, k: int, axis: int) -> list[Tensor]:
             grads = [sink[0] if sink else np.zeros_like(p) for sink, p in zip(sinks, parts)]
             _accum(a, np.stack(grads) if axis == 0 else np.concatenate(grads, axis=axis))
 
-    node = Tensor._from_op(a.data, (a,), backward)
+    node = Node._from_op(a.data, (a,), backward)
     return [kernel_output(node, np.ascontiguousarray(p), sink) for p, sink in zip(parts, sinks)]
 
 
@@ -552,7 +1005,7 @@ def slice_axis(a, axis, start, stop) -> Tensor:
             full[idx] = g
             _accum(a, full)
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def pick(a, indices) -> Tensor:
@@ -571,7 +1024,7 @@ def pick(a, indices) -> Tensor:
             np.add.at(full, (rows, idx), g)
             _accum(a, full)
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def clamp_min(a, floor) -> Tensor:
@@ -583,7 +1036,7 @@ def clamp_min(a, floor) -> Tensor:
         if a.requires_grad:
             _accum(a, g * (a_data >= floor))
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def tanh(a) -> Tensor:
@@ -594,7 +1047,7 @@ def tanh(a) -> Tensor:
         if a.requires_grad:
             _accum(a, g * (1.0 - data * data))
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -606,7 +1059,7 @@ def sigmoid(a) -> Tensor:
         if a.requires_grad:
             _accum(a, g * data * (1.0 - data))
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def log(a) -> Tensor:
@@ -619,7 +1072,7 @@ def log(a) -> Tensor:
         if a.requires_grad:
             _accum(a, g / a_data)
 
-    return Tensor._from_op(data, (a,), backward)
+    return Node._from_op(data, (a,), backward)
 
 
 def _views(joint: Tensor, shapes) -> tuple[Tensor, ...]:
@@ -637,7 +1090,7 @@ def _views(joint: Tensor, shapes) -> tuple[Tensor, ...]:
                 joint.grad = np.zeros_like(joint.data)
             joint.grad[lo:hi] += g.reshape(-1)
 
-        out.append(Tensor._from_op(joint.data[lo:hi].reshape(shape), (joint,), backward))
+        out.append(Node._from_op(joint.data[lo:hi].reshape(shape), (joint,), backward))
         lo = hi
     return tuple(out)
 
@@ -705,7 +1158,7 @@ def kernel_lstm_cell(x, h, c, W, b):
         if c.requires_grad:
             _accum(c, g_c.reshape(c.data.shape))
 
-    joint = Tensor._from_op(np.concatenate([h2.ravel(), c2.ravel()]), (x, h, c, W, b),
+    joint = Node._from_op(np.concatenate([h2.ravel(), c2.ravel()]), (x, h, c, W, b),
                             backward)
     shape = (dh,) if single else h2.shape
     return _views(joint, (shape, shape))
@@ -753,7 +1206,7 @@ def additive_attention(values, query, W_v, W_h, w_a, mask=None):
         if w_a.requires_grad:
             _accum(w_a, g_wa)
 
-    joint = Tensor._from_op(np.concatenate([alpha.ravel(), attended.ravel()]),
+    joint = Node._from_op(np.concatenate([alpha.ravel(), attended.ravel()]),
                             (values, query, W_v, W_h, w_a), backward)
     if single:
         return _views(joint, (alpha.shape[1:], attended.shape[1:]))
@@ -825,7 +1278,7 @@ def weighted_concat(weights, parts) -> Tensor:
             if p.requires_grad:
                 _accum(p, gk * w[..., k:k + 1])
 
-    return Tensor._from_op(data, (weights, *parts), backward)
+    return Node._from_op(data, (weights, *parts), backward)
 
 
 def fuse(weights: Tensor, v_obj: Tensor, v_attr: Tensor, v_rel: Tensor,
@@ -858,7 +1311,7 @@ class UnitState:
 
 def straight_through(y_soft: Tensor) -> Tensor:
     """One-hot forward value with the soft distribution's gradient."""
-    return Tensor(one_hot_max(y_soft.data) - y_soft.data) + y_soft
+    return Node(one_hot_max(y_soft.data) - y_soft.data) + y_soft
 
 
 @dataclass
@@ -907,7 +1360,7 @@ def controller_step(ctrl: ModuleController, v_obj: Tensor, v_attr: Tensor, v_rel
     if strategy is Strategy.UNIFORM:
         batch = v_obj.shape[0] if v_obj.ndim == 2 else None
         shape = (batch, len(ModuleLabel)) if batch else (len(ModuleLabel),)
-        ones = Tensor(np.ones(shape, dtype=v_obj.data.dtype))
+        ones = Node(np.ones(shape, dtype=v_obj.data.dtype))
         return ControllerOutput(weights=ones, soft=None, state=state)
     x = concat([v_obj, v_attr, v_rel, context], axis=-1)
     h, c = lstm_step(x, state.h, state.c, ctrl.lstm)
@@ -916,7 +1369,7 @@ def controller_step(ctrl: ModuleController, v_obj: Tensor, v_attr: Tensor, v_rel
     if strategy is Strategy.SOFT:
         weights = soft
     else:  # HARD
-        noise = Tensor(np.zeros(logits.shape, logits.data.dtype) if noise is None else noise)
+        noise = Node(np.zeros(logits.shape, logits.data.dtype) if noise is None else noise)
         y = softmax((logits + noise) * (1.0 / ctrl.tau), axis=-1)
         weights = straight_through(y)
     return ControllerOutput(weights=weights, soft=soft, state=ControllerState(h=h, c=c))
@@ -1255,10 +1708,12 @@ def two_pass_self_critical_loss(model: CaptionModel, enc, references, idf: IdfTa
                                 vocab_tokens, rng: Rng, max_len: int, gold=None,
                                 lam: float = 0.0):
     """``training.self_critical_loss`` with a sample pass and a separate
-    greedy pass, every caption scored, by ``reference_cider_d``."""
-    with no_grad():
-        sampled, noise = sample_decode(model, enc, rng, max_len)
-        baseline = greedy_decode(model, enc, max_len)
+    greedy pass, every caption scored, by ``reference_cider_d``, and the
+    replay a graph of the stages' nodes (``kernel_forced``) and one node
+    per scalar operation, on an encoding of nodes (``kernel_encode``)."""
+    decoded = arrays(enc)
+    sampled, noise = sample_decode(model, decoded, rng, max_len)
+    baseline = greedy_decode(model, decoded, max_len)
     infos = []
     for tokens, base, refs in zip(sampled, baseline, references):
         reward = reference_cider_d([vocab_tokens[t] for t in strip_sequence(tokens)], refs,
@@ -1291,11 +1746,11 @@ def two_pass_self_critical_loss(model: CaptionModel, enc, references, idf: IdfTa
         if noise is not None:
             noise = np.concatenate([noise, model.selection_noise(rng, n_steps, scenes)], axis=2)
 
-    dist, traces = model.forced(inputs, enc, noise)
+    dist, traces = kernel_forced(model, inputs, enc, noise)
     loss = masked_nll(dist, _step_major(targets), _step_major(weights), LOSS_EPS)
     if supervise:
-        loss = loss + lam * _word_class_nll(traces, labels, ling_weights)
-    return loss, infos
+        loss = loss + lam * word_class_nll(traces, labels, ling_weights)
+    return loss / float(scenes), infos
 
 
 # -- corpus generation and region features --------------------------------------

@@ -436,6 +436,87 @@ def test_debug_finite_eval_names_the_op(data_dir, checkpoint, tmp_path, capsys):
     assert modcap.tensor._debug_finite is False     # the flag lasts one command
 
 
+@pytest.mark.parametrize("name, stage", [("masked_nll_grad", "word_class_nll"),
+                                         ("word_head_backward", "word_head"),
+                                         ("unit_kernel", "unit_kernel")])
+def test_debug_finite_train_names_the_stage_of_a_nan_gradient(data_dir, tmp_path, capsys,
+                                                              monkeypatch, name, stage):
+    # a NaN planted in the gradient one stage's backward hands on: the step
+    # checks each stage's outgoing gradient after its backward and names
+    # the stage (the word-class NLL's is the first the step forms); nothing
+    # is saved
+    import modcap.training
+
+    real = getattr(modcap.training, name)
+
+    def poison(out):
+        # the gradient of the stage's input rows, or the distribution's
+        (out[-1] if isinstance(out, tuple) else out).flat[0] = np.nan
+        return out
+
+    def planted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if name != "unit_kernel":
+            return poison(out)
+        run = out[2]
+        if run is not None:
+            backward = run.backward
+            run.backward = lambda *a: poison(backward(*a))
+        return out
+
+    monkeypatch.setattr(modcap.training, name, planted)
+    capsys.readouterr()
+    out = tmp_path / "m.bin"
+    assert run(["train", "--data", str(data_dir), "--out", str(out), "--debug-finite"]
+               + TRAIN_FLAGS) == 3
+    err = capsys.readouterr().err
+    assert f"numeric error: {stage} backward produced a non-finite value" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_debug_finite_train_names_a_weight_with_a_nan_gradient(data_dir, tmp_path, capsys,
+                                                               monkeypatch):
+    # a NaN the encode stage's backward writes into a weight's gradient is
+    # named with its parameter, before any other stage runs
+    import modcap.training
+
+    real = modcap.training.encoder_backward
+
+    def planted(encoders, *args, **kwargs):
+        out = real(encoders, *args, **kwargs)
+        encoders["relation"].fc2.W.grad.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(modcap.training, "encoder_backward", planted)
+    capsys.readouterr()
+    assert run(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.bin"),
+                "--debug-finite"] + TRAIN_FLAGS) == 3
+    err = capsys.readouterr().err
+    assert "numeric error: non-finite gradient for parameter 'enc.relation.fc2.W'" in err
+
+
+def test_a_fresh_run_of_no_epochs_is_a_usage_error(data_dir, checkpoint, tmp_path, capsys):
+    # unchecked, it exited 0 reporting a checkpoint it never wrote; a
+    # finished run resumes to exit 0, its checkpoint there
+    out = tmp_path / "none.bin"
+    assert run(["train", "--data", str(data_dir), "--out", str(out), "--xe-epochs", "0",
+                "--rl-epochs", "0", "--d-v", "8", "--d-a", "4"]) == 1
+    assert "writes no checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+    done = copy_checkpoint(checkpoint, tmp_path)
+    assert run(["train", "--data", str(data_dir), "--out", str(done), "--resume"]) == 0
+    assert json.loads(capsys.readouterr().out)["checkpoint"] == str(done)
+
+
+def test_an_empty_preset_list_is_a_usage_error(data_dir, tmp_path, capsys):
+    # unchecked, it exited 0 and wrote a table of no rows
+    out = tmp_path / "ablation"
+    assert run(["ablate", "--data", str(data_dir), "--out", str(out), "--presets", " , "]) == 1
+    assert "--presets names no preset" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["eval"], ["eval", "--greedy"], ["caption"],
                                      ["caption", "--greedy"]])
 def test_nan_checkpoint_exits_3_naming_the_decode_step(data_dir, checkpoint, tmp_path,

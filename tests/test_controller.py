@@ -14,21 +14,17 @@ import pytest
 
 from modcap.controller import ModuleLabel, Strategy, pos_to_module_label
 from modcap.errors import ShapeError
-from modcap.tensor import (
-    Rng,
-    Tensor,
-    finite_diff_grad,
-    masked_nll,
-    max_relative_error,
-)
+from modcap.tensor import Rng, finite_diff_grad, max_relative_error
 from modcap.training import LOSS_EPS
 from reference import (
     AdditiveAttention,
     ControllerState,
     ModuleController,
+    Node,
     attend,
     controller_step,
     fuse,
+    masked_nll,
     softmax,
     straight_through,
 )
@@ -47,7 +43,7 @@ class TestAdditiveAttention:
         for _ in range(20):
             v = np.random.randn(np.random.randint(1, 7), 4).astype(np.float32)
             h = np.random.randn(3).astype(np.float32)
-            alpha, _ = attend(att, Tensor(v), Tensor(h))
+            alpha, _ = attend(att, Node(v), Node(h))
             assert np.all(alpha.data >= 0)
             assert abs(alpha.data.sum() - 1.0) < 1e-6
 
@@ -56,7 +52,7 @@ class TestAdditiveAttention:
         att = make_attention(1)
         v = np.random.randn(6, 4).astype(np.float32)
         h = np.random.randn(3).astype(np.float32)
-        _, out = attend(att, Tensor(v), Tensor(h))
+        _, out = attend(att, Node(v), Node(h))
         assert np.all(out.data <= v.max(axis=0) + 1e-6)
         assert np.all(out.data >= v.min(axis=0) - 1e-6)
 
@@ -66,8 +62,8 @@ class TestAdditiveAttention:
         v = np.random.randn(5, 4)
         h = np.random.randn(3)
         perm = np.array([4, 0, 3, 1, 2])
-        a1, o1 = attend(att, Tensor(v, dtype=F64), Tensor(h, dtype=F64))
-        a2, o2 = attend(att, Tensor(v[perm], dtype=F64), Tensor(h, dtype=F64))
+        a1, o1 = attend(att, Node(v, dtype=F64), Node(h, dtype=F64))
+        a2, o2 = attend(att, Node(v[perm], dtype=F64), Node(h, dtype=F64))
         assert np.allclose(o1.data, o2.data, atol=1e-12)
         assert np.allclose(a1.data[perm], a2.data, atol=1e-12)
 
@@ -75,31 +71,31 @@ class TestAdditiveAttention:
         att = make_attention(3, dtype=F64)
         v = np.repeat(np.random.RandomState(0).randn(1, 4), 5, axis=0)
         h = np.random.RandomState(1).randn(3)
-        alpha, out = attend(att, Tensor(v, dtype=F64), Tensor(h, dtype=F64))
+        alpha, out = attend(att, Node(v, dtype=F64), Node(h, dtype=F64))
         assert np.allclose(alpha.data, 0.2, atol=1e-12)
         assert np.allclose(out.data, v[0], atol=1e-12)
 
     def test_single_region_weight_one(self):
         att = make_attention(4)
         v = np.random.RandomState(2).randn(1, 4).astype(np.float32)
-        alpha, out = attend(att, Tensor(v), Tensor(np.zeros(3, dtype=np.float32)))
+        alpha, out = attend(att, Node(v), Node(np.zeros(3, dtype=np.float32)))
         assert np.allclose(alpha.data, [1.0])
         assert np.allclose(out.data, v[0], atol=1e-6)
 
     def test_empty_value_set_rejected(self):
         att = make_attention(5)
         with pytest.raises(ValueError):
-            attend(att, Tensor(np.zeros((0, 4), dtype=np.float32)),
-                   Tensor(np.zeros(3, dtype=np.float32)))
+            attend(att, Node(np.zeros((0, 4), dtype=np.float32)),
+                   Node(np.zeros(3, dtype=np.float32)))
 
     def test_batched_matches_single(self):
         np.random.seed(3)
         att = make_attention(6, dtype=F64)
         v = np.random.randn(3, 4, 4)
         h = np.random.randn(3, 3)
-        alpha, out = attend(att, Tensor(v, dtype=F64), Tensor(h, dtype=F64))
+        alpha, out = attend(att, Node(v, dtype=F64), Node(h, dtype=F64))
         for b in range(3):
-            a1, o1 = attend(att, Tensor(v[b], dtype=F64), Tensor(h[b], dtype=F64))
+            a1, o1 = attend(att, Node(v[b], dtype=F64), Node(h[b], dtype=F64))
             assert np.allclose(alpha.data[b], a1.data, atol=1e-12)
             assert np.allclose(out.data[b], o1.data, atol=1e-12)
 
@@ -112,11 +108,11 @@ class TestAdditiveAttention:
             alpha, out = attend(att, v, h)
             return (out * out).sum() + alpha.sum() * 0.5
 
-        v = Tensor(v0, requires_grad=True, dtype=F64)
-        h = Tensor(h0, requires_grad=True, dtype=F64)
+        v = Node(v0, requires_grad=True, dtype=F64)
+        h = Node(h0, requires_grad=True, dtype=F64)
         f(v, h).backward()
-        gv = finite_diff_grad(lambda x: f(x, Tensor(h0, dtype=F64)), Tensor(v0, dtype=F64))
-        gh = finite_diff_grad(lambda x: f(Tensor(v0, dtype=F64), x), Tensor(h0, dtype=F64))
+        gv = finite_diff_grad(lambda x: f(x, Node(h0, dtype=F64)), v0)
+        gh = finite_diff_grad(lambda x: f(Node(v0, dtype=F64), x), h0)
         assert max_relative_error(v.grad, gv) < 1e-3
         assert max_relative_error(h.grad, gh) < 1e-3
 
@@ -125,15 +121,15 @@ def controller_inputs(seed, d_v=4, d_c=3, batch=None, dtype=np.float32):
     rs = np.random.RandomState(seed)
     shape_v = (batch, d_v) if batch else (d_v,)
     shape_c = (batch, d_c) if batch else (d_c,)
-    return (Tensor(rs.randn(*shape_v).astype(dtype)),
-            Tensor(rs.randn(*shape_v).astype(dtype)),
-            Tensor(rs.randn(*shape_v).astype(dtype)),
-            Tensor(rs.randn(*shape_c).astype(dtype)))
+    return (Node(rs.randn(*shape_v).astype(dtype)),
+            Node(rs.randn(*shape_v).astype(dtype)),
+            Node(rs.randn(*shape_v).astype(dtype)),
+            Node(rs.randn(*shape_c).astype(dtype)))
 
 
 def zero_state(batch, d_c, dtype=np.float32):
-    return ControllerState(h=Tensor(np.zeros((batch, d_c), dtype=dtype), dtype=dtype),
-                           c=Tensor(np.zeros((batch, d_c), dtype=dtype), dtype=dtype))
+    return ControllerState(h=Node(np.zeros((batch, d_c), dtype=dtype), dtype=dtype),
+                           c=Node(np.zeros((batch, d_c), dtype=dtype), dtype=dtype))
 
 
 class TestController:
@@ -196,7 +192,7 @@ class TestController:
             y = logits + noise
             e = np.exp(y - y.max())
             y = e / e.sum()
-            hard = straight_through(Tensor(y.astype(np.float32)))
+            hard = straight_through(Node(y.astype(np.float32)))
             counts[int(np.argmax(hard.data))] += 1
         freqs = counts / draws
 
@@ -214,10 +210,10 @@ class TestController:
         assert np.all(np.abs(freqs - oracle_freqs) < 0.03)
 
     def test_straight_through_gradient_flows(self):
-        logits = Tensor(np.array([0.5, -0.2, 0.1, 0.0]), requires_grad=True, dtype=F64)
+        logits = Node(np.array([0.5, -0.2, 0.1, 0.0]), requires_grad=True, dtype=F64)
         y = softmax(logits)
         w = straight_through(y)
-        (w * Tensor(np.array([1.0, 2.0, 3.0, 4.0]), dtype=F64)).sum().backward()
+        (w * Node(np.array([1.0, 2.0, 3.0, 4.0]), dtype=F64)).sum().backward()
         assert logits.grad is not None
         assert np.any(logits.grad != 0)
 
@@ -230,14 +226,14 @@ class TestController:
         def f(vo):
             state = zero_state(1, 2, dtype=F64)
             out = controller_step(ctrl, vo.reshape(1, -1),
-                                  Tensor(va0.reshape(1, -1), dtype=F64),
-                                  Tensor(vr0.reshape(1, -1), dtype=F64),
-                                  Tensor(c0.reshape(1, -1), dtype=F64), state, Strategy.SOFT)
+                                  Node(va0.reshape(1, -1), dtype=F64),
+                                  Node(vr0.reshape(1, -1), dtype=F64),
+                                  Node(c0.reshape(1, -1), dtype=F64), state, Strategy.SOFT)
             return (out.weights * out.weights).sum()
 
-        x = Tensor(vo0, requires_grad=True, dtype=F64)
+        x = Node(vo0, requires_grad=True, dtype=F64)
         f(x).backward()
-        numeric = finite_diff_grad(f, Tensor(vo0, dtype=F64))
+        numeric = finite_diff_grad(f, vo0)
         assert max_relative_error(x.grad, numeric) < 1e-3
         assert proj_w.shape == (2, 4)
 
@@ -245,11 +241,11 @@ class TestController:
 class TestFuse:
     def test_one_hot_masks_exactly(self):
         rs = np.random.RandomState(0)
-        vs = [Tensor(rs.randn(3).astype(np.float32)) for _ in range(4)]
+        vs = [Node(rs.randn(3).astype(np.float32)) for _ in range(4)]
         for k in range(4):
             w = np.zeros(4, dtype=np.float32)
             w[k] = 1.0
-            fused = fuse(Tensor(w), *vs).data
+            fused = fuse(Node(w), *vs).data
             for j in range(4):
                 block = fused[3 * j : 3 * (j + 1)]
                 if j == k:
@@ -259,27 +255,27 @@ class TestFuse:
 
     def test_uniform_weights_plain_concat(self):
         rs = np.random.RandomState(1)
-        vs = [Tensor(rs.randn(3).astype(np.float32)) for _ in range(4)]
-        fused = fuse(Tensor(np.ones(4, dtype=np.float32)), *vs).data
+        vs = [Node(rs.randn(3).astype(np.float32)) for _ in range(4)]
+        fused = fuse(Node(np.ones(4, dtype=np.float32)), *vs).data
         assert np.array_equal(fused, np.concatenate([v.data for v in vs]))
 
     def test_length_is_four_blocks(self):
-        vs = [Tensor(np.ones(5, dtype=np.float32)) for _ in range(4)]
-        assert fuse(Tensor(np.ones(4, dtype=np.float32)), *vs).shape == (20,)
+        vs = [Node(np.ones(5, dtype=np.float32)) for _ in range(4)]
+        assert fuse(Node(np.ones(4, dtype=np.float32)), *vs).shape == (20,)
 
     def test_batched(self):
         rs = np.random.RandomState(2)
-        vs = [Tensor(rs.randn(2, 3).astype(np.float32)) for _ in range(4)]
-        w = Tensor(rs.rand(2, 4).astype(np.float32))
+        vs = [Node(rs.randn(2, 3).astype(np.float32)) for _ in range(4)]
+        w = Node(rs.rand(2, 4).astype(np.float32))
         fused = fuse(w, *vs)
         assert fused.shape == (2, 12)
         assert np.allclose(fused.data[0, 0:3], w.data[0, 0] * vs[0].data[0], atol=1e-6)
 
     def test_width_mismatch_rejected(self):
-        vs = [Tensor(np.ones(3, dtype=np.float32)) for _ in range(3)]
-        vs.append(Tensor(np.ones(4, dtype=np.float32)))
+        vs = [Node(np.ones(3, dtype=np.float32)) for _ in range(3)]
+        vs.append(Node(np.ones(4, dtype=np.float32)))
         with pytest.raises(ShapeError):
-            fuse(Tensor(np.ones(4, dtype=np.float32)), *vs)
+            fuse(Node(np.ones(4, dtype=np.float32)), *vs)
 
 
 class TestLinguisticLoss:
@@ -291,21 +287,21 @@ class TestLinguisticLoss:
         return masked_nll(w.reshape(1, -1), [int(label)], eps=LOSS_EPS)
 
     def test_uniform_weights_log4(self):
-        w = Tensor(np.full(4, 0.25, dtype=np.float64), dtype=F64)
+        w = Node(np.full(4, 0.25, dtype=np.float64), dtype=F64)
         assert abs(self.loss(w, ModuleLabel.RELATION).item() - math.log(4.0)) < 1e-9
 
     def test_confident_correct_is_small(self):
-        w = Tensor(np.array([0.97, 0.01, 0.01, 0.01], dtype=np.float64), dtype=F64)
+        w = Node(np.array([0.97, 0.01, 0.01, 0.01], dtype=np.float64), dtype=F64)
         assert self.loss(w, ModuleLabel.OBJECT).item() < 0.05
 
     def test_zero_weight_clamped_not_inf(self):
-        w = Tensor(np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float64), dtype=F64)
+        w = Node(np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float64), dtype=F64)
         loss = self.loss(w, ModuleLabel.FUNCTION).item()
         assert math.isfinite(loss)
         assert abs(loss - (-math.log(1e-12))) < 1e-6
 
     def test_gradient_reaches_weights(self):
-        w = Tensor(np.full(4, 0.25), requires_grad=True, dtype=F64)
+        w = Node(np.full(4, 0.25), requires_grad=True, dtype=F64)
         self.loss(w, ModuleLabel.ATTRIBUTE).backward()
         assert w.grad is not None
         assert w.grad[1] < 0  # pushing mass toward the gold module

@@ -17,7 +17,7 @@ from modcap.decoder import (
     strip_sequence,
 )
 from modcap.tensor import Rng
-from reference import multinomial, object_beam_search
+from reference import forced, multinomial, object_beam_search
 
 
 def tiny_cfg(**kw):
@@ -98,7 +98,7 @@ class TestStackStructure:
         enc = model.encode(*random_features(0))
         states = model.init_rows(1)
         dist, states = model.step([BOS_ID], enc, states)
-        _, traces = model.forced([[BOS_ID]], enc)
+        _, traces = forced(model, [[BOS_ID]], enc)
         assert dist.shape == (1, cfg.vocab_size)
         assert np.all(dist > 0)
         assert abs(dist.sum() - 1.0) < 1e-5
@@ -118,7 +118,7 @@ class TestStackStructure:
         cfg = tiny_cfg(strategy="uniform")
         model = CaptionModel(cfg, Rng(3))
         enc = model.encode(*random_features(2))
-        _, traces = model.forced([[BOS_ID]], enc)
+        _, traces = forced(model, [[BOS_ID]], enc)
         for tr in traces:
             assert np.array_equal(tr.weights, np.ones((1, 1, 4), dtype=np.float32))
 
@@ -128,7 +128,7 @@ class TestStackStructure:
             model = CaptionModel(cfg, Rng(4))
             enc = model.encode(*random_features(3))
             dist, states = model.step([BOS_ID], enc, model.init_rows(1))
-            _, traces = model.forced([[BOS_ID]], enc)
+            _, traces = forced(model, [[BOS_ID]], enc)
             assert abs(dist.sum() - 1.0) < 1e-5
             assert traces[0].weights is None
             assert list(traces[0].alphas) == [name]

@@ -2,10 +2,12 @@
 and the encoder kernel against the op-composed reference.
 
 The modules run on plain arrays; ``encoders.encoder_kernel`` runs them
-as one autodiff node when a gradient can flow.  It must agree with the
-op-composed encoder (``reference.reference_encode``) bit for bit in
-every value, mean and gradient, for one scene and for padded batches,
-and without a gradient it must make no Tensor."""
+as the encode stage, recorded when its caller asks, and
+``encoders.encoder_backward`` is its backward.  Behind one reference
+node (``reference.kernel_encode``) it must agree with the op-composed
+encoder (``reference.reference_encode``) bit for bit in every value,
+mean and gradient, for one scene and for padded batches, and an encode
+makes no Tensor."""
 
 import math
 
@@ -15,12 +17,12 @@ import pytest
 from modcap.config import ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import CaptionModel
-from modcap.encoders import ProjectionModule, RelationModule, encoder_kernel
+from modcap.encoders import (ProjectionModule, RelationModule, encoder_backward,
+                             encoder_kernel)
 from modcap.errors import ConfigError
-from modcap.tensor import (ParamArena, Rng, Tensor, finite_diff_grad, max_relative_error,
-                           no_grad)
+from modcap.tensor import ParamArena, Rng, Tensor, finite_diff_grad, max_relative_error
 from modcap.training import _pack
-from reference import reference_encode
+from reference import kernel_encode, reference_encode
 
 F64 = np.float64
 
@@ -154,17 +156,17 @@ class TestRelation:
         mod = RelationModule(4, 3, 2, Rng(9), dtype=F64)
         r0 = np.random.RandomState(6).randn(1, 3, 4)
 
+        mask = np.ones((1, 3), dtype=bool)
+
         def f(x):
-            # the relation values of the kernel: a Tensor with a gradient, an
-            # array without one (the finite differences)
-            values, _ = encoder_kernel({"relation": mod}, x, x, np.ones((1, 3), dtype=bool))
+            # the relation values of the kernel
+            values, _, _ = encoder_kernel({"relation": mod}, x, x, mask)
             return (values * values).sum()
 
-        x = Tensor(r0, requires_grad=True, dtype=F64)
-        out = f(x)
-        out.backward()
-        numeric = finite_diff_grad(f, Tensor(r0, dtype=F64))
-        assert max_relative_error(x.grad, numeric) < 1e-3
+        values, _, record = encoder_kernel({"relation": mod}, r0, r0, mask, record=True)
+        g_r, _ = encoder_backward({"relation": mod}, record, 2.0 * values, None, need_x=True)
+        numeric = finite_diff_grad(f, r0)
+        assert max_relative_error(g_r, numeric) < 1e-3
 
 
 def test_modules_outside_an_arena_keep_their_weight_gradients():
@@ -181,16 +183,16 @@ def test_modules_outside_an_arena_keep_their_weight_gradients():
                   for name, t in mod.params(kind).items()}
         if held:
             ParamArena(params)
-        x = Tensor(r0, requires_grad=True, dtype=F64)
 
-        def loss():
-            values, means = encoder_kernel(encoders, x, x, mask)
-            return (values * values).sum() + means.sum()
+        def backward():
+            # of sum(values * values) + sum(means)
+            values, means, record = encoder_kernel(encoders, r0, r0, mask, record=True)
+            encoder_backward(encoders, record, 2.0 * values, np.ones_like(means), need_x=True)
 
-        loss().backward()
+        backward()
         grads = {name: t.grad.copy() for name, t in params.items()}
         with pytest.raises(RuntimeError, match="already holds a gradient"):
-            loss().backward()
+            backward()
         return grads
 
     bare, held = backpropagate(False), backpropagate(True)
@@ -271,7 +273,7 @@ def encode_and_backpropagate(encode, model, r_obj, r_attr, mask, seed,
 def test_kernel_matches_reference_bit_for_bit(corpus, scenes, preset, case, dtype):
     model = kernel_model(corpus, preset, dtype)
     args = (model, *scenes[case], 7)
-    got = encode_and_backpropagate(lambda m, *x: m.encode(*x), *args)
+    got = encode_and_backpropagate(kernel_encode, *args)
     want = encode_and_backpropagate(reference_encode, *args)
     assert got.keys() == want.keys()
     # every encoder weight, and every feature matrix a module reads
@@ -289,36 +291,47 @@ def test_a_gradient_through_one_field_alone_matches_the_reference(corpus, scenes
     # means' closure makes it run
     model = kernel_model(corpus, "CNM#2", np.float32)
     args = (model, *scenes["batch"], 7)
-    got = encode_and_backpropagate(lambda m, *x: m.encode(*x), *args, fields=(field,))
+    got = encode_and_backpropagate(kernel_encode, *args, fields=(field,))
     want = encode_and_backpropagate(reference_encode, *args, fields=(field,))
     assert got.keys() == want.keys() and "grad.r_obj" in got
     assert all(got[name].tobytes() == want[name].tobytes() for name in want)
 
 
+def count_tensors(monkeypatch) -> list:
+    """A list that grows by one for every Tensor made from here on."""
+    made, init = [], Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    return made
+
+
 @pytest.mark.parametrize("preset", KERNEL_PRESETS)
-def test_encode_without_gradients_makes_no_tensor(corpus, scenes, preset):
+def test_encode_without_gradients_makes_no_tensor(corpus, scenes, preset, monkeypatch):
     model = kernel_model(corpus, preset, np.float32)
+    made = count_tensors(monkeypatch)
     for r_obj, r_attr, mask in scenes.values():
-        with_grad = model.encode(r_obj, r_attr, mask)
-        start = next(Tensor._ids)
-        with no_grad():
-            enc = model.encode(r_obj, r_attr, mask)
-        assert next(Tensor._ids) == start + 1
-        # the same values and means, to the bit
+        recorded = model.encode(r_obj, r_attr, mask, record=True)
+        enc = model.encode(r_obj, r_attr, mask)
+        # no record without one asked for, and the same values and means,
+        # to the bit
+        assert enc.record is None and recorded.record is not None
         assert isinstance(enc.values, np.ndarray) and isinstance(enc.means, np.ndarray)
-        assert enc.values.tobytes() == with_grad.values.data.tobytes()
-        assert enc.means.tobytes() == with_grad.means.data.tobytes()
+        assert enc.values.tobytes() == recorded.values.tobytes()
+        assert enc.means.tobytes() == recorded.means.tobytes()
+    assert made == []
 
 
-def test_a_training_batch_encodes_as_one_node(corpus, scenes):
+def test_a_training_batch_encodes_as_one_node(corpus, scenes, monkeypatch):
+    # the encode is one stage of the training step: one record for the
+    # whole batch, what each module's backward reads, and no Tensor
     model = kernel_model(corpus, "CNM#2", np.float32)
-    start = next(Tensor._ids)
-    enc = model.encode(*scenes["batch"])
-    # two Tensors: the values, the kernel's one node, and the means, whose
-    # only parent is the node
-    assert next(Tensor._ids) - start - 1 == 2
-    node = enc.values
-    assert enc.means._parents == (node,)
-    # the node records because its weights require a gradient, but they
-    # are not its parents, and array features make none
-    assert node.requires_grad and node._parents == ()
+    made = count_tensors(monkeypatch)
+    enc = model.encode(*scenes["batch"], record=True)
+    saved, keep, inv, *shapes = enc.record
+    assert list(saved) == list(model.encoders) and all(saved.values())
+    assert shapes == [scenes["batch"][0].shape, scenes["batch"][1].shape]
+    assert made == []

@@ -1,6 +1,7 @@
 """Fused ops against the same math built from primitive ops, in float64.
 
-``masked_nll`` is a library op; the fused attention and weighted concat
+``masked_nll`` is a library stage (``reference.masked_nll`` is its node);
+the fused attention and weighted concat
 are the reference decoder's (``tests/reference.py``), built on the array
 helpers the unit kernel runs.  ``reference.kernel_lstm_cell`` is the
 unit kernel's ``LstmRun`` behind one autodiff node; the LSTM composed of
@@ -14,24 +15,23 @@ import pytest
 from modcap import tensor as T
 from modcap.config import ModelConfig
 from modcap.decoder import CaptionModel, beam_search, greedy_decode, unit_kernel
-from modcap.tensor import (
-    Rng,
-    Tensor,
-    concat,
-    masked_nll,
-    reshape,
-    sum_,
-)
+from modcap.tensor import Rng
 from reference import (
+    Node,
     additive_attention,
     clamp_min,
+    concat,
+    forced,
     kernel_lstm_cell,
     log,
     lstm_cell,
+    masked_nll,
     matmul,
     pick,
+    reshape,
     slice_axis,
     softmax,
+    sum_,
     tanh,
     transpose,
     weighted_concat,
@@ -59,7 +59,7 @@ def reference_attention(values, query, W_v, W_h, w_a):
 
 
 def leaves(rs, *shapes, dtype=F64):
-    return [Tensor(rs.uniform(-1, 1, shape).astype(dtype), requires_grad=True, dtype=dtype)
+    return [Node(rs.uniform(-1, 1, shape).astype(dtype), requires_grad=True, dtype=dtype)
             for shape in shapes]
 
 
@@ -71,7 +71,7 @@ def outputs_and_grads(op, inputs, weights):
     outs = op(*inputs)
     loss = None
     for out, w in zip(outs, weights):
-        term = (out * Tensor(w, dtype=out.data.dtype)).sum()
+        term = (out * Node(w, dtype=out.data.dtype)).sum()
         loss = term if loss is None else loss + term
     loss.backward()
     return [o.data.copy() for o in outs], [t.grad.copy() for t in inputs]
@@ -109,10 +109,10 @@ def test_masked_nll_matches_primitives():
     mask = np.array([1.0, 0.0, 1.0, 1.0])
     probs = rs.uniform(0.01, 1.0, (4, 5))
     probs[2, 4] = 1e-20                        # below the clamp floor
-    p = Tensor(probs, requires_grad=True, dtype=F64)
+    p = Node(probs, requires_grad=True, dtype=F64)
 
     def reference(p):
-        return ((log(clamp_min(pick(p, gold), 1e-12)) * Tensor(-mask, dtype=F64)).sum(),)
+        return ((log(clamp_min(pick(p, gold), 1e-12)) * Node(-mask, dtype=F64)).sum(),)
 
     assert_same(lambda p: (masked_nll(p, gold, mask),), reference, [p], [1.5])
     assert p.grad[1].tolist() == [0.0] * 5     # masked row
@@ -120,7 +120,7 @@ def test_masked_nll_matches_primitives():
 
     # unmasked form (the word-class supervision of the controller weights;
     # its values are checked in test_controller.TestLinguisticLoss)
-    w = Tensor(np.array([[0.25] * 4, [0.97, 0.01, 0.01, 0.01], [1.0, 0.0, 0.0, 0.0]]),
+    w = Node(np.array([[0.25] * 4, [0.97, 0.01, 0.01, 0.01], [1.0, 0.0, 0.0, 0.0]]),
                requires_grad=True, dtype=F64)
     labels = [1, 0, 3]
     assert_same(lambda w: (masked_nll(w, labels),),
@@ -129,10 +129,10 @@ def test_masked_nll_matches_primitives():
 
 def test_masked_nll_forward_is_bitwise_in_float32():
     rs = np.random.RandomState(21)
-    p = Tensor(rs.uniform(0, 1, (6, 9)).astype(np.float32))
+    p = Node(rs.uniform(0, 1, (6, 9)).astype(np.float32))
     gold = rs.randint(0, 9, 6)
     mask = np.array([1, 1, 0, 1, 0, 1], dtype=np.float32)
-    want = (log(clamp_min(pick(p, gold), 1e-12)) * Tensor(-mask)).sum()
+    want = (log(clamp_min(pick(p, gold), 1e-12)) * Node(-mask)).sum()
     assert masked_nll(p, gold, mask).data.tobytes() == want.data.tobytes()
 
 
@@ -156,21 +156,21 @@ class TestDebugChecksNameTheOp:
         T.set_debug_checks(False)
 
     def test_lstm_cell(self):
-        x = Tensor([np.nan, 0.0])
-        W = Tensor(np.ones((3, 4)))
+        x = Node([np.nan, 0.0])
+        W = Node(np.ones((3, 4)))
         with pytest.raises(FloatingPointError, match="^kernel_lstm_cell produced"):
-            kernel_lstm_cell(x, Tensor([0.0]), Tensor([0.0]), W, Tensor(np.zeros(4)))
+            kernel_lstm_cell(x, Node([0.0]), Node([0.0]), W, Node(np.zeros(4)))
 
     def test_additive_attention(self):
-        values = Tensor(np.full((2, 3), np.nan))
+        values = Node(np.full((2, 3), np.nan))
         with pytest.raises(FloatingPointError, match="additive_attention"):
-            additive_attention(values, Tensor(np.zeros(2)), Tensor(np.ones((4, 3))),
-                               Tensor(np.ones((4, 2))), Tensor(np.ones(4)))
+            additive_attention(values, Node(np.zeros(2)), Node(np.ones((4, 3))),
+                               Node(np.ones((4, 2))), Node(np.ones(4)))
 
     def test_primitive(self):
         with pytest.raises(FloatingPointError, match="^div produced"), \
                 np.errstate(divide="ignore"):
-            Tensor([1.0]) / Tensor([0.0])
+            Node([1.0]) / Node([0.0])
 
     @staticmethod
     def tiny_model():
@@ -182,7 +182,7 @@ class TestDebugChecksNameTheOp:
     def test_unit_kernel(self):
         model, enc = self.tiny_model()
         unit = model.units[0]
-        i_prev = Tensor(np.full((1, 1, 3), np.nan, dtype=np.float32))
+        i_prev = np.full((1, 1, 3), np.nan, dtype=np.float32)
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
             unit_kernel([unit], i_prev, enc)
 
@@ -196,7 +196,7 @@ class TestDebugChecksNameTheOp:
         with pytest.raises(FloatingPointError, match="^unit_kernel produced"):
             decode(model, enc)
 
-    @pytest.mark.parametrize("run", [lambda m, e: m.forced([[1, 2, 3]], e),
+    @pytest.mark.parametrize("run", [lambda m, e: forced(m, [[1, 2, 3]], e),
                                      lambda m, e: greedy_decode(m, e, 4)],
                              ids=["forced", "greedy"])
     def test_word_head(self, run):

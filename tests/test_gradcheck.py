@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modcap.tensor import FLOAT64, AttentionRun, LstmRun, Tensor
+from modcap.tensor import AttentionRun, LstmRun
 from modcap.gradcheck import (
     DEFAULT_TOLERANCE,
     ENCODER_MASKS,
@@ -21,7 +21,7 @@ from modcap.gradcheck import (
     primitive_cases,
     run_battery,
 )
-from reference import relu
+from reference import node_objective, relu
 
 
 class TestBattery:
@@ -46,13 +46,17 @@ class TestBattery:
         assert a != c
 
     def test_small_seeds_draw_their_own_chains(self):
-        # chain labels drawn at random repeat across seeds only by chance:
-        # 8 seeds of 25 chains of 3 to 6 of 8 ops expect about one repeat
-        labels = {seed: {name.partition("[")[2] for name, _, _ in composite_cases(seed)}
-                  for seed in range(8)}
-        shared = [len(labels[a] & labels[b]) for a in labels for b in labels if a < b]
-        assert sum(shared) <= 3
-        assert max(shared) <= 1
+        # each case's stream derives from the seed's: 8 seeds of 25 steps
+        # draw 200 different sets of region features, and their
+        # configurations spread over the choices
+        cases = [case for seed in range(8) for case in composite_cases(seed)]
+        assert len({x.tobytes() for _, _, x in cases}) == len(cases)
+        labels = [name.partition("[")[2].rstrip("]").split("-") for name, _, _ in cases]
+        for choices in (["M1", "M2", "M3"], ["T1", "T2", "T3"],
+                        ["soft", "hard", "uniform", "single"]):
+            assert {c for label in labels for c in label if c in choices} == set(choices)
+        for flag in ("pad", "ling", "twice", "rep"):
+            assert 0 < sum(flag in label for label in labels) < len(labels)
 
     def test_section_filter(self):
         results = run_battery(sections=("primitives",), seed=0)
@@ -66,8 +70,8 @@ class TestBattery:
     def test_battery_can_fail(self):
         # relu evaluated exactly at its kink: the numeric derivative is the
         # two-sided average, the analytic one is not, so the check rejects it
-        x = Tensor(np.zeros((2, 2)), requires_grad=True, dtype=FLOAT64)
-        result = check_case("probe", "relu_at_kink", lambda t: relu(t).sum(), x)
+        result = check_case("probe", "relu_at_kink", node_objective(lambda t: relu(t).sum()),
+                            np.zeros((2, 2)))
         assert not result.ok
 
     @pytest.mark.parametrize("run, method, k, cases", [

@@ -67,9 +67,8 @@ for measure in (False, True):
     model, batch, args = window()
     if measure:
         tracemalloc.start()
-    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-    loss, _ = self_critical_loss(model, enc, *args)
-    loss.backward()
+    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
+    loss, _ = self_critical_loss(model, enc, *args, grads=True)
     del enc, loss
 print(tracemalloc.get_traced_memory()[1])
 """
@@ -91,25 +90,30 @@ def test_a_self_critical_window_peaks_within_its_bound():
 
 
 def test_the_backward_lets_every_record_go(monkeypatch):
-    runs = []
+    runs, before = [], []
 
     class Recorded(decoder.UnitRun):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             runs.append(self)
 
+        def backward(self, *args):
+            before.append((bool(self.lstm1.steps and self.steps), set(vars(self))))
+            return super().backward(*args)
+
     monkeypatch.setattr(decoder, "UnitRun", Recorded)
     model, batch, args = window()
-    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-    loss, _ = self_critical_loss(model, enc, *args)
-    # the units run as one stack, a wavefront of one recording run
+    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
+    assert all(enc.record[0].values())
+    self_critical_loss(model, enc, *args, grads=True)
+    # the units run as one stack, a wavefront of one recording run, which
+    # holds its records until its backward
     recording = [run for run in runs if run.record]
     assert len(recording) == 1 and recording[0].n_units == len(model.units)
-    assert all(run.lstm1.steps and run.steps for run in recording)
-    names = [set(vars(run)) for run in recording]
-    loss.backward()
-    # the backward keeps no gradient state on the run
-    assert [set(vars(run)) for run in recording] == names
+    # the backward keeps no gradient state on the run, and the encode's
+    # records go too
+    assert before == [(True, set(vars(recording[0])))]
+    assert not enc.record[0]
     for run in recording:
         for each in (run, run.lstm1, run.lstm2, run.lstm_c, run.heads):
             assert not each.steps

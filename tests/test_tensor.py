@@ -1,4 +1,6 @@
-"""Tensor core: op semantics, backward sweep, RNG, Adam, gradient oracle."""
+"""Tensor core: RNG, Adam, the arena and the gradient oracle; and the
+reference's graph engine (``reference.Node``): op semantics and the
+backward sweep."""
 
 import math
 
@@ -17,19 +19,20 @@ from modcap.tensor import (
     Rng,
     Tensor,
     clip_global_norm,
-    concat,
     finite_diff_grad,
-    gather_rows,
     make_lstm_params,
     max_relative_error,
-    reshape,
-    sweep_order,
     xavier_uniform,
 )
 from reference import (
+    Node,
     ReferenceAdam,
+    _accum,
+    add,
     assert_same_update,
     clamp_min,
+    concat,
+    gather_rows,
     gumbel as reference_gumbel,
     kernel_lstm_cell,
     leaky_relu,
@@ -38,13 +41,18 @@ from reference import (
     masked_softmax,
     matmul,
     mean_pool_rows,
+    mul,
     multinomial as reference_multinomial,
+    no_grad,
     pick,
     relu,
+    reshape,
     shuffle as reference_shuffle,
     sigmoid,
     slice_axis,
     softmax,
+    sum_,
+    sweep_order,
     tanh,
     transpose,
 )
@@ -53,7 +61,7 @@ from reference import (
 def check_grad(f, *arrays, eps=1e-4, tol=1e-3):
     """Backprop through f and compare every input gradient against central
     differences.  All inputs are promoted to float64 leaves."""
-    leaves = [Tensor(np.asarray(a, dtype=np.float64), requires_grad=True, dtype=np.float64)
+    leaves = [Node(np.asarray(a, dtype=np.float64), requires_grad=True, dtype=np.float64)
               for a in arrays]
     out = f(*leaves)
     out.backward()
@@ -61,7 +69,8 @@ def check_grad(f, *arrays, eps=1e-4, tol=1e-3):
         def partial(x, i=i):
             probe = leaves[:i] + [x] + leaves[i + 1:]
             return f(*probe)
-        numeric = finite_diff_grad(partial, leaf, eps=eps)
+        numeric = finite_diff_grad(lambda x: partial(Node(x, dtype=np.float64)), leaf.data,
+                                   eps=eps)
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         err = max_relative_error(analytic, numeric)
         assert err < tol, f"input {i}: max relative error {err:.2e}"
@@ -69,8 +78,8 @@ def check_grad(f, *arrays, eps=1e-4, tol=1e-3):
 
 class TestForward:
     def test_add_broadcast_bias(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([10.0, 20.0])
+        x = Node([[1.0, 2.0], [3.0, 4.0]])
+        b = Node([10.0, 20.0])
         assert np.allclose((x + b).data, [[11.0, 22.0], [13.0, 24.0]])
 
     def test_matmul_identity_and_zero(self):
@@ -79,104 +88,104 @@ class TestForward:
             m, k = np.random.randint(1, 6, size=2)
             a = np.random.randn(m, k)
             eye = np.eye(k)
-            assert np.allclose(matmul(Tensor(a, dtype=np.float64), Tensor(eye, dtype=np.float64)).data, a)
+            assert np.allclose(matmul(Node(a, dtype=np.float64), Node(eye, dtype=np.float64)).data, a)
             zero = np.zeros((k, 3))
-            assert np.allclose(matmul(Tensor(a), Tensor(zero)).data, 0.0)
+            assert np.allclose(matmul(Node(a), Node(zero)).data, 0.0)
 
     def test_matmul_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+            matmul(Node(np.ones((2, 3))), Node(np.ones((2, 3))))
 
     def test_softmax_is_a_distribution(self):
         np.random.seed(0)
         for _ in range(20):
             v = np.random.randn(np.random.randint(1, 9)) * 5
-            y = softmax(Tensor(v)).data
+            y = softmax(Node(v)).data
             assert np.all(y > 0)
             assert abs(y.sum() - 1.0) < 1e-6
 
     def test_softmax_shift_invariance(self):
         v = np.array([1.0, 2.0, 3.0], dtype=np.float64)
-        a = softmax(Tensor(v, dtype=np.float64)).data
-        b = softmax(Tensor(v + 1000.0, dtype=np.float64)).data
+        a = softmax(Node(v, dtype=np.float64)).data
+        b = softmax(Node(v + 1000.0, dtype=np.float64)).data
         assert np.allclose(a, b, atol=1e-12)
 
     def test_softmax_empty_rejected(self):
         with pytest.raises(ValueError):
-            softmax(Tensor(np.zeros(0)))
+            softmax(Node(np.zeros(0)))
 
     def test_softmax_rowwise(self):
         m = np.random.randn(4, 5)
-        y = softmax(Tensor(m), axis=-1).data
+        y = softmax(Node(m), axis=-1).data
         assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_leaky_relu_values(self):
-        x = Tensor([-2.0, 0.0, 3.0])
+        x = Node([-2.0, 0.0, 3.0])
         y = leaky_relu(x, 0.01).data
         assert np.allclose(y, [-0.02, 0.0, 3.0])
 
     def test_leaky_relu_slope_validated(self):
         with pytest.raises(ValueError):
-            leaky_relu(Tensor([1.0]), slope=1.5)
+            leaky_relu(Node([1.0]), slope=1.5)
 
     def test_mean_pool_rows(self):
-        m = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        m = Node([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         assert np.allclose(mean_pool_rows(m).data, [3.0, 4.0])
 
     def test_mean_pool_rows_batched(self):
         m = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
-        out = mean_pool_rows(Tensor(m)).data
+        out = mean_pool_rows(Node(m)).data
         assert out.shape == (2, 2)
         assert np.allclose(out, m.mean(axis=1))
 
     def test_mean_pool_rows_masked(self):
         m = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
         mask = np.array([[True, True, False], [True, True, True]])
-        out = mean_pool_rows(Tensor(m), mask).data
+        out = mean_pool_rows(Node(m), mask).data
         assert np.allclose(out[0], m[0, :2].mean(axis=0))
         assert np.allclose(out[1], m[1].mean(axis=0))
         # all rows valid: the same bits as the unmasked mean
         full = np.ones((2, 3), dtype=bool)
-        assert np.array_equal(mean_pool_rows(Tensor(m), full).data,
-                              mean_pool_rows(Tensor(m)).data)
+        assert np.array_equal(mean_pool_rows(Node(m), full).data,
+                              mean_pool_rows(Node(m)).data)
 
     def test_masked_softmax_zeroes_padding(self):
-        a = Tensor(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 9.0]]))
+        a = Node(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 9.0]]))
         mask = np.array([[True, False, True], [True, True, False]])
         out = masked_softmax(a, mask, axis=-1).data
         assert out[0, 1] == 0.0 and out[1, 2] == 0.0
-        assert np.allclose(out[0, [0, 2]], softmax(Tensor([1.0, 3.0])).data)
+        assert np.allclose(out[0, [0, 2]], softmax(Node([1.0, 3.0])).data)
         assert np.allclose(out.sum(axis=-1), 1.0)
 
     def test_scalars_keep_their_shape(self):
-        assert Tensor(1.5).shape == ()
-        assert Tensor(np.float32(2.0)).shape == ()
-        assert (Tensor([1.0, 2.0]).sum() / 4.0).shape == ()
+        assert Node(1.5).shape == ()
+        assert Node(np.float32(2.0)).shape == ()
+        assert (Node([1.0, 2.0]).sum() / 4.0).shape == ()
 
     def test_concat_and_slice_roundtrip(self):
-        a = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
-        b = Tensor(np.arange(8, dtype=np.float32).reshape(2, 4))
+        a = Node(np.arange(6, dtype=np.float32).reshape(2, 3))
+        b = Node(np.arange(8, dtype=np.float32).reshape(2, 4))
         cat = concat([a, b], axis=1)
         assert cat.shape == (2, 7)
         back = slice_axis(cat, 1, 3, 7)
         assert np.array_equal(back.data, b.data)
 
     def test_gather_and_pick(self):
-        table = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
+        table = Node(np.arange(12, dtype=np.float32).reshape(4, 3))
         rows = gather_rows(table, [2, 0, 2])
         assert np.allclose(rows.data, [[6, 7, 8], [0, 1, 2], [6, 7, 8]])
-        got = pick(Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)), [2, 0])
+        got = pick(Node(np.arange(6, dtype=np.float32).reshape(2, 3)), [2, 0])
         assert np.allclose(got.data, [2.0, 3.0])
 
     def test_clamp_min(self):
-        y = clamp_min(Tensor([1e-20, 0.5]), 1e-12)
+        y = clamp_min(Node([1e-20, 0.5]), 1e-12)
         assert np.allclose(y.data, [1e-12, 0.5])
 
     def test_debug_finite_check(self):
         T.set_debug_checks(True)
         try:
             with pytest.raises(FloatingPointError), np.errstate(divide="ignore"):
-                Tensor([1.0]) / Tensor([0.0])
+                Node([1.0]) / Node([0.0])
         finally:
             T.set_debug_checks(False)
 
@@ -237,33 +246,33 @@ class TestBackward:
         check_grad(lambda x: pick(x, [2, 0]).sum(), a)
 
     def test_masked_rows_get_zero_gradient(self):
-        m = Tensor(np.arange(12, dtype=np.float32).reshape(2, 3, 2), requires_grad=True)
+        m = Node(np.arange(12, dtype=np.float32).reshape(2, 3, 2), requires_grad=True)
         mask = np.array([[True, False, True], [True, True, True]])
-        (mean_pool_rows(m, mask) * Tensor([1.0, -2.0])).sum().backward()
+        (mean_pool_rows(m, mask) * Node([1.0, -2.0])).sum().backward()
         assert not np.any(m.grad[0, 1])
         assert np.all(m.grad[~np.array([[0, 1, 0], [0, 0, 0]], dtype=bool)] != 0)
 
     def test_fanout_accumulates(self):
-        x = Tensor(np.array([3.0]), requires_grad=True, dtype=np.float64)
+        x = Node(np.array([3.0]), requires_grad=True, dtype=np.float64)
         y = x * x + x * 2.0  # dy/dx = 2x + 2 = 8
         y.backward()
         assert np.allclose(x.grad, [8.0])
 
     def test_no_grad_records_nothing(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with T.no_grad():
+        x = Node(np.ones(3), requires_grad=True)
+        with no_grad():
             y = (x * 2.0).sum()
         assert y._backward is None and not y.requires_grad
 
     def test_backward_requires_scalar(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        x = Node(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
             (x * 2.0).backward()
 
 
 class TestSweep:
     def test_closures_run_after_their_consumers(self):
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        x = Node(np.array([1.0, 2.0]), requires_grad=True)
         y = x * 2.0
         z = y + x  # diamond: x feeds both y and z
         loss = (z * y).sum()
@@ -529,7 +538,7 @@ def arena_with_grads(params: dict, grads: dict) -> ParamArena:
     way backward lands a parameter's first gradient."""
     arena = ParamArena(params)
     for name, g in grads.items():
-        T._accum(params[name], np.asarray(g))
+        _accum(params[name], np.asarray(g))
     return arena
 
 
@@ -560,7 +569,7 @@ class TestAdam:
         opt = Adam()
         for _ in range(400):
             x.grad = None
-            loss = (x * x).sum()
+            loss = sum_(mul(x, x))
             loss.backward()
             opt.step(arena, lr=0.05)
         assert np.all(np.abs(x.data) < 1e-2)
@@ -594,7 +603,7 @@ class TestParamArena:
     def test_gradients_land_in_their_slices(self):
         params = self.params()
         arena = ParamArena(params)
-        loss = (params["b.W"] * params["b.W"]).sum() + params["a.b"].sum()
+        loss = add(sum_(mul(params["b.W"], params["b.W"])), sum_(params["a.b"]))
         loss.backward()
         assert params["b.W"].grad.base is arena.grad
         np.testing.assert_array_equal(arena.grad[:12], 2 * params["b.W"].data.ravel())
@@ -658,7 +667,7 @@ class TestParamArena:
             for step in range(n_steps):
                 for name, p in params.items():
                     if name != "c.W" or step > 0:       # c.W joins at the second step
-                        T._accum(p, rng.standard_normal(p.data.shape).astype(dtype))
+                        _accum(p, rng.standard_normal(p.data.shape).astype(dtype))
                 opt.step(arena, lr=1e-2)
                 for p in params.values():
                     p.grad = None
@@ -750,10 +759,10 @@ class TestBlasThreads:
 
 class TestFiniteDiff:
     def test_matches_known_derivative(self):
-        x = Tensor(np.array([0.5, -1.2]), requires_grad=True, dtype=np.float64)
+        x = np.array([0.5, -1.2])
         g = finite_diff_grad(lambda t: (t * t).sum(), x)
-        assert np.allclose(g, 2 * x.data, atol=1e-8)
+        assert np.allclose(g, 2 * x, atol=1e-8)
 
     def test_requires_float64(self):
         with pytest.raises(ValueError):
-            finite_diff_grad(lambda t: t.sum(), Tensor(np.ones(2, dtype=np.float32)))
+            finite_diff_grad(lambda t: t.sum(), np.ones(2, dtype=np.float32))

@@ -10,7 +10,7 @@ import pytest
 from modcap.config import ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, generate_corpus
 from modcap.decoder import CaptionModel, greedy_decode, strip_sequence
-from modcap.tensor import Rng, no_grad
+from modcap.tensor import Rng
 from modcap.trace import (
     MODULE_COLORS,
     MODULE_ORDER,
@@ -18,7 +18,7 @@ from modcap.trace import (
     trace_example,
     trace_generated,
 )
-from reference import reference_forced
+from reference import no_grad, reference_forced
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "trace.schema.json").read_text())

@@ -9,11 +9,11 @@ import pytest
 from modcap import config
 from modcap.config import PRESET_GRID, ModelConfig, TrainConfig, apply_preset
 from modcap.corpus import CorpusSpec, FeatureSynthesizer, few_shot_subset, generate_corpus
-from modcap.decoder import BOS_ID, EOS_ID, PAD_ID, CaptionModel, _stack_table, sample_decode
+from modcap.decoder import (BOS_ID, EOS_ID, PAD_ID, CaptionModel, Encoded, _stack_table,
+                            sample_decode)
 from modcap.errors import ConfigError, DataError, FormatError
 from modcap.metrics import IdfTable
-from modcap.tensor import (Adam, Rng, Tensor, clip_global_norm, masked_nll, no_grad,
-                           sweep_order)
+from modcap.tensor import Adam, Rng, Tensor, clip_global_norm
 from modcap.training import (
     LOSS_EPS,
     TRAIN_STREAM_TAG,
@@ -33,7 +33,8 @@ from modcap.training import (
     teacher_forced_metrics,
     train,
 )
-from reference import ReferenceAdam, assert_same_update, reference_clip, reference_forced
+from reference import (ReferenceAdam, arrays, assert_same_update, kernel_encode, masked_nll,
+                       reference_clip, reference_forced)
 
 SPEC = CorpusSpec(n_scenes=24, seed=5)
 
@@ -157,7 +158,8 @@ class TestTeacherForced:
         assert [info["advantage"] for info in infos] == [0.0] * batch.size
         want = sum(teacher_forced(model, _pack([e], scenes, synth), lam_ling=1.0)
                    .ling_mean.item() for e in examples)
-        assert loss.item() == pytest.approx(want, rel=1e-5)
+        # the surrogate is the mean over the window's scenes
+        assert loss.item() * batch.size == pytest.approx(want, rel=1e-5)
 
     def test_objective_composition(self, corpus, synth):
         model = fresh_model(corpus)
@@ -170,8 +172,7 @@ class TestTeacherForced:
     def test_gradients_reach_everything(self, corpus, synth):
         model = fresh_model(corpus)
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
-        stats = teacher_forced(model, batch, lam_ling=1.0)
-        stats.loss.backward()
+        teacher_forced(model, batch, lam_ling=1.0, grads=True)
         for name, p in model.named_parameters().items():
             assert p.grad is not None, name
 
@@ -180,33 +181,35 @@ class TestTeacherForced:
         # it, only the word head's gradient of its rows can reach the units
         model = fresh_model(corpus)
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
-        teacher_forced(model, batch, lam_ling=0.0).loss.backward()
+        teacher_forced(model, batch, lam_ling=0.0, grads=True)
         units = {n: p for n, p in model.named_parameters().items() if n.startswith("unit")}
         assert len(units) == sum(len(unit.weights) for unit in model.units)
         for name, p in units.items():
             assert p.grad is not None and np.any(p.grad), name
 
-    def test_no_parameter_is_a_parent(self, corpus, synth):
-        # the kernels read the weights and write their gradients into the
-        # arena: no node a loss reaches lists a parameter among its parents,
-        # in an XE step or in a self-critical surrogate with the word-class
-        # term
+    def test_no_parameter_is_a_parent(self, corpus, synth, monkeypatch):
+        # the stages read the weights and write their gradients into the
+        # arena: an XE step and a self-critical surrogate with the
+        # word-class term build no graph, not one Tensor, and reach every
+        # parameter
         mcfg, _ = apply_preset("CNM#2", model_cfg(corpus), TrainConfig())
         model = CaptionModel(mcfg, Rng(3).derive(1))
-        held = {id(p) for p in model.named_parameters().values()}
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        made, init = [], Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__",
+                            lambda self, *a, **k: made.append(self) or init(self, *a, **k))
         refs = corpus.references()
-        scst, _ = self_critical_loss(model, enc, [refs[i] for i in batch.scene_ids],
-                                     IdfTable(refs), corpus.vocab.tokens, Rng(9), max_len=8,
-                                     gold=batch, lam=1.0)
-        for loss in (teacher_forced(model, batch, lam_ling=1.0, rng=Rng(0)).loss, scst):
-            nodes = sweep_order(loss)
-            assert len(nodes) > 5
-            assert [p for node in nodes for p in node._parents if id(p) in held] == []
+        for step in (lambda: teacher_forced(model, batch, lam_ling=1.0, rng=Rng(0), grads=True),
+                     lambda: self_critical_loss(
+                         model, model.encode(batch.r_obj, batch.r_attr, batch.region_mask,
+                                             record=True),
+                         [refs[i] for i in batch.scene_ids], IdfTable(refs),
+                         corpus.vocab.tokens, Rng(9), max_len=8, gold=batch, lam=1.0,
+                         grads=True)):
             model.arena.clear_grads()
-            loss.backward()
+            step()
             assert all(model.arena.reached)
+        assert made == []
 
     def test_a_second_gradient_term_is_refused(self, corpus, synth):
         # the kernels write a parameter's gradient in place: a backward that
@@ -214,13 +217,13 @@ class TestTeacherForced:
         # gradients are cleared
         model = fresh_model(corpus)
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
-        teacher_forced(model, batch, lam_ling=1.0).loss.backward()
+        teacher_forced(model, batch, lam_ling=1.0, grads=True)
         first = model.arena.grad.copy()
         with pytest.raises(RuntimeError, match="'head.b' already holds a gradient"):
-            teacher_forced(model, batch, lam_ling=1.0).loss.backward()
+            teacher_forced(model, batch, lam_ling=1.0, grads=True)
         assert model.arena.grad.tobytes() == first.tobytes()
         model.arena.clear_grads()
-        teacher_forced(model, batch, lam_ling=1.0).loss.backward()
+        teacher_forced(model, batch, lam_ling=1.0, grads=True)
         assert model.arena.grad.tobytes() == first.tobytes()
 
     def test_single_module_has_no_agreement(self, corpus, synth):
@@ -247,42 +250,49 @@ class TestTeacherForced:
         # padded rows are fed PAD after their end token, never the end token:
         # the one embedding gather of the pass reads exactly batch.inputs,
         # step-major
-        import modcap.decoder
+        import modcap.training
         model = fresh_model(corpus)
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
         assert (batch.mask == 0).any()
         fed = []
-        real_gather = modcap.decoder.gather_rows
+        real_kernel = modcap.training.unit_kernel
 
-        def spy(table, indices):
-            if table is model.embed:
-                fed.append(np.array(indices))
-            return real_gather(table, indices)
+        def spy(units, xs, *args, **kwargs):
+            fed.append(xs.copy())
+            return real_kernel(units, xs, *args, **kwargs)
 
-        monkeypatch.setattr(modcap.decoder, "gather_rows", spy)
+        monkeypatch.setattr(modcap.training, "unit_kernel", spy)
         teacher_forced(model, batch)
         assert len(fed) == 1
-        assert np.array_equal(fed[0], batch.inputs.T)
+        assert fed[0].tobytes() == model.embed.data[batch.inputs.T].tobytes()
 
-    def test_node_count_is_deterministic_and_bounded(self, corpus, synth):
-        # 20 nodes with the encoder as one node (plus its means), the
-        # decoder units as one node over the whole caption (plus each
-        # unit's controller softmax) and the word head as one node; with
-        # one node per unit the same pass built 21, with the word head
-        # composed of four ops 24, with per-module encoder outputs and
-        # Tensor traces 35, with the op-composed encoder 113, with one
-        # node per unit step 358, with op-composed unit steps 646
+    def test_node_count_is_deterministic_and_bounded(self, corpus, synth, monkeypatch):
+        # no node at all: the step is a fixed chain of stages, each run
+        # once forward and once backward.  The autodiff graph it replaced
+        # built 20 nodes (17 with the word-class term's glue folded), with
+        # one node per unit 21, with the word head composed of four ops 24,
+        # with per-module encoder outputs and Tensor traces 35, with the
+        # op-composed encoder 113, with one node per unit step 358, with
+        # op-composed unit steps 646
+        import modcap.training
         model_cfg, train_cfg = apply_preset(
             "CNM#2", ModelConfig(vocab_size=len(corpus.vocab)), TrainConfig())
         model = CaptionModel(model_cfg, Rng(3))
         (batch,) = self.batch_of(corpus, synth, corpus.examples[:4])
-        counts = []
+        made, init = [], Tensor.__init__
+        monkeypatch.setattr(Tensor, "__init__",
+                            lambda self, *a, **k: made.append(self) or init(self, *a, **k))
+        backwards, real = [], modcap.training.encoder_backward
+
+        def counted(*args, **kwargs):
+            backwards.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(modcap.training, "encoder_backward", counted)
         for _ in range(2):
-            start = next(Tensor._ids)
-            teacher_forced(model, batch, lam_ling=config.LAMBDA_XE, rng=Rng(1))
-            counts.append(next(Tensor._ids) - start - 1)
-        assert counts[0] == counts[1]
-        assert counts[0] <= 22      # 20 and 10%
+            model.arena.clear_grads()
+            teacher_forced(model, batch, lam_ling=config.LAMBDA_XE, rng=Rng(1), grads=True)
+        assert made == [] and backwards == [1, 1]
 
     def test_metrics_shape(self, corpus, synth):
         model = fresh_model(corpus)
@@ -486,18 +496,16 @@ class TestParamArena:
                                   {s.scene_id: s for s in corpus.scenes}, synth, 8))[0]
         opt = Adam()
         for _ in range(2):      # the second step updates buffers the first made
-            stats = teacher_forced(model, batch, lam_ling=1.0, rng=Rng(0))
-            for p in params.values():
-                p.grad = None
-            stats.loss.backward()
+            model.arena.clear_grads()
+            stats = teacher_forced(model, batch, lam_ling=1.0, rng=Rng(0), grads=True)
             held = {name: p.data for name, p in params.items()}
             copies = {name: a.copy() for name, a in held.items()}
-            loss = stats.loss.data.copy()
+            loss = np.copy(stats.loss)
             opt.step(model.arena, cfg.lr)
             for name, p in params.items():
                 assert p.data is not held[name]
                 np.testing.assert_array_equal(held[name], copies[name], err_msg=name)
-            np.testing.assert_array_equal(stats.loss.data, loss)
+            np.testing.assert_array_equal(stats.loss, loss)
             assert any(not np.array_equal(params[name].data, copies[name])
                        for name in params)
         # the stacked attention weights follow the rebound arrays
@@ -522,16 +530,15 @@ class TestSelfCritical:
     def test_zero_advantage_means_zero_gradient(self, corpus, synth):
         model = fresh_model(corpus)
         scene = corpus.scenes_in("train")[0]
-        enc = model.encode(*synth.features(scene))
+        enc = model.encode(*synth.features(scene), record=True)
         # references that share no word with the vocabulary: both the
         # sampled and the greedy caption score zero, advantage is exactly 0
         refs = [["qq", "ww", "ee", "rr"]]
         idf = IdfTable({0: refs, 1: [["zz", "xx", "cc", "vv"]]})
         loss, (info,) = self_critical_loss(model, enc, [refs], idf,
-                                           corpus.vocab.tokens, Rng(9), max_len=8)
+                                           corpus.vocab.tokens, Rng(9), max_len=8, grads=True)
         assert info["advantage"] == 0.0
         assert loss.item() == 0.0
-        loss.backward()
         for name, p in model.named_parameters().items():
             assert p.grad is None or not np.any(p.grad), name
 
@@ -539,14 +546,13 @@ class TestSelfCritical:
         model = fresh_model(corpus)
         scenes = {s.scene_id: s for s in corpus.scenes}
         batch = _pack(corpus.examples[::7][:5], scenes, synth)
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
         refs = [["qq", "ww", "ee", "rr"]]
         idf = IdfTable({0: refs, 1: [["zz", "xx", "cc", "vv"]]})
         loss, infos = self_critical_loss(model, enc, [refs] * batch.size, idf,
-                                         corpus.vocab.tokens, Rng(9), max_len=8)
+                                         corpus.vocab.tokens, Rng(9), max_len=8, grads=True)
         assert [info["advantage"] for info in infos] == [0.0] * batch.size
         assert loss.shape == () and loss.item() == 0.0
-        loss.backward()
         for name, p in model.named_parameters().items():
             assert p.grad is None or not np.any(p.grad), name
 
@@ -555,14 +561,14 @@ class TestSelfCritical:
         scene = corpus.scenes_in("train")[0]
         refs = corpus.references("train")[scene.scene_id]
         idf = IdfTable(corpus.references("train"))
-        enc = model.encode(*synth.features(scene))
+        enc = model.encode(*synth.features(scene), record=True)
         found = False
         rng = Rng(3)
         for _ in range(10):
+            model.arena.clear_grads()
             loss, (info,) = self_critical_loss(model, enc, [refs], idf,
-                                               corpus.vocab.tokens, rng, max_len=8)
+                                               corpus.vocab.tokens, rng, max_len=8, grads=True)
             if info["advantage"] != 0.0:
-                loss.backward()
                 grads = [p.grad for p in model.named_parameters().values()
                          if p.grad is not None and np.any(p.grad)]
                 assert grads
@@ -573,22 +579,20 @@ class TestSelfCritical:
     @pytest.mark.parametrize("lam, concats", [(0.0, 0), (config.LAMBDA_RL, 2)])
     def test_only_gold_rows_list_the_encoding_twice_as_tensors(self, corpus, synth,
                                                               monkeypatch, lam, concats):
-        # without the word-class term the decode reads the doubled arrays and
-        # the replay runs on the encoding as it is: no concat node is made
-        import modcap.training
-        made, real = [], modcap.training.concat
-        monkeypatch.setattr(modcap.training, "concat",
-                            lambda ts, axis: made.append(ts) or real(ts, axis))
+        # the decode reads the encoding listed twice; without the word-class
+        # term the replay runs on the encoding as it is, with it on its
+        # values and means listed twice too
+        made, real = [], Encoded.twice
+        monkeypatch.setattr(Encoded, "twice", lambda self: made.append(self) or real(self))
         mcfg, _ = apply_preset("CNM#2", model_cfg(corpus), TrainConfig())
         model = CaptionModel(mcfg, Rng(7).derive(1))
         _, batch = one_scene_per_region_count(corpus, synth)
         refs = corpus.references()
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-        loss, _ = self_critical_loss(model, enc, [refs[sid] for sid in batch.scene_ids],
-                                     IdfTable(refs), corpus.vocab.tokens, Rng(11), 6,
-                                     gold=batch, lam=lam)
-        loss.backward()
-        assert len(made) == concats
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
+        self_critical_loss(model, enc, [refs[sid] for sid in batch.scene_ids],
+                           IdfTable(refs), corpus.vocab.tokens, Rng(11), 6,
+                           gold=batch, lam=lam, grads=True)
+        assert made == [enc] * (1 + concats // 2)
 
     @staticmethod
     def chained_surrogate(model, batch, infos, rng, max_len, lam):
@@ -596,10 +600,9 @@ class TestSelfCritical:
         tokens the surrogate samples from ``rng``, weighted by the
         advantages of its ``infos``, and the gold captions, each chained
         step by step from the zero state under the noise the surrogate
-        draws."""
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-        with no_grad():
-            sampled, noise = sample_decode(model, enc, rng, max_len)
+        draws; the mean over the scenes."""
+        enc = kernel_encode(model, batch.r_obj, batch.r_attr, batch.region_mask)
+        sampled, noise = sample_decode(model, arrays(enc), rng, max_len)
         n_sampled, n_gold = max(map(len, sampled)), batch.inputs.shape[1]
         gold_noise = model.selection_noise(rng, max(n_sampled, n_gold), batch.size)
         inputs = np.full((batch.size, n_sampled), PAD_ID)
@@ -622,7 +625,7 @@ class TestSelfCritical:
                 nll = masked_nll(tr.soft, batch.labels[:, t], batch.mask[:, t] * per_token,
                                  LOSS_EPS)
                 total = total + lam * nll
-        return total
+        return total / float(batch.size)
 
     @pytest.mark.parametrize("preset, gumbel_tau", [("CNM#2", 1.0), ("Col/H+L", 0.5)])
     def test_surrogate_gradients_match_a_chained_reference_pass(self, corpus, synth, preset,
@@ -639,19 +642,22 @@ class TestSelfCritical:
         max_len, lam = 6, config.LAMBDA_RL
         assert batch.inputs.shape[1] > max_len
         refs = corpus.references()
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
         loss, infos = self_critical_loss(model, enc, [refs[sid] for sid in batch.scene_ids],
                                          IdfTable(refs), corpus.vocab.tokens, Rng(11),
-                                         max_len, gold=batch, lam=lam)
+                                         max_len, gold=batch, lam=lam, grads=True)
         assert any(info["advantage"] != 0.0 for info in infos)
 
-        def grads(objective):
+        def grads(objective=None):
+            got = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
             for p in params.values():
                 p.grad = None
+            if objective is None:
+                return got
             objective.backward()
-            return {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
+            return grads()
 
-        got = grads(loss)
+        got = grads()
         chained = self.chained_surrogate(model, batch, infos, Rng(11), max_len, lam)
         assert chained.item() == pytest.approx(loss.item(), rel=1e-5)
         want = grads(chained)

@@ -2,10 +2,10 @@
 whole-sequence kernel against the step loop.
 
 A unit's step runs forward only on plain state rows (a decode step,
-``CaptionModel.step``) or, in teacher forcing, inside one autodiff node
-from the zero state (``decoder.unit_kernel``);
-``reference.reference_step`` composes the same step from one node per
-op.  Every preset of the ablation grid runs on a batch of scenes with
+``CaptionModel.step``) or, in teacher forcing, as the units' stage of the
+training step from the zero state (``decoder.unit_kernel``, inside
+``training.step_grads``); ``reference.reference_step`` composes the same
+step from one node per op.  Every preset of the ablation grid runs on a batch of scenes with
 different region counts (zero-padded, masked) once through each: every
 forward value, decoded token, and gradient of a one-step teacher-forced
 pass must agree bit for bit.  A decode step returns only the word
@@ -14,11 +14,12 @@ controller softmax and attention come from a teacher-forced pass over
 the same tokens and noise.
 
 Teacher forcing runs the units over all T steps in one kernel call
-(``CaptionModel.forced``), a wavefront that steps unit m's step t with
+(``training.step_grads``), a wavefront that steps unit m's step t with
 unit m + 1's step t - 1; it must agree with T chained reference steps
 to float-summation noise, and draw the same random numbers, and bit for
-bit with the units chained one kernel node each, on presets and on
-stacks that ``hypothesis`` draws.  In float64, a
+bit with the units chained one kernel node each
+(``reference.unit_node``), on presets and on stacks that
+``hypothesis`` draws.  In float64, a
 three-step kernel pass must agree to rounding with chained reference
 steps, whose LSTMs are composed of primitives (``reference.lstm_cell``),
 and with the same steps whose attention heads are composed of primitives
@@ -38,7 +39,8 @@ encoding: it must follow rebound weights, and decoding makes no
 ``UnitTrace``.  A model and the caches it fills are freed by reference
 counting.  A pass without gradients records nothing for a
 backward, and the backward of a recorded pass reads the weight arrays
-the pass ran on, not those bound when it runs.
+the pass ran on, not those bound when it runs.  A training step builds
+no graph and is freed by reference counting.
 
 Self-critical training decodes a window's samples and their greedy
 baselines as one pass over the scenes listed twice; its rewards, loss,
@@ -74,13 +76,21 @@ from modcap.decoder import (
     sample_decode,
     sample_policy,
     unit_kernel,
-    word_head,
 )
 from modcap.metrics import IdfTable
-from modcap.tensor import Adam, Rng, Tensor, gather_rows, masked_nll, no_grad
+from modcap.tensor import Adam, Rng, Tensor
 from modcap.training import LOSS_EPS, _pack, self_critical_loss, teacher_forced
 from reference import (
+    Node,
     TensorStepModel,
+    data_of as data,
+    forced as forward_pass,
+    gather_rows,
+    kernel_encode,
+    kernel_forced,
+    kernel_teacher_forced,
+    masked_nll,
+    no_grad,
     object_beam_search,
     reference_beam_search,
     reference_forced,
@@ -89,6 +99,8 @@ from reference import (
     reference_model_step,
     reference_step,
     two_pass_self_critical_loss,
+    unit_node,
+    word_head_node,
 )
 
 SPEC = CorpusSpec(n_scenes=40, seed=5)
@@ -126,7 +138,7 @@ def step_forced(model, batch, lam_ling, rng):
     one decode step at a time: T chained op-composed steps of each unit
     (``reference.reference_forced``).  Returns (loss, per-step
     distributions, per-step traces, n_correct, n_agree)."""
-    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+    enc = kernel_encode(model, batch.r_obj, batch.r_attr, batch.region_mask)
     sums = {"xe": None, "ling": None}
     counts = [0.0, 0.0]
 
@@ -161,11 +173,6 @@ def lam_of(train_cfg):
 GRID = [(preset, 1.0) for preset in PRESET_GRID] + [("Col/H+L", 0.5)]
 
 
-def data(value):
-    """The array of a Tensor, or the array itself."""
-    return value.data if isinstance(value, Tensor) else value
-
-
 def state_rows(state):
     """A unit's state as the forward-only step's rows: a reference
     ``UnitState`` is stacked as h1, c1, h2, c2 and the controller's h, c."""
@@ -178,7 +185,7 @@ def state_rows(state):
 def step_of(trace, t):
     """Step t of a unit's trace over a teacher-forced pass, as plain arrays."""
     return UnitTrace(weights=None if trace.weights is None else trace.weights[t],
-                     soft=None if trace.soft is None else trace.soft.data[t],
+                     soft=None if trace.soft is None else data(trace.soft)[t],
                      alphas={name: a[t] for name, a in trace.alphas.items()})
 
 
@@ -198,11 +205,12 @@ def run_everything(model, train_cfg, batch, reference=False):
                                 mask=batch.mask[:, :1])
     if reference:
         loss, _, _, n_correct, n_agree = step_forced(model, first, lam_of(train_cfg), Rng(1))
+        loss.backward()
     else:
-        stats = teacher_forced(model, first, lam_ling=lam_of(train_cfg), rng=Rng(1))
+        stats = teacher_forced(model, first, lam_ling=lam_of(train_cfg), rng=Rng(1),
+                               grads=True)
         loss, n_correct, n_agree = stats.loss, stats.n_correct, stats.n_agree or 0.0
-    loss.backward()
-    out["loss"] = loss.data.tobytes()
+    out["loss"] = np.asarray(data(loss)).tobytes()
     out["counts"] = (n_correct, n_agree)
     out.update((f"grad:{name}", p.grad.tobytes()) for name, p in params.items()
                if p.grad is not None)
@@ -213,8 +221,7 @@ def run_everything(model, train_cfg, batch, reference=False):
     inputs = np.concatenate([np.full((batch.size, 1), BOS_ID), batch.targets[:, :2]], axis=1)
     if not reference:
         # the fused side reads what its units chose from one teacher-forced pass
-        with no_grad():
-            _, forced = model.forced(inputs, enc, noise)
+        _, forced = forward_pass(model, inputs, enc, noise)
     for t in range(3):
         step_noise = None if noise is None else noise[t]
         if reference:
@@ -244,8 +251,8 @@ def run_everything(model, train_cfg, batch, reference=False):
 
 @pytest.mark.parametrize("preset, gumbel_tau", GRID)
 def test_kernel_matches_reference_bit_for_bit(corpus, padded_batch, preset, gumbel_tau):
-    # the fused side decodes forward only and trains on one teacher-forced
-    # kernel node per unit, the reference side on the op-composed Tensor step
+    # the fused side decodes forward only and trains on the training step,
+    # the reference side on the op-composed Tensor step
     model, train_cfg = preset_model(corpus, preset, gumbel_tau)
     fused = run_everything(model, train_cfg, padded_batch)
     reference = run_everything(model, train_cfg, padded_batch, reference=True)
@@ -344,7 +351,7 @@ def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):
         enc = model.encode(*features)
     before = decode(model, enc)
     params = model.named_parameters()
-    teacher_forced(model, padded_batch, rng=Rng(1)).loss.backward()
+    teacher_forced(model, padded_batch, rng=Rng(1), grads=True)
     for name, p in params.items():
         if name.startswith("enc."):
             p.grad = None       # the encoders keep their weights, so a fresh encoding is equal
@@ -361,8 +368,9 @@ def test_cached_runs_follow_an_optimizer_step(corpus, padded_batch):
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H+L"])
 def test_backward_reads_the_weights_its_forward_ran_on(corpus, padded_batch, preset):
     # writing the weights between a pass and its backward, as an optimizer
-    # step or a checkpoint load does, leaves the recorded graph intact: the
-    # backward differentiates the weights the pass ran on
+    # step or a checkpoint load does, leaves the recorded stages intact:
+    # their backwards, as reference nodes, differentiate the weights the
+    # pass ran on
     model_cfg, _ = apply_preset(
         preset, ModelConfig(vocab_size=len(corpus.vocab), d_v=16, d_a=8, m_units=2),
         TrainConfig())
@@ -373,7 +381,7 @@ def test_backward_reads_the_weights_its_forward_ran_on(corpus, padded_batch, pre
     def gradients(rebind):
         for p in params.values():
             p.grad = None
-        loss = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(7)).loss
+        loss = kernel_teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(7)).loss
         if rebind:
             model.arena.assign({name: p.data * 2.0 + 0.5 for name, p in params.items()})
         loss.backward()
@@ -407,7 +415,7 @@ def test_unobserved_decoders_make_no_unit_trace(corpus, padded_batch, monkeypatc
 
 
 def test_scoring_without_gradients_records_nothing(corpus, padded_batch, monkeypatch):
-    # validation scoring runs the teacher-forced pass under no_grad: its
+    # validation scoring runs the teacher-forced pass without gradients: its
     # steps keep no record for a backward, and its statistics are the
     # recording pass's, bit for bit
     model, _ = preset_model(corpus, "Col/H+L")
@@ -419,53 +427,56 @@ def test_scoring_without_gradients_records_nothing(corpus, padded_batch, monkeyp
         init(self, unit, enc, record)
 
     monkeypatch.setattr(UnitRun, "__init__", spied)
-    with no_grad():
-        quiet = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1))
+    quiet = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1))
     assert records == [False] * len(model.units)
-    loud = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1))
+    loud = teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1), grads=True)
     assert records[len(model.units):] == [True] * len(model.units)
-    assert quiet.loss.data.tobytes() == loud.loss.data.tobytes()
+    assert np.asarray(quiet.loss).tobytes() == np.asarray(loud.loss).tobytes()
     assert (quiet.n_correct, quiet.n_agree) == (loud.n_correct, loud.n_agree)
 
 
+def count_tensors(monkeypatch) -> list:
+    """A list that grows by one for every Tensor made from here on."""
+    made, init = [], Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    return made
+
+
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Col/1", "Module/O"])
-def test_forward_only_decoders_create_no_tensor(corpus, padded_batch, preset):
+def test_forward_only_decoders_create_no_tensor(corpus, padded_batch, preset, monkeypatch):
     model, _ = preset_model(corpus, preset)
     features = FeatureSynthesizer(SPEC).features(corpus.scenes[0])
-    start = next(Tensor._ids)
-    # an encode without gradients makes no Tensor either
-    with no_grad():
-        one = model.encode(*features)
-        batch = model.encode(padded_batch.r_obj, padded_batch.r_attr,
-                             padded_batch.region_mask)
-    # the decoders need no no_grad scope of their own or of the caller's
+    made = count_tensors(monkeypatch)
+    # an encode makes no Tensor either
+    one = model.encode(*features)
+    batch = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
     beam_search(model, one, 5, 12)
     greedy_decode(model, one, 12)
     greedy_decode(model, batch, 12)
-    assert next(Tensor._ids) == start + 1
+    assert made == []
 
 
 @pytest.mark.parametrize("preset", ["CNM#2", "Col/H", "Col/1", "Module/O"])
-def test_one_node_per_unit_step(corpus, preset):
+def test_one_node_per_unit_step(corpus, preset, monkeypatch):
+    # the units' stage of a step: one recording run for the whole pass,
+    # its output rows and traces plain arrays, and no Tensor
     model, _ = preset_model(corpus, preset)
     enc = model.encode(*FeatureSynthesizer(SPEC).features(corpus.scenes[0]))
     unit = model.units[0]
-    i_prev = Tensor(np.ones((1, 1, model.cfg.d_v), dtype=np.float32), requires_grad=True)
-    start = next(Tensor._ids)
-    i_new, (trace,) = unit_kernel([unit], i_prev, enc)
-    created = next(Tensor._ids) - start - 1
-    # the node's parents are its inputs; it reads the parameters, but none
-    # of them is a parent ...
-    assert i_new._parents == (i_prev, enc.values, enc.means)
-    # ... and the controller softmax hangs off it
-    outputs = [] if trace.soft is None else [trace.soft]
-    assert all(out._parents == (i_new,) for out in outputs)
-    # the attention and fusion weights are arrays: no gradient, no Tensor
-    constants = list(trace.alphas.values())
-    if trace.weights is not None:
-        constants.append(trace.weights)
+    i_prev = np.ones((1, 1, model.cfg.d_v), dtype=np.float32)
+    made = count_tensors(monkeypatch)
+    i_new, (trace,), run = unit_kernel([unit], i_prev, enc, record=True)
+    assert isinstance(run, UnitRun) and run.record and len(run.steps) == 1
+    assert i_new.shape == i_prev.shape
+    constants = [i_new, *trace.alphas.values()]
+    constants += [a for a in (trace.weights, trace.soft) if a is not None]
     assert all(isinstance(c, np.ndarray) for c in constants)
-    assert created == 1 + len(outputs)
+    assert made == []
 
 
 def relative(got, want):
@@ -488,19 +499,18 @@ def test_sequence_matches_chained_steps(corpus, padded_batch, preset, gumbel_tau
         return got
 
     rng = Rng(1)
-    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-    dist, traces = model.forced(batch.inputs, enc,
+    enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
+    dist, traces = forward_pass(model, batch.inputs, enc,
                                 model.selection_noise(rng, n_steps, batch.size))
-    whole = {"dist": dist.data.reshape(n_steps, batch.size, -1)}
+    whole = {"dist": dist.reshape(n_steps, batch.size, -1)}
     for m, tr in enumerate(traces):
         whole.update((f"unit{m}.alpha.{k}", a) for k, a in tr.alphas.items())
         if tr.weights is not None:
             whole[f"unit{m}.weights"] = tr.weights
         if tr.soft is not None:
-            whole[f"unit{m}.soft"] = tr.soft.data
+            whole[f"unit{m}.soft"] = tr.soft
     stats = teacher_forced(model, batch, lam_ling=lam_of(train_cfg), rng=Rng(1),
-                           enc=enc)
-    stats.loss.backward()
+                           enc=enc, grads=True)
     whole_grads = grads()
 
     chained_rng = Rng(1)
@@ -522,7 +532,7 @@ def test_sequence_matches_chained_steps(corpus, padded_batch, preset, gumbel_tau
     assert whole.keys() == chained.keys()
     for key in whole:
         assert relative(whole[key], chained[key]) <= 1e-6, key
-    assert relative(stats.loss.data, loss.data) <= 1e-6
+    assert relative(stats.loss, loss.data) <= 1e-6
     assert (stats.n_correct, stats.n_agree or 0.0) == (n_correct, n_agree)
     assert whole_grads.keys() == chained_grads.keys()
     assert any(name.startswith("unit1.att.") for name in whole_grads)
@@ -547,11 +557,11 @@ def three_steps_against_a_chain(corpus, padded_batch, preset):
     noise = None if noise is None else noise[:, :1]
 
     def encode():
-        return model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
+        return kernel_encode(model, batch.r_obj, batch.r_attr, batch.region_mask)
 
     def weighted(out, soft, t=slice(None)):
-        loss = (out * Tensor(w_out[t])).sum()
-        return loss if soft is None else loss + (soft * Tensor(w_soft[t])).sum()
+        loss = (out * Node(w_out[t])).sum()
+        return loss if soft is None else loss + (soft * Node(w_soft[t])).sum()
 
     def taken(got, i_grad):
         got["grad:i"] = i_grad
@@ -560,8 +570,8 @@ def three_steps_against_a_chain(corpus, padded_batch, preset):
                 got[f"grad:{name}"], p.grad = p.grad, None
         return got
 
-    i = Tensor(xs, requires_grad=True)
-    node, (trace,) = unit_kernel([unit], i, encode(), noise)
+    i = Node(xs, requires_grad=True)
+    node, (trace,) = unit_node([unit], i, encode(), noise)
     weighted(node, trace.soft).backward()
     fused = {"out": node.data, "weights": trace.weights,
              "soft": None if trace.soft is None else trace.soft.data,
@@ -569,7 +579,7 @@ def three_steps_against_a_chain(corpus, padded_batch, preset):
     fused = taken(fused, i.grad)
 
     enc, state = encode(), reference_init_state(model, batch.size)[0]
-    rows = [Tensor(x, requires_grad=True) for x in xs]
+    rows = [Node(x, requires_grad=True) for x in xs]
     loss, steps = None, []
     for t in range(n_steps):
         out, state, tr = reference_step(unit, rows[t], enc, state,
@@ -613,37 +623,35 @@ def test_three_steps_match_a_chain_on_the_composed_attention(corpus, padded_batc
 
 
 def chained_forced(model, inputs, enc, noise=None):
-    """``CaptionModel.forced`` with each unit a ``unit_kernel`` node of its
+    """``reference.kernel_forced`` with each unit a ``unit_node`` of its
     own, run over the whole caption before the next unit starts."""
     vec = gather_rows(model.embed, np.asarray(inputs, dtype=np.int64).T)
     traces = []
     for m, unit in enumerate(model.units):
-        vec, (trace,) = unit_kernel([unit], vec, enc, None if noise is None else noise[:, m:m + 1])
+        vec, (trace,) = unit_node([unit], vec, enc, None if noise is None else noise[:, m:m + 1])
         traces.append(trace)
-    return word_head(vec, model.head.W, model.head.b), traces
+    return word_head_node(vec, model.head.W, model.head.b), traces
 
 
 def forced_bytes(model, batch, lam_ling, forced_pass):
-    """Bytes of everything a teacher-forced objective makes when its pass is
-    ``forced_pass`` in place of ``CaptionModel.forced``: the word
-    distributions, the loss, the random draws, every unit's traces, and
-    the gradients of the encoding and of every parameter."""
+    """Bytes of everything the graph of a teacher-forced objective
+    (``reference.kernel_teacher_forced``) makes when its pass is
+    ``forced_pass``: the word distributions, the loss, the random draws,
+    every unit's traces, and the gradients of the encoding and of every
+    parameter."""
     params = model.named_parameters()
     for p in params.values():
         p.grad = None
     forced = []
 
     def spied(*args):
-        forced.append(forced_pass(model, *args))
+        forced.append(forced_pass(*args))
         return forced[-1]
 
-    model.forced = spied
-    try:
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-        rng = Rng(1)
-        stats = teacher_forced(model, batch, lam_ling=lam_ling, rng=rng, enc=enc)
-    finally:
-        del model.forced
+    enc = kernel_encode(model, batch.r_obj, batch.r_attr, batch.region_mask)
+    rng = Rng(1)
+    stats = kernel_teacher_forced(model, batch, lam_ling=lam_ling, rng=rng, enc=enc,
+                                  forced=spied)
     stats.loss.backward()
     dist, traces = forced[0]
     out = {"dist": dist.data.tobytes(), "loss": stats.loss.data.tobytes(),
@@ -663,7 +671,7 @@ def assert_wavefront_matches_the_chain(model, batch, lam_ling):
     equals those of its units chained one node each, bit for bit, and the
     hard strategy draws the same noise."""
     stacked, chained = (forced_bytes(model, batch, lam_ling, forced_pass)
-                        for forced_pass in (CaptionModel.forced, chained_forced))
+                        for forced_pass in (kernel_forced, chained_forced))
     assert stacked.keys() == chained.keys()
     assert [key for key in stacked if stacked[key] != chained[key]] == []
     assert f"grad:unit{len(model.units)}.lstm1.W" in stacked and "grad:embed.W" in stacked
@@ -726,26 +734,25 @@ def test_wavefront_matches_the_chain_on_drawn_stacks(corpus, padded_batch, m_uni
                                        0.5 * model.units[0].controlled)
 
 
-def assert_freed_by_reference_counting(build_loss):
+def assert_freed_by_reference_counting(step):
     import gc
     gc.collect()
     gc.disable()
     try:
-        loss = build_loss()
-        loss.backward()
-        del loss
+        out = step()
+        del out
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_graph_is_freed_without_the_cycle_collector(corpus, padded_batch):
-    # the kernel node never refers to its outputs: a finished graph of
-    # whole-caption unit nodes is freed by reference counting alone, not
-    # left for the cycle collector
+    # no stage's record refers back to what holds it: a finished training
+    # step, forward and backward, is freed by reference counting alone,
+    # not left for the cycle collector
     model, _ = preset_model(corpus, "CNM#2")
     assert_freed_by_reference_counting(
-        lambda: teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1)).loss)
+        lambda: teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1), grads=True))
 
 
 def test_a_model_is_freed_without_the_cycle_collector(corpus, padded_batch):
@@ -757,8 +764,9 @@ def test_a_model_is_freed_without_the_cycle_collector(corpus, padded_batch):
     gc.disable()
     try:
         model, _ = preset_model(corpus, "CNM#2")
-        enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
-        teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1), enc=enc).loss.backward()
+        enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask,
+                           record=True)
+        teacher_forced(model, padded_batch, lam_ling=1.0, rng=Rng(1), enc=enc, grads=True)
         greedy_decode(model, enc, 4)
         del model, enc
         assert gc.collect() == 0
@@ -774,9 +782,10 @@ def test_self_critical_graph_is_freed_without_the_cycle_collector(corpus, padded
     scene_refs = [refs[sid] for sid in padded_batch.scene_ids]
 
     def surrogate():
-        enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask)
+        enc = model.encode(padded_batch.r_obj, padded_batch.r_attr, padded_batch.region_mask,
+                           record=True)
         return self_critical_loss(model, enc, scene_refs, IdfTable(refs), corpus.vocab.tokens,
-                                  Rng(1), 12, gold=padded_batch, lam=0.5)[0]
+                                  Rng(1), 12, gold=padded_batch, lam=0.5, grads=True)
 
     assert_freed_by_reference_counting(surrogate)
 
@@ -804,8 +813,8 @@ def test_replay_scores_tokens_as_they_were_sampled(corpus, padded_batch, preset,
     inputs = np.full((len(rows), n_steps), PAD_ID)
     for b, row in enumerate(rows):
         inputs[b, :len(row)] = [BOS_ID] + row[:-1]
-    dist, _ = model.forced(inputs, enc, None if noise is None else noise[:n_steps])
-    replayed = dist.data.reshape(n_steps, len(rows), -1)
+    dist, _ = forward_pass(model, inputs, enc, None if noise is None else noise[:n_steps])
+    replayed = dist.reshape(n_steps, len(rows), -1)
     got = [replayed[t, b, tok] for b, row in enumerate(rows) for t, tok in enumerate(row)]
     want = [drawn[t][b] for b, row in enumerate(rows) for t in range(len(row))]
     assert len(got) > 2 * len(rows)
@@ -833,16 +842,22 @@ def test_one_decode_pass_equals_a_sample_pass_and_a_greedy_pass(corpus, padded_b
     idf = IdfTable(refs)
     params = model.named_parameters()
     out = {}
-    for name, surrogate in (("one", self_critical_loss), ("two", two_pass_self_critical_loss)):
+    for name in ("one", "two"):
         for p in params.values():
             p.grad = None
         rng = Rng(9)
-        enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask)
-        loss, infos = surrogate(model, enc, scene_refs, idf, corpus.vocab.tokens, rng, 12,
-                                batch, lam)
-        loss.backward()
-        out[name] = (infos, loss.data.tobytes(), rng.get_state(),
-                     {k: p.grad.tobytes() for k, p in params.items() if p.grad is not None})
+        args = (scene_refs, idf, corpus.vocab.tokens, rng, 12, batch, lam)
+        if name == "one":
+            enc = model.encode(batch.r_obj, batch.r_attr, batch.region_mask, record=True)
+            loss, infos = self_critical_loss(model, enc, *args, grads=True)
+        else:
+            enc = kernel_encode(model, batch.r_obj, batch.r_attr, batch.region_mask)
+            loss, infos = two_pass_self_critical_loss(model, enc, *args)
+            loss.backward()
+        # a surrogate whose gradient is zero writes none
+        out[name] = (infos, np.asarray(data(loss)).tobytes(), rng.get_state(),
+                     {k: p.grad.tobytes() for k, p in params.items()
+                      if p.grad is not None and np.any(p.grad)})
     assert out["one"] == out["two"]
     assert any(info["advantage"] != 0.0 for info in out["one"][0]) or scenes == "one"
 

@@ -13,7 +13,7 @@ traced memory in each phase of the window:
 
 * ``decode``: packing, encoding, the 2B-row decode and CIDEr-D scoring;
 * ``replay forward``: the teacher-forced replay and the loss;
-* ``backward``: ``loss.backward()``;
+* ``backward``: the backward half of ``training.step_grads``;
 * ``clip and Adam``: gradient clipping and the optimizer step.
 
 A phase's peak is the most memory traced at any moment of it, counted
@@ -100,27 +100,30 @@ def set_up(seed: int, n_scenes: int):
 
 def _window(setup, idf, phases: _Phases, watch: _LineWatch, stop: bool) -> None:
     """One window with the phases marked; ``stop`` ends it after the
-    backward."""
+    backward.  The step's replay forward begins with ``step_grads`` and
+    its backward with the first gradient it forms, a masked NLL's."""
     data, synth, model, train_cfg, opt, rng = setup
-    forced, backward = decoder.CaptionModel.forced, tensor.Tensor.backward
+    step, nll_grad = training.step_grads, training.masked_nll_grad
 
-    def marked_forced(self, *args, **kwargs):
+    def marked_step(*args, **kwargs):
         phases.begin("replay forward")
-        return forced(self, *args, **kwargs)
-
-    def watched_backward(self):
-        phases.begin("backward")
-        sys.settrace(watch)
         try:
-            backward(self)
+            out = step(*args, **kwargs)
         finally:
             sys.settrace(None)
         if stop:
             phases.begin(None)
             raise _Stop
         phases.begin("clip and Adam")
+        return out
 
-    decoder.CaptionModel.forced, tensor.Tensor.backward = marked_forced, watched_backward
+    def watched_nll_grad(*args, **kwargs):
+        if phases.name != "backward":
+            phases.begin("backward")
+            sys.settrace(watch)
+        return nll_grad(*args, **kwargs)
+
+    training.step_grads, training.masked_nll_grad = marked_step, watched_nll_grad
     try:
         phases.begin("decode")
         training.run_rl_epoch(model, data, synth, train_cfg, opt, rng, train_cfg.xe_epochs,
@@ -129,7 +132,7 @@ def _window(setup, idf, phases: _Phases, watch: _LineWatch, stop: bool) -> None:
     except _Stop:
         pass
     finally:
-        decoder.CaptionModel.forced, tensor.Tensor.backward = forced, backward
+        training.step_grads, training.masked_nll_grad = step, nll_grad
 
 
 def window_memory(seed: int, n_scenes: int = STANDARD_SCENES) -> dict:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration problems, 2 unreadable
 or inconsistent data, 3 numeric failures (divergence, failed gradient
-checks).  The resolved configuration echoes to stderr before any long
+checks), 4 an output that cannot be written, found before any work
+starts.  The resolved configuration echoes to stderr before any long
 command so runs are auditable; result payloads go to stdout as JSON.
 The CNM_SEED environment variable supplies the default seed when --seed
 is not given.
@@ -36,6 +37,7 @@ from .errors import (
     CorpusSpecError,
     DataError,
     FormatError,
+    OutputError,
     TrainingError,
 )
 from .gradcheck import DEFAULT_TOLERANCE, SECTIONS, run_battery
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_OUTPUT = 4
 
 LOG = logging.getLogger("modcap.cli")
 
@@ -93,11 +96,35 @@ def _echo_config(model_cfg: ModelConfig, train_cfg: TrainConfig) -> None:
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
+def _check_output(path: str | None, directory: bool = False) -> None:
+    """Raise OutputError unless ``path`` (when given) can be written: it is
+    not empty, it is missing or already a file (a directory, with
+    ``directory``), and the nearest existing path above it is a directory."""
+    if path is None:
+        return
+    if not path:
+        raise OutputError("an output path is empty")
+    target = os.path.abspath(path)
+    if os.path.exists(target) and os.path.isdir(target) != directory:
+        raise OutputError(f"{path} is {'not ' * directory}a directory")
+    parent = os.path.dirname(target)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise OutputError(f"cannot write {path}: {parent} is not a directory")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, making its directories first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(payload: dict, out_path: str | None = None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=1)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(out_path, text + "\n")
     print(text)
 
 
@@ -158,6 +185,7 @@ def _find_scene(corpus, scene_id: int):
 
 
 def cmd_corpus(args) -> int:
+    _check_output(args.out, directory=True)
     corpus = generate_corpus(CorpusSpec(n_scenes=args.scenes, seed=_seed_of(args)))
     save_corpus(corpus, args.out)
     _emit({
@@ -171,6 +199,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_output(args.out)
     if args.resume:
         corpus, state, synth = _open_run(args.data, args.out)
     else:
@@ -195,6 +224,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_output(args.out)
     corpus, state, synth = _open_run(args.data, args.checkpoint)
     _echo_config(state.model.cfg, state.cfg)
     _freeze_heap()
@@ -222,6 +252,8 @@ def cmd_caption(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    _check_output(args.out)
+    _check_output(args.svg)
     corpus, state, synth = _open_run(args.data, args.checkpoint)
     _echo_config(state.model.cfg, state.cfg)
     scene = _find_scene(corpus, args.scene)
@@ -236,11 +268,9 @@ def cmd_trace(args) -> int:
             raise DataError(f"scene {scene.scene_id} has no caption slot {args.slot}")
         doc = trace_example(state.model, corpus, synth, example)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(doc, all_units=args.all_units))
+        _write_text(args.svg, render_svg(doc, all_units=args.all_units))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        _write_text(args.out, json.dumps(doc, sort_keys=True, indent=1) + "\n")
         summary = {"kind": doc["kind"], "out": args.out, "steps": len(doc["steps"])}
         if args.svg:
             summary["svg"] = args.svg
@@ -274,6 +304,7 @@ _ABLATION_FIELDS = ("preset", "bleu1", "bleu2", "bleu3", "bleu4", "cider_d",
 
 
 def cmd_ablate(args) -> int:
+    _check_output(args.out, directory=True)
     presets = [p.strip() for p in args.presets.split(",") if p.strip()]
     if not presets:
         raise ConfigError(f"--presets names no preset: {args.presets!r}")
@@ -462,6 +493,9 @@ def main(argv=None) -> int:
     except (TrainingError, FloatingPointError) as exc:
         print(f"modcap: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OutputError as exc:
+        print(f"modcap: output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     finally:
         set_debug_checks(False)
 

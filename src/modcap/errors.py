@@ -28,3 +28,7 @@ class FormatError(DataError):
 
 class TrainingError(RuntimeError):
     """Optimization produced a non-finite quantity and cannot continue."""
+
+
+class OutputError(Exception):
+    """An output path cannot be written."""

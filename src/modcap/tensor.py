@@ -32,8 +32,8 @@ gives them exactly 0 weight and gradient.
 parameter's ``data`` and ``grad`` a view of its slice.  Only the arena
 writes values: setting a held parameter's ``data`` is refused.  Caches
 of the values key on ``ParamArena.version``.  The stages write each
-weight's gradient in place (``grad_out``).  ``Adam`` keeps its moments
-in flat buffers of the same layout and updates them elementwise, a
+weight's gradient in place (``grad_out``).  It also holds Adam's moments
+in flat buffers of the same layout, which ``Adam`` updates elementwise, a
 stretch per numpy call; ``clip_global_norm`` scales the gradient buffer
 at once.
 
@@ -686,14 +686,16 @@ def make_lstm_params(rng: Rng, d_in: int, d_h: int, dtype=FLOAT32) -> LstmParams
 
 class ParamArena:
     """Named parameters laid end to end in flat buffers of their dtype, and
-    the one writer of their values.
+    the one writer of their values: the whole weight state of a run.
 
     ``data`` holds the values and ``grad`` the gradients, in the order of
     the dict the arena is built from (``named_parameters`` order for a
     model, whose arena ``CaptionModel`` builds once).  Each parameter's
     ``data``, and its ``grad`` once backward reaches it, are views of its
     slice, so work over the whole set is one numpy call per buffer instead
-    of one per parameter.
+    of one per parameter.  Adam's moments ``m`` and ``v`` are two more
+    buffers of the layout, None until ``moments`` makes them (at an update
+    or a restore), and ``steps`` counts each parameter's updates.
 
     Values change only through ``rebind`` (Adam's step) and ``assign``
     (a checkpoint load, probes): a fresh buffer, and a bump of the
@@ -719,6 +721,8 @@ class ParamArena:
         self.grad = np.zeros(ends[-1], dtype=dtypes.pop())
         self.grads = self.views_of(self.grad)
         self.reached = [False] * len(self.tensors)
+        self.steps = [0] * len(self.tensors)
+        self.m = self.v = None
         self.scratch = np.empty(max(self.SCRATCH, 8 * max(hi - lo for lo, hi in self.bounds)),
                                 dtype=np.uint8)
         # runs of whole parameters whose float64 squares fit the scratch
@@ -760,6 +764,12 @@ class ParamArena:
                                  f"got {np.shape(value)}")
             views[name][...] = value
         self.rebind(data)
+
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adam's flat first and second moments, made as zeros on the first call."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(self.grad), np.zeros_like(self.grad)
+        return self.m, self.v
 
     def clear_grads(self) -> None:
         """Clear every gradient: no parameter counts as reached."""
@@ -844,25 +854,18 @@ def _check_finite(arena) -> None:
                             + ", ".join(f"'{name}'" for name in bad))
 
 
-@dataclass
-class AdamState:
-    """One parameter's moments (views of the optimizer's flat buffers once
-    it has stepped) and its step count."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) over a ParamArena.
+    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) over a ParamArena,
+    with the settings ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.  It
+    holds no state: the moments and the step counts are the arena's.
 
-    ``state`` maps every parameter that has been updated to its AdamState.
     A parameter no backward reached (``ParamArena.reached``) is skipped:
-    no update, no state, no step.  The moments live in flat buffers laid
-    out like the arena and are updated in place; the values go to a fresh
-    buffer (see ``Tensor``).  States set from outside, a restored
-    checkpoint's, are copied into the flat buffers on the next step.
+    no update and no step, and a step counts only once every gradient is
+    finite.  The moments are updated in place; the values go to a fresh
+    buffer (see ``Tensor``).
 
     Each element goes through the arithmetic of a per-parameter update,
     with the same Python-float scalars cast to the buffer dtype, so the
@@ -870,51 +873,20 @@ class Adam:
     counts form separate stretches, each with its own bias correction.
     """
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.state: dict[str, AdamState] = {}
-        self._arena = None
-
-    def _moments(self, arena: ParamArena) -> None:
-        """Lay the flat moments out for ``arena`` and copy in every state
-        that does not hold views of them."""
-        if arena is not self._arena:
-            self._arena = arena
-            self._m, self._v = np.zeros_like(arena.grad), np.zeros_like(arena.grad)
-            self._ms, self._vs = arena.views_of(self._m), arena.views_of(self._v)
-        for name, m, v in zip(arena.names, self._ms, self._vs):
-            st = self.state.get(name)
-            if st is not None and (st.m is not m or st.v is not v):
-                m[...] = st.m
-                v[...] = st.v
-                st.m, st.v = m, v
-
     def step(self, arena: ParamArena, lr: float) -> None:
-        self._moments(arena)
-        stepping = []     # (index, step count after this update)
-        runs = []         # [lo, hi, t]: adjacent parameters with the same count
-        for i in itertools.compress(range(len(arena.reached)), arena.reached):
-            st = self.state.get(arena.names[i])
-            t = (0 if st is None else st.t) + 1
-            stepping.append((i, t))
+        counts = [t + reached for t, reached in zip(arena.steps, arena.reached)]
+        runs = []         # [lo, hi, t]: adjacent reached parameters with the same count
+        for i in itertools.compress(range(len(counts)), arena.reached):
             lo, hi = arena.bounds[i]
-            if runs and runs[-1][1] == lo and runs[-1][2] == t:
+            if runs and runs[-1][1] == lo and runs[-1][2] == counts[i]:
                 runs[-1][1] = hi
             else:
-                runs.append([lo, hi, t])
+                runs.append([lo, hi, counts[i]])
         g = arena.grad
         if not all(np.isfinite(g[lo:hi]).all() for lo, hi, _ in runs):
             _check_finite(arena)
-        for i, t in stepping:
-            st = self.state.get(arena.names[i])
-            if st is None:
-                m, v = self._ms[i], self._vs[i]
-                m[...] = 0.0
-                v[...] = 0.0
-                st = self.state[arena.names[i]] = AdamState(m=m, v=v, t=0)
-            st.t = t
+        arena.steps = counts
+        m, v = arena.moments()
         old, new = arena.data, np.empty_like(arena.data)
         scratch = arena.scratch.view(g.dtype)       # one stretch at most this long
         done = 0
@@ -922,28 +894,28 @@ class Adam:
             new[done:lo] = old[done:lo]      # parameters without a gradient
             for a in range(lo, hi, scratch.size):
                 b = min(a + scratch.size, hi)
-                self._update(old[a:b], g[a:b], self._m[a:b], self._v[a:b], new[a:b],
-                             scratch[:b - a], t, lr)
+                _adam_update(old[a:b], g[a:b], m[a:b], v[a:b], new[a:b], scratch[:b - a], t, lr)
             done = hi
         new[done:] = old[done:]
         arena.rebind(new)
 
-    def _update(self, p, g, m, v, out, tmp, t, lr) -> None:
-        """One stretch: m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in
-        place, then out = p - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)."""
-        m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(v, 1.0 - self.beta2**t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += self.eps
-        np.divide(m, 1.0 - self.beta1**t, out=out)
-        out *= lr
-        out /= tmp
-        np.subtract(p, out, out=out)
+
+def _adam_update(p, g, m, v, out, tmp, t, lr) -> None:
+    """One stretch: m = b1*m + (1-b1)*g and v = b2*v + (1-b2)*g*g in place,
+    then out = p - lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)."""
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=out)
+    out *= lr
+    out /= tmp
+    np.subtract(p, out, out=out)
 
 
 def clip_global_norm(arena: ParamArena, max_norm: float) -> float:

@@ -83,7 +83,6 @@ from .errors import ConfigError, DataError, FormatError, ShapeError, TrainingErr
 from .metrics import IdfTable, cider_d, evaluate_captions
 from .tensor import (
     Adam,
-    AdamState,
     Rng,
     blas_on_calling_thread,
     check_finite,
@@ -733,15 +732,13 @@ def _meta_path(path: str) -> str:
 
 def save_checkpoint(path: str, state: TrainState, vocab: Vocabulary) -> None:
     """Write ``state`` and its vocabulary to ``path`` and its meta file."""
-    params = state.model.named_parameters()
-    entries = [(name, params[name].data) for name in sorted(params)]
-    adam_t = {}
-    for name in sorted(params):
-        st = state.opt.state.get(name)
-        if st is not None:
-            entries.append((f"adam.m.{name}", st.m))
-            entries.append((f"adam.v.{name}", st.v))
-            adam_t[name] = st.t
+    arena = state.model.arena
+    entries = sorted(zip(arena.names, arena.views))
+    adam_t = {name: t for name, t in sorted(zip(arena.names, arena.steps)) if t}
+    if adam_t:
+        ms, vs = (dict(zip(arena.names, arena.views_of(flat))) for flat in arena.moments())
+        for name in adam_t:
+            entries += [(f"adam.m.{name}", ms[name]), (f"adam.v.{name}", vs[name])]
     blob = bytearray(CKPT_MAGIC)
     blob += struct.pack("<II", CKPT_VERSION, len(entries))
     for name, arr in entries:
@@ -888,7 +885,6 @@ def restore_training(path: str) -> tuple[TrainState, Vocabulary]:
     except ShapeError as exc:
         raise DataError(f"checkpoint does not match the model: {exc}") from exc
 
-    opt = Adam()
     if not isinstance(adam_t, dict):
         raise FormatError(f"{path}: adam_t must map parameter names to step counts")
     entries = {k for k in tensors if k.startswith("adam.")}
@@ -899,18 +895,20 @@ def restore_training(path: str) -> tuple[TrainState, Vocabulary]:
                           f"none: step counts of no parameter {unknown or 'none'}, entries "
                           f"missing {sorted(expected - entries) or 'none'}, "
                           f"unexpected {sorted(entries - expected) or 'none'}")
-    for name, param in params.items():
+    arena = model.arena
+    ms, vs = map(arena.views_of, arena.moments())
+    for i, name in enumerate(arena.names):
         if name not in adam_t:
             continue
         m, v, t = tensors[f"adam.m.{name}"], tensors[f"adam.v.{name}"], adam_t[name]
-        if m.shape != param.data.shape or v.shape != param.data.shape:
+        if m.shape != ms[i].shape or v.shape != ms[i].shape:
             raise FormatError(f"{path}: Adam moments of {name!r} have shapes {m.shape} "
-                              f"and {v.shape}, the parameter {param.data.shape}")
+                              f"and {v.shape}, the parameter {ms[i].shape}")
         if not _is_int(t) or t < 0:
             raise FormatError(f"{path}: Adam step count of {name!r} is {t!r}, "
                               "not a non-negative integer")
-        opt.state[name] = AdamState(m=m, v=v, t=t)
+        ms[i][...], vs[i][...], arena.steps[i] = m, v, t
     rng = Rng(0)
     rng.set_state(rng_state)
-    return TrainState(model=model, cfg=train_cfg, opt=opt, rng=rng, epoch=epoch,
+    return TrainState(model=model, cfg=train_cfg, rng=rng, epoch=epoch,
                       history=history), vocab

@@ -181,7 +181,6 @@ from modcap.metrics import (
 from modcap.training import LOSS_EPS, Replay, _step_major, step_grads
 from modcap.tensor import (
     FLOAT32,
-    AdamState,
     AttentionRun,
     LstmParams,
     LstmRun,
@@ -660,6 +659,15 @@ def shuffle(rng: Rng, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+@dataclass
+class AdamState:
+    """One parameter's moments and step count."""
+
+    m: np.ndarray
+    v: np.ndarray
+    t: int
+
+
 def adam_init(param: Tensor) -> AdamState:
     return AdamState(m=np.zeros_like(param.data), v=np.zeros_like(param.data), t=0)
 
@@ -721,15 +729,16 @@ def reference_clip(arena, max_norm: float) -> float:
     return norm
 
 
-def assert_same_update(params, opt, ref_params, ref_opt) -> None:
-    """Parameter bytes, moments and step counts equal, parameter by parameter."""
-    for name in params:
-        assert params[name].data.tobytes() == ref_params[name].data.tobytes(), name
-    assert set(opt.state) == set(ref_opt.state)
-    for name, st in opt.state.items():
-        ref = ref_opt.state[name]
-        assert (st.t, st.m.tobytes(), st.v.tobytes()) == (ref.t, ref.m.tobytes(),
-                                                           ref.v.tobytes()), name
+def assert_same_update(arena, ref_arena, ref_opt) -> None:
+    """Parameter bytes, moments and step counts equal, parameter by
+    parameter; one without a reference state has no step and zero moments."""
+    ms, vs = map(arena.views_of, arena.moments())
+    for i, name in enumerate(arena.names):
+        assert arena.views[i].tobytes() == ref_arena.views[i].tobytes(), name
+        zero = np.zeros_like(ms[i])
+        ref = ref_opt.state.get(name, AdamState(m=zero, v=zero, t=0))
+        assert (arena.steps[i], ms[i].tobytes(), vs[i].tobytes()) == (
+            ref.t, ref.m.tobytes(), ref.v.tobytes()), name
 
 
 # -- the product, affine map and softmax ----------------------------------------

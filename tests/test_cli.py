@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import struct
 from pathlib import Path
 
@@ -87,6 +88,28 @@ def test_count_below_one_is_a_usage_error(data_dir, checkpoint, tmp_path, capsys
     assert "usage" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag", [("corpus", "--out"), ("train", "--out"),
+                                          ("eval", "--out"), ("ablate", "--out"),
+                                          ("trace", "--out"), ("trace", "--svg")])
+def test_output_below_a_regular_file_exits_4_before_any_work(data_dir, checkpoint, tmp_path,
+                                                            capsys, caplog, command, flag):
+    # unchecked, each ended in a NotADirectoryError or FileExistsError
+    # traceback: train after its first epoch, eval after the whole evaluation
+    (tmp_path / "file").write_text("")
+    opened = {"corpus": ["--scenes", "24"],
+              "train": ["--data", str(data_dir)] + TRAIN_FLAGS,
+              "ablate": ["--data", str(data_dir), "--presets", "CNM#2"] + TRAIN_FLAGS,
+              "trace": ["--checkpoint", str(checkpoint), "--data", str(data_dir),
+                        "--scene", "0"]}.get(
+        command, ["--checkpoint", str(checkpoint), "--data", str(data_dir)])
+    with caplog.at_level(logging.INFO):
+        code = run([command, *opened, flag, str(tmp_path / "file" / "below" / "out")])
+    err = capsys.readouterr().err
+    assert code == 4 and "output error" in err and "Traceback" not in err
+    assert "epoch 0" not in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 def test_unknown_preset_exits_1(data_dir, tmp_path):
@@ -306,15 +329,11 @@ def test_negative_width_in_meta_exits_2(data_dir, checkpoint, tmp_path, capsys):
 
 
 def test_mis_shaped_adam_moment_exits_2(data_dir, checkpoint, tmp_path, capsys):
-    from modcap.training import restore_training, save_checkpoint
-
     path = copy_checkpoint(checkpoint, tmp_path)
-    state, vocab = restore_training(str(path))
-    state.opt.state[sorted(state.opt.state)[0]].m = np.zeros(3, dtype=np.float32)
-    # the save records the rewritten tensor file's sha256; epoch 0 makes the
-    # resume run an update, where the moment would otherwise first be used
-    state.epoch, state.history = 0, []
-    save_checkpoint(str(path), state, vocab)
+    rewrite_checkpoint(path, lambda tensors, steps: tensors.update(
+        {f"adam.m.{min(steps)}": np.zeros(3, dtype=np.float32)}))
+    edit_meta(path, lambda meta: meta.update(epoch=0, history=[]))
+    # epoch 0 leaves the resume an update to run, where the moment is used
     assert_data_error(["train", "--data", str(data_dir), "--out", str(path), "--resume"],
                       capsys)
 
@@ -532,17 +551,23 @@ def test_nan_checkpoint_exits_3_naming_the_decode_step(data_dir, checkpoint, tmp
     assert "Traceback" not in err
 
 
-def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys):
-    from modcap.training import restore_training, save_checkpoint
+def test_failed_save_keeps_the_previous_checkpoint(data_dir, checkpoint, tmp_path, capsys,
+                                                   monkeypatch):
+    from modcap import training
 
     path = copy_checkpoint(checkpoint, tmp_path)
     before = path.read_bytes()
-    state, vocab = restore_training(str(path))
-    # the last tensor cannot be converted, so the save fails
-    state.opt.state[sorted(state.opt.state)[-1]].v = np.array(["not a number"], dtype=object)
+    state, vocab = training.restore_training(str(path))
     state.epoch += 1
-    with pytest.raises(ValueError):
-        save_checkpoint(str(path), state, vocab)
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    # both files are written in full under temporary names; putting the
+    # first in place fails
+    with monkeypatch.context() as patched, pytest.raises(OSError):
+        patched.setattr(training.os, "replace", failing_replace)
+        training.save_checkpoint(str(path), state, vocab)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.bin.meta.json"]
     assert run(["eval", "--checkpoint", str(path), "--data", str(data_dir),

@@ -4,17 +4,22 @@ Every truncation or flipped byte of a checkpoint's tensor file or of its
 meta JSON, or of one of a corpus's four files, either leaves files the
 loaders accept or exits 2 with a data error; none ends in a traceback.
 The tensor file's sha256 sits in the meta file, so every change to the
-tensor file exits 2.
+tensor file exits 2.  The fuzzers draw their damages; a sweep also tries
+every bit flip and truncation of the tensor file's header bytes.
 """
 
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from modcap.cli import main as cli_main
+from modcap.errors import DataError
+from modcap.training import load_checkpoint
 
 EXAMPLES = 200
 FUZZ = settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None,
@@ -85,6 +90,40 @@ def restore(saved):
 def test_undamaged_checkpoint_loads(saved, capsys):
     restore(saved)
     assert caption(saved, capsys)[0] == 0
+
+
+def header_bytes(blob: bytes) -> list[int]:
+    """The offsets of a tensor file's 12-byte header and of the name
+    length, name, rank and shape fields of its first two entries and its
+    last."""
+    (count,) = struct.unpack_from("<I", blob, 8)
+    offsets, at = list(range(12)), 12
+    for k in range(count):
+        (name_len,) = struct.unpack_from("<I", blob, at)
+        (rank,) = struct.unpack_from("<I", blob, at + 4 + name_len)
+        shape = struct.unpack_from(f"<{rank}I", blob, at + 8 + name_len)
+        fields_end = at + 8 + name_len + 4 * rank
+        if k < 2 or k == count - 1:
+            offsets += range(at, fields_end)
+        at = fields_end + 4 * int(np.prod(shape))
+    assert at == len(blob)
+    return offsets
+
+
+def test_every_bit_flip_and_truncation_of_the_headers_is_a_data_error(saved, tmp_path):
+    # unlike the fuzzers' draws, the same damages whatever the code around
+    # them: each of the 8 bits of each header byte, and a cut at that byte
+    path = tmp_path / "model.bin"
+    Path(str(path) + ".meta.json").write_bytes(saved.meta_bytes)
+    blob = saved.bin_bytes
+    offsets = header_bytes(blob)
+    assert len(offsets) > 12 + 3 * 16
+    for at in offsets:
+        for damaged in [blob[:at]] + [blob[:at] + bytes([blob[at] ^ 1 << bit]) + blob[at + 1:]
+                                      for bit in range(8)]:
+            path.write_bytes(damaged)
+            with pytest.raises(DataError):      # a FormatError is a DataError
+                load_checkpoint(str(path))
 
 
 @FUZZ

@@ -14,7 +14,6 @@ from modcap.decoder import EOS_ID, sample_policy
 from modcap.errors import ShapeError, TrainingError
 from modcap.tensor import (
     Adam,
-    AdamState,
     ParamArena,
     Rng,
     Tensor,
@@ -25,6 +24,7 @@ from modcap.tensor import (
     xavier_uniform,
 )
 from reference import (
+    AdamState,
     Node,
     ReferenceAdam,
     _accum,
@@ -546,22 +546,31 @@ class TestAdam:
     def test_single_step_closed_form(self):
         # grad 1, lr 1e-3: m_hat = v_hat = 1, so the step is -lr/(1+eps)
         p = Tensor(np.zeros(1, dtype=np.float64), requires_grad=True, dtype=np.float64)
-        opt = Adam()
-        opt.step(arena_with_grads({"p": p}, {"p": np.ones(1)}), lr=1e-3)
+        arena = arena_with_grads({"p": p}, {"p": np.ones(1)})
+        assert arena.m is None and arena.v is None      # no moments before an update
+        Adam().step(arena, lr=1e-3)
         assert abs(p.data[0] + 1e-3) < 1e-8 * 1e-3
-        assert opt.state["p"].t == 1
+        assert arena.steps == [1]
+        np.testing.assert_allclose(arena.m, [0.1])
+        np.testing.assert_allclose(arena.v, [0.001])
 
     def test_rejects_nonfinite_gradient(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         q = Tensor(np.ones(3), requires_grad=True)
         arena = arena_with_grads({"mylayer.W": p, "other.b": q},
-                                 {"mylayer.W": np.array([np.nan, 0.0]), "other.b": np.ones(3)})
+                                 {"mylayer.W": np.ones(2), "other.b": np.ones(3)})
         opt = Adam()
+        opt.step(arena, 1e-3)
+        arena.clear_grads()
+        _accum(p, np.array([np.nan, 0.0]))
+        _accum(q, np.ones(3))
+        before = arena.data.copy(), arena.m.copy(), arena.v.copy()
         with pytest.raises(TrainingError, match="mylayer.W"):
             opt.step(arena, 1e-3)
-        # nothing moved: no state, no step, the values as they were
-        assert not opt.state
-        assert q.data.tolist() == [1.0, 1.0, 1.0]
+        # nothing moved: the values, the moments and the step counts as they were
+        assert arena.steps == [1, 1]
+        for now, then in zip((arena.data, arena.m, arena.v), before):
+            np.testing.assert_array_equal(now, then)
 
     def test_optimizer_descends_quadratic(self):
         x = Tensor(np.array([5.0, -3.0]), requires_grad=True, dtype=np.float64)
@@ -633,7 +642,6 @@ class TestParamArena:
         arena = arena_with_grads(params, {name: np.ones(p.data.shape, dtype=np.float32)
                                           for name, p in params.items()})
         before = arena.data.copy()
-        opt = Adam()
         refused = pytest.raises(RuntimeError, match="parameter 'a.b' was rebound behind its arena")
         # both are refused where they happen
         if behind == "data":
@@ -645,8 +653,8 @@ class TestParamArena:
                 params["a.b"].grad = np.full(5, 7.0, dtype=np.float32)
             assert params["a.b"].grad is arena.grads[1]
             np.testing.assert_array_equal(arena.grad, np.ones(21, dtype=np.float32))
-        # nothing moved: no state, and the arena's values as they were
-        assert not opt.state
+        # nothing moved: no moments, no step, and the arena's values as they were
+        assert arena.m is None and arena.steps == [0, 0, 0]
         np.testing.assert_array_equal(arena.data, before)
 
     def test_one_dtype_per_arena(self):
@@ -657,12 +665,13 @@ class TestParamArena:
 
     def steps_of_both(self, prepare, n_steps=3, dtype=np.float32):
         """n_steps updates of the flat and of the per-parameter Adam from the
-        same start; ``prepare(params, opt)`` may seed the optimizer state."""
+        same start, as (arena, optimizer) pairs; ``prepare(arena, opt)`` may
+        seed the optimizer state."""
         out = []
         for opt in (Adam(), ReferenceAdam()):
             params = self.params(dtype)
             arena = ParamArena(params)
-            prepare(params, opt)
+            prepare(arena, opt)
             rng = np.random.default_rng(9)
             for step in range(n_steps):
                 for name, p in params.items():
@@ -671,28 +680,31 @@ class TestParamArena:
                 opt.step(arena, lr=1e-2)
                 for p in params.values():
                     p.grad = None
-            out.append((params, opt))
+            out.append((arena, opt))
         return out
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_parameters_that_join_late_step_with_their_own_count(self, dtype):
-        got, want = self.steps_of_both(lambda params, opt: None, dtype=dtype)
-        assert {name: st.t for name, st in got[1].state.items()} == {"b.W": 3, "a.b": 3,
-                                                                     "c.W": 2}
-        assert_same_update(*got, *want)
+        got, want = self.steps_of_both(lambda arena, opt: None, dtype=dtype)
+        assert got[0].steps == [3, 3, 2]        # b.W, a.b, c.W
+        assert_same_update(got[0], *want)
 
     def test_restored_moments_are_adopted_on_the_first_step(self):
-        def restore(params, opt):
+        def restore(arena, opt):
             rng = np.random.default_rng(4)
             for name, t in (("b.W", 7), ("a.b", 2)):
-                shape = params[name].data.shape
-                opt.state[name] = AdamState(
-                    m=rng.standard_normal(shape).astype(np.float32),
-                    v=rng.random(shape).astype(np.float32), t=t)
+                i = arena.names.index(name)
+                m = rng.standard_normal(arena.views[i].shape).astype(np.float32)
+                v = rng.random(arena.views[i].shape).astype(np.float32)
+                if isinstance(opt, ReferenceAdam):
+                    opt.state[name] = AdamState(m=m, v=v, t=t)
+                else:
+                    ms, vs = map(arena.views_of, arena.moments())
+                    ms[i][...], vs[i][...], arena.steps[i] = m, v, t
 
         got, want = self.steps_of_both(restore)
-        assert got[1].state["b.W"].t == 10 and got[1].state["c.W"].t == 2
-        assert_same_update(*got, *want)
+        assert got[0].steps == [10, 5, 2]
+        assert_same_update(got[0], *want)
 
 
 class TestClip:

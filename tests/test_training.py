@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ class TestXeEpoch:
         with pytest.raises(TrainingError) as err:
             run_xe_epoch(model, corpus, synth, cfg, opt, Rng(0), 0)
         assert "'head.b'" in str(err.value) and "'unit1.lstm2.W'" in str(err.value)
-        assert not opt.state
+        assert model.arena.m is None and not any(model.arena.steps)
         assert all(np.array_equal(before[k], params[k].data) for k in params)
 
 
@@ -451,10 +452,9 @@ class TestParamArena:
         return model, opt, norms
 
     def assert_same_training(self, got, want):
-        (model, opt, norms), (ref_model, ref_opt, ref_norms) = got, want
+        (model, _, norms), (ref_model, ref_opt, ref_norms) = got, want
         assert norms == ref_norms
-        assert_same_update(model.named_parameters(), opt, ref_model.named_parameters(),
-                           ref_opt)
+        assert_same_update(model.arena, ref_model.arena, ref_opt)
 
     @pytest.mark.parametrize("preset", PRESET_GRID)
     def test_matches_the_per_parameter_update(self, corpus, synth, monkeypatch, preset):
@@ -478,16 +478,34 @@ class TestParamArena:
                                                                    monkeypatch):
         # under uniform weights no op reads the controller of Col/1
         before, _ = self.preset_model(corpus, "Col/1")
-        model, opt, _ = self.train_once(corpus, synth, monkeypatch, "Col/1", Adam(),
-                                        clip_global_norm)
+        model, _, _ = self.train_once(corpus, synth, monkeypatch, "Col/1", Adam(),
+                                      clip_global_norm)
         ctrl = [name for name in model.named_parameters() if ".ctrl." in name]
         assert ctrl
         initial, params = before.named_parameters(), model.named_parameters()
-        for name in ctrl:
-            assert params[name].data.tobytes() == initial[name].data.tobytes()
-            assert params[name].grad is None
-            assert name not in opt.state
-        assert set(opt.state) == set(params) - set(ctrl)
+        arena = model.arena
+        ms, vs = map(arena.views_of, arena.moments())
+        for i, name in enumerate(arena.names):
+            if name in ctrl:
+                assert params[name].data.tobytes() == initial[name].data.tobytes()
+                assert params[name].grad is None
+                assert arena.steps[i] == 0 and not ms[i].any() and not vs[i].any()
+            else:
+                assert arena.steps[i] > 0, name
+
+    def test_a_save_stores_adam_state_of_updated_parameters_only(self, corpus, synth,
+                                                                 monkeypatch, tmp_path):
+        model, _, _ = self.train_once(corpus, synth, monkeypatch, "Col/1", Adam(),
+                                      clip_global_norm)
+        path = str(tmp_path / "model.bin")
+        save_checkpoint(path, TrainState(model, self.preset_model(corpus, "Col/1")[1]),
+                        corpus.vocab)
+        tensors, meta = load_checkpoint(path)
+        updated = {name for name, t in zip(model.arena.names, model.arena.steps) if t}
+        assert updated and len(updated) < len(model.arena.names)
+        assert set(meta["adam_t"]) == updated
+        assert {k for k in tensors if k.startswith("adam.")} == {
+            f"adam.{kind}.{name}" for name in updated for kind in "mv"}
 
     def test_a_graph_built_before_a_step_keeps_the_old_values(self, corpus, synth):
         model, cfg = self.preset_model(corpus, "CNM#2")
@@ -519,11 +537,11 @@ class TestParamArena:
         params = model.named_parameters()
         arena = model.arena
         assert arena.names == tuple(params)
-        flat_m = opt.state[arena.names[0]].m.base
-        assert flat_m.shape == arena.data.shape
+        assert arena.m.shape == arena.v.shape == arena.data.shape
         for name, p in params.items():
             assert p.data.base is arena.data and p.grad.base is arena.grad
-            assert opt.state[name].m.base is flat_m
+        # the moments live in no other object: the optimizer holds nothing
+        assert not vars(opt)
 
 
 class TestSelfCritical:
@@ -834,19 +852,26 @@ class TestCheckpoints:
 
     def test_round_trip_tensors(self, corpus, synth, tmp_path):
         state = self.one_epoch(corpus, synth)
-        model, opt, rng = state.model, state.opt, state.rng
+        model, rng = state.model, state.rng
         state.history = [{"epoch": 0}]
         path = str(tmp_path / "model.bin")
         save_checkpoint(path, state, corpus.vocab)
         tensors, meta = load_checkpoint(path)
-        params = model.named_parameters()
-        for name, p in params.items():
+        arena = model.arena
+        ms, vs = map(arena.views_of, arena.moments())
+        assert meta["adam_t"] == dict(zip(arena.names, arena.steps))
+        for name, p, m, v in zip(arena.names, arena.tensors, ms, vs):
             np.testing.assert_array_equal(tensors[name], p.data)
-            np.testing.assert_array_equal(tensors[f"adam.m.{name}"],
-                                          opt.state[name].m)
+            np.testing.assert_array_equal(tensors[f"adam.m.{name}"], m)
+            np.testing.assert_array_equal(tensors[f"adam.v.{name}"], v)
         assert meta["epoch"] == 1
         assert meta["rng"] == rng.get_state()
         assert meta["vocab"]["tokens"] == corpus.vocab.tokens
+        # a restore writes every moment and step count into its parameter's slot
+        restored = restore_training(path)[0].model.arena
+        assert restored.steps == arena.steps
+        for flat, want in zip(restored.moments(), arena.moments()):
+            np.testing.assert_array_equal(flat, want)
 
     def test_save_load_save_is_byte_identical(self, corpus, synth, tmp_path):
         first = str(tmp_path / "a.bin")
@@ -857,6 +882,26 @@ class TestCheckpoints:
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
         assert ((tmp_path / "a.bin.meta.json").read_bytes()
                 == (tmp_path / "b.bin.meta.json").read_bytes())
+
+    def test_a_stored_step_count_of_0_loads_and_the_next_save_drops_its_moments(
+            self, corpus, synth, tmp_path):
+        path = str(tmp_path / "model.bin")
+        save_checkpoint(path, self.one_epoch(corpus, synth), corpus.vocab)
+        meta_file = Path(path + ".meta.json")
+        meta = json.loads(meta_file.read_text())
+        name = min(meta["adam_t"])
+        meta["adam_t"][name] = 0
+        meta_file.write_text(json.dumps(meta))
+        restored, vocab = restore_training(path)
+        arena = restored.model.arena
+        i = arena.names.index(name)
+        assert arena.steps[i] == 0
+        np.testing.assert_array_equal(arena.views_of(arena.m)[i],
+                                      load_checkpoint(path)[0][f"adam.m.{name}"])
+        # a count of 0 is no update: a save stores no moments for it
+        save_checkpoint(path, restored, vocab)
+        tensors, meta = load_checkpoint(path)
+        assert name not in meta["adam_t"] and f"adam.m.{name}" not in tensors
 
     def test_restored_model_behaves_identically(self, corpus, synth, tmp_path):
         state = self.one_epoch(corpus, synth)
